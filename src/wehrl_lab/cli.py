@@ -214,7 +214,8 @@ def disc_maximize(nu, n, degree, seed):
     _echo_json({"objective": res.objective,
                 "kernel_distance": res.kernel_distance,
                 "iterations": res.iterations,
-                "grad_norm": res.grad_norm, "seed": seed})
+                "grad_norm": res.grad_norm, "stop_reason": res.stop_reason,
+                "seed": seed})
 
 
 @disc.command("ode")

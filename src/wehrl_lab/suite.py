@@ -165,24 +165,32 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
         abs(quad - exact) <= 1e-10 * exact, seed=config.seed))
 
     # Completeness of the component projections (convention-sensitive).
-    comp_ok = True
-    last = None
+    # total and expected are lists parallel to pairs; failed_pairs names
+    # every pair whose totals differ.
+    pairs, totals, expected, failed = [], [], [], []
     for mu, nu in ((Fraction(2), Fraction(2)), (Fraction(5, 2), Fraction(7, 2))):
         ff = _rand_rational_poly(rng, mu, 4)
         gg = _rand_rational_poly(rng, nu, 4)
-        last = dc.completeness_check(ff, gg, convention=conv)
-        comp_ok = comp_ok and last.passed
+        rep = dc.completeness_check(ff, gg, convention=conv)
+        pairs.append(f"({mu},{nu})")
+        totals.append(exact_json(rep.total))
+        expected.append(exact_json(rep.expected))
+        if not rep.passed:
+            failed.append(pairs[-1])
     reports.append(_check(
-        "disc.completeness", {"convention": config.convention},
-        {"total": exact_json(last.total), "expected": exact_json(last.expected)},
-        comp_ok, seed=config.seed))
+        "disc.completeness", {"convention": config.convention, "degree": 4},
+        {"pairs": pairs, "total": totals, "expected": expected,
+         "failed_pairs": failed},
+        not failed, seed=config.seed))
 
     # First-subleading component of f^{(x) n} vanishes identically.
-    q1_ok = all(
-        _q1_zero(_rand_rational_poly(rng, Fraction(2), 5), n, conv)
-        for n in (2, 3))
-    reports.append(_check("disc.q1_vanishing", {"n": "2,3"},
-                          {"norm2": "0"}, q1_ok, seed=config.seed))
+    q1_norms = {str(n): dc.q1_iterated(
+        _rand_rational_poly(rng, Fraction(2), 5), n, conv).norm2()
+        for n in (2, 3)}
+    reports.append(_check(
+        "disc.q1_vanishing", {"n": "2,3", "nu": "2", "degree": 5},
+        {"norm2": {n: exact_json(v) for n, v in q1_norms.items()}},
+        all(v == 0 for v in q1_norms.values()), seed=config.seed))
 
     # Wehrl inequality on random polynomials and near-equality on kernels.
     slacks = []
@@ -254,10 +262,6 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
         res.objective >= 1 - 1e-6 and res.kernel_distance < 1e-4,
         seed=config.seed))
     return reports
-
-
-def _q1_zero(f: dc.PolyFun, n: int, conv: str) -> bool:
-    return dc.q1_iterated(f, n, conv).norm2() == 0
 
 
 def _suite_compact(config: SuiteConfig) -> list[Report]:

@@ -124,3 +124,27 @@ def test_every_fail_report_carries_compared_values():
     assert code == 1 and fails
     for r in fails:
         assert "total" in r.outputs and "expected" in r.outputs
+
+
+def test_disc_suite_reports_every_pair_and_q1_norms():
+    for convention, failed in (("corrected", []),
+                               ("paper", ["(2,2)", "(5/2,7/2)"])):
+        _, reports = run_suite("disc", SuiteConfig(convention=convention))
+        by_command = {r.command: r for r in reports}
+        comp = by_command["disc.completeness"].outputs
+        assert comp["pairs"] == ["(2,2)", "(5/2,7/2)"]
+        assert len(comp["total"]) == len(comp["expected"]) == 2
+        assert comp["failed_pairs"] == failed
+        for total, expected, pair in zip(comp["total"], comp["expected"],
+                                         comp["pairs"]):
+            assert (total == expected) == (pair not in failed)
+        q1 = by_command["disc.q1_vanishing"].outputs["norm2"]
+        assert sorted(q1) == ["2", "3"]
+        assert all(v["num"] == "0" for v in q1.values())
+
+
+def test_disc_maximize_prints_stop_reason(runner):
+    res = runner.invoke(main, ["disc", "maximize", "--nu", "2", "--n", "2",
+                               "--degree", "5", "--seed", "1"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["stop_reason"] == "gradient_tolerance"

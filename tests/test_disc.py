@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wehrl_lab import disc
 from wehrl_lab.disc import (KernelFun, NoConvergence,
                             OutsideBergman, PolyFun, ProjectionSpec,
                             TensorPoly, completeness_check,
@@ -12,6 +13,7 @@ from wehrl_lab.disc import (KernelFun, NoConvergence,
                             matrix_coeff_lp, maximize_wehrl, monomial_norm2,
                             norm2_exact, norm_p_numeric, ode_solve,
                             q1_iterated, qk_project, wehrl_check)
+from wehrl_lab.exactnum import QC
 
 NU2 = Fraction(2)
 
@@ -95,6 +97,110 @@ def test_completeness_fractional_weights():
     g = poly(Fraction(7, 2), Fraction(1, 3), 1, 1)
     rep = completeness_check(f, g, convention="corrected_minus_one")
     assert rep.passed and isinstance(rep.total, Fraction)
+
+
+# Independent reference for the Q_k masses, on (re, im) pairs of Fractions.
+# F = f (x) g is a product, so d_z^j d_w^{k-j} F |_{z=w} = f^{(j)} g^{(k-j)}.
+
+def _rising(x, m):
+    out = Fraction(1)
+    for i in range(m):
+        out *= x + i
+    return out
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_qk_norm2(fc, gc, mu, nu, k, shift):
+    core = {}
+    for j in range(k + 1):
+        w = (Fraction((-1) ** j * math.comb(k, j))
+             / (_rising(mu, j) * _rising(nu, k - j)))
+        for p in range(j, len(fc)):
+            for q in range(k - j, len(gc)):
+                s = w * math.perm(p, j) * math.perm(q, k - j)
+                re, im = _cmul(fc[p], gc[q])
+                m = p + q - k
+                old = core.get(m, (Fraction(0), Fraction(0)))
+                core[m] = (old[0] + s * re, old[1] + s * im)
+    target = mu + nu + 2 * k
+    mass = sum(((re * re + im * im) * math.factorial(m) / _rising(target, m)
+                for m, (re, im) in core.items()), Fraction(0))
+    c2_inv = (math.factorial(k) * _rising(mu + nu + k + shift, k)
+              / (_rising(mu, k) * _rising(nu, k)))
+    return mass / c2_inv
+
+
+gaussian_coeffs = st.lists(st.tuples(small_fractions, small_fractions),
+                           min_size=1, max_size=7)
+weights = st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3),
+                           Fraction(7, 2)])
+
+
+@given(gaussian_coeffs, gaussian_coeffs, weights, weights,
+       st.sampled_from([("corrected_minus_one", -1), ("paper_plus_one", 1)]))
+@example([(Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(2))],
+         [(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 4)),
+          (Fraction(-3), Fraction(3))],
+         Fraction(5, 2), Fraction(7, 2), ("corrected_minus_one", -1))
+@settings(max_examples=40, deadline=None)
+def test_qk_masses_match_product_reference(fc, gc, mu, nu, convention):
+    name, shift = convention
+    f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
+    g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
+    F = TensorPoly.from_product(f, g)
+    for k in range(len(fc) + len(gc) - 1):
+        got = qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
+        assert got == _ref_qk_norm2(fc, gc, mu, nu, k, shift), k
+
+
+def test_zero_polynomial():
+    zero = poly(Fraction(5, 2), 0, 0, 0)
+    g = poly(Fraction(7, 2), 1, Fraction(-1, 2), QC(0, 1))
+    assert norm2_exact(zero) == 0
+    rep = completeness_check(zero, g)
+    assert rep.passed and rep.total == 0 and set(rep.per_k) == {0}
+    proj = qk_project(TensorPoly.from_product(zero, g),
+                      ProjectionSpec(zero.nu, g.nu, 2))
+    assert all(c.is_zero() for c in proj.core.coeffs)
+    assert q1_iterated(zero, 3).norm2() == 0
+    assert all(c.is_zero() for c in (zero * g).coeffs)
+    assert all(c.is_zero() for c in poly(NU2, 0).derivative().coeffs)
+
+
+def test_completeness_degree_16():
+    rng = np.random.default_rng(16)
+    mu, nu = Fraction(5, 2), Fraction(7, 2)
+
+    def rand_coeffs():
+        return [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+                for _ in range(17)]
+
+    fc, gc = rand_coeffs(), rand_coeffs()
+    f, g = PolyFun(mu, tuple(fc)), PolyFun(nu, tuple(gc))
+    expected = (sum(c * c * monomial_norm2(mu, m) for m, c in enumerate(fc))
+                * sum(c * c * monomial_norm2(nu, m) for m, c in enumerate(gc)))
+    rep = completeness_check(f, g)
+    assert len(rep.per_k) == 33
+    assert rep.passed and rep.total == rep.expected == expected
+    assert not completeness_check(f, g, convention="paper_plus_one").passed
+
+
+def test_completeness_float_coefficients_match_exact():
+    # Dyadic coefficients are exact in floating point, so both rings see the
+    # same polynomial.
+    fc = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(1))
+    gc = (Fraction(-1, 4), Fraction(3, 2), Fraction(1, 8))
+    exact = completeness_check(PolyFun(Fraction(5, 2), fc),
+                               PolyFun(Fraction(3), gc))
+    floats = completeness_check(
+        PolyFun(Fraction(5, 2), tuple(complex(c) for c in fc)),
+        PolyFun(Fraction(3), tuple(1j * float(c) for c in gc)))
+    assert floats.passed
+    assert floats.per_k == pytest.approx([float(m) for m in exact.per_k],
+                                         rel=1e-12)
 
 
 def test_q1_component_vanishes():
@@ -192,10 +298,29 @@ def test_maximize_wehrl_reaches_kernel_ray():
     assert res.objective >= 1 - 1e-6
     assert res.kernel_distance < 1e-4
     assert res.trajectory_monotone
+    assert res.stop_reason == "gradient_tolerance"
+    assert res.grad_norm < 5e-6
 
 
 def test_maximize_wehrl_no_convergence_raises():
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as err:
         maximize_wehrl(2, 2, 8, seed=1, max_iters=5, tol=1e-9)
+    assert err.value.stop_reason == "max_iterations"
     with pytest.raises(ValueError):
         maximize_wehrl(2, 2, 3)
+
+
+def test_maximize_wehrl_line_search_exhaustion_raises(monkeypatch):
+    real = disc._objective_and_gradient
+    calls = []
+
+    def never_ascends(x, *args):
+        phi, grad = real(x, *args)
+        calls.append(phi)
+        return (phi if len(calls) == 1 else phi - 1.0), grad
+
+    monkeypatch.setattr(disc, "_objective_and_gradient", never_ascends)
+    with pytest.raises(NoConvergence) as err:
+        maximize_wehrl(2, 2, 8, seed=1)
+    assert err.value.stop_reason == "line_search_exhausted"
+    assert len(calls) == 1 + 60
