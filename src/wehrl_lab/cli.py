@@ -270,16 +270,15 @@ def compact(m, n, vector, random_, seed, grid_order):
 @click.option("--mc-budget", default=1_000_000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol-abs", default=1e-10, show_default=True, type=float)
-@click.option("--tol-rel", default=1e-6, show_default=True, type=float)
 @click.option("--convention", default="corrected", show_default=True,
               type=click.Choice(["paper", "corrected"]))
 @click.option("--out", default=None, type=click.Path(),
               help="directory for the JSON-lines report stream")
-def suite(name, nodes, mc_budget, seed, tol_abs, tol_rel, convention, out):
+def suite(name, nodes, mc_budget, seed, tol_abs, convention, out):
     """Run a verification battery; exit code 0 iff all checks pass."""
     config = SuiteConfig(quadrature_nodes=nodes, mc_budget=mc_budget,
                          seed=seed, tolerance_abs=tol_abs,
-                         tolerance_rel=tol_rel, convention=convention)
+                         convention=convention)
     code, reports = run_suite(name, config)
     lines = [r.to_json() for r in reports]
     for line in lines:

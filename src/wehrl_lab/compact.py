@@ -5,12 +5,19 @@ highest weight vector e_top, the inequality reads
 
     int_K |<tau(k) v, e_top>|^{2n} dk  <=  1 / (nm + 1),
 
-with equality exactly on the orbit of e_top.  Two independent routes are
-implemented: the algebraic one through the orthogonal projection onto the
-top (Cartan) component V_{nm} inside V_m^{(x) n}, and direct Haar-measure
+with equality exactly on the orbit of e_top.  The algebraic route divides
+the mass of v^{(x) n} in the top (Cartan) component V_{nm} of V_m^{(x) n} by
+nm + 1.  As in Lieb and Solovej, "Proof of an entropy conjecture for Bloch
+coherent spin states" (Acta Math. 2014), that mass is a weighted norm of a
+power of the Bloch polynomial p_v(z) = sum_i v_i binom(m, i)^{1/2} z^i,
+
+    ||P_{nm}(v^{(x) n})||^2 = sum_k |[p_v^n]_k|^2 / binom(nm, k),
+
+with the disc's norm weights k!/(nu)_k at nu = -nm, up to sign; sympy
+evaluates the same sum exactly.  The independent numeric route is Haar
 quadrature in Euler angles.  The Casimir tensor identity characterizing the
-equality case is checked with the Killing-normalized basis, calibrating the
-Casimir constant from the representation itself instead of hard-coding it.
+equality case is checked on the n = 2 tensor with the Killing-normalized
+basis, calibrating the Casimir constant from the representation itself.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,9 +33,8 @@ from scipy.linalg import expm
 from scipy.special import roots_legendre
 
 __all__ = [
-    "Su2Irrep", "TensorState", "HaarGrid", "CartanProjector",
-    "GridTooCoarse", "CompactReport", "CasimirReport",
-    "cartan_projection", "cartan_mass_exact", "casimir_tensor_check",
+    "Su2Irrep", "HaarGrid", "GridTooCoarse", "CompactReport",
+    "CasimirReport", "cartan_mass_exact", "casimir_tensor_check",
     "wehrl_compact_check", "haar_moment", "haar_moment_closed",
     "group_element",
     "translate_vector", "translate_fit_distance", "reduction_consistency",
@@ -89,127 +94,61 @@ class Su2Irrep:
         return [J1 / math.sqrt(2), J2 / math.sqrt(2), J3 / math.sqrt(2)]
 
 
-@dataclass(frozen=True)
-class TensorState:
-    """Element of V_m^{(x) n} over the product weight basis, stored flat in
-    row-major order of the indices (i_1, ..., i_n)."""
-
-    m: int
-    n: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        expected = (self.m + 1) ** self.n
-        if len(self.coeffs) != expected:
-            raise ValueError(f"need {expected} coefficients")
-        object.__setattr__(self, "coeffs",
-                           tuple(complex(c) for c in self.coeffs))
-
-    @staticmethod
-    def pure_power(v: Sequence[complex], n: int) -> "TensorState":
-        v = np.asarray(v, dtype=complex)
-        out = reduce(np.kron, [v] * n)
-        return TensorState(len(v) - 1, n, tuple(out))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.as_array()) ** 2))
-
-
-def _total_lowering_float(m: int, n: int) -> np.ndarray:
-    rep = Su2Irrep(m)
-    L, eye = rep.lowering_matrix(), np.eye(rep.dim)
-    total = np.zeros((rep.dim ** n, rep.dim ** n))
-    for k in range(n):
-        mats = [L if j == k else eye for j in range(n)]
-        total += reduce(np.kron, mats)
-    return total
-
-
-@dataclass(frozen=True)
-class CartanProjector:
-    """Orthogonal projector onto the top component V_{nm} of V_m^{(x) n},
-    built by repeated total lowering of e_top^{(x) n}."""
-
-    m: int
-    n: int
-    basis: np.ndarray  # shape (nm+1, (m+1)^n), rows orthonormal
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[0]
-
-    def apply(self, x: np.ndarray | TensorState) -> np.ndarray:
-        if isinstance(x, TensorState):
-            x = x.as_array()
-        return self.basis.conj().T @ (self.basis @ x)
-
-    def mass(self, x: np.ndarray | TensorState) -> float:
-        """Squared norm of the projection."""
-        if isinstance(x, TensorState):
-            x = x.as_array()
-        return float(np.sum(np.abs(self.basis @ x) ** 2))
-
-    def matrix(self) -> np.ndarray:
-        return self.basis.conj().T @ self.basis
-
-
-def cartan_projection(n: int, m: int) -> CartanProjector:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dim = (m + 1) ** n
-    L = _total_lowering_float(m, n)
-    rows = np.zeros((n * m + 1, dim))
-    w = np.zeros(dim)
-    w[0] = 1.0  # e_top^{(x) n}
-    for k in range(n * m + 1):
-        # squared norm of the k-fold lowered top vector: k! (nm)!/(nm-k)!
-        nrm2 = (math.factorial(k) * math.factorial(n * m)
-                / math.factorial(n * m - k))
-        rows[k] = w / math.sqrt(nrm2)
-        if k < n * m:
-            w = L @ w
-    return CartanProjector(m=m, n=n, basis=rows)
-
-
 # ---------------------------------------------------------------------------
-# Exact route (sympy): Cartan mass for vectors with symbolic coefficients.
+# Top-component masses through Bloch polynomials.
 
-def _lower_exact(state: dict, m: int, n: int) -> dict:
-    out: dict = {}
-    for idx, c in state.items():
-        for k in range(n):
-            i = idx[k]
-            if i == m:
-                continue
-            nidx = idx[:k] + (i + 1,) + idx[k + 1:]
-            entry = sp.sqrt((i + 1) * (m - i))
-            out[nidx] = out.get(nidx, sp.Integer(0)) + c * entry
-    return out
+# The largest nm with binom(nm, nm // 2) <= 2**1022, so that every weight
+# 1/binom(nm, k) is a normal float.
+_NM_MAX = 1027
+
+
+def _vector(v: Sequence[complex], m: int) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    if len(v) != m + 1:
+        raise ValueError("vector length must be m + 1")
+    return v
+
+
+def _root_binomials(m: int) -> np.ndarray:
+    """binom(m, i)^{1/2} for i = 0..m: u in V_m has the Bloch polynomial
+    p_u(z) = sum_i u_i binom(m, i)^{1/2} z^i."""
+    return np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+
+
+def _top_mass(factors: Sequence[np.ndarray]) -> float:
+    """||P_M(u_1 (x) ... (x) u_r)||^2 for u_j in V_{m_j} and M = sum m_j.
+
+    With p the product of the Bloch polynomials p_{u_j}, the mass is
+    sum_k |[p]_k|^2 / binom(M, k): the product tensor has inner product
+    k! [p]_k with the k-fold lowered top vector, whose squared norm is
+    k!^2 binom(M, k).
+    """
+    big_m = sum(len(u) - 1 for u in factors)
+    if big_m > _NM_MAX:
+        raise ValueError(f"nm = {big_m} exceeds {_NM_MAX}, the largest nm "
+                         f"whose weights 1/binom(nm, k) are normal floats")
+    p = np.ones(1, dtype=complex)
+    for u in factors:
+        p = np.convolve(p, u * _root_binomials(len(u) - 1))
+    binoms = np.array([float(math.comb(big_m, k)) for k in range(big_m + 1)])
+    return float(np.sum(np.abs(p) ** 2 / binoms))
 
 
 def cartan_mass_exact(v, n: int, m: int):
     """||P_{nm}(v^{(x) n})||^2 as an exact sympy expression.
 
     v is a length m+1 sequence of sympy-convertible coefficients over the
-    orthonormal weight basis (top first).
+    orthonormal weight basis (top first); the mass is the weighted norm of
+    p_v^n, as in the float route.
     """
     v = [sp.sympify(c) for c in v]
     if len(v) != m + 1:
         raise ValueError("vector length must be m + 1")
-    state = {(0,) * n: sp.Integer(1)}
-    total = sp.Integer(0)
-    for k in range(n * m + 1):
-        nrm2 = sp.Integer(math.factorial(k) * math.factorial(n * m)
-                          // math.factorial(n * m - k))
-        inner = sp.Integer(0)
-        for idx, c in state.items():
-            inner += sp.prod([v[i] for i in idx]) * sp.conjugate(c)
-        total += sp.Abs(inner) ** 2 / nrm2
-        if k < n * m:
-            state = _lower_exact(state, m, n)
+    z = sp.Dummy("z")
+    p = sp.Poly(sum(c * sp.sqrt(math.comb(m, i)) * z ** i
+                    for i, c in enumerate(v)), z) ** n
+    total = sum(sp.Abs(p.coeff_monomial(z ** k)) ** 2 / math.comb(n * m, k)
+                for k in range(n * m + 1))
     return sp.simplify(total)
 
 
@@ -237,9 +176,7 @@ def casimir_tensor_check(v: Sequence[complex], m: int,
     to v (x) v lying in the top component V_{2m}.
     """
     rep = Su2Irrep(m)
-    v = np.asarray(v, dtype=complex)
-    if len(v) != rep.dim:
-        raise ValueError("vector length must be m + 1")
+    v = _vector(v, m)
     v = v / np.linalg.norm(v)
     Ts = rep.killing_orthonormal_basis()
     # Dual-form pairings: Lambda and rho evaluate to m/(2 sqrt 2), 1/(2 sqrt 2)
@@ -252,11 +189,10 @@ def casimir_tensor_check(v: Sequence[complex], m: int,
     assert np.allclose(casimir_matrix, casimir_constant * np.eye(rep.dim))
     lhs = sum(np.kron(T @ v, T @ v) for T in Ts)
     residual = float(np.linalg.norm(lhs - lam_lam * np.kron(v, v)))
-    mass = cartan_projection(2, m).mass(np.kron(v, v))
     return CasimirReport(m=m, residual=residual,
                          casimir_constant=casimir_constant,
                          casimir_expected=float(casimir_expected),
-                         top_mass=mass, equality=residual < tol)
+                         top_mass=_top_mass([v, v]), equality=residual < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +293,14 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
     route is Haar quadrature.  Pass exact_coeffs (sympy-convertible, same
     vector) to also get the exact rational value of the integral.
     """
-    v = np.asarray(v, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-12:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    v = _vector(v, m)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValueError("v must be a unit vector")
     if grid is None:
         grid = HaarGrid(n * m + 2)
-    proj = cartan_projection(n, m)
-    mass = proj.mass(TensorState.pure_power(v, n))
+    mass = _top_mass([v] * n)
     bound = 1.0 / (n * m + 1)
     exact = mass * bound
     numeric = wehrl_integral_numeric(v, m, n, grid)
@@ -416,15 +352,18 @@ def translate_fit_distance(v: Sequence[complex], m: int) -> float:
 
 def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:
     """|  ||P_{nm}(v^{(x) n})||  -  ||P_{nm}(w (x) v^{(x) n-2})||  | where w
-    is the V_{2m} component of v (x) v; zero by the projection identity."""
+    is the V_{2m} component of v (x) v; zero by the projection identity.
+
+    w is taken in the orthonormal weight basis of V_{2m}: its k-th
+    coordinate is [p_v^2]_k / binom(2m, k)^{1/2}.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    v = np.asarray(v, dtype=complex)
-    proj_n = cartan_projection(n, m)
-    w = cartan_projection(2, m).apply(np.kron(v, v))
-    tail = reduce(np.kron, [v] * (n - 2), np.array([1.0 + 0j]))
-    lhs = math.sqrt(proj_n.mass(TensorState.pure_power(v, n)))
-    rhs = math.sqrt(proj_n.mass(np.kron(w, tail)))
+    v = _vector(v, m)
+    lhs = math.sqrt(_top_mass([v] * n))
+    p_v = v * _root_binomials(m)
+    w = np.convolve(p_v, p_v) / _root_binomials(2 * m)
+    rhs = math.sqrt(_top_mass([w] + [v] * (n - 2)))
     return abs(lhs - rhs)
 
 

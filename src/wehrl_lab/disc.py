@@ -602,12 +602,10 @@ def _objective_and_gradient(x: np.ndarray, nu, n: int, degree: int,
     """Objective Phi(x) = ||f^n||^2_{n nu} for unit x in the orthonormal
     coefficient basis, with the Wirtinger gradient d Phi / d conj(x)."""
     c = x / np.sqrt(h)
-    b = c.copy()
-    for _ in range(n - 1):
-        b = np.convolve(b, c)
-    A = c.copy()
+    A = c.copy()  # c^{n-1}
     for _ in range(n - 2):
         A = np.convolve(A, c)
+    b = np.convolve(A, c)
     phi = float(np.sum(H * np.abs(b) ** 2))
     grad = n / np.sqrt(h) * np.correlate(H * b, A, mode="valid")
     return phi, grad
@@ -618,13 +616,14 @@ def _fit_kernel(x: np.ndarray, nu, degree: int, h: np.ndarray) -> float:
     from scipy.optimize import minimize
 
     nu_frac = Fraction(nu)
+    kernel = [float(pochhammer(nu_frac, m)) / math.factorial(m)
+              for m in range(degree + 1)]
 
     def dist(wri):
         w = wri[0] + 1j * wri[1]
         if abs(w) >= 1:
             return 2.0
-        km = np.array([float(pochhammer(nu_frac, m)) / math.factorial(m)
-                       * w ** m for m in range(degree + 1)]) * np.sqrt(h)
+        km = np.array([a * w ** m for m, a in enumerate(kernel)]) * np.sqrt(h)
         alpha = np.vdot(km, x) / np.vdot(km, km)
         return float(np.linalg.norm(x - alpha * km))
 
@@ -661,6 +660,8 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
     """
     if degree < 4:
         raise ValueError("degree must be >= 4")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     h, H = _norm_arrays(float(nu), n, degree)
     if start is not None:
         x = np.asarray(start, dtype=complex)

@@ -42,7 +42,6 @@ class Report:
     outputs: dict
     verdict: str  # PASS | FAIL | INFO
     seed: Optional[int] = None
-    timestamp: Optional[str] = None
 
     def __post_init__(self):
         if self.verdict not in ("PASS", "FAIL", "INFO"):
@@ -55,16 +54,17 @@ class Report:
             "outputs": self.outputs,
             "verdict": self.verdict,
             "seed": self.seed,
-            "timestamp": self.timestamp,
         }
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "Report":
+        """Parse a line of to_json; other keys, such as the "timestamp" of
+        older streams, are ignored."""
         d = json.loads(line)
         return Report(command=d["command"], inputs=d["inputs"],
                       outputs=d["outputs"], verdict=d["verdict"],
-                      seed=d.get("seed"), timestamp=d.get("timestamp"))
+                      seed=d.get("seed"))
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,12 @@ class SuiteConfig:
     mc_budget: int = 1_000_000
     seed: int = 0
     tolerance_abs: float = 1e-10
-    tolerance_rel: float = 1e-6
     convention: str = "corrected"
 
     def __post_init__(self):
         if self.quadrature_nodes < 8 or self.mc_budget < 1:
             raise ConfigError("budgets must be positive")
-        if not (0 < self.tolerance_abs < 1 and 0 < self.tolerance_rel < 1):
-            raise ConfigError("tolerances must lie in (0, 1)")
+        if not 0 < self.tolerance_abs < 1:
+            raise ConfigError("tolerance_abs must lie in (0, 1)")
         if self.convention not in ("paper", "corrected"):
             raise ConfigError("convention must be 'paper' or 'corrected'")

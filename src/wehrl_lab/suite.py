@@ -19,7 +19,7 @@ from . import compact as cp
 from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
-from .domains import PRESETS, get_domain, hc_admissible, preset_table
+from .domains import PRESETS, get_domain, hc_admissible
 from .exactnum import PiScaledRational
 from .reports import ConfigError, Report, SuiteConfig, exact_json
 
@@ -365,7 +365,3 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
                     dh, str(w.coeff), w.pi_power, float(w),
                 ])
     return buf.getvalue()
-
-
-def domains_table() -> list[dict]:
-    return preset_table()

@@ -77,9 +77,10 @@ def test_suite_exit_codes(runner):
 
 
 def test_suite_determinism(runner):
-    a = runner.invoke(main, ["suite", "degrees", "--seed", "7"]).output
-    b = runner.invoke(main, ["suite", "degrees", "--seed", "7"]).output
-    assert a == b
+    for name in ("degrees", "compact"):
+        a = runner.invoke(main, ["suite", name, "--seed", "7"]).output
+        b = runner.invoke(main, ["suite", name, "--seed", "7"]).output
+        assert a == b
 
 
 def test_table_csv(runner):
@@ -103,6 +104,10 @@ def test_report_roundtrip():
     r = Report(command="x", inputs={"a": "1"}, outputs={"v": 0.5},
                verdict="PASS", seed=3)
     assert Report.from_json(r.to_json()) == r
+    assert "timestamp" not in json.loads(r.to_json())
+    # Streams written before the timestamp key was dropped still parse.
+    old = json.dumps({**json.loads(r.to_json()), "timestamp": None})
+    assert Report.from_json(old) == r
     with pytest.raises(ValueError):
         Report(command="x", inputs={}, outputs={}, verdict="MAYBE")
 

@@ -1,16 +1,38 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from wehrl_lab.compact import (CartanProjector, GridTooCoarse, HaarGrid,
-                               Su2Irrep, TensorState, cartan_mass_exact,
-                               cartan_projection, casimir_tensor_check,
+from wehrl_lab.compact import (GridTooCoarse, HaarGrid, Su2Irrep,
+                               cartan_mass_exact, casimir_tensor_check,
                                group_element, haar_moment, haar_moment_closed,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
+
+
+def _kron_top_basis(m, n):
+    """Orthonormal rows spanning the top component V_{nm} of V_m^{(x) n}:
+    the normalized k-fold total lowerings of e_top^{(x) n}, built densely
+    on the Kronecker product basis."""
+    assert (m + 1) ** n <= 256, "dense reference limited to dimension 256"
+    L, eye = Su2Irrep(m).lowering_matrix(), np.eye(m + 1)
+    total = sum(reduce(np.kron, [L if j == k else eye for j in range(n)])
+                for k in range(n))
+    w = np.zeros((m + 1) ** n)
+    w[0] = 1.0
+    rows = []
+    for _ in range(n * m + 1):
+        rows.append(w / np.linalg.norm(w))
+        w = total @ w
+    return np.array(rows)
+
+
+def _kron_mass(v, n):
+    basis = _kron_top_basis(len(v) - 1, n)
+    return float(np.sum(np.abs(basis @ reduce(np.kron, [v] * n)) ** 2))
 
 
 def test_irrep_relations():
@@ -27,23 +49,38 @@ def test_group_element_unitary():
 
 
 def test_cartan_projection_ranks_and_projector_axioms():
-    P = cartan_projection(2, 1)
-    M = P.matrix()
-    assert P.rank == 3
-    assert np.allclose(M, M.conj().T)
-    assert np.allclose(M @ M, M, atol=1e-13)
+    # The dense reference the Bloch-polynomial masses are pinned to.
+    for m, n in ((1, 2), (1, 3), (2, 3), (3, 4), (15, 2)):
+        basis = _kron_top_basis(m, n)
+        M = basis.conj().T @ basis
+        assert np.allclose(M, M.conj().T)
+        assert np.allclose(M @ M, M, atol=1e-13)
+        assert np.linalg.matrix_rank(M) == n * m + 1
     # n=2, m=1 top component is the symmetrizer on C^2 (x) C^2
+    basis = _kron_top_basis(1, 2)
     swap = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
             swap[2 * j + i, 2 * i + j] = 1
-    assert np.allclose(M, (np.eye(4) + swap) / 2)
-    assert cartan_projection(3, 1).rank == 4
+    assert np.allclose(basis.T @ basis, (np.eye(4) + swap) / 2)
+
+
+def test_bloch_mass_matches_kronecker_reference():
+    rng = np.random.default_rng(11)
+    for m in range(1, 16):
+        for n in range(1, 9):
+            if (m + 1) ** n > 256:
+                continue
+            v = random_unit_vector(m, rng)
+            ref = _kron_mass(v, n)
+            assert abs(wehrl_compact_check(v, m, n).mass - ref) < 1e-13
+            if n == 2:
+                assert abs(casimir_tensor_check(v, m).top_mass - ref) < 1e-13
 
 
 def test_cartan_mass_example_two_thirds():
     v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-    mass = cartan_projection(2, 2).mass(TensorState.pure_power(v, 2))
+    mass = wehrl_compact_check(v, 2, 2).mass
     assert mass == pytest.approx(2 / 3, abs=1e-13)
     exact = cartan_mass_exact([sp.sqrt(2) / 2, 0, sp.sqrt(2) / 2], 2, 2)
     assert exact == sp.Rational(2, 3)
@@ -114,3 +151,29 @@ def test_grid_too_coarse():
 def test_unit_vector_required():
     with pytest.raises(ValueError):
         wehrl_compact_check([1.0, 1.0], 1, 2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            wehrl_compact_check([1.0, 0.0], 1, n)
+
+
+def test_frontier_against_haar_quadrature():
+    rng = np.random.default_rng(20)
+    r = wehrl_compact_check(random_unit_vector(20, rng), 20, 10)
+    assert r.slack >= -1e-10
+    assert abs(r.integral_numeric - r.integral_exact) \
+        <= 1e-10 * r.integral_exact
+    t = wehrl_compact_check(translate_vector(20, 0.5, 1.1, -0.7), 20, 10)
+    assert abs(t.slack) < 1e-12
+
+
+def test_binomial_weights_stay_in_float_range():
+    # nm = 1027 is the largest nm whose weights 1/binom(nm, k) are all
+    # normal floats; every unit vector of V_1 is a coherent translate.
+    v = np.array([1.0, 1.0]) / math.sqrt(2)
+    assert math.comb(1027, 513) <= 2 ** 1022 < math.comb(1028, 514)
+    assert wehrl_compact_check(v, 1, 1027).mass == pytest.approx(1, abs=1e-12)
+    with pytest.raises(ValueError, match="nm = 1028 exceeds 1027"):
+        wehrl_compact_check(v, 1, 1028)
+    u = random_unit_vector(600, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nm = 1200 exceeds 1027"):
+        reduction_consistency(u, 600, 2)

@@ -308,6 +308,25 @@ def test_maximize_wehrl_no_convergence_raises():
     assert err.value.stop_reason == "max_iterations"
     with pytest.raises(ValueError):
         maximize_wehrl(2, 2, 3)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            maximize_wehrl(2, n, 8)
+
+
+def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
+    real = disc.pochhammer
+    calls = []
+
+    def counting(x, k):
+        calls.append(k)
+        return real(x, k)
+
+    monkeypatch.setattr(disc, "pochhammer", counting)
+    res = maximize_wehrl(2, 2, 8, seed=3)
+    assert res.kernel_distance < 1e-4
+    # The weights h (degree 8) and H (degree 16), then the kernel
+    # coefficients once for the whole Nelder-Mead search.
+    assert len(calls) == 9 + 17 + 9
 
 
 def test_maximize_wehrl_line_search_exhaustion_raises(monkeypatch):
