@@ -21,10 +21,9 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import get_domain, preset_table
-from .reports import SuiteConfig, exact_json
+from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
+                      SuiteConfig, exact_json)
 from .suite import SUITE_NAMES, emit_constants_table, run_suite
-
-_CONVENTION = {"paper": "paper_plus_one", "corrected": "corrected_minus_one"}
 
 
 def _echo_json(payload):
@@ -161,13 +160,13 @@ def disc_norm(nu, coeffs, p):
 @click.option("--f", "f_coeffs", required=True)
 @click.option("--g", "g_coeffs", required=True)
 @click.option("--convention", default="corrected", show_default=True,
-              type=click.Choice(["paper", "corrected"]))
+              type=click.Choice(list(PROJECTION_CONVENTION)))
 def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
     f = _get_poly(mu, f_coeffs)
     g = _get_poly(nu, g_coeffs)
     F = dc.TensorPoly.from_product(f, g)
     spec = dc.ProjectionSpec(Fraction(mu), Fraction(nu), k,
-                             _CONVENTION[convention])
+                             PROJECTION_CONVENTION[convention])
     proj = dc.qk_project(F, spec)
     m = proj.norm2()
     _echo_json({
@@ -194,11 +193,10 @@ def disc_wehrl(nu, n, coeffs):
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--coeffs", required=True)
 @click.option("--convention", default="corrected", show_default=True,
-              type=click.Choice(["paper", "corrected"]))
+              type=click.Choice(list(PROJECTION_CONVENTION)))
 def disc_improved(nu, n, coeffs, convention):
     f = _get_poly(nu, coeffs)
-    rep = dc.improved_check(f, n,
-                            "sharp" if convention == "corrected" else "paper")
+    rep = dc.improved_check(f, n, REMAINDER_CONVENTION[convention])
     _echo_json({"nu": str(rep.nu), "n": n, "convention": rep.convention,
                 "lhs": rep.lhs, "remainder": rep.remainder, "rhs": rep.rhs,
                 "slack": rep.slack, "passed": rep.passed})
@@ -271,7 +269,7 @@ def compact(m, n, vector, random_, seed, grid_order):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol-abs", default=1e-10, show_default=True, type=float)
 @click.option("--convention", default="corrected", show_default=True,
-              type=click.Choice(["paper", "corrected"]))
+              type=click.Choice(list(PROJECTION_CONVENTION)))
 @click.option("--out", default=None, type=click.Path(),
               help="directory for the JSON-lines report stream")
 def suite(name, nodes, mc_budget, seed, tol_abs, convention, out):

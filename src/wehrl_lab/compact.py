@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy as sp
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
@@ -51,8 +50,7 @@ class Su2Irrep:
     """Irreducible SU(2) representation of highest weight m (dim m+1).
 
     Orthonormal weight basis e_0, ..., e_m with e_i of weight m - 2i; the
-    lowering operator sends e_i to sqrt((i+1)(m-i)) e_{i+1}, stored through
-    its exact squared entries.
+    lowering operator sends e_i to sqrt((i+1)(m-i)) e_{i+1}.
     """
 
     m: int
@@ -68,14 +66,10 @@ class Su2Irrep:
     def weight(self, i: int) -> int:
         return self.m - 2 * i
 
-    def lowering_sq(self, i: int) -> int:
-        """Squared matrix entry of J_- from e_i to e_{i+1}."""
-        return (i + 1) * (self.m - i)
-
     def lowering_matrix(self) -> np.ndarray:
         L = np.zeros((self.dim, self.dim))
         for i in range(self.m):
-            L[i + 1, i] = math.sqrt(self.lowering_sq(i))
+            L[i + 1, i] = math.sqrt((i + 1) * (self.m - i))
         return L
 
     def raising_matrix(self) -> np.ndarray:
@@ -141,6 +135,8 @@ def cartan_mass_exact(v, n: int, m: int):
     orthonormal weight basis (top first); the mass is the weighted norm of
     p_v^n, as in the float route.
     """
+    import sympy as sp
+
     v = [sp.sympify(c) for c in v]
     if len(v) != m + 1:
         raise ValueError("vector length must be m + 1")
@@ -222,10 +218,6 @@ class HaarGrid:
         n = 2 * self.order + 1
         return 2.0 * np.pi * np.arange(n) / n
 
-    def total_mass(self) -> float:
-        _, w = self.beta_rule()
-        return float(np.sum(w))
-
 
 def group_element(m: int, alpha: float, beta: float,
                   gamma: float) -> np.ndarray:
@@ -239,10 +231,13 @@ def group_element(m: int, alpha: float, beta: float,
 
 def translate_vector(m: int, alpha: float, beta: float,
                      gamma: float) -> np.ndarray:
-    """tau(k) e_top, a point of the equality orbit."""
-    e_top = np.zeros(m + 1, dtype=complex)
-    e_top[0] = 1.0
-    return group_element(m, alpha, beta, gamma) @ e_top
+    """tau(k) e_top, a point of the equality orbit: its i-th coordinate is
+    binom(m,i)^{1/2} cos^{m-i}(beta/2) sin^i(beta/2) e^{-i alpha (m/2 - i)}
+    e^{-i gamma m/2}."""
+    i = np.arange(m + 1)
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    return (_root_binomials(m) * c ** (m - i) * s ** i
+            * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0)))
 
 
 def _top_row(m: int, beta: np.ndarray) -> np.ndarray:
@@ -306,6 +301,8 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
     numeric = wehrl_integral_numeric(v, m, n, grid)
     exact_value = None
     if exact_coeffs is not None:
+        import sympy as sp
+
         exact_value = sp.simplify(
             cartan_mass_exact(exact_coeffs, n, m) / (n * m + 1))
     return CompactReport(m=m, n=n, integral_numeric=numeric,
@@ -331,7 +328,10 @@ def haar_moment_closed(p: int, q: int) -> Fraction:
 
 
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:
-    """Distance from v to the equality orbit {phase * tau(k) e_top}."""
+    """Distance from v to the equality orbit {phase * tau(k) e_top}.
+
+    gamma moves tau(k) e_top only by a global phase, so the search runs
+    over (alpha, beta) alone."""
     from scipy.optimize import minimize
 
     v = np.asarray(v, dtype=complex)
@@ -339,30 +339,34 @@ def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     beta0 = 2.0 * math.atan2(np.linalg.norm(v[1:]), abs(v[0]) + 1e-300)
 
     def neg_overlap(angles):
-        t = translate_vector(m, *angles)
-        return 1.0 - abs(np.vdot(t, v))
+        return 1.0 - abs(np.vdot(translate_vector(m, *angles, 0.0), v))
 
-    best = math.inf
-    for g0 in (0.0, math.pi / 3, 2.4):
-        res = minimize(neg_overlap, [0.0, beta0, g0], method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000))
-        best = min(best, float(res.fun))
-    return math.sqrt(max(2.0 * best, 0.0))
+    res = minimize(neg_overlap, [0.0, beta0], method="Nelder-Mead",
+                   options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000))
+    return math.sqrt(max(2.0 * float(res.fun), 0.0))
 
 
 def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:
     """|  ||P_{nm}(v^{(x) n})||  -  ||P_{nm}(w (x) v^{(x) n-2})||  | where w
     is the V_{2m} component of v (x) v; zero by the projection identity.
 
-    w is taken in the orthonormal weight basis of V_{2m}: its k-th
-    coordinate is [p_v^2]_k / binom(2m, k)^{1/2}.
+    w is built by lowering, not from Bloch polynomials: its k-th coordinate
+    in the orthonormal weight basis of V_{2m} is <X_k / ||X_k||, v v^T>,
+    with X_0 = e_top e_top^T and X_{k+1} = L X_k + X_k L^T for the lowering
+    matrix L of V_m.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     v = _vector(v, m)
     lhs = math.sqrt(_top_mass([v] * n))
-    p_v = v * _root_binomials(m)
-    w = np.convolve(p_v, p_v) / _root_binomials(2 * m)
+    L = Su2Irrep(m).lowering_matrix()
+    X = np.zeros((m + 1, m + 1))
+    X[0, 0] = 1.0
+    w = np.empty(2 * m + 1, dtype=complex)
+    for k in range(2 * m + 1):
+        X = X / np.linalg.norm(X)
+        w[k] = v @ X @ v
+        X = L @ X + X @ L.T
     rhs = math.sqrt(_top_mass([w] + [v] * (n - 2)))
     return abs(lhs - rhs)
 

@@ -10,6 +10,7 @@ low-rank positive-root data, which serves as a cross-check oracle.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .exactnum import PiScaledRational, pochhammer
 
 __all__ = [
     "NonTelescoping",
+    "GammaPole",
     "UnsupportedCase",
     "RootSystemPreset",
     "ROOT_SYSTEM_PRESETS",
@@ -36,6 +38,10 @@ class NonTelescoping(ValueError):
     """Gamma-function ratio does not reduce to a rational."""
 
 
+class GammaPole(ValueError):
+    """An unpaired Gamma argument is a non-positive integer."""
+
+
 class UnsupportedCase(ValueError):
     """Parameter triple matches none of the c_G evaluation cases."""
 
@@ -44,30 +50,28 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
     """Exact value of prod Gamma(x_i) / prod Gamma(y_i).
 
     Arguments are grouped by fractional part; within a group the Gamma
-    factors differ by integers and cancel to Pochhammer products.  Raises
-    NonTelescoping when the groups do not pair off.
+    factors differ by integers and cancel to Pochhammer products, largest
+    with largest.  Integer arguments left unpaired are factorials,
+    Gamma(k) = (k-1)!, and raise GammaPole for k <= 0.  Raises
+    NonTelescoping when any other group does not pair off.
     """
-    nums = [Fraction(x) for x in numerators]
-    dens = [Fraction(y) for y in denominators]
-    by_frac_n = defaultdict(list)
-    by_frac_d = defaultdict(list)
-    for x in nums:
-        by_frac_n[x - x // 1].append(x)
-    for y in dens:
-        by_frac_d[y - y // 1].append(y)
-    if sorted(by_frac_n) != sorted(by_frac_d) or any(
-            len(by_frac_n[f]) != len(by_frac_d[f]) for f in by_frac_n):
-        raise NonTelescoping("Gamma arguments do not pair by fractional part")
+    groups = defaultdict(lambda: ([], []))
+    for side, args in enumerate((numerators, denominators)):
+        for x in map(Fraction, args):
+            groups[x % 1][side].append(x)
     out = Fraction(1)
-    for f, xs in by_frac_n.items():
-        for x, y in zip(sorted(xs), sorted(by_frac_d[f])):
-            k = x - y
-            assert k.denominator == 1
-            k = int(k)
-            if k >= 0:
-                out *= pochhammer(y, k)
-            else:
-                out /= pochhammer(x, -k)
+    for f, (xs, ys) in groups.items():
+        if f and len(xs) != len(ys):
+            raise NonTelescoping(f"unpaired Gamma arguments in {f} + Z")
+        xs, ys = sorted(xs, reverse=True), sorted(ys, reverse=True)
+        for x, y in zip(xs, ys):
+            k = int(x - y)
+            out = out * pochhammer(y, k) if k >= 0 else out / pochhammer(x, -k)
+        for z in xs[len(ys):] + ys[len(xs):]:
+            if z <= 0:
+                raise GammaPole(f"Gamma({z}) is a pole")
+            fact = math.factorial(int(z) - 1)
+            out = out * fact if len(xs) > len(ys) else out / fact
     return out
 
 

@@ -57,9 +57,6 @@ class WeightSpec:
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
 
-    def admissible(self, domain: DomainParams) -> bool:
-        return self.lam > domain.p - 1
-
 
 def derived_invariants(d: DomainParams) -> tuple[int, int, int]:
     """Return (p, N, n1) for the domain."""

@@ -41,10 +41,6 @@ class PiScaledRational:
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         object.__setattr__(self, "pi_power", int(self.pi_power))
 
-    @staticmethod
-    def of(value, pi_power: int = 0) -> "PiScaledRational":
-        return PiScaledRational(Fraction(value), pi_power)
-
     def __mul__(self, other):
         if isinstance(other, PiScaledRational):
             return PiScaledRational(self.coeff * other.coeff,

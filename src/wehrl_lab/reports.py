@@ -15,7 +15,8 @@ from typing import Optional
 
 from .exactnum import PiScaledRational
 
-__all__ = ["Report", "SuiteConfig", "ConfigError", "exact_json"]
+__all__ = ["Report", "SuiteConfig", "ConfigError", "exact_json",
+           "PROJECTION_CONVENTION", "REMAINDER_CONVENTION"]
 
 
 class ConfigError(ValueError):
@@ -67,6 +68,13 @@ class Report:
                       seed=d.get("seed"))
 
 
+# The disc's names for each convention: the Q_k normalization
+# (disc.ProjectionSpec) and the improved-inequality remainder constant.
+PROJECTION_CONVENTION = {"paper": "paper_plus_one",
+                         "corrected": "corrected_minus_one"}
+REMAINDER_CONVENTION = {"paper": "paper", "corrected": "sharp"}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     quadrature_nodes: int = 120
@@ -80,5 +88,5 @@ class SuiteConfig:
             raise ConfigError("budgets must be positive")
         if not 0 < self.tolerance_abs < 1:
             raise ConfigError("tolerance_abs must lie in (0, 1)")
-        if self.convention not in ("paper", "corrected"):
+        if self.convention not in PROJECTION_CONVENTION:
             raise ConfigError("convention must be 'paper' or 'corrected'")

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-import sympy as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .degrees import scalar_formal_degree
+from .degrees import (NonTelescoping, gamma_ratio_product,
+                      scalar_formal_degree)
 from .domains import DomainParams, NotAdmissible, hc_admissible
 from .exactnum import PiScaledRational
 
@@ -82,50 +82,47 @@ class NumericEstimate:
     method: str
 
 
-def _closed_form_sympy(spec: SelbergSpec):
-    a, b, g = (sp.Rational(str(x)) for x in (spec.a, spec.b, spec.gamma))
-    prod = sp.Integer(1)
-    for j in range(1, spec.r + 1):
-        prod *= (sp.gamma(b + 1 + (j - 1) * a / 2)
-                 * sp.gamma(g + 1 + (j - 1) * a / 2)
-                 * sp.gamma(1 + j * a / 2))
-        prod /= (sp.gamma(g + b + 2 + (spec.r + j - 2) * a / 2)
-                 * sp.gamma(1 + a / 2))
-    return sp.simplify(prod)
+def _gamma_args(spec: SelbergSpec) -> tuple[list, list]:
+    """Selberg's evaluation S = prod Gamma(nums) / prod Gamma(dens)."""
+    r, half_a, b, g = spec.r, spec.a / 2, spec.b, spec.gamma
+    nums, dens = [], []
+    for j in range(1, r + 1):
+        nums += [b + 1 + (j - 1) * half_a, g + 1 + (j - 1) * half_a,
+                 1 + j * half_a]
+        dens += [g + b + 2 + (r + j - 2) * half_a, 1 + half_a]
+    return nums, dens
 
 
 def selberg_closed(spec: SelbergSpec) -> Fraction | float:
     """Closed-form value: exact Fraction when the Gamma factors telescope
-    to a rational, otherwise a float evaluated at 30+ significant digits."""
-    val = _closed_form_sympy(spec)
-    if val.is_rational:
-        return Fraction(int(val.p), int(val.q))
-    return float(val.evalf(35))
+    to a rational, otherwise a float evaluated at 35 significant digits."""
+    try:
+        return gamma_ratio_product(*_gamma_args(spec))
+    except NonTelescoping:
+        return float(selberg_closed_hp(spec, 35))
 
 
 def selberg_closed_hp(spec: SelbergSpec, dps: int = 40) -> mpmath.mpf:
     """Closed-form value at dps significant digits (mpmath)."""
     with mpmath.workdps(dps):
-        return mpmath.mpf(str(_closed_form_sympy(spec).evalf(dps)))
+        nums, dens = ([mpmath.mpf(x.numerator) / x.denominator for x in xs]
+                      for xs in _gamma_args(spec))
+        return mpmath.gammaprod(nums, dens)
 
 
-def laguerre_constant_C(d: DomainParams) -> PiScaledRational | float:
+def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
     """Polar-decomposition constant
 
-    C = pi^N prod_j Gamma(1 + a/2) / (Gamma(b+1+(j-1)a/2) Gamma(1+j a/2)),
+    C = pi^N prod_j Gamma(1 + a/2) / (Gamma(b+1+(j-1)a/2) Gamma(1+j a/2)).
 
-    exact (as coeff * pi^N) when the Gamma product is rational, float
-    otherwise.
+    The Gamma product is rational: for odd a its r half-integer arguments
+    above the bar pair with the r below it.
     """
-    a, b = sp.Integer(d.a), sp.Integer(d.b)
-    prod = sp.Integer(1)
-    for j in range(1, d.r + 1):
-        prod *= sp.gamma(1 + a / 2)
-        prod /= sp.gamma(b + 1 + (j - 1) * a / 2) * sp.gamma(1 + j * a / 2)
-    prod = sp.simplify(prod)
-    if prod.is_rational:
-        return PiScaledRational(Fraction(int(prod.p), int(prod.q)), d.N)
-    return float((prod * sp.pi ** d.N).evalf(35))
+    half_a = Fraction(d.a, 2)
+    dens = [y for j in range(1, d.r + 1)
+            for y in (d.b + 1 + (j - 1) * half_a, 1 + j * half_a)]
+    return PiScaledRational(
+        gamma_ratio_product([1 + half_a] * d.r, dens), d.N)
 
 
 def _jacobi_rule_01(n: int, alpha: float, beta: float):

@@ -21,14 +21,12 @@ from . import disc as dc
 from . import selberg as sb
 from .domains import PRESETS, get_domain, hc_admissible
 from .exactnum import PiScaledRational
-from .reports import ConfigError, Report, SuiteConfig, exact_json
+from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
+                      ConfigError, Report, SuiteConfig, exact_json)
 
 __all__ = ["run_suite", "emit_constants_table", "SUITE_NAMES"]
 
 SUITE_NAMES = ("degrees", "selberg", "disc", "compact", "all")
-
-_CONVENTION = {"paper": "paper_plus_one", "corrected": "corrected_minus_one"}
-_REMAINDER = {"paper": "paper", "corrected": "sharp"}
 
 
 def _check(command: str, inputs: dict, outputs: dict, ok: bool,
@@ -152,7 +150,8 @@ def _suite_selberg(config: SuiteConfig) -> list[Report]:
 def _suite_disc(config: SuiteConfig) -> list[Report]:
     reports = []
     rng = np.random.default_rng(config.seed)
-    conv = _CONVENTION[config.convention]
+    conv = PROJECTION_CONVENTION[config.convention]
+    remainder = REMAINDER_CONVENTION[config.convention]
 
     # Norm quadrature vs exact monomial expansion.
     f = _rand_rational_poly(rng, Fraction(5, 2), 6)
@@ -213,13 +212,13 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
     worst = 0.0
     for _ in range(20):
         g = _rand_rational_poly(rng, Fraction(2), 5)
-        rep = dc.improved_check(g, 2, _REMAINDER[config.convention])
+        rep = dc.improved_check(g, 2, remainder)
         imp_ok = imp_ok and rep.passed
         worst = min(worst, rep.slack)
     eq = dc.improved_check(dc.PolyFun(Fraction(2), (1, 1)), 2, "sharp")
     reports.append(_check(
         "disc.improved_inequality",
-        {"remainder_constant": _REMAINDER[config.convention]},
+        {"remainder_constant": remainder},
         {"min_slack": worst, "equality_case_slack": str(eq.exact_slack)},
         imp_ok and eq.exact_slack == 0, seed=config.seed))
 

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wehrl_lab
 from wehrl_lab.cli import main
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
 from wehrl_lab.suite import emit_constants_table, run_suite
@@ -39,6 +43,25 @@ def test_selberg_json(runner):
     assert out["closed_form"]["num"] == "1"
     assert out["closed_form"]["den"] == "3"
     assert out["deviation"] < 0.05
+
+
+def test_selberg_json_without_telescoping(runner):
+    res = runner.invoke(main, ["selberg", "--r", "2", "--a", "2", "--b", "1/2",
+                               "--gamma", "1/3", "--budget", "20000"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["closed_form"] \
+        == {"float": 0.02737263054012127}
+
+
+def test_numeric_import_path_leaves_sympy_out():
+    # Only the exact SU(2) masses need sympy; they import it when called.
+    src = str(Path(wehrl_lab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wehrl_lab.cli, wehrl_lab.suite; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_disc_subcommands(runner):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from wehrl_lab import compact
 from wehrl_lab.compact import (GridTooCoarse, HaarGrid, Su2Irrep,
                                cartan_mass_exact, casimir_tensor_check,
                                group_element, haar_moment, haar_moment_closed,
@@ -46,6 +47,16 @@ def test_irrep_relations():
 def test_group_element_unitary():
     U = group_element(4, 0.7, 1.2, -2.1)
     assert np.allclose(U.conj().T @ U, np.eye(5), atol=1e-12)
+
+
+def test_translate_vector_closed_form_matches_group_element():
+    for m in (0, 1, 2, 5, 12):
+        e_top = np.zeros(m + 1)
+        e_top[0] = 1.0
+        for angles in ((0.0, 0.0, 0.0), (0.7, 1.2, -2.1), (-3.0, 2.9, 0.4),
+                       (2.2, 0.05, 3.1), (1.0, math.pi, -1.0)):
+            ref = group_element(m, *angles) @ e_top
+            assert np.abs(translate_vector(m, *angles) - ref).max() < 1e-13
 
 
 def test_cartan_projection_ranks_and_projector_axioms():
@@ -131,6 +142,21 @@ def test_reduction_consistency():
     for m in (1, 2, 3):
         v = random_unit_vector(m, rng)
         assert reduction_consistency(v, m, 3) < 1e-12
+
+
+def test_reduction_consistency_detects_a_wrong_bloch_weight(monkeypatch):
+    # w comes from lowering, not from the Bloch weights binom(m, i)^{1/2}
+    # that the masses use, so a perturbed weight shows up as a gap.
+    exact = compact._root_binomials
+
+    def perturbed(m):
+        out = exact(m)
+        out[1] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(compact, "_root_binomials", perturbed)
+    v = random_unit_vector(3, np.random.default_rng(9))
+    assert reduction_consistency(v, 3, 3) > 1e-12
 
 
 def test_haar_moments_closed_form():

@@ -1,14 +1,21 @@
+import csv
+import io
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from wehrl_lab.degrees import (ROOT_SYSTEM_PRESETS, NonTelescoping, c_G,
-                               gamma_ratio_product, hc_degree_root_product,
-                               hc_degree_scalar, partial_isometry_constant,
-                               scalar_formal_degree, wehrl_constant)
+from gamma_reference import gamma_factorial
+from wehrl_lab.degrees import (ROOT_SYSTEM_PRESETS, GammaPole, NonTelescoping,
+                               c_G, gamma_ratio_product,
+                               hc_degree_root_product, hc_degree_scalar,
+                               partial_isometry_constant, scalar_formal_degree,
+                               wehrl_constant)
 from wehrl_lab.domains import PRESETS, NotAdmissible, get_domain
 from wehrl_lab.exactnum import PiScaledRational
+from wehrl_lab.suite import emit_constants_table
 
 
 def test_gamma_ratio_integer_shift():
@@ -39,6 +46,106 @@ def test_gamma_ratio_nonmatching_raises():
 def test_gamma_ratio_is_pochhammer(y, k):
     from wehrl_lab.exactnum import pochhammer
     assert gamma_ratio_product([y + k], [y]) == pochhammer(y, k)
+
+
+def test_gamma_ratio_unpaired_integers_are_factorials():
+    # Gamma(5) Gamma(1/2) / (Gamma(3) Gamma(4) Gamma(5/2)) = 24 / (2 * 6 * 3/4)
+    assert gamma_ratio_product([5, Fraction(1, 2)],
+                               [3, 4, Fraction(5, 2)]) == Fraction(8, 3)
+    assert gamma_ratio_product([4, 6], [2]) == 6 * 120
+    assert gamma_ratio_product([], [1, 1, 7]) == Fraction(1, 720)
+
+
+def test_gamma_ratio_unpaired_pole_raises():
+    with pytest.raises(GammaPole, match=r"Gamma\(0\)"):
+        gamma_ratio_product([3, 0], [2])
+    with pytest.raises(GammaPole, match=r"Gamma\(-2\)"):
+        gamma_ratio_product([Fraction(1, 2)], [Fraction(3, 2), -2])
+    # An unpaired non-integer argument still does not telescope.
+    with pytest.raises(NonTelescoping):
+        gamma_ratio_product([Fraction(1, 2), 3], [2])
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@st.composite
+def _gamma_lists(draw):
+    """Paired groups of non-integer arguments, negative ones included, plus
+    unpaired positive integers on either side."""
+    nums, dens = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(2, 3), Fraction(1, 4),
+                                  Fraction(5, 6)]))
+        nums.append(f + draw(st.integers(-5, 8)))
+        dens.append(f + draw(st.integers(-5, 8)))
+    nums += draw(st.lists(st.integers(1, 15), max_size=4))
+    dens += draw(st.lists(st.integers(1, 15), max_size=4))
+    return nums, dens
+
+
+@given(_gamma_lists())
+def test_gamma_ratio_matches_mpmath_gammaprod(lists):
+    nums, dens = lists
+    got = gamma_ratio_product(nums, dens)
+    with mpmath.workdps(40):
+        want = mpmath.gammaprod([_mp(Fraction(x)) for x in nums],
+                                [_mp(Fraction(y)) for y in dens])
+        assert abs(_mp(got) - want) <= mpmath.mpf(10) ** -35 * abs(want)
+
+
+def _degree_reference(d, lam) -> tuple[Fraction, int]:
+    """d_lambda = q pi^e from the Gamma product of the formal degree."""
+    q, half = Fraction(1), 0
+    for j in range(d.r):
+        x = lam - Fraction(d.a * j, 2)
+        for arg, sign in ((x, 1), (x - Fraction(d.N, d.r), -1)):
+            g, h = gamma_factorial(arg)
+            q, half = q * g ** sign, half + sign * h
+    assert half % 2 == 0
+    return q, half // 2 - d.N
+
+
+def _c_G_reference(name, d) -> Fraction:
+    """c_G's coefficient in factorial form; its pi power is -N."""
+    f = math.factorial
+    if name.startswith("Sp("):
+        return Fraction(math.prod(Fraction(f(2 * i + 1), f(i + 1))
+                                  for i in range(1, d.r)) * f(d.r),
+                        2 ** (d.r * (d.r - 1) // 2))
+    if name.startswith("SO(2,") and d.a % 2:
+        return Fraction(d.a + 2, 2) * f(d.a + 1)
+    return math.prod(Fraction(f(d.a * j // 2 + d.N // d.r), f(d.a * j // 2))
+                     for j in range(d.r))
+
+
+def _check_table_row(row, name, d):
+    lam, n = Fraction(row["lambda"]), int(row["n"])
+    q, e = _degree_reference(d, lam)
+    qn, en = _degree_reference(d, n * lam)
+    cg = _c_G_reference(name, d)
+    assert (Fraction(row["d_lambda_coeff"]),
+            int(row["d_lambda_pi_power"])) == (q, e), row
+    assert (Fraction(row["c_G_coeff"]), int(row["c_G_pi_power"])) \
+        == (cg, -d.N), row
+    assert Fraction(row["d_H"]) == q / cg, row
+    assert (Fraction(row["wehrl_coeff"]), int(row["wehrl_pi_power"])) \
+        == (q ** n / qn, n * e - en), row
+
+
+def test_constants_table_exact_columns_match_factorial_reference():
+    # The grid lies below p - 1 for E6 and E7, so every preset also gets
+    # lambda = p and p + 1/2.
+    for name, d in PRESETS.items():
+        lams = [Fraction(k, 2) for k in range(2, 22)]
+        lams += [Fraction(d.p), d.p + Fraction(1, 2)]
+        rows = list(csv.DictReader(io.StringIO(
+            emit_constants_table([name], lams, [2, 3]))))
+        assert rows, name
+        for row in rows:
+            _check_table_row(row, name, d)
 
 
 def test_formal_degree_disc():

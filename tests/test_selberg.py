@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from wehrl_lab.domains import PRESETS, NotAdmissible
+from gamma_reference import gamma_factorial
+from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible
 from wehrl_lab.selberg import (MethodUnsupported, NonIntegrable, SelbergSpec,
                                laguerre_constant_C, ordered_sector_quadrature,
                                selberg_closed, selberg_closed_hp,
@@ -35,6 +36,41 @@ def test_zero_interaction_factorizes_into_beta_product():
         b, g = Fraction(1), Fraction(3, 2)
         beta = selberg_closed(SelbergSpec(1, 0, b, g))
         assert selberg_closed(SelbergSpec(r, 0, b, g)) == beta ** r
+
+
+def _selberg_reference(r, a, b, g) -> tuple[Fraction, int]:
+    """Selberg's Gamma product S = q pi^{h/2}, one factorial per factor."""
+    q, half = Fraction(1), 0
+    for j in range(1, r + 1):
+        for x, sign in ((b + 1 + (j - 1) * a / 2, 1),
+                        (g + 1 + (j - 1) * a / 2, 1), (1 + j * a / 2, 1),
+                        (g + b + 2 + (r + j - 2) * a / 2, -1), (1 + a / 2, -1)):
+            f, h = gamma_factorial(x)
+            q, half = q * f ** sign, half + sign * h
+    return q, half
+
+
+def test_closed_form_matches_factorial_reference():
+    halves = [Fraction(k, 2) for k in range(5)]
+    for r in (1, 2, 3):
+        for a in range(6):
+            for b in halves:
+                for g in halves:
+                    got = selberg_closed(SelbergSpec(r, a, b, g))
+                    q, half = _selberg_reference(r, Fraction(a), b, g)
+                    if half == 0:
+                        assert type(got) is Fraction and got == q
+                    else:
+                        assert type(got) is float
+                        assert got == pytest.approx(
+                            float(q) * math.pi ** (half / 2), rel=1e-14)
+
+
+def test_closed_form_without_telescoping_is_mpmath_float():
+    spec = SelbergSpec(2, 2, Fraction(1, 2), Fraction(1, 3))
+    assert selberg_closed(spec) == 0.02737263054012127
+    assert abs(selberg_closed_hp(spec, dps=40)
+               - selberg_closed_hp(spec, dps=60)) < 1e-38
 
 
 def test_non_integrable_exponents():
@@ -89,6 +125,19 @@ def test_laguerre_constant_values():
         == PiScaledRational(Fraction(1), 2)
     assert laguerre_constant_C(PRESETS["Sp(2,R)"]) \
         == PiScaledRational(Fraction(1), 3)
+
+
+def test_laguerre_constant_is_exact_for_integer_multiplicities():
+    # C * S(r, a, b, lambda - p) = 1 / d_lambda holds exactly.
+    from wehrl_lab.degrees import scalar_formal_degree
+    for r in range(1, 6):
+        for a in range(10):
+            for b in range(6):
+                d = DomainParams("custom", r, a, b)
+                C = laguerre_constant_C(d)
+                assert isinstance(C, PiScaledRational) and C.pi_power == d.N
+                S = selberg_closed(SelbergSpec(r, a, b, 1))
+                assert C * S * scalar_formal_degree(d, d.p + 1) == 1
 
 
 def test_laguerre_constant_consistency_with_degree():
