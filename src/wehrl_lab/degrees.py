@@ -39,7 +39,7 @@ class NonTelescoping(ValueError):
 
 
 class GammaPole(ValueError):
-    """An unpaired Gamma argument is a non-positive integer."""
+    """A Gamma argument is a non-positive integer."""
 
 
 class UnsupportedCase(ValueError):
@@ -52,12 +52,14 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
     Arguments are grouped by fractional part; within a group the Gamma
     factors differ by integers and cancel to Pochhammer products, largest
     with largest.  Integer arguments left unpaired are factorials,
-    Gamma(k) = (k-1)!, and raise GammaPole for k <= 0.  Raises
-    NonTelescoping when any other group does not pair off.
+    Gamma(k) = (k-1)!.  Any integer argument k <= 0, paired or not, raises
+    GammaPole.  Raises NonTelescoping when any other group does not pair off.
     """
     groups = defaultdict(lambda: ([], []))
     for side, args in enumerate((numerators, denominators)):
         for x in map(Fraction, args):
+            if x <= 0 and x.denominator == 1:
+                raise GammaPole(f"Gamma({x}) is a pole")
             groups[x % 1][side].append(x)
     out = Fraction(1)
     for f, (xs, ys) in groups.items():
@@ -68,8 +70,6 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
             k = int(x - y)
             out = out * pochhammer(y, k) if k >= 0 else out / pochhammer(x, -k)
         for z in xs[len(ys):] + ys[len(xs):]:
-            if z <= 0:
-                raise GammaPole(f"Gamma({z}) is a pole")
             fact = math.factorial(int(z) - 1)
             out = out * fact if len(xs) > len(ys) else out / fact
     return out

@@ -9,21 +9,30 @@ whose closed-form Gamma-product evaluation underlies the formal degrees.
 The numerical evaluators here are deliberately independent of the closed
 form so they can act as oracles for the exact degree computations:
 
-* tensor Gauss-Jacobi rules for even a (polynomial interaction factor),
-* an ordered-sector substitution s_i = prod_{k>=i} u_k that removes the
-  |s_i - s_j| kink and makes tensor quadrature accurate for any integer a,
+* tensor Gauss-Jacobi rules for even a: against the weight (1-s)^g s^b
+  the interaction factor has degree a(r-1) in each s_i, so a(r-1)/2 + 1
+  nodes per axis are exact for any real b, g > -1;
+* an ordered-sector map 1 - s_j = v_1 ... v_j that removes the |s_i - s_j|
+  kink and moves every g-dependent factor into a Gauss-Jacobi weight on
+  each axis, exact for integer a, b >= 0 at a node count read off the
+  degree of the integrand (see verify_degree_integral);
 * importance-sampled Monte Carlo with per-coordinate Beta proposals.
+
+Node counts come from the degree of the integrand, never from the closed
+form.  Each quadrature is compared with a larger rule; both tensor rules
+refuse a grid of more than MAX_GRID_POINTS points before building it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .degrees import (NonTelescoping, gamma_ratio_product,
                       scalar_formal_degree)
@@ -42,6 +51,9 @@ __all__ = [
     "ordered_sector_quadrature",
     "verify_degree_integral",
 ]
+
+
+MAX_GRID_POINTS = 1 << 21
 
 
 class NonIntegrable(ValueError):
@@ -131,58 +143,65 @@ def _jacobi_rule_01(n: int, alpha: float, beta: float):
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + beta + 1.0)
 
 
-def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
-    s1, w1 = _jacobi_rule_01(nodes, float(spec.gamma), float(spec.b))
-    grids = np.meshgrid(*([s1] * spec.r), indexing="ij")
-    W = np.ones_like(grids[0])
-    for wg in np.meshgrid(*([w1] * spec.r), indexing="ij"):
+def _tensor_rule(rules):
+    """Coordinate grids and product weights of a tensor product of 1-D
+    rules; refuses, before building it, a grid over MAX_GRID_POINTS."""
+    r, nodes = len(rules), len(rules[0][0])
+    if nodes ** r > MAX_GRID_POINTS:
+        raise MethodUnsupported(
+            f"a tensor rule at r={r} with {nodes} nodes per axis exceeds "
+            f"the limit of {MAX_GRID_POINTS} grid points")
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", sparse=True)
+    W = np.ones(())
+    for wg in np.meshgrid(*(w for _, w in rules), indexing="ij", sparse=True):
         W = W * wg
-    F = np.ones_like(grids[0])
+    return grids, W
+
+
+def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
+    rule = _jacobi_rule_01(nodes, float(spec.gamma), float(spec.b))
+    s, F = _tensor_rule([rule] * spec.r)
     a_int = int(spec.a)
     for i in range(spec.r):
         for j in range(i + 1, spec.r):
-            F = F * (grids[i] - grids[j]) ** a_int
-    return float(np.sum(F * W))
+            F = F * (s[i] - s[j]) ** a_int
+    return float(np.sum(F))
 
 
 def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
     """Quadrature of the Selberg integrand via the ordered-sector map.
 
-    On the sector s_1 < ... < s_r the substitution s_i = prod_{k>=i} u_k
-    turns |s_i - s_j|^a into a smooth (for integer a, polynomial) factor;
-    the remaining (1 - u_r)^gamma weight is absorbed into a Gauss-Jacobi
-    rule on the last axis.  Near machine precision for the integer-a cases.
+    On the sector s_1 < ... < s_r put t_j = 1 - s_j = v_1 ... v_j.  The
+    Jacobian prod_k v_k^{r-k} and prod_j t_j^gamma = prod_k
+    v_k^{gamma (r-k+1)} make up the Gauss-Jacobi weight v_k^{beta_k},
+    beta_k = (r-k) + gamma (r-k+1) > -1, of axis k.  What remains,
+    r! prod_j (1-t_j)^b prod_{i<j} (t_i - t_j)^a, is for integer a, b >= 0
+    a polynomial of degree b m + a (m(m-1)/2 + (k-1) m) in v_k, m = r-k+1,
+    so `nodes` > half the largest of these degrees makes the rule exact.
     """
-    r = spec.r
-    g = float(spec.gamma)
-    xl, wl = roots_legendre(nodes)
-    xl, wl = (xl + 1.0) / 2.0, wl / 2.0
-    xj, wj = _jacobi_rule_01(nodes, g, 0.0)
-    axes = [xl] * (r - 1) + [xj]
-    wts = [wl] * (r - 1) + [wj]
-    grids = np.meshgrid(*axes, indexing="ij")
-    W = np.ones_like(grids[0])
-    for wg in np.meshgrid(*wts, indexing="ij"):
-        W = W * wg
-    s = [None] * r
-    acc = np.ones_like(grids[0])
-    for i in range(r - 1, -1, -1):
-        acc = acc * grids[i]
-        s[i] = acc.copy()
-    F = np.full_like(grids[0], float(math.factorial(r)))
-    for j in range(r - 1):  # (1-s_r)^g lives in the Jacobi weight
-        F = F * (1.0 - s[j]) ** g
+    r, g = spec.r, float(spec.gamma)
+    v, F = _tensor_rule([_jacobi_rule_01(nodes, 0.0, (r - k) + g * (r - k + 1))
+                         for k in range(1, r + 1)])
+    t = list(itertools.accumulate(v, np.multiply))
+    F = F * float(math.factorial(r))
     if spec.b != 0:
-        bb = float(spec.b)
-        for j in range(r):
-            F = F * s[j] ** bb
-    aa = float(spec.a)
+        for tj in t:
+            F = F * (1.0 - tj) ** float(spec.b)
     for i in range(r):
         for j in range(i + 1, r):
-            F = F * (s[j] - s[i]) ** aa
-    for k in range(1, r):
-        F = F * grids[k] ** k
-    return float(np.sum(F * W))
+            F = F * (t[i] - t[j]) ** float(spec.a)
+    return float(np.sum(F))
+
+
+def _rule_pair(rule, spec: SelbergSpec, nodes: int, extra: int, method: str,
+               seed: int) -> NumericEstimate:
+    """The rule at nodes + extra per axis, bounded by its distance to the
+    rule at nodes; the larger runs first, so no grid is built in vain."""
+    v_more, v = rule(spec, nodes + extra), rule(spec, nodes)
+    return NumericEstimate(value=v_more, stderr=0.0,
+                           abs_err_bound=abs(v_more - v),
+                           samples_or_nodes=nodes + extra, seed=seed,
+                           method=method)
 
 
 def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
@@ -218,20 +237,19 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
                     seed: int = 0) -> NumericEstimate:
     """Numerical estimate of the Selberg integral.
 
-    method "gauss_jacobi": tensor rule, budget = nodes per axis; requires
-    the interaction exponent a to be a nonnegative even integer.
+    method "gauss_jacobi": tensor rule at min(budget, a(r-1)/2 + 1) nodes
+    per axis, the exact count, compared with 8 nodes more; requires the
+    interaction exponent a to be a nonnegative even integer.
     method "monte_carlo": importance sampling, budget = sample count.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got budget={budget}")
     if method == "gauss_jacobi":
         if spec.a.denominator != 1 or int(spec.a) % 2 != 0:
             raise MethodUnsupported(
                 f"gauss_jacobi needs even integer a, got a={spec.a}")
-        v_n = _gauss_jacobi_tensor(spec, budget)
-        v_more = _gauss_jacobi_tensor(spec, budget + 8)
-        return NumericEstimate(value=v_more, stderr=0.0,
-                               abs_err_bound=abs(v_more - v_n),
-                               samples_or_nodes=budget + 8, seed=seed,
-                               method=method)
+        nodes = min(budget, int(spec.a) * (spec.r - 1) // 2 + 1)
+        return _rule_pair(_gauss_jacobi_tensor, spec, nodes, 8, method, seed)
     if method == "monte_carlo":
         value, stderr = _monte_carlo(spec, budget, seed)
         return NumericEstimate(value=value, stderr=stderr, abs_err_bound=0.0,
@@ -248,8 +266,10 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     decomposition and s = t^2, to C times the Selberg integral with
     gamma = lambda - p.  The numeric route never touches the exact degree
     formula.  method "auto" picks a quadrature: the tensor Gauss-Jacobi
-    rule when a is even, the ordered-sector rule otherwise;
-    "monte_carlo" forces sampling with the given budget.
+    rule (sized as in selberg_numeric) when a is even, else the
+    ordered-sector rule at min(max(64, budget), D // 2 + 1) nodes per axis,
+    D its largest degree on any axis, compared with 12 nodes more; other
+    methods go to selberg_numeric with the given budget.
     """
     lam = Fraction(lam)
     if not hc_admissible(d, lam):
@@ -263,15 +283,11 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
             est = selberg_numeric(spec, "gauss_jacobi",
                                   max(48, budget), seed)
         else:
-            nodes = min(max(64, budget), 200 if d.r <= 2 else 140)
-            v = ordered_sector_quadrature(spec, nodes)
-            v2 = ordered_sector_quadrature(spec, nodes + 12)
-            est = NumericEstimate(value=v2, stderr=0.0,
-                                  abs_err_bound=abs(v2 - v),
-                                  samples_or_nodes=nodes + 12, seed=seed,
-                                  method="ordered_quadrature")
-    elif method == "monte_carlo":
-        est = selberg_numeric(spec, "monte_carlo", budget, seed)
+            degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
+                         for m in range(1, d.r + 1))
+            nodes = min(max(64, budget), degree // 2 + 1)
+            est = _rule_pair(ordered_sector_quadrature, spec, nodes, 12,
+                             "ordered_quadrature", seed)
     else:
         est = selberg_numeric(spec, method, budget, seed)
 

@@ -53,6 +53,16 @@ def test_selberg_json_without_telescoping(runner):
         == {"float": 0.02737263054012127}
 
 
+def test_selberg_gauss_jacobi_default_budget(runner):
+    # The default budget of 100000 caps the nodes per axis; the degree of
+    # the integrand sets them.
+    res = runner.invoke(main, ["selberg", "--r", "3", "--a", "8", "--b", "0",
+                               "--gamma", "1/2", "--method", "gauss_jacobi"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert out["deviation"] < 1e-12 and out["samples_or_nodes"] == 17
+
+
 def test_numeric_import_path_leaves_sympy_out():
     # Only the exact SU(2) masses need sympy; they import it when called.
     src = str(Path(wehrl_lab.__file__).resolve().parents[1])

@@ -61,6 +61,10 @@ def test_gamma_ratio_unpaired_pole_raises():
         gamma_ratio_product([3, 0], [2])
     with pytest.raises(GammaPole, match=r"Gamma\(-2\)"):
         gamma_ratio_product([Fraction(1, 2)], [Fraction(3, 2), -2])
+    # A pole inside a paired group raises too, before any pairing.
+    for nums, dens in (([-1], [1]), ([0], [2]), ([1], [0])):
+        with pytest.raises(GammaPole):
+            gamma_ratio_product(nums, dens)
     # An unpaired non-integer argument still does not telescope.
     with pytest.raises(NonTelescoping):
         gamma_ratio_product([Fraction(1, 2), 3], [2])

@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamma_reference import gamma_factorial
 from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible
+from wehrl_lab import selberg as sb
 from wehrl_lab.selberg import (MethodUnsupported, NonIntegrable, SelbergSpec,
-                               laguerre_constant_C, ordered_sector_quadrature,
-                               selberg_closed, selberg_closed_hp,
-                               selberg_numeric, verify_degree_integral)
+                               _gauss_jacobi_tensor, laguerre_constant_C,
+                               ordered_sector_quadrature, selberg_closed,
+                               selberg_closed_hp, selberg_numeric,
+                               verify_degree_integral)
 from wehrl_lab.exactnum import PiScaledRational
 
 
@@ -169,3 +172,85 @@ def test_verify_degree_integral_monte_carlo_consistent():
 def test_verify_degree_integral_inadmissible():
     with pytest.raises(NotAdmissible):
         verify_degree_integral(PRESETS["Sp(2,R)"], 2)
+
+
+# Nodes per axis that make each rule exact, from the degree of its
+# polynomial integrand: a(r-1) in each s_i for the tensor rule, and
+# b m + a (m(m-1)/2 + (k-1) m), m = r-k+1, in v_k for the sector rule.
+def _tensor_nodes(r, a):
+    return a * (r - 1) // 2 + 1
+
+
+def _sector_nodes(r, a, b):
+    return max(b * (r - k + 1) + a * ((r - k + 1) * (r - k) // 2
+                                      + (k - 1) * (r - k + 1))
+               for k in range(1, r + 1)) // 2 + 1
+
+
+def _rel_miss(value, spec):
+    exact = float(selberg_closed_hp(spec, 40))
+    return abs(value - exact) / exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(0, 4),
+       st.fractions(-1, 6, max_denominator=12).filter(lambda g: g > -1))
+def test_degree_sized_rules_are_exact(r, a, b, g):
+    spec = SelbergSpec(r, a, b, g)
+    sector = ordered_sector_quadrature(spec, _sector_nodes(r, a, b))
+    assert _rel_miss(sector, spec) < 1e-12
+    if a % 2 == 0:
+        tensor = _gauss_jacobi_tensor(spec, _tensor_nodes(r, a))
+        assert _rel_miss(tensor, spec) < 1e-12
+
+
+@pytest.mark.parametrize("rule, nodes, case", [
+    (_gauss_jacobi_tensor, _tensor_nodes(3, 8), (3, 8, 0, Fraction(1, 2))),
+    (_gauss_jacobi_tensor, _tensor_nodes(2, 6), (2, 6, 4, 0)),
+    (_gauss_jacobi_tensor, _tensor_nodes(3, 4), (3, 4, 2, Fraction(5, 2))),
+    (ordered_sector_quadrature, _sector_nodes(3, 1, 0),
+     (3, 1, 0, Fraction(1, 3))),
+    (ordered_sector_quadrature, _sector_nodes(2, 3, 0),
+     (2, 3, 0, Fraction(-1, 2))),
+    (ordered_sector_quadrature, _sector_nodes(4, 1, 0),
+     (4, 1, 0, Fraction(1, 2))),
+])
+def test_degree_sized_rules_are_tight(rule, nodes, case):
+    # One node fewer than the degree count must miss: an off-by-one in
+    # either degree formula fails here.
+    spec = SelbergSpec(*case)
+    assert _rel_miss(rule(spec, nodes), spec) < 1e-12
+    assert _rel_miss(rule(spec, nodes - 1), spec) > 1e-9
+
+
+def test_verify_degree_integral_node_counts():
+    # Nodes per axis of the larger rule: the degree count plus 8 (tensor)
+    # or 12 (sector), whatever the budget above the count.
+    table = {"disc": 9, "SU(2,2)": 10, "Sp(2,R)": 13, "Sp(3,R)": 14,
+             "SO(2,5)": 14, "SO*(8)": 11, "E6": 12, "E7": 17}
+    for name, nodes in table.items():
+        d = PRESETS[name]
+        rep = verify_degree_integral(d, d.p + Fraction(1, 2), budget=160)
+        assert rep["samples_or_nodes"] == nodes, name
+        assert rep["deviation"] < 1e-12, name
+
+
+def test_budget_below_one_is_rejected():
+    for method, spec in (("monte_carlo", SelbergSpec(2, 1, 0, 0)),
+                         ("gauss_jacobi", SelbergSpec(2, 2, 0, 0))):
+        with pytest.raises(ValueError, match="budget=0"):
+            selberg_numeric(spec, method, 0)
+
+
+def test_grid_over_the_limit_raises_before_allocating(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+    monkeypatch.setattr(sb.np, "meshgrid", no_grid)
+    d = DomainParams("custom", 6, 1, 0)
+    with pytest.raises(MethodUnsupported,
+                       match=r"r=6 with 20 nodes .* limit of 2097152"):
+        verify_degree_integral(d, d.p + Fraction(1, 2))
+    with pytest.raises(MethodUnsupported, match=r"r=8 with 16 nodes"):
+        selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
+    with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
+        ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))
