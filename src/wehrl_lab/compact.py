@@ -13,7 +13,8 @@ power of the Bloch polynomial p_v(z) = sum_i v_i binom(m, i)^{1/2} z^i,
 
     ||P_{nm}(v^{(x) n})||^2 = sum_k |[p_v^n]_k|^2 / binom(nm, k),
 
-with the disc's norm weights k!/(nu)_k at nu = -nm, up to sign; sympy
+and 1/binom(nm, k) = |k!/(nu)_k| at nu = -nm, so the float route is the
+disc's weighted power norm disc.product_norm2 at that weight; sympy
 evaluates the same sum exactly.  The independent numeric route is Haar
 quadrature in Euler angles.  The Casimir tensor identity characterizing the
 equality case is checked on the n = 2 tensor with the Killing-normalized
@@ -30,6 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import roots_legendre
+
+from .disc import product_norm2
 
 __all__ = [
     "Su2Irrep", "HaarGrid", "GridTooCoarse", "CompactReport",
@@ -121,11 +124,8 @@ def _top_mass(factors: Sequence[np.ndarray]) -> float:
     if big_m > _NM_MAX:
         raise ValueError(f"nm = {big_m} exceeds {_NM_MAX}, the largest nm "
                          f"whose weights 1/binom(nm, k) are normal floats")
-    p = np.ones(1, dtype=complex)
-    for u in factors:
-        p = np.convolve(p, u * _root_binomials(len(u) - 1))
-    binoms = np.array([float(math.comb(big_m, k)) for k in range(big_m + 1)])
-    return float(np.sum(np.abs(p) ** 2 / binoms))
+    return product_norm2([u * _root_binomials(len(u) - 1) for u in factors],
+                         -big_m)
 
 
 def cartan_mass_exact(v, n: int, m: int):
@@ -182,7 +182,9 @@ def casimir_tensor_check(v: Sequence[complex], m: int,
     casimir_expected = (lam_t3 + 2 * rho_t3) * lam_t3
     casimir_matrix = sum(T @ T for T in Ts)
     casimir_constant = float(np.real(casimir_matrix[0, 0]))
-    assert np.allclose(casimir_matrix, casimir_constant * np.eye(rep.dim))
+    if not np.allclose(casimir_matrix, casimir_constant * np.eye(rep.dim)):
+        raise ValueError(f"sum of T_i^2 on V_{m} is not scalar: the "
+                         f"Killing basis is miscalibrated")
     lhs = sum(np.kron(T @ v, T @ v) for T in Ts)
     residual = float(np.linalg.norm(lhs - lam_lam * np.kron(v, v)))
     return CasimirReport(m=m, residual=residual,

@@ -16,6 +16,8 @@ searching for maximizers on the coefficient sphere.
 Exact arithmetic runs on Gaussian-integer numerators over one common
 denominator ("lanes", below) and builds one Fraction per coefficient or norm
 it returns; float coefficients take the same routines as one complex lane.
+Weighted norms of products, here and for the SU(2) masses, all go through
+one kernel, product_norm2.
 Exact completeness at degree 16 takes about 0.02 s on a 2-vCPU x86-64 host.
 """
 
@@ -38,7 +40,7 @@ __all__ = [
     "norm2_exact", "norm_p_numeric", "qk_project", "q1_iterated",
     "completeness_check", "wehrl_check", "improved_check", "ode_solve",
     "maximize_wehrl", "matrix_coeff_lp", "eval_functional_profile",
-    "monomial_norm2",
+    "monomial_norm2", "product_norm2",
 ]
 
 
@@ -61,8 +63,7 @@ class NoConvergence(RuntimeError):
 def _normalize_coeffs(coeffs):
     """Return (tuple, exact_flag); exact iff every entry is rational."""
     if all(isinstance(c, (QC, int, Fraction)) for c in coeffs):
-        return tuple(c if isinstance(c, QC) else QC(Fraction(c))
-                     for c in coeffs), True
+        return tuple(QC.of(c) for c in coeffs), True
     return tuple(complex(c) for c in coeffs), False
 
 
@@ -142,22 +143,43 @@ def _rising(x: Fraction, n: int) -> list:
 
 
 def _norm_weights(nu: Fraction, count: int, exact: bool) -> tuple:
-    """(w, den) with m!/(nu)_m = w[m]/den for m < count, by one running
-    product: integers over one denominator, or correctly rounded floats."""
-    r = _rising(nu, max(count - 1, 0))
+    """(w, den) with |m!/(nu)_m| = w[m]/den for m < count.  Exact: integers
+    over one denominator from suffix products, without divisions.  Float:
+    each weight is m! b^m / prod_{i<m} (a + i b), rounded once (nu = a/b).
+    At nu = -M and count = M + 1 the weights are 1/binom(M, m)."""
+    a, b = nu.numerator, nu.denominator
+    if b == 1 and 2 - count <= a <= 0:
+        raise ValueError(f"(nu)_m vanishes at nu = {nu} for some m < {count}")
+    if not exact:
+        w, fact, rising = [], 1, 1
+        for m in range(count):
+            w.append(abs(fact / rising))
+            fact, rising = fact * (m + 1) * b, rising * (a + m * b)
+        return w, 1
+    suffix = [1] * max(count, 1)  # suffix[m] = prod_{m<=i<count-1} (a + i b)
+    for i in range(count - 2, -1, -1):
+        suffix[i] = suffix[i + 1] * (a + i * b)
     w, fact = [], 1  # fact = m! b^m
     for m in range(count):
-        w.append(fact * (r[-1] // r[m]))
-        fact *= (m + 1) * nu.denominator
-    return (w, r[-1]) if exact else ([x / r[-1] for x in w], 1)
+        w.append(abs(fact * suffix[m]))
+        fact *= (m + 1) * b
+    return w, abs(suffix[0])
 
 
-def _norm2(obj, w: list, w_den: int) -> Fraction | float:
-    """sum |c|^2 w over the flattened coefficients of obj, w over w_den."""
-    lanes, den = obj._lanes
-    total = sum(sum(abs(x) ** 2 for x in cell) * w_m for w_m, *cell in
-                zip(w, *(lane.ravel().tolist() for lane in lanes)))
-    return Fraction(total, den * den * w_den) if obj.exact else float(total)
+def _rising_over_factorial(nu, count: int, exact: bool) -> list:
+    """(nu)_m/m! = 1/weight for m < count, exact or correctly rounded."""
+    w, den = _norm_weights(Fraction(nu), count, True)
+    return [Fraction(den, x) if exact else den / x for x in w]
+
+
+def _norm2(lanes: tuple, den: int, w: list, w_den: int,
+           exact: bool) -> Fraction | float:
+    """sum |c|^2 w over the flattened lanes over den, w over w_den."""
+    sq = [0] * len(w)
+    for lane in lanes:
+        sq = [s + abs(x) ** 2 for s, x in zip(sq, lane.ravel().tolist())]
+    total = sum(s * w_m for s, w_m in zip(sq, w))
+    return Fraction(total, den * den * w_den) if exact else float(total)
 
 
 def _j_weights(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -203,9 +225,6 @@ class PolyFun(_Lanes):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def with_weight(self, nu) -> "PolyFun":
-        return PolyFun(Fraction(nu), self.coeffs)
-
     def as_complex_array(self) -> np.ndarray:
         return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
@@ -235,7 +254,9 @@ class PolyFun(_Lanes):
                         np.multiply)
 
     def __add__(self, other: "PolyFun") -> "PolyFun":
-        assert self.nu == other.nu
+        if self.nu != other.nu:
+            raise ValueError(f"cannot add a polynomial at weight nu = "
+                             f"{self.nu} to one at nu = {other.nu}")
         exact = self.exact and other.exact
         (a, da), (b, db) = self._lanes_as(exact), other._lanes_as(exact)
         den, n = math.lcm(da, db), max(self.degree, other.degree) + 1
@@ -246,9 +267,28 @@ class PolyFun(_Lanes):
         return _from_lanes(PolyFun, (self.nu,), tuple(out), den, exact)
 
 
+def product_norm2(factors: Sequence, nu) -> Fraction | float:
+    """sum_k |k!/(nu)_k| |[p]_k|^2 for p the product of the factors (PolyFun,
+    whose own weight is ignored, or complex arrays): exact on the lanes when
+    every factor is an exact PolyFun, else in complex128.  At nu = -deg p the
+    weights are 1/binom(deg p, k)."""
+    if all(isinstance(f, PolyFun) and f.exact for f in factors):
+        lanes, den = factors[0]._lanes
+        for f in factors[1:]:
+            b, db = f._lanes
+            lanes, den = _gaussian(lanes, b, np.convolve), den * db
+        return _norm2(lanes, den, *_norm_weights(Fraction(nu), len(lanes[0]),
+                                                 True), True)
+    p = np.ones(1, dtype=complex)
+    for f in factors:
+        p = np.convolve(p, f.as_complex_array() if isinstance(f, PolyFun)
+                        else f)
+    return _norm2((p,), 1, *_norm_weights(Fraction(nu), len(p), False), False)
+
+
 def norm2_exact(f: PolyFun) -> Fraction | float:
     """||f||^2_{nu,2} = sum |c_m|^2 m!/(nu)_m; exact for rational coeffs."""
-    return _norm2(f, *_norm_weights(f.nu, f.degree + 1, f.exact))
+    return product_norm2([f], f.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +380,8 @@ class TensorPoly(_Lanes):
         P, Q = self._lanes[0][0].shape
         wp, den_p = _norm_weights(self.mu, P, self.exact)
         wq, den_q = _norm_weights(self.nu, Q, self.exact)
-        return _norm2(self, [x * y for x in wp for y in wq], den_p * den_q)
+        return _norm2(*self._lanes, [x * y for x in wp for y in wq],
+                      den_p * den_q, self.exact)
 
 
 @dataclass(frozen=True)
@@ -392,7 +433,9 @@ def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
     W(p,q) = sum_j e_j perm(p,j) perm(q,k-j) (_j_weights), so each core
     coefficient is one integer-weighted sum of tensor coefficients over E.
     """
-    assert (F.mu, F.nu) == (spec.mu, spec.nu)
+    if (F.mu, F.nu) != (spec.mu, spec.nu):
+        raise ValueError(f"tensor weights (mu, nu) = ({F.mu}, {F.nu}) differ "
+                         f"from the projection's ({spec.mu}, {spec.nu})")
     k = spec.k
     lanes, den = F._lanes
     P, Q = lanes[0].shape
@@ -462,7 +505,7 @@ def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = norm2_exact(f.power(n).with_weight(n * Fraction(f.nu)))
+    lhs = product_norm2([f] * n, n * f.nu)
     rhs = norm2_exact(f) ** n
     return float(lhs), float(rhs), float(rhs - lhs)
 
@@ -507,9 +550,8 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp",
     fp = f.derivative()
     g = (fpp * f).scale(1 / pochhammer(nu, 2)) \
         + (fp * fp).scale(-1 / nu ** 2)
-    tail = g if n == 2 else g * f.power(n - 2)
-    remainder = const * norm2_exact(tail.with_weight(n * nu + 4))
-    lhs = norm2_exact(f.power(n).with_weight(n * nu))
+    remainder = const * product_norm2([f] * (n - 2) + [g], n * nu + 4)
+    lhs = product_norm2([f] * n, n * nu)
     rhs = norm2_exact(f) ** n
     slack = rhs - lhs - remainder
     exact = slack if isinstance(slack, Fraction) else None
@@ -526,30 +568,24 @@ class KernelFun:
     w: complex
     degree: int
 
-    def coeff(self, m: int):
-        wbar = complex(self.w).conjugate()
-        return float(pochhammer(self.nu, m) / math.factorial(m)) * wbar ** m
-
     def to_polyfun(self) -> PolyFun:
         if abs(complex(self.w)) >= 1:
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
-        nu = Fraction(self.nu)
-        if isinstance(self.w, (int, Fraction)) and not isinstance(self.w, bool):
-            wbar = Fraction(self.w)
-            cs = tuple(QC(pochhammer(nu, m) / math.factorial(m) * wbar ** m)
-                       for m in range(self.degree + 1))
-            return PolyFun(nu, cs)
-        return PolyFun(nu, tuple(self.coeff(m)
-                                 for m in range(self.degree + 1)))
+        exact = isinstance(self.w, (int, Fraction)) \
+            and not isinstance(self.w, bool)
+        wbar = Fraction(self.w) if exact else complex(self.w).conjugate()
+        return PolyFun(self.nu, tuple(
+            a * wbar ** m for m, a in enumerate(
+                _rising_over_factorial(self.nu, self.degree + 1, exact))))
 
     def norm2_closed(self) -> float:
         return (1.0 - abs(complex(self.w)) ** 2) ** (-float(self.nu))
 
     def tail_bound(self) -> float:
         """Squared-norm mass beyond the truncation degree."""
-        head = sum(float(pochhammer(self.nu, m)) / math.factorial(m)
-                   * abs(complex(self.w)) ** (2 * m)
-                   for m in range(self.degree + 1))
+        r2 = abs(complex(self.w)) ** 2
+        head = sum(a * r2 ** m for m, a in enumerate(
+            _rising_over_factorial(self.nu, self.degree + 1, False)))
         return max(self.norm2_closed() - head, 0.0)
 
 
@@ -589,14 +625,6 @@ def eval_functional_profile(nu, radii: Sequence[float]
 # ---------------------------------------------------------------------------
 # Maximizer search on the coefficient sphere.
 
-def _norm_arrays(nu: float, n: int, degree: int):
-    h = np.array([math.factorial(m) / float(pochhammer(Fraction(nu), m))
-                  for m in range(degree + 1)])
-    H = np.array([math.factorial(m) / float(pochhammer(n * Fraction(nu), m))
-                  for m in range(n * degree + 1)])
-    return h, H
-
-
 def _objective_and_gradient(x: np.ndarray, nu, n: int, degree: int,
                             h: np.ndarray, H: np.ndarray):
     """Objective Phi(x) = ||f^n||^2_{n nu} for unit x in the orthonormal
@@ -615,9 +643,7 @@ def _fit_kernel(x: np.ndarray, nu, degree: int, h: np.ndarray) -> float:
     """Distance from the unit vector x to the fitted truncated-kernel ray."""
     from scipy.optimize import minimize
 
-    nu_frac = Fraction(nu)
-    kernel = [float(pochhammer(nu_frac, m)) / math.factorial(m)
-              for m in range(degree + 1)]
+    kernel = _rising_over_factorial(nu, degree + 1, False)
 
     def dist(wri):
         w = wri[0] + 1j * wri[1]
@@ -662,7 +688,8 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
         raise ValueError("degree must be >= 4")
     if n < 2:
         raise ValueError("n must be >= 2")
-    h, H = _norm_arrays(float(nu), n, degree)
+    h = np.array(_norm_weights(Fraction(nu), degree + 1, False)[0])
+    H = np.array(_norm_weights(n * Fraction(nu), n * degree + 1, False)[0])
     if start is not None:
         x = np.asarray(start, dtype=complex)
     else:

@@ -114,7 +114,7 @@ class PiScaledRational:
 
 @dataclass(frozen=True)
 class QC:
-    """Complex number with exact rational real and imaginary parts."""
+    """Exact rational (re, im) pair; its arithmetic runs on disc's lanes."""
 
     re: Fraction
     im: Fraction = Fraction(0)
@@ -130,32 +130,6 @@ class QC:
         if isinstance(value, complex):
             raise TypeError("float complex is not exact; use QC(re, im)")
         return QC(Fraction(value))
-
-    def __add__(self, other):
-        other = QC.of(other)
-        return QC(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = QC.of(other)
-        return QC(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = QC.of(other)
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QC(-self.re, -self.im)
-
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -225,7 +225,7 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
     # Kernel ODE characterization.
     sol = dc.ode_solve(Fraction(5, 2), Fraction(1, 3), 10)
     kf = dc.KernelFun(Fraction(5, 2), Fraction(2, 15), 10).to_polyfun()
-    ode_ok = all((x - y).is_zero() for x, y in zip(sol.coeffs, kf.coeffs))
+    ode_ok = sol.coeffs == kf.coeffs
     try:
         dc.ode_solve(Fraction(2), Fraction(2), 4)
         ode_ok = False
@@ -237,7 +237,7 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
     # Matrix-coefficient integral route.
     h = _rand_rational_poly(rng, Fraction(3), 5)
     lp = dc.matrix_coeff_lp(h, 2)
-    parseval = float(dc.norm2_exact(h.power(2).with_weight(Fraction(6)))) / 5.0
+    parseval = float(dc.product_norm2([h, h], 6)) / 5.0
     reports.append(_check(
         "disc.matrix_coeff_lp", {"nu": "3", "n": "2"},
         {"quadrature": lp, "parseval": parseval,

@@ -35,6 +35,18 @@ def test_degrees_json(runner):
     assert out["c_G"]["num"] == "3"
 
 
+def test_degrees_json_without_c_G_case(runner):
+    # (2, 3, 1) matches no c_G case; the Wehrl constant d_lambda^n / d_{n
+    # lambda} does not need c_G.
+    res = runner.invoke(main, ["degrees", "--domain", "2,3,1",
+                               "--lambda", "10"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert "matches no c_G case" in out["c_G"]["error"]
+    assert (out["wehrl_constant"]["num"], out["wehrl_constant"]["den"],
+            out["wehrl_constant"]["pi_power"]) == ("4791150", "3553", -7)
+
+
 def test_selberg_json(runner):
     res = runner.invoke(main, ["selberg", "--r", "2", "--a", "1", "--b", "0",
                                "--gamma", "0", "--budget", "20000"])

@@ -203,3 +203,15 @@ def test_binomial_weights_stay_in_float_range():
     u = random_unit_vector(600, np.random.default_rng(0))
     with pytest.raises(ValueError, match="nm = 1200 exceeds 1027"):
         reduction_consistency(u, 600, 2)
+
+
+def test_casimir_calibration_failure_raises(monkeypatch):
+    real = Su2Irrep.killing_orthonormal_basis
+
+    def skewed(self):
+        T1, T2, T3 = real(self)
+        return [T1, T2, 2 * T3]
+
+    monkeypatch.setattr(Su2Irrep, "killing_orthonormal_basis", skewed)
+    with pytest.raises(ValueError, match="miscalibrated"):
+        casimir_tensor_check(translate_vector(2, 0.3, 0.7, 0.1), 2)

@@ -221,9 +221,14 @@ def test_wehrl_constant_disc():
 
 
 def test_wehrl_constant_internal_consistency_higher_rank():
-    # The exact assert inside wehrl_constant cross-checks the c_G route.
+    # d_lambda^n / d_{n lambda} through the Harish-Chandra normalization:
+    # c_G^{n-1} (d^H_lambda)^n / d^H_{n lambda}.
     for name in ("Sp(2,R)", "SU(2,1)", "SO(2,5)", "SU(2,2)"):
-        wehrl_constant(PRESETS[name], PRESETS[name].p + 1, 2)
+        d = PRESETS[name]
+        lam = Fraction(d.p + 1)
+        via_hc = c_G(d) * PiScaledRational(
+            hc_degree_scalar(d, lam) ** 2 / hc_degree_scalar(d, 2 * lam))
+        assert wehrl_constant(d, lam, 2) == via_hc, name
 
 
 def test_partial_isometry_constant_disc():

@@ -12,7 +12,8 @@ from wehrl_lab.disc import (KernelFun, NoConvergence,
                             eval_functional_profile, improved_check,
                             matrix_coeff_lp, maximize_wehrl, monomial_norm2,
                             norm2_exact, norm_p_numeric, ode_solve,
-                            q1_iterated, qk_project, wehrl_check)
+                            product_norm2, q1_iterated, qk_project,
+                            wehrl_check)
 from wehrl_lab.exactnum import QC
 
 NU2 = Fraction(2)
@@ -40,7 +41,7 @@ def test_norm2_exact_vs_quadrature():
 
 def test_norm_p_matches_doubled_weight_norm():
     f = poly(NU2, 1, 1)
-    target = float(norm2_exact(f.power(2).with_weight(Fraction(4))))
+    target = float(product_norm2([f, f], 4))
     assert norm_p_numeric(f, 4) == pytest.approx(target, rel=1e-10)
 
 
@@ -54,6 +55,17 @@ def test_weight_must_exceed_one():
         poly(1, 1)
 
 
+def test_sum_needs_equal_weights():
+    with pytest.raises(ValueError, match="nu = 2 to one at nu = 3"):
+        poly(2, 1) + poly(3, 1)
+
+
+def test_projection_needs_the_tensor_weights():
+    F = TensorPoly.from_product(poly(2, 1, 1), poly(2, 1, 1))
+    with pytest.raises(ValueError, match=r"\(2, 2\) differ .* \(2, 3\)"):
+        qk_project(F, ProjectionSpec(NU2, Fraction(3), 1))
+
+
 @given(st.lists(small_fractions, min_size=1, max_size=5),
        st.lists(small_fractions, min_size=1, max_size=5))
 @settings(max_examples=30, deadline=None)
@@ -61,7 +73,7 @@ def test_product_norm_is_tensor_norm_of_leading_component(fc, gc):
     # ||fg||_{mu+nu} <= ||f||_mu ||g||_nu via the completeness identity.
     f = PolyFun(NU2, tuple(fc))
     g = PolyFun(Fraction(3), tuple(gc))
-    prod_norm = norm2_exact((f * g).with_weight(Fraction(5)))
+    prod_norm = product_norm2([f, g], 5)
     assert prod_norm <= norm2_exact(f) * norm2_exact(g)
 
 
@@ -154,6 +166,44 @@ def test_qk_masses_match_product_reference(fc, gc, mu, nu, convention):
     for k in range(len(fc) + len(gc) - 1):
         got = qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
         assert got == _ref_qk_norm2(fc, gc, mu, nu, k, shift), k
+
+
+def _ref_product_norm2(factors, nu):
+    p = [(Fraction(1), Fraction(0))]
+    for fc in factors:
+        out = [(Fraction(0), Fraction(0))] * (len(p) + len(fc) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(fc):
+                re, im = _cmul(a, b)
+                out[i + j] = (out[i + j][0] + re, out[i + j][1] + im)
+        p = out
+    return sum(((re * re + im * im) * math.factorial(k) / abs(_rising(nu, k))
+                for k, (re, im) in enumerate(p)), Fraction(0))
+
+
+@given(st.lists(gaussian_coeffs, min_size=1, max_size=3), weights)
+@settings(max_examples=40, deadline=None)
+def test_product_norm2_matches_fraction_reference(factors, nu):
+    polys = [PolyFun(NU2, tuple(QC(re, im) for re, im in fc))
+             for fc in factors]
+    big_m = sum(len(fc) - 1 for fc in factors)
+    for weight in (nu, Fraction(-big_m)):
+        ref = _ref_product_norm2(factors, weight)
+        assert product_norm2(polys, weight) == ref, weight
+        floats = [f.as_complex_array() for f in polys]
+        assert product_norm2(floats, weight) == pytest.approx(float(ref),
+                                                              rel=1e-12)
+
+
+def test_norm_weights_at_negative_integer_are_inverse_binomials():
+    for big_m in range(41):
+        w, den = disc._norm_weights(Fraction(-big_m), big_m + 1, True)
+        assert [Fraction(x, den) for x in w] \
+            == [Fraction(1, math.comb(big_m, k)) for k in range(big_m + 1)]
+    # One degree past -nu, (nu)_k hits zero.
+    for factors in ([poly(2, 1, 1, 1)], [np.ones(3)]):
+        with pytest.raises(ValueError, match="vanishes at nu = -1"):
+            product_norm2(factors, -1)
 
 
 def test_zero_polynomial():
@@ -262,8 +312,7 @@ def test_ode_solution_matches_kernel_exactly():
             continue
         sol = ode_solve(nu, c, 9)
         kern = KernelFun(nu, c / nu, 9).to_polyfun()
-        assert all((x - y).is_zero()
-                   for x, y in zip(sol.coeffs, kern.coeffs)), (nu, c)
+        assert all(x == y for x, y in zip(sol.coeffs, kern.coeffs)), (nu, c)
 
 
 def test_ode_rejects_outside_bergman():
@@ -276,7 +325,7 @@ def test_ode_rejects_outside_bergman():
 def test_matrix_coeff_lp_parseval_and_unit():
     f = poly(Fraction(3), 1, Fraction(1, 2), Fraction(-1, 3))
     via_quad = matrix_coeff_lp(f, 2)
-    via_parseval = float(norm2_exact(f.power(2).with_weight(Fraction(6)))) / 5
+    via_parseval = float(product_norm2([f, f], 6)) / 5
     assert via_quad == pytest.approx(via_parseval, rel=1e-10)
     # f = 1, n = 1 reproduces the inverse formal degree factor 1/(nu-1).
     one = poly(Fraction(3), 1)
@@ -314,19 +363,19 @@ def test_maximize_wehrl_no_convergence_raises():
 
 
 def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
-    real = disc.pochhammer
+    real = disc._norm_weights
     calls = []
 
-    def counting(x, k):
-        calls.append(k)
-        return real(x, k)
+    def counting(nu, count, exact):
+        calls.append(count)
+        return real(nu, count, exact)
 
-    monkeypatch.setattr(disc, "pochhammer", counting)
+    monkeypatch.setattr(disc, "_norm_weights", counting)
     res = maximize_wehrl(2, 2, 8, seed=3)
     assert res.kernel_distance < 1e-4
     # The weights h (degree 8) and H (degree 16), then the kernel
     # coefficients once for the whole Nelder-Mead search.
-    assert len(calls) == 9 + 17 + 9
+    assert calls == [9, 17, 9]
 
 
 def test_maximize_wehrl_line_search_exhaustion_raises(monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from test_disc import _cmul
+from wehrl_lab.disc import PolyFun, norm2_exact
 from wehrl_lab.exactnum import PiScaledRational, QC, pochhammer
 
 rationals = st.fractions(
@@ -53,15 +55,22 @@ def test_pi_scaled_json_roundtrip_fields():
 
 @given(rationals, rationals, rationals, rationals)
 def test_qc_field_axioms(a, b, c, d):
-    x, y = QC(a, b), QC(c, d)
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-    assert (x + y) - y == x
-    assert (x * y).abs2() == x.abs2() * y.abs2()
+    # QC is a value pair; its arithmetic runs on the disc's lanes, so the
+    # field axioms are checked on degree-0 polynomials.
+    x, y = PolyFun(2, (QC(a, b),)), PolyFun(2, (QC(c, d),))
+    xy = (x * y).coeffs[0]
+    assert (xy.re, xy.im) == _cmul((a, b), (c, d))
+    conj = (PolyFun(2, (QC(a, -b),)) * PolyFun(2, (QC(c, -d),))).coeffs[0]
+    assert conj == QC(xy.re, -xy.im)
+    assert ((x + y) + y.scale(-1)).coeffs == x.coeffs
+    assert norm2_exact(x * y) == norm2_exact(x) * norm2_exact(y) \
+        == (a * a + b * b) * (c * c + d * d)
 
 
 def test_qc_complex_rendition():
     x = QC(Fraction(1, 2), Fraction(-3))
     assert complex(x) == 0.5 - 3j
-    assert (-x) + x == QC(Fraction(0))
+    assert QC.of(x) is x and QC.of(2) == QC(Fraction(2))
+    assert not x.is_zero() and QC(Fraction(0)).is_zero()
     with pytest.raises(TypeError):
         QC.of(1.5j)
