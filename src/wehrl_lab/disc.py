@@ -10,8 +10,8 @@ complex coefficients where possible; quadrature of the defining integrals
 acts as the independent numerical oracle.  The module covers the tensor
 product projections onto the discrete-series components, the sharp
 L^2 -> L^{2n} inequality and its improved form with the second-component
-remainder, the kernel ODE characterization, and a projected gradient ascent
-searching for maximizers on the coefficient sphere.
+remainder, the kernel ODE characterization, and an L-BFGS ascent searching
+for maximizers on the coefficient sphere.
 
 Exact arithmetic runs on Gaussian-integer numerators over one common
 denominator ("lanes", below) and builds one Fraction per coefficient or norm
@@ -178,8 +178,8 @@ def _norm2(lanes: tuple, den: int, w: list, w_den: int,
     sq = [0] * len(w)
     for lane in lanes:
         sq = [s + abs(x) ** 2 for s, x in zip(sq, lane.ravel().tolist())]
-    total = sum(s * w_m for s, w_m in zip(sq, w))
-    return Fraction(total, den * den * w_den) if exact else float(total)
+    total = (sum if exact else math.fsum)(s * w_m for s, w_m in zip(sq, w))
+    return Fraction(total, den * den * w_den) if exact else total
 
 
 def _j_weights(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -510,6 +510,7 @@ def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     return float(lhs), float(rhs), float(rhs - lhs)
 
 
+_LBFGS_MEMORY = 8  # (s, y) pairs kept by maximize_wehrl
 _REMAINDER_CONSTANTS = {
     # 2 nu^2 (nu+1)^2 / denominator(nu)
     "paper": lambda nu: 2 * nu ** 2 * (nu + 1) ** 2
@@ -674,15 +675,16 @@ class MaximizeResult:
 def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
                    max_iters: int = 40000, tol: float = 5e-6,
                    start: Optional[np.ndarray] = None) -> MaximizeResult:
-    """Projected gradient ascent of ||f^n||^2_{n nu} on the unit sphere of
-    the truncated coefficient space.
+    """Monotone L-BFGS ascent of ||f^n||^2_{n nu} on the unit sphere of the
+    truncated coefficient space; the sup is 1 (up to truncation), on kernels.
 
-    Barzilai-Borwein steps with backtracking keep the objective monotone;
-    convergence means the tangential gradient norm drops below tol.  The sup
-    over the sphere is 1 (up to truncation), attained on kernel rays.
-    Raises NoConvergence with stop_reason "line_search_exhausted" when 60
-    halvings of a step find no ascent, and "max_iterations" when max_iters
-    steps end above tol.
+    Two-loop directions over the last _LBFGS_MEMORY pairs (step, change of
+    the negated tangent gradient) with Re<s, y> > 0, projected onto each new
+    tangent space; a step retracts by normalising, and Armijo backtracking
+    from t = 1 never lowers the objective.  Stops with "gradient_tolerance"
+    once the tangent gradient is below tol; raises NoConvergence with
+    "line_search_exhausted" when 60 halvings of a step find no ascent, and
+    "max_iterations" when max_iters steps end above tol.
     """
     if degree < 4:
         raise ValueError("degree must be >= 4")
@@ -697,42 +699,44 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
         x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     x = x / np.linalg.norm(x)
     phi, g = _objective_and_gradient(x, nu, n, degree, h, H)
-    step = 0.1
-    x_prev = g_prev = None
+    pairs: list = []  # (s, y) in the tangent space at x, oldest first
     monotone = True
-    it = 0
-    for it in range(max_iters):
+    for it in range(max(max_iters, 0) + 1):
         tangent = g - np.real(np.vdot(x, g)) * x
         gnorm = float(np.linalg.norm(tangent))
         if gnorm < tol:
             break
-        if x_prev is not None:
-            dx, dg = x - x_prev, g - g_prev
-            denom = abs(np.real(np.vdot(dx, dg)))
-            if denom > 0:
-                step = float(np.real(np.vdot(dx, dx)) / denom)
-        t = step
-        for _ in range(60):
-            x_new = x + t * tangent
+        if it == max_iters:
+            raise NoConvergence(f"tangent gradient {gnorm:.2e} >= tol {tol} "
+                                f"after {it} iterations", "max_iterations")
+        d, alphas = tangent.copy(), []
+        for s, y in reversed(pairs):
+            alphas.append(np.vdot(s, d).real / np.vdot(s, y).real)
+            d -= alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            d *= np.vdot(s, y).real / np.vdot(y, y).real
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            d += (a - np.vdot(y, d).real / np.vdot(s, y).real) * s
+        slope = np.vdot(tangent, d).real
+        if not slope > 0:  # no ascent: fall back to the tangent gradient
+            d, slope = tangent, gnorm ** 2
+        for t in 0.5 ** np.arange(60):
+            x_new = x + t * d
             x_new = x_new / np.linalg.norm(x_new)
             phi_new, g_new = _objective_and_gradient(x_new, nu, n, degree, h, H)
-            if phi_new >= phi:
+            if phi_new >= phi + 1e-4 * t * slope:
                 break
-            t /= 2
         else:
             raise NoConvergence(
                 f"line search found no ascent in 60 halvings at iteration "
                 f"{it} (tangent gradient {gnorm:.2e}, tol {tol})",
                 "line_search_exhausted")
-        monotone = monotone and (phi_new >= phi - 1e-15)
-        x_prev, g_prev = x, g
+        monotone = monotone and phi_new >= phi
+        pairs = [tuple(v - np.vdot(x_new, v).real * x_new for v in p)
+                 for p in pairs + [(x_new - x, tangent - g_new)]]
+        pairs = [p for p in pairs if np.vdot(*p).real > 0][-_LBFGS_MEMORY:]
         x, phi, g = x_new, phi_new, g_new
-    else:
-        tangent = g - np.real(np.vdot(x, g)) * x
-        if float(np.linalg.norm(tangent)) >= tol:
-            raise NoConvergence(
-                f"tangent gradient {np.linalg.norm(tangent):.2e} >= tol "
-                f"{tol} after {max_iters} iterations", "max_iterations")
     kd = _fit_kernel(x, nu, degree, h)
     f = PolyFun(Fraction(nu), tuple(x / np.sqrt(h)))
     return MaximizeResult(f=f, objective=phi, kernel_distance=kd,

@@ -44,6 +44,7 @@ __all__ = [
     "NumericEstimate",
     "NonIntegrable",
     "MethodUnsupported",
+    "FloatRangeExceeded",
     "selberg_closed",
     "selberg_closed_hp",
     "laguerre_constant_C",
@@ -62,6 +63,10 @@ class NonIntegrable(ValueError):
 
 class MethodUnsupported(ValueError):
     """Requested numerical method cannot handle these exponents."""
+
+
+class FloatRangeExceeded(ValueError):
+    """An exact value to be compared in floats lies beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -277,6 +282,13 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     spec = SelbergSpec(d.r, Fraction(d.a), Fraction(d.b), lam - d.p)
     C = laguerre_constant_C(d)
     C_float = float(C)
+    d_exact = scalar_formal_degree(d, lam)
+    try:
+        d_float = float(d_exact)
+    except OverflowError:
+        raise FloatRangeExceeded(
+            f"d_lambda of {d.family_label} {(d.r, d.a, d.b)} at lambda = "
+            f"{lam} exceeds the float limit 1.8e308") from None
 
     if method == "auto":
         if d.a % 2 == 0:
@@ -291,9 +303,8 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     else:
         est = selberg_numeric(spec, method, budget, seed)
 
-    d_exact = scalar_formal_degree(d, lam)
     numeric_inverse = C_float * est.value
-    product = float(d_exact) * numeric_inverse
+    product = d_float * numeric_inverse
     return {
         "domain": d.family_label,
         "lambda": str(lam),
@@ -301,7 +312,7 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
         "numeric_inverse_degree": numeric_inverse,
         "product": product,
         "deviation": abs(product - 1.0),
-        "stderr_product": float(d_exact) * C_float * est.stderr,
+        "stderr_product": d_float * C_float * est.stderr,
         "method": est.method,
         "samples_or_nodes": est.samples_or_nodes,
         "seed": seed,

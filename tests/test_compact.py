@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_binomial_weights_stay_in_float_range():
     u = random_unit_vector(600, np.random.default_rng(0))
     with pytest.raises(ValueError, match="nm = 1200 exceeds 1027"):
         reduction_consistency(u, 600, 2)
+
+
+@pytest.mark.parametrize("m, n", [(60, 17), (100, 10)])
+def test_long_mass_sum_is_correctly_rounded(m, n):
+    # The mass over nm + 1 terms, against the exact rational sum of the
+    # same float Bloch coefficients over exact binomials.
+    v = random_unit_vector(m, np.random.default_rng(1000 * m + n))
+    p = np.ones(1, dtype=complex)
+    for _ in range(n):
+        p = np.convolve(p, v * np.sqrt([float(math.comb(m, i))
+                                        for i in range(m + 1)]))
+    exact = sum((Fraction(c.real) ** 2 + Fraction(c.imag) ** 2)
+                / math.comb(n * m, k) for k, c in enumerate(p.tolist()))
+    mass = wehrl_compact_check(v, m, n).mass
+    assert abs(Fraction(mass) - exact) <= 2.5e-16 * exact
 
 
 def test_casimir_calibration_failure_raises(monkeypatch):

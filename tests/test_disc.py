@@ -351,6 +351,52 @@ def test_maximize_wehrl_reaches_kernel_ray():
     assert res.grad_norm < 5e-6
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("nu, n, degree", [
+    (Fraction(3, 2), 2, 12), (Fraction(5, 2), 3, 8), (3, 2, 10), (2, 4, 6)])
+def test_maximize_wehrl_reaches_the_ray_without_creeping(nu, n, degree, seed):
+    res = maximize_wehrl(nu, n, degree, seed=seed)
+    assert res.objective >= 1 - 1e-6
+    assert res.kernel_distance < 1e-4
+    assert res.trajectory_monotone
+    assert res.stop_reason == "gradient_tolerance"
+    assert res.iterations <= 500
+
+
+@pytest.mark.parametrize("nu, n, degree, w", [
+    (2, 2, 8, 0), (Fraction(5, 2), 3, 8, 0), (2, 2, 40, 0.3), (3, 2, 40, 0.5)])
+def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
+    # Second-order certificate: the Hessian of phi(x/|x|) on the real
+    # tangent space at K_w vanishes exactly on the kernel orbit (the phase
+    # and the two real directions of w) and is negative definite across it.
+    kern = KernelFun(Fraction(nu), w, degree)
+    assert kern.tail_bound() < 1e-10
+    h = np.array(disc._norm_weights(Fraction(nu), degree + 1, False)[0])
+    H = np.array(disc._norm_weights(n * Fraction(nu), n * degree + 1,
+                                    False)[0])
+    x = kern.to_polyfun().as_complex_array() * np.sqrt(h)
+    x /= np.linalg.norm(x)
+
+    def phi(y):
+        return disc._objective_and_gradient(y / np.linalg.norm(y), nu, n,
+                                            degree, h, H)[0]
+
+    # Rows of vt after the first span the real complement of x in R^{2N}.
+    vt = np.linalg.svd(np.concatenate([x.real, x.imag])[None, :])[2]
+    dirs = vt[1:, :degree + 1] + 1j * vt[1:, degree + 1:]
+    step = 1e-4
+    hess = np.empty((len(dirs), len(dirs)))
+    for a in range(len(dirs)):
+        for b in range(a, len(dirs)):
+            p, m = step * (dirs[a] + dirs[b]), step * (dirs[a] - dirs[b])
+            hess[a, b] = hess[b, a] = (phi(x + p) - phi(x + m) - phi(x - m)
+                                       + phi(x - p)) / (4 * step ** 2)
+    eig = np.linalg.eigvalsh(hess)
+    null = np.abs(eig) < 1e-6
+    assert null.sum() == 3
+    assert np.all(eig[~null] <= -1)
+
+
 def test_maximize_wehrl_no_convergence_raises():
     with pytest.raises(NoConvergence) as err:
         maximize_wehrl(2, 2, 8, seed=1, max_iters=5, tol=1e-9)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gamma_reference import gamma_factorial
 from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible
 from wehrl_lab import selberg as sb
-from wehrl_lab.selberg import (MethodUnsupported, NonIntegrable, SelbergSpec,
+from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
+                               NonIntegrable, SelbergSpec,
                                _gauss_jacobi_tensor, laguerre_constant_C,
                                ordered_sector_quadrature, selberg_closed,
                                selberg_closed_hp, selberg_numeric,
@@ -221,6 +222,18 @@ def test_degree_sized_rules_are_tight(rule, nodes, case):
     spec = SelbergSpec(*case)
     assert _rel_miss(rule(spec, nodes), spec) < 1e-12
     assert _rel_miss(rule(spec, nodes - 1), spec) > 1e-9
+
+
+@pytest.mark.parametrize("r, a", [(2, 169), (3, 61)])
+def test_verify_degree_integral_beyond_float_range_raises_typed(r, a):
+    d = DomainParams("custom", r, a, 0)
+    lam = d.p + Fraction(1, 2)
+    with pytest.raises(FloatRangeExceeded) as err:
+        verify_degree_integral(d, lam)
+    assert isinstance(err.value, ValueError)
+    msg = str(err.value)
+    assert f"({r}, {a}, 0)" in msg and f"lambda = {lam}" in msg
+    assert "float limit 1.8e308" in msg
 
 
 def test_verify_degree_integral_node_counts():
