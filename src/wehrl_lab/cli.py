@@ -242,8 +242,7 @@ def disc_profile(nu, kmax):
 @click.option("--vector", default=None, help="comma-separated coefficients")
 @click.option("--random", "random_", is_flag=True)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--grid-order", default=None, type=int)
-def compact(m, n, vector, random_, seed, grid_order):
+def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
         v = np.array([complex(x) for x in _parse_coeffs(vector)])
@@ -253,8 +252,7 @@ def compact(m, n, vector, random_, seed, grid_order):
     else:
         v = np.zeros(m + 1, dtype=complex)
         v[0] = 1.0
-    grid = cp.HaarGrid(grid_order) if grid_order else None
-    rep = cp.wehrl_compact_check(v, m, n, grid=grid)
+    rep = cp.wehrl_compact_check(v, m, n)
     cas = cp.casimir_tensor_check(v, m)
     _echo_json({"m": m, "n": n, "exact": rep.integral_exact,
                 "numeric": rep.integral_numeric, "bound": rep.bound,
@@ -264,7 +262,6 @@ def compact(m, n, vector, random_, seed, grid_order):
 
 @main.command()
 @click.argument("name", type=click.Choice(SUITE_NAMES))
-@click.option("--nodes", default=120, show_default=True, type=int)
 @click.option("--mc-budget", default=1_000_000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol-abs", default=1e-10, show_default=True, type=float)
@@ -272,11 +269,10 @@ def compact(m, n, vector, random_, seed, grid_order):
               type=click.Choice(list(PROJECTION_CONVENTION)))
 @click.option("--out", default=None, type=click.Path(),
               help="directory for the JSON-lines report stream")
-def suite(name, nodes, mc_budget, seed, tol_abs, convention, out):
+def suite(name, mc_budget, seed, tol_abs, convention, out):
     """Run a verification battery; exit code 0 iff all checks pass."""
-    config = SuiteConfig(quadrature_nodes=nodes, mc_budget=mc_budget,
-                         seed=seed, tolerance_abs=tol_abs,
-                         convention=convention)
+    config = SuiteConfig(mc_budget=mc_budget, seed=seed,
+                         tolerance_abs=tol_abs, convention=convention)
     code, reports = run_suite(name, config)
     lines = [r.to_json() for r in reports]
     for line in lines:

@@ -32,20 +32,16 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
-from .disc import product_norm2
+from .disc import _rule_sizes, product_norm2
 
 __all__ = [
-    "Su2Irrep", "HaarGrid", "GridTooCoarse", "CompactReport",
+    "Su2Irrep", "CompactReport",
     "CasimirReport", "cartan_mass_exact", "casimir_tensor_check",
     "wehrl_compact_check", "haar_moment", "haar_moment_closed",
     "group_element",
     "translate_vector", "translate_fit_distance", "reduction_consistency",
     "random_unit_vector",
 ]
-
-
-class GridTooCoarse(ValueError):
-    """Haar grid order too low to integrate the requested polynomial."""
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,7 @@ class CasimirReport:
     equality: bool             # residual ~ 0
 
 
-def casimir_tensor_check(v: Sequence[complex], m: int,
-                         tol: float = 1e-10) -> CasimirReport:
+def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
     """Evaluate sum_i tau(T_i)v (x) tau(T_i)v = <Lambda,Lambda> v (x) v.
 
     The T_i are Killing-orthonormal; the right-hand scalar <Lambda,Lambda>
@@ -190,35 +185,17 @@ def casimir_tensor_check(v: Sequence[complex], m: int,
     return CasimirReport(m=m, residual=residual,
                          casimir_constant=casimir_constant,
                          casimir_expected=float(casimir_expected),
-                         top_mass=_top_mass([v, v]), equality=residual < tol)
+                         top_mass=_top_mass([v, v]), equality=residual < 1e-10)
 
 
 # ---------------------------------------------------------------------------
 # Haar quadrature in Euler angles.
 
-@dataclass(frozen=True)
-class HaarGrid:
-    """Euler-angle quadrature for normalized SU(2) Haar measure.
-
-    Gauss-Legendre nodes in cos(beta) and a uniform grid in gamma; the alpha
-    integral is trivial for the integrands here (single frequency) and is
-    omitted from the node set.  Exact (to roundoff) for matrix-coefficient
-    polynomials up to the grid order.
-    """
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-
-    def beta_rule(self):
-        x, w = roots_legendre(self.order + 1)
-        return np.arccos(x), w / 2.0  # total mass 1 in cos(beta)
-
-    def gamma_nodes(self) -> np.ndarray:
-        n = 2 * self.order + 1
-        return 2.0 * np.pi * np.arange(n) / n
+def _beta_rule(degree: int):
+    """Gauss-Legendre in cos(beta), exact for polynomials of the given
+    degree in cos(beta), with total mass 1."""
+    x, w = roots_legendre(_rule_sizes(degree)[1])
+    return np.arccos(x), w / 2.0
 
 
 def group_element(m: int, alpha: float, beta: float,
@@ -251,21 +228,19 @@ def _top_row(m: int, beta: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int,
-                           grid: HaarGrid) -> float:
-    """Haar quadrature of |<tau(k) v, e_top>|^{2n}."""
-    if grid.order < n * m:
-        raise GridTooCoarse(
-            f"grid order {grid.order} < n*m = {n * m} required for exactness")
+def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
+    """Haar quadrature of |<tau(k) v, e_top>|^{2n} in Euler angles.
+
+    Up to a phase F = <tau(k) v, e_top> = sum_i v_i d_i(beta) e^{i i gamma}
+    (alpha drops out), so |F|^{2n} is a trigonometric polynomial of degree
+    nm in gamma, whose mean over nm + 1 equispaced nodes is exact, and that
+    mean is a polynomial of degree nm in cos(beta).
+    """
     v = np.asarray(v, dtype=complex)
-    beta, wb = grid.beta_rule()
-    gam = grid.gamma_nodes()
-    d = _top_row(m, beta)  # (m+1, n_beta)
-    phases = np.exp(-1j * np.outer(np.arange(m + 1), gam))  # e^{-i(j-mu)g} up
-    # <tau(k)v, e_top> = sum_i v_i d_i(beta) e^{+i i gamma} x global phase
-    F = np.einsum("i,ib,ig->bg", v, d, phases.conj())
-    vals = np.abs(F) ** (2 * n)
-    return float(np.sum(wb * np.mean(vals, axis=1)))
+    beta, wb = _beta_rule(n * m)
+    size = _rule_sizes(n * m)[0]
+    F = size * np.fft.ifft(v[:, None] * _top_row(m, beta), size, axis=0)
+    return float(np.sum(wb * np.mean(np.abs(F) ** (2 * n), axis=0)))
 
 
 @dataclass(frozen=True)
@@ -281,7 +256,6 @@ class CompactReport:
 
 
 def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
-                        grid: Optional[HaarGrid] = None,
                         exact_coeffs: Optional[Sequence] = None
                         ) -> CompactReport:
     """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound.
@@ -295,12 +269,10 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
     v = _vector(v, m)
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValueError("v must be a unit vector")
-    if grid is None:
-        grid = HaarGrid(n * m + 2)
     mass = _top_mass([v] * n)
     bound = 1.0 / (n * m + 1)
     exact = mass * bound
-    numeric = wehrl_integral_numeric(v, m, n, grid)
+    numeric = wehrl_integral_numeric(v, m, n)
     exact_value = None
     if exact_coeffs is not None:
         import sympy as sp
@@ -313,13 +285,12 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
                          exact_value=exact_value)
 
 
-def haar_moment(p: int, q: int, grid: HaarGrid) -> float:
-    """int |k11|^{2p} |k12|^{2q} dk over SU(2); closed form p!q!/(p+q+1)!."""
+def haar_moment(p: int, q: int) -> float:
+    """int |k11|^{2p} |k12|^{2q} dk over SU(2), a polynomial of degree p + q
+    in cos(beta); closed form p!q!/(p+q+1)!."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    if grid.order < p + q:
-        raise GridTooCoarse(f"grid order {grid.order} < p + q = {p + q}")
-    beta, wb = grid.beta_rule()
+    beta, wb = _beta_rule(p + q)
     c2, s2 = np.cos(beta / 2.0) ** 2, np.sin(beta / 2.0) ** 2
     return float(np.sum(wb * c2 ** p * s2 ** q))
 

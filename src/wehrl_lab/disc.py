@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .exactnum import QC, pochhammer
+from .exactnum import QC, FloatRangeExceeded, pochhammer
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -283,7 +283,16 @@ def product_norm2(factors: Sequence, nu) -> Fraction | float:
     for f in factors:
         p = np.convolve(p, f.as_complex_array() if isinstance(f, PolyFun)
                         else f)
-    return _norm2((p,), 1, *_norm_weights(Fraction(nu), len(p), False), False)
+    try:
+        total = _norm2((p,), 1, *_norm_weights(Fraction(nu), len(p), False),
+                       False)
+        if math.isfinite(total):
+            return total
+    except OverflowError:
+        pass
+    raise FloatRangeExceeded(f"the weighted norm at nu = {nu} of a product "
+                             f"of degree {len(p) - 1} exceeds the float "
+                             f"limit 1.8e308")
 
 
 def norm2_exact(f: PolyFun) -> Fraction | float:
@@ -294,15 +303,23 @@ def norm2_exact(f: PolyFun) -> Fraction | float:
 # ---------------------------------------------------------------------------
 # Quadrature of the defining integrals (independent numerical oracle).
 
-def _radial_angular_integral(f: PolyFun, power2n: int, weight_exp: float,
-                             nodes: Optional[int] = None) -> float:
+def _rule_sizes(degree: int) -> tuple[int, int]:
+    """(equispaced angles, Gauss nodes) for an integrand that is a
+    trigonometric polynomial of the given degree in the angle and whose
+    angular mean is a polynomial of that degree in the radial variable:
+    the smallest counts that integrate it exactly."""
+    return degree + 1, degree // 2 + 1
+
+
+def _radial_angular_integral(f: PolyFun, power2n: int,
+                             weight_exp: float) -> float:
     """(1/pi) int_D |f(z)|^{2n} (1-|z|^2)^{weight_exp} dm(z) with 2n=power2n,
-    by Gauss-Jacobi in t=|z|^2 and trigonometric sums in the angle."""
+    by Gauss-Jacobi in t=|z|^2 and trigonometric sums in the angle.  The
+    integrand has degree n*deg f in the angle, and its angular mean degree
+    n*deg f in t."""
     if weight_exp <= -1:
         raise NonIntegrable("weight exponent must exceed -1")
-    deg = f.degree
-    n_nodes = nodes or max(32, 2 * deg + 8)
-    n_ang = max(4 * deg + 1, power2n * deg + 3)
+    n_ang, n_nodes = _rule_sizes(power2n // 2 * f.degree)
     t, wt = roots_jacobi(n_nodes, weight_exp, 0.0)
     t = (t + 1.0) / 2.0
     wt = wt / 2.0 ** (weight_exp + 1.0)
@@ -313,7 +330,7 @@ def _radial_angular_integral(f: PolyFun, power2n: int, weight_exp: float,
     return float(np.sum(wt * ang_avg))
 
 
-def norm_p_numeric(f: PolyFun, p: int, nodes: Optional[int] = None) -> float:
+def norm_p_numeric(f: PolyFun, p: int) -> float:
     """Quadrature of the L^p integral, normalized to match the doubled-weight
     L^2 norm: returns (p*nu/2 - 1) * (1/pi) int |f|^p (1-|z|^2)^{p nu/2 - 2} dm,
     so that for even p it equals ||f^{p/2}||^2 at weight p*nu/2."""
@@ -322,18 +339,18 @@ def norm_p_numeric(f: PolyFun, p: int, nodes: Optional[int] = None) -> float:
     alpha = float(p * f.nu / 2 - 2)
     if alpha <= -1:
         raise NonIntegrable(f"p*nu/2 = {p * Fraction(f.nu) / 2} must exceed 1")
-    integral = _radial_angular_integral(f, p, alpha, nodes)
+    integral = _radial_angular_integral(f, p, alpha)
     return float(p * Fraction(f.nu) / 2 - 1) * integral
 
 
-def matrix_coeff_lp(f: PolyFun, n: int, nodes: Optional[int] = None) -> float:
+def matrix_coeff_lp(f: PolyFun, n: int) -> float:
     """(1/pi) int_D (1-|z|^2)^{n nu - 2} |f(z)|^{2n} dm(z), the L^{2n}(G)
     integral of the matrix coefficient against the lowest weight vector.
     Equals ||f^n||^2 at weight n*nu divided by (n*nu - 1)."""
     alpha = float(n * f.nu - 2)
     if alpha <= -1:
         raise NonIntegrable("need n*nu > 1")
-    return _radial_angular_integral(f, 2 * n, alpha, nodes)
+    return _radial_angular_integral(f, 2 * n, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +496,14 @@ class CompletenessReport:
     passed: bool
 
 
-def completeness_check(f: PolyFun, g: PolyFun, k_max: Optional[int] = None,
+def completeness_check(f: PolyFun, g: PolyFun,
                        convention: str = "corrected_minus_one"
                        ) -> CompletenessReport:
-    """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over k = 0..k_max."""
-    if k_max is None:
-        k_max = f.degree + g.degree
+    """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
+    k = 0..deg f + deg g."""
     F = TensorPoly.from_product(f, g)
     masses = [qk_project(F, ProjectionSpec(f.nu, g.nu, k, convention)).norm2()
-              for k in range(k_max + 1)]
+              for k in range(f.degree + g.degree + 1)]
     total = sum(masses, Fraction(0) if F.exact else 0.0)
     expected = norm2_exact(f) * norm2_exact(g)
     if F.exact:
@@ -533,15 +549,16 @@ class ImprovedReport:
     exact_slack: Optional[Fraction]
 
 
-def improved_check(f: PolyFun, n: int, convention: str = "sharp",
-                   tol: float = 1e-12) -> ImprovedReport:
+def improved_check(f: PolyFun, n: int, convention: str = "sharp"
+                   ) -> ImprovedReport:
     """Check ||f^n||^2_{n nu} + R(f) <= ||f||^{2n}_nu with the remainder
 
         R(f) = const(nu) * || (f'' f / (nu)_2 - (f')^2 / nu^2) f^{n-2} ||^2
 
     at weight n*nu + 4.  convention "sharp" uses the constant obtained from
     the norm-preserving k = 2 projection; "paper" uses the larger denominator
-    (2 nu + 3)(2 nu + 4), a weaker but still valid remainder.
+    (2 nu + 3)(2 nu + 4), a weaker but still valid remainder.  A float slack
+    passes down to -1e-12.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -556,7 +573,7 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp",
     rhs = norm2_exact(f) ** n
     slack = rhs - lhs - remainder
     exact = slack if isinstance(slack, Fraction) else None
-    passed = (slack >= 0) if exact is not None else (float(slack) >= -tol)
+    passed = (slack >= 0) if exact is not None else (float(slack) >= -1e-12)
     return ImprovedReport(nu, n, convention, float(lhs), float(rhs),
                           float(remainder), float(slack), passed, exact)
 
@@ -583,11 +600,26 @@ class KernelFun:
         return (1.0 - abs(complex(self.w)) ** 2) ** (-float(self.nu))
 
     def tail_bound(self) -> float:
-        """Squared-norm mass beyond the truncation degree."""
-        r2 = abs(complex(self.w)) ** 2
-        head = sum(a * r2 ** m for m, a in enumerate(
-            _rising_over_factorial(self.nu, self.degree + 1, False)))
-        return max(self.norm2_closed() - head, 0.0)
+        """An upper bound, at most twice the true value, on the squared-norm
+        mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation.
+
+        The term ratio (nu+m)/(m+1) |w|^2 tends to |w|^2 monotonically, so
+        rho = max(ratio, |w|^2) bounds every later ratio and term/(1 - rho)
+        bounds the rest once rho < 1.  Terms are summed until rho <= 1/2 or
+        that rest is at most the sum so far.
+        """
+        nu, r2 = float(self.nu), abs(complex(self.w)) ** 2
+        if r2 >= 1:
+            raise OutsideBergman("kernel parameter must satisfy |w| < 1")
+        m = self.degree + 1
+        term = _rising_over_factorial(self.nu, m + 1, False)[m] * r2 ** m
+        total = 0.0
+        while True:
+            ratio = (nu + m) / (m + 1) * r2
+            rho = max(ratio, r2)
+            if rho < 1 and (rho <= 0.5 or term / (1.0 - rho) <= total):
+                return total + term / (1.0 - rho)
+            total, term, m = total + term, term * ratio, m + 1
 
 
 def ode_solve(nu, c, degree: int) -> PolyFun:
@@ -673,8 +705,8 @@ class MaximizeResult:
 
 
 def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
-                   max_iters: int = 40000, tol: float = 5e-6,
-                   start: Optional[np.ndarray] = None) -> MaximizeResult:
+                   max_iters: int = 40000, tol: float = 5e-6
+                   ) -> MaximizeResult:
     """Monotone L-BFGS ascent of ||f^n||^2_{n nu} on the unit sphere of the
     truncated coefficient space; the sup is 1 (up to truncation), on kernels.
 
@@ -692,11 +724,8 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
         raise ValueError("n must be >= 2")
     h = np.array(_norm_weights(Fraction(nu), degree + 1, False)[0])
     H = np.array(_norm_weights(n * Fraction(nu), n * degree + 1, False)[0])
-    if start is not None:
-        x = np.asarray(start, dtype=complex)
-    else:
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     x = x / np.linalg.norm(x)
     phi, g = _objective_and_gradient(x, nu, n, degree, h, H)
     pairs: list = []  # (s, y) in the tangent space at x, oldest first

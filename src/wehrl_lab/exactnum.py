@@ -1,5 +1,6 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
-complex numbers, and the Pochhammer symbol.
+complex numbers, the Pochhammer symbol, and the error raised where a value
+leaves the float range.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -12,6 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+
+class FloatRangeExceeded(ValueError):
+    """An exact value to be compared in floats lies beyond the float range."""
 
 
 def pochhammer(x, k: int) -> Fraction:

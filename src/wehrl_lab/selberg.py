@@ -37,7 +37,7 @@ from scipy.special import roots_jacobi
 from .degrees import (NonTelescoping, gamma_ratio_product,
                       scalar_formal_degree)
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational
+from .exactnum import FloatRangeExceeded, PiScaledRational
 
 __all__ = [
     "SelbergSpec",
@@ -63,10 +63,6 @@ class NonIntegrable(ValueError):
 
 class MethodUnsupported(ValueError):
     """Requested numerical method cannot handle these exponents."""
-
-
-class FloatRangeExceeded(ValueError):
-    """An exact value to be compared in floats lies beyond the float range."""
 
 
 @dataclass(frozen=True)

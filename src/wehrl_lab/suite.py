@@ -126,8 +126,7 @@ def _suite_selberg(config: SuiteConfig) -> list[Report]:
 
     spec2 = sb.SelbergSpec(2, 2, 0, 1)
     closed2 = sb.selberg_closed(spec2)
-    est2 = sb.selberg_numeric(spec2, "gauss_jacobi", config.quadrature_nodes,
-                              config.seed)
+    est2 = sb.selberg_numeric(spec2, "gauss_jacobi", 120, config.seed)
     rel = abs(est2.value - float(closed2)) / abs(float(closed2))
     reports.append(_check(
         "selberg.gauss_jacobi", {"r": 2, "a": 2, "b": 0, "gamma": 1},
@@ -137,9 +136,7 @@ def _suite_selberg(config: SuiteConfig) -> list[Report]:
 
     for name, lam in (("disc", Fraction(3)), ("Sp(2,R)", Fraction(9, 2)),
                       ("SO(2,3)", Fraction(7, 2))):
-        rep = sb.verify_degree_integral(PRESETS[name], lam,
-                                        budget=config.quadrature_nodes,
-                                        seed=config.seed)
+        rep = sb.verify_degree_integral(PRESETS[name], lam, seed=config.seed)
         reports.append(_check(
             "selberg.verify_degree_integral", {"domain": name,
                                                "lambda": str(lam)},
@@ -267,12 +264,11 @@ def _suite_compact(config: SuiteConfig) -> list[Report]:
     reports = []
     rng = np.random.default_rng(config.seed)
 
-    grid = cp.HaarGrid(14)
-    moments_ok = all(
-        abs(cp.haar_moment(p, q, grid) - float(cp.haar_moment_closed(p, q)))
-        < 1e-12 for p in range(4) for q in range(4))
-    reports.append(_check("compact.haar_moments", {"grid_order": 14},
-                          {"max_order": 6}, moments_ok))
+    worst = max(abs(cp.haar_moment(p, q) - float(cp.haar_moment_closed(p, q)))
+                for p in range(4) for q in range(4))
+    reports.append(_check("compact.haar_moments", {"p": "0..3", "q": "0..3"},
+                          {"max_deviation": worst, "tolerance": 1e-12},
+                          worst < 1e-12))
 
     import sympy as sp
     v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)

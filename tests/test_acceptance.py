@@ -183,9 +183,8 @@ def test_criterion_08_matrix_coefficient_route():
 
 
 def test_criterion_09_compact_wehrl():
-    grid = cp.HaarGrid(14)
     schur_ok = all(
-        abs(cp.haar_moment(n, 0, grid) - 1 / (n + 1)) < 1e-6
+        abs(cp.haar_moment(n, 0) - 1 / (n + 1)) < 1e-6
         for n in range(1, 7))
 
     rng = np.random.default_rng(9)

@@ -159,7 +159,7 @@ def test_report_roundtrip():
 
 def test_suite_config_validation():
     with pytest.raises(ConfigError):
-        SuiteConfig(quadrature_nodes=0)
+        SuiteConfig(mc_budget=0)
     with pytest.raises(ConfigError):
         SuiteConfig(tolerance_abs=2.0)
     with pytest.raises(ConfigError):

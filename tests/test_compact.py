@@ -7,9 +7,9 @@ import pytest
 import sympy as sp
 
 from wehrl_lab import compact
-from wehrl_lab.compact import (GridTooCoarse, HaarGrid, Su2Irrep,
-                               cartan_mass_exact, casimir_tensor_check,
-                               group_element, haar_moment, haar_moment_closed,
+from wehrl_lab.compact import (Su2Irrep, cartan_mass_exact,
+                               casimir_tensor_check, group_element,
+                               haar_moment, haar_moment_closed,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
@@ -161,18 +161,35 @@ def test_reduction_consistency_detects_a_wrong_bloch_weight(monkeypatch):
 
 
 def test_haar_moments_closed_form():
-    grid = HaarGrid(12)
     for p in range(5):
         for q in range(5):
-            assert haar_moment(p, q, grid) \
+            assert haar_moment(p, q) \
                 == pytest.approx(float(haar_moment_closed(p, q)), abs=1e-13)
 
 
-def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
-        haar_moment(4, 4, HaarGrid(3))
-    with pytest.raises(GridTooCoarse):
-        wehrl_integral_numeric([1, 0, 0], 2, 3, HaarGrid(2))
+def test_haar_oracle_matches_bloch_route():
+    # The oracle's degree-sized rule against the Bloch mass, over a seeded
+    # sweep of random vectors.
+    rng = np.random.default_rng(2024)
+    for m in range(1, 9):
+        for n in range(1, 7):
+            v = random_unit_vector(m, rng)
+            r = wehrl_compact_check(v, m, n)
+            assert abs(r.integral_numeric - r.integral_exact) \
+                <= 1e-12 * r.integral_exact, (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 1), (3, 3)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_haar_rule_is_tight(monkeypatch, m, n, axis):
+    # nm + 1 gamma nodes and nm // 2 + 1 Legendre nodes: one fewer on
+    # either axis no longer integrates |F|^{2n} exactly.
+    v = random_unit_vector(m, np.random.default_rng(10 * m + n))
+    exact = wehrl_compact_check(v, m, n).integral_exact
+    sizes = compact._rule_sizes
+    monkeypatch.setattr(compact, "_rule_sizes", lambda d: tuple(
+        k - (i == axis) for i, k in enumerate(sizes(d))))
+    assert abs(wehrl_integral_numeric(v, m, n) - exact) > 1e-9 * exact
 
 
 def test_unit_vector_required():

@@ -14,7 +14,7 @@ from wehrl_lab.disc import (KernelFun, NoConvergence,
                             norm2_exact, norm_p_numeric, ode_solve,
                             product_norm2, q1_iterated, qk_project,
                             wehrl_check)
-from wehrl_lab.exactnum import QC
+from wehrl_lab.exactnum import QC, FloatRangeExceeded
 
 NU2 = Fraction(2)
 
@@ -301,6 +301,24 @@ def test_kernel_truncation_tail():
         KernelFun(NU2, 1.2, 5).to_polyfun()
 
 
+@pytest.mark.parametrize("nu, w, degree", [
+    (2, 0.5, 40), (Fraction(5, 2), 0.3, 30), (2, 0.9, 200), (2, 0.95, 10),
+    (3, 0.6j, 25)])
+def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
+    import mpmath
+
+    with mpmath.workdps(50):
+        r2 = mpmath.mpf(abs(w)) ** 2
+        nu_mp = mpmath.mpf(Fraction(nu).numerator) / Fraction(nu).denominator
+        tail = (1 - r2) ** -nu_mp - mpmath.fsum(
+            mpmath.rf(nu_mp, m) / mpmath.factorial(m) * r2 ** m
+            for m in range(degree + 1))
+        bound = KernelFun(Fraction(nu), w, degree).tail_bound()
+        assert tail <= bound <= 2 * tail
+    with pytest.raises(OutsideBergman):
+        KernelFun(NU2, 1.0, 5).tail_bound()
+
+
 def test_ode_solution_matches_kernel_exactly():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -330,6 +348,59 @@ def test_matrix_coeff_lp_parseval_and_unit():
     # f = 1, n = 1 reproduces the inverse formal degree factor 1/(nu-1).
     one = poly(Fraction(3), 1)
     assert matrix_coeff_lp(one, 1) == pytest.approx(0.5, rel=1e-12)
+
+
+def _unit_complex_poly(rng, nu, degree):
+    c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    f = PolyFun(Fraction(nu), tuple(c))
+    return f.scale(1 / math.sqrt(norm2_exact(f)))
+
+
+def test_disc_oracle_matches_parseval():
+    # The degree-sized rule against the monomial norms, over a seeded sweep.
+    rng = np.random.default_rng(2025)
+    for degree in range(9):
+        for n in range(1, 6):
+            nu = (NU2, Fraction(5, 2), Fraction(3))[(degree + n) % 3]
+            f = _unit_complex_poly(rng, nu, degree)
+            ref = float(product_norm2([f] * n, n * nu))
+            lp = matrix_coeff_lp(f, n) * float(n * nu - 1)
+            assert abs(lp - ref) <= 1e-12 * ref, (degree, n)
+            assert abs(norm_p_numeric(f, 2 * n) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("degree, n", [(4, 2), (5, 1), (3, 3)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_disc_rule_is_tight(monkeypatch, degree, n, axis):
+    # n*deg + 1 angles and n*deg // 2 + 1 Gauss-Jacobi nodes: one fewer on
+    # either axis no longer integrates |f|^{2n} exactly.
+    f = _unit_complex_poly(np.random.default_rng(degree + 10 * n), NU2,
+                           degree)
+    ref = float(product_norm2([f] * n, n * NU2)) / float(n * NU2 - 1)
+    sizes = disc._rule_sizes
+    monkeypatch.setattr(disc, "_rule_sizes", lambda d: tuple(
+        k - (i == axis) for i, k in enumerate(sizes(d))))
+    assert abs(matrix_coeff_lp(f, n) - ref) > 1e-9 * ref
+
+
+@pytest.mark.parametrize("degree, n", [(8, 40), (30, 20)])
+def test_matrix_coeff_lp_at_high_power(degree, n):
+    # z^deg puts the mass of |f|^{2n} near |z| = 1, where a rule sized by
+    # deg alone misses it; so does the kernel at w = 0.9.
+    for f in (poly(NU2, *[0] * degree, 1),
+              KernelFun(NU2, 0.9, degree).to_polyfun()):
+        f = f.scale(1 / math.sqrt(norm2_exact(f)))
+        ref = float(product_norm2([f] * n, n * NU2)) / float(n * NU2 - 1)
+        assert abs(matrix_coeff_lp(f, n) - ref) <= 1e-10 * ref
+
+
+def test_float_norm_overflow_raises_typed():
+    with pytest.raises(FloatRangeExceeded, match=r"nu = 320 .* degree 160"):
+        wehrl_check(poly(NU2, 10.0, 1.0), 160)
+    with pytest.raises(FloatRangeExceeded, match=r"nu = 2 .* degree 1"):
+        norm2_exact(poly(NU2, 1e200, 1.0))
+    # The exact lanes never leave the integers.
+    assert norm2_exact(poly(NU2, 10 ** 200, 1)) == 10 ** 400 + Fraction(1, 2)
 
 
 def test_eval_functional_profile_blowup():
