@@ -16,7 +16,11 @@ form so they can act as oracles for the exact degree computations:
   kink and moves every g-dependent factor into a Gauss-Jacobi weight on
   each axis, exact for integer a, b >= 0 at a node count read off the
   degree of the integrand (see verify_degree_integral);
-* importance-sampled Monte Carlo with per-coordinate Beta proposals.
+* importance-sampled Monte Carlo with per-coordinate Beta(b+1, gamma+1)
+  proposals.  When b = 0 or gamma = 0 they are drawn as U^(1/c),
+  c = (b+1)(gamma+1), for which numpy's Beta sampler takes 5 to 24 times
+  as long; at b = 0 this draws 1 - s, which serves as well because the
+  importance weight is unchanged by s -> 1 - s (see _monte_carlo).
 
 Node counts come from the degree of the integrand, never from the closed
 form.  Each quadrature is compared with a larger rule; both tensor rules
@@ -206,7 +210,17 @@ def _rule_pair(rule, spec: SelbergSpec, nodes: int, extra: int, method: str,
 
 
 def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
-    """Importance sampling with s_j ~ Beta(b+1, gamma+1) proposals."""
+    """Importance sampling with s_j ~ Beta(b+1, gamma+1) proposals.
+
+    With b = 0 or gamma = 0 the draw is U^(1/c), c = (b+1)(gamma+1): that
+    is Beta(c, 1), which is s itself when gamma = 0 and 1 - s when b = 0.
+    Both serve, since the weight prod |s_i - s_j|^a and the scale
+    B(b+1, gamma+1)^r do not change under s -> 1 - s, and drawing 1 - s
+    avoids the cancellation of 1 - U^(1/c) near s = 0.  At Beta(1, 1)
+    numpy's sampler (Johnk's rejection loop) takes about 24 times as long
+    per chunk as this draw.  Every other shape keeps `rng.beta`, so its
+    streams are unchanged.
+    """
     rng = np.random.default_rng(seed)
     bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
                       + math.lgamma(float(spec.gamma) + 1.0)
@@ -217,10 +231,15 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     total_sq = 0.0
     n_done = 0
     chunk = 1 << 18
+    closed_form = spec.b == 0 or spec.gamma == 0
     while n_done < budget:
         n = min(chunk, budget - n_done)
-        s = rng.beta(float(spec.b) + 1.0, float(spec.gamma) + 1.0,
-                     size=(n, spec.r))
+        if closed_form:
+            s = rng.random((n, spec.r))
+            s **= 1.0 / float((spec.b + 1) * (spec.gamma + 1))
+        else:
+            s = rng.beta(float(spec.b) + 1.0, float(spec.gamma) + 1.0,
+                         size=(n, spec.r))
         vals = np.ones(n)
         for i in range(spec.r):
             for j in range(i + 1, spec.r):

@@ -122,6 +122,26 @@ def test_monte_carlo_deterministic_in_seed():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+def test_monte_carlo_matches_closed_form_across_proposals():
+    # Closed-form draws (b = 0 or gamma = 0, including the reflected
+    # 1 - s at b = 0) and rng.beta draws (both shapes != 1) alike.
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    specs = [(2, 1, 0, 0), (2, 1, 0, half), (2, 1, half, 0),
+             (2, 1, 0, -half), (2, 1, -half, 0), (3, 1, 0, 2), (2, 2, 0, 20),
+             (2, 1, half, third),
+             (2, 1, Fraction(-99, 100), Fraction(-99, 100))]
+    estimates = {}
+    for r, a, b, g in specs:
+        spec = SelbergSpec(r, a, b, g)
+        est = selberg_numeric(spec, "monte_carlo", 200_000, seed=4)
+        truth = float(selberg_closed(spec))
+        assert math.isfinite(est.value) and math.isfinite(est.stderr)
+        assert abs(est.value - truth) <= 5 * est.stderr, (spec, est, truth)
+        estimates[r, a, b, g] = est.value
+    # s -> 1 - s swaps b and gamma and leaves the importance weight alone.
+    assert estimates[2, 1, 0, half] == estimates[2, 1, half, 0]
+
+
 def test_laguerre_constant_values():
     assert laguerre_constant_C(PRESETS["disc"]) \
         == PiScaledRational(Fraction(1), 1)
