@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational, pochhammer
+from .exactnum import PiScaledRational, pochhammer, rising_ints
 
 __all__ = [
     "NonTelescoping",
@@ -54,25 +54,29 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
     with largest.  Integer arguments left unpaired are factorials,
     Gamma(k) = (k-1)!.  Any integer argument k <= 0, paired or not, raises
     GammaPole.  Raises NonTelescoping when any other group does not pair off.
+    Products run on integer numerators over one common denominator D.
     """
+    args = [list(map(Fraction, side)) for side in (numerators, denominators)]
+    D = math.lcm(*(x.denominator for xs in args for x in xs))
     groups = defaultdict(lambda: ([], []))
-    for side, args in enumerate((numerators, denominators)):
-        for x in map(Fraction, args):
+    for side, xs in enumerate(args):
+        for x in xs:
             if x <= 0 and x.denominator == 1:
                 raise GammaPole(f"Gamma({x}) is a pole")
-            groups[x % 1][side].append(x)
-    out = Fraction(1)
-    for f, (xs, ys) in groups.items():
-        if f and len(xs) != len(ys):
-            raise NonTelescoping(f"unpaired Gamma arguments in {f} + Z")
+            n = x.numerator * (D // x.denominator)
+            groups[n % D][side].append(n)
+    acc, shift = [1, 1], 0  # value = acc[0] / acc[1] / D^shift
+    for r, (xs, ys) in groups.items():
+        if r and len(xs) != len(ys):
+            raise NonTelescoping(
+                f"unpaired Gamma arguments in {Fraction(r, D)} + Z")
         xs, ys = sorted(xs, reverse=True), sorted(ys, reverse=True)
-        for x, y in zip(xs, ys):
-            k = int(x - y)
-            out = out * pochhammer(y, k) if k >= 0 else out / pochhammer(x, -k)
+        for x, y in zip(xs, ys):  # Gamma(x/D)/Gamma(y/D) = (y/D)_k, kD = x - y
+            acc[x < y] *= rising_ints(min(x, y), D, abs(x - y) // D)[-1]
+            shift += (x - y) // D  # each factor of the product is over D
         for z in xs[len(ys):] + ys[len(xs):]:
-            fact = math.factorial(int(z) - 1)
-            out = out * fact if len(xs) > len(ys) else out / fact
-    return out
+            acc[len(xs) < len(ys)] *= math.factorial(z // D - 1)
+    return Fraction(acc[0] * D ** max(-shift, 0), acc[1] * D ** max(shift, 0))
 
 
 def scalar_formal_degree(d: DomainParams, lam) -> PiScaledRational:
@@ -108,11 +112,8 @@ def c_G(d: DomainParams, sp_statement_formula: bool = False) -> PiScaledRational
     """
     label = d.family_label
     if label.startswith("Sp(") or (label == "custom" and _is_sp_family(d)):
-        coeff = Fraction(1)
-        for i in range(1, d.r):
-            coeff *= pochhammer(2 + i, i)
-        for i in range(1, d.r + 1):
-            coeff *= i
+        coeff = math.prod((pochhammer(2 + i, i) for i in range(1, d.r)),
+                          start=Fraction(math.factorial(d.r)))
         if not sp_statement_formula:
             coeff /= 2 ** (d.r * (d.r - 1) // 2)
         return PiScaledRational(coeff, -d.N)
@@ -122,9 +123,8 @@ def c_G(d: DomainParams, sp_statement_formula: bool = False) -> PiScaledRational
         coeff = (Fraction(2 * m - 1, 2)) * pochhammer(1, 2 * m - 2)
         return PiScaledRational(coeff, -d.N)
     if d.a % 2 == 0 and d.N % d.r == 0:
-        coeff = Fraction(1)
-        for j in range(1, d.r + 1):
-            coeff *= pochhammer(1 + Fraction(d.a * (j - 1), 2), d.N // d.r)
+        coeff = math.prod(pochhammer(1 + Fraction(d.a * j, 2), d.N // d.r)
+                          for j in range(d.r))
         return PiScaledRational(coeff, -d.N)
     raise UnsupportedCase(f"(r,a,b)=({d.r},{d.a},{d.b}) matches no c_G case")
 

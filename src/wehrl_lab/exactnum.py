@@ -12,11 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
+from operator import mul
 
 
 class FloatRangeExceeded(ValueError):
     """An exact value to be compared in floats lies beyond the float range."""
+
+
+def rising_ints(a: int, b: int, k: int) -> list:
+    """[prod_{i<m} (a + i b) for m = 0..k] on Python ints: at x = a/b the
+    m-th entry is (x)_m b^m, the numerator of (x)_m over b^m."""
+    return list(accumulate(range(a, a + k * b, b), mul, initial=1))
 
 
 def pochhammer(x, k: int) -> Fraction:
@@ -24,10 +32,8 @@ def pochhammer(x, k: int) -> Fraction:
     if k < 0:
         raise ValueError("pochhammer order must be nonnegative")
     x = Fraction(x)
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
-    return out
+    return Fraction(rising_ints(x.numerator, x.denominator, k)[-1],
+                    x.denominator ** k)
 
 
 @dataclass(frozen=True)

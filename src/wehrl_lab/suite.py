@@ -344,14 +344,12 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
             cg = dg.c_G(d)
         except dg.UnsupportedCase:
             cg = None
-        for lam in lam_grid:
-            lam = Fraction(lam)
-            for n in n_grid:
-                if not hc_admissible(d, lam) or not hc_admissible(d, n * lam):
-                    continue
-                dl = dg.scalar_formal_degree(d, lam)
+        lams = [x for x in map(Fraction, lam_grid) if hc_admissible(d, x)]
+        for lam in lams:  # d_lambda and d^H once per lambda, not per row
+            dl = dg.scalar_formal_degree(d, lam)
+            dh = str((dl / cg).as_rational()) if cg else ""
+            for n in [n for n in n_grid if hc_admissible(d, n * lam)]:
                 w = dg.wehrl_constant(d, lam, n)
-                dh = str(dg.hc_degree_scalar(d, lam)) if cg else ""
                 writer.writerow([
                     d.family_label, str(lam), n,
                     str(dl.coeff), dl.pi_power, float(dl),

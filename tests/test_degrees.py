@@ -137,6 +137,10 @@ def _check_table_row(row, name, d):
     assert Fraction(row["d_H"]) == q / cg, row
     assert (Fraction(row["wehrl_coeff"]), int(row["wehrl_pi_power"])) \
         == (q ** n / qn, n * e - en), row
+    # The float columns are float(coeff) * pi^power of the same reference.
+    for col, coeff, power in (("d_lambda_float", q, e), ("c_G_float", cg, -d.N),
+                              ("wehrl_float", q ** n / qn, n * e - en)):
+        assert float(row[col]) == float(coeff) * math.pi ** power, (col, row)
 
 
 def test_constants_table_exact_columns_match_factorial_reference():
@@ -148,8 +152,20 @@ def test_constants_table_exact_columns_match_factorial_reference():
         rows = list(csv.DictReader(io.StringIO(
             emit_constants_table([name], lams, [2, 3]))))
         assert rows, name
+        # One row per admissible (lambda, n), in grid order.
+        assert [(Fraction(row["lambda"]), int(row["n"])) for row in rows] \
+            == [(lam, n) for lam in lams for n in (2, 3)
+                if lam > d.p - 1 and n * lam > d.p - 1], name
         for row in rows:
             _check_table_row(row, name, d)
+    # Several domains give their rows one domain after another.
+    lams = [Fraction(k, 2) for k in range(2, 22)]
+    both = list(csv.DictReader(io.StringIO(
+        emit_constants_table(["Sp(2,R)", "disc"], lams, [3, 2]))))
+    assert both == [row for name in ("Sp(2,R)", "disc")
+                    for row in csv.DictReader(io.StringIO(
+                        emit_constants_table([name], lams, [3, 2])))]
+    assert [r["n"] for r in both[:2]] == ["3", "2"]
 
 
 def test_formal_degree_disc():

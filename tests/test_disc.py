@@ -253,6 +253,55 @@ def test_completeness_float_coefficients_match_exact():
                                          rel=1e-12)
 
 
+_CONVENTIONS = ("corrected_minus_one", "paper_plus_one")
+
+
+@given(gaussian_coeffs, gaussian_coeffs, weights, weights,
+       st.sampled_from(_CONVENTIONS))
+@settings(max_examples=40, deadline=None)
+def test_completeness_masses_match_projection_route(fc, gc, mu, nu, conv):
+    # completeness_check reads exact masses off the core lanes; they must be
+    # the masses of the projected PolyFun cores, exactly.
+    f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
+    g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
+    F = TensorPoly.from_product(f, g)
+    want = [qk_project(F, ProjectionSpec(mu, nu, k, conv)).norm2()
+            for k in range(f.degree + g.degree + 1)]
+    rep = completeness_check(f, g, conv)
+    assert list(rep.per_k) == want
+    assert all(isinstance(m, Fraction) for m in rep.per_k)
+    assert rep.total == sum(want) and rep.expected \
+        == norm2_exact(f) * norm2_exact(g)
+
+
+def test_completeness_float_masses_are_pinned():
+    # Dyadic float input: the float route's per_k, total and expected, bit
+    # for bit, as the projection route computed them before the exact
+    # masses moved onto the lanes.
+    fc = (0.5, -0.75 + 0.25j, 0.625, 1.0, -0.125j)
+    gc = (Fraction(-1, 4), 1.5j, Fraction(1, 8), -2.0)
+    pinned = {
+        "corrected_minus_one": (
+            ["0x1.0aace213f2b38p-2", "0x1.51b06f5abdd11p-3",
+             "0x1.2633214cadba2p-3", "0x1.882e91cff0d35p-4",
+             "0x1.5ae725f806668p-5", "0x1.0f754bc38ec90p-7",
+             "0x1.0ad327249eb92p-6", "0x1.6620fec22dc1ap-13"],
+            "0x1.76ae6a4572113p-1", True),
+        "paper_plus_one": (
+            ["0x1.0aace213f2b38p-2", "0x1.fa88a7081cb99p-4",
+             "0x1.6e1d7ec5d2814p-4", "0x1.abd5b65735439p-5",
+             "0x1.57173edecb40dp-6", "0x1.f1ac603bdb1b2p-9",
+             "0x1.cc6752998a588p-8", "0x1.260aec1e15667p-14"],
+            "0x1.1d74f67cf0cfdp-1", False),
+    }
+    for conv, (per_k, total, passed) in pinned.items():
+        rep = completeness_check(PolyFun(Fraction(5, 2), fc),
+                                 PolyFun(Fraction(7, 2), gc), conv)
+        assert [m.hex() for m in rep.per_k] == per_k, conv
+        assert (rep.total.hex(), rep.expected.hex(), rep.passed) \
+            == (total, "0x1.76ae6a4572114p-1", passed), conv
+
+
 def test_q1_component_vanishes():
     for coeffs in ((1, 1), (2, Fraction(-1, 3), 1), (0, 1, 1, Fraction(1, 7))):
         for n in (2, 3, 4):

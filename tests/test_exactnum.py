@@ -25,6 +25,34 @@ def test_pochhammer_recurrence(x, k):
     assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
 
 
+def _running_product(x: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (x + i)
+    return out
+
+
+@given(rationals, st.integers(min_value=0, max_value=40))
+def test_pochhammer_matches_running_fraction_product(x, k):
+    got = pochhammer(x, k)
+    assert isinstance(got, Fraction) and got == _running_product(x, k)
+
+
+def test_pochhammer_zero_crossings_and_negative_arguments():
+    # At an integer x <= 0 the product reaches the factor 0 once k > -x.
+    assert pochhammer(-3, 3) == -6 and pochhammer(-3, 4) == 0
+    assert pochhammer(-3, 5) == 0 and pochhammer(0, 1) == 0
+    assert pochhammer(0, 0) == 1
+    assert pochhammer(-50, 40) == _running_product(Fraction(-50), 40) != 0
+    assert pochhammer(-50, 51) == 0
+    # (-7/2)_6 = (-7/2)(-5/2)(-3/2)(-1/2)(1/2)(3/2)
+    assert pochhammer(Fraction(-7, 2), 6) == Fraction(315, 64)
+    for x in (Fraction(-7, 2), Fraction(-49, 3), Fraction(50),
+              Fraction(-1, 20)):
+        for k in range(41):
+            assert pochhammer(x, k) == _running_product(x, k), (x, k)
+
+
 def test_pi_scaled_arithmetic():
     a = PiScaledRational(Fraction(3), -1)
     b = PiScaledRational(Fraction(1, 2), 2)

@@ -9,7 +9,11 @@ It measures the checkout it lives in, whatever the working directory:
   metrics) and once with ``--trace 1`` (per-layer metrics);
 * the wall time of the Tier-1 tests and of ``wehrl-lab suite all --seed 0``
   (with the SHA-256 of its stream and its exit code);
-* the line count of each module under ``src/wehrl_lab``.
+* the line count of each module under ``src/wehrl_lab``;
+* the frontiers: the largest degree at which ``completeness_check`` of two
+  seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
+  and the constants-table rows per second on the grid of the CI ``table``
+  step (every preset, the lambdas below, n = 2, 3).
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
@@ -23,12 +27,18 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
+from statistics import median
 from time import perf_counter
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
+                 "10,21/2,12,18,20")
 
 
 def run(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -77,6 +87,47 @@ def src_lines() -> dict[str, int]:
             for path in sorted((ROOT / "src" / "wehrl_lab").glob("*.py"))}
 
 
+def frontiers() -> dict:
+    """Completeness degree reached in 1 s, by doubling then bisection (one
+    timed call per degree), and table rows per second (median of 5)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from wehrl_lab.disc import PolyFun, completeness_check
+    from wehrl_lab.domains import PRESETS
+    from wehrl_lab.suite import emit_constants_table
+
+    def completeness_s(degree: int) -> float:
+        rng = np.random.default_rng([SEED, degree])
+        f, g = (PolyFun(nu, tuple(Fraction(int(rng.integers(-4, 5)),
+                                           int(rng.integers(1, 5)))
+                                  for _ in range(degree + 1)))
+                for nu in (Fraction(5, 2), Fraction(7, 2)))
+        t0 = perf_counter()
+        if not completeness_check(f, g).passed:
+            raise RuntimeError(f"completeness fails at degree {degree}")
+        return perf_counter() - t0
+
+    lo, hi = 0, 8  # seconds[lo] <= 1 < seconds[hi] once the loops end
+    seconds = {hi: completeness_s(hi)}
+    while seconds[hi] <= 1:
+        lo, hi = hi, 2 * hi
+        seconds[hi] = completeness_s(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        seconds[mid] = completeness_s(mid)
+        lo, hi = (mid, hi) if seconds[mid] <= 1 else (lo, mid)
+    lams = [Fraction(x) for x in TABLE_LAMBDAS.split(",")]
+    times, rows = [], 0
+    for _ in range(5):
+        t0 = perf_counter()
+        rows = len(emit_constants_table(list(PRESETS), lams,
+                                        [2, 3]).splitlines()) - 1
+        times.append(perf_counter() - t0)
+    return {"completeness_degree_1s": lo,
+            "completeness_s": {str(k): v for k, v in sorted(seconds.items())},
+            "table_rows": rows, "table_s": median(times),
+            "table_rows_per_s": rows / median(times)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, type=int)
@@ -90,7 +141,7 @@ def main(argv=None) -> int:
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
-    print("tier-1 tests, suite all", file=sys.stderr)
+    print("tier-1 tests, suite all, frontiers", file=sys.stderr)
     lines = src_lines()
     out = {
         "pr": args.pr,
@@ -103,6 +154,7 @@ def main(argv=None) -> int:
         "suite_all": suite_all(),
         "src_lines": lines,
         "src_lines_total": sum(lines.values()),
+        "frontiers": frontiers(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
