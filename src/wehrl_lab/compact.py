@@ -13,12 +13,11 @@ power of the Bloch polynomial p_v(z) = sum_i v_i binom(m, i)^{1/2} z^i,
 
     ||P_{nm}(v^{(x) n})||^2 = sum_k |[p_v^n]_k|^2 / binom(nm, k),
 
-and 1/binom(nm, k) = |k!/(nu)_k| at nu = -nm, so the float route is the
-disc's weighted power norm disc.product_norm2 at that weight; sympy
-evaluates the same sum exactly.  The independent numeric route is Haar
-quadrature in Euler angles.  The Casimir tensor identity characterizing the
-equality case is checked on the n = 2 tensor with the Killing-normalized
-basis, calibrating the Casimir constant from the representation itself.
+and 1/binom(nm, k) = |k!/(nu)_k| at nu = -nm: the disc's product_norm2,
+in floats or exact.  The numeric route is Haar quadrature; the distance to
+the orbit is the disc's coherent-state fit.  The Casimir tensor identity of
+the equality case is checked on the n = 2 tensor, with the Casimir constant
+calibrated from the representation itself.
 """
 
 from __future__ import annotations
@@ -29,19 +28,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import roots_legendre
 
-from .disc import _rule_sizes, product_norm2
+from .disc import PolyFun, _coherent_fit, _rule_sizes, product_norm2
+from .exactnum import gauss_jacobi
 
 __all__ = [
-    "Su2Irrep", "CompactReport",
-    "CasimirReport", "cartan_mass_exact", "casimir_tensor_check",
+    "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
     "wehrl_compact_check", "haar_moment", "haar_moment_closed",
-    "group_element",
     "translate_vector", "translate_fit_distance", "reduction_consistency",
-    "random_unit_vector",
-]
+    "random_unit_vector"]
 
 
 @dataclass(frozen=True)
@@ -124,26 +119,6 @@ def _top_mass(factors: Sequence[np.ndarray]) -> float:
                          -big_m)
 
 
-def cartan_mass_exact(v, n: int, m: int):
-    """||P_{nm}(v^{(x) n})||^2 as an exact sympy expression.
-
-    v is a length m+1 sequence of sympy-convertible coefficients over the
-    orthonormal weight basis (top first); the mass is the weighted norm of
-    p_v^n, as in the float route.
-    """
-    import sympy as sp
-
-    v = [sp.sympify(c) for c in v]
-    if len(v) != m + 1:
-        raise ValueError("vector length must be m + 1")
-    z = sp.Dummy("z")
-    p = sp.Poly(sum(c * sp.sqrt(math.comb(m, i)) * z ** i
-                    for i, c in enumerate(v)), z) ** n
-    total = sum(sp.Abs(p.coeff_monomial(z ** k)) ** 2 / math.comb(n * m, k)
-                for k in range(n * m + 1))
-    return sp.simplify(total)
-
-
 # ---------------------------------------------------------------------------
 # Casimir tensor identity.
 
@@ -191,23 +166,6 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
 # ---------------------------------------------------------------------------
 # Haar quadrature in Euler angles.
 
-def _beta_rule(degree: int):
-    """Gauss-Legendre in cos(beta), exact for polynomials of the given
-    degree in cos(beta), with total mass 1."""
-    x, w = roots_legendre(_rule_sizes(degree)[1])
-    return np.arccos(x), w / 2.0
-
-
-def group_element(m: int, alpha: float, beta: float,
-                  gamma: float) -> np.ndarray:
-    """tau(k(alpha,beta,gamma)) = exp(-i a J3) exp(-i b J2) exp(-i g J3)."""
-    rep = Su2Irrep(m)
-    J3 = rep.j3_matrix().astype(complex)
-    J2 = (rep.raising_matrix() - rep.lowering_matrix()) / 2.0j
-    return (expm(-1j * alpha * J3) @ expm(-1j * beta * J2)
-            @ expm(-1j * gamma * J3))
-
-
 def translate_vector(m: int, alpha: float, beta: float,
                      gamma: float) -> np.ndarray:
     """tau(k) e_top, a point of the equality orbit: its i-th coordinate is
@@ -219,13 +177,13 @@ def translate_vector(m: int, alpha: float, beta: float,
             * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0)))
 
 
-def _top_row(m: int, beta: np.ndarray) -> np.ndarray:
-    """Matrix coefficients <tau(k) e_i, e_top> at alpha = gamma = 0:
-    binom(m,i)^{1/2} cos^{m-i}(beta/2) (-sin(beta/2))^i, shape (m+1, len)."""
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    rows = [math.sqrt(math.comb(m, i)) * c ** (m - i) * (-s) ** i
-            for i in range(m + 1)]
-    return np.array(rows)
+def _top_row(m: int, t: np.ndarray) -> np.ndarray:
+    """Matrix coefficients <tau(k) e_i, e_top> at alpha = gamma = 0 and
+    cos^2(beta/2) = t: binom(m,i)^{1/2} cos^{m-i}(beta/2) (-sin(beta/2))^i,
+    shape (m+1, len)."""
+    i = np.arange(m + 1)[:, None]
+    return _root_binomials(m)[:, None] * t ** ((m - i) / 2) * (
+        -np.sqrt(1.0 - t)) ** i
 
 
 def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
@@ -234,13 +192,14 @@ def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     Up to a phase F = <tau(k) v, e_top> = sum_i v_i d_i(beta) e^{i i gamma}
     (alpha drops out), so |F|^{2n} is a trigonometric polynomial of degree
     nm in gamma, whose mean over nm + 1 equispaced nodes is exact, and that
-    mean is a polynomial of degree nm in cos(beta).
+    mean is a polynomial of degree nm in t = cos^2(beta/2), whose Haar
+    measure is dt on [0, 1].
     """
     v = np.asarray(v, dtype=complex)
-    beta, wb = _beta_rule(n * m)
-    size = _rule_sizes(n * m)[0]
-    F = size * np.fft.ifft(v[:, None] * _top_row(m, beta), size, axis=0)
-    return float(np.sum(wb * np.mean(np.abs(F) ** (2 * n), axis=0)))
+    size, nodes = _rule_sizes(n * m)
+    t, wt = gauss_jacobi(nodes, 0.0, 0.0)
+    F = size * np.fft.ifft(v[:, None] * _top_row(m, t), size, axis=0)
+    return float(np.sum(wt * np.mean(np.abs(F) ** (2 * n), axis=0)))
 
 
 @dataclass(frozen=True)
@@ -252,17 +211,17 @@ class CompactReport:
     bound: float
     slack: float
     mass: float
-    exact_value: Optional[object]  # sympy expression when requested
+    exact_value: Optional[Fraction]  # when exact_bloch is given
 
 
 def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
-                        exact_coeffs: Optional[Sequence] = None
+                        exact_bloch: Optional[Sequence] = None
                         ) -> CompactReport:
     """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound.
 
     The algebraic route gives ||P_{nm}(v^{(x) n})||^2 / (nm+1); the numeric
-    route is Haar quadrature.  Pass exact_coeffs (sympy-convertible, same
-    vector) to also get the exact rational value of the integral.
+    route is Haar quadrature.  exact_bloch, Gaussian rationals u with v_i
+    proportional to u_i / binom(m, i)^{1/2}, also gives the exact value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -274,11 +233,17 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
     exact = mass * bound
     numeric = wehrl_integral_numeric(v, m, n)
     exact_value = None
-    if exact_coeffs is not None:
-        import sympy as sp
-
-        exact_value = sp.simplify(
-            cartan_mass_exact(exact_coeffs, n, m) / (n * m + 1))
+    if exact_bloch is not None:
+        p = PolyFun(2, tuple(exact_bloch))  # product_norm2 ignores its weight
+        u = p.as_complex_array() / _root_binomials(p.degree)
+        u_norm = np.linalg.norm(u)
+        if (not p.exact or p.degree != m or not u_norm
+                or abs(abs(np.vdot(u, v)) - u_norm) > 1e-12 * u_norm):
+            raise ValueError("exact_bloch must be m + 1 rationals, not all 0, "
+                             "proportional to the Bloch coefficients of v")
+        # v_i = u_i / (s binom(m, i)^{1/2}), s^2 = sum |u_i|^2 / binom(m, i)
+        exact_value = product_norm2([p] * n, -n * m) / (
+            product_norm2([p], -m) ** n * (n * m + 1))
     return CompactReport(m=m, n=n, integral_numeric=numeric,
                          integral_exact=exact, bound=bound,
                          slack=bound - exact, mass=mass,
@@ -286,13 +251,12 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
 
 
 def haar_moment(p: int, q: int) -> float:
-    """int |k11|^{2p} |k12|^{2q} dk over SU(2), a polynomial of degree p + q
-    in cos(beta); closed form p!q!/(p+q+1)!."""
+    """int |k11|^{2p} |k12|^{2q} dk over SU(2) = int_0^1 t^p (1 - t)^q dt,
+    t = cos^2(beta/2); closed form p!q!/(p+q+1)!."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    beta, wb = _beta_rule(p + q)
-    c2, s2 = np.cos(beta / 2.0) ** 2, np.sin(beta / 2.0) ** 2
-    return float(np.sum(wb * c2 ** p * s2 ** q))
+    t, wt = gauss_jacobi(_rule_sizes(p + q)[1], 0.0, 0.0)
+    return float(np.sum(wt * t ** p * (1.0 - t) ** q))
 
 
 def haar_moment_closed(p: int, q: int) -> Fraction:
@@ -301,22 +265,16 @@ def haar_moment_closed(p: int, q: int) -> Fraction:
 
 
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:
-    """Distance from v to the equality orbit {phase * tau(k) e_top}.
-
-    gamma moves tau(k) e_top only by a global phase, so the search runs
-    over (alpha, beta) alone."""
-    from scipy.optimize import minimize
-
+    """Distance min |v/|v| - phase tau(k) e_top| to the equality orbit.
+    tau(k) e_top is the unit coherent vector along (binom(m, i)^{1/2}
+    zeta^i)_i, zeta = tan(beta/2) e^{i alpha}; from the residual rho of
+    disc's fit in the charts zeta and 1/zeta (v reversed), the distance is
+    rho (2 / (1 + (1 - rho^2)^{1/2}))^{1/2}.  Raises disc.NoConvergence."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    beta0 = 2.0 * math.atan2(np.linalg.norm(v[1:]), abs(v[0]) + 1e-300)
-
-    def neg_overlap(angles):
-        return 1.0 - abs(np.vdot(translate_vector(m, *angles, 0.0), v))
-
-    res = minimize(neg_overlap, [0.0, beta0], method="Nelder-Mead",
-                   options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000))
-    return math.sqrt(max(2.0 * float(res.fun), 0.0))
+    kappa2 = np.array([float(math.comb(m, i)) for i in range(m + 1)])
+    rho = _coherent_fit([v, v[::-1]], kappa2, math.inf)
+    return rho * math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - rho * rho, 0.0))))
 
 
 def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:

@@ -149,9 +149,6 @@ class RootSystemPreset:
     positive_roots: tuple[tuple[int, Fraction, bool], ...]
     rank: int
 
-    def strongly_orthogonal_count(self) -> int:
-        return sum(1 for _, _, so in self.positive_roots if so)
-
 
 ROOT_SYSTEM_PRESETS: dict[str, RootSystemPreset] = {
     # SU(1,1): single noncompact root.

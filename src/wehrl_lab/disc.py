@@ -30,9 +30,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .exactnum import QC, FloatRangeExceeded, pochhammer, rising_ints
+from .exactnum import (QC, FloatRangeExceeded, gauss_jacobi, pochhammer,
+                       rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -310,9 +310,7 @@ def _radial_angular_integral(f: PolyFun, power2n: int,
     if weight_exp <= -1:
         raise NonIntegrable("weight exponent must exceed -1")
     n_ang, n_nodes = _rule_sizes(power2n // 2 * f.degree)
-    t, wt = roots_jacobi(n_nodes, weight_exp, 0.0)
-    t = (t + 1.0) / 2.0
-    wt = wt / 2.0 ** (weight_exp + 1.0)
+    t, wt = gauss_jacobi(n_nodes, weight_exp, 0.0)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
     vals = np.polyval(f.as_complex_array()[::-1], z)
@@ -374,14 +372,6 @@ class TensorPoly(_Lanes):
     @staticmethod
     def from_product(f: PolyFun, g: PolyFun) -> "TensorPoly":
         return _product(TensorPoly, (f.nu, g.nu), f, g, np.multiply.outer)
-
-    @staticmethod
-    def z_minus_w_power(mu, nu, k: int) -> "TensorPoly":
-        """(z - w)^k as an element of H_mu (x) H_nu."""
-        rows = [[QC(Fraction(0))] * (k + 1) for _ in range(k + 1)]
-        for j in range(k + 1):
-            rows[k - j][j] = QC(Fraction((-1) ** j * math.comb(k, j)))
-        return TensorPoly(mu, nu, tuple(tuple(r) for r in rows))
 
     def norm2(self) -> Fraction | float:
         P, Q = self._lanes[0][0].shape
@@ -602,9 +592,6 @@ class KernelFun:
             a * wbar ** m for m, a in enumerate(
                 _rising_over_factorial(self.nu, self.degree + 1, exact))))
 
-    def norm2_closed(self) -> float:
-        return (1.0 - abs(complex(self.w)) ** 2) ** (-float(self.nu))
-
     def tail_bound(self) -> float:
         """An upper bound, at most twice the true value, on the squared-norm
         mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation.
@@ -678,25 +665,66 @@ def _objective_and_gradient(x: np.ndarray, nu, n: int, degree: int,
     return phi, grad
 
 
-def _fit_kernel(x: np.ndarray, nu, degree: int, h: np.ndarray) -> float:
-    """Distance from the unit vector x to the fitted truncated-kernel ray."""
-    from scipy.optimize import minimize
+def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
+                  radius: float) -> float:
+    """Distance min |x - c k| from the unit vector x, given in each chart's
+    coordinates, to the coherent rays k = (kappa_i zeta^i)_i, |zeta| <
+    radius: Newton on L = log|g|^2 - log N, g = <x, k>, N = |k|^2, with
+    L_zbar = conj(g'/g) - zeta phi, L_{zeta zbar} = -(r phi)' and
+    L_{zbar zbar} = conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2,
+    from the best start on a grid in |zeta| < min(radius, 1) of each chart;
+    a gradient step where the Hessian is not negative definite, and steps
+    halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|)
+    ends it, returning the residual at zeta + step; else NoConvergence."""
+    nc, reach = kappa2[::-1], min(radius, 1.0)
+    n1, n2 = np.polyder(nc), np.polyder(nc, 2)
+    grid = np.append(0, np.outer([0.3 * reach, 0.6 * reach, 0.9 * reach],
+                                 np.exp(0.25j * np.pi * np.arange(8))))
 
-    kernel = _rising_over_factorial(nu, degree + 1, False)
+    def log_overlap(gc, z):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.polyval(gc, z)) ** 2
+                          / np.polyval(nc, np.abs(z) ** 2))
 
-    def dist(wri):
-        w = wri[0] + 1j * wri[1]
-        if abs(w) >= 1:
-            return 2.0
-        km = np.array([a * w ** m for m, a in enumerate(kernel)]) * np.sqrt(h)
-        alpha = np.vdot(km, x) / np.vdot(km, km)
-        return float(np.linalg.norm(x - alpha * km))
-
-    w0 = (x[1] / x[0]) * math.sqrt(h[1]) / float(nu) \
-        if abs(x[0]) > 1e-9 else 0.1 + 0.0j
-    res = minimize(dist, [w0.real, w0.imag], method="Nelder-Mead",
-                   options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000))
-    return float(res.fun)
+    L = None
+    for x in charts:
+        starts = grid  # and x_1 / (kappa_1 x_0), exact for a coherent x
+        if len(x) > 1 and abs(x[1]) < reach * math.sqrt(kappa2[1]) * abs(x[0]):
+            starts = np.append(grid, x[1] / (math.sqrt(kappa2[1]) * x[0]))
+        gc_x = (np.conj(x) * np.sqrt(kappa2))[::-1]
+        values = log_overlap(gc_x, starts)
+        if L is None or values.max() > L:
+            L, x_fit, gc, z = values.max(), x, gc_x, starts[values.argmax()]
+    g1, g2 = np.polyder(gc), np.polyder(gc, 2)
+    for _ in range(100):
+        g = np.polyval(gc, z)
+        dg, ddg = np.polyval(g1, z) / g, np.polyval(g2, z) / g
+        r = abs(z) ** 2
+        phi = np.polyval(n1, r) / np.polyval(nc, r)
+        dphi = np.polyval(n2, r) / np.polyval(nc, r) - phi * phi
+        c = np.conj(dg) - phi * z
+        A, B = -(phi + r * dphi), np.conj(ddg - dg * dg) - z * z * dphi
+        det = A * A - abs(B) ** 2
+        newton = A < 0 and det > 0
+        # c = A = 0 only where x has one entry: every vector is coherent.
+        step = ((B * np.conj(c) - A * c) / det if newton
+                else c / -A if c else 0.0)
+        if (newton or c == 0) and abs(step) <= 1e-8 * (1 + abs(z)):
+            k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
+            return float(np.linalg.norm(
+                x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
+        for t in 0.5 ** np.arange(60):
+            z_new = z + t * step
+            if abs(z_new) < radius:
+                L_new = log_overlap(gc, z_new)
+                if L_new >= L:
+                    break
+        else:
+            raise NoConvergence(f"coherent fit: no ascent in 60 halvings at "
+                                f"{complex(z):.6g}", "line_search_exhausted")
+        z, L = z_new, L_new
+    raise NoConvergence(f"coherent fit: no Newton step below 1e-8 in 100 "
+                        f"steps (zeta = {complex(z):.6g})", "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -772,7 +800,9 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
                  for p in pairs + [(x_new - x, tangent - g_new)]]
         pairs = [p for p in pairs if np.vdot(*p).real > 0][-_LBFGS_MEMORY:]
         x, phi, g = x_new, phi_new, g_new
-    kd = _fit_kernel(x, nu, degree, h)
+    # The truncated kernels are the coherent vectors of kappa_m^2 = (nu)_m/m!.
+    kappa2 = np.array(_rising_over_factorial(nu, degree + 1, False))
+    kd = _coherent_fit([x], kappa2, 1.0)
     f = PolyFun(Fraction(nu), tuple(x / np.sqrt(h)))
     return MaximizeResult(f=f, objective=phi, kernel_distance=kd,
                           iterations=it, grad_norm=float(np.linalg.norm(tangent)),

@@ -58,11 +58,6 @@ class WeightSpec:
             raise ValueError("lambda must be positive")
 
 
-def derived_invariants(d: DomainParams) -> tuple[int, int, int]:
-    """Return (p, N, n1) for the domain."""
-    return d.p, d.N, d.n1
-
-
 def hc_admissible(d: DomainParams, w: WeightSpec | Fraction) -> bool:
     """Discrete-series condition lambda > p - 1 for the scalar weight."""
     lam = w.lam if isinstance(w, WeightSpec) else Fraction(w)

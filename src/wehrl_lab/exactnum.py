@@ -1,6 +1,7 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
 complex numbers, the Pochhammer symbol, and the error raised where a value
-leaves the float range.
+leaves the float range; and the one Gauss-Jacobi rule that every
+quadrature oracle takes its nodes from.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -15,6 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
 from operator import mul
+
+import numpy as np
 
 
 class FloatRangeExceeded(ValueError):
@@ -34,6 +37,42 @@ def pochhammer(x, k: int) -> Fraction:
     x = Fraction(x)
     return Fraction(rising_ints(x.numerator, x.denominator, k)[-1],
                     x.denominator ** k)
+
+
+def gauss_jacobi(n: int, alpha: float, beta: float):
+    """Nodes s and weights w of the n-point Gauss rule for int_0^1
+    (1 - s)^alpha s^beta f(s) ds, exact up to degree 2n - 1.  On x = 2s - 1
+    the nodes are the Jacobi matrix's eigenvalues (Golub-Welsch); one pass
+    of the orthonormal recurrence gives w = mu_0 / K, K = sum_{k<=n} p_k^2
+    corrected to first order in the rounding of x by dx = -b_n p_n p_{n-1}/K
+    (Newton, by Christoffel-Darboux) and K'/K = ((alpha + beta + 2) x +
+    alpha - beta) / (1 - x^2).  p_k^2 <= K = mu_0/w overflows only where w
+    underflows; w is 0 there.  4e-13 from 40-digit weights up to n = 514."""
+    if n < 1 or alpha <= -1 or beta <= -1:
+        raise ValueError(f"a Gauss-Jacobi rule needs n >= 1 and alpha, beta "
+                         f"> -1, got n, alpha, beta = {n}, {alpha}, {beta}")
+    ab = alpha + beta
+    a = [(beta - alpha) / (ab + 2)] + [
+        (beta - alpha) * ab / ((2 * k + ab) * (2 * k + ab + 2))
+        for k in range(1, n)]
+    b = [0.0, 2 * math.sqrt((1 + alpha) * (1 + beta) / (ab + 3)) / (ab + 2)]
+    b += [math.sqrt(4 * k * (k + alpha) * (k + beta) * (k + ab)
+                    / ((2 * k + ab) ** 2 * ((2 * k + ab) ** 2 - 1)))
+          for k in range(2, n + 1)]  # b[k] couples p_{k-1} and p_k
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1], jacobi.flat[n::n + 1] = a, b[1:n]  # lower half
+    x = np.linalg.eigvalsh(jacobi)
+    lg = math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(ab + 2)
+    mu0 = math.exp(lg) if ab >= 169 else (  # Gamma is exact at small ints
+        math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1))
+    p0, p1, total = np.zeros(n), np.ones(n), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            p0, p1 = p1, ((x - a[j]) * p1 - b[j] * p0) / b[j + 1]
+            total += p1 * p1
+        dx = np.nan_to_num(-b[n] * p1 * p0 / total)
+        total *= 1 + dx * ((ab + 2) * x + alpha - beta) / (1 - x * x)
+        return (1 + x + dx) / 2, np.nan_to_num(mu0 / total)
 
 
 @dataclass(frozen=True)
@@ -141,9 +180,6 @@ class QC:
         if isinstance(value, complex):
             raise TypeError("float complex is not exact; use QC(re, im)")
         return QC(Fraction(value))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -34,28 +34,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .degrees import (NonTelescoping, gamma_ratio_product,
                       scalar_formal_degree)
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import FloatRangeExceeded, PiScaledRational
+from .exactnum import FloatRangeExceeded, PiScaledRational, gauss_jacobi
 
 __all__ = [
-    "SelbergSpec",
-    "NumericEstimate",
-    "NonIntegrable",
-    "MethodUnsupported",
-    "FloatRangeExceeded",
-    "selberg_closed",
-    "selberg_closed_hp",
-    "laguerre_constant_C",
-    "selberg_numeric",
-    "ordered_sector_quadrature",
-    "verify_degree_integral",
-]
+    "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
+    "FloatRangeExceeded", "selberg_closed", "selberg_closed_hp",
+    "laguerre_constant_C", "selberg_numeric", "ordered_sector_quadrature",
+    "verify_degree_integral"]
 
 
 MAX_GRID_POINTS = 1 << 21
@@ -119,8 +109,10 @@ def selberg_closed(spec: SelbergSpec) -> Fraction | float:
         return float(selberg_closed_hp(spec, 35))
 
 
-def selberg_closed_hp(spec: SelbergSpec, dps: int = 40) -> mpmath.mpf:
-    """Closed-form value at dps significant digits (mpmath)."""
+def selberg_closed_hp(spec: SelbergSpec, dps: int = 40):
+    """Closed-form value at dps significant digits, an mpmath mpf."""
+    import mpmath
+
     with mpmath.workdps(dps):
         nums, dens = ([mpmath.mpf(x.numerator) / x.denominator for x in xs]
                       for xs in _gamma_args(spec))
@@ -142,12 +134,6 @@ def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
         gamma_ratio_product([1 + half_a] * d.r, dens), d.N)
 
 
-def _jacobi_rule_01(n: int, alpha: float, beta: float):
-    """Nodes/weights for int_0^1 (1-s)^alpha s^beta f(s) ds."""
-    x, w = roots_jacobi(n, alpha, beta)
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + beta + 1.0)
-
-
 def _tensor_rule(rules):
     """Coordinate grids and product weights of a tensor product of 1-D
     rules; refuses, before building it, a grid over MAX_GRID_POINTS."""
@@ -164,7 +150,7 @@ def _tensor_rule(rules):
 
 
 def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
-    rule = _jacobi_rule_01(nodes, float(spec.gamma), float(spec.b))
+    rule = gauss_jacobi(nodes, float(spec.gamma), float(spec.b))
     s, F = _tensor_rule([rule] * spec.r)
     a_int = int(spec.a)
     for i in range(spec.r):
@@ -185,7 +171,7 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
     so `nodes` > half the largest of these degrees makes the rule exact.
     """
     r, g = spec.r, float(spec.gamma)
-    v, F = _tensor_rule([_jacobi_rule_01(nodes, 0.0, (r - k) + g * (r - k + 1))
+    v, F = _tensor_rule([gauss_jacobi(nodes, 0.0, (r - k) + g * (r - k + 1))
                          for k in range(1, r + 1)])
     t = list(itertools.accumulate(v, np.multiply))
     F = F * float(math.factorial(r))

@@ -270,16 +270,13 @@ def _suite_compact(config: SuiteConfig) -> list[Report]:
                           {"max_deviation": worst, "tolerance": 1e-12},
                           worst < 1e-12))
 
-    import sympy as sp
     v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-    rep = cp.wehrl_compact_check(v, 2, 2,
-                                 exact_coeffs=[sp.sqrt(2) / 2, 0,
-                                               sp.sqrt(2) / 2])
+    rep = cp.wehrl_compact_check(v, 2, 2, exact_bloch=[1, 0, 1])
     reports.append(_check(
         "compact.exact_case", {"m": 2, "n": 2, "vector": "(e2+e-2)/sqrt2"},
         {"exact": str(rep.exact_value), "numeric": rep.integral_numeric,
          "bound": rep.bound},
-        rep.exact_value == sp.Rational(2, 15)
+        rep.exact_value == Fraction(2, 15)
         and abs(rep.integral_numeric - 2 / 15) < 1e-10))
 
     ok = True

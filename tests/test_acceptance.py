@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from su2_reference import cartan_mass_exact
 from wehrl_lab import compact as cp
 from wehrl_lab import degrees as dg
 from wehrl_lab import disc as dc
@@ -201,8 +202,11 @@ def test_criterion_09_compact_wehrl():
         route_gap = max(route_gap,
                         abs(rep.integral_numeric - rep.integral_exact))
         count += 1
-    exact = cp.cartan_mass_exact([sp.sqrt(2) / 2, 0, sp.sqrt(2) / 2], 2, 2)
-    exact_ok = sp.simplify(exact / 5 - sp.Rational(2, 15)) == 0
+    exact = cartan_mass_exact([sp.sqrt(2) / 2, 0, sp.sqrt(2) / 2], 2, 2)
+    mixed = cp.wehrl_compact_check(np.array([1.0, 0.0, 1.0]) / math.sqrt(2),
+                                   2, 2, exact_bloch=[1, 0, 1])
+    exact_ok = (sp.simplify(exact / 5 - sp.Rational(2, 15)) == 0
+                and mixed.exact_value == Fraction(2, 15))
     ok = schur_ok and bound_ok and route_gap < 1e-6 and exact_ok
     _verdict(9, f"compact bound 1/(nm+1) holds on 200 random vectors; route "
              f"gap {route_gap:.2e} < 1e-6; (m=2,n=2) mixed vector gives "

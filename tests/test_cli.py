@@ -86,6 +86,22 @@ def test_numeric_import_path_leaves_sympy_out():
     assert out.strip() == "[]"
 
 
+def test_suite_all_loads_no_scipy_sympy_or_mpmath():
+    # The Gauss rules, the coherent-state fits and the exact SU(2) masses
+    # are numpy and Fraction code; mpmath loads only for selberg_closed_hp.
+    src = str(Path(wehrl_lab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wehrl_lab.cli; "
+            "from wehrl_lab.reports import SuiteConfig; "
+            "from wehrl_lab.suite import run_suite; "
+            "code, _ = run_suite('all', SuiteConfig(seed=0)); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'sympy', 'mpmath')))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"
+
+
 def test_disc_subcommands(runner):
     res = runner.invoke(main, ["disc", "wehrl", "--nu", "2",
                                "--coeffs", "1,1", "--n", "2"])

@@ -5,14 +5,17 @@ from functools import reduce
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, strategies as st
 
+from su2_reference import cartan_mass_exact, group_element
 from wehrl_lab import compact
-from wehrl_lab.compact import (Su2Irrep, cartan_mass_exact,
-                               casimir_tensor_check, group_element,
+from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check,
                                haar_moment, haar_moment_closed,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
+from wehrl_lab.disc import NoConvergence
+from wehrl_lab.exactnum import QC
 
 
 def _kron_top_basis(m, n):
@@ -98,6 +101,39 @@ def test_cartan_mass_example_two_thirds():
     assert exact == sp.Rational(2, 3)
 
 
+def test_exact_mass_matches_the_sympy_reference():
+    # Gaussian-rational Bloch coefficients u give v_i = u_i / (s
+    # binom(m, i)^{1/2}); the exact mass against sympy's on that v.
+    rng = np.random.default_rng(4)
+    for m, n in ((1, 2), (2, 2), (2, 3), (3, 2), (4, 3)):
+        u = [QC(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))))
+             for _ in range(m + 1)]
+        u[0] = QC(Fraction(1), u[0].im)
+        sym = [(sp.Rational(c.re.numerator, c.re.denominator)
+                + sp.I * sp.Rational(c.im.numerator, c.im.denominator))
+               / sp.sqrt(math.comb(m, i)) for i, c in enumerate(u)]
+        norm = sp.sqrt(sum(sp.Abs(c) ** 2 for c in sym))
+        want = cartan_mass_exact([c / norm for c in sym], n, m)
+        v = np.array([complex(c) for c in sym], dtype=complex)
+        rep = wehrl_compact_check(v / np.linalg.norm(v), m, n, exact_bloch=u)
+        assert isinstance(rep.exact_value, Fraction)
+        assert sp.simplify(want / (n * m + 1)
+                           - sp.Rational(rep.exact_value.numerator,
+                                         rep.exact_value.denominator)) == 0
+        assert abs(rep.mass - float(want)) < 1e-13
+
+
+def test_exact_bloch_is_checked_against_the_vector():
+    v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+    rep = wehrl_compact_check(v, 2, 2, exact_bloch=[2, 0, 2])
+    assert rep.exact_value == Fraction(2, 15)
+    assert rep.integral_numeric == pytest.approx(2 / 15, abs=1e-15)
+    for bad in ([1, 0, 2], [1.0, 0, 1], [1, 0], [1, 0, 1, 0], [0, 0, 0]):
+        with pytest.raises(ValueError, match="Bloch coefficients of v"):
+            wehrl_compact_check(v, 2, 2, exact_bloch=bad)
+
+
 def test_casimir_identity_on_translates_only():
     top = casimir_tensor_check([1, 0, 0, 0], 3)
     assert top.equality and top.residual < 1e-13
@@ -126,6 +162,59 @@ def test_wehrl_compact_equality_orbit_and_m1_transitivity():
         v = random_unit_vector(1, rng)
         r = wehrl_compact_check(v, 1, 3)
         assert abs(r.slack) < 1e-10
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_BETA = st.one_of(st.floats(0.0, math.pi), st.floats(0.0, 1e-6),
+                  st.floats(math.pi - 1e-6, math.pi))
+
+
+@given(st.integers(0, 12), _ANGLE, _BETA, _ANGLE)
+@example(3, 1.0177840875868354, 1.5747527321121295, -2.526372335888243)
+def test_fit_finds_every_translate(m, alpha, beta, gamma):
+    # Including beta near 0 and near pi, where the chart 1/zeta takes over.
+    # The example lies near the equator, where a local search started from
+    # the pole can stall 0.44 away.
+    t = translate_vector(m, alpha, beta, gamma)
+    assert translate_fit_distance(t, m) < 1e-7
+
+
+def test_fit_matches_the_overlap_on_perturbed_translates():
+    # The distance sqrt(2 - 2|<v, t>|) at the fitted translate t is a
+    # minimum: no translate on a fine grid of Euler angles comes closer.
+    rng = np.random.default_rng(6)
+    for m in (2, 5, 9):
+        v = translate_vector(m, 0.4, 2.0, 0.0) + 0.1 * random_unit_vector(
+            m, rng)
+        v /= np.linalg.norm(v)
+        dist = translate_fit_distance(v, m)
+        grid = min(math.sqrt(2 - 2 * abs(np.vdot(translate_vector(
+            m, a, b, 0.0), v))) for a in np.linspace(-math.pi, math.pi, 121)
+            for b in np.linspace(0, math.pi, 61))
+        assert 0.01 < dist <= grid
+
+
+def test_fit_that_does_not_converge_raises(monkeypatch):
+    # A fit whose objective is noise reports why it stopped instead of
+    # returning a distance.
+    real, noise = np.polyval, np.random.default_rng(0)
+    monkeypatch.setattr(np, "polyval", lambda p, z: real(p, z) * (
+        1 + 1e-3 * noise.random(np.shape(z))))
+    with pytest.raises(NoConvergence) as err:
+        translate_fit_distance(translate_vector(4, 0.3, 1.0, 0.0)
+                               + 0.2 * random_unit_vector(
+                                   4, np.random.default_rng(1)), 4)
+    assert err.value.stop_reason in ("line_search_exhausted",
+                                     "max_iterations")
+
+
+def test_own_gauss_rule_closes_the_haar_route_gap():
+    # With scipy's Gauss-Legendre weights the two routes were 1.09e-12
+    # apart here; the rule's weights now hold the gap at rounding level.
+    v = random_unit_vector(200, np.random.default_rng(200005))
+    r = wehrl_compact_check(v, 200, 5)
+    assert abs(r.integral_numeric - r.integral_exact) \
+        <= 1e-13 * r.integral_exact
 
 
 def test_route_agreement_random():

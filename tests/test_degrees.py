@@ -224,9 +224,9 @@ def test_hc_degree_cross_check_root_products():
 
 
 def test_strongly_orthogonal_counts_match_rank():
-    assert ROOT_SYSTEM_PRESETS["A1"].strongly_orthogonal_count() == 1
-    assert ROOT_SYSTEM_PRESETS["A2"].strongly_orthogonal_count() == 1
-    assert ROOT_SYSTEM_PRESETS["C2"].strongly_orthogonal_count() == 2
+    for name in ("A1", "A2", "C2"):
+        rs = ROOT_SYSTEM_PRESETS[name]
+        assert sum(so for _, _, so in rs.positive_roots) == rs.rank, name
 
 
 def test_wehrl_constant_disc():

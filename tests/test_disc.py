@@ -86,10 +86,18 @@ def test_projection_constant_conventions():
         ProjectionSpec(NU2, NU2, 1, "other")
 
 
+def _z_minus_w_power(mu, nu, k: int) -> TensorPoly:
+    """(z - w)^k as an element of H_mu (x) H_nu."""
+    rows = [[0] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        rows[k - j][j] = (-1) ** j * math.comb(k, j)
+    return TensorPoly(mu, nu, tuple(map(tuple, rows)))
+
+
 def test_partial_isometry_on_z_minus_w():
     # (z-w)^k spans the k-th component; the corrected constant normalizes it.
     for k in (1, 2, 3):
-        F = TensorPoly.z_minus_w_power(NU2, NU2, k)
+        F = _z_minus_w_power(NU2, NU2, k)
         proj = qk_project(F, ProjectionSpec(NU2, NU2, k,
                                             "corrected_minus_one"))
         assert proj.norm2() == F.norm2()
@@ -214,10 +222,10 @@ def test_zero_polynomial():
     assert rep.passed and rep.total == 0 and set(rep.per_k) == {0}
     proj = qk_project(TensorPoly.from_product(zero, g),
                       ProjectionSpec(zero.nu, g.nu, 2))
-    assert all(c.is_zero() for c in proj.core.coeffs)
+    assert all(c == QC(0) for c in proj.core.coeffs)
     assert q1_iterated(zero, 3).norm2() == 0
-    assert all(c.is_zero() for c in (zero * g).coeffs)
-    assert all(c.is_zero() for c in poly(NU2, 0).derivative().coeffs)
+    assert all(c == QC(0) for c in (zero * g).coeffs)
+    assert all(c == QC(0) for c in poly(NU2, 0).derivative().coeffs)
 
 
 def test_completeness_degree_16():
@@ -345,7 +353,7 @@ def test_kernel_truncation_tail():
     k = KernelFun(NU2, 0.5, 30)
     f = k.to_polyfun()
     assert float(norm2_exact(f)) + k.tail_bound() \
-        == pytest.approx(k.norm2_closed(), rel=1e-12)
+        == pytest.approx((1 - 0.5 ** 2) ** -2, rel=1e-12)
     with pytest.raises(OutsideBergman):
         KernelFun(NU2, 1.2, 5).to_polyfun()
 
@@ -441,6 +449,55 @@ def test_matrix_coeff_lp_at_high_power(degree, n):
         f = f.scale(1 / math.sqrt(norm2_exact(f)))
         ref = float(product_norm2([f] * n, n * NU2)) / float(n * NU2 - 1)
         assert abs(matrix_coeff_lp(f, n) - ref) <= 1e-10 * ref
+
+
+def test_disc_oracle_at_power_100():
+    # alpha = n nu - 2 = 198 on 501 nodes: scipy's Gauss-Jacobi weights put
+    # every polynomial here 5.4e-12 off the Parseval value.
+    f = _unit_complex_poly(np.random.default_rng(100), NU2, 10)
+    ref = float(product_norm2([f] * 100, 100 * NU2)) / float(100 * NU2 - 1)
+    assert abs(matrix_coeff_lp(f, 100) - ref) <= 1e-13 * ref
+
+
+def _kernel_vector(nu, w, degree):
+    h = np.array(disc._norm_weights(Fraction(nu), degree + 1, False)[0])
+    x = KernelFun(Fraction(nu), w, degree).to_polyfun().as_complex_array()
+    return x * np.sqrt(h) / np.linalg.norm(x * np.sqrt(h))
+
+
+def _kernel_fit(x, nu):
+    kappa2 = np.array(disc._rising_over_factorial(nu, len(x), False))
+    return disc._coherent_fit([x], kappa2, 1.0)
+
+
+@pytest.mark.parametrize("nu", [NU2, Fraction(5, 2), Fraction(7, 2)])
+def test_kernel_fit_finds_kernels_and_nearest_kernels(nu):
+    rng = np.random.default_rng(8)
+    for w in (0, 0.3j, -0.55 + 0.2j, 0.8):
+        x = _kernel_vector(nu, w, 12)
+        assert _kernel_fit(x, nu) < 1e-14
+        # Off the orbit the fit is a minimum over kernels: a fine polar grid
+        # of truncated kernels comes no closer.
+        y = x + 0.05 * (rng.normal(size=13) + 1j * rng.normal(size=13))
+        y /= np.linalg.norm(y)
+        ws = np.outer(np.linspace(0, 0.95, 40),
+                      np.exp(1j * np.linspace(-np.pi, np.pi, 120))).ravel()
+        kappa = np.sqrt(disc._rising_over_factorial(nu, 13, False))
+        ks = kappa * ws[:, None] ** np.arange(13)
+        ks /= np.linalg.norm(ks, axis=1)[:, None]
+        grid = np.linalg.norm(y - (ks.conj() @ y)[:, None] * ks, axis=1)
+        assert 1e-3 < _kernel_fit(y, nu) <= grid.min()
+
+
+def test_kernel_fit_without_an_interior_maximum_raises():
+    # z^8 is nearest to the truncated kernels only as |w| -> 1, so the fit
+    # runs to the unit circle and reports that it did not converge.
+    e = np.zeros(9, dtype=complex)
+    e[8] = 1
+    with pytest.raises(NoConvergence) as err:
+        _kernel_fit(e, NU2)
+    assert err.value.stop_reason in ("max_iterations",
+                                     "line_search_exhausted")
 
 
 def test_float_norm_overflow_raises_typed():
@@ -540,7 +597,7 @@ def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
     res = maximize_wehrl(2, 2, 8, seed=3)
     assert res.kernel_distance < 1e-4
     # The weights h (degree 8) and H (degree 16), then the kernel
-    # coefficients once for the whole Nelder-Mead search.
+    # coefficients once for the whole coherent-state fit.
     assert calls == [9, 17, 9]
 
 

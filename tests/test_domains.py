@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from wehrl_lab.domains import (CLASSICAL_DIMENSION, PRESETS, DomainParams,
-                               WeightSpec, derived_invariants, get_domain,
-                               hc_admissible, preset_table, so_2n, su_pq)
+                               WeightSpec, get_domain, hc_admissible,
+                               preset_table, so_2n, su_pq)
 
 
 def test_derived_invariants_disc():
     d = PRESETS["disc"]
-    assert derived_invariants(d) == (2, 1, 1)
+    assert (d.p, d.N, d.n1) == (2, 1, 1)
 
 
 def test_derived_invariants_match_classical_dimensions():

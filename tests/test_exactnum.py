@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from test_disc import _cmul
 from wehrl_lab.disc import PolyFun, norm2_exact
-from wehrl_lab.exactnum import PiScaledRational, QC, pochhammer
+from wehrl_lab.exactnum import PiScaledRational, QC, gauss_jacobi, pochhammer
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
@@ -99,6 +101,87 @@ def test_qc_complex_rendition():
     x = QC(Fraction(1, 2), Fraction(-3))
     assert complex(x) == 0.5 - 3j
     assert QC.of(x) is x and QC.of(2) == QC(Fraction(2))
-    assert not x.is_zero() and QC(Fraction(0)).is_zero()
+    assert x != QC(0) and QC(Fraction(0)) == QC(0, 0)
     with pytest.raises(TypeError):
         QC.of(1.5j)
+
+
+def _mp(x) -> mpmath.mpf:
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _gauss_jacobi_reference(nodes, n: int, alpha, beta) -> tuple:
+    """40-digit nodes and weights on [0, 1] of the n-point rule near the
+    given float nodes: on x = 2s - 1, a Newton step on the monic Jacobi
+    recurrence, then the Christoffel sum w = mu_0 / sum_{k<n} P_k^2 / h_k
+    with h_k = ||P_k||^2 / mu_0 and mu_0 = B(alpha + 1, beta + 1)."""
+    with mpmath.workdps(40):
+        al, be = _mp(alpha), _mp(beta)
+        ab = al + be
+        a = [(be - al) / (ab + 2)] + [(be * be - al * al)
+                                      / ((2 * k + ab) * (2 * k + ab + 2))
+                                      for k in range(1, n)]
+        c = [0, 4 * (1 + al) * (1 + be) / ((2 + ab) ** 2 * (3 + ab))] + [
+            4 * k * (k + al) * (k + be) * (k + ab)
+            / ((2 * k + ab) ** 2 * ((2 * k + ab) ** 2 - 1))
+            for k in range(2, n)]
+        h = [mpmath.mpf(1)]
+        for k in range(1, n):
+            h.append(h[-1] * c[k])
+        xs, ws = [], []
+        for s0 in nodes:
+            x = 2 * mpmath.mpf(float(s0)) - 1
+            for newton in (True, False):
+                p0, p1, d0, d1 = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+                total = mpmath.mpf(1)
+                for k in range(n):
+                    p0, p1, d0, d1 = (p1, (x - a[k]) * p1 - c[k] * p0, d1,
+                                      (x - a[k]) * d1 + p1 - c[k] * d0)
+                    if k < n - 1:
+                        total += p1 * p1 / h[k + 1]
+                if newton:
+                    x -= p1 / d1
+            xs.append(float((1 + x) / 2))
+            ws.append(float(mpmath.beta(al + 1, be + 1) / total))
+        return np.array(xs), np.array(ws)
+
+
+@pytest.mark.parametrize("beta", [0, Fraction(1, 2), Fraction(5, 2)])
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 7, 100])
+@pytest.mark.parametrize("n", [1, 2, 17, 101, 251])
+def test_gauss_jacobi_matches_a_40_digit_reference(n, alpha, beta):
+    s, w = gauss_jacobi(n, float(alpha), float(beta))
+    assert np.all(np.diff(s) > 0) and 0 < s[0] and s[-1] < 1
+    # Every node of the short rules; both ends and every tenth of the long.
+    pick = sorted(set(range(0, n, max(1, n // 10)))
+                  | {i % n for i in (0, 1, 2, -3, -2, -1)})
+    ref_s, ref_w = _gauss_jacobi_reference(s[pick], n, alpha, beta)
+    assert np.abs(s[pick] - ref_s).max() <= 2.3e-16
+    assert np.abs(w[pick] / ref_w - 1).max() <= 1e-12
+    # Exact up to degree 2n - 1: the moments of s^j are B(alpha + 1,
+    # beta + 1 + j), by the Beta recurrence.
+    with mpmath.workdps(40):
+        al, be = _mp(alpha), _mp(beta)
+        moment = mpmath.beta(al + 1, be + 1)
+        for j in range(2 * n):
+            got = math.fsum(w * s ** j)
+            assert abs(got - float(moment)) <= 1e-12 * float(moment), j
+            moment *= (be + 1 + j) / (al + be + 2 + j)
+
+
+def test_gauss_jacobi_refuses_bad_sizes_and_weights():
+    for args in ((0, 0.0, 0.0), (-2, 0.0, 0.0), (3, -1.0, 0.0),
+                 (3, 0.0, -1.0), (3, -2.5, 0.5)):
+        with pytest.raises(ValueError, match="n >= 1 and alpha, beta > -1"):
+            gauss_jacobi(*args)
+
+
+def test_gauss_jacobi_weights_below_the_float_range_are_zero():
+    # At alpha = 1000 and 300 nodes the last 16 weights fall below the
+    # float range, where the recurrence overflows; the rule stays finite
+    # and keeps its mass B(1001, 1) = 1/1001.
+    s, w = gauss_jacobi(300, 1000.0, 0.0)
+    assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)
+    assert np.all(w[:-16] > 0) and np.all(w[-16:] == 0)
+    assert math.fsum(w) == pytest.approx(1 / 1001, rel=1e-11)
