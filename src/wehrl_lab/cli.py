@@ -165,8 +165,11 @@ def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
     f = _get_poly(mu, f_coeffs)
     g = _get_poly(nu, g_coeffs)
     F = dc.TensorPoly.from_product(f, g)
-    spec = dc.ProjectionSpec(Fraction(mu), Fraction(nu), k,
-                             PROJECTION_CONVENTION[convention])
+    try:
+        spec = dc.ProjectionSpec(Fraction(mu), Fraction(nu), k,
+                                 PROJECTION_CONVENTION[convention])
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--k'") from None
     proj = dc.qk_project(F, spec)
     m = proj.norm2()
     _echo_json({

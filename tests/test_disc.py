@@ -86,6 +86,18 @@ def test_projection_constant_conventions():
         ProjectionSpec(NU2, NU2, 1, "other")
 
 
+def test_projection_spec_rejects_negative_k_and_small_weights():
+    with pytest.raises(ValueError, match="k >= 0 .* got k = -1,"):
+        ProjectionSpec(Fraction(5, 2), Fraction(7, 2), -1)
+    with pytest.raises(ValueError, match="mu, nu > 1, got k = 0, mu = 2, "
+                                         "nu = 1$"):
+        ProjectionSpec(NU2, 1, 0)
+    # A component past the top degree is zero and keeps the tensor's length.
+    F = TensorPoly.from_product(poly(2, 1, 2), poly(3, 1))
+    core = qk_project(F, ProjectionSpec(NU2, Fraction(3), 4)).core
+    assert core.coeffs == (QC(0), QC(0))
+
+
 def _z_minus_w_power(mu, nu, k: int) -> TensorPoly:
     """(z - w)^k as an element of H_mu (x) H_nu."""
     rows = [[0] * (k + 1) for _ in range(k + 1)]
@@ -174,6 +186,93 @@ def test_qk_masses_match_product_reference(fc, gc, mu, nu, convention):
     for k in range(len(fc) + len(gc) - 1):
         got = qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
         assert got == _ref_qk_norm2(fc, gc, mu, nu, k, shift), k
+
+
+# Test-local reference for the integer weights W_k(p, q) = sum_j e_j
+# perm(p, j) perm(q, k - j), e_j/E = (-1)^j C(k,j) / ((mu)_j (nu)_{k-j}) in
+# lowest terms: one object-dtype dot of math.perm tables per k.
+
+def _ref_w(mu, nu, k, P, Q):
+    x = [Fraction((-1) ** j * math.comb(k, j)) / (_rising(mu, j)
+                                                   * _rising(nu, k - j))
+         for j in range(k + 1)]
+    E = math.lcm(*(t.denominator for t in x))
+    W = np.array([[int(x[j] * E) * math.perm(p, j) for j in range(k + 1)]
+                  for p in range(P)], dtype=object).dot(
+        np.array([[math.perm(q, k - j) for q in range(Q)]
+                  for j in range(k + 1)], dtype=object))
+    return W, E
+
+
+def _antidiagonal_order(P, Q):
+    p, q = np.indices((P, Q)).reshape(2, -1)
+    order = np.lexsort((p, -(p + q)))
+    return p[order], q[order]
+
+
+ladder_weights = st.fractions(min_value=1, max_value=6,
+                              max_denominator=5).filter(lambda x: x > 1)
+
+
+@given(ladder_weights, ladder_weights, st.integers(1, 12), st.integers(1, 12))
+@example(Fraction(5, 2), Fraction(7, 2), 12, 9)
+@example(Fraction(7, 3), Fraction(11, 4), 1, 12)
+@settings(max_examples=25, deadline=None)
+def test_hahn_ladder_matches_dot_reference(mu, nu, P, Q):
+    # Every W_k, k <= P + Q - 2, entry for entry: V_k = b^k d^k (mu)_k
+    # (nu)_k W_k / E exactly, and the float cores are scaled by the same E.
+    p, q = _antidiagonal_order(P, Q)
+    ladder = disc._hahn_ladder(mu, nu, p + q, p)
+    floats = disc._core_ladder((np.full((P, Q), 1j, dtype=object),), mu, nu,
+                               False)
+    for k in range(P + Q - 1):
+        V = next(ladder)
+        W, E = _ref_w(mu, nu, k, P, Q)
+        scale = (_rising(mu, k) * _rising(nu, k)
+                 * (mu.denominator * nu.denominator) ** k)
+        assert scale.denominator == 1
+        live = p + q >= k
+        assert len(V) == np.count_nonzero(live)
+        assert not W[p[~live], q[~live]].any()
+        assert list(V * E) == list(W[p[live], q[live]] * int(scale)), k
+        assert next(floats)[1] == E, k
+
+
+@given(ladder_weights, ladder_weights, st.integers(0, 12))
+@settings(max_examples=30, deadline=None)
+def test_hahn_ladder_is_orthogonal_on_every_antidiagonal(mu, nu, top):
+    # sum_p (mu)_p/p! (nu)_{N-p}/(N-p)! W_j W_k = 0 for j != k, and > 0 for
+    # j = k <= N: the W_k are the Hahn polynomials Q_k(p; mu-1, nu-1, N).
+    for N in range(top + 1):
+        p = np.arange(N + 1)
+        ladder = disc._hahn_ladder(mu, nu, np.full(N + 1, N), p)
+        ws = [list(next(ladder)) for _ in range(N + 1)]
+        rho = [_rising(mu, i) / math.factorial(i) * _rising(nu, N - i)
+               / math.factorial(N - i) for i in range(N + 1)]
+        for j in range(N + 1):
+            for k in range(j + 1):
+                inner = sum(r * x * y for r, x, y in zip(rho, ws[j], ws[k]))
+                assert (inner == 0) == (j != k), (N, j, k)
+
+
+@given(gaussian_coeffs, gaussian_coeffs, weights, weights,
+       st.sampled_from([("corrected_minus_one", -1), ("paper_plus_one", 1)]))
+@example([(Fraction(0), Fraction(0))] * 3, [(Fraction(1), Fraction(2))],
+         Fraction(5, 2), Fraction(7, 2), ("paper_plus_one", 1))
+@example([(Fraction(0), Fraction(0))], [(Fraction(3, 2), Fraction(-1))],
+         Fraction(2), Fraction(3), ("corrected_minus_one", -1))
+@example([(Fraction(2, 3), Fraction(0))], [(Fraction(1), Fraction(0)),
+                                           (Fraction(-1, 2), Fraction(1))],
+         Fraction(7, 2), Fraction(2), ("paper_plus_one", 1))
+@settings(max_examples=40, deadline=None)
+def test_completeness_per_k_matches_product_reference(fc, gc, mu, nu,
+                                                      convention):
+    name, shift = convention
+    f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
+    g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
+    rep = completeness_check(f, g, name)
+    assert list(rep.per_k) == [_ref_qk_norm2(fc, gc, mu, nu, k, shift)
+                               for k in range(len(fc) + len(gc) - 1)]
 
 
 def _ref_product_norm2(factors, nu):
@@ -335,6 +434,59 @@ def test_improved_inequality_constants_and_equality_case():
     assert paper.passed and paper.slack > 0
     # the "sharp" remainder dominates the "paper"-convention one pointwise
     assert sharp.remainder > paper.remainder
+
+
+def _ref_poly_mul(a, b):
+    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            re, im = _cmul(x, y)
+            out[i + j] = (out[i + j][0] + re, out[i + j][1] + im)
+    return out
+
+
+@given(gaussian_coeffs, weights | st.just(Fraction(7, 3)),
+       st.sampled_from([2, 3]), st.sampled_from(["sharp", "paper"]))
+@example([(Fraction(3), Fraction(0))], Fraction(5, 2), 2, "sharp")
+@settings(max_examples=40, deadline=None)
+def test_improved_check_matches_fraction_reference(fc, nu, n, convention):
+    # The remainder g = f'' f / (nu)_2 - f'^2 / nu^2, on (re, im) Fractions.
+    def derivative(cs):
+        return [(m * re, m * im) for m, (re, im) in enumerate(cs)][1:] \
+            or [(Fraction(0), Fraction(0))]
+
+    fp = derivative(fc)
+    fpp = derivative(fp)
+    s, t = 1 / _rising(nu, 2), 1 / nu ** 2
+    a, b = _ref_poly_mul(fpp, fc), _ref_poly_mul(fp, fp)
+    b += [(Fraction(0), Fraction(0))] * (len(a) - len(b))
+    g = [(s * x[0] - t * y[0], s * x[1] - t * y[1]) for x, y in zip(a, b)]
+    const = disc._REMAINDER_CONSTANTS[convention](nu)
+    remainder = const * _ref_product_norm2([fc] * (n - 2) + [g], n * nu + 4)
+    lhs = _ref_product_norm2([fc] * n, n * nu)
+    rhs = _ref_product_norm2([fc], nu) ** n
+    rep = improved_check(PolyFun(nu, tuple(QC(*c) for c in fc)), n, convention)
+    assert rep.exact_slack == rhs - lhs - remainder
+    assert (rep.lhs, rep.rhs, rep.remainder) \
+        == (float(lhs), float(rhs), float(remainder))
+    assert rep.passed == (rep.exact_slack >= 0)
+
+
+def test_improved_check_float_input_matches_exact():
+    # Dyadic coefficients are exact in floating point, so both rings see the
+    # same polynomial; the float route rounds only.
+    cs = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(1),
+          Fraction(-1, 8))
+    for nu in (NU2, Fraction(5, 2), Fraction(7, 3)):
+        for n in (2, 3):
+            exact = improved_check(PolyFun(nu, cs), n, "sharp")
+            floats = improved_check(
+                PolyFun(nu, tuple(1j * float(c) for c in cs)), n, "sharp")
+            assert floats.exact_slack is None and floats.passed
+            assert floats.remainder == pytest.approx(exact.remainder,
+                                                     rel=1e-14)
+            assert floats.slack == pytest.approx(exact.slack,
+                                                 abs=1e-14 * exact.rhs)
 
 
 def test_improved_inequality_random_rationals():
