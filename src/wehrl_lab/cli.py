@@ -54,7 +54,11 @@ def _parse_coeffs(text: str):
         try:
             out.append(Fraction(tok))
         except ValueError:
-            out.append(complex(tok))
+            try:
+                out.append(complex(tok))
+            except ValueError:
+                raise ValueError(f"{tok!r} is not a rational or complex "
+                                 f"number") from None
     return tuple(out)
 
 
@@ -133,8 +137,15 @@ def disc():
     """Weighted Bergman spaces on the unit disc."""
 
 
-def _get_poly(nu, coeffs) -> dc.PolyFun:
-    return dc.PolyFun(Fraction(nu), _parse_coeffs(coeffs))
+def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
+    """PolyFun from option texts; BadParameter on the option of a bad one."""
+    opt = coeffs_opt
+    try:
+        values = _parse_coeffs(coeffs)
+        opt = nu_opt
+        return dc.PolyFun(Fraction(nu), values)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=f"'{opt}'") from None
 
 
 @disc.command("norm")
@@ -162,8 +173,8 @@ def disc_norm(nu, coeffs, p):
 @click.option("--convention", default="corrected", show_default=True,
               type=click.Choice(list(PROJECTION_CONVENTION)))
 def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
-    f = _get_poly(mu, f_coeffs)
-    g = _get_poly(nu, g_coeffs)
+    f = _get_poly(mu, f_coeffs, "--mu", "--f")
+    g = _get_poly(nu, g_coeffs, "--nu", "--g")
     F = dc.TensorPoly.from_product(f, g)
     try:
         spec = dc.ProjectionSpec(Fraction(mu), Fraction(nu), k,

@@ -13,9 +13,9 @@ L^2 -> L^{2n} inequality and its improved form with the second-component
 remainder, the kernel ODE characterization, and an L-BFGS ascent searching
 for maximizers on the coefficient sphere.
 
-Exact arithmetic runs on Gaussian-integer numerators over one common
-denominator ("lanes", below) and builds one Fraction per coefficient or norm
-it returns; float coefficients take the same routines as one complex lane.
+Coefficients are lanes: Gaussian-integer numerators over one common
+denominator (below), or one complex lane for float input, which takes the
+same routines.  QC values are built on read of coeffs, Fractions per norm.
 Weighted norms of products, here and for the SU(2) masses, all go through
 one kernel, product_norm2.
 Exact completeness at degree 64 takes about 0.2 s on a 2-vCPU x86-64 host.
@@ -24,7 +24,7 @@ Exact completeness at degree 64 takes about 0.2 s on a 2-vCPU x86-64 host.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
@@ -61,60 +61,69 @@ class NoConvergence(RuntimeError):
         self.stop_reason = stop_reason
 
 
-def _normalize_coeffs(coeffs):
-    """Return (tuple, exact_flag); exact iff every entry is rational."""
-    if all(isinstance(c, (QC, int, Fraction)) for c in coeffs):
-        return tuple(QC.of(c) for c in coeffs), True
-    return tuple(complex(c) for c in coeffs), False
-
-
 def monomial_norm2(nu: Fraction, m: int) -> Fraction:
     """||z^m||^2 in H_nu with <1,1> = 1."""
     return Fraction(math.factorial(m)) / pochhammer(nu, m)
 
 
 # ---------------------------------------------------------------------------
-# (lanes, den): coefficients as numpy object arrays of numerators over den,
-# lanes (re,) or (re, im) of Python ints when exact, one lane of Python complex
-# over 1 otherwise.  Object arrays keep Python numbers: ints never wrap and
-# floats round as scalar Python arithmetic does.
+# (lanes, den), the stored coefficients of PolyFun and TensorPoly: numpy object
+# arrays of numerators over den, (re,) or (re, im) of Python ints when exact,
+# one lane of Python complex over 1 otherwise.  Python numbers keep ints from
+# wrapping and floats rounding as scalar Python arithmetic does.
 
-def _lanes_of(coeffs: np.ndarray, exact: bool) -> tuple:
-    """(lanes, den) of an object array of QC (exact) or complex entries."""
-    flat = coeffs.ravel().tolist()
+def _lanes_of(flat: list, shape: tuple) -> tuple:
+    """((lanes, den), exact) of coefficients listed in C order: exact iff
+    every entry is an int, Fraction or QC; else complex(c) each, over 1."""
+    exact = all(isinstance(c, (QC, int, Fraction)) for c in flat)
+    if exact:
+        pairs = [(c.re, c.im) if isinstance(c, QC) else (c, 0) for c in flat]
+        den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+        parts = [[x.numerator * (den // x.denominator) for x in part]
+                 for part in zip(*pairs)] or [[]]
+        parts = parts if any(parts[-1]) else parts[:1]
+    else:
+        parts, den = ([complex(c) for c in flat],), 1
+    return (tuple(np.array(x, dtype=object).reshape(shape)
+                  for x in parts), den), exact
 
-    def lane(values):
-        return np.array(values, dtype=object).reshape(coeffs.shape)
 
-    if not exact:
-        return (lane([complex(c) for c in flat]),), 1
-    den = math.lcm(*(x.denominator for c in flat for x in (c.re, c.im)))
-    parts = ("re",) if all(c.im == 0 for c in flat) else ("re", "im")
-    return tuple(lane([getattr(c, part).numerator
-                       * (den // getattr(c, part).denominator) for c in flat])
-                 for part in parts), den
+def _lanes_as(f, exact: bool) -> tuple:
+    """f's (lanes, den), or for exact=False one complex lane over 1 whose
+    parts round as float(Fraction(x, den)) does, as complex(QC) would."""
+    if exact or not f.exact:
+        return f._lanes
+    lanes, den = f._lanes
+    return (np.frompyfunc(lambda re, im=0: complex(re / den, im / den),
+                          len(lanes), 1)(*lanes),), 1
 
 
 def _from_lanes(cls, weights: tuple, lanes: tuple, den: int, exact: bool):
-    """cls(*weights, coeffs) for lanes over den: one Fraction per lane and
-    coefficient.  It keeps the lanes, as its cached_property would."""
-    cols = [lane.ravel().tolist() for lane in lanes]
+    """cls(*weights, coeffs) with the coefficients lanes over den; float
+    lanes are divided here, complex(x) / den, to one complex lane over 1."""
     if not exact:
-        flat = [complex(x) if den == 1 else complex(x) / den for x in cols[0]]
-    else:
-        flat = [QC(*(Fraction(x, den) for x in xs)) for xs in zip(*cols)]
-    obj = cls(*weights, np.array(flat, dtype=object)
-              .reshape(lanes[0].shape).tolist())
-    if exact:
-        obj.__dict__["_lanes"] = (lanes, den)
+        lanes = (np.frompyfunc(lambda x: complex(x) if den == 1
+                               else complex(x) / den, 1, 1)(lanes[0]),)
+        den = 1
+    obj = cls(*weights, ())
+    obj._lanes, obj.exact = (lanes, den), exact
     return obj
+
+
+def _values(f) -> list:
+    """f's coefficients nested as its lanes: QC when exact, else complex."""
+    lanes, den = f._lanes
+    if not f.exact:
+        return lanes[0].tolist()
+    return np.frompyfunc(lambda *xs: QC(*(Fraction(x, den) for x in xs)),
+                         len(lanes), 1)(*lanes).tolist()
 
 
 def _product(cls, weights: tuple, f, g, op):
     """cls(*weights, coeffs) of the product of f and g under a bilinear op
     on lanes, exact only when both factors are."""
     exact = f.exact and g.exact
-    (a, da), (b, db) = f._lanes_as(exact), g._lanes_as(exact)
+    (a, da), (b, db) = _lanes_as(f, exact), _lanes_as(g, exact)
     return _from_lanes(cls, weights, _gaussian(a, b, op), da * db, exact)
 
 
@@ -173,44 +182,32 @@ def _norm2(lanes: tuple, den: int, w: list, w_den: int,
     return Fraction(total, den * den * w_den) if exact else total
 
 
-class _Lanes:
-    """The lanes of a coefficient array, computed once per object."""
-
-    @cached_property
-    def _lanes(self) -> tuple:
-        return _lanes_of(self._grid(), self.exact)
-
-    def _lanes_as(self, exact: bool) -> tuple:
-        return self._lanes if exact == self.exact \
-            else _lanes_of(self._grid(), False)
-
-
-@dataclass(frozen=True)
-class PolyFun(_Lanes):
+class PolyFun:
     """Polynomial f(z) = sum c_m z^m viewed as an element of H_nu."""
 
-    nu: Fraction
-    coeffs: tuple = (QC(Fraction(1)),)
-    exact: bool = field(default=True, compare=False)
+    def __init__(self, nu, coeffs: Sequence = (1,)):
+        self.nu = Fraction(nu)
+        if self.nu <= 1:
+            raise ValueError(f"weight nu must exceed 1, got {self.nu}")
+        self._lanes, self.exact = _lanes_of(list(coeffs), (-1,))
 
-    def __post_init__(self):
-        nu = Fraction(self.nu)
-        if nu <= 1:
-            raise ValueError("weight nu must exceed 1")
-        cs, exact = _normalize_coeffs(self.coeffs)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "exact", exact)
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(_values(self))
+
+    def __eq__(self, other):
+        return type(other) is PolyFun \
+            and (self.nu, self.coeffs) == (other.nu, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.nu, self.coeffs))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._lanes[0][0]) - 1
 
     def as_complex_array(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.coeffs], dtype=complex)
-
-    def _grid(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=object)
+        return _lanes_as(self, False)[0][0].astype(complex)
 
     def __mul__(self, other: "PolyFun") -> "PolyFun":
         # Product lands in the sum of the weights; degrees add, no truncation.
@@ -223,29 +220,9 @@ class PolyFun(_Lanes):
             out = out * self
         return out
 
-    def derivative(self) -> "PolyFun":
-        lanes, den = self._lanes
-        m = np.arange(1, self.degree + 1).astype(object)
-        lanes = tuple(lane[1:] * m if self.degree else lane * 0
-                      for lane in lanes)
-        return _from_lanes(PolyFun, (self.nu,), lanes, den, self.exact)
-
     def scale(self, s) -> "PolyFun":
         return _product(PolyFun, (self.nu,), self, PolyFun(self.nu, (s,)),
                         np.multiply)
-
-    def __add__(self, other: "PolyFun") -> "PolyFun":
-        if self.nu != other.nu:
-            raise ValueError(f"cannot add a polynomial at weight nu = "
-                             f"{self.nu} to one at nu = {other.nu}")
-        exact = self.exact and other.exact
-        (a, da), (b, db) = self._lanes_as(exact), other._lanes_as(exact)
-        den, n = math.lcm(da, db), max(self.degree, other.degree) + 1
-        out = [np.zeros(n, dtype=object) for _ in range(max(len(a), len(b)))]
-        for lanes, d in ((a, da), (b, db)):
-            for acc, lane in zip(out, lanes):
-                acc[:len(lane)] += lane * (den // d)
-        return _from_lanes(PolyFun, (self.nu,), tuple(out), den, exact)
 
 
 def product_norm2(factors: Sequence, nu) -> Fraction | float:
@@ -335,30 +312,26 @@ def matrix_coeff_lp(f: PolyFun, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Tensor products and component projections.
 
-@dataclass(frozen=True)
-class TensorPoly(_Lanes):
-    """Polynomial F(z, w) in H_mu (x) H_nu, coefficient matrix a[p][q]."""
+class TensorPoly:
+    """F(z, w) in H_mu (x) H_nu, coefficient rows a[p][q] padded with zeros."""
 
-    mu: Fraction
-    nu: Fraction
-    coeffs: tuple  # tuple of rows, each a tuple
-    exact: bool = field(default=True, compare=False)
+    def __init__(self, mu, nu, coeffs: Sequence):
+        self.mu, self.nu = Fraction(mu), Fraction(nu)
+        width = max(map(len, coeffs), default=0)
+        self._lanes, self.exact = _lanes_of(
+            [c for row in coeffs for c in (*row, *[0] * (width - len(row)))],
+            (len(coeffs), width))
 
-    def __post_init__(self):
-        rows = [_normalize_coeffs(row) for row in self.coeffs]
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "nu", Fraction(self.nu))
-        object.__setattr__(self, "coeffs", tuple(cs for cs, _ in rows))
-        object.__setattr__(self, "exact", all(ex for _, ex in rows))
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(map(tuple, _values(self)))
 
-    def _grid(self) -> np.ndarray:
-        """The rows as one rectangular array, zero-padded."""
-        grid = np.full((len(self.coeffs), max(map(len, self.coeffs),
-                                              default=0)),
-                       QC(Fraction(0)) if self.exact else 0j, dtype=object)
-        for p, row in enumerate(self.coeffs):
-            grid[p, :len(row)] = row
-        return grid
+    def __eq__(self, other):
+        return type(other) is TensorPoly and (self.mu, self.nu, self.coeffs) \
+            == (other.mu, other.nu, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.mu, self.nu, self.coeffs))
 
     @staticmethod
     def from_product(f: PolyFun, g: PolyFun) -> "TensorPoly":
@@ -516,7 +489,7 @@ def completeness_check(f: PolyFun, g: PolyFun,
     mass is C^2 times the norm of the core that qk_project builds."""
     ProjectionSpec(f.nu, g.nu, 0, convention)  # rejects unknown conventions
     exact = f.exact and g.exact
-    (a, da), (b, db) = f._lanes_as(exact), g._lanes_as(exact)
+    (a, da), (b, db) = _lanes_as(f, exact), _lanes_as(g, exact)
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
     L = f.nu.denominator * g.nu.denominator
     x0 = int(L * (f.nu + g.nu + (1 if convention == "paper_plus_one" else -1)))

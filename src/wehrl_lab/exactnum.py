@@ -173,14 +173,6 @@ class QC:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    @staticmethod
-    def of(value) -> "QC":
-        if isinstance(value, QC):
-            return value
-        if isinstance(value, complex):
-            raise TypeError("float complex is not exact; use QC(re, im)")
-        return QC(Fraction(value))
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

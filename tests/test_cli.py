@@ -126,6 +126,24 @@ def test_disc_subcommands(runner):
     assert json.loads(res.output)["kernel_parameter_conj"] == "1/4"
 
 
+@pytest.mark.parametrize("args, option, message", [
+    (["project", "--mu", "1", "--nu", "7/2", "--k", "1", "--f", "1,2",
+      "--g", "1"], "--mu", "weight nu must exceed 1, got 1"),
+    (["project", "--mu", "5/2", "--nu", "7/2", "--k", "1", "--f", "1,x",
+      "--g", "1"], "--f", "'x' is not a rational or complex number"),
+    (["project", "--mu", "5/2", "--nu", "1/2", "--k", "1", "--f", "1",
+      "--g", "2"], "--nu", "got 1/2"),
+    (["norm", "--nu", "abc", "--coeffs", "1,2"], "--nu", "'abc'"),
+    (["wehrl", "--nu", "2", "--coeffs", "1,,2"], "--coeffs",
+     "'' is not a rational"),
+])
+def test_disc_bad_input_names_the_option(runner, args, option, message):
+    res = runner.invoke(main, ["disc", *args])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in res.output
+    assert message in res.output and "Traceback" not in res.output
+
+
 def test_compact_json(runner):
     res = runner.invoke(main, ["compact", "--m", "2", "--n", "2",
                                "--vector", "1,0,1"])

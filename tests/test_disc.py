@@ -55,11 +55,6 @@ def test_weight_must_exceed_one():
         poly(1, 1)
 
 
-def test_sum_needs_equal_weights():
-    with pytest.raises(ValueError, match="nu = 2 to one at nu = 3"):
-        poly(2, 1) + poly(3, 1)
-
-
 def test_projection_needs_the_tensor_weights():
     F = TensorPoly.from_product(poly(2, 1, 1), poly(2, 1, 1))
     with pytest.raises(ValueError, match=r"\(2, 2\) differ .* \(2, 3\)"):
@@ -324,7 +319,37 @@ def test_zero_polynomial():
     assert all(c == QC(0) for c in proj.core.coeffs)
     assert q1_iterated(zero, 3).norm2() == 0
     assert all(c == QC(0) for c in (zero * g).coeffs)
-    assert all(c == QC(0) for c in poly(NU2, 0).derivative().coeffs)
+
+
+def test_exact_coefficients_round_as_their_fractions():
+    # A float copy of an exact coefficient rounds each part as
+    # float(Fraction) does; (re + 1j im) / den rounds differently, and
+    # overflows once den passes 1.8e308 (degree 200 here).
+    nu, half_i = Fraction(7, 3), PolyFun(Fraction(7, 3), (0.5j,))
+    for degree in (20, 60, 200):
+        f = KernelFun(nu, Fraction(2, 5), degree).to_polyfun()
+        ref = np.array([complex(c) for c in f.coeffs])
+        assert f.as_complex_array().tobytes() == ref.tobytes()
+        floats = PolyFun(nu, tuple(ref))
+        assert (f * half_i).as_complex_array().tobytes() \
+            == (floats * half_i).as_complex_array().tobytes()
+
+
+@given(gaussian_coeffs, weights)
+@settings(max_examples=40, deadline=None)
+def test_coefficients_round_trip_through_the_lanes(fc, nu):
+    values = tuple(QC(re, im) for re, im in fc)
+    f = PolyFun(nu, values)
+    assert f.exact and f.coeffs == values
+    assert PolyFun(nu, f.coeffs).coeffs == f.coeffs
+    g = f * f  # lanes over an unreduced denominator
+    assert PolyFun(g.nu, g.coeffs).coeffs == g.coeffs
+    # Equality and hash compare the weight and the coefficient values.
+    assert PolyFun(g.nu, g.coeffs) == g and hash(PolyFun(g.nu, g.coeffs)) \
+        == hash(g) and g != PolyFun(g.nu + 1, g.coeffs)
+    F = TensorPoly.from_product(f, f)
+    assert TensorPoly(nu, nu, F.coeffs) == F \
+        and hash(TensorPoly(nu, nu, F.coeffs)) == hash(F)
 
 
 def test_completeness_degree_16():
