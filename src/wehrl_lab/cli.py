@@ -2,13 +2,13 @@
 
 Every subcommand emits JSON (or CSV for tables); exact rationals appear as
 numerator/denominator strings with an integer pi power next to a float
-rendition.
+rendition.  Bad input exits with status 2 and one "Error:" line; status 1
+is left to a suite with a failed check.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,7 +62,19 @@ def _parse_coeffs(text: str):
     return tuple(out)
 
 
-@click.group()
+class _Main(click.Group):
+    """Bad input (the library's ValueError, a zero denominator, get_domain's
+    KeyError) ends in one "Error:" line and status 2, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ZeroDivisionError, KeyError) as exc:
+            raise click.UsageError(exc.args[0] if isinstance(exc, KeyError)
+                                   else str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Exact constants and numerical checks for Wehrl-type inequalities."""
 
@@ -251,7 +263,7 @@ def disc_profile(nu, kmax):
 
 
 @main.command()
-@click.option("--m", required=True, type=int)
+@click.option("--m", required=True, type=click.IntRange(min=0))
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--vector", default=None, help="comma-separated coefficients")
 @click.option("--random", "random_", is_flag=True)

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactnum import (QC, FloatRangeExceeded, gauss_jacobi, pochhammer,
-                       rising_ints)
+from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, gauss_jacobi,
+                       pochhammer, rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -41,12 +41,8 @@ __all__ = [
     "norm2_exact", "norm_p_numeric", "qk_project", "q1_iterated",
     "completeness_check", "wehrl_check", "improved_check", "ode_solve",
     "maximize_wehrl", "matrix_coeff_lp", "eval_functional_profile",
-    "monomial_norm2", "product_norm2",
+    "product_norm2",
 ]
-
-
-class NonIntegrable(ValueError):
-    pass
 
 
 class OutsideBergman(ValueError):
@@ -59,11 +55,6 @@ class NoConvergence(RuntimeError):
     def __init__(self, message: str, stop_reason: str):
         super().__init__(message)
         self.stop_reason = stop_reason
-
-
-def monomial_norm2(nu: Fraction, m: int) -> Fraction:
-    """||z^m||^2 in H_nu with <1,1> = 1."""
-    return Fraction(math.factorial(m)) / pochhammer(nu, m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +266,6 @@ def _radial_angular_integral(f: PolyFun, power2n: int,
     by Gauss-Jacobi in t=|z|^2 and trigonometric sums in the angle.  The
     integrand has degree n*deg f in the angle, and its angular mean degree
     n*deg f in t."""
-    if weight_exp <= -1:
-        raise NonIntegrable("weight exponent must exceed -1")
     n_ang, n_nodes = _rule_sizes(power2n // 2 * f.degree)
     t, wt = gauss_jacobi(n_nodes, weight_exp, 0.0)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
@@ -292,11 +281,7 @@ def norm_p_numeric(f: PolyFun, p: int) -> float:
     so that for even p it equals ||f^{p/2}||^2 at weight p*nu/2."""
     if p % 2 != 0 or p < 2:
         raise ValueError("p must be a positive even integer")
-    alpha = float(p * f.nu / 2 - 2)
-    if alpha <= -1:
-        raise NonIntegrable(f"p*nu/2 = {p * Fraction(f.nu) / 2} must exceed 1")
-    integral = _radial_angular_integral(f, p, alpha)
-    return float(p * Fraction(f.nu) / 2 - 1) * integral
+    return float(p * f.nu / 2 - 1) * matrix_coeff_lp(f, p // 2)
 
 
 def matrix_coeff_lp(f: PolyFun, n: int) -> float:
@@ -362,11 +347,15 @@ class ProjectionSpec:
                                             "corrected_minus_one"):
             raise ValueError(f"unknown convention {self.constant_convention!r}")
 
+    @property
+    def shift(self) -> int:
+        """The ±1 in C^{-2}: +1 for paper_plus_one, -1 for corrected."""
+        return 1 if self.constant_convention == "paper_plus_one" else -1
+
     def c_squared(self) -> Fraction:
         """C^2 with C^{-2} = k! (mu+nu+k±1)_k / ((mu)_k (nu)_k)."""
-        shift = 1 if self.constant_convention == "paper_plus_one" else -1
         inv = (Fraction(math.factorial(self.k))
-               * pochhammer(self.mu + self.nu + self.k + shift, self.k)
+               * pochhammer(self.mu + self.nu + self.k + self.shift, self.k)
                / (pochhammer(self.mu, self.k) * pochhammer(self.nu, self.k)))
         return 1 / inv
 
@@ -487,12 +476,12 @@ def completeness_check(f: PolyFun, g: PolyFun,
     k = 0..deg f + deg g, in one pass of _core_ladder.  An exact mass is one
     Fraction off the core lanes, with C^2 from integer products; a float
     mass is C^2 times the norm of the core that qk_project builds."""
-    ProjectionSpec(f.nu, g.nu, 0, convention)  # rejects unknown conventions
+    shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
     exact = f.exact and g.exact
     (a, da), (b, db) = _lanes_as(f, exact), _lanes_as(g, exact)
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
     L = f.nu.denominator * g.nu.denominator
-    x0 = int(L * (f.nu + g.nu + (1 if convention == "paper_plus_one" else -1)))
+    x0 = int(L * (f.nu + g.nu + shift))
     masses = []
     for k, (core, scale) in zip(range(f.degree + g.degree + 1),
                                 _core_ladder(lanes, f.nu, g.nu, exact)):
@@ -527,16 +516,6 @@ def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     return float(lhs), float(rhs), float(rhs - lhs)
 
 
-_LBFGS_MEMORY = 8  # (s, y) pairs kept by maximize_wehrl
-_REMAINDER_CONSTANTS = {
-    # 2 nu^2 (nu+1)^2 / denominator(nu)
-    "paper": lambda nu: 2 * nu ** 2 * (nu + 1) ** 2
-    / ((2 * nu + 3) * (2 * nu + 4)),
-    "sharp": lambda nu: 2 * nu ** 2 * (nu + 1) ** 2
-    / ((2 * nu + 1) * (2 * nu + 2)),
-}
-
-
 @dataclass(frozen=True)
 class ImprovedReport:
     nu: Fraction
@@ -556,15 +535,19 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
 
         R(f) = const(nu) * || (f'' f / (nu)_2 - (f')^2 / nu^2) f^{n-2} ||^2
 
-    at weight n*nu + 4.  convention "sharp" uses the constant obtained from
-    the norm-preserving k = 2 projection; "paper" uses the larger denominator
-    (2 nu + 3)(2 nu + 4), a weaker but still valid remainder.  A float slack
-    passes down to -1e-12.
+    at weight n*nu + 4 and const(nu) = 4 C^2 of the k = 2 projection at
+    (nu, nu).  convention "sharp" takes the norm-preserving C^2, const =
+    2 nu^2 (nu+1)^2 / ((2 nu + 1)(2 nu + 2)); "paper" takes the paper's, with
+    the larger denominator (2 nu + 3)(2 nu + 4), a weaker but still valid
+    remainder.  A float slack passes down to -1e-12.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    projection = {"sharp": "corrected_minus_one", "paper": "paper_plus_one"}
+    if convention not in projection:
+        raise ValueError(f"unknown remainder convention {convention!r}")
     nu = Fraction(f.nu)
-    const = _REMAINDER_CONSTANTS[convention](nu)
+    const = 4 * ProjectionSpec(nu, nu, 2, projection[convention]).c_squared()
     # g = b^2 [a f'' f - (a + b) f'^2] / (a^2 (a + b)) from z f', z^2 f''
     a, b, (lanes, den) = nu.numerator, nu.denominator, f._lanes
     m = np.arange(f.degree + 1).astype(object)
@@ -628,11 +611,13 @@ class KernelFun:
 def ode_solve(nu, c, degree: int) -> PolyFun:
     """Power-series solution of f'' f = ((nu+1)/nu) (f')^2, f(0)=1, f'(0)=c.
 
-    Coefficients are produced by the recursion from the series relation; the
-    result coincides with the kernel expansion whose parameter matches the
-    initial slope, conj(w) = c/nu.  Raises OutsideBergman for |c| >= nu.
+    The recursion from the series relation gives degree + 1 coefficients,
+    those of KernelFun(nu, w, degree) with conj(w) = c/nu, the parameter
+    matching the initial slope.  Raises OutsideBergman for |c| >= nu.
     """
     nu = Fraction(nu)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     rational = isinstance(c, (int, Fraction)) and not isinstance(c, bool)
     if abs(complex(c)) >= float(nu):
         raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
@@ -643,12 +628,14 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
                         for i in range(m + 1))
         rhs -= sum((i + 2) * (i + 1) * a[i + 2] * a[m - i] for i in range(m))
         a.append(rhs / ((m + 2) * (m + 1)))
-    return PolyFun(nu, tuple(a))
+    return PolyFun(nu, tuple(a[:degree + 1]))
 
 
 def eval_functional_profile(nu, radii: Sequence[float]
                             ) -> list[tuple[float, float]]:
     """Norm of the point-evaluation functional, ||K_w|| = (1-|w|^2)^{-nu/2}."""
+    if Fraction(nu) <= 1:
+        raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
     nu_f = float(Fraction(nu))
     out = []
     for r in radii:
@@ -660,6 +647,10 @@ def eval_functional_profile(nu, radii: Sequence[float]
 
 # ---------------------------------------------------------------------------
 # Maximizer search on the coefficient sphere.
+
+# maximize_wehrl's (s, y) pairs kept, most steps, and stopping tangent gradient
+_LBFGS_MEMORY, _MAX_ITERS, _GRAD_TOL = 8, 40000, 5e-6
+
 
 def _objective_and_gradient(x: np.ndarray, nu, n: int, degree: int,
                             h: np.ndarray, H: np.ndarray):
@@ -745,12 +736,10 @@ class MaximizeResult:
     iterations: int
     grad_norm: float
     trajectory_monotone: bool
-    stop_reason: str       # "gradient_tolerance": tangent gradient below tol
+    stop_reason: str  # "gradient_tolerance": tangent gradient below _GRAD_TOL
 
 
-def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
-                   max_iters: int = 40000, tol: float = 5e-6
-                   ) -> MaximizeResult:
+def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     """Monotone L-BFGS ascent of ||f^n||^2_{n nu} on the unit sphere of the
     truncated coefficient space; the sup is 1 (up to truncation), on kernels.
 
@@ -758,10 +747,12 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
     the negated tangent gradient) with Re<s, y> > 0, projected onto each new
     tangent space; a step retracts by normalising, and Armijo backtracking
     from t = 1 never lowers the objective.  Stops with "gradient_tolerance"
-    once the tangent gradient is below tol; raises NoConvergence with
+    once the tangent gradient is below _GRAD_TOL; raises NoConvergence with
     "line_search_exhausted" when 60 halvings of a step find no ascent, and
-    "max_iterations" when max_iters steps end above tol.
+    "max_iterations" when _MAX_ITERS steps end above _GRAD_TOL.
     """
+    if Fraction(nu) <= 1:
+        raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
     if degree < 4:
         raise ValueError("degree must be >= 4")
     if n < 2:
@@ -774,14 +765,15 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
     phi, g = _objective_and_gradient(x, nu, n, degree, h, H)
     pairs: list = []  # (s, y) in the tangent space at x, oldest first
     monotone = True
-    for it in range(max(max_iters, 0) + 1):
+    for it in range(_MAX_ITERS + 1):
         tangent = g - np.real(np.vdot(x, g)) * x
         gnorm = float(np.linalg.norm(tangent))
-        if gnorm < tol:
+        if gnorm < _GRAD_TOL:
             break
-        if it == max_iters:
-            raise NoConvergence(f"tangent gradient {gnorm:.2e} >= tol {tol} "
-                                f"after {it} iterations", "max_iterations")
+        if it == _MAX_ITERS:
+            raise NoConvergence(f"tangent gradient {gnorm:.2e} >= tol "
+                                f"{_GRAD_TOL} after {it} iterations",
+                                "max_iterations")
         d, alphas = tangent.copy(), []
         for s, y in reversed(pairs):
             alphas.append(np.vdot(s, d).real / np.vdot(s, y).real)
@@ -803,7 +795,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0,
         else:
             raise NoConvergence(
                 f"line search found no ascent in 60 halvings at iteration "
-                f"{it} (tangent gradient {gnorm:.2e}, tol {tol})",
+                f"{it} (tangent gradient {gnorm:.2e}, tol {_GRAD_TOL})",
                 "line_search_exhausted")
         monotone = monotone and phi_new >= phi
         pairs = [tuple(v - np.vdot(x_new, v).real * x_new for v in p)

@@ -45,23 +45,9 @@ class DomainParams:
         return self.n1 + self.r * self.b
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Scalar highest-weight parameter lambda (the weight acts as -lambda on
-    each strongly orthogonal coroot)."""
-
-    lam: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-
-
-def hc_admissible(d: DomainParams, w: WeightSpec | Fraction) -> bool:
+def hc_admissible(d: DomainParams, lam) -> bool:
     """Discrete-series condition lambda > p - 1 for the scalar weight."""
-    lam = w.lam if isinstance(w, WeightSpec) else Fraction(w)
-    return lam > d.p - 1
+    return Fraction(lam) > d.p - 1
 
 
 def su_pq(p: int, q: int) -> DomainParams:

@@ -1,7 +1,7 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
-complex numbers, the Pochhammer symbol, and the error raised where a value
-leaves the float range; and the one Gauss-Jacobi rule that every
-quadrature oracle takes its nodes from.
+complex numbers, the Pochhammer symbol, and the errors raised where a value
+leaves the float range or an integral diverges; and the one Gauss-Jacobi
+rule that every quadrature oracle takes its nodes from.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -22,6 +22,10 @@ import numpy as np
 
 class FloatRangeExceeded(ValueError):
     """An exact value to be compared in floats lies beyond the float range."""
+
+
+class NonIntegrable(ValueError):
+    """An integrand's weight exponent lies outside its integrability range."""
 
 
 def rising_ints(a: int, b: int, k: int) -> list:
@@ -79,9 +83,8 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
 class PiScaledRational:
     """A value coeff * pi**pi_power with an exact rational coeff.
 
-    Multiplication and division combine pi powers; addition is defined only
-    between values with equal pi_power (anything else would leave the exact
-    domain).
+    Multiplication, division and powers combine pi powers.  There is no
+    addition: a sum of different pi powers would leave the exact domain.
     """
 
     coeff: Fraction
@@ -104,23 +107,6 @@ class PiScaledRational:
             return PiScaledRational(self.coeff / other.coeff,
                                     self.pi_power - other.pi_power)
         return PiScaledRational(self.coeff / Fraction(other), self.pi_power)
-
-    def __add__(self, other):
-        if not isinstance(other, PiScaledRational):
-            other = PiScaledRational(Fraction(other), 0)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError(
-                f"cannot add pi^{self.pi_power} and pi^{other.pi_power} terms")
-        return PiScaledRational(self.coeff + other.coeff, self.pi_power)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiScaledRational):
-            other = PiScaledRational(Fraction(other), 0)
-        return self + PiScaledRational(-other.coeff, other.pi_power)
 
     def __pow__(self, n: int):
         return PiScaledRational(self.coeff ** n, self.pi_power * n)

@@ -9,7 +9,7 @@ seed) produce byte-identical streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,16 +24,8 @@ class ConfigError(ValueError):
 
 
 def exact_json(value) -> dict:
-    """Lossless serialization of an exact rational or pi-scaled rational."""
-    if isinstance(value, PiScaledRational):
-        return value.to_json()
-    value = Fraction(value)
-    return {
-        "num": str(value.numerator),
-        "den": str(value.denominator),
-        "pi_power": 0,
-        "float": float(value),
-    }
+    """Lossless serialization of an exact rational, with pi power 0."""
+    return PiScaledRational(Fraction(value)).to_json()
 
 
 @dataclass(frozen=True)
@@ -57,15 +49,6 @@ class Report:
             "seed": self.seed,
         }
         return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(line: str) -> "Report":
-        """Parse a line of to_json; other keys, such as the "timestamp" of
-        older streams, are ignored."""
-        d = json.loads(line)
-        return Report(command=d["command"], inputs=d["inputs"],
-                      outputs=d["outputs"], verdict=d["verdict"],
-                      seed=d.get("seed"))
 
 
 # The disc's names for each convention: the Q_k normalization

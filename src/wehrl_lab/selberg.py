@@ -39,7 +39,8 @@ import numpy as np
 from .degrees import (NonTelescoping, gamma_ratio_product,
                       scalar_formal_degree)
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import FloatRangeExceeded, PiScaledRational, gauss_jacobi
+from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
+                       gauss_jacobi)
 
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
@@ -49,10 +50,6 @@ __all__ = [
 
 
 MAX_GRID_POINTS = 1 << 21
-
-
-class NonIntegrable(ValueError):
-    """Exponents outside the integrability range gamma > -1, b > -1."""
 
 
 class MethodUnsupported(ValueError):
@@ -265,17 +262,16 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
 
 
 def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
-                           seed: int = 0, method: str = "auto") -> dict:
+                           seed: int = 0) -> dict:
     """Check d_lambda * (numeric value of the defining integral) = 1.
 
     The defining integral over the domain reduces, through the polar
     decomposition and s = t^2, to C times the Selberg integral with
     gamma = lambda - p.  The numeric route never touches the exact degree
-    formula.  method "auto" picks a quadrature: the tensor Gauss-Jacobi
-    rule (sized as in selberg_numeric) when a is even, else the
-    ordered-sector rule at min(max(64, budget), D // 2 + 1) nodes per axis,
-    D its largest degree on any axis, compared with 12 nodes more; other
-    methods go to selberg_numeric with the given budget.
+    formula.  The quadrature is the tensor Gauss-Jacobi rule (sized as in
+    selberg_numeric) when a is even, else the ordered-sector rule at
+    min(max(64, budget), D // 2 + 1) nodes per axis, D its largest degree on
+    any axis, compared with 12 nodes more.
     """
     lam = Fraction(lam)
     if not hc_admissible(d, lam):
@@ -291,18 +287,14 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
             f"d_lambda of {d.family_label} {(d.r, d.a, d.b)} at lambda = "
             f"{lam} exceeds the float limit 1.8e308") from None
 
-    if method == "auto":
-        if d.a % 2 == 0:
-            est = selberg_numeric(spec, "gauss_jacobi",
-                                  max(48, budget), seed)
-        else:
-            degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
-                         for m in range(1, d.r + 1))
-            nodes = min(max(64, budget), degree // 2 + 1)
-            est = _rule_pair(ordered_sector_quadrature, spec, nodes, 12,
-                             "ordered_quadrature", seed)
+    if d.a % 2 == 0:
+        est = selberg_numeric(spec, "gauss_jacobi", max(48, budget), seed)
     else:
-        est = selberg_numeric(spec, method, budget, seed)
+        degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
+                     for m in range(1, d.r + 1))
+        nodes = min(max(64, budget), degree // 2 + 1)
+        est = _rule_pair(ordered_sector_quadrature, spec, nodes, 12,
+                         "ordered_quadrature", seed)
 
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wehrl_lab import disc
+from wehrl_lab import disc, exactnum, selberg
 from wehrl_lab.disc import (KernelFun, NoConvergence,
                             OutsideBergman, PolyFun, ProjectionSpec,
                             TensorPoly, completeness_check,
                             eval_functional_profile, improved_check,
-                            matrix_coeff_lp, maximize_wehrl, monomial_norm2,
+                            matrix_coeff_lp, maximize_wehrl,
                             norm2_exact, norm_p_numeric, ode_solve,
                             product_norm2, q1_iterated, qk_project,
                             wehrl_check)
@@ -28,9 +28,9 @@ def poly(nu, *coeffs):
 
 def test_monomial_norms():
     # <z^m, z^m> = m!/(nu)_m
-    assert monomial_norm2(NU2, 0) == 1
-    assert monomial_norm2(NU2, 1) == Fraction(1, 2)
-    assert monomial_norm2(Fraction(5, 2), 2) == Fraction(2 * 4, 5 * 7)
+    assert norm2_exact(poly(NU2, 1)) == 1
+    assert norm2_exact(poly(NU2, 0, 1)) == Fraction(1, 2)
+    assert norm2_exact(poly(Fraction(5, 2), 0, 0, 1)) == Fraction(2 * 4, 5 * 7)
 
 
 def test_norm2_exact_vs_quadrature():
@@ -362,8 +362,10 @@ def test_completeness_degree_16():
 
     fc, gc = rand_coeffs(), rand_coeffs()
     f, g = PolyFun(mu, tuple(fc)), PolyFun(nu, tuple(gc))
-    expected = (sum(c * c * monomial_norm2(mu, m) for m, c in enumerate(fc))
-                * sum(c * c * monomial_norm2(nu, m) for m, c in enumerate(gc)))
+    expected = (sum(c * c * math.factorial(m) / _rising(mu, m)
+                    for m, c in enumerate(fc))
+                * sum(c * c * math.factorial(m) / _rising(nu, m)
+                      for m, c in enumerate(gc)))
     rep = completeness_check(f, g)
     assert len(rep.per_k) == 33
     assert rep.passed and rep.total == rep.expected == expected
@@ -459,6 +461,26 @@ def test_improved_inequality_constants_and_equality_case():
     assert paper.passed and paper.slack > 0
     # the "sharp" remainder dominates the "paper"-convention one pointwise
     assert sharp.remainder > paper.remainder
+    with pytest.raises(ValueError, match="unknown remainder convention"):
+        improved_check(f, 2, "corrected")
+
+
+def _remainder_constant(nu, convention):
+    # 2 nu^2 (nu+1)^2 / ((2 nu + 1)(2 nu + 2)), or (2 nu + 3)(2 nu + 4) below
+    d = 1 if convention == "sharp" else 3
+    return 2 * nu ** 2 * (nu + 1) ** 2 / ((2 * nu + d) * (2 * nu + d + 1))
+
+
+@given(st.fractions(min_value=Fraction(1), max_value=Fraction(50),
+                    max_denominator=60).filter(lambda nu: nu > 1),
+       st.sampled_from([("sharp", "corrected_minus_one"),
+                        ("paper", "paper_plus_one")]))
+@settings(max_examples=60, deadline=None)
+def test_remainder_constant_is_four_c2_of_k_2(nu, conventions):
+    # improved_check's const(nu) is 4 C^2 of the k = 2 projection at (nu, nu).
+    remainder, projection = conventions
+    assert 4 * ProjectionSpec(nu, nu, 2, projection).c_squared() \
+        == _remainder_constant(nu, remainder)
 
 
 def _ref_poly_mul(a, b):
@@ -486,7 +508,7 @@ def test_improved_check_matches_fraction_reference(fc, nu, n, convention):
     a, b = _ref_poly_mul(fpp, fc), _ref_poly_mul(fp, fp)
     b += [(Fraction(0), Fraction(0))] * (len(a) - len(b))
     g = [(s * x[0] - t * y[0], s * x[1] - t * y[1]) for x, y in zip(a, b)]
-    const = disc._REMAINDER_CONSTANTS[convention](nu)
+    const = _remainder_constant(nu, convention)
     remainder = const * _ref_product_norm2([fc] * (n - 2) + [g], n * nu + 4)
     lhs = _ref_product_norm2([fc] * n, n * nu)
     rhs = _ref_product_norm2([fc], nu) ** n
@@ -567,11 +589,27 @@ def test_ode_solution_matches_kernel_exactly():
         assert all(x == y for x, y in zip(sol.coeffs, kern.coeffs)), (nu, c)
 
 
+def test_ode_solve_returns_degree_plus_one_coefficients():
+    for degree in range(4):
+        sol = ode_solve(NU2, Fraction(1, 2), degree)
+        assert sol.coeffs == KernelFun(NU2, Fraction(1, 4),
+                                       degree).to_polyfun().coeffs
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        ode_solve(NU2, Fraction(1, 2), -3)
+
+
 def test_ode_rejects_outside_bergman():
     with pytest.raises(OutsideBergman):
         ode_solve(NU2, 2, 5)
     with pytest.raises(OutsideBergman):
         ode_solve(NU2, Fraction(-5, 2), 5)
+
+
+def test_non_integrable_is_one_class():
+    assert disc.NonIntegrable is selberg.NonIntegrable \
+        is exactnum.NonIntegrable
+    with pytest.raises(disc.NonIntegrable):
+        matrix_coeff_lp(poly(NU2, 1, 1), 0)
 
 
 def test_matrix_coeff_lp_parseval_and_unit():
@@ -694,6 +732,9 @@ def test_eval_functional_profile_blowup():
     assert vals[-1] > 1e5
     with pytest.raises(ValueError):
         eval_functional_profile(NU2, [1.0])
+    for nu in (1, -2):
+        with pytest.raises(ValueError, match="weight nu must exceed 1"):
+            eval_functional_profile(nu, [0.5])
 
 
 def test_maximize_wehrl_reaches_kernel_ray():
@@ -751,15 +792,28 @@ def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
     assert np.all(eig[~null] <= -1)
 
 
-def test_maximize_wehrl_no_convergence_raises():
+def test_maximize_wehrl_no_convergence_raises(monkeypatch):
+    monkeypatch.setattr(disc, "_MAX_ITERS", 5)
+    monkeypatch.setattr(disc, "_GRAD_TOL", 1e-9)
     with pytest.raises(NoConvergence) as err:
-        maximize_wehrl(2, 2, 8, seed=1, max_iters=5, tol=1e-9)
+        maximize_wehrl(2, 2, 8, seed=1)
     assert err.value.stop_reason == "max_iterations"
     with pytest.raises(ValueError):
         maximize_wehrl(2, 2, 3)
     for n in (0, 1):
         with pytest.raises(ValueError, match="n must be >= 2"):
             maximize_wehrl(2, n, 8)
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 2), 1, Fraction(-3, 2)])
+def test_maximize_wehrl_rejects_small_weights_before_the_ascent(monkeypatch,
+                                                                nu):
+    calls = []
+    monkeypatch.setattr(disc, "_objective_and_gradient",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"must exceed 1, got {nu}$"):
+        maximize_wehrl(nu, 2, 8)
+    assert calls == []
 
 
 def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wehrl_lab.domains import (CLASSICAL_DIMENSION, PRESETS, DomainParams,
-                               WeightSpec, get_domain, hc_admissible,
-                               preset_table, so_2n, su_pq)
+                               get_domain, hc_admissible, preset_table, so_2n,
+                               su_pq)
 
 
 def test_derived_invariants_disc():
@@ -32,7 +32,7 @@ def test_admissibility_threshold():
     d = PRESETS["Sp(2,R)"]  # p = 3
     assert not hc_admissible(d, Fraction(2))
     assert hc_admissible(d, Fraction(5, 2))
-    assert hc_admissible(d, WeightSpec(Fraction(3)))
+    assert hc_admissible(d, 3)
 
 
 def test_invalid_parameters_rejected():
@@ -40,8 +40,6 @@ def test_invalid_parameters_rejected():
         DomainParams("bad", r=0, a=1, b=0)
     with pytest.raises(ValueError):
         DomainParams("bad", r=2, a=-1, b=0)
-    with pytest.raises(ValueError):
-        WeightSpec(Fraction(0))
     with pytest.raises(ValueError):
         so_2n(2)
 

