@@ -272,7 +272,11 @@ def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
         v = np.array([complex(x) for x in _parse_coeffs(vector)])
-        v = v / np.linalg.norm(v)
+        top = np.abs(v).max()  # no over- or underflow in the norm of v / top
+        if not 0 < top < np.inf:
+            raise click.BadParameter("needs a nonzero entry and only finite "
+                                     "ones", param_hint="'--vector'")
+        v = v / top / np.linalg.norm(v / top)
     elif random_:
         v = cp.random_unit_vector(m, np.random.default_rng(seed))
     else:

@@ -58,12 +58,17 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
     """
     args = [list(map(Fraction, side)) for side in (numerators, denominators)]
     D = math.lcm(*(x.denominator for xs in args for x in xs))
+    return _gamma_ratio_ints(
+        *([x.numerator * (D // x.denominator) for x in xs] for xs in args), D)
+
+
+def _gamma_ratio_ints(nums: list, dens: list, D: int) -> Fraction:
+    """The Gamma ratio of the arguments x/D, x in nums, over y/D, y in dens."""
     groups = defaultdict(lambda: ([], []))
-    for side, xs in enumerate(args):
-        for x in xs:
-            if x <= 0 and x.denominator == 1:
-                raise GammaPole(f"Gamma({x}) is a pole")
-            n = x.numerator * (D // x.denominator)
+    for side, xs in enumerate((nums, dens)):
+        for n in xs:
+            if n <= 0 and n % D == 0:
+                raise GammaPole(f"Gamma({Fraction(n, D)}) is a pole")
             groups[n % D][side].append(n)
     acc, shift = [1, 1], 0  # value = acc[0] / acc[1] / D^shift
     for r, (xs, ys) in groups.items():
@@ -88,10 +93,11 @@ def scalar_formal_degree(d: DomainParams, lam) -> PiScaledRational:
     lam = Fraction(lam)
     if not hc_admissible(d, lam):
         raise NotAdmissible(f"lambda={lam} <= p-1={d.p - 1} for {d.family_label}")
-    shift = Fraction(d.N, d.r)
-    nums = [lam - Fraction(d.a * (j - 1), 2) for j in range(1, d.r + 1)]
+    D = math.lcm(lam.denominator, 2, d.r)  # every argument is an int / D
+    top, shift = lam.numerator * (D // lam.denominator), d.N * D // d.r
+    nums = [top - j * d.a * D // 2 for j in range(d.r)]
     dens = [x - shift for x in nums]
-    return PiScaledRational(gamma_ratio_product(nums, dens), -d.N)
+    return PiScaledRational(_gamma_ratio_ints(nums, dens, D), -d.N)
 
 
 def _is_sp_family(d: DomainParams) -> bool:

@@ -74,9 +74,11 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
         for j in range(n):
             p0, p1 = p1, ((x - a[j]) * p1 - b[j] * p0) / b[j + 1]
             total += p1 * p1
-        dx = np.nan_to_num(-b[n] * p1 * p0 / total)
+        dx = -b[n] * p1 * p0 / total
+        dx = dx if np.isfinite(dx).all() else np.nan_to_num(dx)
         total *= 1 + dx * ((ab + 2) * x + alpha - beta) / (1 - x * x)
-        return (1 + x + dx) / 2, np.nan_to_num(mu0 / total)
+        w = mu0 / total
+        return (1 + x + dx) / 2, w if np.isfinite(w).all() else np.nan_to_num(w)
 
 
 @dataclass(frozen=True)

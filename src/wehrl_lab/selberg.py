@@ -201,8 +201,11 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     B(b+1, gamma+1)^r do not change under s -> 1 - s, and drawing 1 - s
     avoids the cancellation of 1 - U^(1/c) near s = 0.  At Beta(1, 1)
     numpy's sampler (Johnk's rejection loop) takes about 24 times as long
-    per chunk as this draw.  Every other shape keeps `rng.beta`, so its
-    streams are unchanged.
+    per chunk as this draw; every other shape keeps `rng.beta`, so its
+    streams are unchanged.  U is drawn into one reused chunk buffer and
+    the weights are formed in place, so the PCG64 draws are the floor.  The
+    chunk size sets how numpy's pairwise sums group, so it is part of the
+    stream.
     """
     rng = np.random.default_rng(seed)
     bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
@@ -210,26 +213,29 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
                       - math.lgamma(float(spec.b) + float(spec.gamma) + 2.0))
     scale = bconst ** spec.r
     a = float(spec.a)
-    total = 0.0
-    total_sq = 0.0
-    n_done = 0
-    chunk = 1 << 18
+    total, total_sq, chunk = 0.0, 0.0, 1 << 18
     closed_form = spec.b == 0 or spec.gamma == 0
-    while n_done < budget:
-        n = min(chunk, budget - n_done)
+    m = min(chunk, budget)
+    s, (vals, diff, sq) = np.empty((m, spec.r)), np.empty((3, m))
+    for start in range(0, budget, chunk):
+        n = min(chunk, budget - start)
+        if n < m:  # the last, shorter chunk
+            s, vals, diff, sq = s[:n], vals[:n], diff[:n], sq[:n]
         if closed_form:
-            s = rng.random((n, spec.r))
-            s **= 1.0 / float((spec.b + 1) * (spec.gamma + 1))
+            rng.random(out=s)
+            if spec.b or spec.gamma:  # c = 1 leaves U as it is
+                s **= 1.0 / float((spec.b + 1) * (spec.gamma + 1))
         else:
             s = rng.beta(float(spec.b) + 1.0, float(spec.gamma) + 1.0,
                          size=(n, spec.r))
-        vals = np.ones(n)
-        for i in range(spec.r):
-            for j in range(i + 1, spec.r):
-                vals *= np.abs(s[:, i] - s[:, j]) ** a
+        vals.fill(1.0)
+        for i, j in itertools.combinations(range(spec.r), 2):
+            np.abs(np.subtract(s[:, i], s[:, j], out=diff), out=diff)
+            if a != 1.0:
+                diff **= a
+            vals *= diff
         total += float(vals.sum())
-        total_sq += float((vals ** 2).sum())
-        n_done += n
+        total_sq += float(np.square(vals, out=sq).sum())
     mean = total / budget
     var = max(total_sq / budget - mean ** 2, 0.0)
     stderr = scale * math.sqrt(var / budget)

@@ -9,6 +9,7 @@ completeness identity is expected to fail; the report records both totals.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from fractions import Fraction
@@ -335,6 +336,7 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
         "c_G_coeff", "c_G_pi_power", "c_G_float",
         "d_H", "wehrl_coeff", "wehrl_pi_power", "wehrl_float",
     ])
+    degree = functools.cache(dg.scalar_formal_degree)  # d_x once per call
     for name in domains:
         d = get_domain(name)
         try:
@@ -342,11 +344,11 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
         except dg.UnsupportedCase:
             cg = None
         lams = [x for x in map(Fraction, lam_grid) if hc_admissible(d, x)]
-        for lam in lams:  # d_lambda and d^H once per lambda, not per row
-            dl = dg.scalar_formal_degree(d, lam)
+        for lam in lams:
+            dl = degree(d, lam)
             dh = str((dl / cg).as_rational()) if cg else ""
             for n in [n for n in n_grid if hc_admissible(d, n * lam)]:
-                w = dg.wehrl_constant(d, lam, n)
+                w = dl ** n / degree(d, n * lam)  # wehrl_constant(d, lam, n)
                 writer.writerow([
                     d.family_label, str(lam), n,
                     str(dl.coeff), dl.pi_power, float(dl),

@@ -183,6 +183,28 @@ def test_compact_json(runner):
     assert out["slack"] > 0
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vector, same_as", [("1e-200,0,0", "1,0,0"),
+                                             ("1e200,1e200,0", "1,1,0")])
+def test_compact_vector_is_scaled_before_it_is_normalised(runner, vector,
+                                                          same_as):
+    # Squared entries that underflow or overflow used to give NaN
+    # coefficients or "v must be a unit vector".
+    res = runner.invoke(main, ["compact", "--m", "2", "--vector", vector])
+    ref = runner.invoke(main, ["compact", "--m", "2", "--vector", same_as])
+    assert res.exit_code == 0 and ref.exit_code == 0
+    assert res.output == ref.output
+
+
+@pytest.mark.parametrize("vector", ["0,0,0", "0,0j,0", "inf,0,0", "nan,1,0"])
+def test_compact_vector_without_a_finite_nonzero_entry_is_a_usage_error(
+        runner, vector):
+    res = runner.invoke(main, ["compact", "--m", "2", "--vector", vector])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--vector'" in res.output
+    assert "Traceback" not in res.output
+
 def test_suite_exit_codes(runner):
     res = runner.invoke(main, ["suite", "degrees"])
     assert res.exit_code == 0

@@ -1,19 +1,21 @@
 import csv
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gamma_reference import gamma_factorial
+from wehrl_lab import degrees as dg
 from wehrl_lab.degrees import (ROOT_SYSTEM_PRESETS, GammaPole, NonTelescoping,
                                c_G, gamma_ratio_product,
                                hc_degree_root_product, hc_degree_scalar,
                                partial_isometry_constant, scalar_formal_degree,
                                wehrl_constant)
-from wehrl_lab.domains import PRESETS, NotAdmissible, get_domain
+from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible, get_domain
 from wehrl_lab.exactnum import PiScaledRational
 from wehrl_lab.suite import emit_constants_table
 
@@ -253,3 +255,61 @@ def test_partial_isometry_constant_disc():
     # symmetric in the two weights
     assert partial_isometry_constant(PRESETS["disc"], 3, 2) \
         == partial_isometry_constant(PRESETS["disc"], 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 4),
+       st.integers(1, 6), st.integers(1, 60))
+def test_formal_degree_equals_the_fraction_argument_route(r, a, b, den, k):
+    # scalar_formal_degree builds integer numerators over one denominator;
+    # the reference passes each Gamma argument as a Fraction.
+    d = DomainParams("custom", r, a, b)
+    lam = d.p - 1 + Fraction(k, den)
+    nums = [lam - Fraction(a * j, 2) for j in range(r)]
+    dens = [x - Fraction(d.N, r) for x in nums]
+    try:
+        want = PiScaledRational(gamma_ratio_product(nums, dens), -d.N)
+    except NonTelescoping as exc:
+        with pytest.raises(NonTelescoping) as got:
+            scalar_formal_degree(d, lam)
+        assert str(got.value) == str(exc)
+    else:
+        got = scalar_formal_degree(d, lam)
+        assert (got.coeff, got.pi_power) == (want.coeff, want.pi_power)
+
+
+# The lambda grid of the CI table step, over every preset at n = 2, 3.
+_CI_LAMBDAS = [Fraction(x) for x in (
+    "1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,10,21/2,"
+    "12,18,20").split(",")]
+
+
+def test_constants_table_computes_each_degree_once_per_domain(monkeypatch):
+    calls = Counter()
+    degree = dg.scalar_formal_degree
+
+    def counted(d, lam):
+        calls[d, Fraction(lam)] += 1
+        return degree(d, lam)
+
+    monkeypatch.setattr(dg, "scalar_formal_degree", counted)
+    emit_constants_table(list(PRESETS), _CI_LAMBDAS, [2, 3])
+    admissible = [(d, lam) for d in PRESETS.values() for lam in _CI_LAMBDAS
+                  if lam > d.p - 1]
+    want = {(d, lam) for d, lam in admissible} | {
+        (d, n * lam) for d, lam in admissible for n in (2, 3)
+        if n * lam > d.p - 1}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
+
+
+def test_constants_table_wehrl_columns_are_wehrl_constant():
+    for name, d in PRESETS.items():
+        rows = list(csv.DictReader(io.StringIO(
+            emit_constants_table([name], _CI_LAMBDAS, [1, 2, 3, 4, 7]))))
+        assert rows, name
+        for row in rows:
+            w = wehrl_constant(d, Fraction(row["lambda"]), int(row["n"]))
+            assert (row["wehrl_coeff"], row["wehrl_pi_power"],
+                    row["wehrl_float"]) \
+                == (str(w.coeff), str(w.pi_power), str(float(w))), row

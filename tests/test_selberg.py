@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -292,3 +293,62 @@ def test_grid_over_the_limit_raises_before_allocating(monkeypatch):
         selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
     with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
         ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))
+
+
+def _monte_carlo_reference(spec, budget, seed):
+    """The Monte Carlo chunk loop with fresh arrays: a new draw array, pair
+    product and squares per chunk, and U ** 1.0 at c = 1, |s_i - s_j| ** 1.0
+    at a = 1."""
+    rng = np.random.default_rng(seed)
+    bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
+                      + math.lgamma(float(spec.gamma) + 1.0)
+                      - math.lgamma(float(spec.b) + float(spec.gamma) + 2.0))
+    scale = bconst ** spec.r
+    a = float(spec.a)
+    total = total_sq = 0.0
+    n_done = 0
+    while n_done < budget:
+        n = min(1 << 18, budget - n_done)
+        if spec.b == 0 or spec.gamma == 0:
+            s = rng.random((n, spec.r))
+            s **= 1.0 / float((spec.b + 1) * (spec.gamma + 1))
+        else:
+            s = rng.beta(float(spec.b) + 1.0, float(spec.gamma) + 1.0,
+                         size=(n, spec.r))
+        vals = np.ones(n)
+        for i in range(spec.r):
+            for j in range(i + 1, spec.r):
+                vals *= np.abs(s[:, i] - s[:, j]) ** a
+        total += float(vals.sum())
+        total_sq += float((vals ** 2).sum())
+        n_done += n
+    mean = total / budget
+    var = max(total_sq / budget - mean ** 2, 0.0)
+    return scale * mean, scale * math.sqrt(var / budget)
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 0, Fraction(5, 2), 0), (2, 1, 0, 0), (2, 2, 0, 0),
+    (3, Fraction(1, 2), 0, Fraction(1, 2)),
+    (2, 1, Fraction(1, 2), Fraction(1, 3)), (5, Fraction(7, 3), 0, 0)])
+def test_monte_carlo_is_bit_identical_to_the_allocating_loop(shape):
+    # r = 1 (no pairs), c = 1 and a = 1 (no powers), c != 1, the rng.beta
+    # path; one chunk, a full chunk, a chunk plus one sample, and a budget
+    # whose last chunk is short.
+    spec = SelbergSpec(*shape)
+    for budget in (1, 1 << 18, (1 << 18) + 1, 300_001):
+        for seed in (1, 7):
+            est = selberg_numeric(spec, "monte_carlo", budget, seed)
+            assert (est.value, est.stderr) \
+                == _monte_carlo_reference(spec, budget, seed), (budget, seed)
+
+
+def test_monte_carlo_keeps_the_chunk_sums_at_the_suite_budget():
+    # At 10^6 samples a chunk of 2^17 in place of 2^18 groups the sums
+    # differently and moves (2, 2, 0, 0) and (2, 1/2, 0, 0) in the last bits.
+    for shape in ((2, 1, 0, 0), (2, 2, 0, 0), (2, Fraction(1, 2), 0, 0)):
+        spec = SelbergSpec(*shape)
+        for seed in (1, 7):
+            est = selberg_numeric(spec, "monte_carlo", 10 ** 6, seed)
+            assert (est.value, est.stderr) \
+                == _monte_carlo_reference(spec, 10 ** 6, seed), (shape, seed)
