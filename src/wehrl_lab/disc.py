@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count, islice
 from typing import Optional, Sequence
 
@@ -650,20 +650,30 @@ def eval_functional_profile(nu, radii: Sequence[float]
 
 # maximize_wehrl's (s, y) pairs kept, most steps, and stopping tangent gradient
 _LBFGS_MEMORY, _MAX_ITERS, _GRAD_TOL = 8, 40000, 5e-6
+_HALVINGS = [0.5 ** i for i in range(60)]  # steps of both backtracking loops
+_UPPER = np.triu(np.ones((_LBFGS_MEMORY, _LBFGS_MEMORY), dtype=bool))
 
 
-def _objective_and_gradient(x: np.ndarray, nu, n: int, degree: int,
-                            h: np.ndarray, H: np.ndarray):
-    """Objective Phi(x) = ||f^n||^2_{n nu} for unit x in the orthonormal
-    coefficient basis, with the Wirtinger gradient d Phi / d conj(x)."""
-    c = x / np.sqrt(h)
-    A = c.copy()  # c^{n-1}
-    for _ in range(n - 2):
-        A = np.convolve(A, c)
+def _objective_and_gradient(x: np.ndarray, n: int, h, H):
+    """Phi(x) = ||f^n||^2_{n nu} and the Wirtinger gradient d Phi / d conj(x)
+    for unit x of orthonormal coefficients, x and gradient as real views."""
+    c = x.view(complex) / np.sqrt(h)
+    A = reduce(np.convolve, [c] * (n - 1))  # c^{n-1}
     b = np.convolve(A, c)
-    phi = float(np.sum(H * np.abs(b) ** 2))
-    grad = n / np.sqrt(h) * np.correlate(H * b, A, mode="valid")
-    return phi, grad
+    return (float((H * np.abs(b) ** 2).sum()),
+            (n / np.sqrt(h) * np.correlate(H * b, A, "valid")).view(float))
+
+
+def _lbfgs_direction(S: np.ndarray, Y: np.ndarray, t: np.ndarray):
+    """L-BFGS inverse Hessian times t for the pairs in the rows of S and Y
+    (oldest first, s.y > 0) in the compact form of Byrd, Nocedal and
+    Schnabel (1994): gamma r + S^T R^-T (diag(SY) p - gamma Y r) with SY =
+    S Y^T, R = triu(SY), p = R^-1 S t, r = t - Y^T p, gamma of the newest."""
+    SY, gamma = S @ Y.T, (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+    R_inv = np.linalg.inv(SY * _UPPER[:len(S), :len(S)])
+    p = R_inv @ (S @ t)
+    r = t - p @ Y
+    return gamma * r + (SY.diagonal() * p - gamma * (Y @ r)) @ R_inv @ S
 
 
 def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
@@ -714,7 +724,7 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
             k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
             return float(np.linalg.norm(
                 x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
-        for t in 0.5 ** np.arange(60):
+        for t in _HALVINGS:
             z_new = z + t * step
             if abs(z_new) < radius:
                 L_new = log_overlap(gc, z_new)
@@ -743,13 +753,13 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     """Monotone L-BFGS ascent of ||f^n||^2_{n nu} on the unit sphere of the
     truncated coefficient space; the sup is 1 (up to truncation), on kernels.
 
-    Two-loop directions over the last _LBFGS_MEMORY pairs (step, change of
-    the negated tangent gradient) with Re<s, y> > 0, projected onto each new
-    tangent space; a step retracts by normalising, and Armijo backtracking
-    from t = 1 never lowers the objective.  Stops with "gradient_tolerance"
-    once the tangent gradient is below _GRAD_TOL; raises NoConvergence with
-    "line_search_exhausted" when 60 halvings of a step find no ascent, and
-    "max_iterations" when _MAX_ITERS steps end above _GRAD_TOL.
+    On the real view of x: _lbfgs_direction over the last _LBFGS_MEMORY
+    pairs (step, change of the negated tangent gradient) with s.y > 0, all
+    projected onto each new tangent space; a step retracts by normalising,
+    and Armijo backtracking from t = 1 never lowers the objective.  Stops
+    with "gradient_tolerance" once the tangent gradient is below _GRAD_TOL;
+    raises NoConvergence with "line_search_exhausted" (60 halvings find no
+    ascent) or "max_iterations" (_MAX_ITERS steps).
     """
     if Fraction(nu) <= 1:
         raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
@@ -761,35 +771,27 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     H = np.array(_norm_weights(n * Fraction(nu), n * degree + 1, False)[0])
     rng = np.random.default_rng(seed)
     x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-    x = x / np.linalg.norm(x)
-    phi, g = _objective_and_gradient(x, nu, n, degree, h, H)
-    pairs: list = []  # (s, y) in the tangent space at x, oldest first
-    monotone = True
+    x = x.view(float) / np.linalg.norm(x)
+    phi, g = _objective_and_gradient(x, n, h, H)
+    S, Y = hist = np.empty((2, _LBFGS_MEMORY + 1, x.size))
+    monotone, k = True, 0  # the first k rows of S, Y: pairs, oldest first
     for it in range(_MAX_ITERS + 1):
-        tangent = g - np.real(np.vdot(x, g)) * x
-        gnorm = float(np.linalg.norm(tangent))
+        tangent = g - (x @ g) * x
+        gnorm = math.sqrt(tangent @ tangent)
         if gnorm < _GRAD_TOL:
             break
         if it == _MAX_ITERS:
             raise NoConvergence(f"tangent gradient {gnorm:.2e} >= tol "
                                 f"{_GRAD_TOL} after {it} iterations",
                                 "max_iterations")
-        d, alphas = tangent.copy(), []
-        for s, y in reversed(pairs):
-            alphas.append(np.vdot(s, d).real / np.vdot(s, y).real)
-            d -= alphas[-1] * y
-        if pairs:
-            s, y = pairs[-1]
-            d *= np.vdot(s, y).real / np.vdot(y, y).real
-        for (s, y), a in zip(pairs, reversed(alphas)):
-            d += (a - np.vdot(y, d).real / np.vdot(s, y).real) * s
-        slope = np.vdot(tangent, d).real
+        d = _lbfgs_direction(S[:k], Y[:k], tangent) if k else tangent
+        slope = tangent @ d
         if not slope > 0:  # no ascent: fall back to the tangent gradient
             d, slope = tangent, gnorm ** 2
-        for t in 0.5 ** np.arange(60):
+        for t in _HALVINGS:
             x_new = x + t * d
-            x_new = x_new / np.linalg.norm(x_new)
-            phi_new, g_new = _objective_and_gradient(x_new, nu, n, degree, h, H)
+            x_new /= math.sqrt(x_new @ x_new)
+            phi_new, g_new = _objective_and_gradient(x_new, n, h, H)
             if phi_new >= phi + 1e-4 * t * slope:
                 break
         else:
@@ -798,15 +800,16 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
                 f"{it} (tangent gradient {gnorm:.2e}, tol {_GRAD_TOL})",
                 "line_search_exhausted")
         monotone = monotone and phi_new >= phi
-        pairs = [tuple(v - np.vdot(x_new, v).real * x_new for v in p)
-                 for p in pairs + [(x_new - x, tangent - g_new)]]
-        pairs = [p for p in pairs if np.vdot(*p).real > 0][-_LBFGS_MEMORY:]
+        S[k], Y[k] = x_new - x, tangent - g_new
+        hist[:, :k + 1] -= (hist[:, :k + 1] @ x_new)[..., None] * x_new
+        keep = np.einsum("ij,ij->i", S[:k + 1], Y[:k + 1]) > 0
+        pairs = hist[:, :k + 1][:, keep][:, -_LBFGS_MEMORY:]
+        k = pairs.shape[1]
+        hist[:, :k] = pairs
         x, phi, g = x_new, phi_new, g_new
     # The truncated kernels are the coherent vectors of kappa_m^2 = (nu)_m/m!.
     kappa2 = np.array(_rising_over_factorial(nu, degree + 1, False))
-    kd = _coherent_fit([x], kappa2, 1.0)
-    f = PolyFun(Fraction(nu), tuple(x / np.sqrt(h)))
-    return MaximizeResult(f=f, objective=phi, kernel_distance=kd,
-                          iterations=it, grad_norm=float(np.linalg.norm(tangent)),
-                          trajectory_monotone=monotone,
-                          stop_reason="gradient_tolerance")
+    x = x.view(complex)
+    return MaximizeResult(PolyFun(Fraction(nu), tuple(x / np.sqrt(h))), phi,
+                          _coherent_fit([x], kappa2, 1.0), it, gnorm,
+                          monotone, "gradient_tolerance")

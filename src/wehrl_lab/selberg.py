@@ -216,7 +216,8 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     total, total_sq, chunk = 0.0, 0.0, 1 << 18
     closed_form = spec.b == 0 or spec.gamma == 0
     m = min(chunk, budget)
-    s, (vals, diff, sq) = np.empty((m, spec.r)), np.empty((3, m))
+    s, (diff, sq) = np.empty((m, spec.r)), np.empty((2, m))
+    vals = np.ones(m) if spec.r == 1 else np.empty(m)  # r = 1: no pairs
     for start in range(0, budget, chunk):
         n = min(chunk, budget - start)
         if n < m:  # the last, shorter chunk
@@ -228,12 +229,13 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
         else:
             s = rng.beta(float(spec.b) + 1.0, float(spec.gamma) + 1.0,
                          size=(n, spec.r))
-        vals.fill(1.0)
-        for i, j in itertools.combinations(range(spec.r), 2):
-            np.abs(np.subtract(s[:, i], s[:, j], out=diff), out=diff)
+        for p, (i, j) in enumerate(itertools.combinations(range(spec.r), 2)):
+            out = diff if p else vals  # the first pair goes straight to vals
+            np.abs(np.subtract(s[:, i], s[:, j], out=out), out=out)
             if a != 1.0:
-                diff **= a
-            vals *= diff
+                out **= a
+            if p:
+                vals *= diff
         total += float(vals.sum())
         total_sq += float(np.square(vals, out=sq).sum())
     mean = total / budget

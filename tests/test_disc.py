@@ -758,6 +758,43 @@ def test_maximize_wehrl_reaches_the_ray_without_creeping(nu, n, degree, seed):
     assert res.iterations <= 500
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_maximize_wehrl_seed_sweep_at_the_suite_instance(seed):
+    # The suite's (nu, n, degree) = (2, 2, 8), under the same assertions.
+    test_maximize_wehrl_reaches_the_ray_without_creeping(2, 2, 8, seed)
+
+
+def _two_loop_direction(S, Y, t):
+    """Textbook L-BFGS two-loop recursion (Nocedal and Wright, Algorithm
+    7.4) over the rows of S and Y, oldest first, with H0 = gamma I."""
+    q, alphas = t.copy(), []
+    for s, y in zip(S[::-1], Y[::-1]):
+        alphas.append((s @ q) / (y @ s))
+        q -= alphas[-1] * y
+    r = (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1]) * q
+    for s, y, alpha in zip(S, Y, alphas[::-1]):
+        r += (alpha - (y @ r) / (y @ s)) * s
+    return r
+
+
+@pytest.mark.parametrize("dim", [18, 42])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_compact_lbfgs_direction_matches_the_two_loop_recursion(dim, k):
+    rng = np.random.default_rng([dim, k])
+    for _ in range(10):
+        # Curvature pairs y ~ M s of an SPD M, with noise; s.y > 0 each.
+        B = rng.normal(size=(dim, dim))
+        S = rng.normal(size=(k, dim))
+        Y = S @ (B @ B.T / dim + np.eye(dim)) + 0.1 * rng.normal(size=(k, dim))
+        Y[np.einsum("ij,ij->i", S, Y) <= 0] *= -1
+        t = rng.normal(size=dim)
+        d, ref = disc._lbfgs_direction(S, Y, t), _two_loop_direction(S, Y, t)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+        # The secant equation for the newest pair: H y = s.
+        assert np.allclose(disc._lbfgs_direction(S, Y, Y[-1]), S[-1],
+                           rtol=0, atol=1e-12 * np.linalg.norm(S[-1]))
+
+
 @pytest.mark.parametrize("nu, n, degree, w", [
     (2, 2, 8, 0), (Fraction(5, 2), 3, 8, 0), (2, 2, 40, 0.3), (3, 2, 40, 0.5)])
 def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
@@ -773,8 +810,8 @@ def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
     x /= np.linalg.norm(x)
 
     def phi(y):
-        return disc._objective_and_gradient(y / np.linalg.norm(y), nu, n,
-                                            degree, h, H)[0]
+        return disc._objective_and_gradient(
+            (y / np.linalg.norm(y)).view(float), n, h, H)[0]
 
     # Rows of vt after the first span the real complement of x in R^{2N}.
     vt = np.linalg.svd(np.concatenate([x.real, x.imag])[None, :])[2]

@@ -352,3 +352,82 @@ def test_monte_carlo_keeps_the_chunk_sums_at_the_suite_budget():
             est = selberg_numeric(spec, "monte_carlo", 10 ** 6, seed)
             assert (est.value, est.stderr) \
                 == _monte_carlo_reference(spec, 10 ** 6, seed), (shape, seed)
+
+
+# (value, stderr) of selberg_numeric(..., "monte_carlo", budget, seed) for
+# budget in (1, 129, 10^5 + 3, 10^6) and seed in (0, 7), in that order, as
+# the loop that multiplied every pair factor into a weight array filled with
+# 1.0 computed them.  Writing the first factor straight into the weights
+# keeps every bit, since 1.0 * x == x.
+_MC_BUDGETS, _MC_SEEDS = (1, 129, 10 ** 5 + 3, 10 ** 6), (0, 7)
+_MC_PINNED = {
+    (2, 1, 0, 0): [
+        (0.367174973557584, 0.0),
+        (0.2721183343649085, 0.0),
+        (0.3816066068189221, 0.021821609244564635),
+        (0.34489887350369797, 0.019892938734109897),
+        (0.33218684528392833, 0.0007454718509169021),
+        (0.33243971652890536, 0.0007439236959966821),
+        (0.3332405856746725, 0.00023584820423039432),
+        (0.3329906134117172, 0.000235591805673353),
+    ],
+    (2, 2, 0, 0): [
+        (0.13481746120701252, 0.0),
+        (0.07404838789753215, 0.0),
+        (0.20705116164074988, 0.019103790991582995),
+        (0.17000427542491728, 0.015861566933846258),
+        (0.16592259541547727, 0.0006230259658955744),
+        (0.16586007193975175, 0.0006221022935577353),
+        (0.16667366337950054, 0.00019726604339376659),
+        (0.16638624752074263, 0.00019704119479406403),
+    ],
+    (3, 1, 0, 0): [
+        (0.050071633800067565, 0.0),
+        (0.004980022772093827, 0.0),
+        (0.03589203580265768, 0.00334236879671821),
+        (0.03574765068972754, 0.003547807802237335),
+        (0.03347293622427772, 0.00012945069806790099),
+        (0.0333764497466925, 0.00012865947486410799),
+        (0.03336484005123, 4.085347019831009e-05),
+        (0.033271368557832144, 4.074607021691995e-05),
+    ],
+    (2, 1, Fraction(1, 2), 0): [
+        (0.14345731010939186, 0.0),
+        (0.08851823403343635, 0.0),
+        (0.1497338102580494, 0.009105984967732166),
+        (0.13831552324978175, 0.00826055770875858),
+        (0.13293757526607325, 0.00030529711021330257),
+        (0.13289200189314604, 0.00030439984207247686),
+        (0.13329427332803845, 9.656574785922926e-05),
+        (0.1332102461752866, 9.647218075235734e-05),
+    ],
+    (2, 1, 1, 1): [
+        (0.005524616801984834, 0.0),
+        (0.004410072987676216, 0.0),
+        (0.005886851101726191, 0.00038193920678062564),
+        (0.006976564473330747, 0.00043529169591525503),
+        (0.00713931402707454, 1.6160835810620158e-05),
+        (0.0071406850487642165, 1.614566536022653e-05),
+        (0.007129689949639681, 5.1108426245366e-06),
+        (0.007137096143307855, 5.114183158913241e-06),
+    ],
+    (1, 0, 0, 0): [
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+        (1.0, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", list(_MC_PINNED))
+def test_monte_carlo_outputs_are_pinned(shape):
+    spec = SelbergSpec(*shape)
+    got = [(est.value, est.stderr) for est in (
+        selberg_numeric(spec, "monte_carlo", budget, seed)
+        for budget in _MC_BUDGETS for seed in _MC_SEEDS)]
+    assert got == _MC_PINNED[shape]

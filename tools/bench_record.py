@@ -12,8 +12,10 @@ It measures the checkout it lives in, whatever the working directory:
 * the line count of each module under ``src/wehrl_lab``;
 * the frontiers: the largest degree at which ``completeness_check`` of two
   seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
-  and the constants-table rows per second on the grid of the CI ``table``
-  step (every preset, the lambdas below, n = 2, 3).
+  the constants-table rows per second on the grid of the CI ``table`` step
+  (every preset, the lambdas below, n = 2, 3), the median seconds of the
+  suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
+  which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s.
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
@@ -87,11 +89,30 @@ def src_lines() -> dict[str, int]:
             for path in sorted((ROOT / "src" / "wehrl_lab").glob("*.py"))}
 
 
+def one_second_frontier(seconds_at, start: int, seconds: dict) -> int:
+    """The largest size whose seconds_at(size) is at most 1, by doubling from
+    start then bisection, one timed call per size; each call's seconds go
+    into `seconds`, which keeps them if a call raises."""
+    lo, hi = 0, start  # seconds[lo] <= 1 < seconds[hi] once the loops end
+    seconds[hi] = seconds_at(hi)
+    while seconds[hi] <= 1:
+        lo, hi = hi, 2 * hi
+        seconds[hi] = seconds_at(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        seconds[mid] = seconds_at(mid)
+        lo, hi = (mid, hi) if seconds[mid] <= 1 else (lo, mid)
+    return lo
+
+
 def frontiers() -> dict:
-    """Completeness degree reached in 1 s, by doubling then bisection (one
-    timed call per degree), and table rows per second (median of 5)."""
+    """Completeness and maximizer degrees reached in 1 s (one_second_frontier),
+    table rows per second and maximize_wehrl(2, 2, 8) seconds (median of 5).
+    The maximizer search ends at the first NoConvergence, recording its
+    stop_reason and degree."""
     sys.path.insert(0, str(ROOT / "src"))
-    from wehrl_lab.disc import PolyFun, completeness_check
+    from wehrl_lab.disc import (NoConvergence, PolyFun, completeness_check,
+                                maximize_wehrl)
     from wehrl_lab.domains import PRESETS
     from wehrl_lab.suite import emit_constants_table
 
@@ -106,15 +127,30 @@ def frontiers() -> dict:
             raise RuntimeError(f"completeness fails at degree {degree}")
         return perf_counter() - t0
 
-    lo, hi = 0, 8  # seconds[lo] <= 1 < seconds[hi] once the loops end
-    seconds = {hi: completeness_s(hi)}
-    while seconds[hi] <= 1:
-        lo, hi = hi, 2 * hi
-        seconds[hi] = completeness_s(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        seconds[mid] = completeness_s(mid)
-        lo, hi = (mid, hi) if seconds[mid] <= 1 else (lo, mid)
+    failed: dict = {}  # the degree and stop_reason of a NoConvergence
+
+    def maximize_s(degree: int) -> float:
+        t0 = perf_counter()
+        try:
+            maximize_wehrl(2, 2, degree, seed=0)
+        except NoConvergence as exc:
+            failed.update(degree=degree, stop_reason=exc.stop_reason)
+            raise
+        return perf_counter() - t0
+
+    seconds: dict = {}
+    completeness_degree = one_second_frontier(completeness_s, 8, seconds)
+    max_seconds: dict = {}
+    try:
+        maximize_degree = one_second_frontier(maximize_s, 8, max_seconds)
+    except NoConvergence:
+        maximize_degree = max((d for d, t in max_seconds.items() if t <= 1),
+                              default=None)
+    suite_times = []
+    for _ in range(5):
+        t0 = perf_counter()
+        maximize_wehrl(2, 2, 8, seed=0)
+        suite_times.append(perf_counter() - t0)
     lams = [Fraction(x) for x in TABLE_LAMBDAS.split(",")]
     times, rows = [], 0
     for _ in range(5):
@@ -122,10 +158,14 @@ def frontiers() -> dict:
         rows = len(emit_constants_table(list(PRESETS), lams,
                                         [2, 3]).splitlines()) - 1
         times.append(perf_counter() - t0)
-    return {"completeness_degree_1s": lo,
+    return {"completeness_degree_1s": completeness_degree,
             "completeness_s": {str(k): v for k, v in sorted(seconds.items())},
             "table_rows": rows, "table_s": median(times),
-            "table_rows_per_s": rows / median(times)}
+            "table_rows_per_s": rows / median(times),
+            "maximize_2_2_8_s": median(suite_times),
+            "maximize_degree_1s": maximize_degree,
+            "maximize_s": {str(k): v for k, v in sorted(max_seconds.items())},
+            "maximize_no_convergence": failed or None}
 
 
 def main(argv=None) -> int:
