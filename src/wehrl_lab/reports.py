@@ -33,11 +33,11 @@ class Report:
     command: str
     inputs: dict
     outputs: dict
-    verdict: str  # PASS | FAIL | INFO
+    verdict: str  # PASS | FAIL
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.verdict not in ("PASS", "FAIL", "INFO"):
+        if self.verdict not in ("PASS", "FAIL"):
             raise ValueError(f"bad verdict {self.verdict!r}")
 
     def to_json(self) -> str:

@@ -314,6 +314,7 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
         "product": product,
         "deviation": abs(product - 1.0),
         "stderr_product": d_float * C_float * est.stderr,
+        "error_bound": d_float * C_float * est.abs_err_bound,
         "method": est.method,
         "samples_or_nodes": est.samples_or_nodes,
         "seed": seed,

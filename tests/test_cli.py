@@ -8,9 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 import wehrl_lab
+from wehrl_lab import disc as dc
 from wehrl_lab.cli import main
+from wehrl_lab.exactnum import PiScaledRational
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
-from wehrl_lab.suite import emit_constants_table, run_suite
+from wehrl_lab.suite import _check, emit_constants_table, run_suite
 
 
 @pytest.fixture
@@ -242,8 +244,9 @@ def test_report_roundtrip():
     r = Report(command="x", inputs={"a": "1"}, outputs={"v": 0.5},
                verdict="PASS", seed=3)
     assert Report(**json.loads(r.to_json())) == r
-    with pytest.raises(ValueError):
-        Report(command="x", inputs={}, outputs={}, verdict="MAYBE")
+    for verdict in ("MAYBE", "INFO"):
+        with pytest.raises(ValueError):
+            Report(command="x", inputs={}, outputs={}, verdict=verdict)
 
 
 def test_suite_config_validation():
@@ -280,6 +283,56 @@ def test_disc_suite_reports_every_pair_and_q1_norms():
         q1 = by_command["disc.q1_vanishing"].outputs["norm2"]
         assert sorted(q1) == ["2", "3"]
         assert all(v["num"] == "0" for v in q1.values())
+
+
+def test_check_judges_every_comparison():
+    ok = [("exact", Fraction(1, 3), Fraction(1, 3), 0, "exact"),
+          ("pi", PiScaledRational(3, -1), PiScaledRational(3, -1), 0, "exact"),
+          ("two_sided", 1.0 + 1e-9, 1.0, 1e-8, "stated"),
+          ("one_sided", 5.0, 0.0, 1e-12, "stated", True),
+          ("exact_lower", Fraction(1, 7), 0, 0, "exact", True)]
+    rep = _check("x", {}, ok, {"shown": 1}, seed=4, failed_key="failed")
+    assert rep.verdict == "PASS" and rep.seed == 4
+    assert rep.outputs["shown"] == 1 and rep.outputs["failed"] == []
+    got = rep.outputs["comparisons"]
+    assert got["exact"]["deviation"]["num"] == "0"
+    assert got["pi"]["deviation"]["pi_power"] == -1
+    assert got["two_sided"]["deviation"] == pytest.approx(1e-9)
+    assert got["one_sided"]["deviation"] == 5.0
+    assert got["one_sided"]["one_sided"] and not got["exact"]["one_sided"]
+    assert got["exact_lower"]["deviation"]["num"] == "1"
+    assert all(c["passed"] for c in got.values())
+    # A violated inequality fails either side of a two-sided gate, and one
+    # failing comparison fails the report.
+    for bad in [("kernel_slack", -1.0, 0.0, 1e-8, "stated"),
+                ("kernel_slack", 1.0, 0.0, 1e-8, "stated"),
+                ("min_slack", -1e-11, 0.0, 1e-12, "stated", True),
+                ("exact", Fraction(1, 3), Fraction(1, 2), 0, "exact"),
+                ("exact_lower", Fraction(-1, 7), 0, 0, "exact", True),
+                ("pi", PiScaledRational(3, -1), PiScaledRational(3, -3), 0,
+                 "exact")]:
+        rep = _check("x", {}, [ok[2], bad], failed_key="failed")
+        assert rep.verdict == "FAIL" and rep.outputs["failed"] == [bad[0]]
+        assert not rep.outputs["comparisons"][bad[0]]["passed"]
+    assert rep.outputs["comparisons"]["pi"]["deviation"] is None
+    for bad in [("x", 1.0, 1.0, 1e-8, "guess"), ("x", 1, 1, 1e-8, "exact")]:
+        with pytest.raises(ValueError):
+            _check("x", {}, [bad])
+
+
+def test_improved_inequality_reports_the_true_min_slack(monkeypatch):
+    slacks, improved_check = [], dc.improved_check
+
+    def recording(f, n, convention):
+        rep = improved_check(f, n, convention)
+        slacks.append(rep.slack)
+        return rep
+    monkeypatch.setattr(dc, "improved_check", recording)
+    _, reports = run_suite("disc", SuiteConfig(seed=0))
+    report, = [r for r in reports if r.command == "disc.improved_inequality"]
+    reported = report.outputs["comparisons"]["min_slack"]["value"]["float"]
+    assert len(slacks) == 21  # 20 random draws, then the equality case
+    assert reported == min(slacks[:20]) > 0
 
 
 def test_disc_maximize_prints_stop_reason(runner):

@@ -755,7 +755,7 @@ def test_maximize_wehrl_reaches_the_ray_without_creeping(nu, n, degree, seed):
     assert res.kernel_distance < 1e-4
     assert res.trajectory_monotone
     assert res.stop_reason == "gradient_tolerance"
-    assert res.iterations <= 500
+    assert res.iterations <= 150
 
 
 @pytest.mark.parametrize("seed", range(40))

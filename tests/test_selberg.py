@@ -186,6 +186,16 @@ def test_verify_degree_integral_quadrature():
     assert rep["method"] == "gauss_jacobi"
 
 
+@pytest.mark.parametrize("name, lam", [
+    ("disc", Fraction(3)), ("Sp(2,R)", Fraction(9, 2)),
+    ("SO(2,3)", Fraction(7, 2))])
+def test_verify_degree_integral_reports_its_error_bound(name, lam):
+    # The suite's three cases: the rule's distance to the smaller rule,
+    # scaled as the product is, stays at rounding level.
+    rep = verify_degree_integral(PRESETS[name], lam)
+    assert 0 <= rep["error_bound"] <= 1e-12
+
+
 def test_verify_degree_integral_monte_carlo_consistent():
     # The Monte Carlo oracle of the same integral, composed as
     # verify_degree_integral composes its quadrature: d_lambda C S = 1.
