@@ -81,9 +81,9 @@ def _check(command: str, inputs: dict, comparisons, outputs=None, seed=None,
 
 def _rand_rational_poly(rng: np.random.Generator, nu,
                         degree: int) -> dc.PolyFun:
-    # numerator before denominator, one coefficient at a time
-    cs = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
-          for _ in range(degree + 1)]
+    # numerator then denominator per coefficient, as scalar draws read them
+    cs = [Fraction(p, q) for p, q in rng.integers(
+        np.tile([-5, 1], degree + 1), 6).reshape(-1, 2).tolist()]
     if all(c == 0 for c in cs):
         cs[0] = Fraction(1)
     return dc.PolyFun(Fraction(nu), tuple(cs))

@@ -4,15 +4,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import wehrl_lab
 from wehrl_lab import disc as dc
 from wehrl_lab.cli import main
-from wehrl_lab.exactnum import PiScaledRational
+from wehrl_lab.exactnum import QC, PiScaledRational
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
-from wehrl_lab.suite import _check, emit_constants_table, run_suite
+from wehrl_lab.suite import (_check, _rand_rational_poly, emit_constants_table,
+                             run_suite)
 
 
 @pytest.fixture
@@ -283,6 +285,22 @@ def test_disc_suite_reports_every_pair_and_q1_norms():
         q1 = by_command["disc.q1_vanishing"].outputs["norm2"]
         assert sorted(q1) == ["2", "3"]
         assert all(v["num"] == "0" for v in q1.values())
+
+
+def test_rand_rational_poly_draws_as_the_scalar_loop():
+    # One integers() call over the tiled bounds reads the PCG64 stream as a
+    # scalar draw per numerator and denominator does, the next draw included.
+    for seed in range(40):
+        vector, scalar = (np.random.default_rng(seed) for _ in range(2))
+        for degree in (0, 4, 6):
+            f = _rand_rational_poly(vector, Fraction(5, 2), degree)
+            cs = [Fraction(int(scalar.integers(-5, 6)),
+                           int(scalar.integers(1, 6)))
+                  for _ in range(degree + 1)]
+            if not any(cs):
+                cs[0] = Fraction(1)
+            assert f.coeffs == tuple(map(QC, cs)), (seed, degree)
+        assert vector.integers(1 << 62) == scalar.integers(1 << 62), seed
 
 
 def test_check_judges_every_comparison():

@@ -55,6 +55,12 @@ def test_weight_must_exceed_one():
         poly(1, 1)
 
 
+def test_empty_coefficient_list_is_rejected():
+    for coeffs in ((), [], np.array([])):
+        with pytest.raises(ValueError, match="the empty coefficient list"):
+            PolyFun(NU2, coeffs)
+
+
 def test_projection_needs_the_tensor_weights():
     F = TensorPoly.from_product(poly(2, 1, 1), poly(2, 1, 1))
     with pytest.raises(ValueError, match=r"\(2, 2\) differ .* \(2, 3\)"):
@@ -166,21 +172,64 @@ weights = st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3),
                            Fraction(7, 2)])
 
 
+def _sparse_examples(test):
+    """Tensors the filtered ladder must get right: vanishing antidiagonals
+    (f = g = 1 + z^2), a monomial pair, a zero real lane under a nonzero
+    imaginary one, an all-zero factor, and dyadic floats with vanishing
+    antidiagonals, which take the float route."""
+    one, half, zero = Fraction(1), Fraction(1, 2), Fraction(0)
+    cases = [
+        ([(one, zero), (zero, zero), (one, zero)],
+         [(one, zero), (zero, zero), (one, zero)], 2, 2),
+        ([(zero, zero)] * 3 + [(2 * one, -one)],
+         [(zero, zero), (zero, zero), (one / 3, zero)], Fraction(5, 2), 3),
+        ([(zero, one), (zero, zero), (zero, -half)],
+         [(3 * half, zero), (zero, zero), (one, zero)], Fraction(7, 2), 2),
+        ([(zero, zero)] * 2, [(one, 2 * one), (zero, -one)], 3,
+         Fraction(5, 2)),
+        ([(0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, -0.75)],
+         [(0.0, 0.0), (0.0, 0.0), (1.25, 0.0)], Fraction(5, 2),
+         Fraction(7, 2)),
+    ]
+    for fc, gc, mu, nu in cases:
+        for conv in (("corrected_minus_one", -1), ("paper_plus_one", 1)):
+            test = example(fc, gc, Fraction(mu), Fraction(nu), conv)(test)
+    return test
+
+
+def _poly(nu, pairs):
+    """PolyFun of (re, im) pairs: QC of Fractions, complex of floats."""
+    return PolyFun(nu, tuple(QC(re, im) if isinstance(re, Fraction)
+                             else complex(re, im) for re, im in pairs))
+
+
+def _assert_masses(got, fc, gc, mu, nu, shift, exact):
+    """got[k] is _ref_qk_norm2 on the coefficients as Fractions, exactly,
+    or within 1e-12 (relative) on the float route."""
+    fc, gc = ([(Fraction(re), Fraction(im)) for re, im in c] for c in (fc, gc))
+    want = [_ref_qk_norm2(fc, gc, mu, nu, k, shift)
+            for k in range(len(fc) + len(gc) - 1)]
+    if exact:
+        assert list(got) == want
+    else:
+        assert list(got) == pytest.approx([float(w) for w in want], rel=1e-12)
+
+
 @given(gaussian_coeffs, gaussian_coeffs, weights, weights,
        st.sampled_from([("corrected_minus_one", -1), ("paper_plus_one", 1)]))
 @example([(Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(2))],
          [(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 4)),
           (Fraction(-3), Fraction(3))],
          Fraction(5, 2), Fraction(7, 2), ("corrected_minus_one", -1))
+@_sparse_examples
 @settings(max_examples=40, deadline=None)
 def test_qk_masses_match_product_reference(fc, gc, mu, nu, convention):
     name, shift = convention
-    f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
-    g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
+    f, g = _poly(mu, fc), _poly(nu, gc)
     F = TensorPoly.from_product(f, g)
-    for k in range(len(fc) + len(gc) - 1):
-        got = qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
-        assert got == _ref_qk_norm2(fc, gc, mu, nu, k, shift), k
+    _assert_masses([qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
+                    for k in range(len(fc) + len(gc) - 1)],
+                   fc, gc, mu, nu, shift, F.exact)
 
 
 # Test-local reference for the integer weights W_k(p, q) = sum_j e_j
@@ -259,15 +308,14 @@ def test_hahn_ladder_is_orthogonal_on_every_antidiagonal(mu, nu, top):
 @example([(Fraction(2, 3), Fraction(0))], [(Fraction(1), Fraction(0)),
                                            (Fraction(-1, 2), Fraction(1))],
          Fraction(7, 2), Fraction(2), ("paper_plus_one", 1))
+@_sparse_examples
 @settings(max_examples=40, deadline=None)
 def test_completeness_per_k_matches_product_reference(fc, gc, mu, nu,
                                                       convention):
     name, shift = convention
-    f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
-    g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
+    f, g = _poly(mu, fc), _poly(nu, gc)
     rep = completeness_check(f, g, name)
-    assert list(rep.per_k) == [_ref_qk_norm2(fc, gc, mu, nu, k, shift)
-                               for k in range(len(fc) + len(gc) - 1)]
+    _assert_masses(rep.per_k, fc, gc, mu, nu, shift, f.exact and g.exact)
 
 
 def _ref_product_norm2(factors, nu):

@@ -12,6 +12,7 @@ It measures the checkout it lives in, whatever the working directory:
 * the line count of each module under ``src/wehrl_lab``;
 * the frontiers: the largest degree at which ``completeness_check`` of two
   seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
+  and its median seconds over five calls at the fixed degrees 64 and 100,
   the constants-table rows per second on the grid of the CI ``table`` step
   (every preset, the lambdas below, n = 2, 3), the median seconds of the
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
@@ -107,7 +108,8 @@ def one_second_frontier(seconds_at, start: int, seconds: dict) -> int:
 
 def frontiers() -> dict:
     """Completeness and maximizer degrees reached in 1 s (one_second_frontier),
-    table rows per second and maximize_wehrl(2, 2, 8) seconds (median of 5).
+    completeness seconds at degrees 64 and 100 (median of 5), table rows per
+    second and maximize_wehrl(2, 2, 8) seconds (median of 5).
     The maximizer search ends at the first NoConvergence, recording its
     stop_reason and degree."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -140,6 +142,8 @@ def frontiers() -> dict:
 
     seconds: dict = {}
     completeness_degree = one_second_frontier(completeness_s, 8, seconds)
+    fixed = {str(degree): median(completeness_s(degree) for _ in range(5))
+             for degree in (64, 100)}
     max_seconds: dict = {}
     try:
         maximize_degree = one_second_frontier(maximize_s, 8, max_seconds)
@@ -160,6 +164,7 @@ def frontiers() -> dict:
         times.append(perf_counter() - t0)
     return {"completeness_degree_1s": completeness_degree,
             "completeness_s": {str(k): v for k, v in sorted(seconds.items())},
+            "completeness_median_s": fixed,
             "table_rows": rows, "table_s": median(times),
             "table_rows_per_s": rows / median(times),
             "maximize_2_2_8_s": median(suite_times),
