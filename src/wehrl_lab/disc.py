@@ -306,6 +306,8 @@ class TensorPoly:
     def __init__(self, mu, nu, coeffs: Sequence):
         self.mu, self.nu = Fraction(mu), Fraction(nu)
         width = max(map(len, coeffs), default=0)
+        if width == 0:
+            raise ValueError(f"TensorPoly got no coefficients: {coeffs!r}")
         self._lanes, self.exact = _lanes_of(
             [c for row in coeffs for c in (*row, *[0] * (width - len(row)))],
             (len(coeffs), width))

@@ -59,6 +59,9 @@ def test_empty_coefficient_list_is_rejected():
     for coeffs in ((), [], np.array([])):
         with pytest.raises(ValueError, match="the empty coefficient list"):
             PolyFun(NU2, coeffs)
+    for rows in ((), ((),), ((), ())):
+        with pytest.raises(ValueError, match="TensorPoly got no coefficients"):
+            TensorPoly(NU2, NU2, rows)
 
 
 def test_projection_needs_the_tensor_weights():

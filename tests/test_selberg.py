@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +86,15 @@ def test_non_integrable_exponents():
         SelbergSpec(2, 1, 0, Fraction(-3, 2))
     with pytest.raises(NonIntegrable):
         SelbergSpec(2, 1, -1, 0)
+
+
+def test_rank_must_be_an_int():
+    # A float or Fraction rank would pass r >= 1 and then fail in range()
+    # inside selberg_closed and selberg_numeric with a bare TypeError.
+    for r in (2.5, 2.0, Fraction(2), 0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"got r={r!r}")):
+            SelbergSpec(r, 1, 0, 0)
+    assert SelbergSpec(np.int64(2), 1, 0, 0).r == 2
 
 
 def test_gauss_jacobi_even_a_matches_closed_form():
@@ -343,10 +354,11 @@ def _monte_carlo_reference(spec, budget, seed):
     (2, 1, Fraction(1, 2), Fraction(1, 3)), (5, Fraction(7, 3), 0, 0)])
 def test_monte_carlo_is_bit_identical_to_the_allocating_loop(shape):
     # r = 1 (no pairs), c = 1 and a = 1 (no powers), c != 1, the rng.beta
-    # path; one chunk, a full chunk, a chunk plus one sample, and a budget
-    # whose last chunk is short.
+    # path; one chunk, a full chunk, a chunk plus one sample, a budget whose
+    # last chunk is short, and two that the 2^14-row leaves cut unevenly.
     spec = SelbergSpec(*shape)
-    for budget in (1, 1 << 18, (1 << 18) + 1, 300_001):
+    for budget in (1, 1 << 18, (1 << 18) + 1, 300_001, 3 * (1 << 14) + 5,
+                   (1 << 18) - 1):
         for seed in (1, 7):
             est = selberg_numeric(spec, "monte_carlo", budget, seed)
             assert (est.value, est.stderr) \
@@ -362,6 +374,18 @@ def test_monte_carlo_keeps_the_chunk_sums_at_the_suite_budget():
             est = selberg_numeric(spec, "monte_carlo", 10 ** 6, seed)
             assert (est.value, est.stderr) \
                 == _monte_carlo_reference(spec, 10 ** 6, seed), (shape, seed)
+
+
+def test_monte_carlo_works_in_cache_sized_leaves():
+    # One leaf of draws and weights, not a chunk of 2^18 rows: the arrays
+    # of a 10^6-sample call peak at about 0.5 MB (10 MB for whole chunks).
+    tracemalloc.start()
+    try:
+        selberg_numeric(SelbergSpec(2, 1, 0, 0), "monte_carlo", 10 ** 6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # (value, stderr) of selberg_numeric(..., "monte_carlo", budget, seed) for

@@ -16,7 +16,10 @@ It measures the checkout it lives in, whatever the working directory:
   the constants-table rows per second on the grid of the CI ``table`` step
   (every preset, the lambdas below, n = 2, 3), the median seconds of the
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
-  which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s.
+  which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s;
+* the median ms of five ``selberg_numeric(..., "monte_carlo", 10**6, seed)``
+  calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), and the peak
+  bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0).
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
@@ -30,6 +33,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -112,7 +116,6 @@ def frontiers() -> dict:
     second and maximize_wehrl(2, 2, 8) seconds (median of 5).
     The maximizer search ends at the first NoConvergence, recording its
     stop_reason and degree."""
-    sys.path.insert(0, str(ROOT / "src"))
     from wehrl_lab.disc import (NoConvergence, PolyFun, completeness_check,
                                 maximize_wehrl)
     from wehrl_lab.domains import PRESETS
@@ -173,6 +176,32 @@ def frontiers() -> dict:
             "maximize_no_convergence": failed or None}
 
 
+def monte_carlo() -> dict:
+    """Median ms of five 10^6-sample Monte Carlo calls (seeds 0-4) per shape,
+    and the traced peak bytes of one call at (2, 1, 0, 0), seed 0."""
+    from wehrl_lab.selberg import SelbergSpec, selberg_numeric
+
+    def call(shape, seed):
+        selberg_numeric(SelbergSpec(*shape), "monte_carlo", 10 ** 6, seed)
+
+    median_ms = {}
+    for shape in ((2, 1, 0, 0), (2, 2, 0, 0)):
+        times = []
+        for seed in range(5):
+            t0 = perf_counter()
+            call(shape, seed)
+            times.append(perf_counter() - t0)
+        median_ms[",".join(map(str, shape))] = 1e3 * median(times)
+    tracemalloc.start()
+    try:
+        call((2, 1, 0, 0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"samples": 10 ** 6, "median_ms": median_ms,
+            "traced_peak_bytes": peak}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, type=int)
@@ -186,7 +215,8 @@ def main(argv=None) -> int:
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
-    print("tier-1 tests, suite all, frontiers", file=sys.stderr)
+    print("tier-1 tests, suite all, frontiers, Monte Carlo", file=sys.stderr)
+    sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
         "pr": args.pr,
@@ -200,6 +230,7 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "src_lines_total": sum(lines.values()),
         "frontiers": frontiers(),
+        "monte_carlo": monte_carlo(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
