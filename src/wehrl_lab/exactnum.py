@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import mul
 
 import numpy as np
+
+_FLOAT_LOOP_NODES = 32  # numpy's dispatch outweighs n^2 float steps below 35-40
 
 
 class FloatRangeExceeded(ValueError):
@@ -43,6 +45,15 @@ def pochhammer(x, k: int) -> Fraction:
                     x.denominator ** k)
 
 
+def _recurrence(x, steps):
+    """(p_{n-1}, p_n, sum_{k<=n} p_k^2) at x, a float or an array."""
+    p0, p1, total = 0.0, 1.0, 1.0
+    for a, b0, b1 in steps:  # (a_j, b_j, b_{j+1}), j < n
+        p0, p1 = p1, ((x - a) * p1 - b0 * p0) / b1
+        total += p1 * p1
+    return p0, p1, total
+
+
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes s and weights w of the n-point Gauss rule for int_0^1
     (1 - s)^alpha s^beta f(s) ds, exact up to degree 2n - 1.  On x = 2s - 1
@@ -51,10 +62,12 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     corrected to first order in the rounding of x by dx = -b_n p_n p_{n-1}/K
     (Newton, by Christoffel-Darboux) and K'/K = ((alpha + beta + 2) x +
     alpha - beta) / (1 - x^2).  p_k^2 <= K = mu_0/w overflows only where w
-    underflows; w is 0 there.  4e-13 from 40-digit weights up to n = 514."""
-    if n < 1 or alpha <= -1 or beta <= -1:
-        raise ValueError(f"a Gauss-Jacobi rule needs n >= 1 and alpha, beta "
-                         f"> -1, got n, alpha, beta = {n}, {alpha}, {beta}")
+    underflows; w is 0 there.  4e-13 from 40-digit weights up to n = 514.
+    Up to _FLOAT_LOOP_NODES nodes the same pass runs node by node on floats."""
+    if (isinstance(n, bool) or not isinstance(n, Integral) or n < 1
+            or not (-1 < alpha < math.inf and -1 < beta < math.inf)):
+        raise ValueError(f"Gauss-Jacobi needs int n >= 1 and alpha, beta > -1"
+                         f" finite; got n, alpha, beta = {n}, {alpha}, {beta}")
     ab = alpha + beta
     a = [(beta - alpha) / (ab + 2)] + [
         (beta - alpha) * ab / ((2 * k + ab) * (2 * k + ab + 2))
@@ -65,15 +78,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
           for k in range(2, n + 1)]  # b[k] couples p_{k-1} and p_k
     jacobi = np.zeros((n, n))
     jacobi.flat[::n + 1], jacobi.flat[n::n + 1] = a, b[1:n]  # lower half
-    x = np.linalg.eigvalsh(jacobi)
+    x = np.array(a) if n == 1 else np.linalg.eigvalsh(jacobi)  # a 1x1 is a[0]
     lg = math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(ab + 2)
     mu0 = math.exp(lg) if ab >= 169 else (  # Gamma is exact at small ints
         math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1))
-    p0, p1, total = np.zeros(n), np.ones(n), 1.0
+    steps = list(zip(a, b, b[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            p0, p1 = p1, ((x - a[j]) * p1 - b[j] * p0) / b[j + 1]
-            total += p1 * p1
+        p0, p1, total = (_recurrence(x, steps) if n > _FLOAT_LOOP_NODES else
+                         np.array([_recurrence(t, steps) for t in x.tolist()]).T)
         dx = -b[n] * p1 * p0 / total
         dx = dx if np.isfinite(dx).all() else np.nan_to_num(dx)
         total *= 1 + dx * ((ab + 2) * x + alpha - beta) / (1 - x * x)

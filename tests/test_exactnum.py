@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from test_disc import _cmul
 from wehrl_lab.disc import PolyFun, norm2_exact
-from wehrl_lab.exactnum import PiScaledRational, QC, gauss_jacobi, pochhammer
+from wehrl_lab import exactnum
+from wehrl_lab.exactnum import (PiScaledRational, QC, _recurrence,
+                                gauss_jacobi, pochhammer)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
@@ -142,7 +144,7 @@ def _gauss_jacobi_reference(nodes, n: int, alpha, beta) -> tuple:
 
 @pytest.mark.parametrize("beta", [0, Fraction(1, 2), Fraction(5, 2)])
 @pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 7, 100])
-@pytest.mark.parametrize("n", [1, 2, 17, 101, 251])
+@pytest.mark.parametrize("n", [1, 2, 17, 32, 33, 101, 251])
 def test_gauss_jacobi_matches_a_40_digit_reference(n, alpha, beta):
     s, w = gauss_jacobi(n, float(alpha), float(beta))
     assert np.all(np.diff(s) > 0) and 0 < s[0] and s[-1] < 1
@@ -165,9 +167,51 @@ def test_gauss_jacobi_matches_a_40_digit_reference(n, alpha, beta):
 
 def test_gauss_jacobi_refuses_bad_sizes_and_weights():
     for args in ((0, 0.0, 0.0), (-2, 0.0, 0.0), (3, -1.0, 0.0),
-                 (3, 0.0, -1.0), (3, -2.5, 0.5)):
+                 (3, 0.0, -1.0), (3, -2.5, 0.5), (3.0, 0.0, 0.0),
+                 (True, 0.0, 0.0), (Fraction(3), 0.0, 0.0),
+                 (5, math.nan, 0.0), (5, 0.0, math.inf),
+                 (5, -math.inf, 0.0)):
         with pytest.raises(ValueError, match="n >= 1 and alpha, beta > -1"):
             gauss_jacobi(*args)
+    # A numpy integer is a size like any other.
+    for got, want in zip(gauss_jacobi(np.int64(3), 0.5, 0.0),
+                         gauss_jacobi(3, 0.5, 0.0)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, alpha, beta", [
+    (1, 0.0, 0.0), (2, 0.5, 1.0), (31, 7.0, 0.5), (32, 1000.0, 1000.0),
+    (33, 0.0, 2.5), (64, 100.0, 0.0), (300, 1000.0, 0.0)])
+def test_recurrence_is_bit_identical_node_by_node_and_on_the_array(
+        monkeypatch, n, alpha, beta):
+    # gauss_jacobi runs the recurrence node by node on floats up to
+    # _FLOAT_LOOP_NODES nodes and on the node array above.  Both take the
+    # same IEEE steps, so neither _recurrence nor the rule may depend on the
+    # side of the cutoff.  At (32, 1000, 1000) mu_0 = B(1001, 1001) lies
+    # below the float range and every weight is 0; at (300, 1000, 0) the
+    # recurrence overflows to inf and nan at the nodes nearest s = 1.
+    seen = []
+
+    def spy(x, steps):
+        seen.append(steps)
+        return _recurrence(x, steps)
+
+    monkeypatch.setattr(exactnum, "_recurrence", spy)
+    rules = []
+    for cutoff in (0, 10 ** 6):  # every rule on the array, then by node
+        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        s, w = gauss_jacobi(n, alpha, beta)
+        rules.append(s.tobytes() + w.tobytes())
+    assert rules[0] == rules[1]
+    if (n, alpha, beta) == (32, 1000.0, 1000.0):
+        assert np.all(w == 0)
+    x = 2 * s - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_array = _recurrence(x, seen[0])
+    by_node = np.array([_recurrence(t, seen[0]) for t in x.tolist()]).T
+    for got, want in zip(on_array, by_node):
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+    assert np.isfinite(by_node).all() == (n < 300)
 
 
 def test_gauss_jacobi_weights_below_the_float_range_are_zero():

@@ -19,7 +19,9 @@ It measures the checkout it lives in, whatever the working directory:
   which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s;
 * the median ms of five ``selberg_numeric(..., "monte_carlo", 10**6, seed)``
   calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), and the peak
-  bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0).
+  bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0);
+* the median us of 51 ``gauss_jacobi(n, 0.5, 1.0)`` calls at 9, 32, 33 and
+  514 nodes, on both sides of the cutoff between its two loop orders.
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
@@ -202,6 +204,22 @@ def monte_carlo() -> dict:
             "traced_peak_bytes": peak}
 
 
+def gauss_rules() -> dict:
+    """Median us of 51 gauss_jacobi(n, 0.5, 1.0) calls per node count: node
+    by node on floats at 9 and 32 nodes, on the node array at 33 and 514."""
+    from wehrl_lab.exactnum import gauss_jacobi
+
+    median_us = {}
+    for n in (9, 32, 33, 514):
+        times = []
+        for _ in range(51):
+            t0 = perf_counter()
+            gauss_jacobi(n, 0.5, 1.0)
+            times.append(perf_counter() - t0)
+        median_us[str(n)] = 1e6 * median(times)
+    return {"alpha": 0.5, "beta": 1.0, "median_us": median_us}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, type=int)
@@ -215,7 +233,8 @@ def main(argv=None) -> int:
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
-    print("tier-1 tests, suite all, frontiers, Monte Carlo", file=sys.stderr)
+    print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules",
+          file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -231,6 +250,7 @@ def main(argv=None) -> int:
         "src_lines_total": sum(lines.values()),
         "frontiers": frontiers(),
         "monte_carlo": monte_carlo(),
+        "gauss_rules": gauss_rules(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
