@@ -45,13 +45,17 @@ def pochhammer(x, k: int) -> Fraction:
                     x.denominator ** k)
 
 
-def _recurrence(x, steps):
-    """(p_{n-1}, p_n, sum_{k<=n} p_k^2) at x, a float or an array."""
+def _rule(x, steps, alpha, beta, mu0):
+    """(s, w) at an eigenvalue x or their array: recurrence, then Newton."""
     p0, p1, total = 0.0, 1.0, 1.0
     for a, b0, b1 in steps:  # (a_j, b_j, b_{j+1}), j < n
         p0, p1 = p1, ((x - a) * p1 - b0 * p0) / b1
         total += p1 * p1
-    return p0, p1, total
+    dx = -b1 * p1 * p0 / total  # b1 = b_n
+    ok = math.isfinite(dx) if isinstance(dx, float) else np.isfinite(dx).all()
+    dx = dx if ok else np.nan_to_num(dx)
+    total *= 1 + dx * ((alpha + beta + 2) * x + alpha - beta) / (1 - x * x)
+    return (1 + x + dx) / 2, mu0 / total
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float):
@@ -82,15 +86,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     lg = math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(ab + 2)
     mu0 = math.exp(lg) if ab >= 169 else (  # Gamma is exact at small ints
         math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1))
-    steps = list(zip(a, b, b[1:]))
+    args = list(zip(a, b, b[1:])), alpha, beta, mu0
     with np.errstate(over="ignore", invalid="ignore"):
-        p0, p1, total = (_recurrence(x, steps) if n > _FLOAT_LOOP_NODES else
-                         np.array([_recurrence(t, steps) for t in x.tolist()]).T)
-        dx = -b[n] * p1 * p0 / total
-        dx = dx if np.isfinite(dx).all() else np.nan_to_num(dx)
-        total *= 1 + dx * ((ab + 2) * x + alpha - beta) / (1 - x * x)
-        w = mu0 / total
-        return (1 + x + dx) / 2, w if np.isfinite(w).all() else np.nan_to_num(w)
+        try:
+            s, w = (np.array([_rule(t, *args) for t in x.tolist()]).T.copy()
+                    if n <= _FLOAT_LOOP_NODES else _rule(x, *args))
+        except ZeroDivisionError:  # a float 1/0 (b_k = 0, x = +-1) is inf here
+            s, w = _rule(x, *args)
+        return s, w if np.isfinite(w).all() else np.nan_to_num(w)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,8 @@ from hypothesis import given, strategies as st
 from test_disc import _cmul
 from wehrl_lab.disc import PolyFun, norm2_exact
 from wehrl_lab import exactnum
-from wehrl_lab.exactnum import (PiScaledRational, QC, _recurrence,
-                                gauss_jacobi, pochhammer)
+from wehrl_lab.exactnum import (PiScaledRational, QC, _rule, gauss_jacobi,
+                                pochhammer)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
@@ -181,37 +182,48 @@ def test_gauss_jacobi_refuses_bad_sizes_and_weights():
 
 @pytest.mark.parametrize("n, alpha, beta", [
     (1, 0.0, 0.0), (2, 0.5, 1.0), (31, 7.0, 0.5), (32, 1000.0, 1000.0),
-    (33, 0.0, 2.5), (64, 100.0, 0.0), (300, 1000.0, 0.0)])
-def test_recurrence_is_bit_identical_node_by_node_and_on_the_array(
+    (33, 0.0, 2.5), (64, 100.0, 0.0), (300, 1000.0, 0.0),
+    (1, -0.999999, 1e20), (2, -0.999999, 1e20), (2, 1e100, 0.0)])
+def test_rule_is_bit_identical_node_by_node_and_on_the_array(
         monkeypatch, n, alpha, beta):
-    # gauss_jacobi runs the recurrence node by node on floats up to
-    # _FLOAT_LOOP_NODES nodes and on the node array above.  Both take the
-    # same IEEE steps, so neither _recurrence nor the rule may depend on the
-    # side of the cutoff.  At (32, 1000, 1000) mu_0 = B(1001, 1001) lies
-    # below the float range and every weight is 0; at (300, 1000, 0) the
-    # recurrence overflows to inf and nan at the nodes nearest s = 1.
+    # gauss_jacobi runs _rule node by node on floats up to _FLOAT_LOOP_NODES
+    # nodes and on the node array above.  Both take the same IEEE steps, so
+    # neither _rule nor the rule may depend on the side of the cutoff.  At
+    # (32, 1000, 1000) mu_0 = B(1001, 1001) lies below the float range and
+    # every weight is 0; at (300, 1000, 0) the recurrence overflows to inf
+    # and nan at the nodes nearest s = 1.  At beta = 1e20 the nodes round to
+    # x = 1 and at alpha = 1e100 b_2 underflows to 0: there a float 1/0
+    # raises, and the rule falls back to the array, where numpy's is inf.
     seen = []
 
-    def spy(x, steps):
-        seen.append(steps)
-        return _recurrence(x, steps)
+    def spy(x, *args):
+        seen.append((type(x), args))
+        return _rule(x, *args)
 
-    monkeypatch.setattr(exactnum, "_recurrence", spy)
+    monkeypatch.setattr(exactnum, "_rule", spy)
     rules = []
     for cutoff in (0, 10 ** 6):  # every rule on the array, then by node
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
-        s, w = gauss_jacobi(n, alpha, beta)
+        seen.clear()
+        with warnings.catch_warnings():  # numpy's 1/0 at alpha = 1e100
+            warnings.simplefilter("ignore", RuntimeWarning)
+            s, w = gauss_jacobi(n, alpha, beta)
+        assert s.flags.c_contiguous and w.flags.c_contiguous
         rules.append(s.tobytes() + w.tobytes())
     assert rules[0] == rules[1]
-    if (n, alpha, beta) == (32, 1000.0, 1000.0):
+    degenerate = max(alpha, beta) > 1e6
+    assert {t for t, _ in seen} == ({float, np.ndarray} if degenerate
+                                    else {float})
+    if degenerate or (n, alpha, beta) == (32, 1000.0, 1000.0):
         assert np.all(w == 0)
+    if degenerate:
+        return
     x = 2 * s - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        on_array = _recurrence(x, seen[0])
-    by_node = np.array([_recurrence(t, seen[0]) for t in x.tolist()]).T
+        on_array = _rule(x, *seen[0][1])
+        by_node = np.array([_rule(t, *seen[0][1]) for t in x.tolist()]).T
     for got, want in zip(on_array, by_node):
-        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
-    assert np.isfinite(by_node).all() == (n < 300)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gauss_jacobi_weights_below_the_float_range_are_zero():
