@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-_FLOAT_LOOP_NODES = 32  # numpy's dispatch outweighs n^2 float steps below 35-40
+_FLOAT_LOOP_NODES = 32  # numpy's dispatch outweighs n^2 float steps below 32-40
 
 
 class FloatRangeExceeded(ValueError):
