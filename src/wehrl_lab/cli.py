@@ -125,7 +125,8 @@ def degrees(domain, lam, n):
 @click.option("--gamma", required=True)
 @click.option("--method", default="monte_carlo", show_default=True,
               type=click.Choice(["monte_carlo", "gauss_jacobi"]))
-@click.option("--budget", default=100_000, show_default=True, type=int)
+@click.option("--budget", default=100_000, show_default=True, type=int,
+              help="monte_carlo: samples; gauss_jacobi: most nodes per axis")
 @click.option("--seed", default=0, show_default=True, type=int)
 def selberg(r, a, b, gamma, method, budget, seed):
     """Closed form and numerical estimate of the Selberg integral."""

@@ -72,7 +72,10 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
             or not (-1 < alpha < math.inf and -1 < beta < math.inf)):
         raise ValueError(f"Gauss-Jacobi needs int n >= 1 and alpha, beta > -1"
                          f" finite; got n, alpha, beta = {n}, {alpha}, {beta}")
+    alpha, beta = float(alpha), float(beta)  # a Fraction alike at every n
     ab = alpha + beta
+    if 2 * n + ab >= 1e77:  # (2k + alpha + beta)^4 in b_k would overflow
+        raise FloatRangeExceeded(f"Gauss-Jacobi overflows at alpha+beta {ab:g}")
     a = [(beta - alpha) / (ab + 2)] + [
         (beta - alpha) * ab / ((2 * k + ab) * (2 * k + ab + 2))
         for k in range(1, n)]
@@ -91,9 +94,13 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
         try:
             s, w = (np.array([_rule(t, *args) for t in x.tolist()]).T.copy()
                     if n <= _FLOAT_LOOP_NODES else _rule(x, *args))
-        except ZeroDivisionError:  # a float 1/0 (b_k = 0, x = +-1) is inf here
+        except ZeroDivisionError:  # a float 1/0 (a node x = +-1) is inf here
             s, w = _rule(x, *args)
-        return s, w if np.isfinite(w).all() else np.nan_to_num(w)
+        w = w if np.isfinite(w).all() else np.nan_to_num(w)
+    if not (mu0 > 0 and abs(math.fsum(w.tolist()) / mu0 - 1) < 1e-9):  # mu_0 mass
+        raise FloatRangeExceeded(f"Gauss-Jacobi rule {n, alpha, beta}: weights"
+                                 f" sum to {w.sum()}, not mu_0 = {mu0}")
+    return s, w
 
 
 @dataclass(frozen=True)
@@ -129,21 +136,26 @@ class PiScaledRational:
         return PiScaledRational(self.coeff ** n, self.pi_power * n)
 
     def __eq__(self, other):
-        if isinstance(other, PiScaledRational):
-            if self.coeff == 0 and other.coeff == 0:
-                return True
-            return self.coeff == other.coeff and self.pi_power == other.pi_power
+        if isinstance(other, PiScaledRational):  # a zero has every pi power
+            return self.coeff == other.coeff and (
+                not self.coeff or self.pi_power == other.pi_power)
         if isinstance(other, Rational):
             return self == PiScaledRational(Fraction(other), 0)
         return NotImplemented
 
     def __hash__(self):
-        if self.coeff == 0:
-            return hash(Fraction(0))
-        return hash((self.coeff, self.pi_power))
+        return hash((self.coeff, self.pi_power) if self.coeff else Fraction(0))
 
     def __float__(self):
-        return float(self.coeff) * math.pi ** self.pi_power
+        c, k = self.coeff, self.pi_power
+        e = c.numerator.bit_length() - c.denominator.bit_length()  # ~ log2 c
+        if -1000 < e < 1000 and -500 < k < 500 and -1000 < e + 2 * k < 1000:
+            return float(c) * math.pi ** k  # float(c), pi^k and product normal
+        from decimal import Decimal  # loaded only past a factor's float range
+        value = float(c.numerator * Decimal(math.pi) ** k / c.denominator)
+        if not math.isinf(value):  # decimal's range is wider than float's
+            return value
+        raise FloatRangeExceeded(f"~2^{e + 1.65 * k:.0f} > float limit 1.8e308")
 
     def as_rational(self) -> Fraction:
         """The coefficient, asserting the value is pi-free."""
@@ -160,9 +172,8 @@ class PiScaledRational:
         }
 
     def __repr__(self):
-        if self.pi_power == 0:
-            return f"{self.coeff}"
-        return f"{self.coeff}*pi^{self.pi_power}"
+        return f"{self.coeff}*pi^{self.pi_power}" if self.pi_power else (
+            f"{self.coeff}")
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ form so they can act as oracles for the exact degree computations:
   as long; at b = 0 this draws 1 - s, which serves as well because the
   importance weight is unchanged by s -> 1 - s (see _monte_carlo).
 
-Node counts come from the degree of the integrand, never from the closed
-form.  Each quadrature is compared with a larger rule; both tensor rules
-refuse a grid of more than MAX_GRID_POINTS points before building it.
+Node counts come from the integrand's degree, never from the closed form:
+each quadrature runs its one exact rule, refusing grids over MAX_GRID_POINTS.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,9 +64,8 @@ class SelbergSpec:
     gamma: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        for name in ("a", "b", "gamma"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not isinstance(self.r, (int, np.integer)) or self.r < 1:
             raise ValueError(f"rank r must be an int >= 1, got r={self.r!r}")
         if self.a < 0:
@@ -80,7 +79,7 @@ class SelbergSpec:
 class NumericEstimate:
     value: float
     stderr: float          # Monte Carlo standard error, 0.0 for quadrature
-    abs_err_bound: float   # quadrature self-estimate, 0.0 for Monte Carlo
+    abs_err_bound: float   # quadrature rounding bound, 0.0 for Monte Carlo
     samples_or_nodes: int
     seed: int
     method: str
@@ -136,23 +135,17 @@ def _tensor_rule(rules):
     rules; refuses, before building it, a grid over MAX_GRID_POINTS."""
     r, nodes = len(rules), len(rules[0][0])
     if nodes ** r > MAX_GRID_POINTS:
-        raise MethodUnsupported(
-            f"a tensor rule at r={r} with {nodes} nodes per axis exceeds "
-            f"the limit of {MAX_GRID_POINTS} grid points")
-    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", sparse=True)
-    W = np.ones(())
-    for wg in np.meshgrid(*(w for _, w in rules), indexing="ij", sparse=True):
-        W = W * wg
-    return grids, W
+        raise MethodUnsupported(f"a tensor rule at r={r} with {nodes} nodes "
+                                f"passes the limit of {MAX_GRID_POINTS} points")
+    x, w = (np.meshgrid(*z, indexing="ij", sparse=True) for z in zip(*rules))
+    return x, functools.reduce(np.multiply, w)
 
 
 def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
     rule = gauss_jacobi(nodes, float(spec.gamma), float(spec.b))
     s, F = _tensor_rule([rule] * spec.r)
-    a_int = int(spec.a)
-    for i in range(spec.r):
-        for j in range(i + 1, spec.r):
-            F = F * (s[i] - s[j]) ** a_int
+    for i, j in itertools.combinations(range(spec.r), 2):
+        F = F * (s[i] - s[j]) ** int(spec.a)
     return float(np.sum(F))
 
 
@@ -175,21 +168,34 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
     if spec.b != 0:
         for tj in t:
             F = F * (1.0 - tj) ** float(spec.b)
-    for i in range(r):
-        for j in range(i + 1, r):
-            F = F * (t[i] - t[j]) ** float(spec.a)
+    for i, j in itertools.combinations(range(r), 2):
+        F = F * (t[i] - t[j]) ** float(spec.a)
     return float(np.sum(F))
 
 
-def _rule_pair(rule, spec: SelbergSpec, nodes: int, extra: int, method: str,
-               seed: int) -> NumericEstimate:
-    """The rule at nodes + extra per axis, bounded by its distance to the
-    rule at nodes; the larger runs first, so no grid is built in vain."""
-    v_more, v = rule(spec, nodes + extra), rule(spec, nodes)
-    return NumericEstimate(value=v_more, stderr=0.0,
-                           abs_err_bound=abs(v_more - v),
-                           samples_or_nodes=nodes + extra, seed=seed,
-                           method=method)
+def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
+                method: str, seed: int) -> NumericEstimate:
+    """rule(spec, nodes) at the node count that makes it exact, refused over
+    `limit`, with its rounding bound in units of eps |value|, eps = 2^-52.
+    Grid terms are >= 0, so relative errors per term bound the sum's: numpy
+    adds the nodes^r terms pairwise, eight lanes per block of <= 128, so a
+    term meets <= log2(nodes^r) + 17 additions and r(b+2) + (a+3) r(r-1)/2
+    roundings (weights, products t_j, powers of 1 - t_j and of differences,
+    x^a scaling the error of x a-fold); each axis's (alpha, beta) rule has
+    nodes within eps, weights within 16 + 4 nodes + L, L = sum |ln Gamma| at
+    alpha + 1, beta + 1, alpha + beta + 2 as mu_0 (1.5x the worst, n <= 30)."""
+    if nodes > limit:
+        raise MethodUnsupported(f"{method} at r={spec.r} needs {nodes} nodes "
+                                f"per axis to be exact; the budget is {limit}")
+    value, r, g = rule(spec, nodes), spec.r, float(spec.gamma)
+    axes = ([(g, float(spec.b))] * r if rule is _gauss_jacobi_tensor
+            else [(0.0, k + g * (k + 1)) for k in range(r)])  # sector betas
+    steps = ((nodes ** r).bit_length() + 17 + r * (float(spec.b) + 18
+             + 4 * nodes) + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
+                 abs(math.lgamma(x)) for al, be in axes
+                 for x in (al + 1, be + 1, al + be + 2)))
+    return NumericEstimate(value, 0.0, steps * 2.0 ** -52 * abs(value), nodes,
+                           seed, method)
 
 
 def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
@@ -257,10 +263,9 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
                     seed: int = 0) -> NumericEstimate:
     """Numerical estimate of the Selberg integral.
 
-    method "gauss_jacobi": tensor rule at min(budget, a(r-1)/2 + 1) nodes
-    per axis, the exact count, compared with 8 nodes more; requires the
-    interaction exponent a to be a nonnegative even integer.
-    method "monte_carlo": importance sampling, budget = sample count.
+    method "gauss_jacobi": the tensor rule at a(r-1)/2 + 1 nodes per axis,
+    exact for even integer a >= 0; MethodUnsupported when that count
+    exceeds budget.  method "monte_carlo": budget = sample count.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got budget={budget}")
@@ -268,13 +273,11 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
         if spec.a.denominator != 1 or int(spec.a) % 2 != 0:
             raise MethodUnsupported(
                 f"gauss_jacobi needs even integer a, got a={spec.a}")
-        nodes = min(budget, int(spec.a) * (spec.r - 1) // 2 + 1)
-        return _rule_pair(_gauss_jacobi_tensor, spec, nodes, 8, method, seed)
+        return _exact_rule(_gauss_jacobi_tensor, spec, int(spec.a)
+                           * (spec.r - 1) // 2 + 1, budget, method, seed)
     if method == "monte_carlo":
         value, stderr = _monte_carlo(spec, budget, seed)
-        return NumericEstimate(value=value, stderr=stderr, abs_err_bound=0.0,
-                               samples_or_nodes=budget, seed=seed,
-                               method=method)
+        return NumericEstimate(value, stderr, 0.0, budget, seed, method)
     raise MethodUnsupported(f"unknown method {method!r}")
 
 
@@ -285,33 +288,28 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     The defining integral over the domain reduces, through the polar
     decomposition and s = t^2, to C times the Selberg integral with
     gamma = lambda - p.  The numeric route never touches the exact degree
-    formula.  The quadrature is the tensor Gauss-Jacobi rule (sized as in
-    selberg_numeric) when a is even, else the ordered-sector rule at
-    min(max(64, budget), D // 2 + 1) nodes per axis, D its largest degree on
-    any axis, compared with 12 nodes more.
+    formula.  Its one rule is exact: the tensor rule of selberg_numeric for
+    even a, else the ordered-sector rule at D // 2 + 1 nodes per axis, D its
+    largest degree on any axis, with budgets of at least 48 and 64 nodes.
+    error_bound is that rule's rounding bound, scaled as the product is.
     """
     lam = Fraction(lam)
     if not hc_admissible(d, lam):
         raise NotAdmissible(f"lambda={lam} inadmissible for {d.family_label}")
     spec = SelbergSpec(d.r, Fraction(d.a), Fraction(d.b), lam - d.p)
-    C = laguerre_constant_C(d)
-    C_float = float(C)
-    d_exact = scalar_formal_degree(d, lam)
+    C, d_exact = laguerre_constant_C(d), scalar_formal_degree(d, lam)
     try:
-        d_float = float(d_exact)
-    except OverflowError:
-        raise FloatRangeExceeded(
-            f"d_lambda of {d.family_label} {(d.r, d.a, d.b)} at lambda = "
-            f"{lam} exceeds the float limit 1.8e308") from None
-
+        C_float, d_float = float(C), float(d_exact)
+    except FloatRangeExceeded as exc:
+        raise FloatRangeExceeded(f"{d.family_label} {(d.r, d.a, d.b)} at "
+                                 f"lambda = {lam}: {exc}") from None
     if d.a % 2 == 0:
         est = selberg_numeric(spec, "gauss_jacobi", max(48, budget), seed)
     else:
         degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
                      for m in range(1, d.r + 1))
-        nodes = min(max(64, budget), degree // 2 + 1)
-        est = _rule_pair(ordered_sector_quadrature, spec, nodes, 12,
-                         "ordered_quadrature", seed)
+        est = _exact_rule(ordered_sector_quadrature, spec, degree // 2 + 1,
+                          max(64, budget), "ordered_quadrature", seed)
 
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse

@@ -71,12 +71,12 @@ def test_selberg_json_without_telescoping(runner):
 
 def test_selberg_gauss_jacobi_default_budget(runner):
     # The default budget of 100000 caps the nodes per axis; the degree of
-    # the integrand sets them.
+    # the integrand sets them: a(r-1)/2 + 1 = 9, one exact rule.
     res = runner.invoke(main, ["selberg", "--r", "3", "--a", "8", "--b", "0",
                                "--gamma", "1/2", "--method", "gauss_jacobi"])
     assert res.exit_code == 0
     out = json.loads(res.output)
-    assert out["deviation"] < 1e-12 and out["samples_or_nodes"] == 17
+    assert out["deviation"] < 1e-12 and out["samples_or_nodes"] == 9
 
 
 def test_numeric_import_path_leaves_sympy_out():

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from test_disc import _cmul
 from wehrl_lab.disc import PolyFun, norm2_exact
 from wehrl_lab import exactnum
-from wehrl_lab.exactnum import (PiScaledRational, QC, _rule, gauss_jacobi,
-                                pochhammer)
+from wehrl_lab.exactnum import (FloatRangeExceeded, PiScaledRational, QC,
+                                _rule, gauss_jacobi, pochhammer)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
@@ -74,6 +74,38 @@ def test_pi_scaled_zero_and_rational():
     assert PiScaledRational(Fraction(7)).as_rational() == 7
     with pytest.raises(ValueError):
         PiScaledRational(Fraction(1), 1).as_rational()
+
+
+@pytest.mark.parametrize("coeff, pi_power", [
+    (Fraction(1, 10 ** 300), 700), (Fraction(10 ** 400), -400),
+    (Fraction(-1, 10 ** 400), 300), (Fraction(7, 10 ** 20), 640),
+    (Fraction(10 ** 320, 3), -40)])
+def test_pi_scaled_float_in_range_with_a_factor_outside_it(coeff, pi_power):
+    # pi^700 and 10^400 overflow a float and 10^-400 underflows it, but the
+    # values, 1.01e48 down to -1.40e-251, lie in the float range.
+    with mpmath.workdps(40):
+        want = (mpmath.mpf(coeff.numerator) / coeff.denominator
+                * mpmath.pi ** pi_power)
+    assert float(PiScaledRational(coeff, pi_power)) == pytest.approx(
+        float(want), rel=1e-13)
+    assert float(PiScaledRational(Fraction(1, 10 ** 300), 700)) \
+        == pytest.approx(1.0113719067206947e48, rel=1e-13)
+
+
+def test_pi_scaled_float_keeps_values_within_the_range_bit_for_bit():
+    for coeff, pi_power in ((Fraction(3, 7), 27), (Fraction(-2, 9), -54),
+                            (Fraction(10 ** 200, 7), 100)):
+        got = float(PiScaledRational(coeff, pi_power))
+        assert got == float(coeff) * math.pi ** pi_power
+    assert float(PiScaledRational(Fraction(0), 900)) == 0.0
+
+
+@pytest.mark.parametrize("coeff, pi_power", [
+    (Fraction(10 ** 300), 100), (Fraction(-1), 700),
+    (Fraction(10 ** 400), 0)])
+def test_pi_scaled_float_past_the_float_range_raises_typed(coeff, pi_power):
+    with pytest.raises(FloatRangeExceeded, match="float limit 1.8e308"):
+        float(PiScaledRational(coeff, pi_power))
 
 
 def test_pi_scaled_json_roundtrip_fields():
@@ -189,11 +221,11 @@ def test_rule_is_bit_identical_node_by_node_and_on_the_array(
     # gauss_jacobi runs _rule node by node on floats up to _FLOAT_LOOP_NODES
     # nodes and on the node array above.  Both take the same IEEE steps, so
     # neither _rule nor the rule may depend on the side of the cutoff.  At
-    # (32, 1000, 1000) mu_0 = B(1001, 1001) lies below the float range and
-    # every weight is 0; at (300, 1000, 0) the recurrence overflows to inf
-    # and nan at the nodes nearest s = 1.  At beta = 1e20 the nodes round to
-    # x = 1 and at alpha = 1e100 b_2 underflows to 0: there a float 1/0
-    # raises, and the rule falls back to the array, where numpy's is inf.
+    # (300, 1000, 0) the recurrence overflows to inf and nan at the nodes
+    # nearest s = 1.  At (32, 1000, 1000) mu_0 = B(1001, 1001) lies below the
+    # float range, at beta = 1e20 the nodes round to x = 1 and at alpha =
+    # 1e100 the recurrence overflows: no rule is left, and both sides raise
+    # FloatRangeExceeded, without a warning.
     seen = []
 
     def spy(x, *args):
@@ -201,23 +233,25 @@ def test_rule_is_bit_identical_node_by_node_and_on_the_array(
         return _rule(x, *args)
 
     monkeypatch.setattr(exactnum, "_rule", spy)
+    degenerate = ((n, alpha, beta) == (32, 1000.0, 1000.0)
+                  or max(alpha, beta) > 1e6)
     rules = []
     for cutoff in (0, 10 ** 6):  # every rule on the array, then by node
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
         seen.clear()
-        with warnings.catch_warnings():  # numpy's 1/0 at alpha = 1e100
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if degenerate:
+                with pytest.raises(FloatRangeExceeded):
+                    gauss_jacobi(n, alpha, beta)
+                continue
             s, w = gauss_jacobi(n, alpha, beta)
         assert s.flags.c_contiguous and w.flags.c_contiguous
         rules.append(s.tobytes() + w.tobytes())
-    assert rules[0] == rules[1]
-    degenerate = max(alpha, beta) > 1e6
-    assert {t for t, _ in seen} == ({float, np.ndarray} if degenerate
-                                    else {float})
-    if degenerate or (n, alpha, beta) == (32, 1000.0, 1000.0):
-        assert np.all(w == 0)
     if degenerate:
         return
+    assert rules[0] == rules[1]
+    assert {t for t, _ in seen} == {float}
     x = 2 * s - 1
     with np.errstate(over="ignore", invalid="ignore"):
         on_array = _rule(x, *seen[0][1])
@@ -234,3 +268,29 @@ def test_gauss_jacobi_weights_below_the_float_range_are_zero():
     assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)
     assert np.all(w[:-16] > 0) and np.all(w[-16:] == 0)
     assert math.fsum(w) == pytest.approx(1 / 1001, rel=1e-11)
+
+
+@pytest.mark.parametrize("n, alpha, beta, cause", [
+    (32, 1000.0, 1000.0, "mu_0 = 0.0"), (1, -0.999999, 1e20, "sum to 0.0"),
+    (2, -0.999999, 1e20, "sum to 0.0"), (2, 1e100, 0.0, "overflows"),
+    (3, 1e154, 1e154, "overflows")])
+def test_gauss_jacobi_beyond_the_float_range_raises_typed(
+        monkeypatch, n, alpha, beta, cause):
+    # mu_0 = B(1001, 1001) underflows; at beta = 1e20 the nodes round to
+    # x = 1, where no weight survives; past alpha + beta = 1e77 the
+    # recurrence's (2k + alpha + beta)^4 overflows (a bare OverflowError at
+    # 1e154).  Each raises, node by node and on the array, without warnings.
+    for cutoff in (0, 10 ** 6):
+        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatRangeExceeded, match=cause):
+                gauss_jacobi(n, alpha, beta)
+
+
+@pytest.mark.parametrize("n", [4, 32, 33, 40])
+def test_gauss_jacobi_takes_a_fraction_weight_at_every_size(n):
+    # A Fraction runs as its float on both loop orders.
+    for got, want in zip(gauss_jacobi(n, Fraction(1, 2), Fraction(3)),
+                         gauss_jacobi(n, 0.5, 3.0)):
+        assert got.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,8 +274,11 @@ def test_degree_sized_rules_are_tight(rule, nodes, case):
 
 @pytest.mark.parametrize("r, a", [(2, 169), (3, 61)])
 def test_verify_degree_integral_beyond_float_range_raises_typed(r, a):
+    # At lambda = 2p, d_lambda is about 2^1081 and 2^1091, past the float
+    # range; at p + 1/2 it is about 2^747 and 2^749, inside it (see
+    # test_verify_degree_integral_converts_every_degree_in_range).
     d = DomainParams("custom", r, a, 0)
-    lam = d.p + Fraction(1, 2)
+    lam = 2 * d.p
     with pytest.raises(FloatRangeExceeded) as err:
         verify_degree_integral(d, lam)
     assert isinstance(err.value, ValueError)
@@ -283,16 +287,95 @@ def test_verify_degree_integral_beyond_float_range_raises_typed(r, a):
     assert "float limit 1.8e308" in msg
 
 
+@pytest.mark.parametrize("r, a", [(2, 169), (3, 61)])
+def test_verify_degree_integral_converts_every_degree_in_range(r, a):
+    # d_lambda = q pi^-N with q past 2^1024 and N = 171 or 186: the value
+    # lies in the float range though q and pi^N do not.
+    d = DomainParams("custom", r, a, 0)
+    rep = verify_degree_integral(d, d.p + Fraction(1, 2))
+    assert 1e200 < rep["d_lambda"]["float"] < 1e308
+    assert rep["deviation"] < 1e-12 and rep["error_bound"] < 1e-12
+
+
 def test_verify_degree_integral_node_counts():
-    # Nodes per axis of the larger rule: the degree count plus 8 (tensor)
-    # or 12 (sector), whatever the budget above the count.
-    table = {"disc": 9, "SU(2,2)": 10, "Sp(2,R)": 13, "Sp(3,R)": 14,
-             "SO(2,5)": 14, "SO*(8)": 11, "E6": 12, "E7": 17}
+    # Nodes per axis of the one rule: the degree count that makes it exact
+    # (tensor or sector), whatever the budget above the count.
+    table = {"disc": 1, "SU(2,2)": 2, "Sp(2,R)": 1, "Sp(3,R)": 2,
+             "SO(2,5)": 2, "SO*(8)": 3, "E6": 4, "E7": 9}
     for name, nodes in table.items():
         d = PRESETS[name]
         rep = verify_degree_integral(d, d.p + Fraction(1, 2), budget=160)
         assert rep["samples_or_nodes"] == nodes, name
         assert rep["deviation"] < 1e-12, name
+
+
+def _assert_within_bound(est, spec):
+    with mpmath.workdps(40):
+        miss = abs(mpmath.mpf(est.value) - selberg_closed_hp(spec, 40))
+    assert est.stderr == 0 and 0 < est.abs_err_bound
+    assert miss <= est.abs_err_bound, (spec, float(miss), est)
+
+
+# The one exact rule's abs_err_bound covers its whole float error; at
+# gamma up to 60 the Gauss weights' own error (mu_0's) is most of it.
+gammas = st.fractions(-1, 60, max_denominator=12).filter(lambda g: g > -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4),
+       st.fractions(0, 4, max_denominator=2), gammas)
+def test_tensor_rule_stays_within_its_rounding_bound(r, half_a, b, g):
+    spec = SelbergSpec(r, 2 * half_a, b, g)
+    est = selberg_numeric(spec, "gauss_jacobi", 100)
+    assert est.samples_or_nodes == _tensor_nodes(r, 2 * half_a)
+    _assert_within_bound(est, spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 4), gammas)
+def test_sector_rule_stays_within_its_rounding_bound(r, a, b, g):
+    spec, nodes = SelbergSpec(r, a, b, g), _sector_nodes(r, a, b)
+    _assert_within_bound(sb._exact_rule(ordered_sector_quadrature, spec,
+                                        nodes, nodes, "ordered_quadrature", 0),
+                         spec)
+
+
+@pytest.mark.parametrize("r, a, b, nodes", [
+    (6, 2, 2, 6), (7, 2, 1, 7), (6, 4, 0, 11), (5, 4, 2, 9)])
+def test_verify_degree_integral_at_the_rank_frontier(r, a, b, nodes):
+    # Past the parent's frontier (a = 2 and a = 4 stopped at rank 5): one
+    # exact rule of nodes^r points where a second rule would not fit.
+    d = DomainParams("custom", r, a, b)
+    rep = verify_degree_integral(d, d.p + Fraction(1, 2))
+    assert rep["samples_or_nodes"] == nodes
+    assert rep["deviation"] < 1e-12 and 0 < rep["error_bound"] < 1e-12
+
+
+def test_budget_below_the_exact_count_raises():
+    # The budget never tops up a coarser rule: below the exact count both
+    # routes refuse, naming the count they need and the budget they got.
+    with pytest.raises(MethodUnsupported,
+                       match=r"needs 9 nodes per axis .* budget is 3"):
+        selberg_numeric(SelbergSpec(3, 8, 0, Fraction(1, 2)), "gauss_jacobi",
+                        3)
+    assert selberg_numeric(SelbergSpec(3, 8, 0, Fraction(1, 2)),
+                           "gauss_jacobi", 9).samples_or_nodes == 9
+    d = DomainParams("custom", 2, 129, 0)  # D = 129: 65 sector nodes
+    with pytest.raises(MethodUnsupported,
+                       match=r"needs 65 nodes per axis .* budget is 64"):
+        verify_degree_integral(d, d.p + Fraction(1, 2), budget=10)
+    assert verify_degree_integral(d, d.p + Fraction(1, 2),
+                                  budget=65)["samples_or_nodes"] == 65
+
+
+def test_verify_degree_integral_with_c_beyond_float_range_raises_typed():
+    # At (30, 2, 10), lambda = 200, C underflows to 0 and d_lambda
+    # overflows; converting either is typed and names the instance.
+    d = DomainParams("custom", 30, 2, 10)
+    with pytest.raises(FloatRangeExceeded,
+                       match=r"custom \(30, 2, 10\) at lambda = 200: .*"
+                             r"float limit 1.8e308"):
+        verify_degree_integral(d, 200)
 
 
 def test_budget_below_one_is_rejected():
@@ -306,11 +389,17 @@ def test_grid_over_the_limit_raises_before_allocating(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid allocated")
     monkeypatch.setattr(sb.np, "meshgrid", no_grid)
-    d = DomainParams("custom", 6, 1, 0)
+    # Each rule is exact at its degree count: 23 sector nodes at (6, 3, 0)
+    # and 8 tensor nodes at r = 8, a = 2, both over MAX_GRID_POINTS.
+    d = DomainParams("custom", 6, 3, 0)
     with pytest.raises(MethodUnsupported,
-                       match=r"r=6 with 20 nodes .* limit of 2097152"):
+                       match=r"r=6 with 23 nodes .* limit of 2097152"):
         verify_degree_integral(d, d.p + Fraction(1, 2))
-    with pytest.raises(MethodUnsupported, match=r"r=8 with 16 nodes"):
+    d = DomainParams("custom", 8, 2, 0)
+    with pytest.raises(MethodUnsupported,
+                       match=r"r=8 with 8 nodes .* limit of 2097152"):
+        verify_degree_integral(d, d.p + Fraction(1, 2))
+    with pytest.raises(MethodUnsupported, match=r"r=8 with 8 nodes"):
         selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
     with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
         ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))

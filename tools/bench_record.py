@@ -21,7 +21,11 @@ It measures the checkout it lives in, whatever the working directory:
   calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), and the peak
   bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0);
 * the median us of 51 ``gauss_jacobi(n, 0.5, 1.0)`` calls at 9, 32, 33 and
-  514 nodes, on both sides of the cutoff between its two loop orders.
+  514 nodes, on both sides of the cutoff between its two loop orders;
+* the Selberg rank frontier: per a in {1, 2, 4}, the largest rank r at which
+  ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
+  passes (deviation below 1e-10) within 1 s, with each rank's seconds and
+  nodes per axis, and the error that refuses the first rank past it.
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
@@ -220,6 +224,35 @@ def gauss_rules() -> dict:
     return {"alpha": 0.5, "beta": 1.0, "median_us": median_us}
 
 
+def selberg_ranks() -> dict:
+    """The Selberg rank frontier per a (see the module docstring): ranks
+    r = 1, 2, ... until one is refused, fails or takes more than 1 s."""
+    from wehrl_lab.domains import DomainParams
+    from wehrl_lab.selberg import verify_degree_integral
+
+    out = {}
+    for a in (1, 2, 4):
+        rank, seconds, nodes, stop = 0, {}, {}, None
+        for r in range(1, 13):
+            d = DomainParams("custom", r, a, 0)
+            t0 = perf_counter()
+            try:
+                rep = verify_degree_integral(d, d.p + Fraction(1, 2))
+            except ValueError as exc:  # MethodUnsupported, FloatRangeExceeded
+                stop = f"r={r}: {type(exc).__name__}: {exc}"
+                break
+            seconds[str(r)] = perf_counter() - t0
+            nodes[str(r)] = rep["samples_or_nodes"]
+            if seconds[str(r)] > 1 or not rep["deviation"] < 1e-10:
+                stop = f"r={r}: {seconds[str(r)]:.2f} s, deviation " \
+                       f"{rep['deviation']}"
+                break
+            rank = r
+        out[str(a)] = {"rank_1s": rank, "seconds": seconds, "nodes": nodes,
+                       "stop": stop}
+    return {"b": 0, "lambda": "p + 1/2", "by_a": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, type=int)
@@ -233,8 +266,8 @@ def main(argv=None) -> int:
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
-    print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules",
-          file=sys.stderr)
+    print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules, "
+          "Selberg ranks", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -251,6 +284,7 @@ def main(argv=None) -> int:
         "frontiers": frontiers(),
         "monte_carlo": monte_carlo(),
         "gauss_rules": gauss_rules(),
+        "selberg_ranks": selberg_ranks(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
