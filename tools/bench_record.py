@@ -244,8 +244,8 @@ def selberg_ranks() -> dict:
             seconds[str(r)] = perf_counter() - t0
             nodes[str(r)] = rep["samples_or_nodes"]
             if seconds[str(r)] > 1 or not rep["deviation"] < 1e-10:
-                stop = f"r={r}: {seconds[str(r)]:.2f} s, deviation " \
-                       f"{rep['deviation']}"
+                stop = (f"r={r}: {seconds[str(r)]:.2f} s, deviation "
+                        f"{rep['deviation']}")
                 break
             rank = r
         out[str(a)] = {"rank_1s": rank, "seconds": seconds, "nodes": nodes,
