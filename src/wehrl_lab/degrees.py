@@ -63,7 +63,8 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
 
 
 def _gamma_ratio_ints(nums: list, dens: list, D: int) -> Fraction:
-    """The Gamma ratio of the arguments x/D, x in nums, over y/D, y in dens."""
+    """The Gamma ratio of the arguments x/D, x in nums, over y/D, y in dens;
+    it computes gamma_ratio_product, d_lambda and selberg's C and S."""
     groups = defaultdict(lambda: ([], []))
     for side, xs in enumerate((nums, dens)):
         for n in xs:

@@ -10,6 +10,7 @@ rendition is explicitly requested.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,8 @@ def _rule(x, steps, alpha, beta, mu0):
         total += p1 * p1
     dx = -b1 * p1 * p0 / total  # b1 = b_n
     ok = math.isfinite(dx) if isinstance(dx, float) else np.isfinite(dx).all()
-    dx = dx if ok else np.nan_to_num(dx)
+    dx = dx if ok else (float if isinstance(dx, float) else np.asarray)(
+        np.nan_to_num(dx))  # not a numpy scalar: float arithmetic never warns
     total *= 1 + dx * ((alpha + beta + 2) * x + alpha - beta) / (1 - x * x)
     return (1 + x + dx) / 2, mu0 / total
 
@@ -86,21 +88,26 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     jacobi = np.zeros((n, n))
     jacobi.flat[::n + 1], jacobi.flat[n::n + 1] = a, b[1:n]  # lower half
     x = np.array(a) if n == 1 else np.linalg.eigvalsh(jacobi)  # a 1x1 is a[0]
-    lg = math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(ab + 2)
-    mu0 = math.exp(lg) if ab >= 169 else (  # Gamma is exact at small ints
-        math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1))
+    if ab < 169:  # Gamma is exact at small ints
+        mu0 = math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1)
+    else:  # exp of a float ln B would carry |ln B| eps: B at 30 digits
+        from mpmath import beta as B, mpf, workdps
+        with workdps(30):
+            mu0 = float(B(mpf(alpha) + 1, mpf(beta) + 1))
     args = list(zip(a, b, b[1:])), alpha, beta, mu0
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            s, w = (np.array([_rule(t, *args) for t in x.tolist()]).T.copy()
-                    if n <= _FLOAT_LOOP_NODES else _rule(x, *args))
-        except ZeroDivisionError:  # a float 1/0 (a node x = +-1) is inf here
+    w = [math.nan]  # no rule yet
+    if n <= _FLOAT_LOOP_NODES:  # node by node on floats, where nothing warns
+        with contextlib.suppress(ZeroDivisionError):  # a node x = +-1
+            s, w = zip(*[_rule(t, *args) for t in x.tolist()])
+    if not math.isfinite(mass := math.fsum(w)):  # on the node array, where
+        with np.errstate(over="ignore", invalid="ignore"):  # 1/0 is inf
             s, w = _rule(x, *args)
-        w = w if np.isfinite(w).all() else np.nan_to_num(w)
-    if not (mu0 > 0 and abs(math.fsum(w.tolist()) / mu0 - 1) < 1e-9):  # mu_0 mass
+        w = w if np.isfinite(w).all() else np.nan_to_num(w)  # lost weights 0
+        mass = math.fsum(w.tolist())
+    if not (mu0 > 0 and abs(mass / mu0 - 1) < 1e-9):  # mu_0 mass
         raise FloatRangeExceeded(f"Gauss-Jacobi rule {n, alpha, beta}: weights"
-                                 f" sum to {w.sum()}, not mu_0 = {mu0}")
-    return s, w
+                                 f" sum to {mass}, not mu_0 = {mu0}")
+    return np.asarray(s), np.asarray(w)
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,8 @@ class PiScaledRational:
     pi_power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         object.__setattr__(self, "pi_power", int(self.pi_power))
 
     def __mul__(self, other):

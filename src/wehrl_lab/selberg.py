@@ -36,9 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degrees import (NonTelescoping, gamma_ratio_product,
-                      scalar_formal_degree)
-from .domains import DomainParams, NotAdmissible, hc_admissible
+from .degrees import NonTelescoping, _gamma_ratio_ints, scalar_formal_degree
+from .domains import DomainParams
 from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
                        gauss_jacobi)
 
@@ -65,7 +64,8 @@ class SelbergSpec:
 
     def __post_init__(self):
         for name in ("a", "b", "gamma"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if type(value := getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         if not isinstance(self.r, (int, np.integer)) or self.r < 1:
             raise ValueError(f"rank r must be an int >= 1, got r={self.r!r}")
         if self.a < 0:
@@ -85,22 +85,24 @@ class NumericEstimate:
     method: str
 
 
-def _gamma_args(spec: SelbergSpec) -> tuple[list, list]:
-    """Selberg's evaluation S = prod Gamma(nums) / prod Gamma(dens)."""
-    r, half_a, b, g = spec.r, spec.a / 2, spec.b, spec.gamma
+def _gamma_args(spec: SelbergSpec) -> tuple[list, list, int]:
+    """Selberg's S = prod Gamma(x/D), x in nums, over Gamma(y/D), y in dens."""
+    r, a, b, g = spec.r, spec.a, spec.b, spec.gamma
+    D = math.lcm(2 * a.denominator, b.denominator, g.denominator)
+    h = a.numerator * D // (2 * a.denominator)  # a/2 = h/D
+    b1, g1 = (x.numerator * D // x.denominator + D for x in (b, g))
     nums, dens = [], []
-    for j in range(1, r + 1):
-        nums += [b + 1 + (j - 1) * half_a, g + 1 + (j - 1) * half_a,
-                 1 + j * half_a]
-        dens += [g + b + 2 + (r + j - 2) * half_a, 1 + half_a]
-    return nums, dens
+    for j in range(r):
+        nums += [b1 + j * h, g1 + j * h, D + (j + 1) * h]
+        dens += [g1 + b1 + (r + j - 1) * h, D + h]
+    return nums, dens, D
 
 
 def selberg_closed(spec: SelbergSpec) -> Fraction | float:
     """Closed-form value: exact Fraction when the Gamma factors telescope
     to a rational, otherwise a float evaluated at 35 significant digits."""
     try:
-        return gamma_ratio_product(*_gamma_args(spec))
+        return _gamma_ratio_ints(*_gamma_args(spec))
     except NonTelescoping:
         return float(selberg_closed_hp(spec, 35))
 
@@ -109,10 +111,10 @@ def selberg_closed_hp(spec: SelbergSpec, dps: int = 40):
     """Closed-form value at dps significant digits, an mpmath mpf."""
     import mpmath
 
+    nums, dens, D = _gamma_args(spec)
     with mpmath.workdps(dps):
-        nums, dens = ([mpmath.mpf(x.numerator) / x.denominator for x in xs]
-                      for xs in _gamma_args(spec))
-        return mpmath.gammaprod(nums, dens)
+        return mpmath.gammaprod(*([mpmath.mpf(x) / D for x in xs]
+                                  for xs in (nums, dens)))
 
 
 def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
@@ -121,13 +123,11 @@ def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
     C = pi^N prod_j Gamma(1 + a/2) / (Gamma(b+1+(j-1)a/2) Gamma(1+j a/2)).
 
     The Gamma product is rational: for odd a its r half-integer arguments
-    above the bar pair with the r below it.
+    above the bar pair with the r below it.  Arguments are integers over 2.
     """
-    half_a = Fraction(d.a, 2)
-    dens = [y for j in range(1, d.r + 1)
-            for y in (d.b + 1 + (j - 1) * half_a, 1 + j * half_a)]
-    return PiScaledRational(
-        gamma_ratio_product([1 + half_a] * d.r, dens), d.N)
+    a, b = d.a, d.b
+    dens = [y for j in range(d.r) for y in (2 * b + 2 + j * a, 2 + a + j * a)]
+    return PiScaledRational(_gamma_ratio_ints([2 + a] * d.r, dens, 2), d.N)
 
 
 def _tensor_rule(rules):
@@ -137,7 +137,8 @@ def _tensor_rule(rules):
     if nodes ** r > MAX_GRID_POINTS:
         raise MethodUnsupported(f"a tensor rule at r={r} with {nodes} nodes "
                                 f"passes the limit of {MAX_GRID_POINTS} points")
-    x, w = (np.meshgrid(*z, indexing="ij", sparse=True) for z in zip(*rules))
+    x, w = ([z.reshape(-1, *(1,) * (r - k - 1)) for k, z in enumerate(v)]
+            for v in zip(*rules))  # on axis k of r by broadcasting
     return x, functools.reduce(np.multiply, w)
 
 
@@ -146,7 +147,7 @@ def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
     s, F = _tensor_rule([rule] * spec.r)
     for i, j in itertools.combinations(range(spec.r), 2):
         F = F * (s[i] - s[j]) ** int(spec.a)
-    return float(np.sum(F))
+    return float(F.sum())
 
 
 def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
@@ -170,7 +171,7 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
             F = F * (1.0 - tj) ** float(spec.b)
     for i, j in itertools.combinations(range(r), 2):
         F = F * (t[i] - t[j]) ** float(spec.a)
-    return float(np.sum(F))
+    return float(F.sum())
 
 
 def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
@@ -187,11 +188,12 @@ def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
     if nodes > limit:
         raise MethodUnsupported(f"{method} at r={spec.r} needs {nodes} nodes "
                                 f"per axis to be exact; the budget is {limit}")
-    value, r, g = rule(spec, nodes), spec.r, float(spec.gamma)
-    axes = ([(g, float(spec.b))] * r if rule is _gauss_jacobi_tensor
+    value, r = rule(spec, nodes), spec.r
+    b, g = float(spec.b), float(spec.gamma)
+    axes = ([(g, b)] * r if rule is _gauss_jacobi_tensor
             else [(0.0, k + g * (k + 1)) for k in range(r)])  # sector betas
-    steps = ((nodes ** r).bit_length() + 17 + r * (float(spec.b) + 18
-             + 4 * nodes) + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
+    steps = ((nodes ** r).bit_length() + 17 + r * (b + 18 + 4 * nodes)
+             + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
                  abs(math.lgamma(x)) for al, be in axes
                  for x in (al + 1, be + 1, al + be + 2)))
     return NumericEstimate(value, 0.0, steps * 2.0 ** -52 * abs(value), nodes,
@@ -229,10 +231,10 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     draws, diffs = np.empty((m, spec.r)), np.empty(m)
     weights = np.ones(m) if spec.r == 1 else np.empty(m)  # r = 1: no pairs
 
-    def sums(n):  # sum and sum of squares of the next n weights, pairwise
-        if n > leaf:
+    def sums(n, again):  # sum and sum of squares of the next n weights;
+        if n > leaf:  # again is sums: no closure cycle holds the buffers
             h = n // 2 - (n // 2) % 8
-            (t, q), (t2, q2) = sums(h), sums(n - h)
+            (t, q), (t2, q2) = again(h, again), again(n - h, again)
             return t + t2, q + q2
         s, vals, diff = draws[:n], weights[:n], diffs[:n]
         if closed_form:
@@ -251,7 +253,7 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
                 vals *= diff
         return float(vals.sum()), float(np.square(vals, out=diff).sum())
     for start in range(0, budget, chunk):
-        t, q = sums(min(chunk, budget - start))
+        t, q = sums(min(chunk, budget - start), sums)
         total, total_sq = total + t, total_sq + q
     mean = total / budget
     var = max(total_sq / budget - mean ** 2, 0.0)
@@ -293,11 +295,9 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     largest degree on any axis, with budgets of at least 48 and 64 nodes.
     error_bound is that rule's rounding bound, scaled as the product is.
     """
-    lam = Fraction(lam)
-    if not hc_admissible(d, lam):
-        raise NotAdmissible(f"lambda={lam} inadmissible for {d.family_label}")
-    spec = SelbergSpec(d.r, Fraction(d.a), Fraction(d.b), lam - d.p)
-    C, d_exact = laguerre_constant_C(d), scalar_formal_degree(d, lam)
+    d_exact, lam = scalar_formal_degree(d, lam), Fraction(lam)  # NotAdmissible
+    spec = SelbergSpec(d.r, d.a, d.b, lam - d.p)
+    C = laguerre_constant_C(d)
     try:
         C_float, d_float = float(C), float(d_exact)
     except FloatRangeExceeded as exc:

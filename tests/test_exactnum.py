@@ -294,3 +294,46 @@ def test_gauss_jacobi_takes_a_fraction_weight_at_every_size(n):
     for got, want in zip(gauss_jacobi(n, Fraction(1, 2), Fraction(3)),
                          gauss_jacobi(n, 0.5, 3.0)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.0, 0.0), (0.5, 1.0), (7.0, 0.5), (100.0, 68.0), (100.0, 69.0),
+    (300.0, 1000.0), (30000.0, 100.0), (1000.0, 1000.0), (-0.999999, 1e20)])
+@pytest.mark.parametrize("n", [1, 2, 9, 17, 32])
+def test_float_path_matches_the_array_path(monkeypatch, n, alpha, beta):
+    # Node by node on floats the rule runs without numpy's error state; it
+    # gives the array's rule bit for bit, or its error, and warns nowhere.
+    # At n = 32 (300, 1000) loses 4 weights and (30000, 100) one below the
+    # float range; mu_0 = B(1001, 1001) underflows; at beta = 1e20 the nodes
+    # round to x = 1, where the float 1/0 hands the rule to the array.
+    got = []
+    for cutoff in (exactnum._FLOAT_LOOP_NODES, 0):
+        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                s, w = gauss_jacobi(n, alpha, beta)
+            except FloatRangeExceeded as exc:
+                got.append(str(exc))
+            else:
+                assert s.flags.c_contiguous and w.flags.c_contiguous
+                got.append(s.tobytes() + w.tobytes())
+    assert got[0] == got[1]
+
+
+def test_mu0_is_the_beta_function_to_a_few_eps_past_gamma_overflow():
+    # Past alpha + beta = 169, where Gamma(alpha + beta + 2) overflows, the
+    # one-node weight mu_0 = B(alpha + 1, beta + 1) stays within 8 eps of
+    # 40 digits (exp of an lgamma sum was off by up to 5032 eps).
+    rng = np.random.default_rng(22)
+    pairs = [(300.0, 300.0), (-0.999999, 300.0), (300.0, -0.5),
+             (169.0, 0.0), (84.5, 84.5), (240.0, 290.0)]
+    while len(pairs) < 400:
+        alpha, beta = rng.uniform(-1, 300, 2)
+        if alpha + beta >= 169 and min(alpha, beta) > -1:
+            pairs.append((float(alpha), float(beta)))
+    for alpha, beta in pairs:
+        w = gauss_jacobi(1, alpha, beta)[1][0]
+        with mpmath.workdps(40):
+            ref = mpmath.beta(_mp(alpha) + 1, _mp(beta) + 1)
+            assert abs(w / ref - 1) <= 8 * 2.0 ** -52, (alpha, beta)

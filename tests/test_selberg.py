@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma_reference import gamma_factorial
-from wehrl_lab.degrees import scalar_formal_degree
+from wehrl_lab.degrees import (NonTelescoping, gamma_ratio_product,
+                               scalar_formal_degree)
 from wehrl_lab.domains import PRESETS, DomainParams, NotAdmissible
 from wehrl_lab import selberg as sb
 from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
@@ -73,6 +75,43 @@ def test_closed_form_matches_factorial_reference():
                         assert type(got) is float
                         assert got == pytest.approx(
                             float(q) * math.pi ** (half / 2), rel=1e-14)
+
+
+def _fraction_gamma_args(r, a, b, g) -> tuple[list, list]:
+    """Selberg's Gamma arguments as Fractions, S = prod Gamma(nums) /
+    prod Gamma(dens)."""
+    half_a, nums, dens = Fraction(a) / 2, [], []
+    for j in range(1, r + 1):
+        nums += [b + 1 + (j - 1) * half_a, g + 1 + (j - 1) * half_a,
+                 1 + j * half_a]
+        dens += [g + b + 2 + (r + j - 2) * half_a, 1 + half_a]
+    return nums, dens
+
+
+def test_closed_form_is_the_fraction_gamma_product_bit_for_bit():
+    # selberg_closed builds its arguments as integers over one denominator;
+    # the values are those of gamma_ratio_product on the Fraction arguments,
+    # or, where the product does not telescope, the float of
+    # mpmath.gammaprod on them at 35 digits.
+    exps = [Fraction(k, 6) for k in (0, 2, 3, 4, 6, 9, 12, 14)]
+    nontelescoping = 0
+    for r in (1, 2, 3, 4):
+        for a in (0, 1, 2, 3, Fraction(1, 2), Fraction(7, 3), Fraction(4, 3)):
+            for b in exps:
+                for g in exps:
+                    got = selberg_closed(SelbergSpec(r, a, b, g))
+                    nums, dens = _fraction_gamma_args(r, a, b, g)
+                    try:
+                        want = gamma_ratio_product(nums, dens)
+                    except NonTelescoping:
+                        nontelescoping += 1
+                        with mpmath.workdps(35):
+                            want = float(mpmath.gammaprod(
+                                *([mpmath.mpf(x.numerator) / x.denominator
+                                   for x in xs] for xs in (nums, dens))))
+                    assert type(got) is type(want) and got == want, \
+                        (r, a, b, g)
+    assert nontelescoping > 500  # a = 7/3, b = 1/3, gamma = 2/3 among them
 
 
 def test_closed_form_without_telescoping_is_mpmath_float():
@@ -176,6 +215,28 @@ def test_laguerre_constant_is_exact_for_integer_multiplicities():
                 assert isinstance(C, PiScaledRational) and C.pi_power == d.N
                 S = selberg_closed(SelbergSpec(r, a, b, 1))
                 assert C * S * scalar_formal_degree(d, d.p + 1) == 1
+
+
+def test_laguerre_constant_is_the_fraction_gamma_product():
+    # C's integer arguments over 2 give the product of gamma_ratio_product
+    # on the Fraction arguments of its definition.
+    domains = list(PRESETS.values()) + [
+        DomainParams("custom", r, a, b)
+        for r in range(1, 9) for a in range(9) for b in range(7)]
+    for d in domains:
+        half_a = Fraction(d.a, 2)
+        dens = [y for j in range(1, d.r + 1)
+                for y in (d.b + 1 + (j - 1) * half_a, 1 + j * half_a)]
+        want = gamma_ratio_product([1 + half_a] * d.r, dens)
+        assert laguerre_constant_C(d) == PiScaledRational(want, d.N), d
+
+
+def test_spec_keeps_fractions_and_converts_the_rest():
+    third = Fraction(1, 3)
+    spec = SelbergSpec(2, 1, 0.5, third)
+    assert spec.gamma is third
+    assert (spec.a, spec.b) == (1, Fraction(1, 2))
+    assert all(type(x) is Fraction for x in (spec.a, spec.b, spec.gamma))
 
 
 def test_laguerre_constant_consistency_with_degree():
@@ -385,24 +446,29 @@ def test_budget_below_one_is_rejected():
             selberg_numeric(spec, method, 0)
 
 
-def test_grid_over_the_limit_raises_before_allocating(monkeypatch):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("grid allocated")
-    monkeypatch.setattr(sb.np, "meshgrid", no_grid)
+def test_grid_over_the_limit_raises_before_allocating():
     # Each rule is exact at its degree count: 23 sector nodes at (6, 3, 0)
-    # and 8 tensor nodes at r = 8, a = 2, both over MAX_GRID_POINTS.
-    d = DomainParams("custom", 6, 3, 0)
-    with pytest.raises(MethodUnsupported,
-                       match=r"r=6 with 23 nodes .* limit of 2097152"):
-        verify_degree_integral(d, d.p + Fraction(1, 2))
-    d = DomainParams("custom", 8, 2, 0)
-    with pytest.raises(MethodUnsupported,
-                       match=r"r=8 with 8 nodes .* limit of 2097152"):
-        verify_degree_integral(d, d.p + Fraction(1, 2))
-    with pytest.raises(MethodUnsupported, match=r"r=8 with 8 nodes"):
-        selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
-    with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
-        ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))
+    # and 8 tensor nodes at r = 8, a = 2, both over MAX_GRID_POINTS.  One
+    # coordinate or weight array of such a grid takes 16 MB or more, and a
+    # refused call traces less than 1 MB at its peak.
+    tracemalloc.start()
+    try:
+        d = DomainParams("custom", 6, 3, 0)
+        with pytest.raises(MethodUnsupported,
+                           match=r"r=6 with 23 nodes .* limit of 2097152"):
+            verify_degree_integral(d, d.p + Fraction(1, 2))
+        d = DomainParams("custom", 8, 2, 0)
+        with pytest.raises(MethodUnsupported,
+                           match=r"r=8 with 8 nodes .* limit of 2097152"):
+            verify_degree_integral(d, d.p + Fraction(1, 2))
+        with pytest.raises(MethodUnsupported, match=r"r=8 with 8 nodes"):
+            selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
+        with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
+            ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def _monte_carlo_reference(spec, budget, seed):
@@ -475,6 +541,24 @@ def test_monte_carlo_works_in_cache_sized_leaves():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_monte_carlo_frees_its_buffers_without_the_gc():
+    # The leaf buffers (0.5 MB at 10^6 samples) go when the call returns,
+    # not when the cyclic gc next runs: no reference cycle holds them.
+    spec = SelbergSpec(2, 1, 0, 0)
+    selberg_numeric(spec, "monte_carlo", 10 ** 4, 1)  # first-call caches
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        selberg_numeric(spec, "monte_carlo", 10 ** 6, 1)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert left < 64 << 10, left
 
 
 # (value, stderr) of selberg_numeric(..., "monte_carlo", budget, seed) for

@@ -18,10 +18,15 @@ It measures the checkout it lives in, whatever the working directory:
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
   which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s;
 * the median ms of five ``selberg_numeric(..., "monte_carlo", 10**6, seed)``
-  calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), and the peak
-  bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0);
-* the median us of 51 ``gauss_jacobi(n, 0.5, 1.0)`` calls at 9, 32, 33 and
-  514 nodes, on both sides of the cutoff between its two loop orders;
+  calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), the peak
+  bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0), and the
+  bytes still traced once such a call returns with the gc disabled;
+* the median us of 51 ``gauss_jacobi(n, 0.5, 1.0)`` calls at 1, 2, 9, 32, 33
+  and 514 nodes, on both sides of the cutoff between its two loop orders;
+* the quadrature oracles' fixed cost: the median us of 201 calls of
+  ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
+  lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
+  and of ``selberg_closed`` at (r, a, b, gamma) = (2, 2, 1/2, 1);
 * the Selberg rank frontier: per a in {1, 2, 4}, the largest rank r at which
   ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
   passes (deviation below 1e-10) within 1 s, with each rank's seconds and
@@ -33,6 +38,7 @@ whatever else runs.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -184,7 +190,8 @@ def frontiers() -> dict:
 
 def monte_carlo() -> dict:
     """Median ms of five 10^6-sample Monte Carlo calls (seeds 0-4) per shape,
-    and the traced peak bytes of one call at (2, 1, 0, 0), seed 0."""
+    the traced peak bytes of one call at (2, 1, 0, 0), seed 0, and the bytes
+    still traced when a second such call returns with the gc disabled."""
     from wehrl_lab.selberg import SelbergSpec, selberg_numeric
 
     def call(shape, seed):
@@ -204,24 +211,57 @@ def monte_carlo() -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call((2, 1, 0, 0), 0)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
     return {"samples": 10 ** 6, "median_ms": median_ms,
-            "traced_peak_bytes": peak}
+            "traced_peak_bytes": peak, "traced_bytes_left_without_gc": left}
+
+
+def median_us(call, calls: int) -> float:
+    """Median microseconds of `calls` timed calls of call()."""
+    times = []
+    for _ in range(calls):
+        t0 = perf_counter()
+        call()
+        times.append(perf_counter() - t0)
+    return 1e6 * median(times)
 
 
 def gauss_rules() -> dict:
     """Median us of 51 gauss_jacobi(n, 0.5, 1.0) calls per node count: node
-    by node on floats at 9 and 32 nodes, on the node array at 33 and 514."""
+    by node on floats at 1 to 32 nodes, on the node array at 33 and 514."""
     from wehrl_lab.exactnum import gauss_jacobi
 
-    median_us = {}
-    for n in (9, 32, 33, 514):
-        times = []
-        for _ in range(51):
-            t0 = perf_counter()
-            gauss_jacobi(n, 0.5, 1.0)
-            times.append(perf_counter() - t0)
-        median_us[str(n)] = 1e6 * median(times)
-    return {"alpha": 0.5, "beta": 1.0, "median_us": median_us}
+    return {"alpha": 0.5, "beta": 1.0, "median_us": {
+        str(n): median_us(lambda: gauss_jacobi(n, 0.5, 1.0), 51)
+        for n in (1, 2, 9, 32, 33, 514)}}
+
+
+def quadrature_setup() -> dict:
+    """Median us of 201 calls each: verify_degree_integral at four (domain,
+    lambda), laguerre_constant_C and selberg_closed at one input each."""
+    from wehrl_lab.domains import PRESETS
+    from wehrl_lab.selberg import (SelbergSpec, laguerre_constant_C,
+                                   selberg_closed, verify_degree_integral)
+
+    verify = {}
+    for name, lam in (("disc", Fraction(5, 2)), ("SU(2,2)", Fraction(9, 2)),
+                      ("Sp(3,R)", Fraction(9, 2)), ("E7", Fraction(37, 2))):
+        d = PRESETS[name]
+        verify[f"{name} {lam}"] = median_us(
+            lambda: verify_degree_integral(d, lam), 201)
+    d, spec = PRESETS["SU(2,2)"], SelbergSpec(2, 2, Fraction(1, 2), 1)
+    return {"verify_degree_integral_us": verify,
+            "laguerre_constant_C_us": {"SU(2,2)": median_us(
+                lambda: laguerre_constant_C(d), 201)},
+            "selberg_closed_us": {"2,2,1/2,1": median_us(
+                lambda: selberg_closed(spec), 201)}}
 
 
 def selberg_ranks() -> dict:
@@ -267,7 +307,7 @@ def main(argv=None) -> int:
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
     print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules, "
-          "Selberg ranks", file=sys.stderr)
+          "quadrature setup, Selberg ranks", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -284,6 +324,7 @@ def main(argv=None) -> int:
         "frontiers": frontiers(),
         "monte_carlo": monte_carlo(),
         "gauss_rules": gauss_rules(),
+        "quadrature_setup": quadrature_setup(),
         "selberg_ranks": selberg_ranks(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
