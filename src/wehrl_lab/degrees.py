@@ -91,7 +91,7 @@ def scalar_formal_degree(d: DomainParams, lam) -> PiScaledRational:
     d_lambda = pi^{-N} * prod_j Gamma(lambda - (j-1)a/2)
                         / Gamma(lambda - N/r - (j-1)a/2).
     """
-    lam = Fraction(lam)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     if not hc_admissible(d, lam):
         raise NotAdmissible(f"lambda={lam} <= p-1={d.p - 1} for {d.family_label}")
     D = math.lcm(lam.denominator, 2, d.r)  # every argument is an int / D
@@ -186,7 +186,7 @@ def hc_degree_root_product(rs: RootSystemPreset, lam) -> Fraction:
 
 def wehrl_constant(d: DomainParams, lam, n: int) -> PiScaledRational:
     """Sharp constant d_lambda^n / d_{n lambda} in the L^2 -> L^{2n} bound."""
-    lam = Fraction(lam)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     if n < 1:
         raise ValueError("n must be >= 1")
     return scalar_formal_degree(d, lam) ** n / scalar_formal_degree(d, n * lam)
@@ -195,6 +195,7 @@ def wehrl_constant(d: DomainParams, lam, n: int) -> PiScaledRational:
 def partial_isometry_constant(d: DomainParams, lam, lam2) -> PiScaledRational:
     """C^{-2} = d_lambda d_lambda' / d_{lambda+lambda'} for the leading
     component of a tensor product of two scalar discrete series."""
-    lam, lam2 = Fraction(lam), Fraction(lam2)
+    if type(lam) is not Fraction or type(lam2) is not Fraction:
+        lam, lam2 = Fraction(lam), Fraction(lam2)
     return (scalar_formal_degree(d, lam) * scalar_formal_degree(d, lam2)
             / scalar_formal_degree(d, lam + lam2))

@@ -47,7 +47,7 @@ class DomainParams:
 
 def hc_admissible(d: DomainParams, lam) -> bool:
     """Discrete-series condition lambda > p - 1 for the scalar weight."""
-    return Fraction(lam) > d.p - 1
+    return (lam if type(lam) is Fraction else Fraction(lam)) > d.p - 1
 
 
 def su_pq(p: int, q: int) -> DomainParams:

@@ -100,7 +100,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
         with contextlib.suppress(ZeroDivisionError):  # a node x = +-1
             s, w = zip(*[_rule(t, *args) for t in x.tolist()])
     if not math.isfinite(mass := math.fsum(w)):  # on the node array, where
-        with np.errstate(over="ignore", invalid="ignore"):  # 1/0 is inf
+        with np.errstate(all="ignore"):  # 1/0 is inf and x/0 at x = +-1 too
             s, w = _rule(x, *args)
         w = w if np.isfinite(w).all() else np.nan_to_num(w)  # lost weights 0
         mass = math.fsum(w.tolist())

@@ -14,8 +14,8 @@ from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
-from wehrl_lab.disc import NoConvergence
-from wehrl_lab.exactnum import QC
+from wehrl_lab.disc import NoConvergence, product_norm2
+from wehrl_lab.exactnum import QC, gauss_jacobi
 
 
 def _kron_top_basis(m, n):
@@ -46,6 +46,20 @@ def test_irrep_relations():
     assert np.allclose(Jp @ Jm - Jm @ Jp, 2 * J3)
     assert np.allclose(J3 @ Jp - Jp @ J3, Jp)
     assert rep.dim == 4 and rep.weight(0) == 3 and rep.weight(3) == -3
+
+
+def _wrapper_form_loop_lowering(m):
+    """The lowering matrix built entry by entry."""
+    L = np.zeros((m + 1, m + 1))
+    for i in range(m):
+        L[i + 1, i] = math.sqrt((i + 1) * (m - i))
+    return L
+
+
+def test_lowering_matrix_entries_are_correctly_rounded_roots():
+    for m in range(21):
+        assert Su2Irrep(m).lowering_matrix().tobytes() \
+            == _wrapper_form_loop_lowering(m).tobytes(), m
 
 
 def test_group_element_unitary():
@@ -337,3 +351,60 @@ def test_casimir_calibration_failure_raises(monkeypatch):
     monkeypatch.setattr(Su2Irrep, "killing_orthonormal_basis", skewed)
     with pytest.raises(ValueError, match="miscalibrated"):
         casimir_tensor_check(translate_vector(2, 0.3, 0.7, 0.1), 2)
+
+
+def _wrapper_form_mass(factors):
+    # the top mass with one binom(m, i)^{1/2} row per factor
+    return product_norm2([u * compact._root_binomials(len(u) - 1)
+                          for u in factors], -sum(len(u) - 1 for u in factors))
+
+
+def _wrapper_form_check(v, m, n):
+    """(integral_numeric, integral_exact, mass) of wehrl_compact_check,
+    computed with np.mean, np.sum and one root row per factor."""
+    mass = _wrapper_form_mass([v] * n)
+    size, nodes = compact._rule_sizes(n * m)
+    t, wt = gauss_jacobi(nodes, 0.0, 0.0)
+    F = size * np.fft.ifft(v[:, None] * compact._top_row(m, t), size, axis=0)
+    numeric = float(np.sum(wt * np.mean(np.abs(F) ** (2 * n), axis=0)))
+    return numeric, mass * (1.0 / (n * m + 1)), mass
+
+
+def _wrapper_form_casimir(v, m):
+    """(residual, top_mass, casimir_constant) of casimir_tensor_check, with
+    np.kron tensors and the lowering matrix built entry by entry."""
+    v = v / np.linalg.norm(v)
+    Jm = _wrapper_form_loop_lowering(m)
+    Jp = Jm.T
+    J3 = np.diag([(m - 2 * i) / 2.0 for i in range(m + 1)]).astype(complex)
+    Ts = [((Jp + Jm) / 2.0) / math.sqrt(2), ((Jp - Jm) / 2.0j) / math.sqrt(2),
+          J3 / math.sqrt(2)]
+    lam_lam = (m / (2 * math.sqrt(2))) ** 2
+    lhs = sum(np.kron(T @ v, T @ v) for T in Ts)
+    residual = float(np.linalg.norm(lhs - lam_lam * np.kron(v, v)))
+    constant = float(np.real(sum(T @ T for T in Ts)[0, 0]))
+    return residual, _wrapper_form_mass([v, v]), constant
+
+
+# The (m, n) rungs of the benchmark's dimension ladder, one seeded unit
+# vector each; every field must equal its wrapper form bit for bit.
+_DIM_LADDER = ((2, 2), (2, 3), (3, 3), (3, 4), (7, 3), (4, 4), (2, 6), (8, 3),
+               (9, 3), (3, 5), (5, 4), (10, 3), (11, 3), (2, 7), (4, 5), (3, 6))
+
+
+@pytest.mark.parametrize("m, n", _DIM_LADDER)
+def test_both_routes_equal_their_wrapper_forms_bit_for_bit(m, n):
+    v = random_unit_vector(m, np.random.default_rng([m, n]))
+    r = wehrl_compact_check(v, m, n)
+    got = (r.integral_numeric, r.integral_exact, r.mass)
+    assert [x.hex() for x in got] \
+        == [x.hex() for x in _wrapper_form_check(v, m, n)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_casimir_check_equals_its_wrapper_form_bit_for_bit(m):
+    v = translate_vector(m, 0.7, 1.2, -2.1)
+    r = casimir_tensor_check(v, m)
+    got = (r.residual, r.top_mass, r.casimir_constant)
+    assert [x.hex() for x in got] \
+        == [x.hex() for x in _wrapper_form_casimir(v, m)]

@@ -257,6 +257,32 @@ def test_partial_isometry_constant_disc():
         == partial_isometry_constant(PRESETS["disc"], 2, 3)
 
 
+def test_fraction_lambdas_pass_through_and_other_types_convert(monkeypatch):
+    # A Fraction lambda is used as it is; an int, str or float converts to
+    # the same values.
+    d = PRESETS["SU(2,2)"]
+    want = (dg.scalar_formal_degree(d, Fraction(7, 2)),
+            dg.wehrl_constant(d, Fraction(7, 2), 3),
+            dg.partial_isometry_constant(d, Fraction(7, 2), Fraction(4)))
+    for lam, lam2 in (("7/2", 4), (3.5, "4"), (Fraction(7, 2), 4.0)):
+        assert (dg.scalar_formal_degree(d, lam), dg.wehrl_constant(d, lam, 3),
+                dg.partial_isometry_constant(d, lam, lam2)) == want, lam
+    assert not dg.hc_admissible(d, "3") and dg.hc_admissible(d, 3.5)
+    new, rewrapped = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        if len(args) == 1 and type(args[0]) is Fraction:
+            rewrapped.append(args[0])
+        return new(cls, *args, **kwargs)
+
+    lam, lam2 = Fraction(7, 2), Fraction(4)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    dg.wehrl_constant(d, lam, 3)
+    dg.partial_isometry_constant(d, lam, lam2)
+    monkeypatch.undo()
+    assert rewrapped == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 4),
        st.integers(1, 6), st.integers(1, 60))

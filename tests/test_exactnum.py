@@ -273,13 +273,16 @@ def test_gauss_jacobi_weights_below_the_float_range_are_zero():
 @pytest.mark.parametrize("n, alpha, beta, cause", [
     (32, 1000.0, 1000.0, "mu_0 = 0.0"), (1, -0.999999, 1e20, "sum to 0.0"),
     (2, -0.999999, 1e20, "sum to 0.0"), (2, 1e100, 0.0, "overflows"),
-    (3, 1e154, 1e154, "overflows")])
+    (3, 1e154, 1e154, "overflows"), (9, 1e12, -0.999999, "not mu_0"),
+    (16, 1e15, -0.9999999, "not mu_0")])
 def test_gauss_jacobi_beyond_the_float_range_raises_typed(
         monkeypatch, n, alpha, beta, cause):
     # mu_0 = B(1001, 1001) underflows; at beta = 1e20 the nodes round to
     # x = 1, where no weight survives; past alpha + beta = 1e77 the
     # recurrence's (2k + alpha + beta)^4 overflows (a bare OverflowError at
-    # 1e154).  Each raises, node by node and on the array, without warnings.
+    # 1e154); at alpha ~ 1e12 and beta near -1 a node rounds to x = +-1 with
+    # a nonzero Newton numerator, which divides by zero on the array.  Each
+    # raises, node by node and on the array, without warnings.
     for cutoff in (0, 10 ** 6):
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
         with warnings.catch_warnings():

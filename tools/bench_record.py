@@ -27,6 +27,10 @@ It measures the checkout it lives in, whatever the working directory:
   ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
   lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
   and of ``selberg_closed`` at (r, a, b, gamma) = (2, 2, 1/2, 1);
+* the SU(2) checks' cost: the median us of ``wehrl_compact_check`` on a
+  seeded unit vector at (m, n) = (2, 2), (7, 3), (11, 3) and (3, 6), and of
+  ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
+  rounds that call each of the six in turn;
 * the Selberg rank frontier: per a in {1, 2, 4}, the largest rank r at which
   ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
   passes (deviation below 1e-10) within 1 s, with each rank's seconds and
@@ -264,6 +268,34 @@ def quadrature_setup() -> dict:
                 lambda: selberg_closed(spec), 201)}}
 
 
+def su2() -> dict:
+    """Median us of the six SU(2) calls of the module docstring, timed in
+    rounds that call each once in turn, so that a drift of the host's speed
+    reaches all six alike."""
+    from wehrl_lab.compact import (casimir_tensor_check, random_unit_vector,
+                                   translate_vector, wehrl_compact_check)
+
+    calls = {}
+    for m, n in ((2, 2), (7, 3), (11, 3), (3, 6)):
+        v = random_unit_vector(m, np.random.default_rng([m, n]))
+        calls["wehrl_compact_check_us", f"{m},{n}"] = (
+            lambda v=v, m=m, n=n: wehrl_compact_check(v, m, n))
+    for m in (2, 4):
+        v = translate_vector(m, 0.7, 1.2, -2.1)
+        calls["casimir_tensor_check_us", str(m)] = (
+            lambda v=v, m=m: casimir_tensor_check(v, m))
+    times = {key: [] for key in calls}
+    for _ in range(2001):
+        for key, call in calls.items():
+            t0 = perf_counter()
+            call()
+            times[key].append(perf_counter() - t0)
+    out = {"rounds": 2001}
+    for (name, size), seconds in times.items():
+        out.setdefault(name, {})[size] = 1e6 * median(seconds)
+    return out
+
+
 def selberg_ranks() -> dict:
     """The Selberg rank frontier per a (see the module docstring): ranks
     r = 1, 2, ... until one is refused, fails or takes more than 1 s."""
@@ -307,7 +339,7 @@ def main(argv=None) -> int:
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
     print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules, "
-          "quadrature setup, Selberg ranks", file=sys.stderr)
+          "quadrature setup, SU(2) checks, Selberg ranks", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -325,6 +357,7 @@ def main(argv=None) -> int:
         "monte_carlo": monte_carlo(),
         "gauss_rules": gauss_rules(),
         "quadrature_setup": quadrature_setup(),
+        "su2": su2(),
         "selberg_ranks": selberg_ranks(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
