@@ -16,9 +16,9 @@ for maximizers on the coefficient sphere.
 Coefficients are lanes: Gaussian-integer numerators over one common
 denominator (below), or one complex lane for float input, which takes the
 same routines.  QC values are built on read of coeffs, Fractions per norm.
-Weighted norms of products, here and for the SU(2) masses, all go through
-one kernel, product_norm2.
-Exact completeness at degree 64 takes about 0.18 s on a 2-vCPU x86-64 host.
+Weighted norms of products, the SU(2) masses too, go through product_norm2.
+The Hahn ladder runs on Python ints below _INT_LADDER_ENTRIES nonzero
+entries; exact completeness at degree 64 takes 0.18 s on 2 x86-64 vCPUs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import count, islice
+from itertools import accumulate, count, islice
+from operator import add, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
     "maximize_wehrl", "matrix_coeff_lp", "eval_functional_profile",
     "product_norm2",
 ]
+
+_INT_LADDER_ENTRIES = 300  # numpy's dispatch outweighs the Hahn steps below
 
 
 class OutsideBergman(ValueError):
@@ -401,8 +404,21 @@ def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:
     core, scale = next(islice(_core_ladder(lanes, spec.mu, spec.nu, exact),
                               spec.k, None))
     return Projected(_from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,),
-                                 core, den * scale, exact),
+                                 tuple(np.array(core, dtype=object)),
+                                 den * scale, exact),
                      spec.c_squared(), spec)
+
+
+def _hahn_step(mu: Fraction, nu: Fraction, k: int) -> tuple:
+    """(alpha, gamma, beta, (c2, c1, c0), D) of step k: V_{k+1} = ((alpha n
+    + gamma - beta p) V_k - ((c2 n + c1) n + c0) V_{k-1}) / D, p + q = n."""
+    (a, b), (c, d) = mu.as_integer_ratio(), nu.as_integer_ratio()
+    L, s, u = b * d, a * d + c * b, k * b * d
+    # in units L = bd: x = L (2k + mu + nu), y = L (k + mu + nu - 1), ...
+    x, y, am, an = 2 * u + s, u + s - L, a * d + u, c * b + u
+    z, g = x - 2 * L, k * x * (am - L) * (an - L)  # C_n = g (nL + y)(n-k+1)
+    return (am * z * y + k * (an - L) * x * L, k * y * ((an - L) * x - am * z),
+            z * (x - L) * x, (g * L, g * s, g * y * (1 - k)), z * y)
 
 
 def _hahn_ladder(mu: Fraction, nu: Fraction, n: np.ndarray, p: np.ndarray):
@@ -412,28 +428,34 @@ def _hahn_ladder(mu: Fraction, nu: Fraction, n: np.ndarray, p: np.ndarray):
     p + q = n, W_k = e_0 perm(n,k) Q_k(p; mu-1, nu-1, n) is a Hahn polynomial
     (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, 9.5):
     its recurrence in k costs O(1) integer operations per entry and step."""
-    a, b, c, d = mu.numerator, mu.denominator, nu.numerator, nu.denominator
-    L, s, down = b * d, a * d + c * b, -n
-    m = np.arange(n.max(initial=0) + 1).astype(object)  # n and p values
+    m, down = np.arange(n.max(initial=0) + 1).astype(object), -n  # n, p
     prev = cur = np.ones(len(n), dtype=object)
     for k in count():
         yield cur
-        live, u = n[:down.searchsorted(-k)], k * L  # the entries n > k
-        # in units L = bd: x = L (2k + mu + nu), y = L (k + mu + nu - 1), ...
-        x, y, am, an = 2 * u + s, u + s - L, a * d + u, c * b + u
-        A = m * (am * (x - 2 * L) * y + k * (an - L) * x * L) \
-            + k * y * ((an - L) * x - am * (x - 2 * L))
-        g = k * x * (am - L) * (an - L)  # C = g (m L + y)(m - k + 1)
-        C = (m * (g * L) + g * s) * m + g * y * (1 - k)
-        step = (A[live] - ((x - 2 * L) * (x - L) * x * m)[p[:len(live)]]) \
-            * cur[:len(live)] - C[live] * prev[:len(live)]
-        prev, cur = cur, step // ((x - 2 * L) * y)
+        h = down.searchsorted(-k)  # the entries n > k lead
+        alpha, gamma, beta, (c2, c1, c0), D = _hahn_step(mu, nu, k)
+        step = ((m * alpha + gamma)[n[:h]] - (beta * m)[p[:h]]) * cur[:h] \
+            - ((m * c2 + c1) * m + c0)[n[:h]] * prev[:h]
+        prev, cur = cur, step // D
+
+
+def _int_hahn_ladder(mu: Fraction, nu: Fraction, n: list, p: list):
+    """_hahn_ladder on lists of Python ints, one comprehension per step."""
+    prev, cur, ns = [1] * len(n), [1] * len(n), range(max(n, default=0) + 1)
+    for k in count():
+        yield cur
+        alpha, gamma, beta, (c2, c1, c0), D = _hahn_step(mu, nu, k)
+        A = [alpha * N + gamma for N in ns]
+        C = [(c2 * N + c1) * N + c0 for N in ns]
+        prev, cur = cur, [((A[N] - beta * i) * v - C[N] * w) // D for N, i,
+                          v, w in zip(n[:len(cur) - n.count(k)], p, cur, prev)]
 
 
 def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction, exact: bool):
     """Yield (core, scale) for k = 0, 1, ...: core / scale (P + Q - 1 long)
     is the k-th core of qk_project on tensor lanes a[p, q] over their den.
-    The ladder runs on the nonzero entries only (some lane nonzero).
+    The ladder runs on the nonzero entries only (some lane nonzero), on
+    lists of Python ints below _INT_LADDER_ENTRIES of them (core lists).
     Exact: scale = b^k d^k (mu)_k (nu)_k on V_k.  Float: scale = E on W_k =
     V_k / g: sum_p a[p, q] W_k(p, q) in order of p, / E."""
     p, q = np.indices(lanes[0].shape).reshape(2, -1)
@@ -442,18 +464,34 @@ def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction, exact: bool):
     keep = np.logical_or.reduce([x != 0 for x in values])
     p, n, values = p[keep], n[keep], [x[keep] for x in values]
     starts = np.flatnonzero(np.diff(n, prepend=-1))
+    width = sum(lanes[0].shape) - 1
+    if small := len(n) < _INT_LADDER_ENTRIES:  # Python lists from here on
+        bounds = list(zip(n[starts].tolist(), starts.tolist(),
+                          [*starts.tolist()[1:], len(n)]))  # N, i, j
+        n, p, values = n.tolist(), p.tolist(), [x.tolist() for x in values]
     (a, b), (c, d) = (x.as_integer_ratio() for x in (mu, nu))
     rm, rn = [1], [1]  # b^j (mu)_j and d^j (nu)_j for j <= k
-    for k, V in enumerate(_hahn_ladder(mu, nu, n, p)):
+    ladder = (_int_hahn_ladder if small else _hahn_ladder)(mu, nu, n, p)
+    for k, V in enumerate(ladder):
         g = 1 if exact else math.gcd(rm[k] * rn[k], *(  # e_j/E, lowest terms
             math.comb(k, j) * b ** j * d ** (k - j)
             * (rm[k] // rm[j]) * (rn[k] // rn[k - j]) for j in range(k + 1)))
-        V = V if exact else V // g
-        live = starts[starts < len(V)]
-        core = np.zeros((len(lanes), sum(lanes[0].shape) - 1), dtype=object)
-        core[:, n[live] - k] = [np.add.reduceat(x[:len(V)] * V, live)
-                                for x in values]  # antidiagonal n at n - k
-        yield tuple(core), rm[k] * rn[k] // g
+        if small:
+            V, core = V if exact else [v // g for v in V], []
+            bounds = [(N, i, j) for N, i, j in bounds if N >= k]
+            for x in values:
+                terms, out = list(map(mul, x, V)), [0] * width
+                acc = [0, *accumulate(terms)] if exact else None
+                for N, i, j in bounds:  # a float sum adds in order of p
+                    out[N - k] = (acc[j] - acc[i] if exact
+                                  else reduce(add, terms[i:j]))
+                core.append(out)
+        else:
+            V, live = V if exact else V // g, starts[starts < len(V)]
+            core = np.zeros((len(lanes), width), dtype=object)
+            core[:, n[live] - k] = [np.add.reduceat(x[:len(V)] * V, live)
+                                    for x in values]  # antidiagonal n at n - k
+        yield core, rm[k] * rn[k] // g
         rm.append(rm[k] * (a + k * b))
         rn.append(rn[k] * (c + k * d))
 
@@ -486,7 +524,8 @@ def completeness_check(f: PolyFun, g: PolyFun,
                        convention: str = "corrected_minus_one"
                        ) -> CompletenessReport:
     """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
-    k = 0..deg f + deg g, in one pass of _core_ladder.  An exact mass is one
+    k = 0..deg f + deg g, in one pass of _core_ladder, on Python ints below
+    _INT_LADDER_ENTRIES nonzero tensor entries.  An exact mass is one
     Fraction off the core lanes, with C^2 from integer products; a float
     mass is C^2 times the norm of the core that qk_project builds."""
     shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
@@ -496,12 +535,13 @@ def completeness_check(f: PolyFun, g: PolyFun,
     L = f.nu.denominator * g.nu.denominator
     x0 = int(L * (f.nu + g.nu + shift))
     top, (A, B) = f.degree + g.degree, (f.nu + g.nu).as_integer_ratio()
-    table = np.array(rising_ints(B, B, top), dtype=object)  # m! B^m
+    table = rising_ints(B, B, top)  # m! B^m
     masses = []
     for k, (core, scale) in zip(range(top + 1),
                                 _core_ladder(lanes, f.nu, g.nu, exact)):
         if exact:  # m!/(mu + nu + 2k)_m = m! B^m / prod_{i<m} (A + (2k + i) B)
-            terms = (sum(x * x for x in core) * table)[:top - k + 1].tolist()
+            sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
+            terms = list(map(mul, sq, table[:top - k + 1]))
             factors = range(A + 2 * k * B, A + (2 * k + len(terms) - 1) * B, B)
             acc = terms[0]  # Horner: sum_m terms[m] prod_{m<=i<M} factors[i]
             for t, y in zip(terms[1:], factors):

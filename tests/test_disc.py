@@ -487,6 +487,140 @@ def test_completeness_float_masses_are_pinned():
             == (total, "0x1.76ae6a4572114p-1", passed), conv
 
 
+# The Hahn ladder runs on lists of Python ints below disc._INT_LADDER_ENTRIES
+# nonzero tensor entries and on object arrays above.  Both must give the same
+# integers, and every result built on them must agree bit for bit.
+
+@given(ladder_weights, ladder_weights, st.integers(1, 14), st.integers(1, 14),
+       st.data())
+@example(Fraction(5, 2), Fraction(7, 2), 17, 17, None)
+@example(Fraction(7, 3), Fraction(11, 4), 1, 1, None)
+@settings(max_examples=30, deadline=None)
+def test_int_hahn_ladder_matches_array_ladder(mu, nu, P, Q, data):
+    # Every V_k entry for entry, also on a random subset of the entries (the
+    # nonzero ones of a sparse tensor) and past the last antidiagonal.
+    p, q = _antidiagonal_order(P, Q)
+    if data is not None:
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=P * Q,
+                                           max_size=P * Q)), dtype=bool)
+        p, q = p[keep], q[keep]
+    arrays = disc._hahn_ladder(mu, nu, p + q, p)
+    ints = disc._int_hahn_ladder(mu, nu, (p + q).tolist(), p.tolist())
+    for k in range(P + Q + 1):
+        want, got = next(arrays).tolist(), next(ints)
+        assert type(got) is list and all(type(v) is int for v in got), k
+        assert got == want, k
+
+
+def _bits(x):
+    """x with every float as its hex, so that == means bit for bit."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_bits(y) for y in x]
+    return x  # Fraction, QC, bool
+
+
+def _on_both_ladders(call):
+    """[call() with the ladder on Python ints, call() on object arrays]."""
+    out = []
+    for cutoff in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(disc, "_INT_LADDER_ENTRIES", cutoff)
+            out.append(call())
+    return out
+
+
+def _assert_ladders_agree(f, g, ks=None, convs=_CONVENTIONS):
+    """completeness_check, qk_project at ks (every k by default) and
+    q1_iterated of f: equal Fractions or bit-identical floats on both
+    ladders."""
+    top = f.degree + g.degree
+    F = TensorPoly.from_product(f, g)
+
+    def results():
+        reps = [completeness_check(f, g, conv) for conv in convs]
+        return _bits([[(r.per_k, r.total, r.expected, r.passed) for r in reps],
+                      [qk_project(F, ProjectionSpec(f.nu, g.nu, k, conv)
+                                  ).core.coeffs
+                       for k in (range(top + 1) if ks is None else ks)
+                       for conv in convs],
+                      q1_iterated(f, 2, convs[0]).core.coeffs])
+
+    ints, arrays = _on_both_ladders(results)
+    assert ints == arrays
+
+
+coefficient_lanes = st.tuples(gaussian_coeffs, st.booleans()).map(
+    lambda c: [(float(re), float(im)) for re, im in c[0]] if c[1] else c[0])
+
+
+_ONE = ("corrected_minus_one", -1)
+
+
+@given(coefficient_lanes, coefficient_lanes, weights, weights,
+       st.sampled_from([_ONE, ("paper_plus_one", 1)]))
+@example([(Fraction(0), Fraction(0))] * 3,  # a zero factor
+         [(Fraction(1), Fraction(2)), (Fraction(0), Fraction(-1))],
+         Fraction(5, 2), Fraction(7, 2), _ONE)
+@example([(Fraction(3, 2), Fraction(-1))],  # a degree-0 factor
+         [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)),
+          (Fraction(-2), Fraction(1, 4))], Fraction(2), Fraction(3), _ONE)
+@example([(0.0, 0.0), (0.5, 0.0)], [(0.0, 0.0)], Fraction(3), Fraction(2),
+         _ONE)
+@example([(1.5, -0.25)], [(0.0, 0.0), (0.0, -0.0), (-0.75, 1.0)],
+         Fraction(7, 2), Fraction(5, 2), _ONE)
+@_sparse_examples
+@settings(max_examples=40, deadline=None)
+def test_both_ladders_give_the_same_results(fc, gc, mu, nu, convention):
+    _assert_ladders_agree(_poly(mu, fc), _poly(nu, gc),
+                          convs=(convention[0],))
+
+
+def _dense_pair(degree, seed, exact):
+    """Seeded factors of the given degree at (5/2, 7/2), no coefficient
+    zero: Fractions, or complex floats of them."""
+    rng = np.random.default_rng([seed, degree])
+    return [PolyFun(nu, tuple(
+        Fraction(int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])),
+                 int(rng.integers(1, 5))) * (1 if exact else 1 + 0.5j)
+        for _ in range(degree + 1)))
+        for nu in (Fraction(5, 2), Fraction(7, 2))]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_both_ladders_agree_on_either_side_of_the_cutoff(exact):
+    # The last degree whose dense square tensor has fewer than
+    # _INT_LADDER_ENTRIES entries, and the next one.
+    below = math.isqrt(disc._INT_LADDER_ENTRIES - 1) - 1
+    for degree in (below, below + 1):
+        f, g = _dense_pair(degree, 24, exact)
+        _assert_ladders_agree(f, g, ks=(0, 1, degree, 2 * degree))
+        rep = completeness_check(f, g)
+        assert rep.passed and (rep.total == rep.expected or not exact)
+
+
+def test_ladder_dispatch_counts_nonzero_entries(monkeypatch):
+    used = []
+    for name in ("_hahn_ladder", "_int_hahn_ladder"):
+        monkeypatch.setattr(disc, name, lambda *args, real=getattr(
+            disc, name), name=name: used.append(name) or real(*args))
+    below = math.isqrt(disc._INT_LADDER_ENTRIES - 1) - 1
+    sparse = PolyFun(Fraction(5, 2), (1,) + (0,) * 39 + (Fraction(-3, 2),))
+    dense_41 = _dense_pair(40, 24, True)[1]
+    cases = [(_dense_pair(below, 24, True), "_int_hahn_ladder"),
+             (_dense_pair(below + 1, 24, True), "_hahn_ladder"),
+             ((sparse, dense_41), "_int_hahn_ladder"),  # 82 of 1681 nonzero
+             ((dense_41, dense_41), "_hahn_ladder")]
+    for (f, g), want in cases:
+        used.clear()
+        F = TensorPoly.from_product(f, g)
+        qk_project(F, ProjectionSpec(f.nu, g.nu, 1))
+        assert used == [want], (f.degree, g.degree)
+
+
 def test_q1_component_vanishes():
     for coeffs in ((1, 1), (2, Fraction(-1, 3), 1), (0, 1, 1, Fraction(1, 7))):
         for n in (2, 3, 4):

@@ -12,7 +12,11 @@ It measures the checkout it lives in, whatever the working directory:
 * the line count of each module under ``src/wehrl_lab``;
 * the frontiers: the largest degree at which ``completeness_check`` of two
   seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
-  and its median seconds over five calls at the fixed degrees 64 and 100,
+  and its median seconds over five calls at degrees 4, 8 and 16, at the
+  two degrees on either side of the cutoff where its ladder leaves Python
+  ints for object arrays (the last pair with fewer nonzero tensor entries
+  than ``disc._INT_LADDER_ENTRIES`` and the next), and at 64 and 100, with
+  each pair's count of nonzero tensor entries,
   the constants-table rows per second on the grid of the CI ``table`` step
   (every preset, the lambdas below, n = 2, 3), the median seconds of the
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
@@ -45,6 +49,7 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -52,6 +57,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from importlib import metadata
+from itertools import count
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -128,21 +134,30 @@ def one_second_frontier(seconds_at, start: int, seconds: dict) -> int:
 
 def frontiers() -> dict:
     """Completeness and maximizer degrees reached in 1 s (one_second_frontier),
-    completeness seconds at degrees 64 and 100 (median of 5), table rows per
-    second and maximize_wehrl(2, 2, 8) seconds (median of 5).
+    completeness seconds at fixed degrees (median of 5; see the module
+    docstring), table rows per second and maximize_wehrl(2, 2, 8) seconds
+    (median of 5).
     The maximizer search ends at the first NoConvergence, recording its
     stop_reason and degree."""
-    from wehrl_lab.disc import (NoConvergence, PolyFun, completeness_check,
-                                maximize_wehrl)
+    from wehrl_lab.disc import (_INT_LADDER_ENTRIES, NoConvergence, PolyFun,
+                                completeness_check, maximize_wehrl)
     from wehrl_lab.domains import PRESETS
     from wehrl_lab.suite import emit_constants_table
 
-    def completeness_s(degree: int) -> float:
+    def coefficients(degree: int) -> list:
+        """The seeded rational coefficients of both factors at the degree."""
         rng = np.random.default_rng([SEED, degree])
-        f, g = (PolyFun(nu, tuple(Fraction(int(rng.integers(-4, 5)),
-                                           int(rng.integers(1, 5)))
-                                  for _ in range(degree + 1)))
-                for nu in (Fraction(5, 2), Fraction(7, 2)))
+        return [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+                 for _ in range(degree + 1)] for _ in range(2)]
+
+    def entries(degree: int) -> int:
+        """The nonzero entries of the tensor of the two factors."""
+        return math.prod(sum(c != 0 for c in cs)
+                         for cs in coefficients(degree))
+
+    def completeness_s(degree: int) -> float:
+        f, g = (PolyFun(nu, tuple(cs)) for nu, cs in
+                zip((Fraction(5, 2), Fraction(7, 2)), coefficients(degree)))
         t0 = perf_counter()
         if not completeness_check(f, g).passed:
             raise RuntimeError(f"completeness fails at degree {degree}")
@@ -161,8 +176,10 @@ def frontiers() -> dict:
 
     seconds: dict = {}
     completeness_degree = one_second_frontier(completeness_s, 8, seconds)
+    past = next(d for d in count(4) if entries(d) >= _INT_LADDER_ENTRIES)
+    degrees = sorted({4, 8, 16, past - 1, past, 64, 100})
     fixed = {str(degree): median(completeness_s(degree) for _ in range(5))
-             for degree in (64, 100)}
+             for degree in degrees}
     max_seconds: dict = {}
     try:
         maximize_degree = one_second_frontier(maximize_s, 8, max_seconds)
@@ -184,6 +201,9 @@ def frontiers() -> dict:
     return {"completeness_degree_1s": completeness_degree,
             "completeness_s": {str(k): v for k, v in sorted(seconds.items())},
             "completeness_median_s": fixed,
+            "completeness_nonzero_entries": {str(d): entries(d)
+                                             for d in degrees},
+            "int_ladder_entries": _INT_LADDER_ENTRIES,
             "table_rows": rows, "table_s": median(times),
             "table_rows_per_s": rows / median(times),
             "maximize_2_2_8_s": median(suite_times),
