@@ -293,18 +293,14 @@ def compact(m, n, vector, random_, seed):
 
 @main.command()
 @click.argument("name", type=click.Choice(SUITE_NAMES))
-@click.option("--mc-budget", default=1_000_000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--tol-abs", default=1e-10, show_default=True, type=float)
 @click.option("--convention", default="corrected", show_default=True,
               type=click.Choice(list(PROJECTION_CONVENTION)))
 @click.option("--out", default=None, type=click.Path(),
               help="directory for the JSON-lines report stream")
-def suite(name, mc_budget, seed, tol_abs, convention, out):
+def suite(name, seed, convention, out):
     """Run a verification battery; exit code 0 iff all checks pass."""
-    config = SuiteConfig(mc_budget=mc_budget, seed=seed,
-                         tolerance_abs=tol_abs, convention=convention)
-    code, reports = run_suite(name, config)
+    code, reports = run_suite(name, SuiteConfig(seed, convention))
     lines = [r.to_json() for r in reports]
     for line in lines:
         click.echo(line)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from itertools import accumulate, count, islice
 from operator import add, mul
 from typing import Optional, Sequence
@@ -276,9 +276,17 @@ def _radial_angular_integral(f: PolyFun, power2n: int,
     t, wt = gauss_jacobi(n_nodes, weight_exp, 0.0)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.polyval(f.as_complex_array()[::-1], z)
-    ang_avg = np.mean(np.abs(vals) ** power2n, axis=1)
-    return float(np.sum(wt * ang_avg))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
+        vals = np.polyval(f.as_complex_array()[::-1], z)
+        ang_avg = np.mean(np.abs(vals) ** power2n, axis=1)
+        return _finite(float(np.sum(wt * ang_avg)))
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatRangeExceeded("the quadrature of |f|^{2n} exceeds the "
+                                 "float limit 1.8e308")
+    return value
 
 
 def norm_p_numeric(f: PolyFun, p: int) -> float:
@@ -287,7 +295,7 @@ def norm_p_numeric(f: PolyFun, p: int) -> float:
     so that for even p it equals ||f^{p/2}||^2 at weight p*nu/2."""
     if p % 2 != 0 or p < 2:
         raise ValueError("p must be a positive even integer")
-    return float(p * f.nu / 2 - 1) * matrix_coeff_lp(f, p // 2)
+    return _finite(float(p * f.nu / 2 - 1) * matrix_coeff_lp(f, p // 2))
 
 
 def matrix_coeff_lp(f: PolyFun, n: int) -> float:
@@ -568,6 +576,20 @@ def completeness_check(f: PolyFun, g: PolyFun,
 # ---------------------------------------------------------------------------
 # Wehrl inequality, improved form, kernels.
 
+def _in_float_range(check):
+    """check, raising FloatRangeExceeded where an exact value or a float
+    power past the float range raises a bare OverflowError."""
+    @wraps(check)
+    def checked(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except OverflowError as exc:
+            raise FloatRangeExceeded(f"{check.__name__}: a value exceeds the"
+                                     f" float limit 1.8e308 ({exc})") from None
+    return checked
+
+
+@_in_float_range
 def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
     if n < 1:
@@ -590,6 +612,7 @@ class ImprovedReport:
     exact_slack: Optional[Fraction]
 
 
+@_in_float_range
 def improved_check(f: PolyFun, n: int, convention: str = "sharp"
                    ) -> ImprovedReport:
     """Check ||f^n||^2_{n nu} + R(f) <= ||f||^{2n}_nu with the remainder

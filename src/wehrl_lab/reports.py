@@ -60,15 +60,9 @@ REMAINDER_CONVENTION = {"paper": "paper", "corrected": "sharp"}
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    mc_budget: int = 1_000_000
     seed: int = 0
-    tolerance_abs: float = 1e-10
     convention: str = "corrected"
 
     def __post_init__(self):
-        if self.mc_budget < 1:
-            raise ConfigError("mc_budget must be positive")
-        if not 0 < self.tolerance_abs < 1:
-            raise ConfigError("tolerance_abs must lie in (0, 1)")
         if self.convention not in PROJECTION_CONVENTION:
             raise ConfigError("convention must be 'paper' or 'corrected'")

@@ -175,7 +175,7 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
 
 
 def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
-                method: str, seed: int) -> NumericEstimate:
+                method: str, seed: int = 0) -> NumericEstimate:
     """rule(spec, nodes) at the node count that makes it exact, refused over
     `limit`, with its rounding bound in units of eps |value|, eps = 2^-52.
     Grid terms are >= 0, so relative errors per term bound the sum's: numpy
@@ -283,8 +283,7 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
     raise MethodUnsupported(f"unknown method {method!r}")
 
 
-def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
-                           seed: int = 0) -> dict:
+def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     """Check d_lambda * (numeric value of the defining integral) = 1.
 
     The defining integral over the domain reduces, through the polar
@@ -293,7 +292,9 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
     formula.  Its one rule is exact: the tensor rule of selberg_numeric for
     even a, else the ordered-sector rule at D // 2 + 1 nodes per axis, D its
     largest degree on any axis, with budgets of at least 48 and 64 nodes.
-    error_bound is that rule's rounding bound, scaled as the product is.
+    error_bound bounds |product - 1|: the rule's rounding bound, scaled as
+    the product is, plus 2^-53 |product| times 2 for the two products and
+    N + 4 for each of float(d), float(C) (rounding c, pi, pi^N, c pi^(+-N)).
     """
     d_exact, lam = scalar_formal_degree(d, lam), Fraction(lam)  # NotAdmissible
     spec = SelbergSpec(d.r, d.a, d.b, lam - d.p)
@@ -304,15 +305,16 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
         raise FloatRangeExceeded(f"{d.family_label} {(d.r, d.a, d.b)} at "
                                  f"lambda = {lam}: {exc}") from None
     if d.a % 2 == 0:
-        est = selberg_numeric(spec, "gauss_jacobi", max(48, budget), seed)
+        est = selberg_numeric(spec, "gauss_jacobi", max(48, budget))
     else:
         degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
                      for m in range(1, d.r + 1))
         est = _exact_rule(ordered_sector_quadrature, spec, degree // 2 + 1,
-                          max(64, budget), "ordered_quadrature", seed)
+                          max(64, budget), "ordered_quadrature")
 
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse
+    roundings = (d.N + 5) * 2.0 ** -52 * abs(product)  # d, C at pi^-N, pi^N
     return {
         "domain": d.family_label,
         "lambda": str(lam),
@@ -321,10 +323,9 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200,
         "product": product,
         "deviation": abs(product - 1.0),
         "stderr_product": d_float * C_float * est.stderr,
-        "error_bound": d_float * C_float * est.abs_err_bound,
+        "error_bound": d_float * C_float * est.abs_err_bound + roundings,
         "method": est.method,
         "samples_or_nodes": est.samples_or_nodes,
-        "seed": seed,
         # Gindikin Gamma convention: the (2 pi)^{(n1-r)/2} prefactor is
         # omitted throughout, consistently on both routes.
         "gamma_convention": "gindikin_without_2pi_factor",

@@ -29,6 +29,7 @@ from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
 __all__ = ["run_suite", "emit_constants_table", "SUITE_NAMES"]
 
 SUITE_NAMES = ("degrees", "selberg", "disc", "compact", "all")
+_MC_BUDGET = 1_000_000  # samples of the suite's Monte Carlo check
 
 # Where a tolerance comes from: exact equality (tolerance 0); a quadrature
 # rule exact on the integrand, leaving rounding; an error bound the oracle
@@ -136,32 +137,30 @@ def _suite_selberg(config: SuiteConfig) -> list[Report]:
         "selberg.closed_form", {"r": 2, "a": 1, "b": 0, "gamma": 0},
         [("value", closed, Fraction(1, 3), 0, "exact")])]
 
-    est = sb.selberg_numeric(spec, "monte_carlo", config.mc_budget,
-                             config.seed)
+    est = sb.selberg_numeric(spec, "monte_carlo", _MC_BUDGET, config.seed)
     reports.append(_check(
         "selberg.monte_carlo_3sigma",
-        {"r": 2, "a": 1, "b": 0, "gamma": 0, "budget": config.mc_budget},
+        {"r": 2, "a": 1, "b": 0, "gamma": 0, "budget": _MC_BUDGET},
         [("estimate", est.value, float(closed), 3 * est.stderr, "n_sigma")],
         {"stderr": est.stderr,
          "deviation": abs(est.value - float(closed))}, seed=config.seed))
 
     spec2 = sb.SelbergSpec(2, 2, 0, 1)
     closed2 = sb.selberg_closed(spec2)
-    est2 = sb.selberg_numeric(spec2, "gauss_jacobi", 120, config.seed)
-    reports.append(_check(
+    est2, ref = sb.selberg_numeric(spec2, "gauss_jacobi", 120), float(closed2)
+    reports.append(_check(  # float(closed2) rounds by at most half an ulp
         "selberg.gauss_jacobi", {"r": 2, "a": 2, "b": 0, "gamma": 1},
-        [("estimate", est2.value, float(closed2),
-          1e-10 * abs(float(closed2)), "rule_exactness")],
-        {"closed": exact_json(closed2)}))
+        [("estimate", est2.value, ref, est2.abs_err_bound + math.ulp(ref) / 2,
+          "error_bound")], {"closed": exact_json(closed2)}))
 
     for name, lam in (("disc", Fraction(3)), ("Sp(2,R)", Fraction(9, 2)),
                       ("SO(2,3)", Fraction(7, 2))):
-        rep = sb.verify_degree_integral(PRESETS[name], lam, seed=config.seed)
+        rep = sb.verify_degree_integral(PRESETS[name], lam)
         reports.append(_check(
             "selberg.verify_degree_integral", {"domain": name,
                                                "lambda": str(lam)},
-            [("product", rep["product"], 1.0, config.tolerance_abs,
-              "stated")], rep, seed=config.seed))
+            [("product", rep["product"], 1.0, rep["error_bound"],
+              "error_bound")], rep))
     return reports
 
 
@@ -246,13 +245,6 @@ def _suite_disc(config: SuiteConfig) -> list[Report]:
         "disc.matrix_coeff_lp", {"nu": "3", "n": "2"},
         [("quadrature", dc.matrix_coeff_lp(h, 2), parseval, 1e-8 * parseval,
           "rule_exactness")], seed=config.seed))
-
-    # Point-evaluation blow-up profile.
-    radii = [1 - 10.0 ** (-k) for k in range(1, 5)]
-    reports.append(_check(
-        "disc.eval_functional_profile", {"nu": "2"},
-        [(f"r={r}", v, (1 - r * r) ** -1.0, 1e-10, "stated")
-         for r, v in dc.eval_functional_profile(Fraction(2), radii)]))
 
     # Maximizer search (small instance).
     res = dc.maximize_wehrl(2, 2, 8, seed=config.seed)

@@ -909,6 +909,27 @@ def test_float_norm_overflow_raises_typed():
     assert norm2_exact(poly(NU2, 10 ** 200, 1)) == 10 ** 400 + Fraction(1, 2)
 
 
+def test_exact_values_past_the_float_range_raise_typed():
+    # ||f||^4 and ||f^2||^2, near 10^800, are exact; their floats are not
+    f = poly(NU2, 10 ** 200, 1)
+    with pytest.raises(FloatRangeExceeded, match="wehrl_check: .* 1.8e308"):
+        wehrl_check(f, 2)
+    with pytest.raises(FloatRangeExceeded, match="improved_check: .*"):
+        improved_check(f, 2)
+    # below the float range the exact path still converts
+    assert wehrl_check(poly(NU2, 10 ** 70, 1), 2)[1] == pytest.approx(1e280)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrature_past_the_float_range_raises_typed_without_warning():
+    f = poly(NU2, 1e200, 1.0)  # |f|^4 overflows at every node
+    with pytest.raises(FloatRangeExceeded, match="quadrature of"):
+        matrix_coeff_lp(f, 2)
+    with pytest.raises(FloatRangeExceeded, match="quadrature of"):
+        norm_p_numeric(f, 4)
+    assert norm_p_numeric(poly(NU2, 1e50, 1.0), 4) > 1e200
+
+
 def test_eval_functional_profile_blowup():
     radii = [1 - 10.0 ** (-k) for k in range(1, 7)]
     prof = eval_functional_profile(NU2, radii)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -267,6 +268,27 @@ def test_verify_degree_integral_reports_its_error_bound(name, lam):
     # scaled as the product is, stays at rounding level.
     rep = verify_degree_integral(PRESETS[name], lam)
     assert 0 <= rep["error_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_verify_degree_integral_deviation_within_its_error_bound(name):
+    # error_bound is the suite's tolerance, so it must bound the deviation
+    d = PRESETS[name]
+    for lam in (d.p, d.p + Fraction(1, 2), d.p + 1, d.p + 5):
+        rep = verify_degree_integral(d, lam)
+        assert 0 < rep["error_bound"] < 1e-10
+        assert rep["deviation"] <= rep["error_bound"], (name, lam)
+
+
+def test_gauss_jacobi_error_within_its_bound():
+    # against float(closed), which rounds the exact value by half an ulp
+    halves = (0, Fraction(1, 2), 1, 2)
+    for args in itertools.product(range(1, 5), range(0, 9, 2), halves, halves):
+        spec = SelbergSpec(*args)
+        est = selberg_numeric(spec, "gauss_jacobi", 60)
+        ref = float(selberg_closed(spec))
+        bound = est.abs_err_bound + math.ulp(ref) / 2
+        assert abs(est.value - ref) <= bound, spec
 
 
 def test_verify_degree_integral_monte_carlo_consistent():

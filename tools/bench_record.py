@@ -8,7 +8,8 @@ It measures the checkout it lives in, whatever the working directory:
   fixed seed and the run length it sets, once with ``--trace 0`` (end-to-end
   metrics) and once with ``--trace 1`` (per-layer metrics);
 * the wall time of the Tier-1 tests and of ``wehrl-lab suite all --seed 0``
-  (with the SHA-256 of its stream and its exit code);
+  (with the SHA-256 of its stream, its exit code and its count of
+  comparisons per tolerance source);
 * the line count of each module under ``src/wehrl_lab``;
 * the frontiers: the largest degree at which ``completeness_check`` of two
   seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
@@ -55,6 +56,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from importlib import metadata
 from itertools import count
@@ -106,9 +108,13 @@ def tier1() -> dict:
 def suite_all() -> dict:
     proc, wall = run([sys.executable, "-m", "wehrl_lab.cli", "suite", "all",
                       "--seed", "0"])
+    comparisons = [c for line in proc.stdout.splitlines()
+                   for c in json.loads(line)["outputs"]["comparisons"].values()]
     return {"wall_s": wall, "exit_code": proc.returncode,
             "reports": len(proc.stdout.splitlines()),
-            "stream_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()}
+            "stream_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest(),
+            "comparisons_by_source": dict(sorted(Counter(
+                c["tolerance_source"] for c in comparisons).items()))}
 
 
 def src_lines() -> dict[str, int]:
