@@ -254,15 +254,6 @@ def disc_ode(nu, c, degree):
                 "kernel_parameter_conj": str(Fraction(c) / Fraction(nu))})
 
 
-@disc.command("profile")
-@click.option("--nu", required=True)
-@click.option("--kmax", default=6, show_default=True, type=int)
-def disc_profile(nu, kmax):
-    radii = [1 - 10.0 ** (-k) for k in range(1, kmax + 1)]
-    _echo_json({"nu": str(Fraction(nu)),
-                "profile": dc.eval_functional_profile(Fraction(nu), radii)})
-
-
 @main.command()
 @click.option("--m", required=True, type=click.IntRange(min=0))
 @click.option("--n", default=2, show_default=True, type=int)

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .disc import PolyFun, _coherent_fit, _rule_sizes, product_norm2
+from .disc import (PolyFun, _angular_radial_mean, _coherent_fit, _rule_sizes,
+                   product_norm2)
 from .exactnum import gauss_jacobi
 
 __all__ = [
@@ -200,9 +201,7 @@ def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     v = np.asarray(v, dtype=complex)
     size, nodes = _rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
-    F = size * np.fft.ifft(v[:, None] * _top_row(m, t), size, axis=0)
-    mean = np.add.reduce(np.abs(F) ** (2 * n)) / size  # over gamma
-    return float(np.add.reduce(wt * mean))
+    return _angular_radial_mean(v[:, None] * _top_row(m, t), size, wt, n)
 
 
 @dataclass(frozen=True)

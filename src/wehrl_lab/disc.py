@@ -41,8 +41,7 @@ __all__ = [
     "NonIntegrable", "OutsideBergman", "NoConvergence",
     "norm2_exact", "norm_p_numeric", "qk_project", "q1_iterated",
     "completeness_check", "wehrl_check", "improved_check", "ode_solve",
-    "maximize_wehrl", "matrix_coeff_lp", "eval_functional_profile",
-    "product_norm2",
+    "maximize_wehrl", "matrix_coeff_lp", "product_norm2",
 ]
 
 _INT_LADDER_ENTRIES = 300  # numpy's dispatch outweighs the Hahn steps below
@@ -192,13 +191,6 @@ class PolyFun:
     def coeffs(self) -> tuple:
         return tuple(_values(self))
 
-    def __eq__(self, other):
-        return type(other) is PolyFun \
-            and (self.nu, self.coeffs) == (other.nu, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.nu, self.coeffs))
-
     @property
     def degree(self) -> int:
         return len(self._lanes[0][0]) - 1
@@ -266,20 +258,14 @@ def _rule_sizes(degree: int) -> tuple[int, int]:
     return degree + 1, degree // 2 + 1
 
 
-def _radial_angular_integral(f: PolyFun, power2n: int,
-                             weight_exp: float) -> float:
-    """(1/pi) int_D |f(z)|^{2n} (1-|z|^2)^{weight_exp} dm(z) with 2n=power2n,
-    by Gauss-Jacobi in t=|z|^2 and trigonometric sums in the angle.  The
-    integrand has degree n*deg f in the angle, and its angular mean degree
-    n*deg f in t."""
-    n_ang, n_nodes = _rule_sizes(power2n // 2 * f.degree)
-    t, wt = gauss_jacobi(n_nodes, weight_exp, 0.0)
-    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
-        vals = np.polyval(f.as_complex_array()[::-1], z)
-        ang_avg = np.mean(np.abs(vals) ** power2n, axis=1)
-        return _finite(float(np.sum(wt * ang_avg)))
+def _angular_radial_mean(rows: np.ndarray, size: int, wt: np.ndarray,
+                         n: int) -> float:
+    """sum_j wt_j mean_k |F_j(theta_k)|^{2n} over size equispaced angles
+    theta_k, F_j(theta) = sum_i rows[i, j] e^{i i theta}: the trigonometric
+    sums by one inverse FFT per node, the radial rule's weights wt."""
+    F = size * np.fft.ifft(rows, size, axis=0)
+    mean = np.add.reduce(np.abs(F) ** (2 * n)) / size  # over the angles
+    return float(np.add.reduce(wt * mean))
 
 
 def _finite(value: float) -> float:
@@ -305,7 +291,15 @@ def matrix_coeff_lp(f: PolyFun, n: int) -> float:
     alpha = float(n * f.nu - 2)
     if alpha <= -1:
         raise NonIntegrable("need n*nu > 1")
-    return _radial_angular_integral(f, 2 * n, alpha)
+    c = f.as_complex_array()
+    c = c[:max(np.flatnonzero(c), default=0) + 1]  # up to the top nonzero c_m
+    # On z = t^{1/2} e^{i theta}, f = sum_m c_m t^{m/2} e^{i m theta}: |f|^{2n}
+    # has degree n deg in theta, and its angular mean degree n deg in t.
+    size, nodes = _rule_sizes(n * (len(c) - 1))
+    t, wt = gauss_jacobi(nodes, alpha, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf
+        rows = c[:, None] * t ** (np.arange(len(c))[:, None] / 2)
+        return _finite(_angular_radial_mean(rows, size, wt, n))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +320,6 @@ class TensorPoly:
     @cached_property
     def coeffs(self) -> tuple:
         return tuple(map(tuple, _values(self)))
-
-    def __eq__(self, other):
-        return type(other) is TensorPoly and (self.mu, self.nu, self.coeffs) \
-            == (other.mu, other.nu, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.mu, self.nu, self.coeffs))
 
     @staticmethod
     def from_product(f: PolyFun, g: PolyFun) -> "TensorPoly":
@@ -715,20 +702,6 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     return PolyFun(nu, tuple(a[:degree + 1]))
 
 
-def eval_functional_profile(nu, radii: Sequence[float]
-                            ) -> list[tuple[float, float]]:
-    """Norm of the point-evaluation functional, ||K_w|| = (1-|w|^2)^{-nu/2}."""
-    if Fraction(nu) <= 1:
-        raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
-    nu_f = float(Fraction(nu))
-    out = []
-    for r in radii:
-        if not 0 <= r < 1:
-            raise ValueError("radii must lie in [0, 1)")
-        out.append((float(r), (1.0 - float(r) ** 2) ** (-nu_f / 2.0)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Maximizer search on the coefficient sphere.
 
@@ -829,7 +802,6 @@ class MaximizeResult:
     kernel_distance: float
     iterations: int
     grad_norm: float
-    trajectory_monotone: bool
     stop_reason: str  # "gradient_tolerance": tangent gradient below _GRAD_TOL
 
 
@@ -858,7 +830,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     x = x.view(float) / np.linalg.norm(x)
     phi, g = _objective_and_gradient(x, n, h, H)
     S, Y = hist = np.empty((2, _LBFGS_MEMORY + 1, x.size))
-    monotone, k = True, 0  # the first k rows of S, Y: pairs, oldest first
+    k = 0  # the first k rows of S, Y: pairs, oldest first
     for it in range(_MAX_ITERS + 1):
         tangent = g - (x @ g) * x
         gnorm = math.sqrt(tangent @ tangent)
@@ -883,7 +855,6 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
                 f"line search found no ascent in 60 halvings at iteration "
                 f"{it} (tangent gradient {gnorm:.2e}, tol {_GRAD_TOL})",
                 "line_search_exhausted")
-        monotone = monotone and phi_new >= phi
         S[k], Y[k] = x_new - x, tangent - g_new
         hist[:, :k + 1] -= (hist[:, :k + 1] @ x_new)[..., None] * x_new
         keep = np.einsum("ij,ij->i", S[:k + 1], Y[:k + 1]) > 0
@@ -896,4 +867,4 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     x = x.view(complex)
     return MaximizeResult(PolyFun(Fraction(nu), tuple(x / np.sqrt(h))), phi,
                           _coherent_fit([x], kappa2, 1.0), it, gnorm,
-                          monotone, "gradient_tolerance")
+                          "gradient_tolerance")

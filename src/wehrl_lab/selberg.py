@@ -81,7 +81,6 @@ class NumericEstimate:
     stderr: float          # Monte Carlo standard error, 0.0 for quadrature
     abs_err_bound: float   # quadrature rounding bound, 0.0 for Monte Carlo
     samples_or_nodes: int
-    seed: int
     method: str
 
 
@@ -175,7 +174,7 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
 
 
 def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
-                method: str, seed: int = 0) -> NumericEstimate:
+                method: str) -> NumericEstimate:
     """rule(spec, nodes) at the node count that makes it exact, refused over
     `limit`, with its rounding bound in units of eps |value|, eps = 2^-52.
     Grid terms are >= 0, so relative errors per term bound the sum's: numpy
@@ -197,7 +196,7 @@ def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
                  abs(math.lgamma(x)) for al, be in axes
                  for x in (al + 1, be + 1, al + be + 2)))
     return NumericEstimate(value, 0.0, steps * 2.0 ** -52 * abs(value), nodes,
-                           seed, method)
+                           method)
 
 
 def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
@@ -276,10 +275,10 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
             raise MethodUnsupported(
                 f"gauss_jacobi needs even integer a, got a={spec.a}")
         return _exact_rule(_gauss_jacobi_tensor, spec, int(spec.a)
-                           * (spec.r - 1) // 2 + 1, budget, method, seed)
+                           * (spec.r - 1) // 2 + 1, budget, method)
     if method == "monte_carlo":
         value, stderr = _monte_carlo(spec, budget, seed)
-        return NumericEstimate(value, stderr, 0.0, budget, seed, method)
+        return NumericEstimate(value, stderr, 0.0, budget, method)
     raise MethodUnsupported(f"unknown method {method!r}")
 
 
@@ -322,7 +321,6 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
         "numeric_inverse_degree": numeric_inverse,
         "product": product,
         "deviation": abs(product - 1.0),
-        "stderr_product": d_float * C_float * est.stderr,
         "error_bound": d_float * C_float * est.abs_err_bound + roundings,
         "method": est.method,
         "samples_or_nodes": est.samples_or_nodes,

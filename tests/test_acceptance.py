@@ -239,13 +239,15 @@ def test_criterion_10_ode_kernel_characterization():
 
 
 def test_criterion_11_eval_functional_blowup():
-    nu = Fraction(2)
-    radii = [k / 10 for k in range(0, 9)] \
-        + [1 - 10.0 ** (-k) for k in range(1, 7)]
-    prof = dc.eval_functional_profile(nu, radii)
-    ok = all(abs(v - (1 - r * r) ** (-float(nu) / 2)) < 1e-10
-             for r, v in prof)
-    tail = [v for r, v in prof if r >= 0.9]
-    ok = ok and all(x < y for x, y in zip(tail, tail[1:])) and tail[-1] > 1e5
-    _verdict(11, "evaluation-functional norm matches (1-|w|^2)^(-nu/2) to "
-             "1e-10 and blows up as |w| -> 1", ok)
+    # ||K_w||, the norm of evaluation at w: ||K_w||^2 = (1-|w|^2)^(-nu) lies
+    # between the exact norm of K_w truncated at degree 40 and that norm
+    # plus the bound on the rest.
+    nu, ok, norms = Fraction(2), True, []
+    for w in (Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)):
+        kern = dc.KernelFun(nu, w, 40)
+        norm2, closed = dc.norm2_exact(kern.to_polyfun()), (1 - w * w) ** -nu
+        ok = ok and norm2 <= closed <= norm2 + Fraction(kern.tail_bound())
+        norms.append(norm2)
+    ok = ok and all(x < y for x, y in zip(norms, norms[1:]))
+    _verdict(11, "||K_w||^2 = (1-|w|^2)^(-nu) lies between the truncated "
+             "kernel's norm and that plus its tail bound, growing in |w|", ok)

@@ -163,13 +163,15 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
     (["disc", "maximize", "--nu", "-3/2"], "must exceed 1, got -3/2"),
     (["disc", "norm", "--nu", "2", "--coeffs", "1,2", "--p", "3"],
      "p must be a positive even integer"),
-    (["disc", "profile", "--nu", "1/0"], "Fraction(1, 0)"),
-    (["disc", "profile", "--nu", "-2"], "must exceed 1, got -2"),
+    (["disc", "norm", "--nu", "1/0", "--coeffs", "1"], "Fraction(1, 0)"),
+    (["disc", "norm", "--nu", "-2", "--coeffs", "1"], "must exceed 1, got -2"),
     (["compact", "--m", "2", "--vector", "1,2"], "vector length"),
     (["compact", "--m", "-1"], "Invalid value for '--m'"),
     (["table", "--lambdas", "2,x"], "'x'"),
     (["disc", "wehrl", "--nu", "2", "--coeffs", "1e200,1"],
      "float limit 1.8e308"),
+    (["disc", "norm", "--nu", "2", "--coeffs", "1e200,1", "--p", "4"],
+     "quadrature of |f|^{2n} exceeds"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)
@@ -282,6 +284,21 @@ def test_disc_suite_reports_every_pair_and_q1_norms():
         q1 = by_command["disc.q1_vanishing"].outputs["norm2"]
         assert sorted(q1) == ["2", "3"]
         assert all(v["num"] == "0" for v in q1.values())
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_disc_suite_fails_both_quadratures_on_a_short_rule(monkeypatch, axis):
+    # The seed-0 "degree 6" polynomial of disc.norm_quadrature has c_6 = 0;
+    # its rule is sized by the top nonzero coefficient, so one angle or one
+    # node fewer fails it as it fails disc.matrix_coeff_lp.
+    sizes = dc._rule_sizes
+    monkeypatch.setattr(dc, "_rule_sizes", lambda d: tuple(
+        k - (i == axis) for i, k in enumerate(sizes(d))))
+    code, reports = run_suite("disc", SuiteConfig(seed=0))
+    verdicts = {r.command: r.verdict for r in reports}
+    assert code == 1
+    assert verdicts["disc.norm_quadrature"] == "FAIL"
+    assert verdicts["disc.matrix_coeff_lp"] == "FAIL"
 
 
 def test_rand_rational_poly_draws_as_the_scalar_loop():

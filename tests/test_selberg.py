@@ -419,7 +419,7 @@ def test_tensor_rule_stays_within_its_rounding_bound(r, half_a, b, g):
 def test_sector_rule_stays_within_its_rounding_bound(r, a, b, g):
     spec, nodes = SelbergSpec(r, a, b, g), _sector_nodes(r, a, b)
     _assert_within_bound(sb._exact_rule(ordered_sector_quadrature, spec,
-                                        nodes, nodes, "ordered_quadrature", 0),
+                                        nodes, nodes, "ordered_quadrature"),
                          spec)
 
 
