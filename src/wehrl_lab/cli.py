@@ -47,19 +47,26 @@ def _split_names(text: str) -> list[str]:
     return [s for s in out if s]
 
 
-def _parse_coeffs(text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
+def _parse_coeffs(text: str, option: str) -> tuple:
+    """The option's numbers: Fractions where rational, else finite complex."""
+    out, hint = [], f"'{option}'"
+    for tok in map(str.strip, text.split(",")):
         try:
             out.append(Fraction(tok))
         except ValueError:
             try:
                 out.append(complex(tok))
             except ValueError:
-                raise ValueError(f"{tok!r} is not a rational or complex "
-                                 f"number") from None
+                raise click.BadParameter(f"{tok!r} is not a rational or "
+                                         f"complex number", param_hint=hint)
+            if not np.isfinite(out[-1]):
+                raise click.BadParameter(f"{tok!r} is not finite",
+                                         param_hint=hint)
     return tuple(out)
+
+
+def _value_json(x) -> dict:
+    return exact_json(x) if isinstance(x, Fraction) else {"float": float(x)}
 
 
 class _Main(click.Group):
@@ -134,10 +141,10 @@ def selberg(r, a, b, gamma, method, budget, seed):
     closed = sb.selberg_closed(spec)
     est = sb.selberg_numeric(spec, method, budget, seed)
     _echo_json({
-        "closed_form": exact_json(closed) if isinstance(closed, Fraction)
-        else {"float": closed},
+        "closed_form": _value_json(closed),
         "estimate": est.value,
         "stderr": est.stderr,
+        "abs_err_bound": est.abs_err_bound,
         "deviation": abs(est.value - float(closed)),
         "method": est.method,
         "samples_or_nodes": est.samples_or_nodes,
@@ -152,13 +159,11 @@ def disc():
 
 def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
     """PolyFun from option texts; BadParameter on the option of a bad one."""
-    opt = coeffs_opt
+    values = _parse_coeffs(coeffs, coeffs_opt)
     try:
-        values = _parse_coeffs(coeffs)
-        opt = nu_opt
         return dc.PolyFun(Fraction(nu), values)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=f"'{opt}'") from None
+        raise click.BadParameter(str(exc), param_hint=f"'{nu_opt}'") from None
 
 
 @disc.command("norm")
@@ -167,14 +172,9 @@ def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
 @click.option("--p", default=2, show_default=True, type=int)
 def disc_norm(nu, coeffs, p):
     f = _get_poly(nu, coeffs)
-    exact = dc.norm2_exact(f) if p == 2 else None
-    out = {"nu": str(Fraction(nu)), "p": p,
-           "norm_p_numeric": dc.norm_p_numeric(f, p)}
-    if exact is not None:
-        out["norm2_exact"] = (exact_json(exact)
-                              if isinstance(exact, Fraction)
-                              else {"float": exact})
-    _echo_json(out)
+    exact = {"norm2_exact": _value_json(dc.norm2_exact(f))} if p == 2 else {}
+    _echo_json({"nu": str(Fraction(nu)), "p": p,
+                "norm_p_numeric": dc.norm_p_numeric(f, p), **exact})
 
 
 @disc.command("project")
@@ -195,12 +195,10 @@ def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--k'") from None
     proj = dc.qk_project(F, spec)
-    m = proj.norm2()
     _echo_json({
         "k": k, "convention": convention,
         "c_squared": exact_json(proj.c2),
-        "component_norm2": exact_json(m) if isinstance(m, Fraction)
-        else {"float": float(m)},
+        "component_norm2": _value_json(proj.norm2()),
     })
 
 
@@ -263,7 +261,7 @@ def disc_ode(nu, c, degree):
 def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
-        v = np.array([complex(x) for x in _parse_coeffs(vector)])
+        v = np.array([complex(x) for x in _parse_coeffs(vector, "--vector")])
         top = np.abs(v).max()  # no over- or underflow in the norm of v / top
         if not 0 < top < np.inf:
             raise click.BadParameter("needs a nonzero entry and only finite "

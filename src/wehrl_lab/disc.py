@@ -13,9 +13,9 @@ L^2 -> L^{2n} inequality and its improved form with the second-component
 remainder, the kernel ODE characterization, and an L-BFGS ascent searching
 for maximizers on the coefficient sphere.
 
-Coefficients are lanes: Gaussian-integer numerators over one common
-denominator (below), or one complex lane for float input, which takes the
-same routines.  QC values are built on read of coeffs, Fractions per norm.
+Coefficients are lanes, read as QC on demand: Gaussian-integer numerators
+over one common denominator (below), or one complex lane for float input,
+which the projections take at its exact dyadic values, rounding once.
 Weighted norms of products, the SU(2) masses too, go through product_norm2.
 The Hahn ladder runs on Python ints below _INT_LADDER_ENTRIES nonzero
 entries; exact completeness at degree 64 takes 0.18 s on 2 x86-64 vCPUs.
@@ -23,12 +23,13 @@ entries; exact completeness at degree 64 takes 0.18 s on 2 x86-64 vCPUs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, count, islice
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,18 +68,36 @@ class NoConvergence(RuntimeError):
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
     """((lanes, den), exact) of coefficients listed in C order: exact iff
-    every entry is an int, Fraction or QC; else complex(c) each, over 1."""
-    exact = all(isinstance(c, (QC, int, Fraction)) for c in flat)
-    if exact:
-        pairs = [(c.re, c.im) if isinstance(c, QC) else (c, 0) for c in flat]
-        den = math.lcm(*(x.denominator for pair in pairs for x in pair))
-        parts = [[x.numerator * (den // x.denominator) for x in part]
-                 for part in zip(*pairs)] or [[]]
-        parts = parts if any(parts[-1]) else parts[:1]
-    else:
-        parts, den = ([complex(c) for c in flat],), 1
-    return (tuple(np.array(x, dtype=object).reshape(shape)
-                  for x in parts), den), exact
+    every entry is an int, Fraction or QC; else complex(c) each, over 1, and
+    ValueError on one that is not finite."""
+    if all(isinstance(c, (QC, int, Fraction)) for c in flat):
+        return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (c, 0)
+                             for c in flat], shape), True
+    flat = [complex(c) for c in flat]
+    if bad := [c for c in flat if not cmath.isfinite(c)]:
+        raise ValueError(f"coefficient {bad[0]} is not finite")
+    return ((np.array(flat, dtype=object).reshape(shape),), 1), False
+
+
+def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
+    """(lanes, den) of rational (re, im) pairs in C order, den their lcm."""
+    ratios = [[x.as_integer_ratio() for x in part] for part in zip(*pairs)]
+    den = math.lcm(*(d for part in ratios for _, d in part))
+    parts = [[x * (den // d) for x, d in part] for part in ratios] or [[]]
+    parts = parts if any(parts[-1]) else parts[:1]
+    return tuple(np.array(x, dtype=object).reshape(shape)
+                 for x in parts), den
+
+
+def _exact_lanes(f) -> tuple:
+    """f's (lanes, den), or for float f those of the dyadic rationals it
+    holds; FloatRangeExceeded on a non-finite entry, from a float product."""
+    if f.exact:
+        return f._lanes
+    lane = f._lanes[0][0]
+    if not all(map(cmath.isfinite, lane.flat)):
+        raise FloatRangeExceeded("a float entry is not finite (past 1.8e308)")
+    return _ratio_lanes([(c.real, c.imag) for c in lane.flat], lane.shape)
 
 
 def _lanes_as(f, exact: bool) -> tuple:
@@ -92,12 +111,7 @@ def _lanes_as(f, exact: bool) -> tuple:
 
 
 def _from_lanes(cls, weights: tuple, lanes: tuple, den: int, exact: bool):
-    """cls(*weights, coeffs) with the coefficients lanes over den; float
-    lanes are divided here, complex(x) / den, to one complex lane over 1."""
-    if not exact:
-        lanes = (np.frompyfunc(lambda x: complex(x) if den == 1
-                               else complex(x) / den, 1, 1)(lanes[0]),)
-        den = 1
+    """cls(*weights, coeffs) with the coefficients lanes over den."""
     obj = object.__new__(cls)  # the weights by name, as cls.__init__ sets them
     obj.__dict__.update(zip(("mu", "nu")[-len(weights):], weights))
     obj._lanes, obj.exact = (lanes, den), exact
@@ -379,6 +393,20 @@ class Projected:
         return self.c2 * norm2_exact(self.core)
 
 
+def _in_float_range(check):
+    """check, raising FloatRangeExceeded where an exact value or a float
+    power past the float range raises a bare OverflowError."""
+    @wraps(check)
+    def checked(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except OverflowError as exc:
+            raise FloatRangeExceeded(f"{check.__name__}: a value exceeds the"
+                                     f" float limit 1.8e308 ({exc})") from None
+    return checked
+
+
+@_in_float_range
 def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
     """Project F in H_mu (x) H_nu onto the H_{mu+nu+2k} component via
 
@@ -387,21 +415,23 @@ def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
 
     On z^p w^q the sum is W_k(p,q)/E z^{p+q-k} (_core_ladder): e_j/E are the
     weights in lowest terms, W_k = sum_j e_j perm(p,j) perm(q,k-j) integers.
+    Float F projects its exact values; the core is rounded once.
     """
     if (F.mu, F.nu) != (spec.mu, spec.nu):
         raise ValueError(f"tensor weights (mu, nu) = ({F.mu}, {F.nu}) differ "
                          f"from the projection's ({spec.mu}, {spec.nu})")
-    return _project(*F._lanes, F.exact, spec)
+    return _project(*_exact_lanes(F), F.exact, spec)
 
 
 def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:
-    """qk_project on tensor lanes over den."""
-    core, scale = next(islice(_core_ladder(lanes, spec.mu, spec.nu, exact),
-                              spec.k, None))
-    return Projected(_from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,),
-                                 tuple(np.array(core, dtype=object)),
-                                 den * scale, exact),
-                     spec.c_squared(), spec)
+    """qk_project on exact tensor lanes over den, rounded once unless exact."""
+    core, scale = next(islice(_core_ladder(lanes, spec.mu, spec.nu), spec.k,
+                              None))
+    core = _from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,),
+                       tuple(np.array(core, dtype=object)), den * scale, True)
+    if not exact:
+        core = _from_lanes(PolyFun, (core.nu,), *_lanes_as(core, False), False)
+    return Projected(core, spec.c_squared(), spec)
 
 
 def _hahn_step(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -446,13 +476,12 @@ def _int_hahn_ladder(mu: Fraction, nu: Fraction, n: list, p: list):
                           v, w in zip(n[:len(cur) - n.count(k)], p, cur, prev)]
 
 
-def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction, exact: bool):
+def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction):
     """Yield (core, scale) for k = 0, 1, ...: core / scale (P + Q - 1 long)
-    is the k-th core of qk_project on tensor lanes a[p, q] over their den.
-    The ladder runs on the nonzero entries only (some lane nonzero), on
-    lists of Python ints below _INT_LADDER_ENTRIES of them (core lists).
-    Exact: scale = b^k d^k (mu)_k (nu)_k on V_k.  Float: scale = E on W_k =
-    V_k / g: sum_p a[p, q] W_k(p, q) in order of p, / E."""
+    is the k-th core of qk_project on integer tensor lanes a[p, q] over their
+    den, with scale = b^k d^k (mu)_k (nu)_k on V_k.  The ladder runs on the
+    nonzero entries only (some lane nonzero), on lists of Python ints below
+    _INT_LADDER_ENTRIES of them (core lists)."""
     p, q = np.indices(lanes[0].shape).reshape(2, -1)
     p, n = np.array((p, p + q))[:, np.lexsort((p, -p - q))]  # n down, then p
     values = [lane[p, n - p] for lane in lanes]
@@ -468,29 +497,24 @@ def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction, exact: bool):
     rm, rn = [1], [1]  # b^j (mu)_j and d^j (nu)_j for j <= k
     ladder = (_int_hahn_ladder if small else _hahn_ladder)(mu, nu, n, p)
     for k, V in enumerate(ladder):
-        g = 1 if exact else math.gcd(rm[k] * rn[k], *(  # e_j/E, lowest terms
-            math.comb(k, j) * b ** j * d ** (k - j)
-            * (rm[k] // rm[j]) * (rn[k] // rn[k - j]) for j in range(k + 1)))
         if small:
-            V, core = V if exact else [v // g for v in V], []
-            bounds = [(N, i, j) for N, i, j in bounds if N >= k]
+            core, bounds = [], [(N, i, j) for N, i, j in bounds if N >= k]
             for x in values:
-                terms, out = list(map(mul, x, V)), [0] * width
-                acc = [0, *accumulate(terms)] if exact else None
-                for N, i, j in bounds:  # a float sum adds in order of p
-                    out[N - k] = (acc[j] - acc[i] if exact
-                                  else reduce(add, terms[i:j]))
+                acc, out = [0, *accumulate(map(mul, x, V))], [0] * width
+                for N, i, j in bounds:
+                    out[N - k] = acc[j] - acc[i]
                 core.append(out)
         else:
-            V, live = V if exact else V // g, starts[starts < len(V)]
+            live = starts[starts < len(V)]
             core = np.zeros((len(lanes), width), dtype=object)
             core[:, n[live] - k] = [np.add.reduceat(x[:len(V)] * V, live)
                                     for x in values]  # antidiagonal n at n - k
-        yield core, rm[k] * rn[k] // g
+        yield core, rm[k] * rn[k]
         rm.append(rm[k] * (a + k * b))
         rn.append(rn[k] * (c + k * d))
 
 
+@_in_float_range
 def q1_iterated(f: PolyFun, n: int,
                 convention: str = "corrected_minus_one") -> Projected:
     """Component of f^{(x) n} in the first subleading summand, computed by
@@ -498,8 +522,9 @@ def q1_iterated(f: PolyFun, n: int,
     k = 1 against the last.  Identically zero for every f."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    head = f.power(n - 1) if n > 2 else f
-    (a, da), (b, db) = head._lanes, f._lanes
+    a, da = b, db = _exact_lanes(f)
+    for _ in range(n - 2):  # the head f^{n-1}, exact also for float f
+        a, da = _gaussian(a, b, np.convolve), da * db
     return _project(_gaussian(a, b, np.multiply.outer), da * db, f.exact,
                     ProjectionSpec((n - 1) * f.nu, f.nu, 1, convention))
 
@@ -515,17 +540,17 @@ class CompletenessReport:
     passed: bool
 
 
+@_in_float_range
 def completeness_check(f: PolyFun, g: PolyFun,
                        convention: str = "corrected_minus_one"
                        ) -> CompletenessReport:
     """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
     k = 0..deg f + deg g, in one pass of _core_ladder, on Python ints below
-    _INT_LADDER_ENTRIES nonzero tensor entries.  An exact mass is one
-    Fraction off the core lanes, with C^2 from integer products; a float
-    mass is C^2 times the norm of the core that qk_project builds."""
+    _INT_LADDER_ENTRIES nonzero tensor entries.  Each mass is one Fraction
+    off the core lanes, C^2 from integer products; float input is checked on
+    its exact values, and the masses, total and expected are rounded once."""
     shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
-    exact = f.exact and g.exact
-    (a, da), (b, db) = _lanes_as(f, exact), _lanes_as(g, exact)
+    (a, da), (b, db) = _exact_lanes(f), _exact_lanes(g)
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
     L = f.nu.denominator * g.nu.denominator
     x0 = int(L * (f.nu + g.nu + shift))
@@ -533,48 +558,29 @@ def completeness_check(f: PolyFun, g: PolyFun,
     table = rising_ints(B, B, top)  # m! B^m
     masses = []
     for k, (core, scale) in zip(range(top + 1),
-                                _core_ladder(lanes, f.nu, g.nu, exact)):
-        if exact:  # m!/(mu + nu + 2k)_m = m! B^m / prod_{i<m} (A + (2k + i) B)
-            sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
-            terms = list(map(mul, sq, table[:top - k + 1]))
-            factors = range(A + 2 * k * B, A + (2 * k + len(terms) - 1) * B, B)
-            acc = terms[0]  # Horner: sum_m terms[m] prod_{m<=i<M} factors[i]
-            for t, y in zip(terms[1:], factors):
-                acc = acc * y + t
-            # C^2/scale^2 = 1/(scale k! L^k (mu+nu+-1+k)_k), L = bd
-            c2_den = math.factorial(k) * rising_ints(x0 + k * L, L, k)[k]
-            masses.append(Fraction(acc, den * den * scale * c2_den
-                                   * math.prod(factors)))
-        else:
-            masses.append(ProjectionSpec(f.nu, g.nu, k, convention).c_squared()
-                          * norm2_exact(_from_lanes(
-                              PolyFun, (f.nu + g.nu + 2 * k,), core,
-                              den * scale, False)))
-    total = sum(masses, Fraction(0) if exact else 0.0)
-    expected = norm2_exact(f) * norm2_exact(g)
-    if exact:
-        passed = total == expected
-    else:
-        passed = abs(total - expected) <= 1e-10 * max(1.0, abs(expected))
+                                _core_ladder(lanes, f.nu, g.nu)):
+        # m!/(mu + nu + 2k)_m = m! B^m / prod_{i<m} (A + (2k + i) B)
+        sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
+        terms = list(map(mul, sq, table[:top - k + 1]))
+        factors = range(A + 2 * k * B, A + (2 * k + len(terms) - 1) * B, B)
+        acc = terms[0]  # Horner: sum_m terms[m] prod_{m<=i<M} factors[i]
+        for t, y in zip(terms[1:], factors):
+            acc = acc * y + t
+        # C^2/scale^2 = 1/(scale k! L^k (mu+nu+-1+k)_k), L = bd
+        c2_den = math.factorial(k) * rising_ints(x0 + k * L, L, k)[k]
+        masses.append(Fraction(acc, den * den * scale * c2_den
+                               * math.prod(factors)))
+    total = sum(masses, Fraction(0))
+    expected = product_norm2([(a, da)], f.nu) * product_norm2([(b, db)], g.nu)
+    passed = total == expected
+    if not (f.exact and g.exact):  # rounded once
+        *masses, total, expected = map(float, (*masses, total, expected))
     return CompletenessReport(f.nu, g.nu, convention, tuple(masses),
                               total, expected, passed)
 
 
 # ---------------------------------------------------------------------------
 # Wehrl inequality, improved form, kernels.
-
-def _in_float_range(check):
-    """check, raising FloatRangeExceeded where an exact value or a float
-    power past the float range raises a bare OverflowError."""
-    @wraps(check)
-    def checked(*args, **kwargs):
-        try:
-            return check(*args, **kwargs)
-        except OverflowError as exc:
-            raise FloatRangeExceeded(f"{check.__name__}: a value exceeds the"
-                                     f" float limit 1.8e308 ({exc})") from None
-    return checked
-
 
 @_in_float_range
 def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:

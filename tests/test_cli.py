@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -71,12 +72,16 @@ def test_selberg_json_without_telescoping(runner):
 
 def test_selberg_gauss_jacobi_default_budget(runner):
     # The default budget of 100000 caps the nodes per axis; the degree of
-    # the integrand sets them: a(r-1)/2 + 1 = 9, one exact rule.
+    # the integrand sets them: a(r-1)/2 + 1 = 9, one exact rule.  The rule's
+    # rounding bound, plus the closed form's half ulp, is the suite's gate.
     res = runner.invoke(main, ["selberg", "--r", "3", "--a", "8", "--b", "0",
                                "--gamma", "1/2", "--method", "gauss_jacobi"])
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["deviation"] < 1e-12 and out["samples_or_nodes"] == 9
+    assert out["abs_err_bound"] > 0
+    assert out["deviation"] <= (out["abs_err_bound"]
+                                + math.ulp(out["closed_form"]["float"]) / 2)
 
 
 def test_numeric_import_path_leaves_sympy_out():
@@ -140,6 +145,10 @@ def test_disc_subcommands(runner):
     (["norm", "--nu", "abc", "--coeffs", "1,2"], "--nu", "'abc'"),
     (["wehrl", "--nu", "2", "--coeffs", "1,,2"], "--coeffs",
      "'' is not a rational"),
+    (["project", "--mu", "5/2", "--nu", "7/2", "--k", "1", "--f", "nan,1",
+      "--g", "1"], "--f", "'nan' is not finite"),
+    (["wehrl", "--nu", "2", "--coeffs", "1,-inf"], "--coeffs",
+     "'-inf' is not finite"),
 ])
 def test_disc_bad_input_names_the_option(runner, args, option, message):
     res = runner.invoke(main, ["disc", *args])
@@ -172,6 +181,12 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "float limit 1.8e308"),
     (["disc", "norm", "--nu", "2", "--coeffs", "1e200,1", "--p", "4"],
      "quadrature of |f|^{2n} exceeds"),
+    (["disc", "wehrl", "--nu", "2", "--coeffs", "nan,1"],
+     "Invalid value for '--coeffs': 'nan' is not finite"),
+    (["disc", "improved", "--nu", "2", "--coeffs", "1,infj"],
+     "Invalid value for '--coeffs': 'infj' is not finite"),
+    (["compact", "--m", "2", "--vector", "1,x,0"],
+     "Invalid value for '--vector': 'x' is not a rational"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

@@ -266,11 +266,9 @@ ladder_weights = st.fractions(min_value=1, max_value=6,
 @settings(max_examples=25, deadline=None)
 def test_hahn_ladder_matches_dot_reference(mu, nu, P, Q):
     # Every W_k, k <= P + Q - 2, entry for entry: V_k = b^k d^k (mu)_k
-    # (nu)_k W_k / E exactly, and the float cores are scaled by the same E.
+    # (nu)_k W_k / E exactly.
     p, q = _antidiagonal_order(P, Q)
     ladder = disc._hahn_ladder(mu, nu, p + q, p)
-    floats = disc._core_ladder((np.full((P, Q), 1j, dtype=object),), mu, nu,
-                               False)
     for k in range(P + Q - 1):
         V = next(ladder)
         W, E = _ref_w(mu, nu, k, P, Q)
@@ -281,7 +279,6 @@ def test_hahn_ladder_matches_dot_reference(mu, nu, P, Q):
         assert len(V) == np.count_nonzero(live)
         assert not W[p[~live], q[~live]].any()
         assert list(V * E) == list(W[p[live], q[live]] * int(scale)), k
-        assert next(floats)[1] == E, k
 
 
 @given(ladder_weights, ladder_weights, st.integers(0, 12))
@@ -454,32 +451,87 @@ def test_completeness_masses_match_projection_route(fc, gc, mu, nu, conv):
         == norm2_exact(f) * norm2_exact(g)
 
 
+def _twin(F):
+    """The exact twin of a float PolyFun or TensorPoly: each coefficient as
+    the QC of the dyadic rational it holds."""
+    def exact(c):
+        return QC(Fraction(c.real), Fraction(c.imag))
+    if isinstance(F, PolyFun):
+        return PolyFun(F.nu, tuple(map(exact, F.coeffs)))
+    return TensorPoly(F.mu, F.nu, [list(map(exact, row)) for row in F.coeffs])
+
+
+def _rounded(x):
+    """x with every Fraction and QC rounded to a float or complex once."""
+    if isinstance(x, QC):
+        return complex(float(x.re), float(x.im))
+    if isinstance(x, Fraction):
+        return float(x)
+    return [_rounded(y) for y in x]
+
+
 def test_completeness_float_masses_are_pinned():
-    # Dyadic float input: the float route's per_k, total and expected, bit
-    # for bit, as the projection route computed them before the exact
-    # masses moved onto the lanes.
+    # Dyadic float input: per_k, total, expected and passed are those of the
+    # Fraction twin, each rounded once, bit for bit.
     fc = (0.5, -0.75 + 0.25j, 0.625, 1.0, -0.125j)
     gc = (Fraction(-1, 4), 1.5j, Fraction(1, 8), -2.0)
-    pinned = {
-        "corrected_minus_one": (
-            ["0x1.0aace213f2b38p-2", "0x1.51b06f5abdd11p-3",
-             "0x1.2633214cadba2p-3", "0x1.882e91cff0d35p-4",
-             "0x1.5ae725f806668p-5", "0x1.0f754bc38ec90p-7",
-             "0x1.0ad327249eb92p-6", "0x1.6620fec22dc1ap-13"],
-            "0x1.76ae6a4572113p-1", True),
-        "paper_plus_one": (
-            ["0x1.0aace213f2b38p-2", "0x1.fa88a7081cb99p-4",
-             "0x1.6e1d7ec5d2814p-4", "0x1.abd5b65735439p-5",
-             "0x1.57173edecb40dp-6", "0x1.f1ac603bdb1b2p-9",
-             "0x1.cc6752998a588p-8", "0x1.260aec1e15667p-14"],
-            "0x1.1d74f67cf0cfdp-1", False),
-    }
-    for conv, (per_k, total, passed) in pinned.items():
-        rep = completeness_check(PolyFun(Fraction(5, 2), fc),
-                                 PolyFun(Fraction(7, 2), gc), conv)
-        assert [m.hex() for m in rep.per_k] == per_k, conv
-        assert (rep.total.hex(), rep.expected.hex(), rep.passed) \
-            == (total, "0x1.76ae6a4572114p-1", passed), conv
+    f, g = PolyFun(Fraction(5, 2), fc), PolyFun(Fraction(7, 2), gc)
+    for conv, passed in zip(_CONVENTIONS, (True, False)):
+        rep = completeness_check(f, g, conv)
+        twin = completeness_check(_twin(f), _twin(g), conv)
+        assert all(type(m) is float for m in rep.per_k), conv
+        assert _bits([list(rep.per_k), rep.total, rep.expected]) == _bits(
+            _rounded([list(twin.per_k), twin.total, twin.expected])), conv
+        assert rep.passed is twin.passed is passed, conv
+
+
+# Every finite float, so every float coefficient, is a dyadic rational.
+dyadic_coeffs = st.lists(st.tuples(st.floats(-8, 8), st.floats(-8, 8)),
+                         min_size=1, max_size=5)
+
+
+@given(dyadic_coeffs, dyadic_coeffs, weights, weights,
+       st.sampled_from(_CONVENTIONS))
+@example([(0.1, 0.2), (-0.3, 5e-324)], [(1.5, -0.25), (0.0, -0.0)],
+         Fraction(5, 2), Fraction(7, 2), "corrected_minus_one")
+@settings(max_examples=30, deadline=None)
+def test_float_projections_are_the_exact_ones_rounded_once(fc, gc, mu, nu,
+                                                          conv):
+    f, g = _poly(mu, fc), _poly(nu, gc)
+    rep = completeness_check(f, g, conv)
+    twin = completeness_check(_twin(f), _twin(g), conv)
+    assert _bits([list(rep.per_k), rep.total, rep.expected]) == _bits(
+        _rounded([list(twin.per_k), twin.total, twin.expected]))
+    assert rep.passed is twin.passed
+    F = TensorPoly.from_product(f, g)  # float products, rounded
+    for k in range(f.degree + g.degree + 1):
+        spec = ProjectionSpec(mu, nu, k, conv)
+        assert _bits(list(qk_project(F, spec).core.coeffs)) == _bits(
+            _rounded(qk_project(_twin(F), spec).core.coeffs)), k
+    for n in (2, 3):
+        assert q1_iterated(f, n, conv).norm2() == 0.0, n
+
+
+def test_float_projections_past_the_float_range_raise():
+    big = PolyFun(Fraction(5, 2), (1e300, 1.0))
+    with pytest.raises(FloatRangeExceeded, match="completeness_check: "):
+        completeness_check(big, PolyFun(NU2, (1,)))  # masses near 1e600
+    f = PolyFun(NU2, (1e200, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = TensorPoly.from_product(f, f)  # the entry 1e400 is inf
+        with pytest.raises(FloatRangeExceeded, match="entry is not finite"):
+            qk_project(F, ProjectionSpec(NU2, NU2, 0))
+        with pytest.raises(FloatRangeExceeded, match="entry is not finite"):
+            q1_iterated(f * f, 2)  # f^2 taken in floats holds inf
+    assert q1_iterated(f, 3).norm2() == 0.0  # its head f^2 is exact
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
+def test_non_finite_coefficients_are_refused(bad):
+    with pytest.raises(ValueError, match="coefficient .* is not finite"):
+        PolyFun(NU2, (1, bad))
+    with pytest.raises(ValueError, match="coefficient .* is not finite"):
+        TensorPoly(NU2, NU2, [[1.0], [0.5, bad]])
 
 
 # The Hahn ladder runs on lists of Python ints below disc._INT_LADDER_ENTRIES

@@ -41,6 +41,11 @@ It measures the checkout it lives in, whatever the working directory:
   passes (deviation below 1e-10) within 1 s, with each rank's seconds and
   nodes per axis, and the error that refuses the first rank past it.
 
+Each frontier search and each wall timing carries ``host_slowdown``, the
+slowdown of perfbench's interpreter-bound reference kernel (its time over
+its nominal time, ``perfbench/run.py``) just before and just after it, so
+that records taken at different host speeds can be compared.
+
 It writes ``BENCH_<pr>.json`` at the root of the checkout.  Run it on a
 quiet host, one checkout at a time: the timings share the host with
 whatever else runs.
@@ -64,9 +69,17 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
+# perfbench/run.py pins the BLAS and OpenMP pools to one thread in
+# os.environ when imported, before numpy loads, so that its reference kernel
+# and the timings here run on one thread as perfbench's do; the subprocesses
+# below get the environment of before that import.
+ENV = dict(os.environ, PYTHONPATH="src")
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import Reference, interpreter_kernel  # noqa: E402
+
+import numpy as np  # noqa: E402
+
 SEED = 1
 TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
                  "10,21/2,12,18,20")
@@ -74,11 +87,23 @@ TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
 
 def run(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
     """Run cmd at the root with src/ on the path; output and wall seconds."""
-    env = dict(os.environ, PYTHONPATH="src")
     t0 = perf_counter()
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+    proc = subprocess.run(cmd, cwd=ROOT, env=ENV, capture_output=True,
                           text=True)
     return proc, perf_counter() - t0
+
+
+def host_slowdown() -> float:
+    """The host's slowdown now: perfbench's interpreter kernel, best of two
+    runs, over its nominal time."""
+    return Reference([interpreter_kernel]).now()
+
+
+def slowed(measure):
+    """(measure(), the host's slowdown just before and just after it)."""
+    before = host_slowdown()
+    result = measure()
+    return result, {"before": before, "after": host_slowdown()}
 
 
 def perfbench(workload: str, seconds: int, trace: int) -> dict:
@@ -98,19 +123,23 @@ def perfbench(workload: str, seconds: int, trace: int) -> dict:
 
 
 def tier1() -> dict:
-    proc, wall = run([sys.executable, "-m", "pytest", "-q",
-                      "--continue-on-collection-errors"])
+    (proc, wall), slowdown = slowed(lambda: run([
+        sys.executable, "-m", "pytest", "-q",
+        "--continue-on-collection-errors"]))
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": proc.returncode,
+    return {"wall_s": wall, "host_slowdown": slowdown,
+            "exit_code": proc.returncode,
             "summary": lines[-1] if lines else ""}
 
 
 def suite_all() -> dict:
-    proc, wall = run([sys.executable, "-m", "wehrl_lab.cli", "suite", "all",
-                      "--seed", "0"])
+    (proc, wall), slowdown = slowed(lambda: run([
+        sys.executable, "-m", "wehrl_lab.cli", "suite", "all", "--seed",
+        "0"]))
     comparisons = [c for line in proc.stdout.splitlines()
                    for c in json.loads(line)["outputs"]["comparisons"].values()]
-    return {"wall_s": wall, "exit_code": proc.returncode,
+    return {"wall_s": wall, "host_slowdown": slowdown,
+            "exit_code": proc.returncode,
             "reports": len(proc.stdout.splitlines()),
             "stream_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest(),
             "comparisons_by_source": dict(sorted(Counter(
@@ -181,17 +210,20 @@ def frontiers() -> dict:
         return perf_counter() - t0
 
     seconds: dict = {}
-    completeness_degree = one_second_frontier(completeness_s, 8, seconds)
+    completeness_degree, completeness_slowdown = slowed(
+        lambda: one_second_frontier(completeness_s, 8, seconds))
     past = next(d for d in count(4) if entries(d) >= _INT_LADDER_ENTRIES)
     degrees = sorted({4, 8, 16, past - 1, past, 64, 100})
     fixed = {str(degree): median(completeness_s(degree) for _ in range(5))
              for degree in degrees}
     max_seconds: dict = {}
+    maximize_slowdown = {"before": host_slowdown()}
     try:
         maximize_degree = one_second_frontier(maximize_s, 8, max_seconds)
     except NoConvergence:
         maximize_degree = max((d for d, t in max_seconds.items() if t <= 1),
                               default=None)
+    maximize_slowdown["after"] = host_slowdown()
     suite_times = []
     for _ in range(5):
         t0 = perf_counter()
@@ -205,6 +237,7 @@ def frontiers() -> dict:
                                         [2, 3]).splitlines()) - 1
         times.append(perf_counter() - t0)
     return {"completeness_degree_1s": completeness_degree,
+            "completeness_host_slowdown": completeness_slowdown,
             "completeness_s": {str(k): v for k, v in sorted(seconds.items())},
             "completeness_median_s": fixed,
             "completeness_nonzero_entries": {str(d): entries(d)
@@ -214,6 +247,7 @@ def frontiers() -> dict:
             "table_rows_per_s": rows / median(times),
             "maximize_2_2_8_s": median(suite_times),
             "maximize_degree_1s": maximize_degree,
+            "maximize_host_slowdown": maximize_slowdown,
             "maximize_s": {str(k): v for k, v in sorted(max_seconds.items())},
             "maximize_no_convergence": failed or None}
 
@@ -331,6 +365,7 @@ def selberg_ranks() -> dict:
     out = {}
     for a in (1, 2, 4):
         rank, seconds, nodes, stop = 0, {}, {}, None
+        slowdown = {"before": host_slowdown()}
         for r in range(1, 13):
             d = DomainParams("custom", r, a, 0)
             t0 = perf_counter()
@@ -346,8 +381,9 @@ def selberg_ranks() -> dict:
                         f"{rep['deviation']}")
                 break
             rank = r
+        slowdown["after"] = host_slowdown()
         out[str(a)] = {"rank_1s": rank, "seconds": seconds, "nodes": nodes,
-                       "stop": stop}
+                       "stop": stop, "host_slowdown": slowdown}
     return {"b": 0, "lambda": "p + 1/2", "by_a": out}
 
 
