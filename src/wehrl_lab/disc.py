@@ -13,9 +13,9 @@ L^2 -> L^{2n} inequality and its improved form with the second-component
 remainder, the kernel ODE characterization, and an L-BFGS ascent searching
 for maximizers on the coefficient sphere.
 
-Coefficients are lanes, read as QC on demand: Gaussian-integer numerators
-over one common denominator (below), or one complex lane for float input,
-which the projections take at its exact dyadic values, rounding once.
+Coefficients are lanes: Gaussian-integer numerators over one common
+denominator (below), a float at the dyadic rational it holds.  Products and
+projections are exact; float input reads its results rounded once.
 Weighted norms of products, the SU(2) masses too, go through product_norm2.
 The Hahn ladder runs on Python ints below _INT_LADDER_ENTRIES nonzero
 entries; exact completeness at degree 64 takes 0.18 s on 2 x86-64 vCPUs.
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, count, islice
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,21 +62,20 @@ class NoConvergence(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # (lanes, den), the stored coefficients of PolyFun and TensorPoly: numpy object
-# arrays of numerators over den, (re,) or (re, im) of Python ints when exact,
-# one lane of Python complex over 1 otherwise.  Python numbers keep ints from
-# wrapping and floats rounding as scalar Python arithmetic does.
+# arrays of Python int numerators over den, (re,) or (re, im).  Their exact
+# flag only says how results are read: as Fractions, or rounded once.
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
     """((lanes, den), exact) of coefficients listed in C order: exact iff
-    every entry is an int, Fraction or QC; else complex(c) each, over 1, and
-    ValueError on one that is not finite."""
+    every entry is an int, Fraction or QC; else complex(c) each, at its
+    dyadic value, and ValueError on one that is not finite."""
     if all(isinstance(c, (QC, int, Fraction)) for c in flat):
         return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (c, 0)
                              for c in flat], shape), True
     flat = [complex(c) for c in flat]
     if bad := [c for c in flat if not cmath.isfinite(c)]:
         raise ValueError(f"coefficient {bad[0]} is not finite")
-    return ((np.array(flat, dtype=object).reshape(shape),), 1), False
+    return _ratio_lanes([(c.real, c.imag) for c in flat], shape), False
 
 
 def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
@@ -89,25 +88,25 @@ def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
                  for x in parts), den
 
 
-def _exact_lanes(f) -> tuple:
-    """f's (lanes, den), or for float f those of the dyadic rationals it
-    holds; FloatRangeExceeded on a non-finite entry, from a float product."""
-    if f.exact:
-        return f._lanes
-    lane = f._lanes[0][0]
-    if not all(map(cmath.isfinite, lane.flat)):
-        raise FloatRangeExceeded("a float entry is not finite (past 1.8e308)")
-    return _ratio_lanes([(c.real, c.imag) for c in lane.flat], lane.shape)
+def _in_float_range(read):
+    """read, raising FloatRangeExceeded where rounding an exact value past
+    the float range raises a bare OverflowError; it wraps every function
+    that returns exact coefficients or norms as floats."""
+    @wraps(read)
+    def checked(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except OverflowError as exc:
+            raise FloatRangeExceeded(f"{read.__name__}: a value exceeds the"
+                                     f" float limit 1.8e308 ({exc})") from None
+    return checked
 
 
-def _lanes_as(f, exact: bool) -> tuple:
-    """f's (lanes, den), or for exact=False one complex lane over 1 whose
-    parts round as float(Fraction(x, den)) does, as complex(QC) would."""
-    if exact or not f.exact:
-        return f._lanes
-    lanes, den = f._lanes
-    return (np.frompyfunc(lambda re, im=0: complex(re / den, im / den),
-                          len(lanes), 1)(*lanes),), 1
+def _rounded(lanes: tuple, den: int) -> np.ndarray:
+    """complex128 lanes over den, each part rounded once as float(Fraction(x,
+    den)) rounds it (int / int is correctly rounded), as complex(QC) is."""
+    return np.frompyfunc(lambda re, im=0: complex(re / den, im / den),
+                         len(lanes), 1)(*lanes).astype(complex)
 
 
 def _from_lanes(cls, weights: tuple, lanes: tuple, den: int, exact: bool):
@@ -119,20 +118,20 @@ def _from_lanes(cls, weights: tuple, lanes: tuple, den: int, exact: bool):
 
 
 def _values(f) -> list:
-    """f's coefficients nested as its lanes: QC when exact, else complex."""
+    """f's coefficients nested as its lanes: QC when exact, else rounded."""
     lanes, den = f._lanes
     if not f.exact:
-        return lanes[0].tolist()
+        return _rounded(lanes, den).tolist()
     return np.frompyfunc(lambda *xs: QC(*(Fraction(x, den) for x in xs)),
                          len(lanes), 1)(*lanes).tolist()
 
 
 def _product(cls, weights: tuple, f, g, op):
-    """cls(*weights, coeffs) of the product of f and g under a bilinear op
-    on lanes, exact only when both factors are."""
-    exact = f.exact and g.exact
-    (a, da), (b, db) = _lanes_as(f, exact), _lanes_as(g, exact)
-    return _from_lanes(cls, weights, _gaussian(a, b, op), da * db, exact)
+    """cls(*weights, coeffs) of the exact product of f and g under a bilinear
+    op on lanes, read exactly only when both factors are."""
+    (a, da), (b, db) = f._lanes, g._lanes
+    return _from_lanes(cls, weights, _gaussian(a, b, op), da * db,
+                       f.exact and g.exact)
 
 
 def _gaussian(a: tuple, b: tuple, op) -> tuple:
@@ -144,11 +143,6 @@ def _gaussian(a: tuple, b: tuple, op) -> tuple:
             r = (i + j) % 2
             out[r] = t if out[r] is None else out[r] + t
     return tuple(lane for lane in out if lane is not None)
-
-
-def _complex_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Float lanes convolve in complex128, as numpy does complex input."""
-    return np.convolve(x.astype(complex), y.astype(complex)).astype(object)
 
 
 def _norm_weights(nu: Fraction, count: int, exact: bool) -> tuple:
@@ -203,19 +197,25 @@ class PolyFun:
 
     @cached_property
     def coeffs(self) -> tuple:
-        return tuple(_values(self))
+        return tuple(_values(self) if self.exact
+                     else self.as_complex_array().tolist())
 
     @property
     def degree(self) -> int:
         return len(self._lanes[0][0]) - 1
 
+    @_in_float_range
     def as_complex_array(self) -> np.ndarray:
-        return _lanes_as(self, False)[0][0].astype(complex)
+        """The coefficients rounded once, one read-only array per object."""
+        if "_view" not in vars(self):
+            self._view = _rounded(*self._lanes)
+            self._view.flags.writeable = False
+        return self._view
 
     def __mul__(self, other: "PolyFun") -> "PolyFun":
         # Product lands in the sum of the weights; degrees add, no truncation.
-        conv = np.convolve if self.exact and other.exact else _complex_convolve
-        return _product(PolyFun, (self.nu + other.nu,), self, other, conv)
+        return _product(PolyFun, (self.nu + other.nu,), self, other,
+                        np.convolve)
 
     def power(self, n: int) -> "PolyFun":
         out = self
@@ -332,6 +332,7 @@ class TensorPoly:
             (len(coeffs), width))
 
     @cached_property
+    @_in_float_range
     def coeffs(self) -> tuple:
         return tuple(map(tuple, _values(self)))
 
@@ -339,12 +340,14 @@ class TensorPoly:
     def from_product(f: PolyFun, g: PolyFun) -> "TensorPoly":
         return _product(TensorPoly, (f.nu, g.nu), f, g, np.multiply.outer)
 
+    @_in_float_range
     def norm2(self) -> Fraction | float:
         P, Q = self._lanes[0][0].shape
-        wp, den_p = _norm_weights(self.mu, P, self.exact)
-        wq, den_q = _norm_weights(self.nu, Q, self.exact)
-        return _norm2(*self._lanes, [x * y for x in wp for y in wq],
-                      den_p * den_q, self.exact)
+        wp, den_p = _norm_weights(self.mu, P, True)
+        wq, den_q = _norm_weights(self.nu, Q, True)
+        norm2 = _norm2(*self._lanes, [x * y for x in wp for y in wq],
+                       den_p * den_q, True)
+        return norm2 if self.exact else float(norm2)
 
 
 @dataclass(frozen=True)
@@ -389,24 +392,13 @@ class Projected:
     c2: Fraction       # squared normalization constant
     spec: ProjectionSpec
 
+    @_in_float_range
     def norm2(self) -> Fraction | float:
-        return self.c2 * norm2_exact(self.core)
+        """C^2 ||core||^2, rounded once when the core is read in floats."""
+        norm2 = self.c2 * product_norm2([self.core._lanes], self.core.nu)
+        return norm2 if self.core.exact else float(norm2)
 
 
-def _in_float_range(check):
-    """check, raising FloatRangeExceeded where an exact value or a float
-    power past the float range raises a bare OverflowError."""
-    @wraps(check)
-    def checked(*args, **kwargs):
-        try:
-            return check(*args, **kwargs)
-        except OverflowError as exc:
-            raise FloatRangeExceeded(f"{check.__name__}: a value exceeds the"
-                                     f" float limit 1.8e308 ({exc})") from None
-    return checked
-
-
-@_in_float_range
 def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
     """Project F in H_mu (x) H_nu onto the H_{mu+nu+2k} component via
 
@@ -415,23 +407,21 @@ def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
 
     On z^p w^q the sum is W_k(p,q)/E z^{p+q-k} (_core_ladder): e_j/E are the
     weights in lowest terms, W_k = sum_j e_j perm(p,j) perm(q,k-j) integers.
-    Float F projects its exact values; the core is rounded once.
+    Float F projects its exact values, and its core is read rounded once.
     """
     if (F.mu, F.nu) != (spec.mu, spec.nu):
         raise ValueError(f"tensor weights (mu, nu) = ({F.mu}, {F.nu}) differ "
                          f"from the projection's ({spec.mu}, {spec.nu})")
-    return _project(*_exact_lanes(F), F.exact, spec)
+    return _project(*F._lanes, F.exact, spec)
 
 
 def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:
-    """qk_project on exact tensor lanes over den, rounded once unless exact."""
+    """qk_project on tensor lanes over den, read exactly when exact is."""
     core, scale = next(islice(_core_ladder(lanes, spec.mu, spec.nu), spec.k,
                               None))
-    core = _from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,),
-                       tuple(np.array(core, dtype=object)), den * scale, True)
-    if not exact:
-        core = _from_lanes(PolyFun, (core.nu,), *_lanes_as(core, False), False)
-    return Projected(core, spec.c_squared(), spec)
+    return Projected(_from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,),
+                                 tuple(np.array(core, dtype=object)),
+                                 den * scale, exact), spec.c_squared(), spec)
 
 
 def _hahn_step(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -514,7 +504,6 @@ def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction):
         rn.append(rn[k] * (c + k * d))
 
 
-@_in_float_range
 def q1_iterated(f: PolyFun, n: int,
                 convention: str = "corrected_minus_one") -> Projected:
     """Component of f^{(x) n} in the first subleading summand, computed by
@@ -522,8 +511,8 @@ def q1_iterated(f: PolyFun, n: int,
     k = 1 against the last.  Identically zero for every f."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    a, da = b, db = _exact_lanes(f)
-    for _ in range(n - 2):  # the head f^{n-1}, exact also for float f
+    a, da = b, db = f._lanes
+    for _ in range(n - 2):  # the head f^{n-1}
         a, da = _gaussian(a, b, np.convolve), da * db
     return _project(_gaussian(a, b, np.multiply.outer), da * db, f.exact,
                     ProjectionSpec((n - 1) * f.nu, f.nu, 1, convention))
@@ -550,7 +539,7 @@ def completeness_check(f: PolyFun, g: PolyFun,
     off the core lanes, C^2 from integer products; float input is checked on
     its exact values, and the masses, total and expected are rounded once."""
     shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
-    (a, da), (b, db) = _exact_lanes(f), _exact_lanes(g)
+    (a, da), (b, db) = f._lanes, g._lanes
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
     L = f.nu.denominator * g.nu.denominator
     x0 = int(L * (f.nu + g.nu + shift))
@@ -602,7 +591,7 @@ class ImprovedReport:
     remainder: float
     slack: float          # rhs - lhs - remainder
     passed: bool
-    exact_slack: Optional[Fraction]
+    exact_slack: Fraction
 
 
 @_in_float_range
@@ -616,7 +605,8 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
     (nu, nu).  convention "sharp" takes the norm-preserving C^2, const =
     2 nu^2 (nu+1)^2 / ((2 nu + 1)(2 nu + 2)); "paper" takes the paper's, with
     the larger denominator (2 nu + 3)(2 nu + 4), a weaker but still valid
-    remainder.  A float slack passes down to -1e-12.
+    remainder.  Every value is exact, float input at its dyadic values; the
+    report holds each one rounded once, and passed is the exact sign.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -628,20 +618,17 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
     # g = b^2 [a f'' f - (a + b) f'^2] / (a^2 (a + b)) from z f', z^2 f''
     a, b, (lanes, den) = nu.numerator, nu.denominator, f._lanes
     m = np.arange(f.degree + 1).astype(object)
-    conv = np.convolve if f.exact else _complex_convolve
     d1 = tuple(x * m for x in lanes)
-    g = (tuple(b * b * (a * x - (a + b) * y)[min(2, 2 * f.degree):] for x, y
-               in zip(_gaussian(tuple(x * (m - 1) for x in d1), lanes, conv),
-                      _gaussian(d1, d1, conv))), den * den * a * a * (a + b))
-    g = g if f.exact else (g[0][0] / g[1]).astype(complex)
-    remainder = const * product_norm2([f] * (n - 2) + [g], n * nu + 4)
-    lhs = product_norm2([f] * n, n * nu)
-    rhs = norm2_exact(f) ** n
+    d2f = _gaussian(tuple(x * (m - 1) for x in d1), lanes, np.convolve)
+    g = (tuple(b * b * (a * x - (a + b) * y)[min(2, 2 * f.degree):]
+               for x, y in zip(d2f, _gaussian(d1, d1, np.convolve))),
+         den * den * a * a * (a + b))
+    remainder = const * product_norm2([f._lanes] * (n - 2) + [g], n * nu + 4)
+    lhs = product_norm2([f._lanes] * n, n * nu)
+    rhs = product_norm2([f._lanes], nu) ** n
     slack = rhs - lhs - remainder
-    exact = slack if isinstance(slack, Fraction) else None
-    passed = (slack >= 0) if exact is not None else (float(slack) >= -1e-12)
     return ImprovedReport(nu, n, convention, float(lhs), float(rhs),
-                          float(remainder), float(slack), passed, exact)
+                          float(remainder), float(slack), slack >= 0, slack)
 
 
 @dataclass(frozen=True)

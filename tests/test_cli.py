@@ -187,6 +187,11 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "Invalid value for '--coeffs': 'infj' is not finite"),
     (["compact", "--m", "2", "--vector", "1,x,0"],
      "Invalid value for '--vector': 'x' is not a rational"),
+    (["disc", "project", "--mu", "2", "--nu", "2", "--k", "0", "--f",
+      "1e200j,1", "--g", "1e200j,1"],
+     "norm2: a value exceeds the float limit"),
+    (["disc", "improved", "--nu", "2", "--coeffs", "1e200j,1"],
+     "improved_check: a value exceeds the float limit"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

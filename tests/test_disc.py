@@ -207,14 +207,14 @@ def _poly(nu, pairs):
 
 def _assert_masses(got, fc, gc, mu, nu, shift, exact):
     """got[k] is _ref_qk_norm2 on the coefficients as Fractions, exactly,
-    or within 1e-12 (relative) on the float route."""
+    or for float input rounded once, bit for bit."""
     fc, gc = ([(Fraction(re), Fraction(im)) for re, im in c] for c in (fc, gc))
     want = [_ref_qk_norm2(fc, gc, mu, nu, k, shift)
             for k in range(len(fc) + len(gc) - 1)]
     if exact:
         assert list(got) == want
     else:
-        assert list(got) == pytest.approx([float(w) for w in want], rel=1e-12)
+        assert _bits(list(got)) == _bits([float(w) for w in want])
 
 
 @given(gaussian_coeffs, gaussian_coeffs, weights, weights,
@@ -426,8 +426,7 @@ def test_completeness_float_coefficients_match_exact():
         PolyFun(Fraction(5, 2), tuple(complex(c) for c in fc)),
         PolyFun(Fraction(3), tuple(1j * float(c) for c in gc)))
     assert floats.passed
-    assert floats.per_k == pytest.approx([float(m) for m in exact.per_k],
-                                         rel=1e-12)
+    assert _bits(list(floats.per_k)) == _bits([float(m) for m in exact.per_k])
 
 
 _CONVENTIONS = ("corrected_minus_one", "paper_plus_one")
@@ -503,11 +502,12 @@ def test_float_projections_are_the_exact_ones_rounded_once(fc, gc, mu, nu,
     assert _bits([list(rep.per_k), rep.total, rep.expected]) == _bits(
         _rounded([list(twin.per_k), twin.total, twin.expected]))
     assert rep.passed is twin.passed
-    F = TensorPoly.from_product(f, g)  # float products, rounded
+    F = TensorPoly.from_product(f, g)  # exact products of the dyadic values
+    twin_F = TensorPoly.from_product(_twin(f), _twin(g))
     for k in range(f.degree + g.degree + 1):
         spec = ProjectionSpec(mu, nu, k, conv)
         assert _bits(list(qk_project(F, spec).core.coeffs)) == _bits(
-            _rounded(qk_project(_twin(F), spec).core.coeffs)), k
+            _rounded(qk_project(twin_F, spec).core.coeffs)), k
     for n in (2, 3):
         assert q1_iterated(f, n, conv).norm2() == 0.0, n
 
@@ -517,13 +517,40 @@ def test_float_projections_past_the_float_range_raise():
     with pytest.raises(FloatRangeExceeded, match="completeness_check: "):
         completeness_check(big, PolyFun(NU2, (1,)))  # masses near 1e600
     f = PolyFun(NU2, (1e200, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = TensorPoly.from_product(f, f)  # the entry 1e400 is inf
-        with pytest.raises(FloatRangeExceeded, match="entry is not finite"):
-            qk_project(F, ProjectionSpec(NU2, NU2, 0))
-        with pytest.raises(FloatRangeExceeded, match="entry is not finite"):
-            q1_iterated(f * f, 2)  # f^2 taken in floats holds inf
-    assert q1_iterated(f, 3).norm2() == 0.0  # its head f^2 is exact
+    F = TensorPoly.from_product(f, f)  # the entry 1e400 is exact
+    with pytest.raises(FloatRangeExceeded, match="norm2: .* 1.8e308"):
+        qk_project(F, ProjectionSpec(NU2, NU2, 0)).norm2()
+    assert q1_iterated(f * f, 2).norm2() == 0.0  # f^2 is exact
+    assert q1_iterated(f, 3).norm2() == 0.0
+    with pytest.raises(FloatRangeExceeded, match="coeffs: .* 1.8e308"):
+        F.coeffs
+
+
+@given(dyadic_coeffs, dyadic_coeffs, weights, weights)
+@settings(max_examples=30, deadline=None)
+def test_float_projection_masses_are_the_completeness_masses(fc, gc, mu, nu):
+    # qk_project of a float tensor product and completeness_check read the
+    # same exact masses, each rounded once.
+    f, g = _poly(mu, fc), _poly(nu, gc)
+    F = TensorPoly.from_product(f, g)
+    for conv in _CONVENTIONS:
+        rep = completeness_check(f, g, conv)
+        assert _bits([qk_project(F, ProjectionSpec(mu, nu, k, conv)).norm2()
+                      for k in range(f.degree + g.degree + 1)]) \
+            == _bits(list(rep.per_k)), conv
+
+
+@given(dyadic_coeffs, weights | st.just(Fraction(7, 3)),
+       st.sampled_from([2, 3]), st.sampled_from(["sharp", "paper"]))
+@settings(max_examples=30, deadline=None)
+def test_improved_check_float_input_is_its_twins_report(fc, nu, n, convention):
+    f = _poly(nu, fc)
+    rep, twin = improved_check(f, n, convention), improved_check(
+        _twin(f), n, convention)
+    assert rep.exact_slack == twin.exact_slack
+    assert rep.passed is twin.passed
+    assert _bits([rep.lhs, rep.rhs, rep.remainder, rep.slack]) == _bits(
+        [twin.lhs, twin.rhs, twin.remainder, twin.slack])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
@@ -753,7 +780,7 @@ def test_improved_check_matches_fraction_reference(fc, nu, n, convention):
 
 def test_improved_check_float_input_matches_exact():
     # Dyadic coefficients are exact in floating point, so both rings see the
-    # same polynomial; the float route rounds only.
+    # same polynomial; float input is read rounded once.
     cs = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(1),
           Fraction(-1, 8))
     for nu in (NU2, Fraction(5, 2), Fraction(7, 3)):
@@ -761,11 +788,12 @@ def test_improved_check_float_input_matches_exact():
             exact = improved_check(PolyFun(nu, cs), n, "sharp")
             floats = improved_check(
                 PolyFun(nu, tuple(1j * float(c) for c in cs)), n, "sharp")
-            assert floats.exact_slack is None and floats.passed
-            assert floats.remainder == pytest.approx(exact.remainder,
-                                                     rel=1e-14)
-            assert floats.slack == pytest.approx(exact.slack,
-                                                 abs=1e-14 * exact.rhs)
+            assert floats.exact_slack == exact.exact_slack \
+                and floats.passed
+            assert _bits([floats.lhs, floats.rhs, floats.remainder,
+                          floats.slack]) == _bits([exact.lhs, exact.rhs,
+                                                   exact.remainder,
+                                                   exact.slack])
 
 
 def test_improved_inequality_random_rationals():
