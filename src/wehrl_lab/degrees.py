@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational, pochhammer, rising_ints
+from .exactnum import PiScaledRational, rising_ints
 
 __all__ = [
     "NonTelescoping",
@@ -119,18 +119,18 @@ def c_G(d: DomainParams, sp_statement_formula: bool = False) -> PiScaledRational
     """
     label = d.family_label
     if label.startswith("Sp(") or (label == "custom" and _is_sp_family(d)):
-        coeff = math.prod((pochhammer(2 + i, i) for i in range(1, d.r)),
-                          start=Fraction(math.factorial(d.r)))
+        coeff = Fraction(math.factorial(d.r) * math.prod(
+            rising_ints(2 + i, 1, i)[-1] for i in range(1, d.r)))
         if not sp_statement_formula:
             coeff /= 2 ** (d.r * (d.r - 1) // 2)
         return PiScaledRational(coeff, -d.N)
     if label.startswith("SO(2,") and d.a % 2 == 1 or (
             label == "custom" and _is_so_odd_family(d)):
         m = (d.a + 3) // 2  # N = 2m - 1
-        coeff = (Fraction(2 * m - 1, 2)) * pochhammer(1, 2 * m - 2)
+        coeff = Fraction(2 * m - 1, 2) * rising_ints(1, 1, 2 * m - 2)[-1]
         return PiScaledRational(coeff, -d.N)
     if d.a % 2 == 0 and d.N % d.r == 0:
-        coeff = math.prod(pochhammer(1 + Fraction(d.a * j, 2), d.N // d.r)
+        coeff = math.prod(rising_ints(1 + d.a * j // 2, 1, d.N // d.r)[-1]
                           for j in range(d.r))
         return PiScaledRational(coeff, -d.N)
     raise UnsupportedCase(f"(r,a,b)=({d.r},{d.a},{d.b}) matches no c_G case")

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, gauss_jacobi,
-                       pochhammer, rising_ints)
+                       rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -66,16 +66,16 @@ class NoConvergence(RuntimeError):
 # flag only says how results are read: as Fractions, or rounded once.
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
-    """((lanes, den), exact) of coefficients listed in C order: exact iff
-    every entry is an int, Fraction or QC; else complex(c) each, at its
-    dyadic value, and ValueError on one that is not finite."""
+    """((lanes, den), True) of coefficients listed in C order if every entry
+    is an int, Fraction or QC; else (an array of complex(c) each, False), and
+    ValueError on one that is not finite."""
     if all(isinstance(c, (QC, int, Fraction)) for c in flat):
         return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (c, 0)
                              for c in flat], shape), True
     flat = [complex(c) for c in flat]
     if bad := [c for c in flat if not cmath.isfinite(c)]:
         raise ValueError(f"coefficient {bad[0]} is not finite")
-    return _ratio_lanes([(c.real, c.imag) for c in flat], shape), False
+    return np.array(flat, dtype=complex) + 0.0, False  # -0.0 read as 0.0
 
 
 def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
@@ -145,43 +145,36 @@ def _gaussian(a: tuple, b: tuple, op) -> tuple:
     return tuple(lane for lane in out if lane is not None)
 
 
-def _norm_weights(nu: Fraction, count: int, exact: bool) -> tuple:
-    """(w, den) with |m!/(nu)_m| = w[m]/den for m < count.  Exact: integers
-    over one denominator from suffix products, without divisions.  Float:
-    each weight is m! b^m / prod_{i<m} (a + i b), rounded once (nu = a/b).
-    At nu = -M and count = M + 1 the weights are 1/binom(M, m)."""
-    a, b = nu.numerator, nu.denominator
-    if b == 1 and 2 - count <= a <= 0:
-        raise ValueError(f"(nu)_m vanishes at nu = {nu} for some m < {count}")
-    if not exact:
-        w, fact, rising = [], 1, 1
-        for m in range(count):
-            w.append(abs(fact / rising))
-            fact, rising = fact * (m + 1) * b, rising * (a + m * b)
-        return w, 1
-    # suffix[m] = prod_{m<=i<count-1} (a + i b), from the top factor down
-    suffix = rising_ints(a + (count - 2) * b, -b, count - 1)[::-1]
-    w, fact = [], 1  # fact = m! b^m
-    for m in range(count):
-        w.append(abs(fact * suffix[m]))
-        fact *= (m + 1) * b
-    return w, abs(suffix[0])
+def _rising_pair(nu, count: int) -> tuple:
+    """(f, r), f[m] = m! b^m and r[m] = b^m (nu)_m for m < count at nu = a/b:
+    |f/r| = |m!/(nu)_m|.  ValueError where one of these (nu)_m vanishes."""
+    a, b = Fraction(nu).as_integer_ratio()
+    f, r = rising_ints(b, b, count - 1), rising_ints(a, b, count - 1)
+    if not r[-1]:
+        raise ValueError(f"(nu)_m vanishes at nu = {Fraction(a, b)} for some "
+                         f"m < {count}")
+    return f, r
 
 
 def _rising_over_factorial(nu, count: int, exact: bool) -> list:
     """(nu)_m/m! = 1/weight for m < count, exact or correctly rounded."""
-    w, den = _norm_weights(Fraction(nu), count, True)
-    return [Fraction(den, x) if exact else den / x for x in w]
+    return [abs(Fraction(y, x) if exact else y / x)
+            for x, y in zip(*_rising_pair(nu, count))]
 
 
-def _norm2(lanes: tuple, den: int, w: list, w_den: int,
-           exact: bool) -> Fraction | float:
-    """sum |c|^2 w over the flattened lanes over den, w over w_den."""
-    sq = [0] * len(w)
-    for lane in lanes:
-        sq = [s + abs(x) ** 2 for s, x in zip(sq, lane.ravel().tolist())]
-    total = (sum if exact else math.fsum)(s * w_m for s, w_m in zip(sq, w))
-    return Fraction(total, den * den * w_den) if exact else total
+def _weighted_sum(sq, table: list, a: int, b: int) -> tuple:
+    """(num, den), num/den = sum_{m<=M} sq[m] |m!/(a/b)_m| for table[m] = m!
+    b^m, M = len(table) - 1: one Horner pass, den = prod_{i<M} |a + i b|."""
+    factors, acc = [abs(x) for x in range(a, a + (len(table) - 1) * b, b)], 0
+    for s, t, y in zip(sq, table, [1, *factors]):
+        acc = acc * y + s * t
+    return acc, math.prod(factors)
+
+
+def _c2_den(x0: int, L: int, k: int) -> int:
+    """k! L^k (mu + nu + k +- 1)_k, the denominator of C^2 over b^k d^k (mu)_k
+    (nu)_k at mu = a/b and nu = c/d, for L = bd and x0 = L (mu + nu +- 1)."""
+    return math.factorial(k) * rising_ints(x0 + k * L, L, k)[k]
 
 
 class PolyFun:
@@ -193,7 +186,13 @@ class PolyFun:
             raise ValueError(f"weight nu must exceed 1, got {self.nu}")
         if len(coeffs) == 0:
             raise ValueError("PolyFun got the empty coefficient list")
-        self._lanes, self.exact = _lanes_of(list(coeffs), (-1,))
+        values, self.exact = _lanes_of(list(coeffs), (-1,))
+        setattr(self, "_lanes" if self.exact else "_view", values)
+
+    @cached_property
+    def _lanes(self) -> tuple:  # a float input's, on its first exact read
+        return _ratio_lanes([(c.real, c.imag) for c in self._view.tolist()],
+                            (-1,))
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -202,14 +201,15 @@ class PolyFun:
 
     @property
     def degree(self) -> int:
-        return len(self._lanes[0][0]) - 1
+        view = vars(self).get("_view")  # a float input's lanes may not exist
+        return len(self._lanes[0][0] if view is None else view) - 1
 
     @_in_float_range
     def as_complex_array(self) -> np.ndarray:
         """The coefficients rounded once, one read-only array per object."""
         if "_view" not in vars(self):
             self._view = _rounded(*self._lanes)
-            self._view.flags.writeable = False
+        self._view.flags.writeable = False  # a float input's own values too
         return self._view
 
     def __mul__(self, other: "PolyFun") -> "PolyFun":
@@ -231,22 +231,24 @@ class PolyFun:
 def product_norm2(factors: Sequence, nu) -> Fraction | float:
     """sum_k |k!/(nu)_k| |[p]_k|^2 for p the product of the factors (PolyFun,
     whose own weight is ignored, exact (lanes, den) pairs or complex arrays):
-    exact on the lanes when no factor is a float PolyFun or array, else in
-    complex128.  At nu = -deg p the weights are 1/binom(deg p, k)."""
+    _weighted_sum on the lanes when no factor is a float PolyFun or array,
+    else in complex128.  At nu = -deg p the weights are 1/binom(deg p, k)."""
     if all(isinstance(f, tuple) or isinstance(f, PolyFun) and f.exact
            for f in factors):
         lanes, den = (np.ones(1, dtype=object),), 1
         for b, db in (getattr(f, "_lanes", f) for f in factors):
             lanes, den = _gaussian(lanes, b, np.convolve), den * db
-        return _norm2(lanes, den, *_norm_weights(Fraction(nu), len(lanes[0]),
-                                                 True), True)
+        num, w_den = _weighted_sum(sum(x * x for x in lanes).tolist(),
+                                   _rising_pair(nu, len(lanes[0]))[0],
+                                   *Fraction(nu).as_integer_ratio())
+        return Fraction(num, den * den * w_den)
     p = np.ones(1, dtype=complex)
     for f in factors:
         p = np.convolve(p, f.as_complex_array() if isinstance(f, PolyFun)
                         else f)
     try:
-        total = _norm2((p,), 1, *_norm_weights(Fraction(nu), len(p), False),
-                       False)
+        total = math.fsum(abs(x) ** 2 * abs(y / z) for x, y, z in
+                          zip(p.tolist(), *_rising_pair(nu, len(p))))
         if math.isfinite(total):
             return total
     except OverflowError:
@@ -327,9 +329,11 @@ class TensorPoly:
         width = max(map(len, coeffs), default=0)
         if width == 0:
             raise ValueError(f"TensorPoly got no coefficients: {coeffs!r}")
-        self._lanes, self.exact = _lanes_of(
+        lanes, self.exact = _lanes_of(
             [c for row in coeffs for c in (*row, *[0] * (width - len(row)))],
             (len(coeffs), width))
+        self._lanes = lanes if self.exact else _ratio_lanes(
+            [(c.real, c.imag) for c in lanes.tolist()], (len(coeffs), width))
 
     @cached_property
     @_in_float_range
@@ -342,11 +346,13 @@ class TensorPoly:
 
     @_in_float_range
     def norm2(self) -> Fraction | float:
-        P, Q = self._lanes[0][0].shape
-        wp, den_p = _norm_weights(self.mu, P, True)
-        wq, den_q = _norm_weights(self.nu, Q, True)
-        norm2 = _norm2(*self._lanes, [x * y for x in wp for y in wq],
-                       den_p * den_q, True)
+        (lanes, den), (P, Q) = self._lanes, self._lanes[0][0].shape
+        table, nu = _rising_pair(self.nu, Q)[0], self.nu.as_integer_ratio()
+        rows = [_weighted_sum(sq, table, *nu)  # each row at nu, then at mu
+                for sq in sum(x * x for x in lanes).tolist()]
+        num, mu_den = _weighted_sum([x for x, _ in rows], _rising_pair(
+            self.mu, P)[0], *self.mu.as_integer_ratio())
+        norm2 = Fraction(num, den * den * mu_den * rows[0][1])
         return norm2 if self.exact else float(norm2)
 
 
@@ -373,11 +379,11 @@ class ProjectionSpec:
         return 1 if self.constant_convention == "paper_plus_one" else -1
 
     def c_squared(self) -> Fraction:
-        """C^2 with C^{-2} = k! (mu+nu+k±1)_k / ((mu)_k (nu)_k)."""
-        inv = (Fraction(math.factorial(self.k))
-               * pochhammer(self.mu + self.nu + self.k + self.shift, self.k)
-               / (pochhammer(self.mu, self.k) * pochhammer(self.nu, self.k)))
-        return 1 / inv
+        """C^2 = (mu)_k (nu)_k / (k! (mu+nu+k±1)_k), one Fraction of ints."""
+        (a, b), (c, d) = self.mu.as_integer_ratio(), self.nu.as_integer_ratio()
+        x0, k = int(b * d * (self.mu + self.nu + self.shift)), self.k
+        return Fraction(rising_ints(a, b, k)[k] * rising_ints(c, d, k)[k],
+                        _c2_den(x0, b * d, k))
 
 
 @dataclass(frozen=True)
@@ -536,8 +542,8 @@ def completeness_check(f: PolyFun, g: PolyFun,
     """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
     k = 0..deg f + deg g, in one pass of _core_ladder, on Python ints below
     _INT_LADDER_ENTRIES nonzero tensor entries.  Each mass is one Fraction
-    off the core lanes, C^2 from integer products; float input is checked on
-    its exact values, and the masses, total and expected are rounded once."""
+    off the core lanes with the C^2 of ProjectionSpec.c_squared; float input
+    is checked exactly, and the masses, total and expected are rounded once."""
     shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
     (a, da), (b, db) = f._lanes, g._lanes
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
@@ -548,17 +554,11 @@ def completeness_check(f: PolyFun, g: PolyFun,
     masses = []
     for k, (core, scale) in zip(range(top + 1),
                                 _core_ladder(lanes, f.nu, g.nu)):
-        # m!/(mu + nu + 2k)_m = m! B^m / prod_{i<m} (A + (2k + i) B)
         sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
-        terms = list(map(mul, sq, table[:top - k + 1]))
-        factors = range(A + 2 * k * B, A + (2 * k + len(terms) - 1) * B, B)
-        acc = terms[0]  # Horner: sum_m terms[m] prod_{m<=i<M} factors[i]
-        for t, y in zip(terms[1:], factors):
-            acc = acc * y + t
-        # C^2/scale^2 = 1/(scale k! L^k (mu+nu+-1+k)_k), L = bd
-        c2_den = math.factorial(k) * rising_ints(x0 + k * L, L, k)[k]
-        masses.append(Fraction(acc, den * den * scale * c2_den
-                               * math.prod(factors)))
+        # at weight mu + nu + 2k = (A + 2kB)/B; C^2/scale^2 = 1/(scale c2_den)
+        num, w_den = _weighted_sum(sq, table[:top - k + 1], A + 2 * k * B, B)
+        masses.append(Fraction(num, den * den * scale * _c2_den(x0, L, k)
+                               * w_den))
     total = sum(masses, Fraction(0))
     expected = product_norm2([(a, da)], f.nu) * product_norm2([(b, db)], g.nu)
     passed = total == expected
@@ -816,8 +816,9 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         raise ValueError("degree must be >= 4")
     if n < 2:
         raise ValueError("n must be >= 2")
-    h = np.array(_norm_weights(Fraction(nu), degree + 1, False)[0])
-    H = np.array(_norm_weights(n * Fraction(nu), n * degree + 1, False)[0])
+    # the weights |m!/(nu)_m| at nu and at n nu, each rounded once
+    h, H = (np.array([abs(x / y) for x, y in zip(*_rising_pair(
+        k * Fraction(nu), k * degree + 1))]) for k in (1, n))
     rng = np.random.default_rng(seed)
     x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     x = x.view(float) / np.linalg.norm(x)

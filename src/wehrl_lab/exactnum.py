@@ -1,7 +1,7 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
-complex numbers, the Pochhammer symbol, and the errors raised where a value
-leaves the float range or an integral diverges; and the one Gauss-Jacobi
-rule that every quadrature oracle takes its nodes from.
+complex numbers, the integer rising products behind every Pochhammer
+symbol, the errors raised where a value leaves the float range or an
+integral diverges, and the one Gauss-Jacobi rule of every quadrature oracle.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -35,15 +35,6 @@ def rising_ints(a: int, b: int, k: int) -> list:
     """[prod_{i<m} (a + i b) for m = 0..k] on Python ints: at x = a/b the
     m-th entry is (x)_m b^m, the numerator of (x)_m over b^m."""
     return list(accumulate(range(a, a + k * b, b), mul, initial=1))
-
-
-def pochhammer(x, k: int) -> Fraction:
-    """Rising factorial (x)_k = x(x+1)...(x+k-1), exact; (x)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    x = Fraction(x)
-    return Fraction(rising_ints(x.numerator, x.denominator, k)[-1],
-                    x.denominator ** k)
 
 
 def _rule(x, steps, alpha, beta, mu0):

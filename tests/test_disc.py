@@ -345,10 +345,16 @@ def test_product_norm2_matches_fraction_reference(factors, nu):
 
 
 def test_norm_weights_at_negative_integer_are_inverse_binomials():
+    # The norm of the monomial z^k of a degree-M product at nu = -M is its
+    # weight |k!/(-M)_k| = 1/binom(M, k), exact and rounded once.
     for big_m in range(41):
-        w, den = disc._norm_weights(Fraction(-big_m), big_m + 1, True)
-        assert [Fraction(x, den) for x in w] \
-            == [Fraction(1, math.comb(big_m, k)) for k in range(big_m + 1)]
+        for k in range(big_m + 1):
+            e_k = np.eye(big_m + 1, dtype=int)[k]
+            want = Fraction(1, math.comb(big_m, k))
+            assert product_norm2([PolyFun(NU2, tuple(e_k.tolist()))],
+                                 -big_m) == want
+            assert product_norm2([e_k.astype(complex)], -big_m) \
+                == float(want)
     # One degree past -nu, (nu)_k hits zero.
     for factors in ([poly(2, 1, 1, 1)], [np.ones(3)]):
         with pytest.raises(ValueError, match="vanishes at nu = -1"):
@@ -559,6 +565,77 @@ def test_non_finite_coefficients_are_refused(bad):
         PolyFun(NU2, (1, bad))
     with pytest.raises(ValueError, match="coefficient .* is not finite"):
         TensorPoly(NU2, NU2, [[1.0], [0.5, bad]])
+
+
+def test_float_input_builds_its_lanes_on_the_first_exact_read():
+    # Float input keeps its values as its view, -0.0 read as 0.0, which is
+    # what rounding its lanes gives; float reads never build the lanes.
+    cs = (-0.0, complex(0.5, -0.0), complex(-0.0, 1e-300), 3.25)
+    f = PolyFun(NU2, cs)
+    view = f.as_complex_array()
+    assert not view.flags.writeable and f.degree == 3
+    assert _bits(f.coeffs) == _bits([0j, 0.5 + 0j, 1e-300j, 3.25 + 0j])
+    for read in (norm2_exact, lambda f: wehrl_check(f, 2),
+                 lambda f: matrix_coeff_lp(f, 2),
+                 lambda f: norm_p_numeric(f, 4),
+                 lambda f: product_norm2([f, view], 4)):
+        read(f)
+    assert "_lanes" not in vars(f) and f.as_complex_array() is view
+    g = f * f  # an exact read builds them once
+    assert "_lanes" in vars(f) and disc._rounded(*f._lanes).tobytes() \
+        == view.tobytes()
+    assert g.coeffs == (f * f).coeffs and f.as_complex_array() is view
+    assert norm2_exact(g) == float(norm2_exact(_twin(f) * _twin(f)))
+
+
+tensor_rows = st.one_of(st.lists(gaussian_coeffs, min_size=1, max_size=4),
+                        st.lists(dyadic_coeffs, min_size=1, max_size=4))
+fractional_weights = st.sampled_from([Fraction(5, 2), Fraction(7, 3),
+                                      Fraction(11, 4), Fraction(13, 6)])
+
+
+@given(tensor_rows, fractional_weights, fractional_weights)
+@settings(max_examples=40, deadline=None)
+def test_tensor_norm2_is_the_fraction_double_sum(rows, mu, nu):
+    # sum |a[p][q]|^2 p!/(mu)_p q!/(nu)_q on the values as Fractions: exact
+    # for Gaussian rationals, rounded once for dyadic floats.
+    exact = isinstance(rows[0][0][0], Fraction)
+    F = TensorPoly(mu, nu, [[QC(re, im) if exact else complex(re, im)
+                             for re, im in row] for row in rows])
+    want = sum(((Fraction(re) ** 2 + Fraction(im) ** 2) * math.factorial(p)
+                * math.factorial(q) / (_rising(mu, p) * _rising(nu, q))
+                for p, row in enumerate(rows)
+                for q, (re, im) in enumerate(row)), Fraction(0))
+    assert F.exact is exact
+    assert _bits(F.norm2()) == _bits(want if exact else float(want))
+
+
+def test_c_squared_has_one_source(monkeypatch):
+    # Projections and completeness read C^2 off disc._c2_den: scaling C_2^2
+    # there by 1 + 2^-20 moves the k = 2 mass of completeness, and only it,
+    # and the k = 2 projection's norm by the same factor.
+    rng = np.random.default_rng(29)
+    f, g = (PolyFun(nu, tuple(QC(Fraction(int(rng.integers(-4, 5)),
+                                          int(rng.integers(1, 5))),
+                                 Fraction(int(rng.integers(-4, 5)), 3))
+                              for _ in range(4)))
+            for nu in (Fraction(5, 2), Fraction(7, 3)))
+    F, factor = TensorPoly.from_product(f, g), 1 + Fraction(1, 2 ** 20)
+    real = disc._c2_den
+    for conv in _CONVENTIONS:
+        spec = ProjectionSpec(f.nu, g.nu, 2, conv)
+        before, proj = completeness_check(f, g, conv), qk_project(F, spec)
+        assert before.passed is (conv == "corrected_minus_one")
+        monkeypatch.setattr(disc, "_c2_den", lambda x0, L, k: Fraction(
+            real(x0, L, k)) / (factor if k == 2 else 1))
+        after = completeness_check(f, g, conv)
+        assert not after.passed and before.per_k[2] != 0
+        assert [k for k, (x, y) in enumerate(zip(before.per_k, after.per_k))
+                if x != y] == [2]
+        assert after.per_k[2] == before.per_k[2] * factor
+        assert qk_project(F, spec).norm2() == proj.norm2() * factor
+        assert spec.c_squared() == proj.c2 * factor
+        monkeypatch.setattr(disc, "_c2_den", real)
 
 
 # The Hahn ladder runs on lists of Python ints below disc._INT_LADDER_ENTRIES
@@ -778,6 +855,24 @@ def test_improved_check_matches_fraction_reference(fc, nu, n, convention):
     assert rep.passed == (rep.exact_slack >= 0)
 
 
+@given(gaussian_coeffs, weights | st.just(Fraction(7, 3)),
+       st.sampled_from([2, 3, 4]),
+       st.sampled_from([("sharp", "corrected_minus_one"),
+                        ("paper", "paper_plus_one")]))
+@settings(max_examples=40, deadline=None)
+def test_improved_remainder_is_the_k2_projection_mass(fc, nu, n, conventions):
+    # The remainder is C_2^2 ||core_2 f^{n-2}||^2 at weight n nu + 4, core_2
+    # the k = 2 core of f (x) f (twice the hand-built g of improved_check).
+    remainder, projection = conventions
+    f = PolyFun(nu, tuple(QC(*c) for c in fc))
+    proj = qk_project(TensorPoly.from_product(f, f),
+                      ProjectionSpec(nu, nu, 2, projection))
+    lhs = product_norm2([f] * n, n * nu)
+    rhs = product_norm2([f], nu) ** n
+    rest = proj.c2 * product_norm2([proj.core] + [f] * (n - 2), n * nu + 4)
+    assert rhs - lhs - rest == improved_check(f, n, remainder).exact_slack
+
+
 def test_improved_check_float_input_matches_exact():
     # Dyadic coefficients are exact in floating point, so both rings see the
     # same polynomial; float input is read rounded once.
@@ -934,8 +1029,14 @@ def test_disc_oracle_at_power_100():
     assert abs(matrix_coeff_lp(f, 100) - ref) <= 1e-13 * ref
 
 
+def _float_weights(nu, count):
+    """The maximizer's weights |m!/(nu)_m|, m < count, rounded once."""
+    f, r = disc._rising_pair(nu, count)
+    return np.array([abs(x / y) for x, y in zip(f, r)])
+
+
 def _kernel_vector(nu, w, degree):
-    h = np.array(disc._norm_weights(Fraction(nu), degree + 1, False)[0])
+    h = _float_weights(nu, degree + 1)
     x = KernelFun(Fraction(nu), w, degree).to_polyfun().as_complex_array()
     return x * np.sqrt(h) / np.linalg.norm(x * np.sqrt(h))
 
@@ -1069,9 +1170,8 @@ def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
     # and the two real directions of w) and is negative definite across it.
     kern = KernelFun(Fraction(nu), w, degree)
     assert kern.tail_bound() < 1e-10
-    h = np.array(disc._norm_weights(Fraction(nu), degree + 1, False)[0])
-    H = np.array(disc._norm_weights(n * Fraction(nu), n * degree + 1,
-                                    False)[0])
+    h = _float_weights(nu, degree + 1)
+    H = _float_weights(n * Fraction(nu), n * degree + 1)
     x = kern.to_polyfun().as_complex_array() * np.sqrt(h)
     x /= np.linalg.norm(x)
 
@@ -1120,14 +1220,14 @@ def test_maximize_wehrl_rejects_small_weights_before_the_ascent(monkeypatch,
 
 
 def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
-    real = disc._norm_weights
+    real = disc._rising_pair
     calls = []
 
-    def counting(nu, count, exact):
+    def counting(nu, count):
         calls.append(count)
-        return real(nu, count, exact)
+        return real(nu, count)
 
-    monkeypatch.setattr(disc, "_norm_weights", counting)
+    monkeypatch.setattr(disc, "_rising_pair", counting)
     res = maximize_wehrl(2, 2, 8, seed=3)
     assert res.kernel_distance < 1e-4
     # The weights h (degree 8) and H (degree 16), then the kernel

@@ -11,23 +11,32 @@ from test_disc import _cmul
 from wehrl_lab.disc import PolyFun, norm2_exact
 from wehrl_lab import exactnum
 from wehrl_lab.exactnum import (FloatRangeExceeded, PiScaledRational, QC,
-                                _rule, gauss_jacobi, pochhammer)
+                                _rule, gauss_jacobi, rising_ints)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20)
 
 
+def _pochhammer(x, k: int) -> Fraction:
+    """(x)_k read off rising_ints: its last entry over b^k at x = a/b."""
+    x = Fraction(x)
+    return Fraction(rising_ints(x.numerator, x.denominator, k)[-1],
+                    x.denominator ** k)
+
+
 def test_pochhammer_basics():
-    assert pochhammer(3, 0) == 1
-    assert pochhammer(2, 3) == Fraction(24)
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
+    assert rising_ints(3, 1, 0) == [1] and _pochhammer(3, 0) == 1
+    assert rising_ints(2, 1, 3) == [1, 2, 6, 24]
+    assert _pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
+    assert rising_ints(1, 2, 2) == [1, 1, 3]  # (1/2)_m 2^m
 
 
 @given(rationals, st.integers(min_value=0, max_value=8))
 def test_pochhammer_recurrence(x, k):
-    assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
+    a, b = x.numerator, x.denominator
+    assert rising_ints(a, b, k + 1)[k + 1] == rising_ints(a, b, k)[k] \
+        * (a + k * b)
+    assert _pochhammer(x, k + 1) == _pochhammer(x, k) * (x + k)
 
 
 def _running_product(x: Fraction, k: int) -> Fraction:
@@ -39,23 +48,26 @@ def _running_product(x: Fraction, k: int) -> Fraction:
 
 @given(rationals, st.integers(min_value=0, max_value=40))
 def test_pochhammer_matches_running_fraction_product(x, k):
-    got = pochhammer(x, k)
-    assert isinstance(got, Fraction) and got == _running_product(x, k)
+    got = rising_ints(x.numerator, x.denominator, k)
+    assert all(isinstance(r, int) for r in got)
+    assert got == [_running_product(x, m) * x.denominator ** m
+                   for m in range(k + 1)]
 
 
 def test_pochhammer_zero_crossings_and_negative_arguments():
     # At an integer x <= 0 the product reaches the factor 0 once k > -x.
-    assert pochhammer(-3, 3) == -6 and pochhammer(-3, 4) == 0
-    assert pochhammer(-3, 5) == 0 and pochhammer(0, 1) == 0
-    assert pochhammer(0, 0) == 1
-    assert pochhammer(-50, 40) == _running_product(Fraction(-50), 40) != 0
-    assert pochhammer(-50, 51) == 0
+    assert _pochhammer(-3, 3) == -6 and _pochhammer(-3, 4) == 0
+    assert _pochhammer(-3, 5) == 0 and _pochhammer(0, 1) == 0
+    assert _pochhammer(0, 0) == 1
+    assert _pochhammer(-50, 40) == _running_product(Fraction(-50), 40) != 0
+    assert _pochhammer(-50, 51) == 0
+    assert rising_ints(-3, 1, 5) == [1, -3, 6, -6, 0, 0]
     # (-7/2)_6 = (-7/2)(-5/2)(-3/2)(-1/2)(1/2)(3/2)
-    assert pochhammer(Fraction(-7, 2), 6) == Fraction(315, 64)
+    assert _pochhammer(Fraction(-7, 2), 6) == Fraction(315, 64)
     for x in (Fraction(-7, 2), Fraction(-49, 3), Fraction(50),
               Fraction(-1, 20)):
         for k in range(41):
-            assert pochhammer(x, k) == _running_product(x, k), (x, k)
+            assert _pochhammer(x, k) == _running_product(x, k), (x, k)
 
 
 def test_pi_scaled_arithmetic():
