@@ -172,6 +172,8 @@ gaussian_coeffs = st.lists(st.tuples(small_fractions, small_fractions),
                            min_size=1, max_size=7)
 weights = st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3),
                            Fraction(7, 2)])
+coefficient_lanes = st.tuples(gaussian_coeffs, st.booleans()).map(
+    lambda c: [(float(re), float(im)) for re, im in c[0]] if c[1] else c[0])
 
 
 def _sparse_examples(test):
@@ -260,25 +262,37 @@ ladder_weights = st.fractions(min_value=1, max_value=6,
                               max_denominator=5).filter(lambda x: x > 1)
 
 
-@given(ladder_weights, ladder_weights, st.integers(1, 12), st.integers(1, 12))
-@example(Fraction(5, 2), Fraction(7, 2), 12, 9)
-@example(Fraction(7, 3), Fraction(11, 4), 1, 12)
+@given(ladder_weights, ladder_weights, st.integers(1, 12), st.integers(1, 12),
+       st.data())
+@example(Fraction(5, 2), Fraction(7, 2), 12, 9, None)
+@example(Fraction(7, 3), Fraction(11, 4), 1, 12, None)
 @settings(max_examples=25, deadline=None)
-def test_hahn_ladder_matches_dot_reference(mu, nu, P, Q):
-    # Every W_k, k <= P + Q - 2, entry for entry: V_k = b^k d^k (mu)_k
-    # (nu)_k W_k / E exactly.
+def test_hahn_ladder_matches_dot_reference(mu, nu, P, Q, data):
+    # Every W_k, k <= P + Q, entry for entry: U_k = x b^k d^k (mu)_k (nu)_k
+    # W_k / E exactly, at x = 1 on every entry, or at random integers x on a
+    # random subset of the entries, as _core_ladder runs it on the nonzero
+    # entries of a tensor lane.
     p, q = _antidiagonal_order(P, Q)
-    ladder = disc._hahn_ladder(mu, nu, p + q, p)
-    for k in range(P + Q - 1):
-        V = next(ladder)
+    x = [1] * (P * Q)
+    if data is not None:
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=P * Q,
+                                           max_size=P * Q)), dtype=bool)
+        p, q = p[keep], q[keep]
+        x = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                               min_size=len(p), max_size=len(p)))
+    ladder = disc._hahn_ladder(mu, nu, (p + q).tolist(), p.tolist(), x)
+    for k in range(P + Q + 1):
+        U = next(ladder)
+        assert type(U) is list and all(type(u) is int for u in U), k
         W, E = _ref_w(mu, nu, k, P, Q)
         scale = (_rising(mu, k) * _rising(nu, k)
                  * (mu.denominator * nu.denominator) ** k)
         assert scale.denominator == 1
         live = p + q >= k
-        assert len(V) == np.count_nonzero(live)
+        assert len(U) == np.count_nonzero(live)
         assert not W[p[~live], q[~live]].any()
-        assert list(V * E) == list(W[p[live], q[live]] * int(scale)), k
+        assert [u * E for u in U] == [w * int(scale) * y for w, y in zip(
+            W[p[live], q[live]], x)], k
 
 
 @given(ladder_weights, ladder_weights, st.integers(0, 12))
@@ -288,8 +302,9 @@ def test_hahn_ladder_is_orthogonal_on_every_antidiagonal(mu, nu, top):
     # j = k <= N: the W_k are the Hahn polynomials Q_k(p; mu-1, nu-1, N).
     for N in range(top + 1):
         p = np.arange(N + 1)
-        ladder = disc._hahn_ladder(mu, nu, np.full(N + 1, N), p)
-        ws = [list(next(ladder)) for _ in range(N + 1)]
+        ladder = disc._hahn_ladder(mu, nu, [N] * (N + 1), p.tolist(),
+                                   [1] * (N + 1))
+        ws = [next(ladder) for _ in range(N + 1)]
         rho = [_rising(mu, i) / math.factorial(i) * _rising(nu, N - i)
                / math.factorial(N - i) for i in range(N + 1)]
         for j in range(N + 1):
@@ -298,10 +313,21 @@ def test_hahn_ladder_is_orthogonal_on_every_antidiagonal(mu, nu, top):
                 assert (inner == 0) == (j != k), (N, j, k)
 
 
-@given(gaussian_coeffs, gaussian_coeffs, weights, weights,
+@given(coefficient_lanes, coefficient_lanes, weights, weights,
        st.sampled_from([("corrected_minus_one", -1), ("paper_plus_one", 1)]))
 @example([(Fraction(0), Fraction(0))] * 3, [(Fraction(1), Fraction(2))],
          Fraction(5, 2), Fraction(7, 2), ("paper_plus_one", 1))
+@example([(Fraction(0), Fraction(0))] * 3,  # a zero factor
+         [(Fraction(1), Fraction(2)), (Fraction(0), Fraction(-1))],
+         Fraction(5, 2), Fraction(7, 2), ("corrected_minus_one", -1))
+@example([(Fraction(3, 2), Fraction(-1))],  # a degree-0 factor
+         [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)),
+          (Fraction(-2), Fraction(1, 4))], Fraction(2), Fraction(3),
+         ("corrected_minus_one", -1))
+@example([(0.0, 0.0), (0.5, 0.0)], [(0.0, 0.0)], Fraction(3), Fraction(2),
+         ("corrected_minus_one", -1))  # float lanes with +-0.0
+@example([(1.5, -0.25)], [(0.0, 0.0), (0.0, -0.0), (-0.75, 1.0)],
+         Fraction(7, 2), Fraction(5, 2), ("corrected_minus_one", -1))
 @example([(Fraction(0), Fraction(0))], [(Fraction(3, 2), Fraction(-1))],
          Fraction(2), Fraction(3), ("corrected_minus_one", -1))
 @example([(Fraction(2, 3), Fraction(0))], [(Fraction(1), Fraction(0)),
@@ -638,31 +664,6 @@ def test_c_squared_has_one_source(monkeypatch):
         monkeypatch.setattr(disc, "_c2_den", real)
 
 
-# The Hahn ladder runs on lists of Python ints below disc._INT_LADDER_ENTRIES
-# nonzero tensor entries and on object arrays above.  Both must give the same
-# integers, and every result built on them must agree bit for bit.
-
-@given(ladder_weights, ladder_weights, st.integers(1, 14), st.integers(1, 14),
-       st.data())
-@example(Fraction(5, 2), Fraction(7, 2), 17, 17, None)
-@example(Fraction(7, 3), Fraction(11, 4), 1, 1, None)
-@settings(max_examples=30, deadline=None)
-def test_int_hahn_ladder_matches_array_ladder(mu, nu, P, Q, data):
-    # Every V_k entry for entry, also on a random subset of the entries (the
-    # nonzero ones of a sparse tensor) and past the last antidiagonal.
-    p, q = _antidiagonal_order(P, Q)
-    if data is not None:
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=P * Q,
-                                           max_size=P * Q)), dtype=bool)
-        p, q = p[keep], q[keep]
-    arrays = disc._hahn_ladder(mu, nu, p + q, p)
-    ints = disc._int_hahn_ladder(mu, nu, (p + q).tolist(), p.tolist())
-    for k in range(P + Q + 1):
-        want, got = next(arrays).tolist(), next(ints)
-        assert type(got) is list and all(type(v) is int for v in got), k
-        assert got == want, k
-
-
 def _bits(x):
     """x with every float as its hex, so that == means bit for bit."""
     if isinstance(x, complex):
@@ -672,62 +673,6 @@ def _bits(x):
     if isinstance(x, (tuple, list)):
         return [_bits(y) for y in x]
     return x  # Fraction, QC, bool
-
-
-def _on_both_ladders(call):
-    """[call() with the ladder on Python ints, call() on object arrays]."""
-    out = []
-    for cutoff in (10 ** 9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(disc, "_INT_LADDER_ENTRIES", cutoff)
-            out.append(call())
-    return out
-
-
-def _assert_ladders_agree(f, g, ks=None, convs=_CONVENTIONS):
-    """completeness_check, qk_project at ks (every k by default) and
-    q1_iterated of f: equal Fractions or bit-identical floats on both
-    ladders."""
-    top = f.degree + g.degree
-    F = TensorPoly.from_product(f, g)
-
-    def results():
-        reps = [completeness_check(f, g, conv) for conv in convs]
-        return _bits([[(r.per_k, r.total, r.expected, r.passed) for r in reps],
-                      [qk_project(F, ProjectionSpec(f.nu, g.nu, k, conv)
-                                  ).core.coeffs
-                       for k in (range(top + 1) if ks is None else ks)
-                       for conv in convs],
-                      q1_iterated(f, 2, convs[0]).core.coeffs])
-
-    ints, arrays = _on_both_ladders(results)
-    assert ints == arrays
-
-
-coefficient_lanes = st.tuples(gaussian_coeffs, st.booleans()).map(
-    lambda c: [(float(re), float(im)) for re, im in c[0]] if c[1] else c[0])
-
-
-_ONE = ("corrected_minus_one", -1)
-
-
-@given(coefficient_lanes, coefficient_lanes, weights, weights,
-       st.sampled_from([_ONE, ("paper_plus_one", 1)]))
-@example([(Fraction(0), Fraction(0))] * 3,  # a zero factor
-         [(Fraction(1), Fraction(2)), (Fraction(0), Fraction(-1))],
-         Fraction(5, 2), Fraction(7, 2), _ONE)
-@example([(Fraction(3, 2), Fraction(-1))],  # a degree-0 factor
-         [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(0)),
-          (Fraction(-2), Fraction(1, 4))], Fraction(2), Fraction(3), _ONE)
-@example([(0.0, 0.0), (0.5, 0.0)], [(0.0, 0.0)], Fraction(3), Fraction(2),
-         _ONE)
-@example([(1.5, -0.25)], [(0.0, 0.0), (0.0, -0.0), (-0.75, 1.0)],
-         Fraction(7, 2), Fraction(5, 2), _ONE)
-@_sparse_examples
-@settings(max_examples=40, deadline=None)
-def test_both_ladders_give_the_same_results(fc, gc, mu, nu, convention):
-    _assert_ladders_agree(_poly(mu, fc), _poly(nu, gc),
-                          convs=(convention[0],))
 
 
 def _dense_pair(degree, seed, exact):
@@ -742,34 +687,18 @@ def _dense_pair(degree, seed, exact):
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_both_ladders_agree_on_either_side_of_the_cutoff(exact):
-    # The last degree whose dense square tensor has fewer than
-    # _INT_LADDER_ENTRIES entries, and the next one.
-    below = math.isqrt(disc._INT_LADDER_ENTRIES - 1) - 1
-    for degree in (below, below + 1):
+def test_completeness_passes_on_dense_pairs(exact):
+    # Dense pairs of degree 16 and 17 (289 and 324 tensor entries), exact
+    # and complex floats: completeness passes, and qk_project reads its
+    # masses, bit for bit.
+    for degree in (16, 17):
         f, g = _dense_pair(degree, 24, exact)
-        _assert_ladders_agree(f, g, ks=(0, 1, degree, 2 * degree))
         rep = completeness_check(f, g)
         assert rep.passed and (rep.total == rep.expected or not exact)
-
-
-def test_ladder_dispatch_counts_nonzero_entries(monkeypatch):
-    used = []
-    for name in ("_hahn_ladder", "_int_hahn_ladder"):
-        monkeypatch.setattr(disc, name, lambda *args, real=getattr(
-            disc, name), name=name: used.append(name) or real(*args))
-    below = math.isqrt(disc._INT_LADDER_ENTRIES - 1) - 1
-    sparse = PolyFun(Fraction(5, 2), (1,) + (0,) * 39 + (Fraction(-3, 2),))
-    dense_41 = _dense_pair(40, 24, True)[1]
-    cases = [(_dense_pair(below, 24, True), "_int_hahn_ladder"),
-             (_dense_pair(below + 1, 24, True), "_hahn_ladder"),
-             ((sparse, dense_41), "_int_hahn_ladder"),  # 82 of 1681 nonzero
-             ((dense_41, dense_41), "_hahn_ladder")]
-    for (f, g), want in cases:
-        used.clear()
         F = TensorPoly.from_product(f, g)
-        qk_project(F, ProjectionSpec(f.nu, g.nu, 1))
-        assert used == [want], (f.degree, g.degree)
+        for k in (0, 1, degree, 2 * degree):
+            assert _bits(qk_project(F, ProjectionSpec(f.nu, g.nu, k)).norm2()
+                         ) == _bits(rep.per_k[k]), (degree, k)
 
 
 def test_q1_component_vanishes():
@@ -910,6 +839,16 @@ def test_kernel_truncation_tail():
         == pytest.approx((1 - 0.5 ** 2) ** -2, rel=1e-12)
     with pytest.raises(OutsideBergman):
         KernelFun(NU2, 1.2, 5).to_polyfun()
+
+
+@pytest.mark.parametrize("method", ["to_polyfun", "tail_bound"])
+def test_kernel_rejects_a_negative_degree(method):
+    # Degree -1 read as the constant 1, and -3 raised a bare IndexError.
+    for degree in (-1, -3):
+        with pytest.raises(ValueError, match=f"degree must be >= 0, got "
+                                             f"{degree}$"):
+            getattr(KernelFun(2, Fraction(1, 2), degree), method)()
+    assert KernelFun(2, Fraction(1, 2), 0).to_polyfun().coeffs == (QC(1),)
 
 
 @pytest.mark.parametrize("nu, w, degree", [

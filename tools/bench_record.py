@@ -13,11 +13,10 @@ It measures the checkout it lives in, whatever the working directory:
 * the line count of each module under ``src/wehrl_lab``;
 * the frontiers: the largest degree at which ``completeness_check`` of two
   seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s,
-  and its median seconds over five calls at degrees 4, 8 and 16, at the
-  two degrees on either side of the cutoff where its ladder leaves Python
-  ints for object arrays (the last pair with fewer nonzero tensor entries
-  than ``disc._INT_LADDER_ENTRIES`` and the next), and at 64 and 100, with
-  each pair's count of nonzero tensor entries,
+  and its median seconds over five calls at degrees 4, 8, 16, 19, 64 and
+  100, with each pair's count of nonzero tensor entries, and on a seeded
+  pair of complex floats with full 53-bit mantissas (two coefficient
+  lanes, so two Hahn ladders) at degrees 16 and 64,
   the constants-table rows per second on the grid of the CI ``table`` step
   (every preset, the lambdas below, n = 2, 3), the median seconds of the
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
@@ -64,7 +63,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import metadata
-from itertools import count
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -174,8 +172,8 @@ def frontiers() -> dict:
     (median of 5).
     The maximizer search ends at the first NoConvergence, recording its
     stop_reason and degree."""
-    from wehrl_lab.disc import (_INT_LADDER_ENTRIES, NoConvergence, PolyFun,
-                                completeness_check, maximize_wehrl)
+    from wehrl_lab.disc import (NoConvergence, PolyFun, completeness_check,
+                                maximize_wehrl)
     from wehrl_lab.domains import PRESETS
     from wehrl_lab.suite import emit_constants_table
 
@@ -190,12 +188,19 @@ def frontiers() -> dict:
         return math.prod(sum(c != 0 for c in cs)
                          for cs in coefficients(degree))
 
-    def completeness_s(degree: int) -> float:
+    def complex_coefficients(degree: int) -> list:
+        """Seeded complex floats with full mantissas for both factors."""
+        rng = np.random.default_rng([SEED, degree])
+        return [[complex(*rng.standard_normal(2)) for _ in range(degree + 1)]
+                for _ in range(2)]
+
+    def completeness_s(factors: list) -> float:
+        """Seconds of one passing completeness_check of the two factors."""
         f, g = (PolyFun(nu, tuple(cs)) for nu, cs in
-                zip((Fraction(5, 2), Fraction(7, 2)), coefficients(degree)))
+                zip((Fraction(5, 2), Fraction(7, 2)), factors))
         t0 = perf_counter()
         if not completeness_check(f, g).passed:
-            raise RuntimeError(f"completeness fails at degree {degree}")
+            raise RuntimeError(f"completeness fails at degree {f.degree}")
         return perf_counter() - t0
 
     failed: dict = {}  # the degree and stop_reason of a NoConvergence
@@ -211,11 +216,13 @@ def frontiers() -> dict:
 
     seconds: dict = {}
     completeness_degree, completeness_slowdown = slowed(
-        lambda: one_second_frontier(completeness_s, 8, seconds))
-    past = next(d for d in count(4) if entries(d) >= _INT_LADDER_ENTRIES)
-    degrees = sorted({4, 8, 16, past - 1, past, 64, 100})
-    fixed = {str(degree): median(completeness_s(degree) for _ in range(5))
-             for degree in degrees}
+        lambda: one_second_frontier(
+            lambda degree: completeness_s(coefficients(degree)), 8, seconds))
+    degrees = (4, 8, 16, 19, 64, 100)
+    fixed = {str(degree): median(completeness_s(coefficients(degree))
+                                 for _ in range(5)) for degree in degrees}
+    complex_fixed = {str(degree): median(completeness_s(complex_coefficients(
+        degree)) for _ in range(5)) for degree in (16, 64)}
     max_seconds: dict = {}
     maximize_slowdown = {"before": host_slowdown()}
     try:
@@ -242,7 +249,7 @@ def frontiers() -> dict:
             "completeness_median_s": fixed,
             "completeness_nonzero_entries": {str(d): entries(d)
                                              for d in degrees},
-            "int_ladder_entries": _INT_LADDER_ENTRIES,
+            "completeness_complex_float_median_s": complex_fixed,
             "table_rows": rows, "table_s": median(times),
             "table_rows_per_s": rows / median(times),
             "maximize_2_2_8_s": median(suite_times),
