@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce, wraps
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import mul
 from typing import Sequence
 
@@ -166,19 +166,6 @@ def _weighted_sum(sq, table: list, a: int, b: int) -> tuple:
     for s, t, y in zip(sq, table, [1, *factors]):
         acc = acc * y + s * t
     return acc, math.prod(factors)
-
-
-def _c2_den(x0: int, L: int, k: int) -> int:
-    """k! L^k (mu + nu + k +- 1)_k, the denominator of C^2 over b^k d^k (mu)_k
-    (nu)_k at mu = a/b and nu = c/d, for L = bd and x0 = L (mu + nu +- 1)."""
-    return math.factorial(k) * rising_ints(x0 + k * L, L, k)[k]
-
-
-def _scale(mu: Fraction, nu: Fraction, k: int) -> int:
-    """b^k d^k (mu)_k (nu)_k at mu = a/b and nu = c/d: the numerator of C^2
-    and the k-th core's denominator over its tensor's (_core_ladder)."""
-    (a, b), (c, d) = mu.as_integer_ratio(), nu.as_integer_ratio()
-    return rising_ints(a, b, k)[k] * rising_ints(c, d, k)[k]
 
 
 class PolyFun:
@@ -383,11 +370,10 @@ class ProjectionSpec:
         return 1 if self.constant_convention == "paper_plus_one" else -1
 
     def c_squared(self) -> Fraction:
-        """C^2 = (mu)_k (nu)_k / (k! (mu+nu+k±1)_k), one Fraction of ints."""
-        L = self.mu.denominator * self.nu.denominator
-        x0 = int(L * (self.mu + self.nu + self.shift))
-        return Fraction(_scale(self.mu, self.nu, self.k),
-                        _c2_den(x0, L, self.k))
+        """C^2 = (mu)_k (nu)_k / (k! (mu+nu+k±1)_k), one Fraction of ints:
+        _q_stream's k-th C^2, run with no tensor, as qk_project reads it."""
+        _, scale, (r, s) = next(islice(_q_stream((), self), self.k, None))
+        return Fraction(scale * r, s)
 
 
 @dataclass(frozen=True)
@@ -427,11 +413,10 @@ def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
 
 def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:
     """qk_project on tensor lanes over den, read exactly when exact is."""
-    mu, nu, k = spec.mu, spec.nu, spec.k
-    core = next(islice(_core_ladder(lanes, mu, nu), k, None))
-    return Projected(_from_lanes(PolyFun, (mu + nu + 2 * k,), tuple(
-        np.array(core, dtype=object)), den * _scale(mu, nu, k), exact),
-        spec.c_squared(), spec)
+    core, scale, (r, s) = next(islice(_q_stream(lanes, spec), spec.k, None))
+    core = _from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,), tuple(
+        np.array(core, dtype=object)), den * scale, exact)
+    return Projected(core, Fraction(scale * r, s), spec)
 
 
 def _hahn_step(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -468,7 +453,7 @@ def _hahn_ladder(mu: Fraction, nu: Fraction, n: list, p: list, x: list):
 def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction):
     """Yield the k-th core of qk_project for k = 0, 1, ...: one list per
     lane, P + Q - 1 long, of integers over the den of the integer tensor
-    lanes a[p, q] times _scale(mu, nu, k).  Each lane runs one _hahn_ladder
+    lanes a[p, q] times _q_stream's scale.  Each lane runs one _hahn_ladder
     on its nonzero entries, and antidiagonal n sums to entry n - k."""
     p, q = np.indices(lanes[0].shape).reshape(2, -1)
     p, n = np.array((p, p + q))[:, np.lexsort((p, -p - q))]  # n down, then p
@@ -484,6 +469,24 @@ def _core_ladder(lanes: tuple, mu: Fraction, nu: Fraction):
     for k, Us in enumerate(zip(*ladders)):
         yield [[sum(U[i:j]) for i, j in b[k:]] + [0] * min(k, width)
                for U, b in zip(Us, bounds)]
+
+
+def _q_stream(lanes: tuple, spec: ProjectionSpec):
+    """Yield (core, scale, (r, s)) for k = 0, 1, ..., spec's k unread: the
+    k-th core of _core_ladder (() with no lanes), over the tensor's den
+    times scale = b^k d^k (mu)_k (nu)_k at mu = a/b, nu = c/d; C_k^2 =
+    scale r/s.  With L = bd, x0 = L (mu + nu +- 1) and R(j) = prod_{i<j} (x0
+    + i L), L^k (mu + nu + k +- 1)_k = R(2k)/R(k): r = R(k), s = k! R(2k),
+    running products like scale, one small factor each a step, no division."""
+    (a, b), (c, d) = spec.mu.as_integer_ratio(), spec.nu.as_integer_ratio()
+    L, scale, r, s = b * d, 1, 1, 1
+    x0 = a * d + c * b + spec.shift * L
+    cores = _core_ladder(lanes, spec.mu, spec.nu) if lanes else repeat(())
+    for k, core in enumerate(cores):
+        yield core, scale, (r, s)
+        scale *= (a + k * b) * (c + k * d)
+        r *= x0 + k * L
+        s *= (k + 1) * (x0 + 2 * k * L) * (x0 + (2 * k + 1) * L)
 
 
 def q1_iterated(f: PolyFun, n: int,
@@ -516,26 +519,22 @@ def completeness_check(f: PolyFun, g: PolyFun,
                        convention: str = "corrected_minus_one"
                        ) -> CompletenessReport:
     """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
-    k = 0..deg f + deg g, in one pass of _core_ladder.  Each mass is one
-    Fraction off the core lanes with the C^2 of ProjectionSpec.c_squared,
-    its scale read off one rising_ints table per weight; float input is
+    k = 0..deg f + deg g, in one pass of _q_stream.  Each mass is one
+    Fraction off the core lanes and the stream's scale and C^2, which
+    qk_project and ProjectionSpec.c_squared read too; float input is
     checked exactly, and the masses, total and expected are rounded once."""
-    shift = ProjectionSpec(f.nu, g.nu, 0, convention).shift
+    spec = ProjectionSpec(f.nu, g.nu, 0, convention)
     (a, da), (b, db) = f._lanes, g._lanes
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
-    (p, r), (q, s) = f.nu.as_integer_ratio(), g.nu.as_integer_ratio()
-    x0, L = int(r * s * (f.nu + g.nu + shift)), r * s
     top, (A, B) = f.degree + g.degree, (f.nu + g.nu).as_integer_ratio()
     table = rising_ints(B, B, top)  # m! B^m
-    scales = map(mul, rising_ints(p, r, top), rising_ints(q, s, top))  # _scale
     masses = []
-    for k, (scale, core) in enumerate(zip(scales, _core_ladder(lanes, f.nu,
-                                                                 g.nu))):
+    for k, (core, scale, (r, s)) in enumerate(islice(_q_stream(lanes, spec),
+                                                     top + 1)):
         sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
-        # at weight mu + nu + 2k = (A + 2kB)/B; C^2/scale^2 = 1/(scale c2_den)
+        # at weight mu + nu + 2k = (A + 2kB)/B; C^2/scale^2 = r/(scale s)
         num, w_den = _weighted_sum(sq, table[:top - k + 1], A + 2 * k * B, B)
-        masses.append(Fraction(num, den * den * scale * _c2_den(x0, L, k)
-                               * w_den))
+        masses.append(Fraction(num * r, den * den * scale * s * w_den))
     total = sum(masses, Fraction(0))
     expected = product_norm2([(a, da)], f.nu) * product_norm2([(b, db)], g.nu)
     passed = total == expected

@@ -85,6 +85,24 @@ def test_projection_constant_conventions():
     spec_p = ProjectionSpec(NU2, NU2, 1, "paper_plus_one")
     assert spec_c.c_squared() == Fraction(1)
     assert spec_p.c_squared() == Fraction(2, 3)
+    # the running products behind C^2, against the closed form from k = 0
+    # to 200 at fractional weights, and at k = 3000 on a 3 x 2 tensor, far
+    # past its top degree, where the core vanishes
+    for mu, nu in ((Fraction(5, 2), Fraction(7, 3)),
+                   (Fraction(7, 3), Fraction(11, 4))):
+        nums = {k: _rising(mu, k) * _rising(nu, k) for k in (*range(201),
+                                                              3000)}
+        F = TensorPoly(mu, nu, [[1, Fraction(1, 2)], [Fraction(-2, 3), 3],
+                                [QC(1, 1), -1]])
+        for conv, shift in zip(_CONVENTIONS, (-1, 1)):
+            closed = {k: num / (math.factorial(k)
+                                * _rising(mu + nu + k + shift, k))
+                      for k, num in nums.items()}
+            assert [ProjectionSpec(mu, nu, k, conv).c_squared()
+                    for k in range(201)] == [closed[k] for k in range(201)]
+            proj = qk_project(F, ProjectionSpec(mu, nu, 3000, conv))
+            assert proj.core.coeffs == (QC(0),) * 4
+            assert proj.c2 == closed[3000]
     with pytest.raises(ValueError):
         ProjectionSpec(NU2, NU2, 1, "other")
 
@@ -637,9 +655,10 @@ def test_tensor_norm2_is_the_fraction_double_sum(rows, mu, nu):
 
 
 def test_c_squared_has_one_source(monkeypatch):
-    # Projections and completeness read C^2 off disc._c2_den: scaling C_2^2
-    # there by 1 + 2^-20 moves the k = 2 mass of completeness, and only it,
-    # and the k = 2 projection's norm by the same factor.
+    # Projections, completeness and ProjectionSpec.c_squared read C^2 off
+    # disc._q_stream: scaling C_2^2 there by 1 + 2^-20 moves the k = 2 mass
+    # of completeness, and only it, the k = 2 projection's norm and
+    # c_squared by the same factor.
     rng = np.random.default_rng(29)
     f, g = (PolyFun(nu, tuple(QC(Fraction(int(rng.integers(-4, 5)),
                                           int(rng.integers(1, 5))),
@@ -647,13 +666,19 @@ def test_c_squared_has_one_source(monkeypatch):
                               for _ in range(4)))
             for nu in (Fraction(5, 2), Fraction(7, 3)))
     F, factor = TensorPoly.from_product(f, g), 1 + Fraction(1, 2 ** 20)
-    real = disc._c2_den
+    real = disc._q_stream
+
+    def scaled(lanes, spec):  # C_2^2 = scale r/s times the factor
+        for k, (core, scale, (r, s)) in enumerate(real(lanes, spec)):
+            yield core, scale, (r * factor.numerator, s * factor.denominator
+                                ) if k == 2 else (r, s)
+
     for conv in _CONVENTIONS:
         spec = ProjectionSpec(f.nu, g.nu, 2, conv)
         before, proj = completeness_check(f, g, conv), qk_project(F, spec)
         assert before.passed is (conv == "corrected_minus_one")
-        monkeypatch.setattr(disc, "_c2_den", lambda x0, L, k: Fraction(
-            real(x0, L, k)) / (factor if k == 2 else 1))
+        assert spec.c_squared() == proj.c2
+        monkeypatch.setattr(disc, "_q_stream", scaled)
         after = completeness_check(f, g, conv)
         assert not after.passed and before.per_k[2] != 0
         assert [k for k, (x, y) in enumerate(zip(before.per_k, after.per_k))
@@ -661,7 +686,7 @@ def test_c_squared_has_one_source(monkeypatch):
         assert after.per_k[2] == before.per_k[2] * factor
         assert qk_project(F, spec).norm2() == proj.norm2() * factor
         assert spec.c_squared() == proj.c2 * factor
-        monkeypatch.setattr(disc, "_c2_den", real)
+        monkeypatch.setattr(disc, "_q_stream", real)
 
 
 def _bits(x):

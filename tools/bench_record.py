@@ -21,6 +21,11 @@ It measures the checkout it lives in, whatever the working directory:
   (every preset, the lambdas below, n = 2, 3), the median seconds of the
   suite's ``maximize_wehrl(2, 2, 8, seed=0)``, and the largest degree at
   which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0, takes at most 1 s;
+* the seconds and the peak RSS of ``qk_project`` at k = 20000 on a seeded
+  3 x 2 rational tensor at (mu, nu) = (5/2, 7/3), each of three runs in a
+  fresh Python process, and their median seconds.  The peak is the
+  process's VmHWM (Linux): its ``ru_maxrss`` would also keep the peak of
+  this script, whose memory a subprocess shares until it execs;
 * the median ms of five ``selberg_numeric(..., "monte_carlo", 10**6, seed)``
   calls at (r, a, b, gamma) = (2, 1, 0, 0) and (2, 2, 0, 0), the peak
   bytes that ``tracemalloc`` traces over one call at (2, 1, 0, 0), and the
@@ -259,6 +264,53 @@ def frontiers() -> dict:
             "maximize_no_convergence": failed or None}
 
 
+FAR_PROJECTION = """
+import json
+from fractions import Fraction
+from time import perf_counter
+
+import numpy as np
+
+from wehrl_lab.disc import ProjectionSpec, TensorPoly, qk_project
+
+rng = np.random.default_rng([{seed}, {k}])
+mu, nu = Fraction(5, 2), Fraction(7, 3)
+F = TensorPoly(mu, nu, [[Fraction(int(rng.integers(-4, 5)),
+                                  int(rng.integers(1, 5))) for _ in range(2)]
+                        for _ in range(3)])
+t0 = perf_counter()
+qk_project(F, ProjectionSpec(mu, nu, {k}))
+seconds = perf_counter() - t0
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
+print(json.dumps({{"seconds": seconds, "peak_rss_mb": peak_kb / 1024}}))
+"""
+
+
+def far_projection() -> dict:
+    """Seconds and peak RSS of qk_project at k = 20000 on the seeded 3 x 2
+    tensor of FAR_PROJECTION, three runs, each in a fresh process."""
+    k = 20000
+
+    def runs() -> list:
+        out = []
+        for _ in range(3):
+            proc, _ = run([sys.executable, "-c",
+                           FAR_PROJECTION.format(seed=SEED, k=k)])
+            if proc.returncode != 0:
+                raise RuntimeError(f"qk_project at k = {k} exited "
+                                   f"{proc.returncode}:\n{proc.stderr}")
+            out.append(json.loads(proc.stdout))
+        return out
+
+    result, slowdown = slowed(runs)
+    return {"k": k, "mu": "5/2", "nu": "7/3", "runs": result,
+            "median_s": median(r["seconds"] for r in result),
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in result),
+            "host_slowdown": slowdown}
+
+
 def monte_carlo() -> dict:
     """Median ms of five 10^6-sample Monte Carlo calls (seeds 0-4) per shape,
     the traced peak bytes of one call at (2, 1, 0, 0), seed 0, and the bytes
@@ -407,8 +459,9 @@ def main(argv=None) -> int:
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
-    print("tier-1 tests, suite all, frontiers, Monte Carlo, Gauss rules, "
-          "quadrature setup, SU(2) checks, Selberg ranks", file=sys.stderr)
+    print("tier-1 tests, suite all, frontiers, far projection, Monte Carlo, "
+          "Gauss rules, quadrature setup, SU(2) checks, Selberg ranks",
+          file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -423,6 +476,7 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "src_lines_total": sum(lines.values()),
         "frontiers": frontiers(),
+        "qk_project_far": far_projection(),
         "monte_carlo": monte_carlo(),
         "gauss_rules": gauss_rules(),
         "quadrature_setup": quadrature_setup(),
