@@ -26,6 +26,9 @@ from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
 from .suite import SUITE_NAMES, emit_constants_table, run_suite
 
 
+_SEED = click.IntRange(min=0)  # numpy's generators take no negative seed
+
+
 def _echo_json(payload):
     click.echo(json.dumps(payload, sort_keys=True))
 
@@ -134,7 +137,7 @@ def degrees(domain, lam, n):
               type=click.Choice(["monte_carlo", "gauss_jacobi"]))
 @click.option("--budget", default=100_000, show_default=True, type=int,
               help="monte_carlo: samples; gauss_jacobi: most nodes per axis")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 def selberg(r, a, b, gamma, method, budget, seed):
     """Closed form and numerical estimate of the Selberg integral."""
     spec = sb.SelbergSpec(r, Fraction(a), Fraction(b), Fraction(gamma))
@@ -231,7 +234,7 @@ def disc_improved(nu, n, coeffs, convention):
 @click.option("--nu", required=True)
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--degree", default=12, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 def disc_maximize(nu, n, degree, seed):
     res = dc.maximize_wehrl(Fraction(nu), n, degree, seed=seed)
     _echo_json({"objective": res.objective,
@@ -257,7 +260,7 @@ def disc_ode(nu, c, degree):
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--vector", default=None, help="comma-separated coefficients")
 @click.option("--random", "random_", is_flag=True)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
@@ -282,7 +285,7 @@ def compact(m, n, vector, random_, seed):
 
 @main.command()
 @click.argument("name", type=click.Choice(SUITE_NAMES))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("--convention", default="corrected", show_default=True,
               type=click.Choice(list(PROJECTION_CONVENTION)))
 @click.option("--out", default=None, type=click.Path(),

@@ -681,29 +681,50 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
 # maximize_wehrl's (s, y) pairs kept, most steps, and stopping tangent gradient
 _LBFGS_MEMORY, _MAX_ITERS, _GRAD_TOL = 8, 40000, 5e-6
 _HALVINGS = [0.5 ** i for i in range(60)]  # steps of both backtracking loops
-_UPPER = np.triu(np.ones((_LBFGS_MEMORY, _LBFGS_MEMORY), dtype=bool))
+# Longest product n degree convolved directly, not by FFT (measured: README)
+_DIRECT_LENGTH = 512
+_SMOOTH = (1, 3, 5, 9, 15)  # FFT lengths m 2^j: at most 1.25x the product's
 
 
-def _objective_and_gradient(x: np.ndarray, n: int, h, H):
+def _objective_and_gradient(x: np.ndarray, n: int, root: np.ndarray,
+                            scale: np.ndarray, H: np.ndarray):
     """Phi(x) = ||f^n||^2_{n nu} and the Wirtinger gradient d Phi / d conj(x)
-    for unit x of orthonormal coefficients, x and gradient as real views."""
-    c = x.view(complex) / np.sqrt(h)
-    A = reduce(np.convolve, [c] * (n - 1))  # c^{n-1}
-    b = np.convolve(A, c)
-    return (float((H * np.abs(b) ** 2).sum()),
-            (n / np.sqrt(h) * np.correlate(H * b, A, "valid")).view(float))
+    for unit x of orthonormal coefficients, x and gradient as real views,
+    root = sqrt(h), scale = n / root; by FFTs longer than c^n past
+    _DIRECT_LENGTH, so that their cyclic products do not wrap."""
+    c = x.view(complex) / root
+    if len(H) - 1 <= _DIRECT_LENGTH:
+        A = reduce(np.convolve, [c] * (n - 1))  # c^{n-1}
+        b = np.convolve(A, c)
+        grad = np.correlate(H * b, A, "valid")
+    else:
+        size = min(m << ((len(H) - 1) // m).bit_length() for m in _SMOOTH)
+        C = np.fft.fft(c, size)
+        A = C ** (n - 1)
+        b = np.fft.ifft(A * C)[:len(H)]
+        grad = np.fft.ifft(np.fft.fft(H * b, size) * A.conj())[:len(c)]
+    return float((H * np.abs(b) ** 2).sum()), (scale * grad).view(float)
 
 
 def _lbfgs_direction(S: np.ndarray, Y: np.ndarray, t: np.ndarray):
     """L-BFGS inverse Hessian times t for the pairs in the rows of S and Y
     (oldest first, s.y > 0) in the compact form of Byrd, Nocedal and
     Schnabel (1994): gamma r + S^T R^-T (diag(SY) p - gamma Y r) with SY =
-    S Y^T, R = triu(SY), p = R^-1 S t, r = t - Y^T p, gamma of the newest."""
+    S Y^T, R = triu(SY), p = R^-1 S t, r = t - Y^T p, gamma of the newest;
+    R^-1 and R^-T by substitution on Python floats (diagonal s.y > 0)."""
     SY, gamma = S @ Y.T, (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
-    R_inv = np.linalg.inv(SY * _UPPER[:len(S), :len(S)])
-    p = R_inv @ (S @ t)
-    r = t - p @ Y
-    return gamma * r + (SY.diagonal() * p - gamma * (Y @ r)) @ R_inv @ S
+    R, k, p = SY.tolist(), len(S), (S @ t).tolist()
+    for i in reversed(range(k)):  # R p = S t
+        for j in range(i + 1, k):
+            p[i] -= R[i][j] * p[j]
+        p[i] /= R[i][i]
+    r = t - np.dot(p, Y)
+    q = (SY.diagonal() * p - gamma * (Y @ r)).tolist()
+    for i in range(k):  # R^T q = diag(SY) p - gamma Y r, in place
+        for j in range(i):
+            q[i] -= R[j][i] * q[j]
+        q[i] /= R[i][i]
+    return gamma * r + np.dot(q, S)
 
 
 def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
@@ -799,10 +820,12 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     # the weights |m!/(nu)_m| at nu and at n nu, each rounded once
     h, H = (np.array([abs(x / y) for x, y in zip(*_rising_pair(
         k * Fraction(nu), k * degree + 1))]) for k in (1, n))
+    root = np.sqrt(h)
+    weights = n, root, n / root, H
     rng = np.random.default_rng(seed)
     x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     x = x.view(float) / np.linalg.norm(x)
-    phi, g = _objective_and_gradient(x, n, h, H)
+    phi, g = _objective_and_gradient(x, *weights)
     S, Y = hist = np.empty((2, _LBFGS_MEMORY + 1, x.size))
     k = 0  # the first k rows of S, Y: pairs, oldest first
     for it in range(_MAX_ITERS + 1):
@@ -821,7 +844,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         for t in _HALVINGS:
             x_new = x + t * d
             x_new /= math.sqrt(x_new @ x_new)
-            phi_new, g_new = _objective_and_gradient(x_new, n, h, H)
+            phi_new, g_new = _objective_and_gradient(x_new, *weights)
             if phi_new >= phi + 1e-4 * t * slope:
                 break
         else:
@@ -831,7 +854,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
                 "line_search_exhausted")
         S[k], Y[k] = x_new - x, tangent - g_new
         hist[:, :k + 1] -= (hist[:, :k + 1] @ x_new)[..., None] * x_new
-        keep = np.einsum("ij,ij->i", S[:k + 1], Y[:k + 1]) > 0
+        keep = (S[:k + 1] * Y[:k + 1]).sum(axis=1) > 0
         pairs = hist[:, :k + 1][:, keep][:, -_LBFGS_MEMORY:]
         k = pairs.shape[1]
         hist[:, :k] = pairs
@@ -839,6 +862,6 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     # The truncated kernels are the coherent vectors of kappa_m^2 = (nu)_m/m!.
     kappa2 = np.array(_rising_over_factorial(nu, degree + 1, False))
     x = x.view(complex)
-    return MaximizeResult(PolyFun(Fraction(nu), tuple(x / np.sqrt(h))), phi,
+    return MaximizeResult(PolyFun(Fraction(nu), tuple(x / root)), phi,
                           _coherent_fit([x], kappa2, 1.0), it, gnorm,
                           "gradient_tolerance")

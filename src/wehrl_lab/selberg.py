@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -218,11 +219,19 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     One leaf stays in L2: 10^6 samples take 0.8-0.9x the time of passes
     over whole chunks, and the arrays peak at 0.5 MB, not 10 MB.
     """
-    rng = np.random.default_rng(seed)
     bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
                       + math.lgamma(float(spec.gamma) + 1.0)
                       - math.lgamma(float(spec.b) + float(spec.gamma) + 2.0))
-    scale = bconst ** spec.r
+    try:
+        scale = bconst ** spec.r
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:  # else a 0 +- 0 estimate
+        raise FloatRangeExceeded(
+            f"monte_carlo at (r, a, b, gamma) = ({spec.r}, {spec.a}, "
+            f"{spec.b}, {spec.gamma}): the scale B(b+1, gamma+1)^r = "
+            f"{scale:.3g} is not a normal float")
+    rng = np.random.default_rng(seed)
     a = float(spec.a)
     total, total_sq, chunk, leaf = 0.0, 0.0, 1 << 18, 1 << 14
     closed_form = spec.b == 0 or spec.gamma == 0
@@ -266,10 +275,13 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
 
     method "gauss_jacobi": the tensor rule at a(r-1)/2 + 1 nodes per axis,
     exact for even integer a >= 0; MethodUnsupported when that count
-    exceeds budget.  method "monte_carlo": budget = sample count.
+    exceeds budget.  method "monte_carlo": budget = sample count, seed >= 0.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got budget={budget}")
+    for name, value, least in (("budget", budget, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got "
+                             f"{name}={value!r}")
     if method == "gauss_jacobi":
         if spec.a.denominator != 1 or int(spec.a) % 2 != 0:
             raise MethodUnsupported(

@@ -192,6 +192,12 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "norm2: a value exceeds the float limit"),
     (["disc", "improved", "--nu", "2", "--coeffs", "1e200j,1"],
      "improved_check: a value exceeds the float limit"),
+    (["selberg", "--r", "2", "--a", "1", "--b", "400", "--gamma", "400",
+      "--budget", "1000"], "B(b+1, gamma+1)^r = 0 is not a normal float"),
+    (["selberg", "--r", "2", "--a", "1", "--b", "0", "--gamma", "1", "--seed",
+      "-1"], "Invalid value for '--seed': -1 is not in the range x>=0"),
+    (["disc", "maximize", "--nu", "2", "--seed", "-1"],
+     "Invalid value for '--seed'"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

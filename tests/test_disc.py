@@ -1080,7 +1080,8 @@ def test_maximize_wehrl_reaches_kernel_ray():
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("nu, n, degree", [
-    (Fraction(3, 2), 2, 12), (Fraction(5, 2), 3, 8), (3, 2, 10), (2, 4, 6)])
+    (Fraction(3, 2), 2, 12), (Fraction(5, 2), 3, 8), (3, 2, 10), (2, 4, 6),
+    (2, 2, 300)])  # n degree = 600: the objective goes by FFT
 def test_maximize_wehrl_reaches_the_ray_without_creeping(nu, n, degree, seed):
     res = maximize_wehrl(nu, n, degree, seed=seed)
     assert res.objective >= 1 - 1e-6
@@ -1127,6 +1128,38 @@ def test_compact_lbfgs_direction_matches_the_two_loop_recursion(dim, k):
 
 
 @pytest.mark.parametrize("nu, n, degree, w", [
+    (2, 2, 40, None), (2, 2, 256, None), (2, 2, 257, None), (2, 2, 1000, None),
+    (Fraction(5, 2), 3, 170, 0.5j), (Fraction(5, 2), 3, 171, 0.5j),
+    (3, 4, 200, -0.7)])
+def test_fft_objective_matches_the_direct_convolutions(monkeypatch, nu, n,
+                                                       degree, w):
+    # On random unit vectors at n = 2, and at n >= 3 near a kernel, where
+    # the ascent ends: from a random start c^n spans so many decades there
+    # that the FFT's error, set by its largest entry, reached 5e-11 of the
+    # objective at (5/2, 3, 300).  The default convolves directly up to n
+    # degree = 512, the measured disc._DIRECT_LENGTH, which the pairs of
+    # degrees (256, 257) and (170, 171) straddle.
+    rng = np.random.default_rng([n, degree])
+    h = _float_weights(nu, degree + 1)
+    H = _float_weights(n * Fraction(nu), n * degree + 1)
+    weights = n, np.sqrt(h), n / np.sqrt(h), H
+    x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    if w is not None:
+        x = _kernel_vector(nu, w, degree) + 1e-2 * x / np.linalg.norm(x)
+    x = (x / np.linalg.norm(x)).view(float)
+    default = disc._objective_and_gradient(x, *weights)
+    sides = {}
+    for cutoff in (0, 10 ** 9):
+        monkeypatch.setattr(disc, "_DIRECT_LENGTH", cutoff)
+        sides[cutoff] = disc._objective_and_gradient(x, *weights)
+    (phi, grad), (phi_ref, grad_ref) = sides[0], sides[10 ** 9]
+    assert abs(phi - phi_ref) <= 1e-12 * phi_ref
+    assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
+    side = sides[0 if n * degree > 512 else 10 ** 9]
+    assert default[0] == side[0] and np.array_equal(default[1], side[1])
+
+
+@pytest.mark.parametrize("nu, n, degree, w", [
     (2, 2, 8, 0), (Fraction(5, 2), 3, 8, 0), (2, 2, 40, 0.3), (3, 2, 40, 0.5)])
 def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
     # Second-order certificate: the Hessian of phi(x/|x|) on the real
@@ -1141,7 +1174,8 @@ def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
 
     def phi(y):
         return disc._objective_and_gradient(
-            (y / np.linalg.norm(y)).view(float), n, h, H)[0]
+            (y / np.linalg.norm(y)).view(float), n, np.sqrt(h),
+            n / np.sqrt(h), H)[0]
 
     # Rows of vt after the first span the real complement of x in R^{2N}.
     vt = np.linalg.svd(np.concatenate([x.real, x.imag])[None, :])[2]
@@ -1157,6 +1191,17 @@ def test_kernel_is_a_morse_bott_maximum(nu, n, degree, w):
     null = np.abs(eig) < 1e-6
     assert null.sum() == 3
     assert np.all(eig[~null] <= -1)
+
+
+def test_maximize_wehrl_calls_no_lapack_inverse_or_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK call in the maximizer")
+
+    for name in ("inv", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    res = maximize_wehrl(2, 2, 8, seed=0)
+    assert res.stop_reason == "gradient_tolerance"
+    assert res.kernel_distance < 1e-4
 
 
 def test_maximize_wehrl_no_convergence_raises(monkeypatch):

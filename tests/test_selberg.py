@@ -468,6 +468,34 @@ def test_budget_below_one_is_rejected():
             selberg_numeric(spec, method, 0)
 
 
+@pytest.mark.parametrize("name, budget, seed, message", [
+    ("budget", True, 0, "budget=True"), ("budget", 2.5, 0, "budget=2.5"),
+    ("seed", 10, -1, "seed=-1"), ("seed", 10, 1.5, "seed=1.5"),
+    ("seed", 10, True, "seed=True")])
+def test_bad_budget_or_seed_is_named_before_any_draw(monkeypatch, name,
+                                                     budget, seed, message):
+    draws = []
+    monkeypatch.setattr(sb, "_monte_carlo",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"^{name} must be an int >= "
+                                         f"[01], got {re.escape(message)}$"):
+        selberg_numeric(SelbergSpec(2, 1, 0, 0), "monte_carlo", budget, seed)
+    assert draws == []
+
+
+@pytest.mark.parametrize("shape, text", [
+    ((2, 1, 400, 400), "(2, 1, 400, 400)"),
+    ((1, 0, 1000, 1000), "(1, 0, 1000, 1000)"),
+    ((700, 0, Fraction(-1, 2), Fraction(-1, 2)), "(700, 0, -1/2, -1/2)")])
+def test_monte_carlo_scale_outside_the_normal_floats_raises(shape, text):
+    # B(b+1, gamma+1)^r underflows in the first two: the estimate would read
+    # 0 +- 0, whose deviation from a closed form near 0 passes any gate.
+    # pi^700 overflows in the third.
+    with pytest.raises(FloatRangeExceeded,
+                       match=re.escape(f"(r, a, b, gamma) = {text}: ")):
+        selberg_numeric(SelbergSpec(*shape), "monte_carlo", 1000)
+
+
 def test_grid_over_the_limit_raises_before_allocating():
     # Each rule is exact at its degree count: 23 sector nodes at (6, 3, 0)
     # and 8 tensor nodes at r = 8, a = 2, both over MAX_GRID_POINTS.  One
