@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .disc import (PolyFun, _angular_radial_mean, _coherent_fit, _rule_sizes,
-                   product_norm2)
+from .disc import (_angular_radial_mean, _coherent_fit, _rising_over_factorial,
+                   _rule_sizes, product_norm2)
 from .exactnum import gauss_jacobi
 
 __all__ = [
@@ -87,11 +87,6 @@ class Su2Irrep:
 # ---------------------------------------------------------------------------
 # Top-component masses through Bloch polynomials.
 
-# The largest nm with binom(nm, nm // 2) <= 2**1022, so that every weight
-# 1/binom(nm, k) is a normal float.
-_NM_MAX = 1027
-
-
 def _vector(v: Sequence[complex], m: int) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if len(v) != m + 1:
@@ -111,12 +106,9 @@ def _top_mass(factors: Sequence[np.ndarray]) -> float:
     With p the product of the Bloch polynomials p_{u_j}, the mass is
     sum_k |[p]_k|^2 / binom(M, k): the product tensor has inner product
     k! [p]_k with the k-fold lowered top vector, whose squared norm is
-    k!^2 binom(M, k).
+    k!^2 binom(M, k); past M = 1027, FloatRangeExceeded (disc._weights).
     """
     big_m = sum(len(u) - 1 for u in factors)
-    if big_m > _NM_MAX:
-        raise ValueError(f"nm = {big_m} exceeds {_NM_MAX}, the largest nm "
-                         f"whose weights 1/binom(nm, k) are normal floats")
     roots = {k: _root_binomials(k - 1) for k in set(map(len, factors))}
     return product_norm2([u * roots[len(u)] for u in factors], -big_m)
 
@@ -213,17 +205,13 @@ class CompactReport:
     bound: float
     slack: float
     mass: float
-    exact_value: Optional[Fraction]  # when exact_bloch is given
 
 
-def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
-                        exact_bloch: Optional[Sequence] = None
-                        ) -> CompactReport:
+def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
     """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound.
 
     The algebraic route gives ||P_{nm}(v^{(x) n})||^2 / (nm+1); the numeric
-    route is Haar quadrature.  exact_bloch, Gaussian rationals u with v_i
-    proportional to u_i / binom(m, i)^{1/2}, also gives the exact value.
+    route is Haar quadrature.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -234,22 +222,9 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int,
     bound = 1.0 / (n * m + 1)
     exact = mass * bound
     numeric = wehrl_integral_numeric(v, m, n)
-    exact_value = None
-    if exact_bloch is not None:
-        p = PolyFun(2, tuple(exact_bloch))  # product_norm2 ignores its weight
-        u = p.as_complex_array() / _root_binomials(p.degree)
-        u_norm = np.linalg.norm(u)
-        if (not p.exact or p.degree != m or not u_norm
-                or abs(abs(np.vdot(u, v)) - u_norm) > 1e-12 * u_norm):
-            raise ValueError("exact_bloch must be m + 1 rationals, not all 0, "
-                             "proportional to the Bloch coefficients of v")
-        # v_i = u_i / (s binom(m, i)^{1/2}), s^2 = sum |u_i|^2 / binom(m, i)
-        exact_value = product_norm2([p] * n, -n * m) / (
-            product_norm2([p], -m) ** n * (n * m + 1))
     return CompactReport(m=m, n=n, integral_numeric=numeric,
                          integral_exact=exact, bound=bound,
-                         slack=bound - exact, mass=mass,
-                         exact_value=exact_value)
+                         slack=bound - exact, mass=mass)
 
 
 def haar_moment(p: int, q: int) -> float:
@@ -274,7 +249,7 @@ def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     rho (2 / (1 + (1 - rho^2)^{1/2}))^{1/2}.  Raises disc.NoConvergence."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    kappa2 = np.array([float(math.comb(m, i)) for i in range(m + 1)])
+    kappa2 = np.array(_rising_over_factorial(-m, m + 1, False))
     rho = _coherent_fit([v, v[::-1]], kappa2, math.inf)
     return rho * math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - rho * rho, 0.0))))
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce, wraps
@@ -153,10 +155,32 @@ def _rising_pair(nu, count: int) -> tuple:
     return f, r
 
 
+def _weights(nu, count: int) -> list:
+    """|m!/(nu)_m| for m < count, each correctly rounded (int / int): the
+    float weights of product_norm2 and maximize_wehrl.  FloatRangeExceeded,
+    naming nu and the first such m, where one is not a normal float."""
+    f, r = _rising_pair(nu, count)
+    with suppress(OverflowError):
+        weights = [abs(x / y) for x, y in zip(f, r)]
+        if min(weights) >= sys.float_info.min:
+            return weights
+    for m, (x, y) in enumerate(zip(f, r)):  # the first m past the range
+        with suppress(OverflowError):
+            if abs(x / y) >= sys.float_info.min:
+                continue
+        raise FloatRangeExceeded(f"weight |m!/(nu)_m| at nu = {Fraction(nu)}"
+                                 f", m = {m}, is not a normal float")
+
+
 def _rising_over_factorial(nu, count: int, exact: bool) -> list:
-    """(nu)_m/m! = 1/weight for m < count, exact or correctly rounded."""
-    return [abs(Fraction(y, x) if exact else y / x)
-            for x, y in zip(*_rising_pair(nu, count))]
+    """(nu)_m/m! = 1/weight for m < count, exact or correctly rounded;
+    FloatRangeExceeded where a rounded one passes the float limit."""
+    try:
+        return [abs(Fraction(y, x) if exact else y / x)
+                for x, y in zip(*_rising_pair(nu, count))]
+    except OverflowError:
+        raise FloatRangeExceeded(f"(nu)_m/m! at nu = {Fraction(nu)} exceeds "
+                                 f"1.8e308 for some m < {count}") from None
 
 
 def _weighted_sum(sq, table: list, a: int, b: int) -> tuple:
@@ -237,13 +261,11 @@ def product_norm2(factors: Sequence, nu) -> Fraction | float:
     for f in factors:
         p = np.convolve(p, f.as_complex_array() if isinstance(f, PolyFun)
                         else f)
-    try:
-        total = math.fsum(abs(x) ** 2 * abs(y / z) for x, y, z in
-                          zip(p.tolist(), *_rising_pair(nu, len(p))))
+    with suppress(OverflowError):  # abs(x) ** 2, or fsum, past 1.8e308
+        total = math.fsum(abs(x) ** 2 * w for x, w in
+                          zip(p.tolist(), _weights(nu, len(p))))
         if math.isfinite(total):
             return total
-    except OverflowError:
-        pass
     raise FloatRangeExceeded(f"the weighted norm at nu = {nu} of a product "
                              f"of degree {len(p) - 1} exceeds the float "
                              f"limit 1.8e308")
@@ -678,7 +700,7 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
 # ---------------------------------------------------------------------------
 # Maximizer search on the coefficient sphere.
 
-# maximize_wehrl's (s, y) pairs kept, most steps, and stopping tangent gradient
+# maximize_wehrl's (s, y) pairs kept, most steps, stopping gradient/objective
 _LBFGS_MEMORY, _MAX_ITERS, _GRAD_TOL = 8, 40000, 5e-6
 _HALVINGS = [0.5 ** i for i in range(60)]  # steps of both backtracking loops
 # Longest product n degree convolved directly, not by FFT (measured: README)
@@ -796,7 +818,7 @@ class MaximizeResult:
     kernel_distance: float
     iterations: int
     grad_norm: float
-    stop_reason: str  # "gradient_tolerance": tangent gradient below _GRAD_TOL
+    stop_reason: str  # "gradient_tolerance": |tangent| < _GRAD_TOL objective
 
 
 def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
@@ -807,9 +829,9 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     pairs (step, change of the negated tangent gradient) with s.y > 0, all
     projected onto each new tangent space; a step retracts by normalising,
     and Armijo backtracking from t = 1 never lowers the objective.  Stops
-    with "gradient_tolerance" once the tangent gradient is below _GRAD_TOL;
-    raises NoConvergence with "line_search_exhausted" (60 halvings find no
-    ascent) or "max_iterations" (_MAX_ITERS steps).
+    with "gradient_tolerance" once the tangent gradient is below _GRAD_TOL
+    times the objective; raises NoConvergence with "line_search_exhausted"
+    (60 halvings find no ascent) or "max_iterations" (_MAX_ITERS steps).
     """
     if Fraction(nu) <= 1:
         raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
@@ -817,9 +839,8 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         raise ValueError("degree must be >= 4")
     if n < 2:
         raise ValueError("n must be >= 2")
-    # the weights |m!/(nu)_m| at nu and at n nu, each rounded once
-    h, H = (np.array([abs(x / y) for x, y in zip(*_rising_pair(
-        k * Fraction(nu), k * degree + 1))]) for k in (1, n))
+    h, H = (np.array(_weights(k * Fraction(nu), k * degree + 1))
+            for k in (1, n))
     root = np.sqrt(h)
     weights = n, root, n / root, H
     rng = np.random.default_rng(seed)
@@ -831,12 +852,12 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     for it in range(_MAX_ITERS + 1):
         tangent = g - (x @ g) * x
         gnorm = math.sqrt(tangent @ tangent)
-        if gnorm < _GRAD_TOL:
+        if gnorm < _GRAD_TOL * phi:
             break
         if it == _MAX_ITERS:
-            raise NoConvergence(f"tangent gradient {gnorm:.2e} >= tol "
-                                f"{_GRAD_TOL} after {it} iterations",
-                                "max_iterations")
+            raise NoConvergence(f"tangent gradient {gnorm:.2e} >= {_GRAD_TOL}"
+                                f" x objective {phi:.2e} after {it} "
+                                f"iterations", "max_iterations")
         d = _lbfgs_direction(S[:k], Y[:k], tangent) if k else tangent
         slope = tangent @ d
         if not slope > 0:  # no ascent: fall back to the tangent gradient
@@ -850,7 +871,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         else:
             raise NoConvergence(
                 f"line search found no ascent in 60 halvings at iteration "
-                f"{it} (tangent gradient {gnorm:.2e}, tol {_GRAD_TOL})",
+                f"{it} (tangent gradient {gnorm:.2e}, objective {phi:.2e})",
                 "line_search_exhausted")
         S[k], Y[k] = x_new - x, tangent - g_new
         hist[:, :k + 1] -= (hist[:, :k + 1] @ x_new)[..., None] * x_new

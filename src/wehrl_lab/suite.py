@@ -267,10 +267,12 @@ def _suite_compact(config: SuiteConfig) -> list[Report]:
                         "rule_exactness")])]
 
     v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-    rep = cp.wehrl_compact_check(v, 2, 2, exact_bloch=[1, 0, 1])
+    rep = cp.wehrl_compact_check(v, 2, 2)
+    u = dc.PolyFun(2, (1, 0, 1))  # v's Bloch coefficients; weight unread
+    mass, norm2 = dc.product_norm2([u] * 2, -4), dc.product_norm2([u], -2)
     reports.append(_check(
         "compact.exact_case", {"m": 2, "n": 2, "vector": "(e2+e-2)/sqrt2"},
-        [("exact", rep.exact_value, Fraction(2, 15), 0, "exact"),
+        [("exact", mass / (norm2 ** 2 * 5), Fraction(2, 15), 0, "exact"),
          ("numeric", rep.integral_numeric, 2 / 15, 1e-10, "rule_exactness")],
         {"bound": rep.bound}))
 

@@ -203,10 +203,11 @@ def test_criterion_09_compact_wehrl():
                         abs(rep.integral_numeric - rep.integral_exact))
         count += 1
     exact = cartan_mass_exact([sp.sqrt(2) / 2, 0, sp.sqrt(2) / 2], 2, 2)
-    mixed = cp.wehrl_compact_check(np.array([1.0, 0.0, 1.0]) / math.sqrt(2),
-                                   2, 2, exact_bloch=[1, 0, 1])
+    # the Bloch coefficients u = (1, 0, 1) of the mixed vector, at nu = -nm
+    u = dc.PolyFun(2, (1, 0, 1))
+    mass, norm2 = dc.product_norm2([u] * 2, -4), dc.product_norm2([u], -2)
     exact_ok = (sp.simplify(exact / 5 - sp.Rational(2, 15)) == 0
-                and mixed.exact_value == Fraction(2, 15))
+                and mass / (norm2 ** 2 * 5) == Fraction(2, 15))
     ok = schur_ok and bound_ok and route_gap < 1e-6 and exact_ok
     _verdict(9, f"compact bound 1/(nm+1) holds on 200 random vectors; route "
              f"gap {route_gap:.2e} < 1e-6; (m=2,n=2) mixed vector gives "

@@ -14,8 +14,8 @@ from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
-from wehrl_lab.disc import NoConvergence, product_norm2
-from wehrl_lab.exactnum import QC, gauss_jacobi
+from wehrl_lab.disc import NoConvergence, PolyFun, product_norm2
+from wehrl_lab.exactnum import QC, FloatRangeExceeded, gauss_jacobi
 
 
 def _kron_top_basis(m, n):
@@ -115,6 +115,14 @@ def test_cartan_mass_example_two_thirds():
     assert exact == sp.Rational(2, 3)
 
 
+def _exact_value(u, m, n):
+    """The exact integral for v_i = u_i / (s binom(m, i)^{1/2}), s^2 = sum
+    |u_i|^2 / binom(m, i): product_norm2 at nu = -nm over s^{2n} (nm + 1)."""
+    p = PolyFun(2, tuple(u))  # product_norm2 does not read the weight
+    return product_norm2([p] * n, -n * m) / (
+        product_norm2([p], -m) ** n * (n * m + 1))
+
+
 def test_exact_mass_matches_the_sympy_reference():
     # Gaussian-rational Bloch coefficients u give v_i = u_i / (s
     # binom(m, i)^{1/2}); the exact mass against sympy's on that v.
@@ -130,22 +138,21 @@ def test_exact_mass_matches_the_sympy_reference():
         norm = sp.sqrt(sum(sp.Abs(c) ** 2 for c in sym))
         want = cartan_mass_exact([c / norm for c in sym], n, m)
         v = np.array([complex(c) for c in sym], dtype=complex)
-        rep = wehrl_compact_check(v / np.linalg.norm(v), m, n, exact_bloch=u)
-        assert isinstance(rep.exact_value, Fraction)
+        exact = _exact_value(u, m, n)
+        assert isinstance(exact, Fraction)
         assert sp.simplify(want / (n * m + 1)
-                           - sp.Rational(rep.exact_value.numerator,
-                                         rep.exact_value.denominator)) == 0
+                           - sp.Rational(exact.numerator,
+                                         exact.denominator)) == 0
+        rep = wehrl_compact_check(v / np.linalg.norm(v), m, n)
         assert abs(rep.mass - float(want)) < 1e-13
 
 
-def test_exact_bloch_is_checked_against_the_vector():
+def test_exact_value_does_not_depend_on_the_scale_of_u():
     v = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-    rep = wehrl_compact_check(v, 2, 2, exact_bloch=[2, 0, 2])
-    assert rep.exact_value == Fraction(2, 15)
+    for u in ([1, 0, 1], [2, 0, 2], [Fraction(-1, 3), 0, Fraction(-1, 3)]):
+        assert _exact_value(u, 2, 2) == Fraction(2, 15)
+    rep = wehrl_compact_check(v, 2, 2)
     assert rep.integral_numeric == pytest.approx(2 / 15, abs=1e-15)
-    for bad in ([1, 0, 2], [1.0, 0, 1], [1, 0], [1, 0, 1, 0], [0, 0, 0]):
-        with pytest.raises(ValueError, match="Bloch coefficients of v"):
-            wehrl_compact_check(v, 2, 2, exact_bloch=bad)
 
 
 def test_casimir_identity_on_translates_only():
@@ -319,10 +326,10 @@ def test_binomial_weights_stay_in_float_range():
     v = np.array([1.0, 1.0]) / math.sqrt(2)
     assert math.comb(1027, 513) <= 2 ** 1022 < math.comb(1028, 514)
     assert wehrl_compact_check(v, 1, 1027).mass == pytest.approx(1, abs=1e-12)
-    with pytest.raises(ValueError, match="nm = 1028 exceeds 1027"):
+    with pytest.raises(FloatRangeExceeded, match="-1028, m = 499, is not"):
         wehrl_compact_check(v, 1, 1028)
     u = random_unit_vector(600, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="nm = 1200 exceeds 1027"):
+    with pytest.raises(FloatRangeExceeded, match="nu = -1200, m = "):
         reduction_consistency(u, 600, 2)
 
 

@@ -1090,6 +1090,37 @@ def test_maximize_wehrl_reaches_the_ray_without_creeping(nu, n, degree, seed):
     assert res.iterations <= 150
 
 
+def test_maximize_wehrl_stops_on_the_gradient_relative_to_the_objective():
+    # From this start, 0.92 from every kernel, the objective is 4.7e-7 and
+    # the tangent gradient below 5e-6: only a stop relative to the objective
+    # keeps the ascent going to a kernel.
+    res = maximize_wehrl(2, 8, 20, seed=5)
+    assert res.stop_reason == "gradient_tolerance"
+    assert res.iterations > 0 and res.objective >= 1 - 1e-6
+    assert res.kernel_distance < 1e-4
+    assert res.grad_norm < 5e-6 * res.objective
+
+
+@pytest.mark.filterwarnings("error")
+def test_maximize_wehrl_refuses_weights_below_the_normal_floats(monkeypatch):
+    # At nu = 400 the weight m!/(400)_m of degree m = 683 is below 2.2e-308;
+    # rounded to 0, it would end the ascent with a NaN gradient.
+    calls = []
+    monkeypatch.setattr(disc, "_objective_and_gradient",
+                        lambda *args: calls.append(args))
+    with pytest.raises(FloatRangeExceeded, match="nu = 400, m = 683, is not"):
+        maximize_wehrl(400, 2, 1000)
+    assert calls == []
+
+
+def test_kernel_coefficients_past_the_float_range_raise_typed():
+    # (400)_m/m! passes 1.8e308 below m = 2000
+    kern = KernelFun(Fraction(400), 0.5, 2000)
+    for read in (kern.to_polyfun, kern.tail_bound):
+        with pytest.raises(FloatRangeExceeded, match="nu = 400 exceeds"):
+            read()
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_maximize_wehrl_seed_sweep_at_the_suite_instance(seed):
     # The suite's (nu, n, degree) = (2, 2, 8), under the same assertions.
