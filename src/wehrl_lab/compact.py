@@ -33,7 +33,7 @@ import numpy as np
 
 from .disc import (_angular_radial_mean, _coherent_fit, _rising_over_factorial,
                    _rule_sizes, product_norm2)
-from .exactnum import gauss_jacobi
+from .exactnum import FloatRangeExceeded, gauss_jacobi
 
 __all__ = [
     "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
@@ -76,12 +76,9 @@ class Su2Irrep:
     def killing_orthonormal_basis(self) -> list[np.ndarray]:
         """Representation matrices of a basis of su(2) orthonormal for the
         Killing form: T_i = J_i / sqrt(2)."""
-        Jm = self.lowering_matrix()
-        Jp = Jm.T
-        J1 = (Jp + Jm) / 2.0
-        J2 = (Jp - Jm) / 2.0j
-        J3 = self.j3_matrix().astype(complex)
-        return [J1 / math.sqrt(2), J2 / math.sqrt(2), J3 / math.sqrt(2)]
+        Jm, J3 = self.lowering_matrix(), self.j3_matrix().astype(complex)
+        return [J / math.sqrt(2) for J in ((Jm.T + Jm) / 2.0,  # J1, J2, J3
+                                           (Jm.T - Jm) / 2.0j, J3)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +93,12 @@ def _vector(v: Sequence[complex], m: int) -> np.ndarray:
 
 def _root_binomials(m: int) -> np.ndarray:
     """binom(m, i)^{1/2} for i = 0..m: u in V_m has the Bloch polynomial
-    p_u(z) = sum_i u_i binom(m, i)^{1/2} z^i."""
-    return np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+    p_u(z) = sum_i u_i binom(m, i)^{1/2} z^i; FloatRangeExceeded past 1029."""
+    try:
+        return np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+    except OverflowError:
+        raise FloatRangeExceeded(f"binom({m}, {m // 2}) exceeds the float "
+                                 f"limit 1.8e308 at m = {m}") from None
 
 
 def _top_mass(factors: Sequence[np.ndarray]) -> float:
@@ -243,10 +244,10 @@ def haar_moment_closed(p: int, q: int) -> Fraction:
 
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     """Distance min |v/|v| - phase tau(k) e_top| to the equality orbit.
-    tau(k) e_top is the unit coherent vector along (binom(m, i)^{1/2}
-    zeta^i)_i, zeta = tan(beta/2) e^{i alpha}; from the residual rho of
-    disc's fit in the charts zeta and 1/zeta (v reversed), the distance is
-    rho (2 / (1 + (1 - rho^2)^{1/2}))^{1/2}.  Raises disc.NoConvergence."""
+    tau(k) e_top is the unit coherent vector along (binom(m, i)^{1/2} zeta^i),
+    zeta = tan(beta/2) e^{i alpha}; from the residual rho of disc's fit in the
+    charts zeta and 1/zeta (v reversed), the distance is rho (2 / (1 + (1 -
+    rho^2)^{1/2}))^{1/2}.  Raises NoConvergence, or FloatRangeExceeded."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     kappa2 = np.array(_rising_over_factorial(-m, m + 1, False))

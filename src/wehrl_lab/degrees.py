@@ -138,8 +138,7 @@ def c_G(d: DomainParams, sp_statement_formula: bool = False) -> PiScaledRational
 
 def hc_degree_scalar(d: DomainParams, lam) -> Fraction:
     """Harish-Chandra degree d^H_lambda = d_lambda / c_G (pi-free)."""
-    ratio = scalar_formal_degree(d, lam) / c_G(d)
-    return ratio.as_rational()
+    return (scalar_formal_degree(d, lam) / c_G(d)).as_rational()
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce, wraps
 from itertools import count, islice, repeat
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -88,14 +88,14 @@ def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
 
 
 def _in_float_range(read):
-    """read, raising FloatRangeExceeded where rounding an exact value past
-    the float range raises a bare OverflowError; it wraps every function
-    that returns exact coefficients or norms as floats."""
+    """read, raising FloatRangeExceeded where a value passes the float range:
+    rounding an exact one raises a bare OverflowError, a numpy overflow under
+    np.errstate(over="raise") FloatingPointError.  It wraps each float read."""
     @wraps(read)
     def checked(*args, **kwargs):
         try:
             return read(*args, **kwargs)
-        except OverflowError as exc:
+        except (OverflowError, FloatingPointError) as exc:
             raise FloatRangeExceeded(f"{read.__name__}: a value exceeds the"
                                      f" float limit 1.8e308 ({exc})") from None
     return checked
@@ -135,24 +135,26 @@ def _product(cls, weights: tuple, f, g, op):
 
 def _gaussian(a: tuple, b: tuple, op) -> tuple:
     """Lanes of (a0 + i a1)(b0 + i b1) for a bilinear op on lanes."""
-    out = [None, None]
+    terms = [[], []]  # of the real lane, then of the imaginary one
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            t = op(x, y) if i + j < 2 else -op(x, y)
-            r = (i + j) % 2
-            out[r] = t if out[r] is None else out[r] + t
-    return tuple(lane for lane in out if lane is not None)
+            terms[(i + j) % 2].append(op(x, y) if i + j < 2 else -op(x, y))
+    return tuple(reduce(add, t) for t in terms if t)
+
+
+def _factorials(nu, count: int) -> tuple:
+    """(f, a, b), f[m] = m! b^m for m < count at nu = a/b.  ValueError where
+    one (nu)_m, m < count, vanishes: at integer nu = a, 2 - count <= a <= 0."""
+    a, b = (nu if type(nu) is Fraction else Fraction(nu)).as_integer_ratio()
+    if b == 1 and 2 - count <= a <= 0:
+        raise ValueError(f"(nu)_m vanishes at nu = {a} for some m < {count}")
+    return rising_ints(b, b, count - 1), a, b
 
 
 def _rising_pair(nu, count: int) -> tuple:
-    """(f, r), f[m] = m! b^m and r[m] = b^m (nu)_m for m < count at nu = a/b:
-    |f/r| = |m!/(nu)_m|.  ValueError where one of these (nu)_m vanishes."""
-    a, b = Fraction(nu).as_integer_ratio()
-    f, r = rising_ints(b, b, count - 1), rising_ints(a, b, count - 1)
-    if not r[-1]:
-        raise ValueError(f"(nu)_m vanishes at nu = {Fraction(a, b)} for some "
-                         f"m < {count}")
-    return f, r
+    """(f, r), _factorials' f and r[m] = b^m (nu)_m: |f/r| = |m!/(nu)_m|."""
+    f, a, b = _factorials(nu, count)
+    return f, rising_ints(a, b, count - 1)
 
 
 def _weights(nu, count: int) -> list:
@@ -186,7 +188,7 @@ def _rising_over_factorial(nu, count: int, exact: bool) -> list:
 def _weighted_sum(sq, table: list, a: int, b: int) -> tuple:
     """(num, den), num/den = sum_{m<=M} sq[m] |m!/(a/b)_m| for table[m] = m!
     b^m, M = len(table) - 1: one Horner pass, den = prod_{i<M} |a + i b|."""
-    factors, acc = [abs(x) for x in range(a, a + (len(table) - 1) * b, b)], 0
+    factors, acc = list(map(abs, range(a, a + (len(table) - 1) * b, b))), 0
     for s, t, y in zip(sq, table, [1, *factors]):
         acc = acc * y + s * t
     return acc, math.prod(factors)
@@ -196,7 +198,7 @@ class PolyFun:
     """Polynomial f(z) = sum c_m z^m viewed as an element of H_nu."""
 
     def __init__(self, nu, coeffs: Sequence = (1,)):
-        self.nu = Fraction(nu)
+        self.nu = nu if type(nu) is Fraction else Fraction(nu)
         if self.nu <= 1:
             raise ValueError(f"weight nu must exceed 1, got {self.nu}")
         if len(coeffs) == 0:
@@ -233,10 +235,7 @@ class PolyFun:
                         np.convolve)
 
     def power(self, n: int) -> "PolyFun":
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return reduce(mul, [self] * (n - 1), self)
 
     def scale(self, s) -> "PolyFun":
         return _product(PolyFun, (self.nu,), self, PolyFun(self.nu, (s,)),
@@ -246,21 +245,18 @@ class PolyFun:
 def product_norm2(factors: Sequence, nu) -> Fraction | float:
     """sum_k |k!/(nu)_k| |[p]_k|^2 for p the product of the factors (PolyFun,
     whose own weight is ignored, exact (lanes, den) pairs or complex arrays):
-    _weighted_sum on the lanes when no factor is a float PolyFun or array,
-    else in complex128.  At nu = -deg p the weights are 1/binom(deg p, k)."""
+    _weighted_sum on the lanes, from the first factor's, when every factor is
+    exact, else in complex128.  At nu = -deg p weights are 1/binom(deg p, k)."""
     if all(isinstance(f, tuple) or isinstance(f, PolyFun) and f.exact
            for f in factors):
-        lanes, den = (np.ones(1, dtype=object),), 1
-        for b, db in (getattr(f, "_lanes", f) for f in factors):
+        (lanes, den), *rest = (getattr(f, "_lanes", f) for f in factors)
+        for b, db in rest:
             lanes, den = _gaussian(lanes, b, np.convolve), den * db
-        num, w_den = _weighted_sum(sum(x * x for x in lanes).tolist(),
-                                   _rising_pair(nu, len(lanes[0]))[0],
-                                   *Fraction(nu).as_integer_ratio())
+        sq = reduce(add, (x * x for x in lanes)).tolist()
+        num, w_den = _weighted_sum(sq, *_factorials(nu, len(sq)))
         return Fraction(num, den * den * w_den)
-    p = np.ones(1, dtype=complex)
-    for f in factors:
-        p = np.convolve(p, f.as_complex_array() if isinstance(f, PolyFun)
-                        else f)
+    p = reduce(np.convolve, [f.as_complex_array() if isinstance(f, PolyFun)
+                             else f for f in factors], np.ones(1, complex))
     with suppress(OverflowError):  # abs(x) ** 2, or fsum, past 1.8e308
         total = math.fsum(abs(x) ** 2 * w for x, w in
                           zip(p.tolist(), _weights(nu, len(p))))
@@ -360,11 +356,10 @@ class TensorPoly:
     @_in_float_range
     def norm2(self) -> Fraction | float:
         (lanes, den), (P, Q) = self._lanes, self._lanes[0][0].shape
-        table, nu = _rising_pair(self.nu, Q)[0], self.nu.as_integer_ratio()
-        rows = [_weighted_sum(sq, table, *nu)  # each row at nu, then at mu
-                for sq in sum(x * x for x in lanes).tolist()]
-        num, mu_den = _weighted_sum([x for x, _ in rows], _rising_pair(
-            self.mu, P)[0], *self.mu.as_integer_ratio())
+        nu, mu = _factorials(self.nu, Q), _factorials(self.mu, P)
+        rows = [_weighted_sum(sq, *nu)  # each row at nu, then at mu
+                for sq in reduce(add, (x * x for x in lanes)).tolist()]
+        num, mu_den = _weighted_sum([x for x, _ in rows], *mu)
         norm2 = Fraction(num, den * den * mu_den * rows[0][1])
         return norm2 if self.exact else float(norm2)
 
@@ -377,8 +372,8 @@ class ProjectionSpec:
     constant_convention: str = "corrected_minus_one"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "nu", Fraction(self.nu))
+        self.__dict__.update({k: x if type(x) is Fraction else Fraction(x)
+                              for k, x in (("mu", self.mu), ("nu", self.nu))})
         if self.k < 0 or min(self.mu, self.nu) <= 1:
             raise ValueError(f"a projection needs k >= 0 and mu, nu > 1, got "
                              f"k = {self.k}, mu = {self.mu}, nu = {self.nu}")
@@ -543,21 +538,23 @@ def completeness_check(f: PolyFun, g: PolyFun,
     """Check sum_k ||Q_k(f (x) g)||^2 = ||f||^2 ||g||^2 over every component,
     k = 0..deg f + deg g, in one pass of _q_stream.  Each mass is one
     Fraction off the core lanes and the stream's scale and C^2, which
-    qk_project and ProjectionSpec.c_squared read too; float input is
-    checked exactly, and the masses, total and expected are rounded once."""
+    qk_project and ProjectionSpec.c_squared read too, summed over their lcm;
+    float input is checked exactly and its report rounded once."""
     spec = ProjectionSpec(f.nu, g.nu, 0, convention)
     (a, da), (b, db) = f._lanes, g._lanes
     lanes, den = _gaussian(a, b, np.multiply.outer), da * db
-    top, (A, B) = f.degree + g.degree, (f.nu + g.nu).as_integer_ratio()
-    table = rising_ints(B, B, top)  # m! B^m
+    top = f.degree + g.degree
+    table, A, B = _factorials(f.nu + g.nu, top + 1)  # m! B^m
     masses = []
     for k, (core, scale, (r, s)) in enumerate(islice(_q_stream(lanes, spec),
                                                      top + 1)):
-        sq = map(sum, zip(*(map(mul, x, x) for x in core)))  # |core|^2
+        sq = map(sum, zip(*(map(mul, x, x) for x in core))) if core[1:] \
+            else map(mul, core[0], core[0])  # |core|^2, a lone lane as it is
         # at weight mu + nu + 2k = (A + 2kB)/B; C^2/scale^2 = r/(scale s)
         num, w_den = _weighted_sum(sq, table[:top - k + 1], A + 2 * k * B, B)
         masses.append(Fraction(num * r, den * den * scale * s * w_den))
-    total = sum(masses, Fraction(0))
+    L = math.lcm(*(x.denominator for x in masses))  # normalised once
+    total = Fraction(sum(L // x.denominator * x.numerator for x in masses), L)
     expected = product_norm2([(a, da)], f.nu) * product_norm2([(b, db)], g.nu)
     passed = total == expected
     if not (f.exact and g.exact):  # rounded once
@@ -574,8 +571,7 @@ def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = product_norm2([f] * n, n * f.nu)
-    rhs = norm2_exact(f) ** n
+    lhs, rhs = product_norm2([f] * n, n * f.nu), norm2_exact(f) ** n
     return float(lhs), float(rhs), float(rhs - lhs)
 
 
@@ -611,7 +607,7 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
     projection = {"sharp": "corrected_minus_one", "paper": "paper_plus_one"}
     if convention not in projection:
         raise ValueError(f"unknown remainder convention {convention!r}")
-    nu = Fraction(f.nu)
+    nu = f.nu
     const = 4 * ProjectionSpec(nu, nu, 2, projection[convention]).c_squared()
     # g = b^2 [a f'' f - (a + b) f'^2] / (a^2 (a + b)) from z f', z^2 f''
     a, b, (lanes, den) = nu.numerator, nu.denominator, f._lanes
@@ -644,8 +640,7 @@ class KernelFun:
     def to_polyfun(self) -> PolyFun:
         if abs(complex(self.w)) >= 1:
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
-        exact = isinstance(self.w, (int, Fraction)) \
-            and not isinstance(self.w, bool)
+        exact = type(self.w) in (int, Fraction)  # not bool
         wbar = Fraction(self.w) if exact else complex(self.w).conjugate()
         return PolyFun(self.nu, tuple(
             a * wbar ** m for m, a in enumerate(
@@ -663,9 +658,8 @@ class KernelFun:
         nu, r2 = float(self.nu), abs(complex(self.w)) ** 2
         if r2 >= 1:
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
-        m = self.degree + 1
+        m, total = self.degree + 1, 0.0
         term = _rising_over_factorial(self.nu, m + 1, False)[m] * r2 ** m
-        total = 0.0
         while True:
             ratio = (nu + m) / (m + 1) * r2
             rho = max(ratio, r2)
@@ -749,6 +743,8 @@ def _lbfgs_direction(S: np.ndarray, Y: np.ndarray, t: np.ndarray):
     return gamma * r + np.dot(q, S)
 
 
+@_in_float_range
+@np.errstate(over="raise", divide="ignore")  # overflow: FloatRangeExceeded
 def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
                   radius: float) -> float:
     """Distance min |x - c k| from the unit vector x, given in each chart's
@@ -761,14 +757,14 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
     halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|)
     ends it, returning the residual at zeta + step; else NoConvergence."""
     nc, reach = kappa2[::-1], min(radius, 1.0)
-    n1, n2 = np.polyder(nc), np.polyder(nc, 2)
+    i = np.arange(len(nc) - 1, 0, -1)  # np.polyder(nc, 2) also forms N''',
+    n1, n2 = nc[:-1] * i, nc[:-2] * i[:-1] * i[1:]  # past 1e308 from m = 1003
     grid = np.append(0, np.outer([0.3 * reach, 0.6 * reach, 0.9 * reach],
                                  np.exp(0.25j * np.pi * np.arange(8))))
 
     def log_overlap(gc, z):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(np.polyval(gc, z)) ** 2
-                          / np.polyval(nc, np.abs(z) ** 2))
+        return np.log(np.abs(np.polyval(gc, z)) ** 2
+                      / np.polyval(nc, np.abs(z) ** 2))
 
     L = None
     for x in charts:
@@ -779,7 +775,7 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
         values = log_overlap(gc_x, starts)
         if L is None or values.max() > L:
             L, x_fit, gc, z = values.max(), x, gc_x, starts[values.argmax()]
-    g1, g2 = np.polyder(gc), np.polyder(gc, 2)
+    g1, g2 = gc[:-1] * i, gc[:-2] * i[:-1] * i[1:]
     for _ in range(100):
         g = np.polyval(gc, z)
         dg, ddg = np.polyval(g1, z) / g, np.polyval(g2, z) / g
@@ -831,7 +827,8 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     and Armijo backtracking from t = 1 never lowers the objective.  Stops
     with "gradient_tolerance" once the tangent gradient is below _GRAD_TOL
     times the objective; raises NoConvergence with "line_search_exhausted"
-    (60 halvings find no ascent) or "max_iterations" (_MAX_ITERS steps).
+    (60 halvings find no ascent), "zero_step" (the accepted step rounds back
+    to x: no later step can differ) or "max_iterations" (_MAX_ITERS steps).
     """
     if Fraction(nu) <= 1:
         raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
@@ -873,6 +870,9 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
                 f"line search found no ascent in 60 halvings at iteration "
                 f"{it} (tangent gradient {gnorm:.2e}, objective {phi:.2e})",
                 "line_search_exhausted")
+        if (x_new == x).all():  # and so would every later step
+            raise NoConvergence(f"the step accepted at iteration {it} leaves "
+                                f"x unchanged (objective {phi:.2e})", "zero_step")
         S[k], Y[k] = x_new - x, tangent - g_new
         hist[:, :k + 1] -= (hist[:, :k + 1] @ x_new)[..., None] * x_new
         keep = (S[:k + 1] * Y[:k + 1]).sum(axis=1) > 0

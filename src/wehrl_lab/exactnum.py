@@ -183,8 +183,8 @@ class QC:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        self.__dict__.update({k: x if type(x) is Fraction else Fraction(x)
+                              for k, x in (("re", self.re), ("im", self.im))})
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

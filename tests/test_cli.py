@@ -198,6 +198,8 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
       "-1"], "Invalid value for '--seed': -1 is not in the range x>=0"),
     (["disc", "maximize", "--nu", "2", "--seed", "-1"],
      "Invalid value for '--seed'"),
+    (["compact", "--m", "1030", "--n", "1"],
+     "binom(1030, 515) exceeds the float limit 1.8e308 at m = 1030"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

@@ -333,6 +333,33 @@ def test_binomial_weights_stay_in_float_range():
         reduction_consistency(u, 600, 2)
 
 
+def test_bloch_weights_past_m_1029_are_refused():
+    # binom(1029, 514) is a float and binom(1030, 515) passes 1.8e308: a
+    # translate, or a check, at m = 1030 refuses with the typed error.
+    assert compact._root_binomials(1029)[514] ** 2 \
+        == pytest.approx(math.comb(1029, 514), rel=1e-12)
+    message = r"^binom\(1030, 515\) exceeds the float limit 1.8e308 at m = 1030$"
+    with pytest.raises(FloatRangeExceeded, match=message):
+        translate_vector(1030, 0.3, 1.1, 0.2)
+    with pytest.raises(FloatRangeExceeded, match=message):
+        wehrl_compact_check(np.eye(1031)[0], 1030, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_past_the_float_range_refuses_without_a_warning():
+    # kappa^2 = binom(m, i) nears 1.8e308: past m = 1010 the fit's values
+    # overflow, and it raises FloatRangeExceeded, not NoConvergence after
+    # numpy's warnings.  Up to it the fit works and warns of nothing
+    # (np.polyder(p, 2) would form p''' too, past 1.8e308 from m = 1003).
+    for m in (1000, 1003, 1010):
+        assert translate_fit_distance(translate_vector(m, 0.3, 1.1, 0.2),
+                                      m) < 1e-12
+    for m in (1011, 1020, 1024, 1029):
+        with pytest.raises(FloatRangeExceeded, match="^_coherent_fit: a "
+                           "value exceeds the float limit 1.8e308"):
+            translate_fit_distance(translate_vector(m, 0.3, 1.1, 0.2), m)
+
+
 @pytest.mark.parametrize("m, n", [(60, 17), (100, 10)])
 def test_long_mass_sum_is_correctly_rounded(m, n):
     # The mass over nm + 1 terms, against the exact rational sum of the

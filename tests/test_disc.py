@@ -405,6 +405,75 @@ def test_norm_weights_at_negative_integer_are_inverse_binomials():
             product_norm2(factors, -1)
 
 
+rational_factor = st.one_of(  # one real lane, or two
+    st.lists(small_fractions, min_size=1, max_size=13),
+    st.lists(st.tuples(small_fractions, small_fractions), min_size=1,
+             max_size=13))
+any_weight = st.one_of(st.integers(-30, 4).map(Fraction),
+                       st.fractions(-6, 6, max_denominator=6))
+
+
+def _pairs(fc):
+    return [c if isinstance(c, tuple) else (c, Fraction(0)) for c in fc]
+
+
+def _vanishes(nu, count):
+    """Whether some (nu)_m, m < count, is zero."""
+    return nu.denominator == 1 and 1 - count < nu <= 0
+
+
+@given(st.lists(rational_factor, min_size=1, max_size=3), any_weight,
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_exact_product_norm2_is_the_fraction_sum(factors, nu, as_lanes):
+    # One pass from the first factor's lanes against sum_k |[prod f_j]_k|^2
+    # k!/|(nu)_k| on Fractions, or the typed ValueError where a (nu)_k,
+    # k <= deg p, vanishes; nu <= 0 reaches both.
+    polys = [PolyFun(NU2, tuple(QC(*c) if isinstance(c, tuple) else c
+                                for c in fc)) for fc in factors]
+    args = [f._lanes for f in polys] if as_lanes else polys
+    count = sum(len(fc) - 1 for fc in factors) + 1
+    if _vanishes(nu, count):
+        with pytest.raises(ValueError, match=rf"^\(nu\)_m vanishes at nu = "
+                           rf"{nu} for some m < {count}$"):
+            product_norm2(args, nu)
+    else:
+        assert product_norm2(args, nu) \
+            == _ref_product_norm2(list(map(_pairs, factors)), nu)
+
+
+@given(st.lists(rational_factor, min_size=1, max_size=5), any_weight,
+       any_weight)
+@settings(max_examples=80, deadline=None)
+def test_exact_tensor_norm2_is_the_fraction_double_sum(rows, mu, nu):
+    # sum |a_pq|^2 p! q!/|(mu)_p (nu)_q|, or the ValueError of the first
+    # weight read, nu's, where one of its Pochhammer symbols vanishes.
+    F = TensorPoly(mu, nu, [[QC(*c) if isinstance(c, tuple) else c
+                             for c in row] for row in rows])
+    P, Q = len(rows), max(map(len, rows))
+    bad = [(w, n) for w, n in ((nu, Q), (mu, P)) if _vanishes(w, n)]
+    if bad:
+        with pytest.raises(ValueError, match=rf"^\(nu\)_m vanishes at nu = "
+                           rf"{bad[0][0]} for some m < {bad[0][1]}$"):
+            F.norm2()
+        return
+    want = sum(((re * re + im * im) * math.factorial(p) * math.factorial(q)
+                / abs(_rising(mu, p) * _rising(nu, q))
+                for p, row in enumerate(rows)
+                for q, (re, im) in enumerate(_pairs(row))), Fraction(0))
+    assert F.norm2() == want
+
+
+@given(gaussian_coeffs, gaussian_coeffs, weights, weights,
+       st.sampled_from(["corrected_minus_one", "paper_plus_one"]))
+@settings(max_examples=40, deadline=None)
+def test_completeness_total_is_the_sum_of_its_masses(fc, gc, mu, nu, conv):
+    # The total adds the masses over one common denominator.
+    rep = completeness_check(_poly(mu, fc), _poly(nu, gc), conv)
+    assert type(rep.total) is Fraction
+    assert rep.total == sum(rep.per_k, Fraction(0))
+
+
 def test_zero_polynomial():
     zero = poly(Fraction(5, 2), 0, 0, 0)
     g = poly(Fraction(7, 2), 1, Fraction(-1, 2), QC(0, 1))
@@ -1233,6 +1302,22 @@ def test_maximize_wehrl_calls_no_lapack_inverse_or_solver(monkeypatch):
     res = maximize_wehrl(2, 2, 8, seed=0)
     assert res.stop_reason == "gradient_tolerance"
     assert res.kernel_distance < 1e-4
+
+
+def test_maximize_wehrl_stops_where_a_step_rounds_back_to_x(monkeypatch):
+    # At (nu, n, degree) = (2, 60, 8), seed 0, the start's objective is
+    # about 2e-22 and its ascent direction below the float spacing of x:
+    # x + t d rounds back to x, the Armijo test accepts it, and every later
+    # step would repeat it.  The search stops at once instead of running
+    # all _MAX_ITERS iterations.
+    real, seen = disc._objective_and_gradient, []
+    monkeypatch.setattr(disc, "_objective_and_gradient",
+                        lambda x, *args: seen.append(x.copy()) or real(x, *args))
+    with pytest.raises(NoConvergence, match="iteration 0 leaves x unchanged"
+                       ) as err:
+        maximize_wehrl(2, 60, 8, seed=0)
+    assert err.value.stop_reason == "zero_step"
+    assert len(seen) == 2 and seen[0].tobytes() == seen[1].tobytes()
 
 
 def test_maximize_wehrl_no_convergence_raises(monkeypatch):

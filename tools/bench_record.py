@@ -36,6 +36,11 @@ It measures the checkout it lives in, whatever the working directory:
   ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
   lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
   and of ``selberg_closed`` at (r, a, b, gamma) = (2, 2, 1/2, 1);
+* the exact weighted norms' cost: the median us of ``product_norm2`` on
+  n copies of a seeded rational polynomial (one real lane) at weight n nu,
+  nu = 5/2, at (degree, n) = (8, 1), (8, 3) and (2000, 1), and of
+  ``completeness_check`` on the seeded pair of the frontiers at degree 16,
+  over 201 rounds that call each of the four in turn;
 * the SU(2) checks' cost: the median us of ``wehrl_compact_check`` on a
   seeded unit vector at (m, n) = (2, 2), (7, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
@@ -170,6 +175,13 @@ def one_second_frontier(seconds_at, start: int, seconds: dict) -> int:
     return lo
 
 
+def coefficients(degree: int) -> list:
+    """The seeded rational coefficients of two polynomials of the degree."""
+    rng = np.random.default_rng([SEED, degree])
+    return [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+             for _ in range(degree + 1)] for _ in range(2)]
+
+
 def frontiers() -> dict:
     """Completeness and maximizer degrees reached in 1 s (one_second_frontier),
     completeness seconds at fixed degrees (median of 5; see the module
@@ -181,12 +193,6 @@ def frontiers() -> dict:
                                 maximize_wehrl)
     from wehrl_lab.domains import PRESETS
     from wehrl_lab.suite import emit_constants_table
-
-    def coefficients(degree: int) -> list:
-        """The seeded rational coefficients of both factors at the degree."""
-        rng = np.random.default_rng([SEED, degree])
-        return [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
-                 for _ in range(degree + 1)] for _ in range(2)]
 
     def entries(degree: int) -> int:
         """The nonzero entries of the tensor of the two factors."""
@@ -387,6 +393,39 @@ def quadrature_setup() -> dict:
                 lambda: selberg_closed(spec), 201)}}
 
 
+def rounds_us(calls: dict, rounds: int) -> dict:
+    """Median us per (name, size) key of calls, timed in rounds that call
+    each once in turn, so that a drift of the host's speed reaches all
+    alike: {name: {size: us}}."""
+    times = {key: [] for key in calls}
+    for _ in range(rounds):
+        for key, call in calls.items():
+            t0 = perf_counter()
+            call()
+            times[key].append(perf_counter() - t0)
+    out = {"rounds": rounds}
+    for (name, size), seconds in times.items():
+        out.setdefault(name, {})[size] = 1e6 * median(seconds)
+    return out
+
+
+def exact_norms() -> dict:
+    """Median us of the four exact weighted-norm calls of the module
+    docstring, in rounds (rounds_us)."""
+    from wehrl_lab.disc import PolyFun, completeness_check, product_norm2
+
+    nu, calls = Fraction(5, 2), {}
+    for degree, n in ((8, 1), (8, 3), (2000, 1)):
+        f = PolyFun(nu, tuple(coefficients(degree)[0]))
+        calls["product_norm2_exact_us", f"{degree},{n}"] = (
+            lambda f=f, n=n: product_norm2([f] * n, n * nu))
+    f, g = (PolyFun(w, tuple(cs)) for w, cs in zip(
+        (nu, Fraction(7, 2)), coefficients(16)))
+    calls["completeness_check_us", "16"] = lambda: completeness_check(f, g)
+    return {"nu": "5/2", "completeness_weights": "5/2, 7/2",
+            **rounds_us(calls, 201)}
+
+
 def su2() -> dict:
     """Median us of the six SU(2) calls of the module docstring, timed in
     rounds that call each once in turn, so that a drift of the host's speed
@@ -403,16 +442,7 @@ def su2() -> dict:
         v = translate_vector(m, 0.7, 1.2, -2.1)
         calls["casimir_tensor_check_us", str(m)] = (
             lambda v=v, m=m: casimir_tensor_check(v, m))
-    times = {key: [] for key in calls}
-    for _ in range(2001):
-        for key, call in calls.items():
-            t0 = perf_counter()
-            call()
-            times[key].append(perf_counter() - t0)
-    out = {"rounds": 2001}
-    for (name, size), seconds in times.items():
-        out.setdefault(name, {})[size] = 1e6 * median(seconds)
-    return out
+    return rounds_us(calls, 2001)
 
 
 def selberg_ranks() -> dict:
@@ -460,8 +490,8 @@ def main(argv=None) -> int:
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
     print("tier-1 tests, suite all, frontiers, far projection, Monte Carlo, "
-          "Gauss rules, quadrature setup, SU(2) checks, Selberg ranks",
-          file=sys.stderr)
+          "Gauss rules, quadrature setup, exact norms, SU(2) checks, Selberg "
+          "ranks", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -480,6 +510,7 @@ def main(argv=None) -> int:
         "monte_carlo": monte_carlo(),
         "gauss_rules": gauss_rules(),
         "quadrature_setup": quadrature_setup(),
+        "exact_norms": exact_norms(),
         "su2": su2(),
         "selberg_ranks": selberg_ranks(),
     }
