@@ -25,6 +25,7 @@ numpy's Python-level wrappers would cost more than the arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -91,6 +92,18 @@ def _vector(v: Sequence[complex], m: int) -> np.ndarray:
     return v
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|, over its largest real or imaginary part first where |v|^2
+    is not a finite normal float; ValueError if v is zero or not finite."""
+    with np.errstate(over="ignore"):  # an infinite sq is rescaled below
+        sq = v.real.dot(v.real) + v.imag.dot(v.imag)
+    if sys.float_info.min <= sq <= sys.float_info.max:  # not NaN either
+        return v / math.sqrt(sq)
+    if not (np.isfinite(v).all() and v.any()):
+        raise ValueError("v must be a nonzero vector of finite entries")
+    return _unit(v / max(abs(v.real).max(), abs(v.imag).max()))
+
+
 def _root_binomials(m: int) -> np.ndarray:
     """binom(m, i)^{1/2} for i = 0..m: u in V_m has the Bloch polynomial
     p_u(z) = sum_i u_i binom(m, i)^{1/2} z^i; FloatRangeExceeded past 1029."""
@@ -137,8 +150,7 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
     to v (x) v lying in the top component V_{2m}.
     """
     rep = Su2Irrep(m)
-    v = _vector(v, m)
-    v = v / np.linalg.norm(v)
+    v = _unit(_vector(v, m))
     Ts = rep.killing_orthonormal_basis()
     # Dual-form pairings: Lambda and rho evaluate to m/(2 sqrt 2), 1/(2 sqrt 2)
     # on the coroot direction T_3.
@@ -217,7 +229,7 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     v = _vector(v, m)
-    if abs(math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) - 1) > 1e-12:
+    if not abs(math.sqrt(v.real @ v.real + v.imag @ v.imag) - 1) <= 1e-12:
         raise ValueError("v must be a unit vector")
     mass = _top_mass([v] * n)
     bound = 1.0 / (n * m + 1)
@@ -248,8 +260,7 @@ def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     zeta = tan(beta/2) e^{i alpha}; from the residual rho of disc's fit in the
     charts zeta and 1/zeta (v reversed), the distance is rho (2 / (1 + (1 -
     rho^2)^{1/2}))^{1/2}.  Raises NoConvergence, or FloatRangeExceeded."""
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
+    v = _unit(_vector(v, m))
     kappa2 = np.array(_rising_over_factorial(-m, m + 1, False))
     rho = _coherent_fit([v, v[::-1]], kappa2, math.inf)
     return rho * math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - rho * rho, 0.0))))
@@ -281,5 +292,4 @@ def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:
 
 
 def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
-    return v / np.linalg.norm(v)
+    return _unit(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))

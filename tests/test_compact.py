@@ -310,6 +310,34 @@ def test_unit_vector_required():
             wehrl_compact_check([1.0, 0.0], 1, n)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+def test_vectors_whose_squared_norm_leaves_the_float_range(scale):
+    # |v|^2 overflows, is subnormal, or underflows to 0: the checks divide
+    # v by its largest part first, and a translate stays on the orbit (it
+    # read top_mass 0 at 1e200 and raised NoConvergence at 1e-200).
+    v = scale * translate_vector(3, 0.3, 1.1, 0.2)
+    report = casimir_tensor_check(v, 3)
+    assert report.equality and report.top_mass == pytest.approx(1, abs=1e-14)
+    assert translate_fit_distance(v, 3) < 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", [np.zeros(4), [np.nan, 0, 0, 1],
+                               [0, np.inf, 0, 0],
+                               [0, 0, complex(0, np.nan), 0]])
+def test_zero_and_non_finite_vectors_are_refused(v):
+    # Not NoConvergence, nor a FloatRangeExceeded that blames the float
+    # limit; a NaN fails the unit-vector gate too.
+    message = "^v must be a nonzero vector of finite entries$"
+    with pytest.raises(ValueError, match=message):
+        casimir_tensor_check(v, 3)
+    with pytest.raises(ValueError, match=message):
+        translate_fit_distance(v, 3)
+    with pytest.raises(ValueError, match="^v must be a unit vector$"):
+        wehrl_compact_check(v, 3, 2)
+
+
 def test_frontier_against_haar_quadrature():
     rng = np.random.default_rng(20)
     r = wehrl_compact_check(random_unit_vector(20, rng), 20, 10)

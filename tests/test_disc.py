@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,14 @@ def test_projection_spec_rejects_negative_k_and_small_weights():
     F = TensorPoly.from_product(poly(2, 1, 2), poly(3, 1))
     core = qk_project(F, ProjectionSpec(NU2, Fraction(3), 4)).core
     assert core.coeffs == (QC(0), QC(0))
+
+
+@pytest.mark.parametrize("k", [5 / 2, 1.0, Fraction(1), True, False, "1"])
+def test_projection_spec_rejects_a_k_that_is_no_int(k):
+    # qk_project would fail in islice on a float k, and read True as 1.
+    with pytest.raises(ValueError, match=f"^a projection needs an int k, "
+                                         f"got {re.escape(repr(k))}$"):
+        ProjectionSpec(Fraction(5, 2), Fraction(7, 2), k)
 
 
 def _z_minus_w_power(mu, nu, k: int) -> TensorPoly:
@@ -329,6 +338,41 @@ def test_hahn_ladder_is_orthogonal_on_every_antidiagonal(mu, nu, top):
             for k in range(j + 1):
                 inner = sum(r * x * y for r, x, y in zip(rho, ws[j], ws[k]))
                 assert (inner == 0) == (j != k), (N, j, k)
+
+
+@st.composite
+def _general_tensors(draw):
+    """(re, im) rows of a P x Q tensor, P, Q in 1..6, that need not be a
+    product: each entry zero about half the time, and im all zero (one
+    lane) half the time."""
+    P, Q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lane = st.lists(st.lists(st.one_of(st.just(Fraction(0)), small_fractions),
+                             min_size=Q, max_size=Q), min_size=P, max_size=P)
+    real = draw(lane)
+    return real, draw(lane) if draw(st.booleans()) else [[0] * Q] * P
+
+
+@given(_general_tensors(), ladder_weights, ladder_weights)
+@example(([[0] * 3] * 2, [[1, 0, Fraction(-2, 3)], [0, Fraction(5, 2), 1]]),
+         Fraction(5, 2), Fraction(7, 2))  # a zero real lane, im nonzero
+@example(([[0, 1], [2, 0], [0, -3]], [[0] * 2] * 3), Fraction(7, 3), 3)
+@settings(max_examples=40, deadline=None)
+def test_core_of_a_general_tensor_matches_dot_reference(tensor, mu, nu):
+    # Core coefficient m at every k <= P + Q: sum_{p+q=m+k} a[p][q]
+    # W_k(p, q)/E, lane by lane, on tensors that are not products.
+    real, imag = tensor
+    P, Q = len(real), len(real[0])
+    F = TensorPoly(mu, nu, [[QC(x, y) for x, y in zip(*rows)]
+                            for rows in zip(real, imag)])
+    for k in range(P + Q + 1):
+        W, E = _ref_w(mu, nu, k, P, Q)
+        want = [[Fraction(0)] * (P + Q - 1) for _ in range(2)]
+        for p, q in np.ndindex(P, Q):
+            for lane, a in zip(want, (real, imag)):
+                if p + q >= k:
+                    lane[p + q - k] += a[p][q] * Fraction(W[p, q], E)
+        got = qk_project(F, ProjectionSpec(mu, nu, k)).core.coeffs
+        assert got == tuple(map(QC, *want)), k
 
 
 @given(coefficient_lanes, coefficient_lanes, weights, weights,
