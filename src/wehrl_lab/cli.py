@@ -9,6 +9,7 @@ is left to a suite with a failed check.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,18 +37,7 @@ def _echo_json(payload):
 def _split_names(text: str) -> list[str]:
     """Split on commas that are not inside parentheses (preset names like
     Sp(2,R) contain commas)."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return [s for s in out if s]
+    return [s.strip() for s in re.split(r",(?![^(]*\))", text) if s.strip()]
 
 
 def _parse_coeffs(text: str, option: str) -> tuple:
@@ -264,12 +254,10 @@ def disc_ode(nu, c, degree):
 def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
-        v = np.array([complex(x) for x in _parse_coeffs(vector, "--vector")])
-        top = np.abs(v).max()  # no over- or underflow in the norm of v / top
-        if not 0 < top < np.inf:
-            raise click.BadParameter("needs a nonzero entry and only finite "
-                                     "ones", param_hint="'--vector'")
-        v = v / top / np.linalg.norm(v / top)
+        try:
+            v = cp._unit(cp._vector(_parse_coeffs(vector, "--vector"), m))
+        except (ValueError, OverflowError) as exc:  # OverflowError: 1e400
+            raise click.BadParameter(str(exc), param_hint="'--vector'") from None
     elif random_:
         v = cp.random_unit_vector(m, np.random.default_rng(seed))
     else:

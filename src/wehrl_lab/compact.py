@@ -86,20 +86,25 @@ class Su2Irrep:
 # Top-component masses through Bloch polynomials.
 
 def _vector(v: Sequence[complex], m: int) -> np.ndarray:
+    """v as a complex array, the gate of every SU(2) check: ValueError
+    unless it has m + 1 entries, all finite."""
     v = np.asarray(v, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ValueError("v must be a nonzero vector of finite entries")
     if len(v) != m + 1:
         raise ValueError("vector length must be m + 1")
     return v
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v|, over its largest real or imaginary part first where |v|^2
-    is not a finite normal float; ValueError if v is zero or not finite."""
+    """v / |v| for a finite v (_vector), over its largest real or imaginary
+    part first where |v|^2 is not a finite normal float; ValueError if v
+    is zero."""
     with np.errstate(over="ignore"):  # an infinite sq is rescaled below
         sq = v.real.dot(v.real) + v.imag.dot(v.imag)
-    if sys.float_info.min <= sq <= sys.float_info.max:  # not NaN either
+    if sys.float_info.min <= sq <= sys.float_info.max:
         return v / math.sqrt(sq)
-    if not (np.isfinite(v).all() and v.any()):
+    if not v.any():
         raise ValueError("v must be a nonzero vector of finite entries")
     return _unit(v / max(abs(v.real).max(), abs(v.imag).max()))
 
@@ -203,7 +208,7 @@ def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     mean is a polynomial of degree nm in t = cos^2(beta/2), whose Haar
     measure is dt on [0, 1].
     """
-    v = np.asarray(v, dtype=complex)
+    v = _vector(v, m)
     size, nodes = _rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
     return _angular_radial_mean(v[:, None] * _top_row(m, t), size, wt, n)

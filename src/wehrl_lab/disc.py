@@ -255,7 +255,7 @@ def product_norm2(factors: Sequence, nu) -> Fraction | float:
         num, w_den = _weighted_sum(sq, *_factorials(nu, len(sq)))
         return Fraction(num, den * den * w_den)
     p = reduce(np.convolve, [f.as_complex_array() if isinstance(f, PolyFun)
-                             else f for f in factors], np.ones(1, complex))
+                             else f for f in factors])
     with suppress(OverflowError):  # abs(x) ** 2, or fsum, past 1.8e308
         total = math.fsum(abs(x) ** 2 * w for x, w in
                           zip(p.tolist(), _weights(nu, len(p))))
@@ -745,7 +745,13 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
     a gradient step where the Hessian is not negative definite, and steps
     halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|)
     ends it, returning the residual at zeta + step; else NoConvergence."""
+    top = math.frexp(kappa2.max())[1]  # 2^(top - 1) <= max kappa2 < 2^top
+    # No value of the fit moves under kappa2 / 4^e: 4^0 up to top = 1005 (m
+    # = 1010 on SU(2)), where it fits unscaled; past it the largest entry
+    # drops below 2^1000, so N'' stays finite near |zeta| = 1 (to m = 1029).
+    kappa2 = kappa2 / 4.0 ** (0 if top <= 1005 else (top - 999) // 2)
     nc, reach = kappa2[::-1], min(radius, 1.0)
+    ratio = math.sqrt(kappa2[1] / kappa2[0]) if len(kappa2) > 1 else 0.0
     i = np.arange(len(nc) - 1, 0, -1)  # np.polyder(nc, 2) also forms N''',
     n1, n2 = nc[:-1] * i, nc[:-2] * i[:-1] * i[1:]  # past 1e308 from m = 1003
     grid = np.append(0, np.outer([0.3 * reach, 0.6 * reach, 0.9 * reach],
@@ -757,9 +763,9 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
 
     L = None
     for x in charts:
-        starts = grid  # and x_1 / (kappa_1 x_0), exact for a coherent x
-        if len(x) > 1 and abs(x[1]) < reach * math.sqrt(kappa2[1]) * abs(x[0]):
-            starts = np.append(grid, x[1] / (math.sqrt(kappa2[1]) * x[0]))
+        starts = grid  # and x_1 kappa_0 / (kappa_1 x_0), exact if coherent
+        if len(x) > 1 and abs(x[1]) < reach * ratio * abs(x[0]):
+            starts = np.append(grid, x[1] / (ratio * x[0]))
         gc_x = (np.conj(x) * np.sqrt(kappa2))[::-1]
         values = log_overlap(gc_x, starts)
         if L is None or values.max() > L:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import wehrl_lab
+from wehrl_lab import compact as cp
 from wehrl_lab import disc as dc
 from wehrl_lab.cli import main
 from wehrl_lab.exactnum import QC, PiScaledRational
@@ -232,13 +234,44 @@ def test_compact_vector_is_scaled_before_it_is_normalised(runner, vector,
     assert res.output == ref.output
 
 
-@pytest.mark.parametrize("vector", ["0,0,0", "0,0j,0", "inf,0,0", "nan,1,0"])
+@pytest.mark.parametrize("vector", ["0,0,0", "0,0j,0", "inf,0,0", "nan,1,0",
+                                    "1e400,0,0"])
 def test_compact_vector_without_a_finite_nonzero_entry_is_a_usage_error(
         runner, vector):
     res = runner.invoke(main, ["compact", "--m", "2", "--vector", vector])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "Invalid value for '--vector'" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compact_vector_prints_the_library_fields(runner):
+    # --vector goes through compact._vector and compact._unit and nothing
+    # else: the output is the library's, bit for bit, on seeded integer,
+    # real and complex vectors, also at scales whose |v|^2 leaves the range.
+    rng = np.random.default_rng(36)
+    for case in range(504):
+        m, n = int(rng.integers(9)), int(rng.integers(2, 4))
+        if case % 3 == 0:
+            values = [int(x) for x in rng.integers(-9, 10, m + 1)]
+            values[rng.integers(m + 1)] = int(rng.integers(1, 10))
+        else:
+            scale = (1.0, 1e-200, 1e200)[case // 3 % 3]
+            values = (scale * rng.standard_normal(m + 1)).tolist()
+            if case % 3 == 2:
+                values = [complex(x, scale * rng.standard_normal())
+                          for x in values]
+        res = runner.invoke(main, ["compact", "--m", str(m), "--n", str(n),
+                                   "--vector", ",".join(map(repr, values))])
+        v = cp._unit(cp._vector(values, m))
+        rep, cas = cp.wehrl_compact_check(v, m, n), cp.casimir_tensor_check(v, m)
+        assert res.exit_code == 0, res.output
+        assert res.output == json.dumps({
+            "m": m, "n": n, "exact": rep.integral_exact,
+            "numeric": rep.integral_numeric, "bound": rep.bound,
+            "slack": rep.slack, "eigcon_residual": cas.residual, "seed": 0},
+            sort_keys=True) + "\n"
+
 
 def test_suite_exit_codes(runner):
     res = runner.invoke(main, ["suite", "degrees"])
@@ -263,6 +296,26 @@ def test_table_csv(runner):
     assert lines[0].startswith("domain,lambda,n,d_lambda_coeff")
     sp_row = next(l for l in lines if l.startswith('"Sp(2,R)",4'))
     assert ",15,-3," in sp_row
+
+
+def test_table_reads_preset_names_with_spaces_and_a_trailing_comma(runner):
+    res = runner.invoke(main, ["table", "--domains",
+                               "disc, Sp(2,R) ,SU(2,1),SO*(8),",
+                               "--lambdas", "6", "--n", "2"])
+    assert res.exit_code == 0
+    rows = list(csv.reader(res.output.splitlines()[1:]))
+    # disc is SU(1,1)
+    assert [r[0] for r in rows] == ["SU(1,1)", "Sp(2,R)", "SU(2,1)", "SO*(8)"]
+
+
+@pytest.mark.parametrize("domains", ["disc,Sp(2,R", "disc,Sp(2,R))",
+                                     "Sp(2,R,disc", "(disc"])
+def test_table_unbalanced_domain_list_is_a_usage_error(runner, domains):
+    res = runner.invoke(main, ["table", "--domains", domains])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    errors = [l for l in res.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1
+    assert "Traceback" not in res.output
 
 
 def test_table_empty_grid_header_only():

@@ -305,6 +305,8 @@ def test_haar_rule_is_tight(monkeypatch, m, n, axis):
 def test_unit_vector_required():
     with pytest.raises(ValueError):
         wehrl_compact_check([1.0, 1.0], 1, 2)
+    with pytest.raises(ValueError, match="^vector length must be m \\+ 1$"):
+        wehrl_integral_numeric([1.0], 3, 2)  # no broadcast of a short v
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             wehrl_compact_check([1.0, 0.0], 1, n)
@@ -328,14 +330,22 @@ def test_vectors_whose_squared_norm_leaves_the_float_range(scale):
                                [0, 0, complex(0, np.nan), 0]])
 def test_zero_and_non_finite_vectors_are_refused(v):
     # Not NoConvergence, nor a FloatRangeExceeded that blames the float
-    # limit; a NaN fails the unit-vector gate too.
+    # limit: _vector refuses a NaN or infinite entry at every SU(2) check,
+    # and a zero vector fails the unit-vector gate.
     message = "^v must be a nonzero vector of finite entries$"
     with pytest.raises(ValueError, match=message):
         casimir_tensor_check(v, 3)
     with pytest.raises(ValueError, match=message):
         translate_fit_distance(v, 3)
-    with pytest.raises(ValueError, match="^v must be a unit vector$"):
+    finite = np.isfinite(v).all()
+    with pytest.raises(ValueError, match="^v must be a unit vector$"
+                       if finite else message):
         wehrl_compact_check(v, 3, 2)
+    if not finite:  # a zero vector has reduction residual 0 and integral 0
+        with pytest.raises(ValueError, match=message):
+            reduction_consistency(v, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            wehrl_integral_numeric(v, 3, 2)
 
 
 def test_frontier_against_haar_quadrature():
@@ -375,17 +385,21 @@ def test_bloch_weights_past_m_1029_are_refused():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_past_the_float_range_refuses_without_a_warning():
-    # kappa^2 = binom(m, i) nears 1.8e308: past m = 1010 the fit's values
-    # overflow, and it raises FloatRangeExceeded, not NoConvergence after
-    # numpy's warnings.  Up to it the fit works and warns of nothing
+    # kappa^2 = binom(m, i) nears 1.8e308: past m = 1010 _coherent_fit
+    # divides it by an exact power of four, so translates fit up to m =
+    # 1029, at beta = pi/2 (|zeta| = 1) too; they raised FloatRangeExceeded
+    # from m = 1011.  At m = 1030 kappa^2 is no float, and the fit refuses
+    # with the typed error, not after numpy's warnings.  Nothing warns
     # (np.polyder(p, 2) would form p''' too, past 1.8e308 from m = 1003).
-    for m in (1000, 1003, 1010):
+    for m in (1000, 1003, 1010, 1011, 1020, 1024, 1029):
         assert translate_fit_distance(translate_vector(m, 0.3, 1.1, 0.2),
                                       m) < 1e-12
-    for m in (1011, 1020, 1024, 1029):
-        with pytest.raises(FloatRangeExceeded, match="^_coherent_fit: a "
-                           "value exceeds the float limit 1.8e308"):
-            translate_fit_distance(translate_vector(m, 0.3, 1.1, 0.2), m)
+    for m in (1003, 1011, 1020, 1029):
+        assert translate_fit_distance(translate_vector(
+            m, 0.3, math.pi / 2, 0.2), m) < 1e-12
+    with pytest.raises(FloatRangeExceeded, match=r"^\(nu\)_m/m! at nu = "
+                       r"-1030 exceeds 1.8e308"):
+        translate_fit_distance(np.eye(1031)[0], 1030)
 
 
 @pytest.mark.parametrize("m, n", [(60, 17), (100, 10)])

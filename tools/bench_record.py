@@ -45,6 +45,10 @@ It measures the checkout it lives in, whatever the working directory:
   seeded unit vector at (m, n) = (2, 2), (7, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
   rounds that call each of the six in turn;
+* the SU(2) frontier: the largest nm at which ``wehrl_compact_check`` at
+  n = 2 on a seeded unit vector takes at most 1 s, with the error that
+  refuses the first m past it, and the Gauss rule frontier: the largest n
+  at which ``gauss_jacobi(n, 0.5, 1.0)`` takes at most 1 s;
 * the Selberg rank frontier: per a in {1, 2, 4}, the largest rank r at which
   ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
   passes (deviation below 1e-10) within 1 s, with each rank's seconds and
@@ -445,6 +449,48 @@ def su2() -> dict:
     return rounds_us(calls, 2001)
 
 
+def size_frontiers() -> dict:
+    """The SU(2) and Gauss rule frontiers of the module docstring
+    (one_second_frontier).  A check that refuses counts as too slow, and
+    the smallest nm refused keeps its error."""
+    from wehrl_lab.compact import random_unit_vector, wehrl_compact_check
+    from wehrl_lab.exactnum import FloatRangeExceeded, gauss_jacobi
+
+    refused: dict = {}
+
+    def compact_s(m: int) -> float:
+        v = random_unit_vector(m, np.random.default_rng([SEED, m]))
+        t0 = perf_counter()
+        try:
+            wehrl_compact_check(v, m, 2)
+        except FloatRangeExceeded as exc:
+            refused[2 * m] = f"{type(exc).__name__}: {exc}"
+            return math.inf
+        return perf_counter() - t0
+
+    def gauss_s(n: int) -> float:
+        t0 = perf_counter()
+        gauss_jacobi(n, 0.5, 1.0)
+        return perf_counter() - t0
+
+    compact_seconds, gauss_seconds = {}, {}
+    m, compact_slowdown = slowed(
+        lambda: one_second_frontier(compact_s, 8, compact_seconds))
+    nodes, gauss_slowdown = slowed(
+        lambda: one_second_frontier(gauss_s, 8, gauss_seconds))
+    first = min(refused, default=None)
+    return {"su2": {"n": 2, "nm_1s": 2 * m, "host_slowdown": compact_slowdown,
+                    "seconds": {str(2 * k): t for k, t in
+                                sorted(compact_seconds.items())
+                                if math.isfinite(t)},
+                    "refused": first and {"nm": first,
+                                          "error": refused[first]}},
+            "gauss_jacobi": {"alpha": 0.5, "beta": 1.0, "nodes_1s": nodes,
+                             "host_slowdown": gauss_slowdown,
+                             "seconds": {str(k): t for k, t in
+                                         sorted(gauss_seconds.items())}}}
+
+
 def selberg_ranks() -> dict:
     """The Selberg rank frontier per a (see the module docstring): ranks
     r = 1, 2, ... until one is refused, fails or takes more than 1 s."""
@@ -490,8 +536,8 @@ def main(argv=None) -> int:
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
     print("tier-1 tests, suite all, frontiers, far projection, Monte Carlo, "
-          "Gauss rules, quadrature setup, exact norms, SU(2) checks, Selberg "
-          "ranks", file=sys.stderr)
+          "Gauss rules, quadrature setup, exact norms, SU(2) checks, SU(2) "
+          "and Gauss rule frontiers, Selberg ranks", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -512,6 +558,7 @@ def main(argv=None) -> int:
         "quadrature_setup": quadrature_setup(),
         "exact_norms": exact_norms(),
         "su2": su2(),
+        "size_frontiers": size_frontiers(),
         "selberg_ranks": selberg_ranks(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
