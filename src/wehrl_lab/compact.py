@@ -260,11 +260,13 @@ def haar_moment_closed(p: int, q: int) -> Fraction:
 
 
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:
-    """Distance min |v/|v| - phase tau(k) e_top| to the equality orbit.
-    tau(k) e_top is the unit coherent vector along (binom(m, i)^{1/2} zeta^i),
-    zeta = tan(beta/2) e^{i alpha}; from the residual rho of disc's fit in the
-    charts zeta and 1/zeta (v reversed), the distance is rho (2 / (1 + (1 -
-    rho^2)^{1/2}))^{1/2}.  Raises NoConvergence, or FloatRangeExceeded."""
+    """Distance |v/|v| - phase t| to the translate t = tau(k) e_top, along
+    (binom(m, i)^{1/2} zeta^i), zeta = tan(beta/2) e^{i alpha}, that disc's
+    fit reaches from fixed starts in the charts zeta and 1/zeta (v reversed):
+    rho (2 / (1 + (1 - rho^2)^{1/2}))^{1/2} from its residual rho.  So an
+    upper bound on the distance to the equality orbit, and that distance on
+    the suite's and the benchmark's translates and near-translates.  Raises
+    NoConvergence, or FloatRangeExceeded."""
     v = _unit(_vector(v, m))
     kappa2 = np.array(_rising_over_factorial(-m, m + 1, False))
     rho = _coherent_fit([v, v[::-1]], kappa2, math.inf)

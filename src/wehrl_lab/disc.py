@@ -65,16 +65,16 @@ class NoConvergence(RuntimeError):
 # flag only says how results are read: as Fractions, or rounded once.
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
-    """((lanes, den), True) of coefficients listed in C order if every entry
-    is an int, Fraction or QC; else (an array of complex(c) each, False), and
-    ValueError on one that is not finite."""
+    """((lanes, den), exact) of coefficients listed in C order: exact iff
+    every entry is an int, Fraction or QC; else complex(c) each, at its
+    dyadic value, and ValueError on one that is not finite."""
     if all(isinstance(c, (QC, int, Fraction)) for c in flat):
         return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (c, 0)
                              for c in flat], shape), True
     flat = [complex(c) for c in flat]
     if bad := [c for c in flat if not cmath.isfinite(c)]:
         raise ValueError(f"coefficient {bad[0]} is not finite")
-    return np.array(flat, dtype=complex) + 0.0, False  # -0.0 read as 0.0
+    return _ratio_lanes([(c.real, c.imag) for c in flat], shape), False
 
 
 def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
@@ -203,13 +203,7 @@ class PolyFun:
             raise ValueError(f"weight nu must exceed 1, got {self.nu}")
         if len(coeffs) == 0:
             raise ValueError("PolyFun got the empty coefficient list")
-        values, self.exact = _lanes_of(list(coeffs), (-1,))
-        setattr(self, "_lanes" if self.exact else "_view", values)
-
-    @cached_property
-    def _lanes(self) -> tuple:  # a float input's, on its first exact read
-        return _ratio_lanes([(c.real, c.imag) for c in self._view.tolist()],
-                            (-1,))
+        self._lanes, self.exact = _lanes_of(list(coeffs), (-1,))
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -218,15 +212,14 @@ class PolyFun:
 
     @property
     def degree(self) -> int:
-        view = vars(self).get("_view")  # a float input's lanes may not exist
-        return len(self._lanes[0][0] if view is None else view) - 1
+        return len(self._lanes[0][0]) - 1
 
     @_in_float_range
     def as_complex_array(self) -> np.ndarray:
         """The coefficients rounded once, one read-only array per object."""
         if "_view" not in vars(self):
             self._view = _rounded(*self._lanes)
-        self._view.flags.writeable = False  # a float input's own values too
+            self._view.flags.writeable = False
         return self._view
 
     def __mul__(self, other: "PolyFun") -> "PolyFun":
@@ -337,11 +330,9 @@ class TensorPoly:
         width = max(map(len, coeffs), default=0)
         if width == 0:
             raise ValueError(f"TensorPoly got no coefficients: {coeffs!r}")
-        lanes, self.exact = _lanes_of(
+        self._lanes, self.exact = _lanes_of(
             [c for row in coeffs for c in (*row, *[0] * (width - len(row)))],
             (len(coeffs), width))
-        self._lanes = lanes if self.exact else _ratio_lanes(
-            [(c.real, c.imag) for c in lanes.tolist()], (len(coeffs), width))
 
     @cached_property
     @_in_float_range
@@ -736,20 +727,21 @@ def _lbfgs_direction(S: np.ndarray, Y: np.ndarray, t: np.ndarray):
 @np.errstate(over="raise", divide="ignore")  # overflow: FloatRangeExceeded
 def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
                   radius: float) -> float:
-    """Distance min |x - c k| from the unit vector x, given in each chart's
-    coordinates, to the coherent rays k = (kappa_i zeta^i)_i, |zeta| <
-    radius: Newton on L = log|g|^2 - log N, g = <x, k>, N = |k|^2, with
-    L_zbar = conj(g'/g) - zeta phi, L_{zeta zbar} = -(r phi)' and
-    L_{zbar zbar} = conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2,
-    from the best start on a grid in |zeta| < min(radius, 1) of each chart;
-    a gradient step where the Hessian is not negative definite, and steps
+    """Distance min_c |x - c k| from the unit vector x, given in each chart's
+    coordinates, to one coherent ray k = (kappa_i zeta^i)_i, |zeta| < radius:
+    Newton on L = log|g|^2 - log N, g = <x, k>, N = |k|^2, with c = L_zbar =
+    conj(g'/g) - zeta phi, A = L_{zeta zbar} = -(r phi)', B = L_{zbar zbar} =
+    conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2, from the best of
+    a fixed set of starts; a climb by c/|A| where L is not concave, steps
     halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|)
-    ends it, returning the residual at zeta + step; else NoConvergence."""
+    returns the residual at zeta + step; else NoConvergence.  So the value
+    bounds the distance to the rays from above (far from them the ascent can
+    stop at a local maximum); it is exact on translates and near-kernels."""
     top = math.frexp(kappa2.max())[1]  # 2^(top - 1) <= max kappa2 < 2^top
-    # No value of the fit moves under kappa2 / 4^e: 4^0 up to top = 1005 (m
-    # = 1010 on SU(2)), where it fits unscaled; past it the largest entry
-    # drops below 2^1000, so N'' stays finite near |zeta| = 1 (to m = 1029).
-    kappa2 = kappa2 / 4.0 ** (0 if top <= 1005 else (top - 999) // 2)
+    # No value of the fit moves under the exact kappa2 / 4^e, unless a value
+    # turns subnormal: the largest entry drops below 2^1000, so N'' stays
+    # finite near |zeta| = 1 (to m = 1029 on SU(2)).
+    kappa2 = kappa2 / 4.0 ** max(0, (top - 999) // 2)
     nc, reach = kappa2[::-1], min(radius, 1.0)
     ratio = math.sqrt(kappa2[1] / kappa2[0]) if len(kappa2) > 1 else 0.0
     i = np.arange(len(nc) - 1, 0, -1)  # np.polyder(nc, 2) also forms N''',
@@ -781,13 +773,14 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
         A, B = -(phi + r * dphi), np.conj(ddg - dg * dg) - z * z * dphi
         det = A * A - abs(B) ** 2
         newton = A < 0 and det > 0
-        # c = A = 0 only where x has one entry: every vector is coherent.
         step = ((B * np.conj(c) - A * c) / det if newton
-                else c / -A if c else 0.0)
-        if (newton or c == 0) and abs(step) <= 1e-8 * (1 + abs(z)):
-            k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
-            return float(np.linalg.norm(
-                x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
+                else c / (abs(A) or 1.0))  # else climb, uphill at any A
+        if abs(step) <= 1e-8 * (1 + abs(z)):
+            if newton or not B:  # c = A = B = 0 where x has one entry
+                k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
+                return float(np.linalg.norm(
+                    x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
+            step = np.sqrt(B / abs(B))  # a saddle: L is convex along it
         for t in _HALVINGS:
             z_new = z + t * step
             if abs(z_new) < radius:

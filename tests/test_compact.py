@@ -215,6 +215,27 @@ def test_fit_matches_the_overlap_on_perturbed_translates():
         assert 0.01 < dist <= grid
 
 
+def _seeded_real_vector(index: int) -> tuple:
+    # The index-th of a seeded run of real vectors: m in 1..200, v_0 = 1,
+    # the other entries integers in -9..9.
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        m = int(rng.integers(1, 201))
+        v = rng.integers(-9, 10, size=m + 1).astype(float)
+    v[0] = 1
+    return v, m
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("index", [2, 29, 37, 83, 224, 358])
+def test_fit_leaves_a_saddle_on_the_real_axis(index):
+    # These fits reached a saddle of the overlap on the real axis (m = 82,
+    # 47, 81, 86, 44, 55), where no Newton step applies, and raised
+    # NoConvergence; the fit now leaves it along its convex direction.
+    v, m = _seeded_real_vector(index)
+    assert 0 <= translate_fit_distance(v, m) <= math.sqrt(2)
+
+
 def test_fit_that_does_not_converge_raises(monkeypatch):
     # A fit whose objective is noise reports why it stopped instead of
     # returning a distance.
@@ -385,16 +406,17 @@ def test_bloch_weights_past_m_1029_are_refused():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_past_the_float_range_refuses_without_a_warning():
-    # kappa^2 = binom(m, i) nears 1.8e308: past m = 1010 _coherent_fit
+    # kappa^2 = binom(m, i) nears 1.8e308: from m = 1006 _coherent_fit
     # divides it by an exact power of four, so translates fit up to m =
     # 1029, at beta = pi/2 (|zeta| = 1) too; they raised FloatRangeExceeded
-    # from m = 1011.  At m = 1030 kappa^2 is no float, and the fit refuses
-    # with the typed error, not after numpy's warnings.  Nothing warns
-    # (np.polyder(p, 2) would form p''' too, past 1.8e308 from m = 1003).
+    # from m = 1011 (at pi/2 from 1007).  At m = 1030 kappa^2 is no float,
+    # and the fit refuses with the typed error, not after numpy's warnings.
+    # Nothing warns (np.polyder(p, 2) would form p''' too, past 1.8e308
+    # from m = 1003).
     for m in (1000, 1003, 1010, 1011, 1020, 1024, 1029):
         assert translate_fit_distance(translate_vector(m, 0.3, 1.1, 0.2),
                                       m) < 1e-12
-    for m in (1003, 1011, 1020, 1029):
+    for m in (1003, 1007, 1010, 1011, 1020, 1029):
         assert translate_fit_distance(translate_vector(
             m, 0.3, math.pi / 2, 0.2), m) < 1e-12
     with pytest.raises(FloatRangeExceeded, match=r"^\(nu\)_m/m! at nu = "

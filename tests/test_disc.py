@@ -724,9 +724,10 @@ def test_non_finite_coefficients_are_refused(bad):
         TensorPoly(NU2, NU2, [[1.0], [0.5, bad]])
 
 
-def test_float_input_builds_its_lanes_on_the_first_exact_read():
-    # Float input keeps its values as its view, -0.0 read as 0.0, which is
-    # what rounding its lanes gives; float reads never build the lanes.
+def test_float_input_rounds_its_lanes_once_into_one_view():
+    # Float input is stored as the lanes of its dyadic values; its view
+    # rounds them once, so it holds the input's own values, -0.0 read as
+    # 0.0, and float reads and exact products share that one array.
     cs = (-0.0, complex(0.5, -0.0), complex(-0.0, 1e-300), 3.25)
     f = PolyFun(NU2, cs)
     view = f.as_complex_array()
@@ -737,10 +738,9 @@ def test_float_input_builds_its_lanes_on_the_first_exact_read():
                  lambda f: norm_p_numeric(f, 4),
                  lambda f: product_norm2([f, view], 4)):
         read(f)
-    assert "_lanes" not in vars(f) and f.as_complex_array() is view
-    g = f * f  # an exact read builds them once
-    assert "_lanes" in vars(f) and disc._rounded(*f._lanes).tobytes() \
-        == view.tobytes()
+    assert f.as_complex_array() is view
+    g = f * f
+    assert disc._rounded(*f._lanes).tobytes() == view.tobytes()
     assert g.coeffs == (f * f).coeffs and f.as_complex_array() is view
     assert norm2_exact(g) == float(norm2_exact(_twin(f) * _twin(f)))
 

@@ -41,6 +41,9 @@ It measures the checkout it lives in, whatever the working directory:
   nu = 5/2, at (degree, n) = (8, 1), (8, 3) and (2000, 1), and of
   ``completeness_check`` on the seeded pair of the frontiers at degree 16,
   over 201 rounds that call each of the four in turn;
+* the cost of building a float polynomial: the median us to build a
+  ``PolyFun`` of seeded complex floats at degrees 13, 2000 and 6000, alone
+  and with its first ``as_complex_array()``, over 101 calls each;
 * the SU(2) checks' cost: the median us of ``wehrl_compact_check`` on a
   seeded unit vector at (m, n) = (2, 2), (7, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
@@ -186,6 +189,13 @@ def coefficients(degree: int) -> list:
              for _ in range(degree + 1)] for _ in range(2)]
 
 
+def complex_coefficients(degree: int) -> list:
+    """Seeded complex floats with full mantissas for two polynomials."""
+    rng = np.random.default_rng([SEED, degree])
+    return [[complex(*rng.standard_normal(2)) for _ in range(degree + 1)]
+            for _ in range(2)]
+
+
 def frontiers() -> dict:
     """Completeness and maximizer degrees reached in 1 s (one_second_frontier),
     completeness seconds at fixed degrees (median of 5; see the module
@@ -202,12 +212,6 @@ def frontiers() -> dict:
         """The nonzero entries of the tensor of the two factors."""
         return math.prod(sum(c != 0 for c in cs)
                          for cs in coefficients(degree))
-
-    def complex_coefficients(degree: int) -> list:
-        """Seeded complex floats with full mantissas for both factors."""
-        rng = np.random.default_rng([SEED, degree])
-        return [[complex(*rng.standard_normal(2)) for _ in range(degree + 1)]
-                for _ in range(2)]
 
     def completeness_s(factors: list) -> float:
         """Seconds of one passing completeness_check of the two factors."""
@@ -430,6 +434,21 @@ def exact_norms() -> dict:
             **rounds_us(calls, 201)}
 
 
+def float_construction() -> dict:
+    """Median us of 101 builds of a PolyFun of the first seeded complex-float
+    factor (complex_coefficients) per degree, alone and with its first
+    as_complex_array()."""
+    from wehrl_lab.disc import PolyFun
+
+    out = {"nu": 2, "build_us": {}, "build_and_read_us": {}}
+    for degree in (13, 2000, 6000):
+        cs = tuple(complex_coefficients(degree)[0])
+        out["build_us"][str(degree)] = median_us(lambda: PolyFun(2, cs), 101)
+        out["build_and_read_us"][str(degree)] = median_us(
+            lambda: PolyFun(2, cs).as_complex_array(), 101)
+    return out
+
+
 def su2() -> dict:
     """Median us of the six SU(2) calls of the module docstring, timed in
     rounds that call each once in turn, so that a drift of the host's speed
@@ -536,8 +555,9 @@ def main(argv=None) -> int:
             bench[workload][f"trace{trace}"] = perfbench(workload, seconds,
                                                          trace)
     print("tier-1 tests, suite all, frontiers, far projection, Monte Carlo, "
-          "Gauss rules, quadrature setup, exact norms, SU(2) checks, SU(2) "
-          "and Gauss rule frontiers, Selberg ranks", file=sys.stderr)
+          "Gauss rules, quadrature setup, exact norms, float construction, "
+          "SU(2) checks, SU(2) and Gauss rule frontiers, Selberg ranks",
+          file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     lines = src_lines()
     out = {
@@ -557,6 +577,7 @@ def main(argv=None) -> int:
         "gauss_rules": gauss_rules(),
         "quadrature_setup": quadrature_setup(),
         "exact_norms": exact_norms(),
+        "float_construction": float_construction(),
         "su2": su2(),
         "size_frontiers": size_frontiers(),
         "selberg_ranks": selberg_ranks(),
