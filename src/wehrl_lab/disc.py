@@ -733,10 +733,11 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
     conj(g'/g) - zeta phi, A = L_{zeta zbar} = -(r phi)', B = L_{zbar zbar} =
     conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2, from the best of
     a fixed set of starts; a climb by c/|A| where L is not concave, steps
-    halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|)
-    returns the residual at zeta + step; else NoConvergence.  So the value
-    bounds the distance to the rays from above (far from them the ascent can
-    stop at a local maximum); it is exact on translates and near-kernels."""
+    halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|),
+    or one along which L can only stay equal, returns the residual at
+    zeta + step; else NoConvergence.  So the value bounds the distance to
+    the rays from above (far from them the ascent can stop at a local
+    maximum); it is exact on translates and near-kernels."""
     top = math.frexp(kappa2.max())[1]  # 2^(top - 1) <= max kappa2 < 2^top
     # No value of the fit moves under the exact kappa2 / 4^e, unless a value
     # turns subnormal: the largest entry drops below 2^1000, so N'' stays
@@ -777,9 +778,7 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
                 else c / (abs(A) or 1.0))  # else climb, uphill at any A
         if abs(step) <= 1e-8 * (1 + abs(z)):
             if newton or not B:  # c = A = B = 0 where x has one entry
-                k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
-                return float(np.linalg.norm(
-                    x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
+                break
             step = np.sqrt(B / abs(B))  # a saddle: L is convex along it
         for t in _HALVINGS:
             z_new = z + t * step
@@ -790,9 +789,14 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
         else:
             raise NoConvergence(f"coherent fit: no ascent in 60 halvings at "
                                 f"{complex(z):.6g}", "line_search_exhausted")
+        if newton and L_new == L:  # L no longer resolves the Newton step
+            break
         z, L = z_new, L_new
-    raise NoConvergence(f"coherent fit: no Newton step below 1e-8 in 100 "
-                        f"steps (zeta = {complex(z):.6g})", "max_iterations")
+    else:
+        raise NoConvergence(f"coherent fit: no Newton step below 1e-8 in 100 "
+                            f"steps (zeta = {complex(z):.6g})", "max_iterations")
+    k = np.sqrt(kappa2) * (z + step) ** np.arange(len(kappa2))
+    return float(np.linalg.norm(x_fit - np.vdot(k, x_fit) / np.vdot(k, k) * k))
 
 
 @dataclass(frozen=True)

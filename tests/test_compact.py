@@ -236,6 +236,20 @@ def test_fit_leaves_a_saddle_on_the_real_axis(index):
     assert 0 <= translate_fit_distance(v, m) <= math.sqrt(2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_stops_once_its_objective_cannot_resolve_a_newton_step():
+    # The 120th of a seeded run of complex Gaussian vectors (m = 11): from
+    # its sixth step on, each full Newton step (1.8e-8) sat just above the
+    # tolerance (1.5e-8), and the line search accepted it only where L
+    # rounds to its old value, until NoConvergence at step 100.
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        m = int(rng.integers(1, 60))
+        v = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    assert m == 11
+    assert translate_fit_distance(v, m) == pytest.approx(0.8226, abs=1e-4)
+
+
 def test_fit_that_does_not_converge_raises(monkeypatch):
     # A fit whose objective is noise reports why it stopped instead of
     # returning a distance.
