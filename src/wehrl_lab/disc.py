@@ -395,7 +395,6 @@ class Projected:
 
     core: PolyFun      # differential expression without the constant
     c2: Fraction       # squared normalization constant
-    spec: ProjectionSpec
 
     @_in_float_range
     def norm2(self) -> Fraction | float:
@@ -425,7 +424,7 @@ def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:
     core, scale, (r, s) = next(islice(_q_stream(lanes, spec), spec.k, None))
     core = _from_lanes(PolyFun, (spec.mu + spec.nu + 2 * spec.k,), tuple(
         np.array(core, dtype=object)), den * scale, exact)
-    return Projected(core, Fraction(scale * r, s), spec)
+    return Projected(core, Fraction(scale * r, s))
 
 
 def _hahn_step(mu: Fraction, nu: Fraction, k: int) -> tuple:
@@ -801,7 +800,6 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    f: PolyFun
     objective: float
     kernel_distance: float
     iterations: int
@@ -872,9 +870,6 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         k = pairs.shape[1]
         hist[:, :k] = pairs
         x, phi, g = x_new, phi_new, g_new
-    # The truncated kernels are the coherent vectors of kappa_m^2 = (nu)_m/m!.
-    kappa2 = np.array(_rising_over_factorial(nu, degree + 1, False))
-    x = x.view(complex)
-    return MaximizeResult(PolyFun(Fraction(nu), tuple(x / root)), phi,
-                          _coherent_fit([x], kappa2, 1.0), it, gnorm,
-                          "gradient_tolerance")
+    # The truncated kernels: coherent vectors of kappa^2 = (nu)_m/m! = 1/h.
+    return MaximizeResult(phi, _coherent_fit([x.view(complex)], 1 / h, 1.0),
+                          it, gnorm, "gradient_tolerance")

@@ -202,6 +202,15 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "Invalid value for '--seed'"),
     (["compact", "--m", "1030", "--n", "1"],
      "binom(1030, 515) exceeds the float limit 1.8e308 at m = 1030"),
+    (["selberg", "--r", "3", "--a", "8", "--b", "0", "--gamma", "1/2",
+      "--method", "gauss_jacobi", "--budget", "3"],
+     "needs 9 nodes per axis to be exact; the budget is 3"),
+    (["disc", "maximize", "--nu", "400", "--degree", "1000"],
+     "weight |m!/(nu)_m| at nu = 400, m = 683, is not a normal float"),
+    (["compact", "--m", "1028", "--n", "1"],
+     "weight |m!/(nu)_m| at nu = -1028, m = 499, is not a normal float"),
+    (["suite", "disc", "--convention", "other"],
+     "Invalid value for '--convention': 'other' is not one of"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)
@@ -279,6 +288,26 @@ def test_suite_exit_codes(runner):
     res = runner.invoke(main, ["suite", "disc", "--convention", "paper"])
     assert res.exit_code == 1  # documented completeness failure
     assert '"verdict": "FAIL"' in res.output
+
+
+def test_suite_all_sources_every_tolerance(runner):
+    # Exact values take source "exact" and tolerance 0, the Selberg oracles
+    # are gated by the bounds they compute, and a computed bound is positive
+    # and finite.
+    res = runner.invoke(main, ["suite", "all", "--seed", "0"])
+    assert res.exit_code == 0
+    for rep in map(json.loads, res.output.splitlines()):
+        assert rep["outputs"]["comparisons"], rep["command"]
+        for label, c in rep["outputs"]["comparisons"].items():
+            where, source = f"{rep['command']} {label}", c["tolerance_source"]
+            assert source in {"exact", "rule_exactness", "error_bound",
+                              "n_sigma", "stated"}, where
+            assert isinstance(c["value"], dict) == (source == "exact"), where
+            assert source != "exact" or c["tolerance"] == 0, where
+            assert not (rep["command"].startswith("selberg.")
+                        and source == "stated"), where
+            assert (source != "error_bound"
+                    or 0 < c["tolerance"] < math.inf), where
 
 
 def test_suite_determinism(runner):

@@ -1399,9 +1399,9 @@ def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
     monkeypatch.setattr(disc, "_rising_pair", counting)
     res = maximize_wehrl(2, 2, 8, seed=3)
     assert res.kernel_distance < 1e-4
-    # The weights h (degree 8) and H (degree 16), then the kernel
-    # coefficients once for the whole coherent-state fit.
-    assert calls == [9, 17, 9]
+    # The weights h (degree 8) and H (degree 16); the coherent-state fit's
+    # kernel coefficients are 1/h, no third table.
+    assert calls == [9, 17]
 
 
 def test_maximize_wehrl_line_search_exhaustion_raises(monkeypatch):

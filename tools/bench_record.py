@@ -68,15 +68,17 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   axis of each rank the search visits, and what stops the next rank: the
   error that refuses it, or its seconds.
 
-Every time is taken by ``timed``: the median of a number of rounds, each
+Every time is taken by ``medians``: the median of a number of rounds, each
 call alone (its rounds back to back) or interleaved (each round calls each
-in turn, so that a drift of the host's speed reaches all alike).  Every
+in turn, so that a drift of the host's speed reaches all alike); ``timed``
+adds the round count and the host's slowdown around the rounds.  Every
 frontier is found by ``one_second_frontier``, whose library refusals count
-as too slow.  Each frontier search and each wall timing carries
-``host_slowdown``, the slowdown of perfbench's interpreter-bound reference
-kernel (its time over its nominal time, ``perfbench/run.py``) just before and
-just after it, so that records taken at different host speeds can be
-compared.
+as too slow, and which refuses to double past ``MAX_SIZE``.  Each timed
+section, frontier search and wall timing carries ``host_slowdown``, the
+slowdown of perfbench's interpreter-bound reference kernel (its time over
+its nominal time, ``perfbench/run.py``) just before and just after it, so
+that records taken at different host speeds can be compared; in
+``frontiers`` the plain ``host_slowdown`` is that of the timed medians.
 
 Run it on a quiet host, one checkout at a time: the timings share the host
 with whatever else runs.
@@ -130,6 +132,15 @@ TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
 # rule's node limit, or no convergence.  A frontier search counts them as
 # too slow.
 REFUSALS = (FloatRangeExceeded, MethodUnsupported, NoConvergence)
+# A frontier search doubles no size past this one, far above every recorded
+# frontier (the largest, the maximizer's, is 7084 in BENCH_36): a call that
+# does not slow down with its size would double until memory runs out.
+MAX_SIZE = 2 ** 20
+
+
+class SizeLimit(Exception):
+    """Every size a frontier search doubled to, up to MAX_SIZE, took at most
+    1 s."""
 
 
 def run(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -153,12 +164,12 @@ def slowed(measure):
     return result, {"before": before, "after": host_slowdown()}
 
 
-def timed(calls: dict, rounds: int, interleaved: bool = False,
-          unit: float = 1e6) -> dict:
+def medians(calls: dict, rounds: int, interleaved: bool = False,
+            unit: float = 1e6) -> dict:
     """The median time of each of calls over `rounds` calls, in seconds
-    times unit (microseconds by default), and "rounds": rounds.  Alone, each
-    call's rounds run back to back; interleaved, each round calls each once
-    in turn.  A key (name, size) reports as out[name][size]."""
+    times unit (microseconds by default).  Alone, each call's rounds run
+    back to back; interleaved, each round calls each once in turn.  A key
+    (name, size) reports as out[name][size]."""
     items = list(calls.items())
     times = {key: [] for key, _ in items}
     for key, call in (items * rounds if interleaved else
@@ -166,7 +177,7 @@ def timed(calls: dict, rounds: int, interleaved: bool = False,
         t0 = perf_counter()
         call()
         times[key].append(perf_counter() - t0)
-    out = {"rounds": rounds}
+    out = {}
     for key, seconds in times.items():
         if isinstance(key, tuple):
             out.setdefault(key[0], {})[key[1]] = unit * median(seconds)
@@ -175,26 +186,41 @@ def timed(calls: dict, rounds: int, interleaved: bool = False,
     return out
 
 
+def timed(calls: dict, rounds: int, interleaved: bool = False,
+          unit: float = 1e6) -> dict:
+    """medians(...) with "rounds": rounds and "host_slowdown" read just
+    before the first call and just after the last."""
+    times, slowdown = slowed(partial(medians, calls, rounds, interleaved,
+                                     unit))
+    return {"rounds": rounds, "host_slowdown": slowdown, **times}
+
+
 def one_second_frontier(call_at, start: int) -> dict:
     """The largest size whose call takes at most 1 s, by doubling from start
     then bisection; call_at(size) builds, untimed, the call that one round
-    of timed times.  A REFUSALS error counts as too slow; any other
+    of medians times.  A REFUSALS error counts as too slow; any other
     exception propagates.  Returns "size_1s", "seconds" of each size timed,
     "refused": (size, error) of the smallest size refused, or None, and
-    "host_slowdown" around the search."""
+    "host_slowdown" around the search.  Where every size up to MAX_SIZE
+    takes at most 1 s, the search stops: "size_1s" is None and the next
+    size is refused with SizeLimit."""
     seconds, refused = {}, {}
 
     def too_slow(size: int) -> bool:
         try:
-            seconds[size] = timed({0: call_at(size)}, 1, unit=1)[0]
+            seconds[size] = medians({0: call_at(size)}, 1, unit=1)[0]
         except REFUSALS as exc:
             refused[size] = exc
             return True
         return seconds[size] > 1
 
-    def search() -> int:
+    def search() -> int | None:
         lo, hi = 0, start  # lo fits in 1 s and hi does not, once both end
         while not too_slow(hi):
+            if hi >= MAX_SIZE:
+                refused[2 * hi] = SizeLimit(f"no size doubled to from {start}"
+                                            f" to {hi} took over 1 s")
+                return None
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
