@@ -184,7 +184,7 @@ def translate_vector(m: int, alpha: float, beta: float,
     """tau(k) e_top, a point of the equality orbit: its i-th coordinate is
     binom(m,i)^{1/2} cos^{m-i}(beta/2) sin^i(beta/2) e^{-i alpha (m/2 - i)}
     e^{-i gamma m/2}."""
-    i = np.arange(m + 1)
+    i = np.arange(Su2Irrep(m).dim)  # refuses m < 0
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     return (_root_binomials(m) * c ** (m - i) * s ** i
             * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0)))
@@ -262,7 +262,7 @@ def haar_moment_closed(p: int, q: int) -> Fraction:
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     """Distance |v/|v| - phase t| to the translate t = tau(k) e_top, along
     (binom(m, i)^{1/2} zeta^i), zeta = tan(beta/2) e^{i alpha}, that disc's
-    fit reaches from fixed starts in the charts zeta and 1/zeta (v reversed):
+    fit reaches from its starts in the charts zeta and 1/zeta (v reversed):
     rho (2 / (1 + (1 - rho^2)^{1/2}))^{1/2} from its residual rho.  So an
     upper bound on the distance to the equality orbit, and that distance on
     the suite's and the benchmark's translates and near-translates.  Raises

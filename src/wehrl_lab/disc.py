@@ -228,6 +228,8 @@ class PolyFun:
                         np.convolve)
 
     def power(self, n: int) -> "PolyFun":
+        if n < 1:
+            raise ValueError("n must be >= 1")
         return reduce(mul, [self] * (n - 1), self)
 
     def scale(self, s) -> "PolyFun":
@@ -730,8 +732,9 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
     coordinates, to one coherent ray k = (kappa_i zeta^i)_i, |zeta| < radius:
     Newton on L = log|g|^2 - log N, g = <x, k>, N = |k|^2, with c = L_zbar =
     conj(g'/g) - zeta phi, A = L_{zeta zbar} = -(r phi)', B = L_{zbar zbar} =
-    conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2, from the best of
-    a fixed set of starts; a climb by c/|A| where L is not concave, steps
+    conj((g'/g)') - zeta^2 phi', phi = N'/N in r = |zeta|^2, from the best
+    start: the grid's best, on isqrt(len) + 2 rings of len angles, and x_1
+    kappa_0 / (kappa_1 x_0); a climb by c/|A| where L is not concave, steps
     halved until L does not fall.  A Newton step below 1e-8 (1 + |zeta|),
     or one along which L can only stay equal, returns the residual at
     zeta + step; else NoConvergence.  So the value bounds the distance to
@@ -742,12 +745,16 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
     # turns subnormal: the largest entry drops below 2^1000, so N'' stays
     # finite near |zeta| = 1 (to m = 1029 on SU(2)).
     kappa2 = kappa2 / 4.0 ** max(0, (top - 999) // 2)
-    nc, reach = kappa2[::-1], min(radius, 1.0)
-    ratio = math.sqrt(kappa2[1] / kappa2[0]) if len(kappa2) > 1 else 0.0
-    i = np.arange(len(nc) - 1, 0, -1)  # np.polyder(nc, 2) also forms N''',
+    nc, reach, n = kappa2[::-1], min(radius, 1.0), len(kappa2)
+    ratio = math.sqrt(kappa2[1] / kappa2[0]) if n > 1 else 0.0
+    i = np.arange(n - 1, 0, -1)  # np.polyder(nc, 2) also forms N''',
     n1, n2 = nc[:-1] * i, nc[:-2] * i[:-1] * i[1:]  # past 1e308 from m = 1003
-    grid = np.append(0, np.outer([0.3 * reach, 0.6 * reach, 0.9 * reach],
-                                 np.exp(0.25j * np.pi * np.arange(8))))
+    # Rings reach (j + 1/2) / R, R = isqrt(n) + 2, resolve the overlap's peak
+    # (about n^-1/2 wide); g on a ring's n angles is one inverse FFT.
+    rho = reach * (np.arange(math.isqrt(n) + 2) + 0.5) / (math.isqrt(n) + 2)
+    grid = rho * np.exp(2j * np.pi / n * np.arange(n))[:, None]
+    rows = np.sqrt(kappa2)[:, None] * rho ** np.arange(n)[:, None]
+    N = np.square(rows).sum(axis=0)  # |k|^2 on each ring
 
     def log_overlap(gc, z):
         return np.log(np.abs(np.polyval(gc, z)) ** 2
@@ -755,9 +762,10 @@ def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
 
     L = None
     for x in charts:
-        starts = grid  # and x_1 kappa_0 / (kappa_1 x_0), exact if coherent
+        ring = np.abs(np.fft.ifft(np.conj(x)[:, None] * rows, axis=0)) ** 2
+        starts = grid.flat[[np.argmax(ring / N)]]  # ring = |g|^2 / n^2
         if len(x) > 1 and abs(x[1]) < reach * ratio * abs(x[0]):
-            starts = np.append(grid, x[1] / (ratio * x[0]))
+            starts = np.append(starts, x[1] / (ratio * x[0]))  # exact on rays
         gc_x = (np.conj(x) * np.sqrt(kappa2))[::-1]
         values = log_overlap(gc_x, starts)
         if L is None or values.max() > L:

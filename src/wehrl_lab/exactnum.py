@@ -1,7 +1,8 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
 complex numbers, the integer rising products behind every Pochhammer
 symbol, the errors raised where a value leaves the float range or an
-integral diverges, and the one Gauss-Jacobi rule of every quadrature oracle.
+integral diverges, and the one Beta function and Gauss-Jacobi rule of the
+numerical oracles.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -35,6 +36,16 @@ def rising_ints(a: int, b: int, k: int) -> list:
     """[prod_{i<m} (a + i b) for m = 0..k] on Python ints: at x = a/b the
     m-th entry is (x)_m b^m, the numerator of (x)_m over b^m."""
     return list(accumulate(range(a, a + k * b, b), mul, initial=1))
+
+
+def beta_mass(alpha: float, beta: float) -> float:
+    """B(alpha + 1, beta + 1) = int_0^1 (1 - s)^alpha s^beta ds."""
+    if alpha + beta < 169:  # Gamma is exact at small ints
+        return math.gamma(alpha + 1) / math.gamma(alpha + beta + 2) * (
+            math.gamma(beta + 1))
+    from mpmath import beta as B, mpf, workdps  # exp of a float ln B would
+    with workdps(30):  # carry |ln B| eps: B at 30 digits
+        return float(B(mpf(alpha) + 1, mpf(beta) + 1))
 
 
 def _rule(x, steps, alpha, beta, mu0):
@@ -79,12 +90,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     jacobi = np.zeros((n, n))
     jacobi.flat[::n + 1], jacobi.flat[n::n + 1] = a, b[1:n]  # lower half
     x = np.array(a) if n == 1 else np.linalg.eigvalsh(jacobi)  # a 1x1 is a[0]
-    if ab < 169:  # Gamma is exact at small ints
-        mu0 = math.gamma(alpha + 1) / math.gamma(ab + 2) * math.gamma(beta + 1)
-    else:  # exp of a float ln B would carry |ln B| eps: B at 30 digits
-        from mpmath import beta as B, mpf, workdps
-        with workdps(30):
-            mu0 = float(B(mpf(alpha) + 1, mpf(beta) + 1))
+    mu0 = beta_mass(alpha, beta)
     args = list(zip(a, b, b[1:])), alpha, beta, mu0
     w = [math.nan]  # no rule yet
     if n <= _FLOAT_LOOP_NODES:  # node by node on floats, where nothing warns

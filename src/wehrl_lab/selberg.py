@@ -40,7 +40,7 @@ import numpy as np
 from .degrees import NonTelescoping, _gamma_ratio_ints, scalar_formal_degree
 from .domains import DomainParams
 from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
-                       gauss_jacobi)
+                       beta_mass, gauss_jacobi)
 
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
@@ -209,21 +209,13 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     B(b+1, gamma+1)^r do not change under s -> 1 - s, and drawing 1 - s
     avoids the cancellation of 1 - U^(1/c) near s = 0.  At Beta(1, 1)
     numpy's sampler (Johnk's rejection loop) takes about 24 times as long
-    per chunk as this draw; every other shape keeps `rng.beta`, so its
-    streams are unchanged.  The estimate is the chunk-by-chunk total of
-    numpy's pairwise sums of the weights and their squares over each chunk
-    of 2^18 samples.  A chunk is drawn, weighed and summed in leaves of
-    2^14 rows, cut where numpy's pairwise sum cuts n terms (at n//2 down
-    to a multiple of 8), so the leaves' np.sum, added back up that tree,
-    give the chunk's sums bit for bit; the leaves draw in the chunk's order.
-    One leaf stays in L2: 10^6 samples take 0.8-0.9x the time of passes
-    over whole chunks, and the arrays peak at 0.5 MB, not 10 MB.
+    as this draw; every other shape keeps `rng.beta`.  Samples are drawn,
+    weighed and summed in leaves of 2^14 rows, whose np.sum of the weights
+    and of their squares add to the totals in draw order.  One leaf stays
+    in L2: the arrays of a call peak at 0.5 MB, whatever the budget.
     """
-    bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
-                      + math.lgamma(float(spec.gamma) + 1.0)
-                      - math.lgamma(float(spec.b) + float(spec.gamma) + 2.0))
     try:
-        scale = bconst ** spec.r
+        scale = beta_mass(float(spec.gamma), float(spec.b)) ** spec.r
     except OverflowError:
         scale = math.inf
     if not sys.float_info.min <= scale < math.inf:  # else a 0 +- 0 estimate
@@ -232,18 +224,13 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
             f"{spec.b}, {spec.gamma}): the scale B(b+1, gamma+1)^r = "
             f"{scale:.3g} is not a normal float")
     rng = np.random.default_rng(seed)
-    a = float(spec.a)
-    total, total_sq, chunk, leaf = 0.0, 0.0, 1 << 18, 1 << 14
+    a, total, total_sq = float(spec.a), 0.0, 0.0
     closed_form = spec.b == 0 or spec.gamma == 0
-    m = min(leaf, budget)
-    draws, diffs = np.empty((m, spec.r)), np.empty(m)
-    weights = np.ones(m) if spec.r == 1 else np.empty(m)  # r = 1: no pairs
-
-    def sums(n, again):  # sum and sum of squares of the next n weights;
-        if n > leaf:  # again is sums: no closure cycle holds the buffers
-            h = n // 2 - (n // 2) % 8
-            (t, q), (t2, q2) = again(h, again), again(n - h, again)
-            return t + t2, q + q2
+    leaf = min(1 << 14, budget)
+    draws, diffs = np.empty((leaf, spec.r)), np.empty(leaf)
+    weights = (np.ones if spec.r == 1 else np.empty)(leaf)  # r = 1: no pairs
+    for start in range(0, budget, leaf):
+        n = min(leaf, budget - start)
         s, vals, diff = draws[:n], weights[:n], diffs[:n]
         if closed_form:
             rng.random(out=s)
@@ -259,14 +246,11 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
                 out **= a
             if p:
                 vals *= diff
-        return float(vals.sum()), float(np.square(vals, out=diff).sum())
-    for start in range(0, budget, chunk):
-        t, q = sums(min(chunk, budget - start), sums)
-        total, total_sq = total + t, total_sq + q
+        total += float(vals.sum())
+        total_sq += float(np.square(vals, out=diff).sum())
     mean = total / budget
     var = max(total_sq / budget - mean ** 2, 0.0)
-    stderr = scale * math.sqrt(var / budget)
-    return scale * mean, stderr
+    return scale * mean, scale * math.sqrt(var / budget)
 
 
 def selberg_numeric(spec: SelbergSpec, method: str, budget: int,

@@ -14,6 +14,7 @@ import wehrl_lab
 from wehrl_lab import compact as cp
 from wehrl_lab import disc as dc
 from wehrl_lab.cli import main
+from wehrl_lab.domains import preset_table
 from wehrl_lab.exactnum import QC, PiScaledRational
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
 from wehrl_lab.suite import (_check, _rand_rational_poly, emit_constants_table,
@@ -30,6 +31,17 @@ def test_domains_list_json(runner):
     assert res.exit_code == 0
     rows = json.loads(res.output)
     assert any(r["family"] == "Sp(2,R)" and r["N"] == 3 for r in rows)
+
+
+def test_domains_list_csv(runner):
+    res = runner.invoke(main, ["domains", "list", "--format", "csv"])
+    assert res.exit_code == 0
+    header, *lines = res.output.splitlines()
+    assert header == "family,r,a,b,p,N,n1"
+    assert len(lines) == len(preset_table()) == 12  # one per distinct preset
+    for line, row in zip(lines, preset_table()):
+        numbers = ",".join(str(row[k]) for k in ("r", "a", "b", "p", "N", "n1"))
+        assert line == f"{row['family']},{numbers}"
 
 
 def test_degrees_json(runner):
@@ -290,6 +302,14 @@ def test_suite_exit_codes(runner):
     assert '"verdict": "FAIL"' in res.output
 
 
+def test_suite_out_writes_its_stdout(runner, tmp_path):
+    res = runner.invoke(main, ["suite", "degrees", "--out",
+                               str(tmp_path / "reports")])
+    assert res.exit_code == 0
+    written = (tmp_path / "reports" / "suite_degrees.jsonl").read_bytes()
+    assert written == res.stdout_bytes and written
+
+
 def test_suite_all_sources_every_tolerance(runner):
     # Exact values take source "exact" and tolerance 0, the Selberg oracles
     # are gated by the bounds they compute, and a computed bound is positive
@@ -325,6 +345,14 @@ def test_table_csv(runner):
     assert lines[0].startswith("domain,lambda,n,d_lambda_coeff")
     sp_row = next(l for l in lines if l.startswith('"Sp(2,R)",4'))
     assert ",15,-3," in sp_row
+
+
+def test_table_out_writes_its_stdout(runner, tmp_path):
+    out = tmp_path / "constants.csv"
+    res = runner.invoke(main, ["table", "--lambdas", "3,4", "--out", str(out)])
+    assert res.exit_code == 0
+    assert out.read_bytes() == res.stdout_bytes
+    assert res.output.startswith("domain,lambda,n,")
 
 
 def test_table_reads_preset_names_with_spaces_and_a_trailing_comma(runner):

@@ -77,6 +77,12 @@ def test_translate_vector_closed_form_matches_group_element():
             assert np.abs(translate_vector(m, *angles) - ref).max() < 1e-13
 
 
+def test_translate_vector_refuses_a_negative_highest_weight():
+    # m = -1 gave an empty array.
+    with pytest.raises(ValueError, match=r"^highest weight m must be >= 0$"):
+        translate_vector(-1, 0.1, 0.2, 0.3)
+
+
 def test_cartan_projection_ranks_and_projector_axioms():
     # The dense reference the Bloch-polynomial masses are pinned to.
     for m, n in ((1, 2), (1, 3), (2, 3), (3, 4), (15, 2)):
@@ -436,6 +442,26 @@ def test_fit_past_the_float_range_refuses_without_a_warning():
     with pytest.raises(FloatRangeExceeded, match=r"^\(nu\)_m/m! at nu = "
                        r"-1030 exceeds 1.8e308"):
         translate_fit_distance(np.eye(1031)[0], 1030)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_finds_near_translates_at_large_m():
+    # Noise puts each of these about 0.05 from the orbit.  From 25 fixed
+    # starts the fit, blind to an overlap peak about m^-1/2 wide, returned
+    # about sqrt(2) for all but the seed-3 vector, where it overflowed and
+    # raised FloatRangeExceeded; the rings of starts resolve the peak.
+    rng = np.random.default_rng(13)
+    for m, beta in ((1004, math.pi / 2), (1020, 1.1)):
+        v = translate_vector(m, 0.3, beta, 0.2) + 1e-3 * (
+            rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
+        assert translate_fit_distance(v, m) < 0.1
+    for seed in (0, 3, 4):
+        rng = np.random.default_rng(seed)
+        alpha, gamma = rng.uniform(-3, 3, 2)
+        t = translate_vector(1000, alpha, rng.uniform(0.2, 2.9), gamma)
+        noise = rng.normal(size=1001) + 1j * rng.normal(size=1001)
+        v = t + 0.05 * noise / np.linalg.norm(noise)
+        assert translate_fit_distance(v, 1000) < 0.1
 
 
 @pytest.mark.parametrize("m, n", [(60, 17), (100, 10)])

@@ -855,6 +855,17 @@ def test_wehrl_slack_nonnegative_and_kernel_equality_direction():
     assert -1e-12 <= kslack < 1e-9
 
 
+def test_power_refuses_n_below_one():
+    # power(0) and power(-1) returned f itself, a silent wrong answer.
+    f = PolyFun(NU2, (1, 2))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            f.power(n)
+    cube, product = f.power(3), f * f * f
+    assert (cube.nu, cube.coeffs) == (product.nu, product.coeffs)
+    assert cube.coeffs == tuple(map(QC, (1, 6, 12, 8)))
+
+
 def test_improved_inequality_constants_and_equality_case():
     f = poly(NU2, 1, 1)
     sharp = improved_check(f, 2, "sharp")

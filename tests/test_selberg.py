@@ -21,7 +21,7 @@ from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
                                ordered_sector_quadrature, selberg_closed,
                                selberg_closed_hp, selberg_numeric,
                                verify_degree_integral)
-from wehrl_lab.exactnum import PiScaledRational
+from wehrl_lab.exactnum import PiScaledRational, beta_mass
 
 
 def test_closed_form_rank_one_is_beta():
@@ -522,19 +522,16 @@ def test_grid_over_the_limit_raises_before_allocating():
 
 
 def _monte_carlo_reference(spec, budget, seed):
-    """The Monte Carlo chunk loop with fresh arrays: a new draw array, pair
-    product and squares per chunk, and U ** 1.0 at c = 1, |s_i - s_j| ** 1.0
-    at a = 1."""
+    """The Monte Carlo leaf loop with fresh arrays: a new draw array, pair
+    product and squares per 2^14-row leaf, summed in draw order, and U ** 1.0
+    at c = 1, |s_i - s_j| ** 1.0 at a = 1."""
     rng = np.random.default_rng(seed)
-    bconst = math.exp(math.lgamma(float(spec.b) + 1.0)
-                      + math.lgamma(float(spec.gamma) + 1.0)
-                      - math.lgamma(float(spec.b) + float(spec.gamma) + 2.0))
-    scale = bconst ** spec.r
+    scale = beta_mass(float(spec.gamma), float(spec.b)) ** spec.r
     a = float(spec.a)
     total = total_sq = 0.0
     n_done = 0
     while n_done < budget:
-        n = min(1 << 18, budget - n_done)
+        n = min(1 << 14, budget - n_done)
         if spec.b == 0 or spec.gamma == 0:
             s = rng.random((n, spec.r))
             s **= 1.0 / float((spec.b + 1) * (spec.gamma + 1))
@@ -559,8 +556,8 @@ def _monte_carlo_reference(spec, budget, seed):
     (2, 1, Fraction(1, 2), Fraction(1, 3)), (5, Fraction(7, 3), 0, 0)])
 def test_monte_carlo_is_bit_identical_to_the_allocating_loop(shape):
     # r = 1 (no pairs), c = 1 and a = 1 (no powers), c != 1, the rng.beta
-    # path; one chunk, a full chunk, a chunk plus one sample, a budget whose
-    # last chunk is short, and two that the 2^14-row leaves cut unevenly.
+    # path; one sample, whole 2^14-row leaves, a last leaf of one sample,
+    # and three budgets whose last leaf is short.
     spec = SelbergSpec(*shape)
     for budget in (1, 1 << 18, (1 << 18) + 1, 300_001, 3 * (1 << 14) + 5,
                    (1 << 18) - 1):
@@ -568,17 +565,6 @@ def test_monte_carlo_is_bit_identical_to_the_allocating_loop(shape):
             est = selberg_numeric(spec, "monte_carlo", budget, seed)
             assert (est.value, est.stderr) \
                 == _monte_carlo_reference(spec, budget, seed), (budget, seed)
-
-
-def test_monte_carlo_keeps_the_chunk_sums_at_the_suite_budget():
-    # At 10^6 samples a chunk of 2^17 in place of 2^18 groups the sums
-    # differently and moves (2, 2, 0, 0) and (2, 1/2, 0, 0) in the last bits.
-    for shape in ((2, 1, 0, 0), (2, 2, 0, 0), (2, Fraction(1, 2), 0, 0)):
-        spec = SelbergSpec(*shape)
-        for seed in (1, 7):
-            est = selberg_numeric(spec, "monte_carlo", 10 ** 6, seed)
-            assert (est.value, est.stderr) \
-                == _monte_carlo_reference(spec, 10 ** 6, seed), (shape, seed)
 
 
 def test_monte_carlo_works_in_cache_sized_leaves():
@@ -613,9 +599,10 @@ def test_monte_carlo_frees_its_buffers_without_the_gc():
 
 # (value, stderr) of selberg_numeric(..., "monte_carlo", budget, seed) for
 # budget in (1, 129, 10^5 + 3, 10^6) and seed in (0, 7), in that order, as
-# the loop that multiplied every pair factor into a weight array filled with
-# 1.0 computed them.  Writing the first factor straight into the weights
-# keeps every bit, since 1.0 * x == x.
+# the loop that sums 2^14-row leaves in draw order, with the scale from
+# beta_mass, computes them.  Each lies within 2e-15 (relative) of the value
+# that summing along numpy's pairwise tree over 2^18-row chunks, with the
+# scale as exp of lgamma sums, gave.
 _MC_BUDGETS, _MC_SEEDS = (1, 129, 10 ** 5 + 3, 10 ** 6), (0, 7)
 _MC_PINNED = {
     (2, 1, 0, 0): [
@@ -625,8 +612,8 @@ _MC_PINNED = {
         (0.34489887350369797, 0.019892938734109897),
         (0.33218684528392833, 0.0007454718509169021),
         (0.33243971652890536, 0.0007439236959966821),
-        (0.3332405856746725, 0.00023584820423039432),
-        (0.3329906134117172, 0.000235591805673353),
+        (0.3332405856746726, 0.00023584820423039405),
+        (0.3329906134117171, 0.00023559180567335304),
     ],
     (2, 2, 0, 0): [
         (0.13481746120701252, 0.0),
@@ -635,8 +622,8 @@ _MC_PINNED = {
         (0.17000427542491728, 0.015861566933846258),
         (0.16592259541547727, 0.0006230259658955744),
         (0.16586007193975175, 0.0006221022935577353),
-        (0.16667366337950054, 0.00019726604339376659),
-        (0.16638624752074263, 0.00019704119479406403),
+        (0.16667366337950046, 0.00019726604339376664),
+        (0.16638624752074258, 0.00019704119479406406),
     ],
     (3, 1, 0, 0): [
         (0.050071633800067565, 0.0),
@@ -644,29 +631,29 @@ _MC_PINNED = {
         (0.03589203580265768, 0.00334236879671821),
         (0.03574765068972754, 0.003547807802237335),
         (0.03347293622427772, 0.00012945069806790099),
-        (0.0333764497466925, 0.00012865947486410799),
-        (0.03336484005123, 4.085347019831009e-05),
+        (0.0333764497466925, 0.00012865947486410793),
+        (0.03336484005122999, 4.0853470198310094e-05),
         (0.033271368557832144, 4.074607021691995e-05),
     ],
     (2, 1, Fraction(1, 2), 0): [
-        (0.14345731010939186, 0.0),
-        (0.08851823403343635, 0.0),
-        (0.1497338102580494, 0.009105984967732166),
-        (0.13831552324978175, 0.00826055770875858),
-        (0.13293757526607325, 0.00030529711021330257),
-        (0.13289200189314604, 0.00030439984207247686),
-        (0.13329427332803845, 9.656574785922926e-05),
-        (0.1332102461752866, 9.647218075235734e-05),
+        (0.14345731010939206, 0.0),
+        (0.08851823403343648, 0.0),
+        (0.14973381025804963, 0.009105984967732178),
+        (0.13831552324978194, 0.00826055770875859),
+        (0.13293757526607344, 0.00030529711021330295),
+        (0.13289200189314623, 0.00030439984207247724),
+        (0.13329427332803861, 9.656574785922945e-05),
+        (0.1332102461752868, 9.647218075235748e-05),
     ],
     (2, 1, 1, 1): [
-        (0.005524616801984834, 0.0),
-        (0.004410072987676216, 0.0),
-        (0.005886851101726191, 0.00038193920678062564),
-        (0.006976564473330747, 0.00043529169591525503),
-        (0.00713931402707454, 1.6160835810620158e-05),
-        (0.0071406850487642165, 1.614566536022653e-05),
-        (0.007129689949639681, 5.1108426245366e-06),
-        (0.007137096143307855, 5.114183158913241e-06),
+        (0.0055246168019848375, 0.0),
+        (0.00441007298767622, 0.0),
+        (0.005886851101726196, 0.0003819392067806259),
+        (0.006976564473330752, 0.00043529169591525536),
+        (0.007139314027074546, 1.616083581062017e-05),
+        (0.007140685048764223, 1.6145665360226542e-05),
+        (0.007129689949639688, 5.110842624536604e-06),
+        (0.007137096143307861, 5.114183158913247e-06),
     ],
     (1, 0, 0, 0): [
         (1.0, 0.0),
