@@ -8,6 +8,7 @@ is left to a suite with a failed check.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import sys
@@ -92,10 +93,9 @@ def domains_list(fmt):
     if fmt == "json":
         _echo_json(rows)
         return
-    click.echo("family,r,a,b,p,N,n1")
-    for row in rows:
-        click.echo(",".join(str(row[k])
-                            for k in ("family", "r", "a", "b", "p", "N", "n1")))
+    writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 @main.command()
@@ -183,11 +183,9 @@ def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
     g = _get_poly(nu, g_coeffs, "--nu", "--g")
     F = dc.TensorPoly.from_product(f, g)
     try:
-        spec = dc.ProjectionSpec(Fraction(mu), Fraction(nu), k,
-                                 PROJECTION_CONVENTION[convention])
-    except ValueError as exc:
+        proj = dc.qk_project(F, k, PROJECTION_CONVENTION[convention])
+    except ValueError as exc:  # ProjectionSpec's refusals
         raise click.BadParameter(str(exc), param_hint="'--k'") from None
-    proj = dc.qk_project(F, spec)
     _echo_json({
         "k": k, "convention": convention,
         "c_squared": exact_json(proj.c2),

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +37,8 @@ from .exactnum import FloatRangeExceeded, gauss_jacobi
 
 __all__ = [
     "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
-    "wehrl_compact_check", "haar_moment", "haar_moment_closed",
-    "translate_vector", "translate_fit_distance", "reduction_consistency",
-    "random_unit_vector"]
+    "wehrl_compact_check", "haar_moment", "translate_vector",
+    "translate_fit_distance", "reduction_consistency", "random_unit_vector"]
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class Su2Irrep:
     def lowering_matrix(self) -> np.ndarray:
         i = np.arange(self.m)
         return np.diag(np.sqrt((i + 1) * (self.m - i)), -1)
-
-    def raising_matrix(self) -> np.ndarray:
-        return self.lowering_matrix().T
 
     def j3_matrix(self) -> np.ndarray:
         return np.diag([self.weight(i) / 2.0 for i in range(self.dim)])
@@ -193,10 +188,12 @@ def translate_vector(m: int, alpha: float, beta: float,
 def _top_row(m: int, t: np.ndarray) -> np.ndarray:
     """Matrix coefficients <tau(k) e_i, e_top> at alpha = gamma = 0 and
     cos^2(beta/2) = t: binom(m,i)^{1/2} cos^{m-i}(beta/2) (-sin(beta/2))^i,
-    shape (m+1, len)."""
-    i = np.arange(m + 1)[:, None]
-    return _root_binomials(m)[:, None] * t ** ((m - i) / 2) * (
-        -np.sqrt(1.0 - t)) ** i
+    shape (m+1, len).  The binomials are disc's |(-m)_i/i!|, not the Bloch
+    row of _root_binomials, so the Haar oracle shares no weight with the
+    mass it checks."""
+    i, root = np.arange(m + 1)[:, None], np.sqrt(
+        _rising_over_factorial(-m, m + 1, False))
+    return root[:, None] * t ** ((m - i) / 2) * (-np.sqrt(1.0 - t)) ** i
 
 
 def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
@@ -247,16 +244,11 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
 
 def haar_moment(p: int, q: int) -> float:
     """int |k11|^{2p} |k12|^{2q} dk over SU(2) = int_0^1 t^p (1 - t)^q dt,
-    t = cos^2(beta/2); closed form p!q!/(p+q+1)!."""
+    t = cos^2(beta/2); closed form B(p + 1, q + 1) = p!q!/(p+q+1)!."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
     t, wt = gauss_jacobi(_rule_sizes(p + q)[1], 0.0, 0.0)
     return float(np.sum(wt * t ** p * (1.0 - t) ** q))
-
-
-def haar_moment_closed(p: int, q: int) -> Fraction:
-    return Fraction(math.factorial(p) * math.factorial(q),
-                    math.factorial(p + q + 1))
 
 
 def translate_fit_distance(v: Sequence[complex], m: int) -> float:

@@ -405,7 +405,8 @@ class Projected:
         return norm2 if self.core.exact else float(norm2)
 
 
-def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
+def qk_project(F: TensorPoly, k: int,
+               convention: str = "corrected_minus_one") -> Projected:
     """Project F in H_mu (x) H_nu onto the H_{mu+nu+2k} component via
 
         C * sum_j (-1)^j binom(k,j) / ((mu)_j (nu)_{k-j})
@@ -414,11 +415,10 @@ def qk_project(F: TensorPoly, spec: ProjectionSpec) -> Projected:
     On z^p w^q the sum is W_k(p,q)/E z^{p+q-k} (_q_stream): e_j/E are the
     weights in lowest terms, W_k = sum_j e_j perm(p,j) perm(q,k-j) integers.
     Float F projects its exact values, and its core is read rounded once.
+    ProjectionSpec(F.mu, F.nu, k, convention) refuses a bad k or convention.
     """
-    if (F.mu, F.nu) != (spec.mu, spec.nu):
-        raise ValueError(f"tensor weights (mu, nu) = ({F.mu}, {F.nu}) differ "
-                         f"from the projection's ({spec.mu}, {spec.nu})")
-    return _project(*F._lanes, F.exact, spec)
+    return _project(*F._lanes, F.exact,
+                    ProjectionSpec(F.mu, F.nu, k, convention))
 
 
 def _project(lanes: tuple, den: int, exact: bool, spec) -> Projected:

@@ -72,7 +72,7 @@ def so_star(n: int) -> DomainParams:
     return DomainParams(f"SO*({2 * n})", r=n // 2, a=4, b=0 if n % 2 == 0 else 2)
 
 
-# (r, a, b) triples plus the classical complex dimension for cross-checks.
+# Preset names and their (r, a, b) triples.
 PRESETS: dict[str, DomainParams] = {
     "disc": DomainParams("SU(1,1)", r=1, a=0, b=0),
     "SU(1,1)": DomainParams("SU(1,1)", r=1, a=0, b=0),
@@ -87,23 +87,6 @@ PRESETS: dict[str, DomainParams] = {
     "SO*(8)": so_star(4),
     "E6": DomainParams("E6", r=2, a=6, b=4),
     "E7": DomainParams("E7", r=3, a=8, b=0),
-}
-
-# Known complex dimensions, for the cross-table consistency test.
-CLASSICAL_DIMENSION: dict[str, int] = {
-    "disc": 1,
-    "SU(1,1)": 1,
-    "SU(2,1)": 2,
-    "SU(2,2)": 4,
-    "SU(3,1)": 3,
-    "Sp(2,R)": 3,
-    "Sp(3,R)": 6,
-    "SO(2,3)": 3,
-    "SO(2,4)": 4,
-    "SO(2,5)": 5,
-    "SO*(8)": 6,
-    "E6": 16,
-    "E7": 27,
 }
 
 

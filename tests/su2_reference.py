@@ -34,6 +34,7 @@ def group_element(m: int, alpha: float, beta: float,
     """tau(k(alpha,beta,gamma)) = exp(-i a J3) exp(-i b J2) exp(-i g J3)."""
     rep = Su2Irrep(m)
     J3 = rep.j3_matrix().astype(complex)
-    J2 = (rep.raising_matrix() - rep.lowering_matrix()) / 2.0j
+    Jm = rep.lowering_matrix()
+    J2 = (Jm.T - Jm) / 2.0j  # Jm.T raises
     return (expm(-1j * alpha * J3) @ expm(-1j * beta * J2)
             @ expm(-1j * gamma * J3))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -34,14 +36,14 @@ def test_domains_list_json(runner):
 
 
 def test_domains_list_csv(runner):
+    # labels such as SU(1,1) hold commas, so csv.writer quotes them
     res = runner.invoke(main, ["domains", "list", "--format", "csv"])
     assert res.exit_code == 0
-    header, *lines = res.output.splitlines()
-    assert header == "family,r,a,b,p,N,n1"
-    assert len(lines) == len(preset_table()) == 12  # one per distinct preset
-    for line, row in zip(lines, preset_table()):
-        numbers = ",".join(str(row[k]) for k in ("r", "a", "b", "p", "N", "n1"))
-        assert line == f"{row['family']},{numbers}"
+    assert res.output.splitlines()[1] == '"SU(1,1)",1,0,0,2,1,1'
+    header, *rows = csv.reader(io.StringIO(res.output))
+    assert header == ["family", "r", "a", "b", "p", "N", "n1"]
+    assert len(rows) == len(preset_table()) == 12  # one per distinct preset
+    assert rows == [[str(row[k]) for k in header] for row in preset_table()]
 
 
 def test_degrees_json(runner):
@@ -64,6 +66,13 @@ def test_degrees_json_without_c_G_case(runner):
     assert "matches no c_G case" in out["c_G"]["error"]
     assert (out["wehrl_constant"]["num"], out["wehrl_constant"]["den"],
             out["wehrl_constant"]["pi_power"]) == ("4791150", "3553", -7)
+    # the constants table leaves that domain's c_G and d_H cells empty
+    row, = csv.DictReader(io.StringIO(emit_constants_table(["2,3,1"], [10],
+                                                           [2])))
+    assert {row[k] for k in ("c_G_coeff", "c_G_pi_power", "c_G_float",
+                             "d_H")} == {""}
+    assert (row["wehrl_coeff"], row["wehrl_pi_power"]) == ("4791150/3553",
+                                                           "-7")
 
 
 def test_selberg_json(runner):
@@ -148,6 +157,14 @@ def test_disc_subcommands(runner):
     assert res.exit_code == 0
     assert json.loads(res.output)["kernel_parameter_conj"] == "1/4"
 
+    # the equality case of the improved inequality: 1 + z at nu = 2
+    res = runner.invoke(main, ["disc", "improved", "--nu", "2",
+                               "--coeffs", "1,1"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "nu": "2", "n": 2, "convention": "sharp", "lhs": 2.1,
+        "remainder": 0.15, "rhs": 2.25, "slack": 0.0, "passed": True}
+
 
 @pytest.mark.parametrize("args, option, message", [
     (["project", "--mu", "1", "--nu", "7/2", "--k", "1", "--f", "1,2",
@@ -223,6 +240,14 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "weight |m!/(nu)_m| at nu = -1028, m = 499, is not a normal float"),
     (["suite", "disc", "--convention", "other"],
      "Invalid value for '--convention': 'other' is not one of"),
+    (["disc", "wehrl", "--nu", "2", "--coeffs", "1,1", "--n", "0"],
+     "Error: n must be >= 1"),
+    (["disc", "improved", "--nu", "2", "--coeffs", "1,1", "--n", "1"],
+     "Error: n must be >= 2"),
+    (["degrees", "--domain", "disc", "--lambda", "3", "--n", "0"],
+     "Error: n must be >= 1"),
+    (["selberg", "--r", "2", "--a", "-1", "--b", "0", "--gamma", "1"],
+     "Error: a must be >= 0"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)
@@ -292,6 +317,19 @@ def test_compact_vector_prints_the_library_fields(runner):
             "numeric": rep.integral_numeric, "bound": rep.bound,
             "slack": rep.slack, "eigcon_residual": cas.residual, "seed": 0},
             sort_keys=True) + "\n"
+
+
+def test_compact_random_is_the_library_check_of_a_seeded_vector(runner):
+    res = runner.invoke(main, ["compact", "--m", "3", "--random", "--seed",
+                               "1"])
+    v = cp.random_unit_vector(3, np.random.default_rng(1))
+    rep, cas = cp.wehrl_compact_check(v, 3, 2), cp.casimir_tensor_check(v, 3)
+    assert res.exit_code == 0, res.output
+    assert res.output == json.dumps({
+        "m": 3, "n": 2, "exact": rep.integral_exact,
+        "numeric": rep.integral_numeric, "bound": rep.bound,
+        "slack": rep.slack, "eigcon_residual": cas.residual, "seed": 1},
+        sort_keys=True) + "\n"
 
 
 def test_suite_exit_codes(runner):
@@ -437,6 +475,24 @@ def test_disc_suite_fails_both_quadratures_on_a_short_rule(monkeypatch, axis):
     assert code == 1
     assert verdicts["disc.norm_quadrature"] == "FAIL"
     assert verdicts["disc.matrix_coeff_lp"] == "FAIL"
+
+
+def test_disc_suite_fails_the_ode_kernel_check_if_nothing_is_refused(
+        monkeypatch):
+    # An ode_solve that returned at |c| >= nu would fail disc.ode_kernel on
+    # its outside_bergman_raised comparison, and only there.
+    solve = dc.ode_solve
+
+    def lenient(nu, c, degree):
+        with contextlib.suppress(dc.OutsideBergman):
+            return solve(nu, c, degree)
+
+    monkeypatch.setattr(dc, "ode_solve", lenient)
+    code, reports = run_suite("disc", SuiteConfig(seed=0))
+    ode = next(r for r in reports if r.command == "disc.ode_kernel")
+    assert code == 1 and ode.verdict == "FAIL"
+    assert [k for k, c in ode.outputs["comparisons"].items()
+            if not c["passed"]] == ["outside_bergman_raised"]
 
 
 def test_rand_rational_poly_draws_as_the_scalar_loop():

@@ -9,11 +9,11 @@ from hypothesis import example, given, strategies as st
 
 from su2_reference import cartan_mass_exact, group_element
 from wehrl_lab import compact
-from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check,
-                               haar_moment, haar_moment_closed,
+from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check, haar_moment,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
+from wehrl_lab.degrees import gamma_ratio_product
 from wehrl_lab.disc import NoConvergence, PolyFun, product_norm2
 from wehrl_lab.exactnum import QC, FloatRangeExceeded, gauss_jacobi
 
@@ -42,7 +42,8 @@ def _kron_mass(v, n):
 
 def test_irrep_relations():
     rep = Su2Irrep(3)
-    Jp, Jm, J3 = rep.raising_matrix(), rep.lowering_matrix(), rep.j3_matrix()
+    Jm, J3 = rep.lowering_matrix(), rep.j3_matrix()
+    Jp = Jm.T  # the raising operator
     assert np.allclose(Jp @ Jm - Jm @ Jp, 2 * J3)
     assert np.allclose(J3 @ Jp - Jp @ J3, Jp)
     assert rep.dim == 4 and rep.weight(0) == 3 and rep.weight(3) == -3
@@ -233,11 +234,12 @@ def _seeded_real_vector(index: int) -> tuple:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("index", [2, 29, 37, 83, 224, 358])
+@pytest.mark.parametrize("index", [2, 29, 37, 83, 103, 224, 358])
 def test_fit_leaves_a_saddle_on_the_real_axis(index):
     # These fits reached a saddle of the overlap on the real axis (m = 82,
-    # 47, 81, 86, 44, 55), where no Newton step applies, and raised
+    # 47, 81, 86, 45, 44, 55), where no Newton step applies, and raised
     # NoConvergence; the fit now leaves it along its convex direction.
+    # With the ring starts only index 103 still meets its saddle.
     v, m = _seeded_real_vector(index)
     assert 0 <= translate_fit_distance(v, m) <= math.sqrt(2)
 
@@ -254,6 +256,12 @@ def test_fit_stops_once_its_objective_cannot_resolve_a_newton_step():
         v = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
     assert m == 11
     assert translate_fit_distance(v, m) == pytest.approx(0.8226, abs=1e-4)
+    # Here the line search accepts a Newton step at an unchanged L, and the
+    # fit stops there: one more step would read 0.6486731130663226.
+    v = [2.875994933883676 + 1.2122432747590717j,
+         -0.2804221389186246 + 0.8424269658711717j,
+         1.8371635091417857 - 2.0124123794366264j]
+    assert translate_fit_distance(v, 2) == 0.6486731130663228
 
 
 def test_fit_that_does_not_converge_raises(monkeypatch):
@@ -311,11 +319,34 @@ def test_reduction_consistency_detects_a_wrong_bloch_weight(monkeypatch):
     assert reduction_consistency(v, 3, 3) > 1e-12
 
 
+def test_haar_oracle_does_not_read_the_bloch_row(monkeypatch):
+    # The Haar oracle's binomials are disc's (-m)_i/i!, not _root_binomials:
+    # a wrong Bloch weight moves only the algebraic route, so the route gap
+    # on the suite's random vectors exceeds its tolerance 1e-6.  With one
+    # shared row both routes moved together and the gap stayed at 1e-16.
+    exact = compact._root_binomials
+
+    def perturbed(m):
+        out = exact(m)
+        out[1] *= 1.1
+        return out
+
+    monkeypatch.setattr(compact, "_root_binomials", perturbed)
+    rng = np.random.default_rng(0)
+    checks = [wehrl_compact_check(random_unit_vector(m, rng), m, n)
+              for m in range(1, 5) for n in (2, 3)]
+    assert max(abs(r.integral_numeric - r.integral_exact)
+               for r in checks) > 1e-2
+
+
 def test_haar_moments_closed_form():
+    # the closed form B(p + 1, q + 1) = p!q!/(p+q+1)!
     for p in range(5):
         for q in range(5):
-            assert haar_moment(p, q) \
-                == pytest.approx(float(haar_moment_closed(p, q)), abs=1e-13)
+            closed = gamma_ratio_product((p + 1, q + 1), (p + q + 2,))
+            assert closed == Fraction(math.factorial(p) * math.factorial(q),
+                                      math.factorial(p + q + 1))
+            assert haar_moment(p, q) == pytest.approx(float(closed), abs=1e-13)
 
 
 def test_haar_oracle_matches_bloch_route():
@@ -351,6 +382,11 @@ def test_unit_vector_required():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             wehrl_compact_check([1.0, 0.0], 1, n)
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        reduction_consistency([1.0, 0.0], 1, 1)
+    for p, q in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^p, q must be nonnegative$"):
+            haar_moment(p, q)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -64,12 +64,6 @@ def test_empty_coefficient_list_is_rejected():
             TensorPoly(NU2, NU2, rows)
 
 
-def test_projection_needs_the_tensor_weights():
-    F = TensorPoly.from_product(poly(2, 1, 1), poly(2, 1, 1))
-    with pytest.raises(ValueError, match=r"\(2, 2\) differ .* \(2, 3\)"):
-        qk_project(F, ProjectionSpec(NU2, Fraction(3), 1))
-
-
 @given(st.lists(small_fractions, min_size=1, max_size=5),
        st.lists(small_fractions, min_size=1, max_size=5))
 @settings(max_examples=30, deadline=None)
@@ -101,7 +95,7 @@ def test_projection_constant_conventions():
                       for k, num in nums.items()}
             assert [ProjectionSpec(mu, nu, k, conv).c_squared()
                     for k in range(201)] == [closed[k] for k in range(201)]
-            proj = qk_project(F, ProjectionSpec(mu, nu, 3000, conv))
+            proj = qk_project(F, 3000, conv)
             assert proj.core.coeffs == (QC(0),) * 4
             assert proj.c2 == closed[3000]
     with pytest.raises(ValueError):
@@ -116,7 +110,7 @@ def test_projection_spec_rejects_negative_k_and_small_weights():
         ProjectionSpec(NU2, 1, 0)
     # A component past the top degree is zero and keeps the tensor's length.
     F = TensorPoly.from_product(poly(2, 1, 2), poly(3, 1))
-    core = qk_project(F, ProjectionSpec(NU2, Fraction(3), 4)).core
+    core = qk_project(F, 4).core
     assert core.coeffs == (QC(0), QC(0))
 
 
@@ -140,8 +134,7 @@ def test_partial_isometry_on_z_minus_w():
     # (z-w)^k spans the k-th component; the corrected constant normalizes it.
     for k in (1, 2, 3):
         F = _z_minus_w_power(NU2, NU2, k)
-        proj = qk_project(F, ProjectionSpec(NU2, NU2, k,
-                                            "corrected_minus_one"))
+        proj = qk_project(F, k, "corrected_minus_one")
         assert proj.norm2() == F.norm2()
 
 
@@ -258,7 +251,7 @@ def test_qk_masses_match_product_reference(fc, gc, mu, nu, convention):
     name, shift = convention
     f, g = _poly(mu, fc), _poly(nu, gc)
     F = TensorPoly.from_product(f, g)
-    _assert_masses([qk_project(F, ProjectionSpec(mu, nu, k, name)).norm2()
+    _assert_masses([qk_project(F, k, name).norm2()
                     for k in range(len(fc) + len(gc) - 1)],
                    fc, gc, mu, nu, shift, F.exact)
 
@@ -371,7 +364,7 @@ def test_core_of_a_general_tensor_matches_dot_reference(tensor, mu, nu):
             for lane, a in zip(want, (real, imag)):
                 if p + q >= k:
                     lane[p + q - k] += a[p][q] * Fraction(W[p, q], E)
-        got = qk_project(F, ProjectionSpec(mu, nu, k)).core.coeffs
+        got = qk_project(F, k).core.coeffs
         assert got == tuple(map(QC, *want)), k
 
 
@@ -524,8 +517,7 @@ def test_zero_polynomial():
     assert norm2_exact(zero) == 0
     rep = completeness_check(zero, g)
     assert rep.passed and rep.total == 0 and set(rep.per_k) == {0}
-    proj = qk_project(TensorPoly.from_product(zero, g),
-                      ProjectionSpec(zero.nu, g.nu, 2))
+    proj = qk_project(TensorPoly.from_product(zero, g), 2)
     assert all(c == QC(0) for c in proj.core.coeffs)
     assert q1_iterated(zero, 3).norm2() == 0
     assert all(c == QC(0) for c in (zero * g).coeffs)
@@ -604,7 +596,7 @@ def test_completeness_masses_match_projection_route(fc, gc, mu, nu, conv):
     f = PolyFun(mu, tuple(QC(re, im) for re, im in fc))
     g = PolyFun(nu, tuple(QC(re, im) for re, im in gc))
     F = TensorPoly.from_product(f, g)
-    want = [qk_project(F, ProjectionSpec(mu, nu, k, conv)).norm2()
+    want = [qk_project(F, k, conv).norm2()
             for k in range(f.degree + g.degree + 1)]
     rep = completeness_check(f, g, conv)
     assert list(rep.per_k) == want
@@ -668,9 +660,8 @@ def test_float_projections_are_the_exact_ones_rounded_once(fc, gc, mu, nu,
     F = TensorPoly.from_product(f, g)  # exact products of the dyadic values
     twin_F = TensorPoly.from_product(_twin(f), _twin(g))
     for k in range(f.degree + g.degree + 1):
-        spec = ProjectionSpec(mu, nu, k, conv)
-        assert _bits(list(qk_project(F, spec).core.coeffs)) == _bits(
-            _rounded(qk_project(twin_F, spec).core.coeffs)), k
+        assert _bits(list(qk_project(F, k, conv).core.coeffs)) == _bits(
+            _rounded(qk_project(twin_F, k, conv).core.coeffs)), k
     for n in (2, 3):
         assert q1_iterated(f, n, conv).norm2() == 0.0, n
 
@@ -682,7 +673,7 @@ def test_float_projections_past_the_float_range_raise():
     f = PolyFun(NU2, (1e200, 1.0))
     F = TensorPoly.from_product(f, f)  # the entry 1e400 is exact
     with pytest.raises(FloatRangeExceeded, match="norm2: .* 1.8e308"):
-        qk_project(F, ProjectionSpec(NU2, NU2, 0)).norm2()
+        qk_project(F, 0).norm2()
     assert q1_iterated(f * f, 2).norm2() == 0.0  # f^2 is exact
     assert q1_iterated(f, 3).norm2() == 0.0
     with pytest.raises(FloatRangeExceeded, match="coeffs: .* 1.8e308"):
@@ -698,7 +689,7 @@ def test_float_projection_masses_are_the_completeness_masses(fc, gc, mu, nu):
     F = TensorPoly.from_product(f, g)
     for conv in _CONVENTIONS:
         rep = completeness_check(f, g, conv)
-        assert _bits([qk_project(F, ProjectionSpec(mu, nu, k, conv)).norm2()
+        assert _bits([qk_project(F, k, conv).norm2()
                       for k in range(f.degree + g.degree + 1)]) \
             == _bits(list(rep.per_k)), conv
 
@@ -788,7 +779,7 @@ def test_c_squared_has_one_source(monkeypatch):
 
     for conv in _CONVENTIONS:
         spec = ProjectionSpec(f.nu, g.nu, 2, conv)
-        before, proj = completeness_check(f, g, conv), qk_project(F, spec)
+        before, proj = completeness_check(f, g, conv), qk_project(F, 2, conv)
         assert before.passed is (conv == "corrected_minus_one")
         assert spec.c_squared() == proj.c2
         monkeypatch.setattr(disc, "_q_stream", scaled)
@@ -797,7 +788,7 @@ def test_c_squared_has_one_source(monkeypatch):
         assert [k for k, (x, y) in enumerate(zip(before.per_k, after.per_k))
                 if x != y] == [2]
         assert after.per_k[2] == before.per_k[2] * factor
-        assert qk_project(F, spec).norm2() == proj.norm2() * factor
+        assert qk_project(F, 2, conv).norm2() == proj.norm2() * factor
         assert spec.c_squared() == proj.c2 * factor
         monkeypatch.setattr(disc, "_q_stream", real)
 
@@ -835,14 +826,16 @@ def test_completeness_passes_on_dense_pairs(exact):
         assert rep.passed and (rep.total == rep.expected or not exact)
         F = TensorPoly.from_product(f, g)
         for k in (0, 1, degree, 2 * degree):
-            assert _bits(qk_project(F, ProjectionSpec(f.nu, g.nu, k)).norm2()
-                         ) == _bits(rep.per_k[k]), (degree, k)
+            assert _bits(qk_project(F, k).norm2()) == _bits(rep.per_k[k]), \
+                (degree, k)
 
 
 def test_q1_component_vanishes():
     for coeffs in ((1, 1), (2, Fraction(-1, 3), 1), (0, 1, 1, Fraction(1, 7))):
         for n in (2, 3, 4):
             assert q1_iterated(poly(NU2, *coeffs), n).norm2() == 0
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        q1_iterated(poly(NU2, 1, 1), 1)
 
 
 def test_wehrl_slack_nonnegative_and_kernel_equality_direction():
@@ -943,8 +936,7 @@ def test_improved_remainder_is_the_k2_projection_mass(fc, nu, n, conventions):
     # the k = 2 core of f (x) f (twice the hand-built g of improved_check).
     remainder, projection = conventions
     f = PolyFun(nu, tuple(QC(*c) for c in fc))
-    proj = qk_project(TensorPoly.from_product(f, f),
-                      ProjectionSpec(nu, nu, 2, projection))
+    proj = qk_project(TensorPoly.from_product(f, f), 2, projection)
     lhs = product_norm2([f] * n, n * nu)
     rhs = product_norm2([f], nu) ** n
     rest = proj.c2 * product_norm2([proj.core] + [f] * (n - 2), n * nu + 4)

@@ -2,9 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from wehrl_lab.domains import (CLASSICAL_DIMENSION, PRESETS, DomainParams,
-                               get_domain, hc_admissible, preset_table, so_2n,
-                               su_pq)
+from wehrl_lab.domains import (PRESETS, DomainParams, get_domain,
+                               hc_admissible, preset_table, so_2n, su_pq)
+
+# Known complex dimensions of the presets, for the cross-table check.
+CLASSICAL_DIMENSION: dict[str, int] = {
+    "disc": 1,
+    "SU(1,1)": 1,
+    "SU(2,1)": 2,
+    "SU(2,2)": 4,
+    "SU(3,1)": 3,
+    "Sp(2,R)": 3,
+    "Sp(3,R)": 6,
+    "SO(2,3)": 3,
+    "SO(2,4)": 4,
+    "SO(2,5)": 5,
+    "SO*(8)": 6,
+    "E6": 16,
+    "E7": 27,
+}
 
 
 def test_derived_invariants_disc():

@@ -86,6 +86,9 @@ def test_pi_scaled_zero_and_rational():
     assert PiScaledRational(Fraction(7)).as_rational() == 7
     with pytest.raises(ValueError):
         PiScaledRational(Fraction(1), 1).as_rational()
+    assert PiScaledRational(Fraction(7)) != "7"  # no number: NotImplemented
+    assert repr(PiScaledRational(Fraction(-15, 4), -3)) == "-15/4*pi^-3"
+    assert repr(PiScaledRational(Fraction(7))) == "7"
 
 
 @pytest.mark.parametrize("coeff, pi_power", [
@@ -144,6 +147,7 @@ def test_qc_complex_rendition():
     x = QC(Fraction(1, 2), Fraction(-3))
     assert complex(x) == 0.5 - 3j
     assert x != QC(0) and QC(Fraction(0)) == QC(0, 0)
+    assert (repr(x), repr(QC(2, Fraction(1, 3)))) == ("(1/2-3j)", "(2+1/3j)")
 
 
 def _mp(x) -> mpmath.mpf:

@@ -359,7 +359,7 @@ from time import perf_counter
 
 import numpy as np
 
-from wehrl_lab.disc import ProjectionSpec, TensorPoly, qk_project
+from wehrl_lab.disc import TensorPoly, qk_project
 
 rng = np.random.default_rng([{seed}, {k}])
 mu, nu = Fraction(5, 2), Fraction(7, 3)
@@ -367,7 +367,7 @@ F = TensorPoly(mu, nu, [[Fraction(int(rng.integers(-4, 5)),
                                   int(rng.integers(1, 5))) for _ in range(2)]
                         for _ in range(3)])
 t0 = perf_counter()
-qk_project(F, ProjectionSpec(mu, nu, {k}))
+qk_project(F, {k})
 seconds = perf_counter() - t0
 with open("/proc/self/status") as status:
     peak_kb = next(int(line.split()[1]) for line in status
