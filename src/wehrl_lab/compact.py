@@ -15,11 +15,12 @@ power of the Bloch polynomial p_v(z) = sum_i v_i binom(m, i)^{1/2} z^i,
 
 and 1/binom(nm, k) = |k!/(nu)_k| at nu = -nm: the disc's product_norm2,
 in floats or exact.  The numeric route is Haar quadrature; the distance to
-the orbit is the disc's coherent-state fit.  The Casimir tensor identity of
-the equality case is checked on the n = 2 tensor, with the Casimir constant
-calibrated from the representation itself.  The arrays hold a few hundred
-entries at most, so the checks call ufuncs and ndarray methods directly:
-numpy's Python-level wrappers would cost more than the arithmetic.
+the orbit is the disc's coherent-state fit.  Only the mass reads the Bloch
+row: translates and Haar rows take disc's binomials.  The Casimir tensor
+identity of the equality case is checked on the n = 2 tensor, with the
+Casimir constant calibrated from the representation itself.  The arrays hold
+a few hundred entries at most, so the checks call ufuncs and ndarray methods
+directly: numpy's Python-level wrappers would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
     # Dual-form pairings: Lambda and rho evaluate to m/(2 sqrt 2), 1/(2 sqrt 2)
     # on the coroot direction T_3.
     lam_t3, rho_t3 = m / (2 * math.sqrt(2)), 1 / (2 * math.sqrt(2))
-    lam_lam = lam_t3 ** 2
     casimir_expected = (lam_t3 + 2 * rho_t3) * lam_t3
     casimir_matrix = sum(T @ T for T in Ts)
     casimir_constant = float(np.real(casimir_matrix[0, 0]))
@@ -164,7 +164,8 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
         raise ValueError(f"sum of T_i^2 on V_{m} is not scalar: the "
                          f"Killing basis is miscalibrated")
     lhs = sum(np.outer(u, u).ravel() for u in [T @ v for T in Ts])
-    residual = float(np.linalg.norm(lhs - lam_lam * np.outer(v, v).ravel()))
+    d = lhs - lam_t3 ** 2 * np.outer(v, v).ravel()  # lam_t3^2 = <L,L>
+    residual = math.sqrt(d.real @ d.real + d.imag @ d.imag)  # np.linalg.norm
     return CasimirReport(m=m, residual=residual,
                          casimir_constant=casimir_constant,
                          casimir_expected=float(casimir_expected),
@@ -174,41 +175,40 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
 # ---------------------------------------------------------------------------
 # Haar quadrature in Euler angles.
 
+def _orbit_row(m: int, c, s) -> np.ndarray:
+    """binom(m, i)^{1/2} c^{m-i} s^i, i = 0..m down axis 0, binomials from
+    disc's |(-m)_i/i!|: at (cos(beta/2), sin(beta/2)) tau(k) e_top's
+    coordinates at alpha = gamma = 0."""
+    i = np.arange(Su2Irrep(m).dim)[:, None]  # refuses m < 0
+    root = np.sqrt(_rising_over_factorial(-m, m + 1, False))[:, None]
+    return root * c ** (m - i) * s ** i
+
+
 def translate_vector(m: int, alpha: float, beta: float,
                      gamma: float) -> np.ndarray:
-    """tau(k) e_top, a point of the equality orbit: its i-th coordinate is
-    binom(m,i)^{1/2} cos^{m-i}(beta/2) sin^i(beta/2) e^{-i alpha (m/2 - i)}
-    e^{-i gamma m/2}."""
-    i = np.arange(Su2Irrep(m).dim)  # refuses m < 0
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    return (_root_binomials(m) * c ** (m - i) * s ** i
-            * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0)))
-
-
-def _top_row(m: int, t: np.ndarray) -> np.ndarray:
-    """Matrix coefficients <tau(k) e_i, e_top> at alpha = gamma = 0 and
-    cos^2(beta/2) = t: binom(m,i)^{1/2} cos^{m-i}(beta/2) (-sin(beta/2))^i,
-    shape (m+1, len).  The binomials are disc's |(-m)_i/i!|, not the Bloch
-    row of _root_binomials, so the Haar oracle shares no weight with the
-    mass it checks."""
-    i, root = np.arange(m + 1)[:, None], np.sqrt(
-        _rising_over_factorial(-m, m + 1, False))
-    return root[:, None] * t ** ((m - i) / 2) * (-np.sqrt(1.0 - t)) ** i
+    """tau(k) e_top, a point of the equality orbit: binom(m,i)^{1/2} cos^{m-i}
+    (beta/2) sin^i(beta/2) e^{-i alpha (m/2 - i)} e^{-i gamma m/2} from
+    _orbit_row, not the Bloch row, which only the mass reads."""
+    row = _orbit_row(m, math.cos(beta / 2.0), math.sin(beta / 2.0))[:, 0]
+    i = np.arange(m + 1)
+    return row * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0))
 
 
 def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     """Haar quadrature of |<tau(k) v, e_top>|^{2n} in Euler angles.
 
-    Up to a phase F = <tau(k) v, e_top> = sum_i v_i d_i(beta) e^{i i gamma}
-    (alpha drops out), so |F|^{2n} is a trigonometric polynomial of degree
-    nm in gamma, whose mean over nm + 1 equispaced nodes is exact, and that
-    mean is a polynomial of degree nm in t = cos^2(beta/2), whose Haar
-    measure is dt on [0, 1].
+    Up to a phase F = <tau(k) v, e_top> = sum_i v_i (-1)^i r_i e^{i i gamma}
+    with r = _orbit_row at (cos(beta/2), sin(beta/2)), not the Bloch row,
+    which only the mass reads; alpha drops out.  The mean of |F|^{2n}, degree
+    nm in gamma, over nm + 1 equispaced nodes is exact at any shift, so the
+    sign (a shift by pi) is dropped; it is a polynomial of degree nm in
+    t = cos^2(beta/2), whose Haar measure is dt.
     """
     v = _vector(v, m)
     size, nodes = _rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
-    return _angular_radial_mean(v[:, None] * _top_row(m, t), size, wt, n)
+    rows = v[:, None] * _orbit_row(m, np.sqrt(t), np.sqrt(1.0 - t))
+    return _angular_radial_mean(rows, size, wt, n)
 
 
 @dataclass(frozen=True)

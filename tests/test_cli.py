@@ -495,6 +495,31 @@ def test_disc_suite_fails_the_ode_kernel_check_if_nothing_is_refused(
             if not c["passed"]] == ["outside_bergman_raised"]
 
 
+def test_compact_suite_reports_a_wrong_bloch_weight(monkeypatch, runner):
+    # Only the mass reads the Bloch row: the translates and the Haar rows
+    # take disc's binomials, so a wrong Bloch weight fails the mass's
+    # comparisons in a report each, where the translate used to read it too
+    # and the suite stopped on "v must be a unit vector".
+    exact = cp._root_binomials
+
+    def perturbed(m):
+        out = exact(m)
+        out[1] *= 1.1
+        return out
+
+    monkeypatch.setattr(cp, "_root_binomials", perturbed)
+    code, reports = run_suite("compact", SuiteConfig())
+    failed = {r.command: [k for k, c in r.outputs["comparisons"].items()
+                          if not c["passed"]] for r in reports}
+    assert code == 1 and failed == {
+        "compact.haar_moments": [], "compact.exact_case": [],
+        "compact.wehrl_bound_random": ["min_slack", "max_route_gap"],
+        "compact.equality_on_translates": ["slack"]}
+    assert [r.verdict for r in reports] == ["PASS", "PASS", "FAIL", "FAIL"]
+    res = runner.invoke(main, ["suite", "compact"])
+    assert res.exit_code == 1 and len(res.output.splitlines()) == 4
+
+
 def test_rand_rational_poly_draws_as_the_scalar_loop():
     # One integers() call over the tiled bounds reads the PCG64 stream as a
     # scalar draw per numerator and denominator does, the next draw included.

@@ -14,7 +14,8 @@ from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check, haar_moment,
                                translate_fit_distance, translate_vector,
                                wehrl_compact_check, wehrl_integral_numeric)
 from wehrl_lab.degrees import gamma_ratio_product
-from wehrl_lab.disc import NoConvergence, PolyFun, product_norm2
+from wehrl_lab.disc import (NoConvergence, PolyFun, _rising_over_factorial,
+                            product_norm2)
 from wehrl_lab.exactnum import QC, FloatRangeExceeded, gauss_jacobi
 
 
@@ -233,35 +234,56 @@ def _seeded_real_vector(index: int) -> tuple:
     return v, m
 
 
+def _seeded_gaussian_vector(index: int) -> tuple:
+    # The index-th of a seeded run of complex Gaussian vectors, m in 1..59.
+    rng = np.random.default_rng(11)
+    for _ in range(index + 1):
+        m = int(rng.integers(1, 60))
+        v = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    return v, m
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("index", [2, 29, 37, 83, 103, 224, 358])
+@pytest.mark.parametrize("index", [103, 826])
 def test_fit_leaves_a_saddle_on_the_real_axis(index):
-    # These fits reached a saddle of the overlap on the real axis (m = 82,
-    # 47, 81, 86, 45, 44, 55), where no Newton step applies, and raised
-    # NoConvergence; the fit now leaves it along its convex direction.
-    # With the ring starts only index 103 still meets its saddle.
+    # These fits reach a saddle of the overlap on the real axis (m = 45,
+    # 14), where no Newton step applies; the fit leaves it along its convex
+    # direction, and without that step both raise NoConvergence.
+    v, m = _seeded_real_vector(index)
+    assert 0 <= translate_fit_distance(v, m) <= math.sqrt(2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("index", [2, 29, 37, 83, 224, 358])
+def test_fit_distance_of_a_seeded_real_vector_lies_in_0_to_root_2(index):
+    # These fits met a saddle on the real axis (m = 82, 47, 81, 86, 44, 55)
+    # from the fit's former starts; its ring starts avoid them.
     v, m = _seeded_real_vector(index)
     assert 0 <= translate_fit_distance(v, m) <= math.sqrt(2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_stops_once_its_objective_cannot_resolve_a_newton_step():
-    # The 120th of a seeded run of complex Gaussian vectors (m = 11): from
-    # its sixth step on, each full Newton step (1.8e-8) sat just above the
-    # tolerance (1.5e-8), and the line search accepted it only where L
-    # rounds to its old value, until NoConvergence at step 100.
-    rng = np.random.default_rng(11)
-    for _ in range(120):
-        m = int(rng.integers(1, 60))
-        v = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
-    assert m == 11
-    assert translate_fit_distance(v, m) == pytest.approx(0.8226, abs=1e-4)
     # Here the line search accepts a Newton step at an unchanged L, and the
-    # fit stops there: one more step would read 0.6486731130663226.
+    # fit stops there: one more step would read 0.6486731130663226 at m = 2
+    # and 0.7216282903306235 on the 298th seeded Gaussian vector (m = 4).
     v = [2.875994933883676 + 1.2122432747590717j,
          -0.2804221389186246 + 0.8424269658711717j,
          1.8371635091417857 - 2.0124123794366264j]
     assert translate_fit_distance(v, 2) == 0.6486731130663228
+    v, m = _seeded_gaussian_vector(297)
+    assert m == 4 and translate_fit_distance(v, m) == 0.7216282903306233
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_distance_of_the_120th_seeded_gaussian_vector_is_0_8226():
+    # The 120th of a seeded run of complex Gaussian vectors (m = 11): from
+    # its sixth step on, each full Newton step (1.8e-8) sat just above the
+    # tolerance (1.5e-8), and the line search accepted it only where L
+    # rounds to its old value, until NoConvergence at step 100.
+    v, m = _seeded_gaussian_vector(119)
+    assert m == 11
+    assert translate_fit_distance(v, m) == pytest.approx(0.8226, abs=1e-4)
 
 
 def test_fit_that_does_not_converge_raises(monkeypatch):
@@ -361,6 +383,17 @@ def test_haar_oracle_matches_bloch_route():
                 <= 1e-12 * r.integral_exact, (m, n)
 
 
+@pytest.mark.parametrize("m, n", [(20, 10), (60, 17), (100, 10), (200, 5),
+                                  (513, 2), (1, 1027)])
+def test_haar_oracle_matches_the_mass_up_to_the_float_range(m, n):
+    # The Haar rows drop d_i's sign (-1)^i, a shift of gamma by pi, which
+    # leaves the equispaced mean exact up to nm = 1027.
+    v = random_unit_vector(m, np.random.default_rng([m, n]))
+    r = wehrl_compact_check(v, m, n)
+    assert abs(r.integral_numeric - r.integral_exact) \
+        <= 1e-12 * r.integral_exact
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (4, 1), (3, 3)])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_haar_rule_is_tight(monkeypatch, m, n, axis):
@@ -450,11 +483,13 @@ def test_binomial_weights_stay_in_float_range():
 
 def test_bloch_weights_past_m_1029_are_refused():
     # binom(1029, 514) is a float and binom(1030, 515) passes 1.8e308: a
-    # translate, or a check, at m = 1030 refuses with the typed error.
+    # check at m = 1030 refuses with the Bloch row's typed error, and a
+    # translate, built from disc's binomials, with theirs.
     assert compact._root_binomials(1029)[514] ** 2 \
         == pytest.approx(math.comb(1029, 514), rel=1e-12)
     message = r"^binom\(1030, 515\) exceeds the float limit 1.8e308 at m = 1030$"
-    with pytest.raises(FloatRangeExceeded, match=message):
+    with pytest.raises(FloatRangeExceeded, match=r"^\(nu\)_m/m! at nu = -1030 "
+                       r"exceeds 1.8e308 for some m < 1031$"):
         translate_vector(1030, 0.3, 1.1, 0.2)
     with pytest.raises(FloatRangeExceeded, match=message):
         wehrl_compact_check(np.eye(1031)[0], 1030, 1)
@@ -535,11 +570,15 @@ def _wrapper_form_mass(factors):
 
 def _wrapper_form_check(v, m, n):
     """(integral_numeric, integral_exact, mass) of wehrl_compact_check,
-    computed with np.mean, np.sum and one root row per factor."""
+    computed with np.mean, np.sum, one root row per factor and the Haar
+    rows binom(m, i)^{1/2} t^{(m-i)/2} (1 - t)^{i/2} from disc's binomials."""
     mass = _wrapper_form_mass([v] * n)
     size, nodes = compact._rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
-    F = size * np.fft.ifft(v[:, None] * compact._top_row(m, t), size, axis=0)
+    i = np.arange(m + 1)[:, None]
+    root = np.sqrt(_rising_over_factorial(-m, m + 1, False))[:, None]
+    rows = root * np.sqrt(t) ** (m - i) * np.sqrt(1.0 - t) ** i
+    F = size * np.fft.ifft(v[:, None] * rows, size, axis=0)
     numeric = float(np.sum(wt * np.mean(np.abs(F) ** (2 * n), axis=0)))
     return numeric, mass * (1.0 / (n * m + 1)), mass
 

@@ -1367,6 +1367,35 @@ def test_maximize_wehrl_stops_where_a_step_rounds_back_to_x(monkeypatch):
     assert len(seen) == 2 and seen[0].tobytes() == seen[1].tobytes()
 
 
+def test_maximize_wehrl_falls_back_to_the_tangent_on_a_descent_direction(
+        monkeypatch):
+    # An L-BFGS direction d with tangent . d <= 0 would step downhill; the
+    # search steps along the tangent gradient instead, so its first trial
+    # point is x + tangent, normalised (full step), not x - tangent.  The
+    # third direction of the seed-0 run is made -tangent here.
+    real_direction, real_objective = (disc._lbfgs_direction,
+                                      disc._objective_and_gradient)
+    log = []
+
+    def direction(S, Y, t):
+        log.append(("tangent", t.copy()))
+        if sum(kind == "tangent" for kind, _ in log) == 3:
+            return -t
+        return real_direction(S, Y, t)
+
+    monkeypatch.setattr(disc, "_lbfgs_direction", direction)
+    monkeypatch.setattr(disc, "_objective_and_gradient", lambda x, *args: (
+        log.append(("x", x.copy())) or real_objective(x, *args)))
+    res = maximize_wehrl(2, 2, 8, seed=0)
+    j = [j for j, (kind, _) in enumerate(log) if kind == "tangent"][2]
+    (_, x), (_, tangent), (_, trial) = log[j - 1:j + 2]  # the accepted x
+    assert disc._HALVINGS[0] == 1.0
+    up, down = x + tangent, x - tangent
+    assert trial.tobytes() == (up / math.sqrt(up @ up)).tobytes()
+    assert trial.tobytes() != (down / math.sqrt(down @ down)).tobytes()
+    assert res.stop_reason == "gradient_tolerance" and res.iterations == 74
+
+
 def test_maximize_wehrl_no_convergence_raises(monkeypatch):
     monkeypatch.setattr(disc, "_MAX_ITERS", 5)
     monkeypatch.setattr(disc, "_GRAD_TOL", 1e-9)
