@@ -34,7 +34,7 @@ import numpy as np
 
 from .disc import (_angular_radial_mean, _coherent_fit, _rising_over_factorial,
                    _rule_sizes, product_norm2)
-from .exactnum import FloatRangeExceeded, gauss_jacobi
+from .exactnum import FloatRangeExceeded, check_counts, gauss_jacobi
 
 __all__ = [
     "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
@@ -55,6 +55,7 @@ class Su2Irrep:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("highest weight m must be >= 0")
+        check_counts(("m", self.m, 0))
 
     @property
     def dim(self) -> int:
@@ -230,6 +231,7 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_counts(("n", n, 1), ("m", m, 0))
     v = _vector(v, m)
     if not abs(math.sqrt(v.real @ v.real + v.imag @ v.imag) - 1) <= 1e-12:
         raise ValueError("v must be a unit vector")

@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, gauss_jacobi,
-                       rising_ints)
+from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, check_counts,
+                       gauss_jacobi, rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -230,6 +230,7 @@ class PolyFun:
     def power(self, n: int) -> "PolyFun":
         if n < 1:
             raise ValueError("n must be >= 1")
+        check_counts(("n", n, 1))
         return reduce(mul, [self] * (n - 1), self)
 
     def scale(self, s) -> "PolyFun":
@@ -497,6 +498,7 @@ def q1_iterated(f: PolyFun, n: int,
     k = 1 against the last.  Identically zero for every f."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_counts(("n", n, 2))
     head = reduce(partial(_gaussian, op=np.convolve), [f._lanes] * (n - 1))
     return _project(*_gaussian(head, f._lanes, np.multiply.outer), f.exact,
                     ProjectionSpec((n - 1) * f.nu, f.nu, 1, convention))
@@ -552,6 +554,7 @@ def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_counts(("n", n, 1))
     lhs, rhs = product_norm2([f] * n, n * f.nu), norm2_exact(f) ** n
     return float(lhs), float(rhs), float(rhs - lhs)
 
@@ -585,6 +588,7 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_counts(("n", n, 2))
     projection = {"sharp": "corrected_minus_one", "paper": "paper_plus_one"}
     if convention not in projection:
         raise ValueError(f"unknown remainder convention {convention!r}")
@@ -617,6 +621,7 @@ class KernelFun:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError(f"kernel degree must be >= 0, got {self.degree}")
+        check_counts(("degree", self.degree, 0))
 
     def to_polyfun(self) -> PolyFun:
         if abs(complex(self.w)) >= 1:
@@ -659,6 +664,7 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     nu = Fraction(nu)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    check_counts(("degree", degree, 0))
     rational = isinstance(c, (int, Fraction)) and not isinstance(c, bool)
     if abs(complex(c)) >= float(nu):
         raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
@@ -834,6 +840,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         raise ValueError("degree must be >= 4")
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_counts(("n", n, 2), ("degree", degree, 4), ("seed", seed, 0))
     h, H = (np.array(_weights(k * Fraction(nu), k * degree + 1))
             for k in (1, n))
     root = np.sqrt(h)

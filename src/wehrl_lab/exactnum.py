@@ -1,8 +1,8 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
 complex numbers, the integer rising products behind every Pochhammer
 symbol, the errors raised where a value leaves the float range or an
-integral diverges, and the one Beta function and Gauss-Jacobi rule of the
-numerical oracles.
+integral diverges, the one gate on count arguments, and the one Beta
+function and Gauss-Jacobi rule of the numerical oracles.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -30,6 +30,16 @@ class FloatRangeExceeded(ValueError):
 
 class NonIntegrable(ValueError):
     """An integrand's weight exponent lies outside its integrability range."""
+
+
+def check_counts(*counts) -> None:
+    """Refuse each (name, value, least) whose value is not an int or numpy
+    integer >= least (a bool is no count), naming the argument."""
+    for name, value, least in counts:
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got "
+                             f"{name}={value!r}")
 
 
 def rising_ints(a: int, b: int, k: int) -> list:

@@ -1,29 +1,17 @@
-"""Selberg-type integrals over the unit hypercube.
-
-These are the integrals
+"""Selberg-type integrals over the unit hypercube,
 
     S(r, a, b, g) = int_{[0,1]^r} prod_j (1-s_j)^g s_j^b
-                    prod_{i<j} |s_i - s_j|^a  ds
+                    prod_{i<j} |s_i - s_j|^a  ds,
 
 whose closed-form Gamma-product evaluation underlies the formal degrees.
 The numerical evaluators here are deliberately independent of the closed
-form so they can act as oracles for the exact degree computations:
-
-* tensor Gauss-Jacobi rules for even a: against the weight (1-s)^g s^b
-  the interaction factor has degree a(r-1) in each s_i, so a(r-1)/2 + 1
-  nodes per axis are exact for any real b, g > -1;
-* an ordered-sector map 1 - s_j = v_1 ... v_j that removes the |s_i - s_j|
-  kink and moves every g-dependent factor into a Gauss-Jacobi weight on
-  each axis, exact for integer a, b >= 0 at a node count read off the
-  degree of the integrand (see verify_degree_integral);
-* importance-sampled Monte Carlo with per-coordinate Beta(b+1, gamma+1)
-  proposals.  When b = 0 or gamma = 0 they are drawn as U^(1/c),
-  c = (b+1)(gamma+1), for which numpy's Beta sampler takes 5 to 24 times
-  as long; at b = 0 this draws 1 - s, which serves as well because the
-  importance weight is unchanged by s -> 1 - s (see _monte_carlo).
-
-Node counts come from the integrand's degree, never from the closed form:
-each quadrature runs its one exact rule, refusing grids over MAX_GRID_POINTS.
+form so they can act as oracles for the exact degree computations: a
+tensor Gauss-Jacobi rule for even a, an ordered-sector map 1 - s_j = v_1
+... v_j that removes the |s_i - s_j| kink, and importance-sampled Monte
+Carlo with Beta(b+1, gamma+1) proposals (_monte_carlo).  Each quadrature
+runs one exact rule, refusing grids over MAX_GRID_POINTS; _tensor_plan and
+_sector_plan each own one rule's Jacobi axes and its node count, read off
+the integrand's degree, never off the closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ import numpy as np
 from .degrees import NonTelescoping, _gamma_ratio_ints, scalar_formal_degree
 from .domains import DomainParams
 from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
-                       beta_mass, gauss_jacobi)
+                       beta_mass, check_counts, gauss_jacobi)
 
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
@@ -67,8 +55,7 @@ class SelbergSpec:
         for name in ("a", "b", "gamma"):
             if type(value := getattr(self, name)) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise ValueError(f"rank r must be an int >= 1, got r={self.r!r}")
+        check_counts(("r", self.r, 1))
         if self.a < 0:
             raise ValueError("a must be >= 0")
         if self.gamma <= -1 or self.b <= -1:
@@ -130,71 +117,91 @@ def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
     return PiScaledRational(_gamma_ratio_ints([2 + a] * d.r, dens, 2), d.N)
 
 
-def _tensor_rule(rules):
-    """Coordinate grids and product weights of a tensor product of 1-D
-    rules; refuses, before building it, a grid over MAX_GRID_POINTS."""
-    r, nodes = len(rules), len(rules[0][0])
+def _tensor_plan(spec: SelbergSpec, nodes: int | None = None):
+    """(nodes, per-axis Jacobi (alpha, beta)) of the tensor rule, nodes by
+    default the exact count: against the weight (1-s)^gamma s^b on each axis
+    prod_{i<j} (s_i - s_j)^a has degree a(r-1) in each s_i, so for even
+    integer a, a(r-1)/2 + 1 nodes are exact for any real b, gamma > -1."""
+    a = spec.a
+    if nodes is None and (a.denominator != 1 or a.numerator % 2):
+        raise MethodUnsupported(f"gauss_jacobi needs even integer a, got a={a}")
+    nodes = a.numerator * (spec.r - 1) // 2 + 1 if nodes is None else nodes
+    return nodes, [(float(spec.gamma), float(spec.b))] * spec.r
+
+
+def _sector_plan(spec: SelbergSpec, nodes: int | None = None):
+    """(nodes, per-axis Jacobi (alpha, beta)) of the ordered-sector rule,
+    nodes by default the exact count: axis k = 1..r has the weight v_k^beta_k,
+    beta_k = (r-k) + gamma (r-k+1), and for integer a, b >= 0 the rest is a
+    polynomial of degree D_k = b m + a (m(m-1)/2 + (k-1) m), m = r-k+1, in
+    v_k, so floor(max_k D_k / 2) + 1 nodes are exact."""
+    r, a, b, g = spec.r, spec.a, spec.b, float(spec.gamma)
+    if nodes is None:
+        if a.denominator != 1 or b.denominator != 1 or b.numerator < 0:
+            raise MethodUnsupported(f"the sector rule has no exact node count"
+                                    f" at a={a}, b={b}; pass nodes")
+        a, b = a.numerator, b.numerator
+        nodes = max(b * m + a * (m * (m - 1) // 2 + (r - m) * m)
+                    for m in range(1, r + 1)) // 2 + 1
+    return nodes, [(0.0, (r - k) + g * (r - k + 1)) for k in range(1, r + 1)]
+
+
+def _tensor_rule(nodes: int, axes: list):
+    """Coordinate grids and product weights of the tensor product of the
+    Gauss-Jacobi rules on `axes`, one rule per distinct (alpha, beta);
+    refuses, before building any, a grid over MAX_GRID_POINTS."""
+    r = len(axes)
     if nodes ** r > MAX_GRID_POINTS:
         raise MethodUnsupported(f"a tensor rule at r={r} with {nodes} nodes "
                                 f"passes the limit of {MAX_GRID_POINTS} points")
+    rules = {ab: gauss_jacobi(nodes, *ab) for ab in dict.fromkeys(axes)}
     x, w = ([z.reshape(-1, *(1,) * (r - k - 1)) for k, z in enumerate(v)]
-            for v in zip(*rules))  # on axis k of r by broadcasting
+            for v in zip(*map(rules.get, axes)))  # axis k of r by broadcasting
     return x, functools.reduce(np.multiply, w)
 
 
 def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
-    rule = gauss_jacobi(nodes, float(spec.gamma), float(spec.b))
-    s, F = _tensor_rule([rule] * spec.r)
+    s, F = _tensor_rule(*_tensor_plan(spec, nodes))
     for i, j in itertools.combinations(range(spec.r), 2):
         F = F * (s[i] - s[j]) ** int(spec.a)
     return float(F.sum())
 
 
-def ordered_sector_quadrature(spec: SelbergSpec, nodes: int = 120) -> float:
+def ordered_sector_quadrature(spec: SelbergSpec, nodes=None) -> float:
     """Quadrature of the Selberg integrand via the ordered-sector map.
 
-    On the sector s_1 < ... < s_r put t_j = 1 - s_j = v_1 ... v_j.  The
-    Jacobian prod_k v_k^{r-k} and prod_j t_j^gamma = prod_k
-    v_k^{gamma (r-k+1)} make up the Gauss-Jacobi weight v_k^{beta_k},
-    beta_k = (r-k) + gamma (r-k+1) > -1, of axis k.  What remains,
-    r! prod_j (1-t_j)^b prod_{i<j} (t_i - t_j)^a, is for integer a, b >= 0
-    a polynomial of degree b m + a (m(m-1)/2 + (k-1) m) in v_k, m = r-k+1,
-    so `nodes` > half the largest of these degrees makes the rule exact.
+    On the sector s_1 < ... < s_r put t_j = 1 - s_j = v_1 ... v_j: the
+    Jacobian prod_k v_k^{r-k} and prod_j t_j^gamma = prod_k v_k^{gamma
+    (r-k+1)} make up axis k's Gauss-Jacobi weight, and r! prod_j (1-t_j)^b
+    prod_{i<j} (t_i - t_j)^a remains.  `nodes` per axis defaults to
+    _sector_plan's exact count (MethodUnsupported where there is none).
     """
-    r, g = spec.r, float(spec.gamma)
-    v, F = _tensor_rule([gauss_jacobi(nodes, 0.0, (r - k) + g * (r - k + 1))
-                         for k in range(1, r + 1)])
+    v, F = _tensor_rule(*_sector_plan(spec, nodes))
     t = list(itertools.accumulate(v, np.multiply))
-    F = F * float(math.factorial(r))
+    F = F * float(math.factorial(spec.r))
     if spec.b != 0:
         for tj in t:
             F = F * (1.0 - tj) ** float(spec.b)
-    for i, j in itertools.combinations(range(r), 2):
+    for i, j in itertools.combinations(range(spec.r), 2):
         F = F * (t[i] - t[j]) ** float(spec.a)
     return float(F.sum())
 
 
-def _exact_rule(rule, spec: SelbergSpec, nodes: int, limit: int,
-                method: str) -> NumericEstimate:
-    """rule(spec, nodes) at the node count that makes it exact, refused over
-    `limit`, with its rounding bound in units of eps |value|, eps = 2^-52.
-    Grid terms are >= 0, so relative errors per term bound the sum's: numpy
-    adds the nodes^r terms pairwise, eight lanes per block of <= 128, so a
-    term meets <= log2(nodes^r) + 17 additions and r(b+2) + (a+3) r(r-1)/2
-    roundings (weights, products t_j, powers of 1 - t_j and of differences,
-    x^a scaling the error of x a-fold); each axis's (alpha, beta) rule has
-    nodes within eps, weights within 16 + 4 nodes + L, L = sum |ln Gamma| at
-    alpha + 1, beta + 1, alpha + beta + 2 as mu_0 (1.5x the worst, n <= 30)."""
+def _exact_rule(rule, plan, spec, limit, method) -> NumericEstimate:
+    """rule(spec, nodes) at plan(spec)'s exact count, refused over `limit`,
+    with its rounding bound in units of eps |value|, eps = 2^-52 (README,
+    "Selberg quadrature sized by degree"): log2(nodes^r) + 17 additions and
+    r(b+2) + (a+3) r(r-1)/2 roundings per grid term, and per axis, the last
+    first, 16 + 4 nodes + L for the Gauss rule, L = sum |ln Gamma| at
+    alpha + 1, beta + 1, alpha + beta + 2 (1.5x the worst, n <= 30)."""
+    nodes, axes = plan(spec)
     if nodes > limit:
         raise MethodUnsupported(f"{method} at r={spec.r} needs {nodes} nodes "
                                 f"per axis to be exact; the budget is {limit}")
-    value, r = rule(spec, nodes), spec.r
-    b, g = float(spec.b), float(spec.gamma)
-    axes = ([(g, b)] * r if rule is _gauss_jacobi_tensor
-            else [(0.0, k + g * (k + 1)) for k in range(r)])  # sector betas
+    value, r, b = rule(spec, nodes), spec.r, float(spec.b)
     steps = ((nodes ** r).bit_length() + 17 + r * (b + 18 + 4 * nodes)
              + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
-                 abs(math.lgamma(x)) for al, be in axes
+                 abs(math.lgamma(x)) for al, be in reversed(axes)
                  for x in (al + 1, be + 1, al + be + 2)))
     return NumericEstimate(value, 0.0, steps * 2.0 ** -52 * abs(value), nodes,
                            method)
@@ -257,21 +264,14 @@ def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
                     seed: int = 0) -> NumericEstimate:
     """Numerical estimate of the Selberg integral.
 
-    method "gauss_jacobi": the tensor rule at a(r-1)/2 + 1 nodes per axis,
-    exact for even integer a >= 0; MethodUnsupported when that count
-    exceeds budget.  method "monte_carlo": budget = sample count, seed >= 0.
+    method "gauss_jacobi": the tensor rule at _tensor_plan's exact count,
+    MethodUnsupported over budget.  method "monte_carlo": budget = sample
+    count, seed >= 0.
     """
-    for name, value, least in (("budget", budget, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(
-                value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, got "
-                             f"{name}={value!r}")
+    check_counts(("budget", budget, 1), ("seed", seed, 0))
     if method == "gauss_jacobi":
-        if spec.a.denominator != 1 or int(spec.a) % 2 != 0:
-            raise MethodUnsupported(
-                f"gauss_jacobi needs even integer a, got a={spec.a}")
-        return _exact_rule(_gauss_jacobi_tensor, spec, int(spec.a)
-                           * (spec.r - 1) // 2 + 1, budget, method)
+        return _exact_rule(_gauss_jacobi_tensor, _tensor_plan, spec, budget,
+                           method)
     if method == "monte_carlo":
         value, stderr = _monte_carlo(spec, budget, seed)
         return NumericEstimate(value, stderr, 0.0, budget, method)
@@ -284,9 +284,8 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     The defining integral over the domain reduces, through the polar
     decomposition and s = t^2, to C times the Selberg integral with
     gamma = lambda - p.  The numeric route never touches the exact degree
-    formula.  Its one rule is exact: the tensor rule of selberg_numeric for
-    even a, else the ordered-sector rule at D // 2 + 1 nodes per axis, D its
-    largest degree on any axis, with budgets of at least 48 and 64 nodes.
+    formula.  Its one rule is exact: selberg_numeric's tensor rule for even
+    a, else ordered_sector_quadrature, with budgets of >= 48 and 64 nodes.
     error_bound bounds |product - 1|: the rule's rounding bound, scaled as
     the product is, plus 2^-53 |product| times 2 for the two products and
     N + 4 for each of float(d), float(C) (rounding c, pi, pi^N, c pi^(+-N)).
@@ -302,11 +301,8 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     if d.a % 2 == 0:
         est = selberg_numeric(spec, "gauss_jacobi", max(48, budget))
     else:
-        degree = max(d.b * m + d.a * (m * (m - 1) // 2 + (d.r - m) * m)
-                     for m in range(1, d.r + 1))
-        est = _exact_rule(ordered_sector_quadrature, spec, degree // 2 + 1,
+        est = _exact_rule(ordered_sector_quadrature, _sector_plan, spec,
                           max(64, budget), "ordered_quadrature")
-
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse
     roundings = (d.N + 5) * 2.0 ** -52 * abs(product)  # d, C at pi^-N, pi^N

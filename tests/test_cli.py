@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -338,6 +339,20 @@ def test_suite_exit_codes(runner):
     res = runner.invoke(main, ["suite", "disc", "--convention", "paper"])
     assert res.exit_code == 1  # documented completeness failure
     assert '"verdict": "FAIL"' in res.output
+
+
+@pytest.mark.parametrize("args, code, digest", [
+    (["all", "--seed", "0"], 0, "01cfc8b093090b3be6362200fc8bdf81"
+                                "583835a2e88816fab98673df6510be85"),
+    (["disc", "--convention", "paper", "--seed", "0"], 1,
+     "71734fce9a5258cd196582f362e39689747258c3df918f6e248e283c6be86066")])
+def test_suite_stream_bytes_are_pinned(runner, args, code, digest):
+    # Two runs agreeing with each other pass a refactor that moves a digit;
+    # the SHA-256 of the stream does not.  A deliberate change of any
+    # reported value or bound updates these digests.
+    res = runner.invoke(main, ["suite", *args])
+    assert res.exit_code == code
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def test_suite_out_writes_its_stdout(runner, tmp_path):

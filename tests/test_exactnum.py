@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -356,3 +357,57 @@ def test_mu0_is_the_beta_function_to_a_few_eps_past_gamma_overflow():
         with mpmath.workdps(40):
             ref = mpmath.beta(_mp(alpha) + 1, _mp(beta) + 1)
             assert abs(w / ref - 1) <= 8 * 2.0 ** -52, (alpha, beta)
+
+
+def _count_entry_points():
+    from wehrl_lab import compact, disc, selberg
+    f = PolyFun(2, (1, 1))
+    return {
+        "maximize_wehrl": lambda x: disc.maximize_wehrl(2, 2, x),
+        "maximize_wehrl.seed": lambda x: disc.maximize_wehrl(2, 2, 8, x),
+        "wehrl_check": lambda x: disc.wehrl_check(f, x),
+        "improved_check": lambda x: disc.improved_check(f, x),
+        "q1_iterated": lambda x: disc.q1_iterated(f, x),
+        "PolyFun.power": lambda x: f.power(x),
+        "KernelFun.to_polyfun": lambda x: disc.KernelFun(
+            2, Fraction(1, 2), x).to_polyfun(),
+        "ode_solve": lambda x: disc.ode_solve(2, Fraction(1, 2), x),
+        "wehrl_compact_check.n": lambda x: compact.wehrl_compact_check(
+            [1.0, 0.0, 0.0], 2, x),
+        "wehrl_compact_check.m": lambda x: compact.wehrl_compact_check(
+            [1.0, 0.0, 0.0], x, 2),
+        "translate_vector": lambda x: compact.translate_vector(
+            x, 0.1, 0.2, 0.3),
+        "SelbergSpec": lambda x: selberg.SelbergSpec(x, 1, 0, 0),
+        "selberg_numeric": lambda x: selberg.selberg_numeric(
+            selberg.SelbergSpec(2, 2, 0, 0), "gauss_jacobi", x),
+    }
+
+
+@pytest.mark.parametrize("entry, name, least, good", [
+    ("maximize_wehrl", "degree", 4, 8), ("maximize_wehrl.seed", "seed", 0, 1),
+    ("wehrl_check", "n", 1, 2),
+    ("improved_check", "n", 2, 2), ("q1_iterated", "n", 2, 2),
+    ("PolyFun.power", "n", 1, 2), ("KernelFun.to_polyfun", "degree", 0, 4),
+    ("ode_solve", "degree", 0, 4), ("wehrl_compact_check.n", "n", 1, 2),
+    ("wehrl_compact_check.m", "m", 0, 2), ("translate_vector", "m", 0, 2),
+    ("SelbergSpec", "r", 1, 2), ("selberg_numeric", "budget", 1, 60)])
+def test_count_arguments_are_gated_by_name(entry, name, least, good):
+    # A float count failed deep inside with a bare TypeError naming no
+    # argument, and True ran as 1 (a bool below `least` meets the range
+    # check first); the gate names the argument.
+    call = _count_entry_points()[entry]
+    for bad in (float(good), Fraction(good)) + (True,) * (least <= 1):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "
+                                             f"{least}, got {name}="
+                                             f"{re.escape(repr(bad))}$"):
+            call(bad)
+    call(good)
+    call(np.int64(good))
+
+
+def test_count_gate_names_the_first_bad_argument():
+    exactnum.check_counts(("a", 0, 0), ("b", np.int32(3), 1))
+    with pytest.raises(ValueError, match=r"^b must be an int >= 1, got "
+                                         r"b=0$"):
+        exactnum.check_counts(("a", 0, 0), ("b", 0, 1), ("c", 0.5, 0))

@@ -21,7 +21,7 @@ from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
                                ordered_sector_quadrature, selberg_closed,
                                selberg_closed_hp, selberg_numeric,
                                verify_degree_integral)
-from wehrl_lab.exactnum import PiScaledRational, beta_mass
+from wehrl_lab.exactnum import PiScaledRational, beta_mass, gauss_jacobi
 
 
 def test_closed_form_rank_one_is_beta():
@@ -418,9 +418,58 @@ def test_tensor_rule_stays_within_its_rounding_bound(r, half_a, b, g):
 @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 4), gammas)
 def test_sector_rule_stays_within_its_rounding_bound(r, a, b, g):
     spec, nodes = SelbergSpec(r, a, b, g), _sector_nodes(r, a, b)
-    _assert_within_bound(sb._exact_rule(ordered_sector_quadrature, spec,
-                                        nodes, nodes, "ordered_quadrature"),
-                         spec)
+    _assert_within_bound(sb._exact_rule(ordered_sector_quadrature,
+                                        sb._sector_plan, spec, nodes,
+                                        "ordered_quadrature"), spec)
+
+
+@pytest.mark.parametrize("rule, plan, case", [
+    (_gauss_jacobi_tensor, sb._tensor_plan, (3, 4, 2, Fraction(5, 2))),
+    (ordered_sector_quadrature, sb._sector_plan, (3, 1, 0, Fraction(1, 2)))])
+def test_rounding_bound_reads_the_rules_own_axes(monkeypatch, rule, plan,
+                                                 case):
+    # The bound's |ln Gamma| terms are those of the Gauss-Jacobi rules the
+    # grid is built from: record each rule's (alpha, beta) and recompute.
+    # They are summed from the last axis to the first, an order that fixes
+    # the bound's last bit at this sector case.
+    calls = []
+
+    def spy(n, alpha, beta):
+        calls.append((alpha, beta))
+        return gauss_jacobi(n, alpha, beta)
+
+    spec = SelbergSpec(*case)
+    monkeypatch.setattr(sb, "gauss_jacobi", spy)
+    est = sb._exact_rule(rule, plan, spec, 100, "method")
+    r, nodes = spec.r, est.samples_or_nodes
+    axes = calls * r if len(calls) == 1 else calls  # one per (alpha, beta)
+    assert len(axes) == r and len(set(axes)) == len(calls)
+    steps = ((nodes ** r).bit_length() + 17 + r * (float(spec.b) + 18
+                                                     + 4 * nodes)
+             + r * (r - 1) / 2 * (float(spec.a) + 3)
+             + sum(abs(math.lgamma(x)) for al, be in axes[::-1]
+                   for x in (al + 1, be + 1, al + be + 2)))
+    assert est.abs_err_bound == steps * 2.0 ** -52 * abs(est.value)
+
+
+def test_sector_rule_defaults_to_its_exact_count():
+    # The default is the 2-node exact rule at (3, 1, 0, 0), not a guessed
+    # 120^3-point grid (a 55 MB traced peak); without an exact count (a or
+    # b not an integer >= 0) it asks for nodes.
+    spec = SelbergSpec(3, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        got = ordered_sector_quadrature(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert got == pytest.approx(float(selberg_closed(spec)), rel=1e-15)
+    assert got == ordered_sector_quadrature(spec, _sector_nodes(3, 1, 0))
+    for case in ((2, Fraction(1, 2), 0, 0), (2, 1, Fraction(1, 2), 0)):
+        with pytest.raises(MethodUnsupported, match="pass nodes"):
+            ordered_sector_quadrature(SelbergSpec(*case))
+        assert ordered_sector_quadrature(SelbergSpec(*case), 40) > 0
 
 
 @pytest.mark.parametrize("r, a, b, nodes", [
@@ -514,7 +563,7 @@ def test_grid_over_the_limit_raises_before_allocating():
         with pytest.raises(MethodUnsupported, match=r"r=8 with 8 nodes"):
             selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
         with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
-            ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0))
+            ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0), nodes=120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
