@@ -53,8 +53,6 @@ class Su2Irrep:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("highest weight m must be >= 0")
         check_counts(("m", self.m, 0))
 
     @property
@@ -205,6 +203,7 @@ def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     sign (a shift by pi) is dropped; it is a polynomial of degree nm in
     t = cos^2(beta/2), whose Haar measure is dt.
     """
+    check_counts(("m", m, 0), ("n", n, 0))
     v = _vector(v, m)
     size, nodes = _rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
@@ -229,8 +228,6 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
     The algebraic route gives ||P_{nm}(v^{(x) n})||^2 / (nm+1); the numeric
     route is Haar quadrature.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     check_counts(("n", n, 1), ("m", m, 0))
     v = _vector(v, m)
     if not abs(math.sqrt(v.real @ v.real + v.imag @ v.imag) - 1) <= 1e-12:
@@ -247,8 +244,7 @@ def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
 def haar_moment(p: int, q: int) -> float:
     """int |k11|^{2p} |k12|^{2q} dk over SU(2) = int_0^1 t^p (1 - t)^q dt,
     t = cos^2(beta/2); closed form B(p + 1, q + 1) = p!q!/(p+q+1)!."""
-    if p < 0 or q < 0:
-        raise ValueError("p, q must be nonnegative")
+    check_counts(("p", p, 0), ("q", q, 0))
     t, wt = gauss_jacobi(_rule_sizes(p + q)[1], 0.0, 0.0)
     return float(np.sum(wt * t ** p * (1.0 - t) ** q))
 
@@ -261,6 +257,7 @@ def translate_fit_distance(v: Sequence[complex], m: int) -> float:
     upper bound on the distance to the equality orbit, and that distance on
     the suite's and the benchmark's translates and near-translates.  Raises
     NoConvergence, or FloatRangeExceeded."""
+    check_counts(("m", m, 0))
     v = _unit(_vector(v, m))
     kappa2 = np.array(_rising_over_factorial(-m, m + 1, False))
     rho = _coherent_fit([v, v[::-1]], kappa2, math.inf)
@@ -276,8 +273,7 @@ def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:
     with X_0 = e_top e_top^T and X_{k+1} = L X_k + X_k L^T for the lowering
     matrix L of V_m.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_counts(("m", m, 0), ("n", n, 2))
     v = _vector(v, m)
     lhs = math.sqrt(_top_mass([v] * n))
     L = Su2Irrep(m).lowering_matrix()
@@ -293,4 +289,5 @@ def reduction_consistency(v: Sequence[complex], m: int, n: int) -> float:
 
 
 def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
+    check_counts(("m", m, 0))
     return _unit(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational, rising_ints
+from .exactnum import PiScaledRational, check_counts, rising_ints
 
 __all__ = [
     "NonTelescoping",
@@ -186,8 +186,7 @@ def hc_degree_root_product(rs: RootSystemPreset, lam) -> Fraction:
 def wehrl_constant(d: DomainParams, lam, n: int) -> PiScaledRational:
     """Sharp constant d_lambda^n / d_{n lambda} in the L^2 -> L^{2n} bound."""
     lam = lam if type(lam) is Fraction else Fraction(lam)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_counts(("n", n, 1))
     return scalar_formal_degree(d, lam) ** n / scalar_formal_degree(d, n * lam)
 
 

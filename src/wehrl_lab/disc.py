@@ -228,8 +228,6 @@ class PolyFun:
                         np.convolve)
 
     def power(self, n: int) -> "PolyFun":
-        if n < 1:
-            raise ValueError("n must be >= 1")
         check_counts(("n", n, 1))
         return reduce(mul, [self] * (n - 1), self)
 
@@ -299,7 +297,8 @@ def norm_p_numeric(f: PolyFun, p: int) -> float:
     """Quadrature of the L^p integral, normalized to match the doubled-weight
     L^2 norm: returns (p*nu/2 - 1) * (1/pi) int |f|^p (1-|z|^2)^{p nu/2 - 2} dm,
     so that for even p it equals ||f^{p/2}||^2 at weight p*nu/2."""
-    if p % 2 != 0 or p < 2:
+    check_counts(("p", p, 2))
+    if p % 2:
         raise ValueError("p must be a positive even integer")
     return _finite(float(p * f.nu / 2 - 1) * matrix_coeff_lp(f, p // 2))
 
@@ -308,6 +307,7 @@ def matrix_coeff_lp(f: PolyFun, n: int) -> float:
     """(1/pi) int_D (1-|z|^2)^{n nu - 2} |f(z)|^{2n} dm(z), the L^{2n}(G)
     integral of the matrix coefficient against the lowest weight vector.
     Equals ||f^n||^2 at weight n*nu divided by (n*nu - 1)."""
+    check_counts(("n", n, 0))
     alpha = float(n * f.nu - 2)
     if alpha <= -1:
         raise NonIntegrable("need n*nu > 1")
@@ -365,13 +365,12 @@ class ProjectionSpec:
     constant_convention: str = "corrected_minus_one"
 
     def __post_init__(self):
-        if type(self.k) is not int:  # a bool is no k either
-            raise ValueError(f"a projection needs an int k, got {self.k!r}")
+        check_counts(("k", self.k, 0))
         self.__dict__.update({k: x if type(x) is Fraction else Fraction(x)
                               for k, x in (("mu", self.mu), ("nu", self.nu))})
-        if self.k < 0 or min(self.mu, self.nu) <= 1:
-            raise ValueError(f"a projection needs k >= 0 and mu, nu > 1, got "
-                             f"k = {self.k}, mu = {self.mu}, nu = {self.nu}")
+        if min(self.mu, self.nu) <= 1:
+            raise ValueError(f"a projection needs mu, nu > 1, got "
+                             f"mu = {self.mu}, nu = {self.nu}")
         if self.constant_convention not in ("paper_plus_one",
                                             "corrected_minus_one"):
             raise ValueError(f"unknown convention {self.constant_convention!r}")
@@ -475,13 +474,16 @@ def _q_stream(lanes: tuple, spec: ProjectionSpec):
     x0 = a * d + c * b + spec.shift * L
     ladders, bounds = [], []
     for lane in lanes:
-        rows, (P, Q), walk, counts = lane.tolist(), lane.shape, [], [0]
+        rows, (P, Q), counts = lane.tolist(), lane.shape, [0]
+        n, p, x = [], [], []  # N = p + q, p and the entry, N going down
         for N in reversed(range(P + Q - 1)):
-            walk += [(N, j, x) for j in range(max(0, N - Q + 1), min(N + 1, P))
-                     if (x := rows[j][N - j])]
-            counts.append(len(walk))
-        ladders.append(_hahn_ladder(spec.mu, spec.nu, *(
-            [entry[t] for entry in walk] for t in range(3))))  # n, p, x
+            for j in range(max(0, N - Q + 1), min(N + 1, P)):
+                if value := rows[j][N - j]:
+                    n.append(N)
+                    p.append(j)
+                    x.append(value)
+            counts.append(len(x))
+        ladders.append(_hahn_ladder(spec.mu, spec.nu, n, p, x))
         bounds.append(list(pairwise(counts))[::-1])  # N = 0, 1, ...
     for k in count():
         yield [[sum(U[i:j]) for i, j in ends[k:]] + [0] * min(k, len(ends))
@@ -496,8 +498,6 @@ def q1_iterated(f: PolyFun, n: int,
     """Component of f^{(x) n} in the first subleading summand, computed by
     collapsing the leading part of the first n-1 factors and projecting with
     k = 1 against the last.  Identically zero for every f."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     check_counts(("n", n, 2))
     head = reduce(partial(_gaussian, op=np.convolve), [f._lanes] * (n - 1))
     return _project(*_gaussian(head, f._lanes, np.multiply.outer), f.exact,
@@ -552,8 +552,6 @@ def completeness_check(f: PolyFun, g: PolyFun,
 @_in_float_range
 def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     check_counts(("n", n, 1))
     lhs, rhs = product_norm2([f] * n, n * f.nu), norm2_exact(f) ** n
     return float(lhs), float(rhs), float(rhs - lhs)
@@ -586,8 +584,6 @@ def improved_check(f: PolyFun, n: int, convention: str = "sharp"
     remainder.  Every value is exact, float input at its dyadic values; the
     report holds each one rounded once, and passed is the exact sign.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     check_counts(("n", n, 2))
     projection = {"sharp": "corrected_minus_one", "paper": "paper_plus_one"}
     if convention not in projection:
@@ -619,8 +615,6 @@ class KernelFun:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"kernel degree must be >= 0, got {self.degree}")
         check_counts(("degree", self.degree, 0))
 
     def to_polyfun(self) -> PolyFun:
@@ -662,8 +656,6 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     matching the initial slope.  Raises OutsideBergman for |c| >= nu.
     """
     nu = Fraction(nu)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
     check_counts(("degree", degree, 0))
     rational = isinstance(c, (int, Fraction)) and not isinstance(c, bool)
     if abs(complex(c)) >= float(nu):
@@ -836,10 +828,6 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     """
     if Fraction(nu) <= 1:
         raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
-    if degree < 4:
-        raise ValueError("degree must be >= 4")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     check_counts(("n", n, 2), ("degree", degree, 4), ("seed", seed, 0))
     h, H = (np.array(_weights(k * Fraction(nu), k * degree + 1))
             for k in (1, n))

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum import check_counts
+
 
 class NotAdmissible(ValueError):
     """Weight parameter outside the discrete-series range lambda > p - 1."""
@@ -27,10 +29,7 @@ class DomainParams:
     b: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank r must be >= 1")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("root multiplicities a, b must be >= 0")
+        check_counts(("r", self.r, 1), ("a", self.a, 0), ("b", self.b, 0))
 
     @property
     def p(self) -> int:
@@ -51,6 +50,7 @@ def hc_admissible(d: DomainParams, lam) -> bool:
 
 
 def su_pq(p: int, q: int) -> DomainParams:
+    check_counts(("p", p, 1), ("q", q, 1))
     if p < q:
         p, q = q, p
     return DomainParams(f"SU({p},{q})", r=q, a=2, b=p - q)
@@ -62,13 +62,13 @@ def sp_r(r: int) -> DomainParams:
 
 def so_2n(n: int) -> DomainParams:
     """Tube-type SO(2,n), n >= 3: rank two, a = n - 2."""
-    if n < 3:
-        raise ValueError("SO(2,n) preset requires n >= 3")
+    check_counts(("n", n, 3))
     return DomainParams(f"SO(2,{n})", r=2, a=n - 2, b=0)
 
 
 def so_star(n: int) -> DomainParams:
     """SO*(2n), n >= 2."""
+    check_counts(("n", n, 2))
     return DomainParams(f"SO*({2 * n})", r=n // 2, a=4, b=0 if n % 2 == 0 else 2)
 
 

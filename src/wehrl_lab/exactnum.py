@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Integral, Rational
+from numbers import Rational
 from operator import mul
 
 import numpy as np
@@ -38,7 +38,7 @@ def check_counts(*counts) -> None:
     for name, value, least in counts:
         if isinstance(value, bool) or not isinstance(
                 value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, got "
+            raise ValueError(f"{name} must be >= {least} and an int, got "
                              f"{name}={value!r}")
 
 
@@ -82,10 +82,10 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     alpha - beta) / (1 - x^2).  p_k^2 <= K = mu_0/w overflows only where w
     underflows; w is 0 there.  4e-13 from 40-digit weights up to n = 514.
     Up to _FLOAT_LOOP_NODES nodes the same pass runs node by node on floats."""
-    if (isinstance(n, bool) or not isinstance(n, Integral) or n < 1
-            or not (-1 < alpha < math.inf and -1 < beta < math.inf)):
-        raise ValueError(f"Gauss-Jacobi needs int n >= 1 and alpha, beta > -1"
-                         f" finite; got n, alpha, beta = {n}, {alpha}, {beta}")
+    check_counts(("n", n, 1))
+    if not (-1 < alpha < math.inf and -1 < beta < math.inf):
+        raise ValueError(f"Gauss-Jacobi needs alpha, beta > -1 finite; got "
+                         f"alpha, beta = {alpha}, {beta}")
     alpha, beta = float(alpha), float(beta)  # a Fraction alike at every n
     ab = alpha + beta
     if 2 * n + ab >= 1e77:  # (2k + alpha + beta)^4 in b_k would overflow

@@ -9,9 +9,9 @@ form so they can act as oracles for the exact degree computations: a
 tensor Gauss-Jacobi rule for even a, an ordered-sector map 1 - s_j = v_1
 ... v_j that removes the |s_i - s_j| kink, and importance-sampled Monte
 Carlo with Beta(b+1, gamma+1) proposals (_monte_carlo).  Each quadrature
-runs one exact rule, refusing grids over MAX_GRID_POINTS; _tensor_plan and
-_sector_plan each own one rule's Jacobi axes and its node count, read off
-the integrand's degree, never off the closed form.
+runs one exact rule on one grid, refusing grids over MAX_GRID_POINTS;
+_tensor_plan and _sector_plan each own one rule's Jacobi axes and its node
+count, read off the integrand's degree, never off the closed form.
 """
 
 from __future__ import annotations
@@ -117,16 +117,16 @@ def laguerre_constant_C(d: DomainParams) -> PiScaledRational:
     return PiScaledRational(_gamma_ratio_ints([2 + a] * d.r, dens, 2), d.N)
 
 
-def _tensor_plan(spec: SelbergSpec, nodes: int | None = None):
-    """(nodes, per-axis Jacobi (alpha, beta)) of the tensor rule, nodes by
-    default the exact count: against the weight (1-s)^gamma s^b on each axis
+def _tensor_plan(spec: SelbergSpec):
+    """(nodes, per-axis Jacobi (alpha, beta)) of the tensor rule, nodes the
+    exact count: against the weight (1-s)^gamma s^b on each axis
     prod_{i<j} (s_i - s_j)^a has degree a(r-1) in each s_i, so for even
     integer a, a(r-1)/2 + 1 nodes are exact for any real b, gamma > -1."""
     a = spec.a
-    if nodes is None and (a.denominator != 1 or a.numerator % 2):
+    if a.denominator != 1 or a.numerator % 2:
         raise MethodUnsupported(f"gauss_jacobi needs even integer a, got a={a}")
-    nodes = a.numerator * (spec.r - 1) // 2 + 1 if nodes is None else nodes
-    return nodes, [(float(spec.gamma), float(spec.b))] * spec.r
+    return (a.numerator * (spec.r - 1) // 2 + 1,
+            [(float(spec.gamma), float(spec.b))] * spec.r)
 
 
 def _sector_plan(spec: SelbergSpec, nodes: int | None = None):
@@ -160,8 +160,8 @@ def _tensor_rule(nodes: int, axes: list):
     return x, functools.reduce(np.multiply, w)
 
 
-def _gauss_jacobi_tensor(spec: SelbergSpec, nodes: int) -> float:
-    s, F = _tensor_rule(*_tensor_plan(spec, nodes))
+def _gauss_jacobi_tensor(spec: SelbergSpec, s: list, F) -> float:
+    """The tensor rule's sum on its grid s, weights F (_tensor_plan)."""
     for i, j in itertools.combinations(range(spec.r), 2):
         F = F * (s[i] - s[j]) ** int(spec.a)
     return float(F.sum())
@@ -176,7 +176,11 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes=None) -> float:
     prod_{i<j} (t_i - t_j)^a remains.  `nodes` per axis defaults to
     _sector_plan's exact count (MethodUnsupported where there is none).
     """
-    v, F = _tensor_rule(*_sector_plan(spec, nodes))
+    return _sector_sum(spec, *_tensor_rule(*_sector_plan(spec, nodes)))
+
+
+def _sector_sum(spec: SelbergSpec, v: list, F) -> float:
+    """The sector rule's sum on its grid v, weights F (_sector_plan)."""
     t = list(itertools.accumulate(v, np.multiply))
     F = F * float(math.factorial(spec.r))
     if spec.b != 0:
@@ -188,17 +192,18 @@ def ordered_sector_quadrature(spec: SelbergSpec, nodes=None) -> float:
 
 
 def _exact_rule(rule, plan, spec, limit, method) -> NumericEstimate:
-    """rule(spec, nodes) at plan(spec)'s exact count, refused over `limit`,
-    with its rounding bound in units of eps |value|, eps = 2^-52 (README,
-    "Selberg quadrature sized by degree"): log2(nodes^r) + 17 additions and
-    r(b+2) + (a+3) r(r-1)/2 roundings per grid term, and per axis, the last
-    first, 16 + 4 nodes + L for the Gauss rule, L = sum |ln Gamma| at
-    alpha + 1, beta + 1, alpha + beta + 2 (1.5x the worst, n <= 30)."""
+    """rule(spec, grid, weights) on the one grid of plan(spec)'s exact count
+    and axes, refused over `limit` before it is built, with its rounding
+    bound in units of eps |value|, eps = 2^-52 (README, "Selberg quadrature
+    sized by degree"): log2(nodes^r) + 17 additions and r(b+2) + (a+3)
+    r(r-1)/2 roundings per grid term, and per axis, the last first, 16 + 4
+    nodes + L for the Gauss rule, L = sum |ln Gamma| at alpha + 1, beta + 1,
+    alpha + beta + 2 (1.5x the worst, n <= 30)."""
     nodes, axes = plan(spec)
     if nodes > limit:
         raise MethodUnsupported(f"{method} at r={spec.r} needs {nodes} nodes "
                                 f"per axis to be exact; the budget is {limit}")
-    value, r, b = rule(spec, nodes), spec.r, float(spec.b)
+    value, r, b = rule(spec, *_tensor_rule(nodes, axes)), spec.r, float(spec.b)
     steps = ((nodes ** r).bit_length() + 17 + r * (b + 18 + 4 * nodes)
              + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
                  abs(math.lgamma(x)) for al, be in reversed(axes)
@@ -290,6 +295,7 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     the product is, plus 2^-53 |product| times 2 for the two products and
     N + 4 for each of float(d), float(C) (rounding c, pi, pi^N, c pi^(+-N)).
     """
+    check_counts(("budget", budget, 1))
     d_exact, lam = scalar_formal_degree(d, lam), Fraction(lam)  # NotAdmissible
     spec = SelbergSpec(d.r, d.a, d.b, lam - d.p)
     C = laguerre_constant_C(d)
@@ -301,8 +307,8 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     if d.a % 2 == 0:
         est = selberg_numeric(spec, "gauss_jacobi", max(48, budget))
     else:
-        est = _exact_rule(ordered_sector_quadrature, _sector_plan, spec,
-                          max(64, budget), "ordered_quadrature")
+        est = _exact_rule(_sector_sum, _sector_plan, spec, max(64, budget),
+                          "ordered_quadrature")
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse
     roundings = (d.N + 5) * 2.0 ** -52 * abs(product)  # d, C at pi^-N, pi^N

@@ -150,7 +150,7 @@ def test_disc_subcommands(runner):
                                "7/2", "--k", "-1", "--f", "1,2", "--g", "1"])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "Invalid value for '--k'" in res.output
-    assert "needs k >= 0" in res.output and "got k = -1," in res.output
+    assert "k must be >= 0 and an int, got k=-1" in res.output
     assert "Traceback" not in res.output
 
     res = runner.invoke(main, ["disc", "ode", "--nu", "2", "--c", "1/2",

@@ -81,7 +81,8 @@ def test_translate_vector_closed_form_matches_group_element():
 
 def test_translate_vector_refuses_a_negative_highest_weight():
     # m = -1 gave an empty array.
-    with pytest.raises(ValueError, match=r"^highest weight m must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^m must be >= 0 and an int, got "
+                                         r"m=-1$"):
         translate_vector(-1, 0.1, 0.2, 0.3)
 
 
@@ -415,10 +416,12 @@ def test_unit_vector_required():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             wehrl_compact_check([1.0, 0.0], 1, n)
-    with pytest.raises(ValueError, match="^n must be >= 2$"):
+    with pytest.raises(ValueError, match="^n must be >= 2 and an int, got "
+                                         "n=1$"):
         reduction_consistency([1.0, 0.0], 1, 1)
-    for p, q in ((-1, 2), (2, -1)):
-        with pytest.raises(ValueError, match="^p, q must be nonnegative$"):
+    for p, q, name in ((-1, 2, "p"), (2, -1, "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0 and an "
+                                             f"int, got {name}=-1$"):
             haar_moment(p, q)
 
 

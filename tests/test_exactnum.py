@@ -216,12 +216,14 @@ def test_gauss_jacobi_matches_a_40_digit_reference(n, alpha, beta):
 
 
 def test_gauss_jacobi_refuses_bad_sizes_and_weights():
-    for args in ((0, 0.0, 0.0), (-2, 0.0, 0.0), (3, -1.0, 0.0),
-                 (3, 0.0, -1.0), (3, -2.5, 0.5), (3.0, 0.0, 0.0),
-                 (True, 0.0, 0.0), (Fraction(3), 0.0, 0.0),
+    for n in (0, -2, 3.0, True, Fraction(3), None):
+        with pytest.raises(ValueError, match=f"^n must be >= 1 and an int, "
+                                             f"got n={re.escape(repr(n))}$"):
+            gauss_jacobi(n, 0.0, 0.0)
+    for args in ((3, -1.0, 0.0), (3, 0.0, -1.0), (3, -2.5, 0.5),
                  (5, math.nan, 0.0), (5, 0.0, math.inf),
                  (5, -math.inf, 0.0)):
-        with pytest.raises(ValueError, match="n >= 1 and alpha, beta > -1"):
+        with pytest.raises(ValueError, match="needs alpha, beta > -1"):
             gauss_jacobi(*args)
     # A numpy integer is a size like any other.
     for got, want in zip(gauss_jacobi(np.int64(3), 0.5, 0.0),
@@ -360,8 +362,8 @@ def test_mu0_is_the_beta_function_to_a_few_eps_past_gamma_overflow():
 
 
 def _count_entry_points():
-    from wehrl_lab import compact, disc, selberg
-    f = PolyFun(2, (1, 1))
+    from wehrl_lab import compact, degrees, disc, domains, selberg
+    f, disc_domain = PolyFun(2, (1, 1)), domains.PRESETS["disc"]
     return {
         "maximize_wehrl": lambda x: disc.maximize_wehrl(2, 2, x),
         "maximize_wehrl.seed": lambda x: disc.maximize_wehrl(2, 2, 8, x),
@@ -381,6 +383,35 @@ def _count_entry_points():
         "SelbergSpec": lambda x: selberg.SelbergSpec(x, 1, 0, 0),
         "selberg_numeric": lambda x: selberg.selberg_numeric(
             selberg.SelbergSpec(2, 2, 0, 0), "gauss_jacobi", x),
+        "verify_degree_integral": lambda x: selberg.verify_degree_integral(
+            disc_domain, 3, x),
+        "ProjectionSpec": lambda x: disc.ProjectionSpec(2, 2, x),
+        "matrix_coeff_lp": lambda x: disc.matrix_coeff_lp(f, x),
+        "norm_p_numeric": lambda x: disc.norm_p_numeric(f, x),
+        "wehrl_integral_numeric.n": lambda x: compact.wehrl_integral_numeric(
+            [1.0, 0.0, 0.0, 0.0], 3, x),
+        "wehrl_integral_numeric.m": lambda x: compact.wehrl_integral_numeric(
+            [1.0, 0.0, 0.0], x, 2),
+        "translate_fit_distance": lambda x: compact.translate_fit_distance(
+            [1.0, 0.0], x),
+        "reduction_consistency.n": lambda x: compact.reduction_consistency(
+            [1.0, 0.0, 0.0], 2, x),
+        "reduction_consistency.m": lambda x: compact.reduction_consistency(
+            [1.0, 0.0, 0.0], x, 2),
+        "haar_moment.p": lambda x: compact.haar_moment(x, 0),
+        "haar_moment.q": lambda x: compact.haar_moment(0, x),
+        "random_unit_vector": lambda x: compact.random_unit_vector(
+            x, np.random.default_rng(0)),
+        "wehrl_constant": lambda x: degrees.wehrl_constant(disc_domain, 2, x),
+        "DomainParams.r": lambda x: domains.DomainParams("custom", x, 0, 0),
+        "DomainParams.a": lambda x: domains.DomainParams("custom", 2, x, 0),
+        "DomainParams.b": lambda x: domains.DomainParams("custom", 1, 0, x),
+        "su_pq.p": lambda x: domains.su_pq(x, 1),
+        "su_pq.q": lambda x: domains.su_pq(2, x),
+        "sp_r": lambda x: domains.sp_r(x),
+        "so_2n": lambda x: domains.so_2n(x),
+        "so_star": lambda x: domains.so_star(x),
+        "gauss_jacobi": lambda x: exactnum.gauss_jacobi(x, 0.0, 0.0),
     }
 
 
@@ -391,23 +422,63 @@ def _count_entry_points():
     ("PolyFun.power", "n", 1, 2), ("KernelFun.to_polyfun", "degree", 0, 4),
     ("ode_solve", "degree", 0, 4), ("wehrl_compact_check.n", "n", 1, 2),
     ("wehrl_compact_check.m", "m", 0, 2), ("translate_vector", "m", 0, 2),
-    ("SelbergSpec", "r", 1, 2), ("selberg_numeric", "budget", 1, 60)])
+    ("SelbergSpec", "r", 1, 2), ("selberg_numeric", "budget", 1, 60),
+    ("verify_degree_integral", "budget", 1, 60),
+    ("ProjectionSpec", "k", 0, 2), ("matrix_coeff_lp", "n", 0, 2),
+    ("norm_p_numeric", "p", 2, 4), ("wehrl_integral_numeric.n", "n", 0, 2),
+    ("wehrl_integral_numeric.m", "m", 0, 2),
+    ("translate_fit_distance", "m", 0, 1),
+    ("reduction_consistency.n", "n", 2, 3),
+    ("reduction_consistency.m", "m", 0, 2), ("haar_moment.p", "p", 0, 1),
+    ("haar_moment.q", "q", 0, 1), ("random_unit_vector", "m", 0, 2),
+    ("wehrl_constant", "n", 1, 2), ("DomainParams.r", "r", 1, 2),
+    ("DomainParams.a", "a", 0, 1), ("DomainParams.b", "b", 0, 1),
+    ("su_pq.p", "p", 1, 2), ("su_pq.q", "q", 1, 1), ("sp_r", "r", 1, 2),
+    ("so_2n", "n", 3, 4), ("so_star", "n", 2, 4),
+    ("gauss_jacobi", "n", 1, 3)])
 def test_count_arguments_are_gated_by_name(entry, name, least, good):
-    # A float count failed deep inside with a bare TypeError naming no
-    # argument, and True ran as 1 (a bool below `least` meets the range
-    # check first); the gate names the argument.
+    # A float or None count failed deep inside with a bare TypeError naming
+    # no argument, or ran as a silent wrong answer, and True ran as 1; the
+    # gate names the argument, and so does the value one below `least`.
     call = _count_entry_points()[entry]
-    for bad in (float(good), Fraction(good)) + (True,) * (least <= 1):
-        with pytest.raises(ValueError, match=f"^{name} must be an int >= "
-                                             f"{least}, got {name}="
+    for bad in (float(good), Fraction(good), True, None, least - 1):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least} "
+                                             f"and an int, got {name}="
                                              f"{re.escape(repr(bad))}$"):
             call(bad)
     call(good)
     call(np.int64(good))
 
 
+def test_silent_answers_and_bare_errors_are_refused_by_name():
+    # Each call returned a wrong value, raised a bare TypeError, or failed
+    # inside gauss_jacobi naming a node count it was never passed.
+    from wehrl_lab import compact, degrees, disc, domains
+    f, v = PolyFun(2, (1, 1)), [1.0, 0.0, 0.0, 0.0]
+    cases = [
+        (lambda: degrees.wehrl_constant(domains.PRESETS["disc"], 2, 1.5),
+         "n", 1, 1.5),  # 1/2: a factor pi^(-1/2) dropped
+        (lambda: degrees.wehrl_constant(domains.PRESETS["disc"], 2, True),
+         "n", 1, True),  # 1
+        (lambda: compact.haar_moment(True, 0), "p", 0, True),  # 0.5
+        (lambda: compact.wehrl_integral_numeric(v, 3, True), "n", 0, True),
+        (lambda: compact.translate_fit_distance([1, 0], True), "m", 0, True),
+        (lambda: domains.so_2n(3.5), "n", 3, 3.5),  # a = 1.5
+        (lambda: domains.DomainParams("custom", True, 0, 0), "r", 1, True),
+        (lambda: compact.reduction_consistency(v, 3, 2.0), "n", 2, 2.0),
+        (lambda: disc.KernelFun(2, 0.5, None), "degree", 0, None),
+        (lambda: compact.haar_moment(1.5, 0), "p", 0, 1.5),
+        (lambda: disc.matrix_coeff_lp(f, 1.5), "n", 0, 1.5),
+        (lambda: disc.norm_p_numeric(f, 4.0), "p", 2, 4.0)]
+    for call, name, least, bad in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least} "
+                                             f"and an int, got {name}="
+                                             f"{re.escape(repr(bad))}$"):
+            call()
+
+
 def test_count_gate_names_the_first_bad_argument():
     exactnum.check_counts(("a", 0, 0), ("b", np.int32(3), 1))
-    with pytest.raises(ValueError, match=r"^b must be an int >= 1, got "
+    with pytest.raises(ValueError, match=r"^b must be >= 1 and an int, got "
                                          r"b=0$"):
         exactnum.check_counts(("a", 0, 0), ("b", 0, 1), ("c", 0.5, 0))

@@ -319,6 +319,14 @@ def _sector_nodes(r, a, b):
                for k in range(1, r + 1)) // 2 + 1
 
 
+def _at(rule, spec, nodes):
+    """rule's value at `nodes` per axis: the public sector rule takes the
+    count, the tensor sum the grid of its plan's axes."""
+    if rule is ordered_sector_quadrature:
+        return rule(spec, nodes)
+    return rule(spec, *sb._tensor_rule(nodes, sb._tensor_plan(spec)[1]))
+
+
 def _rel_miss(value, spec):
     exact = float(selberg_closed_hp(spec, 40))
     return abs(value - exact) / exact
@@ -332,7 +340,7 @@ def test_degree_sized_rules_are_exact(r, a, b, g):
     sector = ordered_sector_quadrature(spec, _sector_nodes(r, a, b))
     assert _rel_miss(sector, spec) < 1e-12
     if a % 2 == 0:
-        tensor = _gauss_jacobi_tensor(spec, _tensor_nodes(r, a))
+        tensor = _at(_gauss_jacobi_tensor, spec, _tensor_nodes(r, a))
         assert _rel_miss(tensor, spec) < 1e-12
 
 
@@ -351,8 +359,8 @@ def test_degree_sized_rules_are_tight(rule, nodes, case):
     # One node fewer than the degree count must miss: an off-by-one in
     # either degree formula fails here.
     spec = SelbergSpec(*case)
-    assert _rel_miss(rule(spec, nodes), spec) < 1e-12
-    assert _rel_miss(rule(spec, nodes - 1), spec) > 1e-9
+    assert _rel_miss(_at(rule, spec, nodes), spec) < 1e-12
+    assert _rel_miss(_at(rule, spec, nodes - 1), spec) > 1e-9
 
 
 @pytest.mark.parametrize("r, a", [(2, 169), (3, 61)])
@@ -418,14 +426,14 @@ def test_tensor_rule_stays_within_its_rounding_bound(r, half_a, b, g):
 @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 4), gammas)
 def test_sector_rule_stays_within_its_rounding_bound(r, a, b, g):
     spec, nodes = SelbergSpec(r, a, b, g), _sector_nodes(r, a, b)
-    _assert_within_bound(sb._exact_rule(ordered_sector_quadrature,
-                                        sb._sector_plan, spec, nodes,
-                                        "ordered_quadrature"), spec)
+    _assert_within_bound(sb._exact_rule(sb._sector_sum, sb._sector_plan,
+                                        spec, nodes, "ordered_quadrature"),
+                         spec)
 
 
 @pytest.mark.parametrize("rule, plan, case", [
     (_gauss_jacobi_tensor, sb._tensor_plan, (3, 4, 2, Fraction(5, 2))),
-    (ordered_sector_quadrature, sb._sector_plan, (3, 1, 0, Fraction(1, 2)))])
+    (sb._sector_sum, sb._sector_plan, (3, 1, 0, Fraction(1, 2)))])
 def test_rounding_bound_reads_the_rules_own_axes(monkeypatch, rule, plan,
                                                  case):
     # The bound's |ln Gamma| terms are those of the Gauss-Jacobi rules the
@@ -450,6 +458,31 @@ def test_rounding_bound_reads_the_rules_own_axes(monkeypatch, rule, plan,
              + sum(abs(math.lgamma(x)) for al, be in axes[::-1]
                    for x in (al + 1, be + 1, al + be + 2)))
     assert est.abs_err_bound == steps * 2.0 ** -52 * abs(est.value)
+
+
+@pytest.mark.parametrize("plan, call", [
+    pytest.param("_tensor_plan", lambda: selberg_numeric(
+        SelbergSpec(3, 4, 2, Fraction(5, 2)), "gauss_jacobi", 60),
+        id="selberg_numeric"),
+    pytest.param("_tensor_plan", lambda: verify_degree_integral(
+        PRESETS["E6"], 12), id="verify_tensor"),
+    pytest.param("_sector_plan", lambda: verify_degree_integral(
+        PRESETS["SO(2,5)"], 6), id="verify_sector")])
+def test_each_rule_is_planned_and_built_once(monkeypatch, plan, call):
+    # _exact_rule sizes the rule and builds its grid once, and the sum runs
+    # on that grid: planning again inside the rule cost 2.5-6.6% of a
+    # verify_degree_integral call.
+    calls = []
+
+    def spy(name):
+        original = getattr(sb, name)
+        monkeypatch.setattr(sb, name, lambda *args: calls.append(name)
+                            or original(*args))
+
+    spy(plan)
+    spy("_tensor_rule")
+    call()
+    assert calls == [plan, "_tensor_rule"]
 
 
 def test_sector_rule_defaults_to_its_exact_count():
@@ -526,8 +559,8 @@ def test_bad_budget_or_seed_is_named_before_any_draw(monkeypatch, name,
     draws = []
     monkeypatch.setattr(sb, "_monte_carlo",
                         lambda *args: draws.append(args))
-    with pytest.raises(ValueError, match=f"^{name} must be an int >= "
-                                         f"[01], got {re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be >= [01] and an "
+                                         f"int, got {re.escape(message)}$"):
         selberg_numeric(SelbergSpec(2, 1, 0, 0), "monte_carlo", budget, seed)
     assert draws == []
 

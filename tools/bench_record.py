@@ -55,7 +55,7 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   complex floats at degrees 13, 2000 and 6000, alone and with its first
   ``as_complex_array()``, over 101 rounds, each call alone;
 * ``su2``: the median us of ``wehrl_compact_check`` on a seeded unit vector
-  at (m, n) = (2, 2), (7, 3), (11, 3) and (3, 6), and of
+  at (m, n) = (2, 2), (5, 4), (7, 3), (10, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
   interleaved rounds;
 * ``size_frontiers``: the largest nm at which ``wehrl_compact_check`` at
@@ -470,7 +470,7 @@ def float_construction() -> dict:
 
 def su2() -> dict:
     calls = {}
-    for m, n in ((2, 2), (7, 3), (11, 3), (3, 6)):
+    for m, n in ((2, 2), (5, 4), (7, 3), (10, 3), (11, 3), (3, 6)):
         calls["wehrl_compact_check_us", f"{m},{n}"] = partial(
             wehrl_compact_check,
             random_unit_vector(m, np.random.default_rng([m, n])), m, n)
