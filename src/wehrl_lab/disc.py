@@ -616,10 +616,10 @@ class KernelFun:
 
     def __post_init__(self):
         check_counts(("degree", self.degree, 0))
+        if not abs(complex(self.w)) < 1:  # NaN too
+            raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
     def to_polyfun(self) -> PolyFun:
-        if abs(complex(self.w)) >= 1:
-            raise OutsideBergman("kernel parameter must satisfy |w| < 1")
         exact = type(self.w) in (int, Fraction)  # not bool
         wbar = Fraction(self.w) if exact else complex(self.w).conjugate()
         return PolyFun(self.nu, tuple(
@@ -636,8 +636,6 @@ class KernelFun:
         that rest is at most the sum so far.
         """
         nu, r2 = float(self.nu), abs(complex(self.w)) ** 2
-        if r2 >= 1:
-            raise OutsideBergman("kernel parameter must satisfy |w| < 1")
         m, total = self.degree + 1, 0.0
         term = _rising_over_factorial(self.nu, m + 1, False)[m] * r2 ** m
         while True:

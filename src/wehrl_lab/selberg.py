@@ -9,7 +9,8 @@ form so they can act as oracles for the exact degree computations: a
 tensor Gauss-Jacobi rule for even a, an ordered-sector map 1 - s_j = v_1
 ... v_j that removes the |s_i - s_j| kink, and importance-sampled Monte
 Carlo with Beta(b+1, gamma+1) proposals (_monte_carlo).  Each quadrature
-runs one exact rule on one grid, refusing grids over MAX_GRID_POINTS;
+runs one exact rule (_exact_rule: the tensor rule from selberg_numeric, the
+sector rule from verify_degree_integral) on one grid under MAX_GRID_POINTS;
 _tensor_plan and _sector_plan each own one rule's Jacobi axes and its node
 count, read off the integrand's degree, never off the closed form.
 """
@@ -33,8 +34,7 @@ from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
     "FloatRangeExceeded", "selberg_closed", "selberg_closed_hp",
-    "laguerre_constant_C", "selberg_numeric", "ordered_sector_quadrature",
-    "verify_degree_integral"]
+    "laguerre_constant_C", "selberg_numeric", "verify_degree_integral"]
 
 
 MAX_GRID_POINTS = 1 << 21
@@ -98,6 +98,7 @@ def selberg_closed_hp(spec: SelbergSpec, dps: int = 40):
     """Closed-form value at dps significant digits, an mpmath mpf."""
     import mpmath
 
+    check_counts(("dps", dps, 1))
     nums, dens, D = _gamma_args(spec)
     with mpmath.workdps(dps):
         return mpmath.gammaprod(*([mpmath.mpf(x) / D for x in xs]
@@ -129,20 +130,19 @@ def _tensor_plan(spec: SelbergSpec):
             [(float(spec.gamma), float(spec.b))] * spec.r)
 
 
-def _sector_plan(spec: SelbergSpec, nodes: int | None = None):
+def _sector_plan(spec: SelbergSpec):
     """(nodes, per-axis Jacobi (alpha, beta)) of the ordered-sector rule,
-    nodes by default the exact count: axis k = 1..r has the weight v_k^beta_k,
+    nodes the exact count: axis k = 1..r has the weight v_k^beta_k,
     beta_k = (r-k) + gamma (r-k+1), and for integer a, b >= 0 the rest is a
     polynomial of degree D_k = b m + a (m(m-1)/2 + (k-1) m), m = r-k+1, in
     v_k, so floor(max_k D_k / 2) + 1 nodes are exact."""
     r, a, b, g = spec.r, spec.a, spec.b, float(spec.gamma)
-    if nodes is None:
-        if a.denominator != 1 or b.denominator != 1 or b.numerator < 0:
-            raise MethodUnsupported(f"the sector rule has no exact node count"
-                                    f" at a={a}, b={b}; pass nodes")
-        a, b = a.numerator, b.numerator
-        nodes = max(b * m + a * (m * (m - 1) // 2 + (r - m) * m)
-                    for m in range(1, r + 1)) // 2 + 1
+    if a.denominator != 1 or b.denominator != 1 or b.numerator < 0:
+        raise MethodUnsupported(f"the sector rule has no exact node count"
+                                f" at a={a}, b={b}")
+    a, b = a.numerator, b.numerator
+    nodes = max(b * m + a * (m * (m - 1) // 2 + (r - m) * m)
+                for m in range(1, r + 1)) // 2 + 1
     return nodes, [(0.0, (r - k) + g * (r - k + 1)) for k in range(1, r + 1)]
 
 
@@ -167,20 +167,10 @@ def _gauss_jacobi_tensor(spec: SelbergSpec, s: list, F) -> float:
     return float(F.sum())
 
 
-def ordered_sector_quadrature(spec: SelbergSpec, nodes=None) -> float:
-    """Quadrature of the Selberg integrand via the ordered-sector map.
-
-    On the sector s_1 < ... < s_r put t_j = 1 - s_j = v_1 ... v_j: the
-    Jacobian prod_k v_k^{r-k} and prod_j t_j^gamma = prod_k v_k^{gamma
-    (r-k+1)} make up axis k's Gauss-Jacobi weight, and r! prod_j (1-t_j)^b
-    prod_{i<j} (t_i - t_j)^a remains.  `nodes` per axis defaults to
-    _sector_plan's exact count (MethodUnsupported where there is none).
-    """
-    return _sector_sum(spec, *_tensor_rule(*_sector_plan(spec, nodes)))
-
-
 def _sector_sum(spec: SelbergSpec, v: list, F) -> float:
-    """The sector rule's sum on its grid v, weights F (_sector_plan)."""
+    """The sector rule's sum on its grid v, weights F (_sector_plan): on
+    s_1 < ... < s_r, t_j = 1 - s_j = v_1 ... v_j, F holds the Jacobian and
+    prod t_j^gamma; r! prod (1 - t_j)^b prod_{i<j} (t_i - t_j)^a remains."""
     t = list(itertools.accumulate(v, np.multiply))
     F = F * float(math.factorial(spec.r))
     if spec.b != 0:
@@ -290,7 +280,7 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     decomposition and s = t^2, to C times the Selberg integral with
     gamma = lambda - p.  The numeric route never touches the exact degree
     formula.  Its one rule is exact: selberg_numeric's tensor rule for even
-    a, else ordered_sector_quadrature, with budgets of >= 48 and 64 nodes.
+    a, else the sector rule; either refuses a count over `budget` per axis.
     error_bound bounds |product - 1|: the rule's rounding bound, scaled as
     the product is, plus 2^-53 |product| times 2 for the two products and
     N + 4 for each of float(d), float(C) (rounding c, pi, pi^N, c pi^(+-N)).
@@ -305,9 +295,9 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
         raise FloatRangeExceeded(f"{d.family_label} {(d.r, d.a, d.b)} at "
                                  f"lambda = {lam}: {exc}") from None
     if d.a % 2 == 0:
-        est = selberg_numeric(spec, "gauss_jacobi", max(48, budget))
+        est = selberg_numeric(spec, "gauss_jacobi", budget)
     else:
-        est = _exact_rule(_sector_sum, _sector_plan, spec, max(64, budget),
+        est = _exact_rule(_sector_sum, _sector_plan, spec, budget,
                           "ordered_quadrature")
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse

@@ -984,6 +984,13 @@ def test_kernel_truncation_tail():
         KernelFun(NU2, 1.2, 5).to_polyfun()
 
 
+def test_kernel_refuses_a_nan_parameter():
+    # A NaN w passed the |w| >= 1 test, and tail_bound's loop never ended.
+    for w in (float("nan"), complex("nan")):
+        with pytest.raises(OutsideBergman, match=r"\|w\| < 1"):
+            KernelFun(2, w, 4)
+
+
 @pytest.mark.parametrize("method", ["to_polyfun", "tail_bound"])
 def test_kernel_rejects_a_negative_degree(method):
     # Degree -1 read as the constant 1, and -3 raised a bare IndexError.

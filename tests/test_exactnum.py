@@ -385,6 +385,8 @@ def _count_entry_points():
             selberg.SelbergSpec(2, 2, 0, 0), "gauss_jacobi", x),
         "verify_degree_integral": lambda x: selberg.verify_degree_integral(
             disc_domain, 3, x),
+        "selberg_closed_hp": lambda x: selberg.selberg_closed_hp(
+            selberg.SelbergSpec(2, 1, Fraction(1, 3), 0), x),
         "ProjectionSpec": lambda x: disc.ProjectionSpec(2, 2, x),
         "matrix_coeff_lp": lambda x: disc.matrix_coeff_lp(f, x),
         "norm_p_numeric": lambda x: disc.norm_p_numeric(f, x),
@@ -424,6 +426,7 @@ def _count_entry_points():
     ("wehrl_compact_check.m", "m", 0, 2), ("translate_vector", "m", 0, 2),
     ("SelbergSpec", "r", 1, 2), ("selberg_numeric", "budget", 1, 60),
     ("verify_degree_integral", "budget", 1, 60),
+    ("selberg_closed_hp", "dps", 1, 20),
     ("ProjectionSpec", "k", 0, 2), ("matrix_coeff_lp", "n", 0, 2),
     ("norm_p_numeric", "p", 2, 4), ("wehrl_integral_numeric.n", "n", 0, 2),
     ("wehrl_integral_numeric.m", "m", 0, 2),
@@ -453,8 +456,9 @@ def test_count_arguments_are_gated_by_name(entry, name, least, good):
 def test_silent_answers_and_bare_errors_are_refused_by_name():
     # Each call returned a wrong value, raised a bare TypeError, or failed
     # inside gauss_jacobi naming a node count it was never passed.
-    from wehrl_lab import compact, degrees, disc, domains
+    from wehrl_lab import compact, degrees, disc, domains, selberg
     f, v = PolyFun(2, (1, 1)), [1.0, 0.0, 0.0, 0.0]
+    spec = selberg.SelbergSpec(2, 1, Fraction(1, 3), 0)  # S = 27/154
     cases = [
         (lambda: degrees.wehrl_constant(domains.PRESETS["disc"], 2, 1.5),
          "n", 1, 1.5),  # 1/2: a factor pi^(-1/2) dropped
@@ -469,7 +473,9 @@ def test_silent_answers_and_bare_errors_are_refused_by_name():
         (lambda: disc.KernelFun(2, 0.5, None), "degree", 0, None),
         (lambda: compact.haar_moment(1.5, 0), "p", 0, 1.5),
         (lambda: disc.matrix_coeff_lp(f, 1.5), "n", 0, 1.5),
-        (lambda: disc.norm_p_numeric(f, 4.0), "p", 2, 4.0)]
+        (lambda: disc.norm_p_numeric(f, 4.0), "p", 2, 4.0),
+        (lambda: selberg.selberg_closed_hp(spec, -3), "dps", 1, -3),  # 1.0
+        (lambda: selberg.selberg_closed_hp(spec, 2.5), "dps", 1, 2.5)]
     for call, name, least, bad in cases:
         with pytest.raises(ValueError, match=f"^{name} must be >= {least} "
                                              f"and an int, got {name}="

@@ -18,9 +18,8 @@ from wehrl_lab import selberg as sb
 from wehrl_lab.selberg import (FloatRangeExceeded, MethodUnsupported,
                                NonIntegrable, SelbergSpec,
                                _gauss_jacobi_tensor, laguerre_constant_C,
-                               ordered_sector_quadrature, selberg_closed,
-                               selberg_closed_hp, selberg_numeric,
-                               verify_degree_integral)
+                               selberg_closed, selberg_closed_hp,
+                               selberg_numeric, verify_degree_integral)
 from wehrl_lab.exactnum import PiScaledRational, beta_mass, gauss_jacobi
 
 
@@ -153,9 +152,9 @@ def test_gauss_jacobi_rejects_odd_a():
 
 
 def test_ordered_sector_handles_odd_a():
-    for spec in (SelbergSpec(2, 1, 0, 0), SelbergSpec(2, 3, 0, Fraction(1, 2)),
-                 SelbergSpec(3, 1, 0, 2)):
-        got = ordered_sector_quadrature(spec, 90)
+    for case in ((2, 1, 0, 0), (2, 3, 0, Fraction(1, 2)), (3, 1, 0, 2)):
+        spec = SelbergSpec(*case)
+        got = _at(sb._sector_sum, spec, _sector_nodes(*case[:3]))
         assert got == pytest.approx(float(selberg_closed(spec)), rel=1e-11)
 
 
@@ -320,11 +319,9 @@ def _sector_nodes(r, a, b):
 
 
 def _at(rule, spec, nodes):
-    """rule's value at `nodes` per axis: the public sector rule takes the
-    count, the tensor sum the grid of its plan's axes."""
-    if rule is ordered_sector_quadrature:
-        return rule(spec, nodes)
-    return rule(spec, *sb._tensor_rule(nodes, sb._tensor_plan(spec)[1]))
+    """rule's sum at `nodes` per axis, on the grid of its plan's axes."""
+    plan = sb._sector_plan if rule is sb._sector_sum else sb._tensor_plan
+    return rule(spec, *sb._tensor_rule(nodes, plan(spec)[1]))
 
 
 def _rel_miss(value, spec):
@@ -337,7 +334,7 @@ def _rel_miss(value, spec):
        st.fractions(-1, 6, max_denominator=12).filter(lambda g: g > -1))
 def test_degree_sized_rules_are_exact(r, a, b, g):
     spec = SelbergSpec(r, a, b, g)
-    sector = ordered_sector_quadrature(spec, _sector_nodes(r, a, b))
+    sector = _at(sb._sector_sum, spec, _sector_nodes(r, a, b))
     assert _rel_miss(sector, spec) < 1e-12
     if a % 2 == 0:
         tensor = _at(_gauss_jacobi_tensor, spec, _tensor_nodes(r, a))
@@ -348,12 +345,9 @@ def test_degree_sized_rules_are_exact(r, a, b, g):
     (_gauss_jacobi_tensor, _tensor_nodes(3, 8), (3, 8, 0, Fraction(1, 2))),
     (_gauss_jacobi_tensor, _tensor_nodes(2, 6), (2, 6, 4, 0)),
     (_gauss_jacobi_tensor, _tensor_nodes(3, 4), (3, 4, 2, Fraction(5, 2))),
-    (ordered_sector_quadrature, _sector_nodes(3, 1, 0),
-     (3, 1, 0, Fraction(1, 3))),
-    (ordered_sector_quadrature, _sector_nodes(2, 3, 0),
-     (2, 3, 0, Fraction(-1, 2))),
-    (ordered_sector_quadrature, _sector_nodes(4, 1, 0),
-     (4, 1, 0, Fraction(1, 2))),
+    (sb._sector_sum, _sector_nodes(3, 1, 0), (3, 1, 0, Fraction(1, 3))),
+    (sb._sector_sum, _sector_nodes(2, 3, 0), (2, 3, 0, Fraction(-1, 2))),
+    (sb._sector_sum, _sector_nodes(4, 1, 0), (4, 1, 0, Fraction(1, 2))),
 ])
 def test_degree_sized_rules_are_tight(rule, nodes, case):
     # One node fewer than the degree count must miss: an off-by-one in
@@ -486,23 +480,27 @@ def test_each_rule_is_planned_and_built_once(monkeypatch, plan, call):
 
 
 def test_sector_rule_defaults_to_its_exact_count():
-    # The default is the 2-node exact rule at (3, 1, 0, 0), not a guessed
-    # 120^3-point grid (a 55 MB traced peak); without an exact count (a or
-    # b not an integer >= 0) it asks for nodes.
+    # The rule is the 2-node exact rule at (3, 1, 0, 0), not a guessed
+    # 120^3-point grid (a 55 MB traced peak), whatever the budget above it;
+    # without an exact count (a or b not an integer >= 0) it is refused.
     spec = SelbergSpec(3, 1, 0, 0)
     tracemalloc.start()
     try:
-        got = ordered_sector_quadrature(spec)
+        est = sb._exact_rule(sb._sector_sum, sb._sector_plan, spec, 200,
+                             "ordered_quadrature")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert got == pytest.approx(float(selberg_closed(spec)), rel=1e-15)
-    assert got == ordered_sector_quadrature(spec, _sector_nodes(3, 1, 0))
-    for case in ((2, Fraction(1, 2), 0, 0), (2, 1, Fraction(1, 2), 0)):
-        with pytest.raises(MethodUnsupported, match="pass nodes"):
-            ordered_sector_quadrature(SelbergSpec(*case))
-        assert ordered_sector_quadrature(SelbergSpec(*case), 40) > 0
+    assert est.samples_or_nodes == _sector_nodes(3, 1, 0) == 2
+    assert est.value == pytest.approx(float(selberg_closed(spec)), rel=1e-15)
+    assert est.value == _at(sb._sector_sum, spec, 2)
+    for case, text in (((2, Fraction(1, 2), 0, 0), "a=1/2, b=0"),
+                       ((2, 1, Fraction(1, 2), 0), "a=1, b=1/2")):
+        with pytest.raises(MethodUnsupported,
+                           match=f"^the sector rule has no exact node count "
+                                 f"at {text}$"):
+            sb._sector_plan(SelbergSpec(*case))
 
 
 @pytest.mark.parametrize("r, a, b, nodes", [
@@ -527,10 +525,16 @@ def test_budget_below_the_exact_count_raises():
                            "gauss_jacobi", 9).samples_or_nodes == 9
     d = DomainParams("custom", 2, 129, 0)  # D = 129: 65 sector nodes
     with pytest.raises(MethodUnsupported,
-                       match=r"needs 65 nodes per axis .* budget is 64"):
+                       match=r"needs 65 nodes per axis .* budget is 10"):
         verify_degree_integral(d, d.p + Fraction(1, 2), budget=10)
     assert verify_degree_integral(d, d.p + Fraction(1, 2),
                                   budget=65)["samples_or_nodes"] == 65
+    # On the tensor route too the budget is the cap, not raised to a floor.
+    with pytest.raises(MethodUnsupported,
+                       match=r"needs 4 nodes per axis .* budget is 3"):
+        verify_degree_integral(PRESETS["E6"], 12, budget=3)
+    assert verify_degree_integral(PRESETS["E6"], 12,
+                                  budget=4)["samples_or_nodes"] == 4
 
 
 def test_verify_degree_integral_with_c_beyond_float_range_raises_typed():
@@ -596,7 +600,7 @@ def test_grid_over_the_limit_raises_before_allocating():
         with pytest.raises(MethodUnsupported, match=r"r=8 with 8 nodes"):
             selberg_numeric(SelbergSpec(8, 2, 0, 0), "gauss_jacobi", 100)
         with pytest.raises(MethodUnsupported, match=r"r=4 with 120 nodes"):
-            ordered_sector_quadrature(SelbergSpec(4, 1, 0, 0), nodes=120)
+            sb._tensor_rule(120, sb._sector_plan(SelbergSpec(4, 1, 0, 0))[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
