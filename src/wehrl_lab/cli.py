@@ -23,6 +23,7 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import get_domain, preset_table
+from .exactnum import check_weight
 from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
                       SuiteConfig, exact_json)
 from .suite import SUITE_NAMES, emit_constants_table, run_suite
@@ -57,6 +58,14 @@ def _parse_coeffs(text: str, option: str) -> tuple:
                 raise click.BadParameter(f"{tok!r} is not finite",
                                          param_hint=hint)
     return tuple(out)
+
+
+def _weight(ctx, param, text: str) -> Fraction:
+    """A weight option's text through the library's gate, refused on it."""
+    try:
+        return check_weight(param.opts[0].lstrip("-"), text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _value_json(x) -> dict:
@@ -101,12 +110,12 @@ def domains_list(fmt):
 @main.command()
 @click.option("--domain", required=True,
               help="preset name or r,a,b triple")
-@click.option("--lambda", "lam", required=True, help="weight parameter")
+@click.option("--lambda", "lam", required=True, callback=_weight,
+              help="weight parameter")
 @click.option("--n", default=2, show_default=True, type=int)
 def degrees(domain, lam, n):
     """Formal degree, c_G, Harish-Chandra degree and Wehrl constant."""
     d = get_domain(domain)
-    lam = Fraction(lam)
     out = {"domain": d.family_label, "lambda": str(lam), "n": n,
            "d_lambda": dg.scalar_formal_degree(d, lam).to_json(),
            "wehrl_constant": dg.wehrl_constant(d, lam, n).to_json()}
@@ -120,9 +129,9 @@ def degrees(domain, lam, n):
 
 @main.command()
 @click.option("--r", required=True, type=int)
-@click.option("--a", required=True)
-@click.option("--b", required=True)
-@click.option("--gamma", required=True)
+@click.option("--a", required=True, callback=_weight)
+@click.option("--b", required=True, callback=_weight)
+@click.option("--gamma", required=True, callback=_weight)
 @click.option("--method", default="monte_carlo", show_default=True,
               type=click.Choice(["monte_carlo", "gauss_jacobi"]))
 @click.option("--budget", default=100_000, show_default=True, type=int,
@@ -130,7 +139,7 @@ def degrees(domain, lam, n):
 @click.option("--seed", default=0, show_default=True, type=_SEED)
 def selberg(r, a, b, gamma, method, budget, seed):
     """Closed form and numerical estimate of the Selberg integral."""
-    spec = sb.SelbergSpec(r, Fraction(a), Fraction(b), Fraction(gamma))
+    spec = sb.SelbergSpec(r, a, b, gamma)
     closed = sb.selberg_closed(spec)
     est = sb.selberg_numeric(spec, method, budget, seed)
     _echo_json({
@@ -151,28 +160,28 @@ def disc():
 
 
 def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
-    """PolyFun from option texts; BadParameter on the option of a bad one."""
+    """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one."""
     values = _parse_coeffs(coeffs, coeffs_opt)
     try:
-        return dc.PolyFun(Fraction(nu), values)
+        return dc.PolyFun(nu, values)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=f"'{nu_opt}'") from None
 
 
 @disc.command("norm")
-@click.option("--nu", required=True)
+@click.option("--nu", required=True, callback=_weight)
 @click.option("--coeffs", required=True, help="comma-separated coefficients")
 @click.option("--p", default=2, show_default=True, type=int)
 def disc_norm(nu, coeffs, p):
     f = _get_poly(nu, coeffs)
     exact = {"norm2_exact": _value_json(dc.norm2_exact(f))} if p == 2 else {}
-    _echo_json({"nu": str(Fraction(nu)), "p": p,
+    _echo_json({"nu": str(nu), "p": p,
                 "norm_p_numeric": dc.norm_p_numeric(f, p), **exact})
 
 
 @disc.command("project")
-@click.option("--mu", required=True)
-@click.option("--nu", required=True)
+@click.option("--mu", required=True, callback=_weight)
+@click.option("--nu", required=True, callback=_weight)
 @click.option("--k", required=True, type=int)
 @click.option("--f", "f_coeffs", required=True)
 @click.option("--g", "g_coeffs", required=True)
@@ -194,18 +203,18 @@ def disc_project(mu, nu, k, f_coeffs, g_coeffs, convention):
 
 
 @disc.command("wehrl")
-@click.option("--nu", required=True)
+@click.option("--nu", required=True, callback=_weight)
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--coeffs", required=True)
 def disc_wehrl(nu, n, coeffs):
     f = _get_poly(nu, coeffs)
     lhs, rhs, slack = dc.wehrl_check(f, n)
-    _echo_json({"nu": str(Fraction(nu)), "n": n, "lhs": lhs, "rhs": rhs,
+    _echo_json({"nu": str(nu), "n": n, "lhs": lhs, "rhs": rhs,
                 "slack": slack})
 
 
 @disc.command("improved")
-@click.option("--nu", required=True)
+@click.option("--nu", required=True, callback=_weight)
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--coeffs", required=True)
 @click.option("--convention", default="corrected", show_default=True,
@@ -219,12 +228,12 @@ def disc_improved(nu, n, coeffs, convention):
 
 
 @disc.command("maximize")
-@click.option("--nu", required=True)
+@click.option("--nu", required=True, callback=_weight)
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--degree", default=12, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=_SEED)
 def disc_maximize(nu, n, degree, seed):
-    res = dc.maximize_wehrl(Fraction(nu), n, degree, seed=seed)
+    res = dc.maximize_wehrl(nu, n, degree, seed=seed)
     _echo_json({"objective": res.objective,
                 "kernel_distance": res.kernel_distance,
                 "iterations": res.iterations,
@@ -233,14 +242,14 @@ def disc_maximize(nu, n, degree, seed):
 
 
 @disc.command("ode")
-@click.option("--nu", required=True)
-@click.option("--c", required=True)
+@click.option("--nu", required=True, callback=_weight)
+@click.option("--c", required=True, callback=_weight)
 @click.option("--degree", default=10, show_default=True, type=int)
 def disc_ode(nu, c, degree):
-    sol = dc.ode_solve(Fraction(nu), Fraction(c), degree)
-    _echo_json({"nu": str(Fraction(nu)), "c": str(Fraction(c)),
+    sol = dc.ode_solve(nu, c, degree)
+    _echo_json({"nu": str(nu), "c": str(c),
                 "coefficients": [str(x.re) for x in sol.coeffs],
-                "kernel_parameter_conj": str(Fraction(c) / Fraction(nu))})
+                "kernel_parameter_conj": str(c / nu)})
 
 
 @main.command()
@@ -292,14 +301,16 @@ def suite(name, seed, convention, out):
 @main.command()
 @click.option("--domains", "domain_list", default="disc,Sp(2,R)",
               show_default=True, help="comma-separated preset names")
-@click.option("--lambdas", default="2,3,4", show_default=True)
+@click.option("--lambdas", default="2,3,4", show_default=True,
+              callback=lambda ctx, param, text: [
+                  _weight(ctx, param, x) for x in text.split(",")])
 @click.option("--n", "n_list", default="2,3", show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def table(domain_list, lambdas, n_list, out):
     """Constants table (CSV) over a (domain, lambda, n) grid."""
     csv_text = emit_constants_table(
         _split_names(domain_list),
-        [Fraction(x) for x in lambdas.split(",")],
+        lambdas,
         [int(x) for x in n_list.split(",")])
     if out:
         Path(out).write_text(csv_text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational, check_counts, rising_ints
+from .exactnum import PiScaledRational, check_counts, check_weight, rising_ints
 
 __all__ = [
     "NonTelescoping",
@@ -56,7 +56,8 @@ def gamma_ratio_product(numerators, denominators) -> Fraction:
     GammaPole.  Raises NonTelescoping when any other group does not pair off.
     Products run on integer numerators over one common denominator D.
     """
-    args = [list(map(Fraction, side)) for side in (numerators, denominators)]
+    args = [[check_weight(name, x) for x in xs] for name, xs in
+            (("numerators", numerators), ("denominators", denominators))]
     D = math.lcm(*(x.denominator for xs in args for x in xs))
     return _gamma_ratio_ints(
         *([x.numerator * (D // x.denominator) for x in xs] for xs in args), D)
@@ -91,7 +92,7 @@ def scalar_formal_degree(d: DomainParams, lam) -> PiScaledRational:
     d_lambda = pi^{-N} * prod_j Gamma(lambda - (j-1)a/2)
                         / Gamma(lambda - N/r - (j-1)a/2).
     """
-    lam = lam if type(lam) is Fraction else Fraction(lam)
+    lam = check_weight("lam", lam)
     if not hc_admissible(d, lam):
         raise NotAdmissible(f"lambda={lam} <= p-1={d.p - 1} for {d.family_label}")
     D = math.lcm(lam.denominator, 2, d.r)  # every argument is an int / D
@@ -176,16 +177,13 @@ ROOT_SYSTEM_PRESETS: dict[str, RootSystemPreset] = {
 
 def hc_degree_root_product(rs: RootSystemPreset, lam) -> Fraction:
     """|prod over positive roots of (Lambda + rho)(h_alpha) / rho(h_alpha)|."""
-    lam = Fraction(lam)
-    out = Fraction(1)
-    for s, rho, _ in rs.positive_roots:
-        out *= (s * lam + rho) / rho
-    return abs(out)
+    lam = check_weight("lam", lam)
+    return abs(math.prod((s * lam + r) / r for s, r, _ in rs.positive_roots))
 
 
 def wehrl_constant(d: DomainParams, lam, n: int) -> PiScaledRational:
     """Sharp constant d_lambda^n / d_{n lambda} in the L^2 -> L^{2n} bound."""
-    lam = lam if type(lam) is Fraction else Fraction(lam)
+    lam = check_weight("lam", lam)
     check_counts(("n", n, 1))
     return scalar_formal_degree(d, lam) ** n / scalar_formal_degree(d, n * lam)
 
@@ -193,7 +191,6 @@ def wehrl_constant(d: DomainParams, lam, n: int) -> PiScaledRational:
 def partial_isometry_constant(d: DomainParams, lam, lam2) -> PiScaledRational:
     """C^{-2} = d_lambda d_lambda' / d_{lambda+lambda'} for the leading
     component of a tensor product of two scalar discrete series."""
-    if type(lam) is not Fraction or type(lam2) is not Fraction:
-        lam, lam2 = Fraction(lam), Fraction(lam2)
+    lam, lam2 = check_weight("lam", lam), check_weight("lam2", lam2)
     return (scalar_formal_degree(d, lam) * scalar_formal_degree(d, lam2)
             / scalar_formal_degree(d, lam + lam2))

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, check_counts,
-                       gauss_jacobi, rising_ints)
+                       check_weight, gauss_jacobi, rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -145,7 +145,7 @@ def _gaussian(f: tuple, g: tuple, op) -> tuple:
 def _factorials(nu, count: int) -> tuple:
     """(f, a, b), f[m] = m! b^m for m < count at nu = a/b.  ValueError where
     one (nu)_m, m < count, vanishes: at integer nu = a, 2 - count <= a <= 0."""
-    a, b = (nu if type(nu) is Fraction else Fraction(nu)).as_integer_ratio()
+    a, b = nu.numerator, nu.denominator  # a gated Fraction or an int -m
     if b == 1 and 2 - count <= a <= 0:
         raise ValueError(f"(nu)_m vanishes at nu = {a} for some m < {count}")
     return rising_ints(b, b, count - 1), a, b
@@ -198,7 +198,7 @@ class PolyFun:
     """Polynomial f(z) = sum c_m z^m viewed as an element of H_nu."""
 
     def __init__(self, nu, coeffs: Sequence = (1,)):
-        self.nu = nu if type(nu) is Fraction else Fraction(nu)
+        self.nu = check_weight("nu", nu)
         if self.nu <= 1:
             raise ValueError(f"weight nu must exceed 1, got {self.nu}")
         if len(coeffs) == 0:
@@ -241,6 +241,7 @@ def product_norm2(factors: Sequence, nu) -> Fraction | float:
     whose own weight is ignored, exact (lanes, den) pairs or complex arrays):
     _weighted_sum on the lanes, from the first factor's, when every factor is
     exact, else in complex128.  At nu = -deg p weights are 1/binom(deg p, k)."""
+    nu = check_weight("nu", nu)
     if all(isinstance(f, tuple) or isinstance(f, PolyFun) and f.exact
            for f in factors):
         lanes, den = reduce(partial(_gaussian, op=np.convolve),
@@ -329,7 +330,7 @@ class TensorPoly:
     """F(z, w) in H_mu (x) H_nu, coefficient rows a[p][q] padded with zeros."""
 
     def __init__(self, mu, nu, coeffs: Sequence):
-        self.mu, self.nu = Fraction(mu), Fraction(nu)
+        self.mu, self.nu = check_weight("mu", mu), check_weight("nu", nu)
         width = max(map(len, coeffs), default=0)
         if width == 0:
             raise ValueError(f"TensorPoly got no coefficients: {coeffs!r}")
@@ -366,8 +367,8 @@ class ProjectionSpec:
 
     def __post_init__(self):
         check_counts(("k", self.k, 0))
-        self.__dict__.update({k: x if type(x) is Fraction else Fraction(x)
-                              for k, x in (("mu", self.mu), ("nu", self.nu))})
+        self.__dict__.update(mu=check_weight("mu", self.mu),
+                             nu=check_weight("nu", self.nu))
         if min(self.mu, self.nu) <= 1:
             raise ValueError(f"a projection needs mu, nu > 1, got "
                              f"mu = {self.mu}, nu = {self.nu}")
@@ -616,6 +617,7 @@ class KernelFun:
 
     def __post_init__(self):
         check_counts(("degree", self.degree, 0))
+        self.__dict__["nu"] = check_weight("nu", self.nu)
         if not abs(complex(self.w)) < 1:  # NaN too
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
@@ -653,9 +655,11 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     those of KernelFun(nu, w, degree) with conj(w) = c/nu, the parameter
     matching the initial slope.  Raises OutsideBergman for |c| >= nu.
     """
-    nu = Fraction(nu)
+    nu = check_weight("nu", nu)
     check_counts(("degree", degree, 0))
-    rational = isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+    if isinstance(c, bool):  # a slope, maybe complex, so not gated as nu is
+        raise ValueError(f"c must be a number, not a bool, got c={c!r}")
+    rational = isinstance(c, (int, Fraction))
     if abs(complex(c)) >= float(nu):
         raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
     rho = (nu + 1) / nu if rational else float((nu + 1) / nu)
@@ -824,10 +828,10 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
     (60 halvings find no ascent), "zero_step" (the accepted step rounds back
     to x: no later step can differ) or "max_iterations" (_MAX_ITERS steps).
     """
-    if Fraction(nu) <= 1:
-        raise ValueError(f"weight nu must exceed 1, got {Fraction(nu)}")
+    if (nu := check_weight("nu", nu)) <= 1:
+        raise ValueError(f"weight nu must exceed 1, got {nu}")
     check_counts(("n", n, 2), ("degree", degree, 4), ("seed", seed, 0))
-    h, H = (np.array(_weights(k * Fraction(nu), k * degree + 1))
+    h, H = (np.array(_weights(k * nu, k * degree + 1))
             for k in (1, n))
     root = np.sqrt(h)
     weights = n, root, n / root, H

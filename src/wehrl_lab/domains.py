@@ -12,9 +12,8 @@ by the diagonal part are always derived, never stored:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import check_counts
+from .exactnum import check_counts, check_weight
 
 
 class NotAdmissible(ValueError):
@@ -46,7 +45,7 @@ class DomainParams:
 
 def hc_admissible(d: DomainParams, lam) -> bool:
     """Discrete-series condition lambda > p - 1 for the scalar weight."""
-    return (lam if type(lam) is Fraction else Fraction(lam)) > d.p - 1
+    return check_weight("lam", lam) > d.p - 1
 
 
 def su_pq(p: int, q: int) -> DomainParams:

@@ -1,8 +1,8 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
 complex numbers, the integer rising products behind every Pochhammer
 symbol, the errors raised where a value leaves the float range or an
-integral diverges, the one gate on count arguments, and the one Beta
-function and Gauss-Jacobi rule of the numerical oracles.
+integral diverges, the one gate on count arguments and the one on weights,
+and the one Beta function and Gauss-Jacobi rule of the numerical oracles.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import mul
 
 import numpy as np
@@ -40,6 +40,21 @@ def check_counts(*counts) -> None:
                 value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be >= {least} and an int, got "
                              f"{name}={value!r}")
+
+
+def check_weight(name: str, x) -> Fraction:
+    """x as a Fraction of Python ints (numpy's wrap), a Fraction as it is.  A
+    bool, None, a complex or non-finite value and all else Fraction() refuses
+    raise one ValueError naming x; only x/0 keeps its ZeroDivisionError."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:  # as fast as Fraction(x), for the hot callers
+        return Fraction(x)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(x, (bool, complex)):
+            return Fraction(int(x) if isinstance(x, Integral) else x)
+    raise ValueError(f"{name} must be a finite rational number, got "
+                     f"{name}={x!r}")
 
 
 def rising_ints(a: int, b: int, k: int) -> list:
@@ -129,9 +144,10 @@ class PiScaledRational:
     pi_power: int = 0
 
     def __post_init__(self):
-        if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "pi_power", int(self.pi_power))
+        if type(k := self.pi_power) is not int:  # numpy's ints become ints
+            check_counts(("pi_power", k, -math.inf))
+            self.__dict__["pi_power"] = int(k)
+        self.__dict__["coeff"] = check_weight("coeff", self.coeff)
 
     def __mul__(self, other):
         if isinstance(other, PiScaledRational):
@@ -199,8 +215,8 @@ class QC:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        self.__dict__.update({k: x if type(x) is Fraction else Fraction(x)
-                              for k, x in (("re", self.re), ("im", self.im))})
+        self.__dict__.update(re=check_weight("re", self.re),
+                             im=check_weight("im", self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .exactnum import PiScaledRational
+from .exactnum import PiScaledRational, check_weight
 
 __all__ = ["Report", "SuiteConfig", "ConfigError", "exact_json",
            "PROJECTION_CONVENTION", "REMAINDER_CONVENTION"]
@@ -25,7 +24,7 @@ class ConfigError(ValueError):
 
 def exact_json(value) -> dict:
     """Lossless serialization of an exact rational, with pi power 0."""
-    return PiScaledRational(Fraction(value)).to_json()
+    return PiScaledRational(check_weight("value", value)).to_json()
 
 
 @dataclass(frozen=True)

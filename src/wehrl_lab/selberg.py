@@ -29,7 +29,7 @@ import numpy as np
 from .degrees import NonTelescoping, _gamma_ratio_ints, scalar_formal_degree
 from .domains import DomainParams
 from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
-                       beta_mass, check_counts, gauss_jacobi)
+                       beta_mass, check_counts, check_weight, gauss_jacobi)
 
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
@@ -52,9 +52,8 @@ class SelbergSpec:
     gamma: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "gamma"):
-            if type(value := getattr(self, name)) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+        for k in ("a", "b", "gamma"):
+            self.__dict__[k] = check_weight(k, self.__dict__[k])
         check_counts(("r", self.r, 1))
         if self.a < 0:
             raise ValueError("a must be >= 0")
@@ -286,7 +285,7 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     N + 4 for each of float(d), float(C) (rounding c, pi, pi^N, c pi^(+-N)).
     """
     check_counts(("budget", budget, 1))
-    d_exact, lam = scalar_formal_degree(d, lam), Fraction(lam)  # NotAdmissible
+    d_exact, lam = scalar_formal_degree(d, lam), check_weight("lam", lam)
     spec = SelbergSpec(d.r, d.a, d.b, lam - d.p)
     C = laguerre_constant_C(d)
     try:

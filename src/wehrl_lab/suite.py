@@ -22,7 +22,7 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import PRESETS, get_domain, hc_admissible
-from .exactnum import PiScaledRational
+from .exactnum import PiScaledRational, check_weight
 from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
                       ConfigError, Report, SuiteConfig, exact_json)
 
@@ -330,13 +330,14 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
         "d_H", "wehrl_coeff", "wehrl_pi_power", "wehrl_float",
     ])
     degree = functools.cache(dg.scalar_formal_degree)  # d_x once per call
+    lam_grid = [check_weight("lam_grid", x) for x in lam_grid]
     for name in domains:
         d = get_domain(name)
         try:
             cg = dg.c_G(d)
         except dg.UnsupportedCase:
             cg = None
-        lams = [x for x in map(Fraction, lam_grid) if hc_admissible(d, x)]
+        lams = [x for x in lam_grid if hc_admissible(d, x)]
         for lam in lams:
             dl = degree(d, lam)
             dh = str((dl / cg).as_rational()) if cg else ""

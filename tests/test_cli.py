@@ -17,7 +17,7 @@ import wehrl_lab
 from wehrl_lab import compact as cp
 from wehrl_lab import disc as dc
 from wehrl_lab.cli import main
-from wehrl_lab.domains import preset_table
+from wehrl_lab.domains import PRESETS, preset_table
 from wehrl_lab.exactnum import QC, PiScaledRational
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
 from wehrl_lab.suite import (_check, _rand_rational_poly, emit_constants_table,
@@ -257,6 +257,28 @@ def test_bad_input_is_a_usage_error(runner, args, message):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("value", ["x", "inf"])
+@pytest.mark.parametrize("args, option", [
+    (["degrees", "--domain", "disc", "--lambda", "{}"], "--lambda"),
+    (["selberg", "--r", "2", "--a", "{}", "--b", "0", "--gamma", "1"], "--a"),
+    (["selberg", "--r", "2", "--a", "1", "--b", "{}", "--gamma", "1"], "--b"),
+    (["selberg", "--r", "2", "--a", "1", "--b", "0", "--gamma", "{}"],
+     "--gamma"),
+    (["disc", "maximize", "--nu", "{}"], "--nu"),
+    (["disc", "ode", "--nu", "{}", "--c", "1/2"], "--nu"),
+    (["disc", "ode", "--nu", "2", "--c", "{}"], "--c"),
+    (["table", "--lambdas", "2,{}"], "--lambdas")])
+def test_every_weight_option_names_itself(runner, args, option, value):
+    # Each printed "Error: Invalid literal for Fraction: 'x'" (or 'inf'),
+    # naming no option.
+    res = runner.invoke(main, [a.format(value) for a in args])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    name = option.lstrip("-")
+    assert (f"Invalid value for '{option}': {name} must be a finite rational "
+            f"number, got {name}='{value}'") in res.output
+    assert "Traceback" not in res.output
+
+
 def test_compact_json(runner):
     res = runner.invoke(main, ["compact", "--m", "2", "--n", "2",
                                "--vector", "1,0,1"])
@@ -353,6 +375,19 @@ def test_suite_stream_bytes_are_pinned(runner, args, code, digest):
     res = runner.invoke(main, ["suite", *args])
     assert res.exit_code == code
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+def test_ci_table_bytes_are_pinned(runner):
+    # The table of tier1.yml's CLI smoke, every preset on 23 weights, reads
+    # more weight conversions than any other output; CI compares it only
+    # with its own -O run.
+    lambdas = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
+               "10,21/2,12,18,20")
+    res = runner.invoke(main, ["table", "--domains", ",".join(PRESETS),
+                               "--lambdas", lambdas])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+        "f868b2cfd97ae99cc9e210f8c2d5b2b7b8a0666601f742b82b9c532bbd8cbe25")
 
 
 def test_suite_out_writes_its_stdout(runner, tmp_path):

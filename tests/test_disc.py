@@ -991,6 +991,14 @@ def test_kernel_refuses_a_nan_parameter():
             KernelFun(2, w, 4)
 
 
+def test_kernel_refuses_an_infinite_weight_when_built():
+    # KernelFun(inf, 0.1, 3) built, and to_polyfun then raised a bare
+    # OverflowError.
+    with pytest.raises(ValueError, match=r"^nu must be a finite rational "
+                                         r"number, got nu=inf$"):
+        KernelFun(math.inf, 0.1, 3)
+
+
 @pytest.mark.parametrize("method", ["to_polyfun", "tail_bound"])
 def test_kernel_rejects_a_negative_degree(method):
     # Degree -1 read as the constant 1, and -3 raised a bare IndexError.
@@ -1040,6 +1048,15 @@ def test_ode_solve_returns_degree_plus_one_coefficients():
                                        degree).to_polyfun().coeffs
     with pytest.raises(ValueError, match="degree must be >= 0"):
         ode_solve(NU2, Fraction(1, 2), -3)
+
+
+def test_ode_refuses_a_bool_slope():
+    # True fell through to complex(c): the float series (1, 1, 0.75, 0.5),
+    # where the slope 1 gives exact rationals.
+    with pytest.raises(ValueError, match=r"^c must be a number, not a bool, "
+                                         r"got c=True$"):
+        ode_solve(NU2, True, 3)
+    assert ode_solve(NU2, 1, 3).exact
 
 
 def test_ode_rejects_outside_bergman():

@@ -414,6 +414,7 @@ def _count_entry_points():
         "so_2n": lambda x: domains.so_2n(x),
         "so_star": lambda x: domains.so_star(x),
         "gauss_jacobi": lambda x: exactnum.gauss_jacobi(x, 0.0, 0.0),
+        "PiScaledRational": lambda x: PiScaledRational(Fraction(2), x),
     }
 
 
@@ -438,7 +439,8 @@ def _count_entry_points():
     ("DomainParams.a", "a", 0, 1), ("DomainParams.b", "b", 0, 1),
     ("su_pq.p", "p", 1, 2), ("su_pq.q", "q", 1, 1), ("sp_r", "r", 1, 2),
     ("so_2n", "n", 3, 4), ("so_star", "n", 2, 4),
-    ("gauss_jacobi", "n", 1, 3)])
+    ("gauss_jacobi", "n", 1, 3),
+    ("PiScaledRational", "pi_power", -math.inf, 1)])
 def test_count_arguments_are_gated_by_name(entry, name, least, good):
     # A float or None count failed deep inside with a bare TypeError naming
     # no argument, or ran as a silent wrong answer, and True ran as 1; the
@@ -475,7 +477,12 @@ def test_silent_answers_and_bare_errors_are_refused_by_name():
         (lambda: disc.matrix_coeff_lp(f, 1.5), "n", 0, 1.5),
         (lambda: disc.norm_p_numeric(f, 4.0), "p", 2, 4.0),
         (lambda: selberg.selberg_closed_hp(spec, -3), "dps", 1, -3),  # 1.0
-        (lambda: selberg.selberg_closed_hp(spec, 2.5), "dps", 1, 2.5)]
+        (lambda: selberg.selberg_closed_hp(spec, 2.5), "dps", 1, 2.5),
+        # 2*pi^1 and 6.283...: the pi power was truncated, and True read as 1
+        (lambda: PiScaledRational(Fraction(2), 1.5), "pi_power", -math.inf,
+         1.5),
+        (lambda: PiScaledRational(Fraction(2), True), "pi_power", -math.inf,
+         True)]
     for call, name, least, bad in cases:
         with pytest.raises(ValueError, match=f"^{name} must be >= {least} "
                                              f"and an int, got {name}="
@@ -488,3 +495,94 @@ def test_count_gate_names_the_first_bad_argument():
     with pytest.raises(ValueError, match=r"^b must be >= 1 and an int, got "
                                          r"b=0$"):
         exactnum.check_counts(("a", 0, 0), ("b", 0, 1), ("c", 0.5, 0))
+
+
+def _weight_entry_points():
+    """(call, argument) per weight argument of a public entry point; each
+    call returns a value to compare across the types of one weight."""
+    from wehrl_lab import degrees, disc, domains, reports, selberg, suite
+    f, d = PolyFun(2, (1, 1)), domains.PRESETS["disc"]
+    half = Fraction(1, 2)
+    return {
+        "PolyFun": (lambda x: norm2_exact(PolyFun(x, (1, 1))), "nu"),
+        "TensorPoly.mu": (lambda x: disc.TensorPoly(
+            x, 3, [[1, 2], [3, 4]]).norm2(), "mu"),
+        "TensorPoly.nu": (lambda x: disc.TensorPoly(
+            3, x, [[1, 2], [3, 4]]).norm2(), "nu"),
+        "ProjectionSpec.mu": (lambda x: disc.ProjectionSpec(
+            x, 3, 2).c_squared(), "mu"),
+        "ProjectionSpec.nu": (lambda x: disc.ProjectionSpec(
+            3, x, 2).c_squared(), "nu"),
+        "product_norm2": (lambda x: disc.product_norm2([f, f], x), "nu"),
+        "KernelFun": (lambda x: disc.KernelFun(
+            x, half, 3).to_polyfun().coeffs, "nu"),
+        "ode_solve": (lambda x: disc.ode_solve(x, half, 3).coeffs, "nu"),
+        "maximize_wehrl": (lambda x: disc.maximize_wehrl(x, 2, 4), "nu"),
+        "scalar_formal_degree": (
+            lambda x: degrees.scalar_formal_degree(d, x), "lam"),
+        "wehrl_constant": (lambda x: degrees.wehrl_constant(d, x, 2), "lam"),
+        "partial_isometry_constant.lam": (
+            lambda x: degrees.partial_isometry_constant(d, x, 4), "lam"),
+        "partial_isometry_constant.lam2": (
+            lambda x: degrees.partial_isometry_constant(d, 4, x), "lam2"),
+        "hc_degree_scalar": (lambda x: degrees.hc_degree_scalar(d, x), "lam"),
+        "hc_degree_root_product": (lambda x: degrees.hc_degree_root_product(
+            degrees.ROOT_SYSTEM_PRESETS["C2"], x), "lam"),
+        "gamma_ratio_product.numerators": (
+            lambda x: degrees.gamma_ratio_product((x, half), (half,)),
+            "numerators"),
+        "gamma_ratio_product.denominators": (
+            lambda x: degrees.gamma_ratio_product((half,), (x, half)),
+            "denominators"),
+        "hc_admissible": (lambda x: domains.hc_admissible(d, x), "lam"),
+        "SelbergSpec.a": (lambda x: selberg.selberg_closed(
+            selberg.SelbergSpec(2, x, 0, 0)), "a"),
+        "SelbergSpec.b": (lambda x: selberg.selberg_closed(
+            selberg.SelbergSpec(2, 1, x, 0)), "b"),
+        "SelbergSpec.gamma": (lambda x: selberg.selberg_closed(
+            selberg.SelbergSpec(2, 1, 0, x)), "gamma"),
+        "verify_degree_integral": (
+            lambda x: selberg.verify_degree_integral(d, x, 60), "lam"),
+        "PiScaledRational": (lambda x: repr(PiScaledRational(x, 1)), "coeff"),
+        "QC.re": (lambda x: QC(x, 1), "re"),
+        "QC.im": (lambda x: QC(1, x), "im"),
+        "exact_json": (reports.exact_json, "value"),
+        "emit_constants_table": (lambda x: suite.emit_constants_table(
+            ["disc", "Sp(2,R)"], [2, x], [2, 3]), "lam_grid"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_weight_entry_points()))
+def test_weight_arguments_are_gated_by_name(entry):
+    # Infinity escaped as a bare OverflowError, NaN as a ValueError naming no
+    # argument, None and complex values as bare TypeErrors, and True ran as
+    # 1; each is now one ValueError naming the argument.
+    call, name = _weight_entry_points()[entry]
+    for bad in (math.inf, -math.inf, math.nan, np.float64("nan"), True, None,
+                1 + 0j, "x"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                             f"rational number, got {name}="
+                                             f"{re.escape(repr(bad))}$"):
+            call(bad)
+    want = call(Fraction(3))
+    for good in (3, 3.0, np.int64(3), np.float64(3.0)):
+        assert call(good) == want, good
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.integers(),
+                 st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                 st.fractions()))
+def test_weight_gate_is_fraction_of_every_finite_rational(x):
+    # Fraction(np.int64(3)) keeps the numpy int as its numerator, whose
+    # arithmetic wraps; the gate's Fraction holds Python ints.
+    got = exactnum.check_weight("x", x)
+    assert type(got) is Fraction and got == Fraction(x)
+    assert type(got.numerator) is int and type(got.denominator) is int
+
+
+def test_weight_gate_keeps_a_fraction_and_a_zero_denominator():
+    x = Fraction(7, 3)
+    assert exactnum.check_weight("nu", x) is x
+    with pytest.raises(ZeroDivisionError):
+        exactnum.check_weight("nu", "1/0")
