@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce, wraps
 from itertools import count, islice, pairwise
+from numbers import Rational
 from operator import add, mul
 from typing import Sequence
 
@@ -65,13 +66,18 @@ class NoConvergence(RuntimeError):
 # flag only says how results are read: as Fractions, or rounded once.
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
-    """((lanes, den), exact) of coefficients listed in C order: exact iff
-    every entry is an int, Fraction or QC; else complex(c) each, at its
-    dyadic value, and ValueError on one that is not finite."""
-    if all(isinstance(c, (QC, int, Fraction)) for c in flat):
-        return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (c, 0)
-                             for c in flat], shape), True
-    flat = [complex(c) for c in flat]
+    """((lanes, den), exact) of coefficients listed in C order: read exactly
+    iff every entry is a QC or a Rational (Python or numpy int, Fraction),
+    each through check_weight; else in floats (float, complex, numpy float),
+    complex(c) each at its dyadic value, and ValueError on one that is not
+    finite.  A bool is refused by name on either route."""
+    # int and Fraction lead: isinstance matches them before Rational's ABC
+    if all(isinstance(c, (QC, int, Fraction, Rational)) for c in flat):
+        return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (
+            c if type(c) is int else check_weight("coeffs", c), 0)
+            for c in flat], shape), True
+    flat = [complex(c) if type(c) is not bool else check_weight("coeffs", c)
+            for c in flat]
     if bad := [c for c in flat if not cmath.isfinite(c)]:
         raise ValueError(f"coefficient {bad[0]} is not finite")
     return _ratio_lanes([(c.real, c.imag) for c in flat], shape), False
@@ -618,12 +624,14 @@ class KernelFun:
     def __post_init__(self):
         check_counts(("degree", self.degree, 0))
         self.__dict__["nu"] = check_weight("nu", self.nu)
+        if isinstance(self.w, Rational):  # read exactly, through the gate
+            self.__dict__["w"] = check_weight("w", self.w)
         if not abs(complex(self.w)) < 1:  # NaN too
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
     def to_polyfun(self) -> PolyFun:
-        exact = type(self.w) in (int, Fraction)  # not bool
-        wbar = Fraction(self.w) if exact else complex(self.w).conjugate()
+        exact = isinstance(self.w, Fraction)  # gated to one when built
+        wbar = self.w if exact else complex(self.w).conjugate()
         return PolyFun(self.nu, tuple(
             a * wbar ** m for m, a in enumerate(
                 _rising_over_factorial(self.nu, self.degree + 1, exact))))
@@ -657,13 +665,12 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     """
     nu = check_weight("nu", nu)
     check_counts(("degree", degree, 0))
-    if isinstance(c, bool):  # a slope, maybe complex, so not gated as nu is
-        raise ValueError(f"c must be a number, not a bool, got c={c!r}")
-    rational = isinstance(c, (int, Fraction))
+    rational = isinstance(c, Rational)  # a bool is refused by the gate
+    c = check_weight("c", c) if rational else complex(c)
     if abs(complex(c)) >= float(nu):
         raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
     rho = (nu + 1) / nu if rational else float((nu + 1) / nu)
-    a = [Fraction(1), Fraction(c)] if rational else [1.0 + 0j, complex(c)]
+    a = [Fraction(1) if rational else 1.0 + 0j, c]
     for m in range(degree - 1):
         rhs = rho * sum((i + 1) * (m - i + 1) * a[i + 1] * a[m - i + 1]
                         for i in range(m + 1))

@@ -101,19 +101,7 @@ def get_domain(name: str) -> DomainParams:
 
 
 def preset_table() -> list[dict]:
-    rows = []
-    seen = set()
-    for name, d in PRESETS.items():
-        if d in seen:
-            continue
-        seen.add(d)
-        rows.append({
-            "family": d.family_label,
-            "r": d.r,
-            "a": d.a,
-            "b": d.b,
-            "p": d.p,
-            "N": d.N,
-            "n1": d.n1,
-        })
-    return rows
+    """One row per distinct domain, in the order of PRESETS."""
+    return list({d: {"family": d.family_label, "r": d.r, "a": d.a, "b": d.b,
+                     "p": d.p, "N": d.N, "n1": d.n1}
+                 for d in PRESETS.values()}.values())

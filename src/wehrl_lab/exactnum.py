@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Integral, Rational
+from numbers import Rational
 from operator import mul
 
 import numpy as np
@@ -43,16 +43,20 @@ def check_counts(*counts) -> None:
 
 
 def check_weight(name: str, x) -> Fraction:
-    """x as a Fraction of Python ints (numpy's wrap), a Fraction as it is.  A
-    bool, None, a complex or non-finite value and all else Fraction() refuses
-    raise one ValueError naming x; only x/0 keeps its ZeroDivisionError."""
-    if type(x) is Fraction:
+    """x as a Fraction of Python ints (numpy's wrap), one such as it is: the
+    one intake of a weight, of a PiScaledRational operand and of every number
+    read exactly, a Rational (Python or numpy int, Fraction, QC part).  A
+    float or numpy float enters at its dyadic value.  A bool, None, a complex
+    or non-finite value and all else Fraction() refuses raise one ValueError
+    naming x; only x/0 keeps its ZeroDivisionError."""
+    if type(x) is Fraction and type(x.numerator) is int is type(x.denominator):
         return x
     if type(x) is int:  # as fast as Fraction(x), for the hot callers
         return Fraction(x)
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if not isinstance(x, (bool, complex)):
-            return Fraction(int(x) if isinstance(x, Integral) else x)
+            return Fraction(int(x.numerator), int(x.denominator)) if (
+                isinstance(x, Rational)) else Fraction(x)
     raise ValueError(f"{name} must be a finite rational number, got "
                      f"{name}={x!r}")
 
@@ -153,7 +157,8 @@ class PiScaledRational:
         if isinstance(other, PiScaledRational):
             return PiScaledRational(self.coeff * other.coeff,
                                     self.pi_power + other.pi_power)
-        return PiScaledRational(self.coeff * Fraction(other), self.pi_power)
+        return PiScaledRational(self.coeff * check_weight("other", other),
+                                self.pi_power)
 
     __rmul__ = __mul__
 
@@ -161,7 +166,8 @@ class PiScaledRational:
         if isinstance(other, PiScaledRational):
             return PiScaledRational(self.coeff / other.coeff,
                                     self.pi_power - other.pi_power)
-        return PiScaledRational(self.coeff / Fraction(other), self.pi_power)
+        return PiScaledRational(self.coeff / check_weight("other", other),
+                                self.pi_power)
 
     def __pow__(self, n: int):
         return PiScaledRational(self.coeff ** n, self.pi_power * n)
@@ -170,8 +176,9 @@ class PiScaledRational:
         if isinstance(other, PiScaledRational):  # a zero has every pi power
             return self.coeff == other.coeff and (
                 not self.coeff or self.pi_power == other.pi_power)
-        if isinstance(other, Rational):
-            return self == PiScaledRational(Fraction(other), 0)
+        with contextlib.suppress(ValueError):  # a bool is no number
+            if isinstance(other, Rational):
+                return self == PiScaledRational(other)
         return NotImplemented
 
     def __hash__(self):

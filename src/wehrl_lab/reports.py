@@ -40,14 +40,7 @@ class Report:
             raise ValueError(f"bad verdict {self.verdict!r}")
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)  # the five fields
 
 
 # The disc's names for each convention: the Q_k normalization

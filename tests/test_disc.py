@@ -1052,9 +1052,9 @@ def test_ode_solve_returns_degree_plus_one_coefficients():
 
 def test_ode_refuses_a_bool_slope():
     # True fell through to complex(c): the float series (1, 1, 0.75, 0.5),
-    # where the slope 1 gives exact rationals.
-    with pytest.raises(ValueError, match=r"^c must be a number, not a bool, "
-                                         r"got c=True$"):
+    # where the slope 1 gives exact rationals.  The weight gate refuses it.
+    with pytest.raises(ValueError, match=r"^c must be a finite rational "
+                                         r"number, got c=True$"):
         ode_solve(NU2, True, 3)
     assert ode_solve(NU2, 1, 3).exact
 

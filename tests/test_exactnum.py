@@ -6,11 +6,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_disc import _cmul
-from wehrl_lab.disc import PolyFun, norm2_exact
-from wehrl_lab import exactnum
+from wehrl_lab.degrees import scalar_formal_degree
+from wehrl_lab.disc import (KernelFun, PolyFun, completeness_check,
+                            norm2_exact, ode_solve)
+from wehrl_lab.domains import PRESETS
+from wehrl_lab import disc, exactnum
 from wehrl_lab.exactnum import (FloatRangeExceeded, PiScaledRational, QC,
                                 _rule, gauss_jacobi, rising_ints)
 
@@ -586,3 +589,148 @@ def test_weight_gate_keeps_a_fraction_and_a_zero_denominator():
     assert exactnum.check_weight("nu", x) is x
     with pytest.raises(ZeroDivisionError):
         exactnum.check_weight("nu", "1/0")
+
+
+def _types(value):
+    """value's types to the leaves: a Fraction's parts, a QC's and a
+    PiScaledRational's, a sequence's items; numpy ints inside a Fraction
+    wrap, where Python ints do not."""
+    if isinstance(value, Fraction):
+        return Fraction, type(value.numerator), type(value.denominator)
+    if isinstance(value, (QC, PiScaledRational)):
+        return type(value), *map(_types, vars(value).values())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_types, value))
+    return type(value)
+
+
+def _read(p):
+    """How a PolyFun or TensorPoly is read: its exact flag, coefficients
+    and squared norm."""
+    return p.exact, p.coeffs, (p.norm2() if hasattr(p, "norm2")
+                               else norm2_exact(p))
+
+
+def _exact_entry_points():
+    """(call, argument, values) per public entry point that reads a number
+    exactly: the values, Python ints and Fractions of them, that each call
+    takes; every weight of _weight_entry_points takes 3, and 7/2 where its
+    Gamma arguments still pair off."""
+    third, big = Fraction(1, 3), Fraction(3000000007, 7)
+    psr = PiScaledRational(Fraction(2, 3), 1)
+    entries = {
+        "PolyFun.coeffs": (lambda x: _read(PolyFun(2, (x, 1, x))), "coeffs",
+                           (3, 2 ** 62 + 1, big)),
+        "TensorPoly.coeffs": (lambda x: _read(disc.TensorPoly(
+            3, Fraction(5, 2), [[x, 1], [2, x]])), "coeffs",
+            (3, 2 ** 62 + 1, big)),
+        "QC.re": (lambda x: QC(x, 1), "re", (3, big)),
+        "QC.im": (lambda x: QC(1, x), "im", (3, big)),
+        "ode_solve.c": (lambda x: _read(disc.ode_solve(
+            Fraction(5, 2), x, 6)), "c", (1, third)),
+        "KernelFun.w": (lambda x: _read(disc.KernelFun(
+            2, x, 6).to_polyfun()), "w", (0, third)),
+        "PiScaledRational.mul": (lambda x: psr * x, "other", (3, big)),
+        "PiScaledRational.truediv": (lambda x: psr / x, "other", (3, big)),
+    }
+    for entry, (call, name) in _weight_entry_points().items():
+        entries[f"weight {entry}"] = (call, name, (3,) if entry.startswith(
+            "gamma_ratio_product") else (3, Fraction(7, 2)))
+    return entries
+
+
+def _numpy_twins(value) -> list:
+    """value as Fraction(np.int64, np.int64) and, for an int, as np.int64
+    and as np.int32 where it fits."""
+    n, d = value.numerator, value.denominator
+    twins = [Fraction(np.int64(n), np.int64(d))]
+    if d == 1:
+        twins += [np.int64(n)] + ([np.int32(n)] if abs(n) < 2 ** 31 else [])
+    return twins
+
+
+@pytest.mark.parametrize("entry", list(_exact_entry_points()))
+def test_exact_inputs_read_numpy_integers_as_python_ints(entry):
+    # A numpy int read exactly kept its int64 lanes, which wrap; a Fraction
+    # of numpy ints passed the weight gate as it was.  Each twin now gives
+    # the Python int's result to the types of its leaves, and a bool is
+    # refused by the gate, naming the argument.
+    call, name, values = _exact_entry_points()[entry]
+    for value in values:
+        want = call(value)
+        for twin in _numpy_twins(value):
+            got = call(twin)
+            assert got == want and _types(got) == _types(want), (value, twin)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite rational "
+                                         f"number, got {name}=True$"):
+        call(True)
+
+
+def _completeness(f):
+    report = completeness_check(f, f)
+    return report.per_k, report.total, report.passed
+
+
+@pytest.mark.parametrize("numpy_call, python_call", [
+    # norm^2 -4783943391187127173/294, completeness failed: int64 lanes wrap
+    (lambda: _completeness(PolyFun(2, (
+        Fraction(np.int64(3000000007), np.int64(7)), 1,
+        Fraction(np.int64(3000000007))))),
+     lambda: _completeness(PolyFun(2, (Fraction(3000000007, 7), 1,
+                                       Fraction(3000000007))))),
+    # read in floats as 4.611686018427388e18
+    (lambda: _read(PolyFun(2, (np.int64(2 ** 62 + 1),))),
+     lambda: _read(PolyFun(2, (2 ** 62 + 1,)))),
+    # bare OverflowError
+    (lambda: _read(KernelFun(2, Fraction(np.int64(1), np.int64(3)),
+                             60).to_polyfun()),
+     lambda: _read(KernelFun(2, Fraction(1, 3), 60).to_polyfun())),
+    # bare OverflowError
+    (lambda: _read(ode_solve(5 / 2, Fraction(np.int64(1), np.int64(3)), 20)),
+     lambda: _read(ode_solve(5 / 2, Fraction(1, 3), 20))),
+    # bare TypeError from the Gamma products
+    (lambda: scalar_formal_degree(PRESETS["disc"], Fraction(np.int64(3))),
+     lambda: scalar_formal_degree(PRESETS["disc"], 3))],
+    ids=["wrapped_lanes", "past_2_62", "kernel_w", "ode_slope",
+         "formal_degree"])
+def test_numpy_integer_repros_give_their_python_twins_results(numpy_call,
+                                                             python_call):
+    got, want = numpy_call(), python_call()
+    assert got == want and _types(got) == _types(want)
+
+
+def test_a_bool_coefficient_is_refused_on_both_routes():
+    # True read as 1, exactly or, beside a float, as 1.0
+    for coeffs in ((True, 1), (1, False), (True, 0.5), (0.5, 1j, False)):
+        with pytest.raises(ValueError, match=r"^coeffs must be a finite "
+                                             r"rational number, got coeffs="
+                                             r"(True|False)$"):
+            PolyFun(2, coeffs)
+
+
+def test_a_comparison_with_a_bool_is_false_and_never_raises():
+    assert PiScaledRational(Fraction(1)) != True  # noqa: E712
+    assert PiScaledRational(Fraction(0)) != False  # noqa: E712
+    assert PiScaledRational(Fraction(3)) == np.int64(3)
+    assert PiScaledRational(Fraction(1, 3)) == Fraction(np.int64(1),
+                                                        np.int64(3))
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_INT64, min_size=1, max_size=5).map(
+           lambda xs: np.array(xs, dtype=np.int64)),
+       st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(7, 3)]))
+@example(np.array([2 ** 62 + 1, -(2 ** 63), 3, 2 ** 63 - 1], dtype=np.int64),
+         Fraction(5, 2))
+def test_numpy_integer_arrays_are_read_as_their_python_lists(arr, nu):
+    # Products of such entries pass int64, where numpy's wrap; a numpy int
+    # array used to be read in floats.
+    f, g = PolyFun(nu, arr), PolyFun(nu, arr.tolist())
+    assert f.exact and g.exact
+    assert norm2_exact(f) == norm2_exact(g)
+    assert _completeness(f) == _completeness(g)
+    assert disc.wehrl_check(f, 3) == disc.wehrl_check(g, 3)
+    assert disc.improved_check(f, 2) == disc.improved_check(g, 2)

@@ -53,7 +53,9 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   rounds;
 * ``float_construction``: the median us to build a ``PolyFun`` of seeded
   complex floats at degrees 13, 2000 and 6000, alone and with its first
-  ``as_complex_array()``, over 101 rounds, each call alone;
+  ``as_complex_array()``, and an exact one, through the weight gate, of
+  seeded Python ints, of Fractions and of numpy ints (the same ints as
+  ``np.int64``) at degrees 13 and 2000, over 101 rounds, each call alone;
 * ``su2``: the median us of ``wehrl_compact_check`` on a seeded unit vector
   at (m, n) = (2, 2), (5, 4), (7, 3), (10, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
@@ -465,6 +467,13 @@ def float_construction() -> dict:
         calls["build_us", str(degree)] = partial(PolyFun, 2, cs)
         calls["build_and_read_us", str(degree)] = (
             lambda cs=cs: PolyFun(2, cs).as_complex_array())
+    for degree in (13, 2000):
+        ints = np.random.default_rng([SEED, degree]).integers(-4, 5,
+                                                              degree + 1)
+        for kind, cs in (("ints", ints.tolist()), ("numpy_ints", list(ints)),
+                         ("fractions", coefficients(degree)[0])):
+            calls[f"build_{kind}_us", str(degree)] = partial(
+                PolyFun, 2, tuple(cs))
     return {"nu": 2, **timed(calls, 101)}
 
 
