@@ -23,7 +23,7 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import get_domain, preset_table
-from .exactnum import check_weight
+from .exactnum import check_number, check_weight
 from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
                       SuiteConfig, exact_json)
 from .suite import SUITE_NAMES, emit_constants_table, run_suite
@@ -42,30 +42,18 @@ def _split_names(text: str) -> list[str]:
     return [s.strip() for s in re.split(r",(?![^(]*\))", text) if s.strip()]
 
 
-def _parse_coeffs(text: str, option: str) -> tuple:
-    """The option's numbers: Fractions where rational, else finite complex."""
-    out, hint = [], f"'{option}'"
-    for tok in map(str.strip, text.split(",")):
-        try:
-            out.append(Fraction(tok))
-        except ValueError:
-            try:
-                out.append(complex(tok))
-            except ValueError:
-                raise click.BadParameter(f"{tok!r} is not a rational or "
-                                         f"complex number", param_hint=hint)
-            if not np.isfinite(out[-1]):
-                raise click.BadParameter(f"{tok!r} is not finite",
-                                         param_hint=hint)
-    return tuple(out)
+def _read(read, option: str, items) -> list:
+    """[read(name, x) for x in items], name the option's; BadParameter on the
+    option where the library's rule refuses an item."""
+    try:
+        return [read(option.lstrip("-"), x) for x in items]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(str(exc), param_hint=f"'{option}'") from None
 
 
 def _weight(ctx, param, text: str) -> Fraction:
     """A weight option's text through the library's gate, refused on it."""
-    try:
-        return check_weight(param.opts[0].lstrip("-"), text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(str(exc)) from None
+    return _read(check_weight, param.opts[0], [text])[0]
 
 
 def _value_json(x) -> dict:
@@ -161,11 +149,8 @@ def disc():
 
 def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
     """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one."""
-    values = _parse_coeffs(coeffs, coeffs_opt)
-    try:
-        return dc.PolyFun(nu, values)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=f"'{nu_opt}'") from None
+    values = _read(check_number, coeffs_opt, coeffs.split(","))
+    return _read(lambda name, x: dc.PolyFun(nu, x), nu_opt, [values])[0]
 
 
 @disc.command("norm")
@@ -261,8 +246,9 @@ def disc_ode(nu, c, degree):
 def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
+        values = _read(check_number, "--vector", vector.split(","))
         try:
-            v = cp._unit(cp._vector(_parse_coeffs(vector, "--vector"), m))
+            v = cp._unit(cp._vector(values, m))
         except (ValueError, OverflowError) as exc:  # OverflowError: 1e400
             raise click.BadParameter(str(exc), param_hint="'--vector'") from None
     elif random_:
@@ -302,16 +288,15 @@ def suite(name, seed, convention, out):
 @click.option("--domains", "domain_list", default="disc,Sp(2,R)",
               show_default=True, help="comma-separated preset names")
 @click.option("--lambdas", default="2,3,4", show_default=True,
-              callback=lambda ctx, param, text: [
-                  _weight(ctx, param, x) for x in text.split(",")])
-@click.option("--n", "n_list", default="2,3", show_default=True)
+              callback=lambda ctx, param, text: _read(
+                  check_weight, param.opts[0], text.split(",")))
+@click.option("--n", "n_list", default="2,3", show_default=True,
+              callback=lambda ctx, param, text: _read(
+                  lambda name, x: int(x), param.opts[0], text.split(",")))
 @click.option("--out", default=None, type=click.Path())
 def table(domain_list, lambdas, n_list, out):
     """Constants table (CSV) over a (domain, lambda, n) grid."""
-    csv_text = emit_constants_table(
-        _split_names(domain_list),
-        lambdas,
-        [int(x) for x in n_list.split(",")])
+    csv_text = emit_constants_table(_split_names(domain_list), lambdas, n_list)
     if out:
         Path(out).write_text(csv_text)
     click.echo(csv_text, nl=False)

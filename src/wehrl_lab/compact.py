@@ -34,7 +34,8 @@ import numpy as np
 
 from .disc import (_angular_radial_mean, _coherent_fit, _rising_over_factorial,
                    _rule_sizes, product_norm2)
-from .exactnum import FloatRangeExceeded, check_counts, gauss_jacobi
+from .exactnum import (FloatRangeExceeded, check_counts, check_number,
+                       check_weight, gauss_jacobi)
 
 __all__ = [
     "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
@@ -81,11 +82,13 @@ class Su2Irrep:
 # Top-component masses through Bloch polynomials.
 
 def _vector(v: Sequence[complex], m: int) -> np.ndarray:
-    """v as a complex array, the gate of every SU(2) check: ValueError
-    unless it has m + 1 entries, all finite."""
+    """The SU(2) checks' gate: v as m + 1 complex entries, a float or complex
+    array checked finite at once, any other v entry by entry (check_number)."""
+    if not (isinstance(v, np.ndarray) and v.dtype.kind in "fc"):
+        v = [check_number("v", x) for x in v]
+    elif not np.isfinite(v).all():  # the rule names the first bad entry
+        check_number("v", v[~np.isfinite(v)][0].item())
     v = np.asarray(v, dtype=complex)
-    if not np.isfinite(v).all():
-        raise ValueError("v must be a nonzero vector of finite entries")
     if len(v) != m + 1:
         raise ValueError("vector length must be m + 1")
     return v
@@ -188,6 +191,8 @@ def translate_vector(m: int, alpha: float, beta: float,
     """tau(k) e_top, a point of the equality orbit: binom(m,i)^{1/2} cos^{m-i}
     (beta/2) sin^i(beta/2) e^{-i alpha (m/2 - i)} e^{-i gamma m/2} from
     _orbit_row, not the Bloch row, which only the mass reads."""
+    alpha, beta, gamma = (float(check_weight(name, x)) for name, x in (
+        ("alpha", alpha), ("beta", beta), ("gamma", gamma)))
     row = _orbit_row(m, math.cos(beta / 2.0), math.sin(beta / 2.0))[:, 0]
     i = np.arange(m + 1)
     return row * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0))

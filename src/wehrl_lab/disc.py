@@ -23,7 +23,6 @@ exact completeness at degree 64 takes 0.155 s (median) on 2 x86-64 vCPUs.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from contextlib import suppress
@@ -31,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce, wraps
 from itertools import count, islice, pairwise
-from numbers import Rational
 from operator import add, mul
 from typing import Sequence
 
 import numpy as np
 
 from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, check_counts,
-                       check_weight, gauss_jacobi, rising_ints)
+                       check_number, check_weight, gauss_jacobi, rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -66,31 +64,20 @@ class NoConvergence(RuntimeError):
 # flag only says how results are read: as Fractions, or rounded once.
 
 def _lanes_of(flat: list, shape: tuple) -> tuple:
-    """((lanes, den), exact) of coefficients listed in C order: read exactly
-    iff every entry is a QC or a Rational (Python or numpy int, Fraction),
-    each through check_weight; else in floats (float, complex, numpy float),
-    complex(c) each at its dyadic value, and ValueError on one that is not
-    finite.  A bool is refused by name on either route."""
-    # int and Fraction lead: isinstance matches them before Rational's ABC
-    if all(isinstance(c, (QC, int, Fraction, Rational)) for c in flat):
-        return _ratio_lanes([(c.re, c.im) if isinstance(c, QC) else (
-            c if type(c) is int else check_weight("coeffs", c), 0)
-            for c in flat], shape), True
-    flat = [complex(c) if type(c) is not bool else check_weight("coeffs", c)
-            for c in flat]
-    if bad := [c for c in flat if not cmath.isfinite(c)]:
-        raise ValueError(f"coefficient {bad[0]} is not finite")
-    return _ratio_lanes([(c.real, c.imag) for c in flat], shape), False
-
-
-def _ratio_lanes(pairs: list, shape: tuple) -> tuple:
-    """(lanes, den) of rational (re, im) pairs in C order, den their lcm."""
+    """((lanes, den), exact) of coefficients listed in C order, each a QC or
+    read by check_number: exactly iff none is read in floats, else each as
+    complex(c) at its dyadic value; den is the lcm of their denominators."""
+    flat = [c if isinstance(c, QC) else check_number("coeffs", c) for c in flat]
+    if exact := all(type(c) is not complex for c in flat):
+        pairs = [(c.re, c.im) if isinstance(c, QC) else (c, 0) for c in flat]
+    else:
+        pairs = [(z.real, z.imag) for z in map(complex, flat)]
     ratios = [[x.as_integer_ratio() for x in part] for part in zip(*pairs)]
-    den = math.lcm(*(d for part in ratios for _, d in part))
+    den = math.lcm(*{d for part in ratios for _, d in part})  # each d once
     parts = [[x * (den // d) for x, d in part] for part in ratios] or [[]]
     parts = parts if any(parts[-1]) else parts[:1]
-    return tuple(np.array(x, dtype=object).reshape(shape)
-                 for x in parts), den
+    return (tuple(np.array(x, dtype=object).reshape(shape) for x in parts),
+            den), exact
 
 
 def _in_float_range(read):
@@ -618,20 +605,18 @@ class KernelFun:
     """Truncated reproducing kernel K_w(z) = (1 - z conj(w))^{-nu}."""
 
     nu: Fraction
-    w: complex
+    w: int | Fraction | complex
     degree: int
 
     def __post_init__(self):
         check_counts(("degree", self.degree, 0))
-        self.__dict__["nu"] = check_weight("nu", self.nu)
-        if isinstance(self.w, Rational):  # read exactly, through the gate
-            self.__dict__["w"] = check_weight("w", self.w)
-        if not abs(complex(self.w)) < 1:  # NaN too
+        self.__dict__.update(nu=check_weight("nu", self.nu),
+                             w=check_number("w", self.w))
+        if not float(abs(self.w)) < 1:
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
     def to_polyfun(self) -> PolyFun:
-        exact = isinstance(self.w, Fraction)  # gated to one when built
-        wbar = self.w if exact else complex(self.w).conjugate()
+        wbar, exact = self.w.conjugate(), type(self.w) is not complex
         return PolyFun(self.nu, tuple(
             a * wbar ** m for m, a in enumerate(
                 _rising_over_factorial(self.nu, self.degree + 1, exact))))
@@ -645,7 +630,7 @@ class KernelFun:
         bounds the rest once rho < 1.  Terms are summed until rho <= 1/2 or
         that rest is at most the sum so far.
         """
-        nu, r2 = float(self.nu), abs(complex(self.w)) ** 2
+        nu, r2 = float(self.nu), float(abs(self.w)) ** 2
         m, total = self.degree + 1, 0.0
         term = _rising_over_factorial(self.nu, m + 1, False)[m] * r2 ** m
         while True:
@@ -665,8 +650,7 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     """
     nu = check_weight("nu", nu)
     check_counts(("degree", degree, 0))
-    rational = isinstance(c, Rational)  # a bool is refused by the gate
-    c = check_weight("c", c) if rational else complex(c)
+    rational = type(c := check_number("c", c)) is not complex
     if abs(complex(c)) >= float(nu):
         raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
     rho = (nu + 1) / nu if rational else float((nu + 1) / nu)

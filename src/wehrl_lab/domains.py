@@ -90,14 +90,15 @@ PRESETS: dict[str, DomainParams] = {
 
 
 def get_domain(name: str) -> DomainParams:
-    """Resolve a preset name or an "r,a,b" triple."""
+    """A preset by name or an "r,a,b" triple of ints; else KeyError."""
     if name in PRESETS:
         return PRESETS[name]
-    parts = name.split(",")
-    if len(parts) == 3:
-        r, a, b = (int(x) for x in parts)
-        return DomainParams("custom", r=r, a=a, b=b)
-    raise KeyError(f"unknown domain {name!r}; presets: {sorted(PRESETS)}")
+    try:
+        r, a, b = map(int, name.split(","))
+    except ValueError:
+        raise KeyError(f"unknown domain {name!r}; presets: {sorted(PRESETS)}"
+                       ) from None
+    return DomainParams("custom", r=r, a=a, b=b)
 
 
 def preset_table() -> list[dict]:

@@ -1,8 +1,8 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
-complex numbers, the integer rising products behind every Pochhammer
-symbol, the errors raised where a value leaves the float range or an
-integral diverges, the one gate on count arguments and the one on weights,
-and the one Beta function and Gauss-Jacobi rule of the numerical oracles.
+complex numbers, the integer rising products behind every Pochhammer symbol,
+the errors raised where a value leaves the float range or an integral
+diverges, the one gate each on counts, weights and numbers that may be read
+in floats, and the one Beta function and Gauss-Jacobi rule of the oracles.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -11,6 +11,7 @@ rendition is explicitly requested.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -54,11 +55,35 @@ def check_weight(name: str, x) -> Fraction:
     if type(x) is int:  # as fast as Fraction(x), for the hot callers
         return Fraction(x)
     with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if isinstance(x, np.floating):  # float32 too, which Fraction() refuses
+            x = Fraction(*x.as_integer_ratio())
         if not isinstance(x, (bool, complex)):
             return Fraction(int(x.numerator), int(x.denominator)) if (
                 isinstance(x, Rational)) else Fraction(x)
     raise ValueError(f"{name} must be a finite rational number, got "
                      f"{name}={x!r}")
+
+
+def check_number(name: str, x) -> int | Fraction | complex:
+    """x by the one rule of a number that may be read in floats: an int as it
+    is, a float, complex or numpy float as a finite complex, a str as
+    Fraction(str) or else a finite complex(str), all else (a Rational)
+    through check_weight.  Each refusal is one ValueError naming x; x/0 keeps
+    its ZeroDivisionError."""
+    if type(x) is int:  # the hot callers' fast paths, by type
+        return x
+    if isinstance(x, (float, complex, np.inexact)):
+        if cmath.isfinite(x):
+            return complex(x)
+    elif isinstance(x, str):
+        with contextlib.suppress(ValueError):
+            return Fraction(x)
+        with contextlib.suppress(ValueError):
+            if cmath.isfinite(z := complex(x)):
+                return z
+    else:
+        return check_weight(name, x)
+    raise ValueError(f"{name} must be a finite number, got {name}={x!r}")
 
 
 def rising_ints(a: int, b: int, k: int) -> list:

@@ -22,7 +22,7 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import PRESETS, get_domain, hc_admissible
-from .exactnum import PiScaledRational, check_weight
+from .exactnum import PiScaledRational, check_counts, check_weight
 from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
                       ConfigError, Report, SuiteConfig, exact_json)
 
@@ -331,14 +331,14 @@ def emit_constants_table(domains: list[str], lam_grid, n_grid) -> str:
     ])
     degree = functools.cache(dg.scalar_formal_degree)  # d_x once per call
     lam_grid = [check_weight("lam_grid", x) for x in lam_grid]
+    check_counts(*(("n_grid", n, 1) for n in n_grid))
     for name in domains:
         d = get_domain(name)
         try:
             cg = dg.c_G(d)
         except dg.UnsupportedCase:
             cg = None
-        lams = [x for x in lam_grid if hc_admissible(d, x)]
-        for lam in lams:
+        for lam in [x for x in lam_grid if hc_admissible(d, x)]:
             dl = degree(d, lam)
             dh = str((dl / cg).as_rational()) if cg else ""
             for n in [n for n in n_grid if hc_admissible(d, n * lam)]:

@@ -171,16 +171,16 @@ def test_disc_subcommands(runner):
     (["project", "--mu", "1", "--nu", "7/2", "--k", "1", "--f", "1,2",
       "--g", "1"], "--mu", "weight nu must exceed 1, got 1"),
     (["project", "--mu", "5/2", "--nu", "7/2", "--k", "1", "--f", "1,x",
-      "--g", "1"], "--f", "'x' is not a rational or complex number"),
+      "--g", "1"], "--f", "f must be a finite number, got f='x'"),
     (["project", "--mu", "5/2", "--nu", "1/2", "--k", "1", "--f", "1",
       "--g", "2"], "--nu", "got 1/2"),
     (["norm", "--nu", "abc", "--coeffs", "1,2"], "--nu", "'abc'"),
     (["wehrl", "--nu", "2", "--coeffs", "1,,2"], "--coeffs",
-     "'' is not a rational"),
+     "coeffs must be a finite number, got coeffs=''"),
     (["project", "--mu", "5/2", "--nu", "7/2", "--k", "1", "--f", "nan,1",
-      "--g", "1"], "--f", "'nan' is not finite"),
+      "--g", "1"], "--f", "f must be a finite number, got f='nan'"),
     (["wehrl", "--nu", "2", "--coeffs", "1,-inf"], "--coeffs",
-     "'-inf' is not finite"),
+     "coeffs must be a finite number, got coeffs='-inf'"),
 ])
 def test_disc_bad_input_names_the_option(runner, args, option, message):
     res = runner.invoke(main, ["disc", *args])
@@ -214,11 +214,14 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
     (["disc", "norm", "--nu", "2", "--coeffs", "1e200,1", "--p", "4"],
      "quadrature of |f|^{2n} exceeds"),
     (["disc", "wehrl", "--nu", "2", "--coeffs", "nan,1"],
-     "Invalid value for '--coeffs': 'nan' is not finite"),
+     "Invalid value for '--coeffs': coeffs must be a finite number, got "
+     "coeffs='nan'"),
     (["disc", "improved", "--nu", "2", "--coeffs", "1,infj"],
-     "Invalid value for '--coeffs': 'infj' is not finite"),
+     "Invalid value for '--coeffs': coeffs must be a finite number, got "
+     "coeffs='infj'"),
     (["compact", "--m", "2", "--vector", "1,x,0"],
-     "Invalid value for '--vector': 'x' is not a rational"),
+     "Invalid value for '--vector': vector must be a finite number, got "
+     "vector='x'"),
     (["disc", "project", "--mu", "2", "--nu", "2", "--k", "0", "--f",
       "1e200j,1", "--g", "1e200j,1"],
      "norm2: a value exceeds the float limit"),
@@ -249,6 +252,19 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "Error: n must be >= 1"),
     (["selberg", "--r", "2", "--a", "-1", "--b", "0", "--gamma", "1"],
      "Error: a must be >= 0"),
+    # printed "invalid literal for int() with base 10: 'x'", naming no option
+    (["table", "--n", "2,x"], "Error: Invalid value for '--n': invalid "
+                              "literal for int() with base 10: 'x'"),
+    # a header-only table, exit 0
+    (["table", "--n", "0"], "Error: n_grid must be >= 1 and an int, got "
+                            "n_grid=0"),
+    # "invalid literal for int()", naming no domain
+    (["degrees", "--domain", "2,3,x", "--lambda", "5"],
+     "Error: unknown domain '2,3,x'; presets:"),
+    (["degrees", "--domain", "1.5,2,3", "--lambda", "5"],
+     "Error: unknown domain '1.5,2,3'; presets:"),
+    (["degrees", "--domain", "0,1,1", "--lambda", "5"],
+     "Error: r must be >= 1 and an int, got r=0"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

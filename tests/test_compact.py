@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -443,22 +444,26 @@ def test_vectors_whose_squared_norm_leaves_the_float_range(scale):
                                [0, 0, complex(0, np.nan), 0]])
 def test_zero_and_non_finite_vectors_are_refused(v):
     # Not NoConvergence, nor a FloatRangeExceeded that blames the float
-    # limit: _vector refuses a NaN or infinite entry at every SU(2) check,
-    # and a zero vector fails the unit-vector gate.
-    message = "^v must be a nonzero vector of finite entries$"
-    with pytest.raises(ValueError, match=message):
-        casimir_tensor_check(v, 3)
-    with pytest.raises(ValueError, match=message):
-        translate_fit_distance(v, 3)
+    # limit: the number rule refuses a NaN or infinite entry at every SU(2)
+    # check, naming it, in a list and in an array alike, and a zero vector
+    # fails the unit-vector gate.
     finite = np.isfinite(v).all()
-    with pytest.raises(ValueError, match="^v must be a unit vector$"
-                       if finite else message):
-        wehrl_compact_check(v, 3, 2)
-    if not finite:  # a zero vector has reduction residual 0 and integral 0
+    message = "^v must be a nonzero vector of finite entries$" if finite else (
+        f"^v must be a finite number, got v="
+        f"{re.escape(repr(next(x for x in v if not np.isfinite(x))))}$")
+    for v in (v, np.asarray(v)):
         with pytest.raises(ValueError, match=message):
-            reduction_consistency(v, 3, 3)
+            casimir_tensor_check(v, 3)
         with pytest.raises(ValueError, match=message):
-            wehrl_integral_numeric(v, 3, 2)
+            translate_fit_distance(v, 3)
+        with pytest.raises(ValueError, match="^v must be a unit vector$"
+                           if finite else message):
+            wehrl_compact_check(v, 3, 2)
+        if not finite:  # a zero vector has residual 0 and integral 0
+            with pytest.raises(ValueError, match=message):
+                reduction_consistency(v, 3, 3)
+            with pytest.raises(ValueError, match=message):
+                wehrl_integral_numeric(v, 3, 2)
 
 
 def test_frontier_against_haar_quadrature():

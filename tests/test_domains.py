@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,24 @@ def test_get_domain_parsing():
     assert (custom.r, custom.a, custom.b) == (2, 1, 0)
     with pytest.raises(KeyError):
         get_domain("nope")
+
+
+@pytest.mark.parametrize("text", ["2,3,x", "1.5,2,3", "1,2", "1,2,3,4", ""])
+def test_a_malformed_triple_is_an_unknown_domain(text):
+    # "2,3,x" and "1.5,2,3" raised "invalid literal for int()", naming no
+    # domain; a triple that is not three ints is now an unknown domain.
+    with pytest.raises(KeyError,
+                       match=f"^\"unknown domain {re.escape(repr(text))}; "):
+        get_domain(text)
+
+
+def test_a_triple_of_ints_keeps_its_range_messages():
+    with pytest.raises(ValueError, match="^r must be >= 1 and an int, got "
+                                         "r=0$"):
+        get_domain("0,1,1")
+    with pytest.raises(ValueError, match="^a must be >= 0 and an int, got "
+                                         "a=-1$"):
+        get_domain("2,-1,0")
 
 
 def test_preset_table_columns():

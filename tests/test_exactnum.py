@@ -365,7 +365,7 @@ def test_mu0_is_the_beta_function_to_a_few_eps_past_gamma_overflow():
 
 
 def _count_entry_points():
-    from wehrl_lab import compact, degrees, disc, domains, selberg
+    from wehrl_lab import compact, degrees, disc, domains, selberg, suite
     f, disc_domain = PolyFun(2, (1, 1)), domains.PRESETS["disc"]
     return {
         "maximize_wehrl": lambda x: disc.maximize_wehrl(2, 2, x),
@@ -418,6 +418,8 @@ def _count_entry_points():
         "so_star": lambda x: domains.so_star(x),
         "gauss_jacobi": lambda x: exactnum.gauss_jacobi(x, 0.0, 0.0),
         "PiScaledRational": lambda x: PiScaledRational(Fraction(2), x),
+        "emit_constants_table": lambda x: suite.emit_constants_table(
+            ["disc"], [2], [2, x]),
     }
 
 
@@ -443,13 +445,14 @@ def _count_entry_points():
     ("su_pq.p", "p", 1, 2), ("su_pq.q", "q", 1, 1), ("sp_r", "r", 1, 2),
     ("so_2n", "n", 3, 4), ("so_star", "n", 2, 4),
     ("gauss_jacobi", "n", 1, 3),
-    ("PiScaledRational", "pi_power", -math.inf, 1)])
+    ("PiScaledRational", "pi_power", -math.inf, 1),
+    ("emit_constants_table", "n_grid", 1, 3)])
 def test_count_arguments_are_gated_by_name(entry, name, least, good):
     # A float or None count failed deep inside with a bare TypeError naming
     # no argument, or ran as a silent wrong answer, and True ran as 1; the
     # gate names the argument, and so does the value one below `least`.
     call = _count_entry_points()[entry]
-    for bad in (float(good), Fraction(good), True, None, least - 1):
+    for bad in (float(good), Fraction(good), True, np.True_, None, least - 1):
         with pytest.raises(ValueError, match=f"^{name} must be >= {least} "
                                              f"and an int, got {name}="
                                              f"{re.escape(repr(bad))}$"):
@@ -561,14 +564,14 @@ def test_weight_arguments_are_gated_by_name(entry):
     # argument, None and complex values as bare TypeErrors, and True ran as
     # 1; each is now one ValueError naming the argument.
     call, name = _weight_entry_points()[entry]
-    for bad in (math.inf, -math.inf, math.nan, np.float64("nan"), True, None,
-                1 + 0j, "x"):
+    for bad in (math.inf, -math.inf, math.nan, np.float64("nan"), True,
+                np.True_, None, 1 + 0j, "x"):
         with pytest.raises(ValueError, match=f"^{name} must be a finite "
                                              f"rational number, got {name}="
                                              f"{re.escape(repr(bad))}$"):
             call(bad)
     want = call(Fraction(3))
-    for good in (3, 3.0, np.int64(3), np.float64(3.0)):
+    for good in (3, 3.0, np.int64(3), np.float64(3.0), np.float32(3.0)):
         assert call(good) == want, good
 
 
@@ -589,6 +592,89 @@ def test_weight_gate_keeps_a_fraction_and_a_zero_denominator():
     assert exactnum.check_weight("nu", x) is x
     with pytest.raises(ZeroDivisionError):
         exactnum.check_weight("nu", "1/0")
+
+
+def _number_entry_points():
+    """(call, argument) per public entry point that reads a number which may
+    be complex: a coefficient, slope, kernel parameter or SU(2) entry, and
+    the angles of translate_vector, which are weights read as floats."""
+    from wehrl_lab import compact
+    return {
+        "PolyFun": (lambda x: PolyFun(2, (1, x)), "coeffs"),
+        "TensorPoly": (lambda x: disc.TensorPoly(2, 3, [[1], [2, x]]),
+                       "coeffs"),
+        "ode_solve": (lambda x: ode_solve(2, x, 3), "c"),
+        "KernelFun": (lambda x: KernelFun(2, x, 3), "w"),
+        "wehrl_compact_check": (lambda x: compact.wehrl_compact_check(
+            [1, x, 0], 2, 2), "v"),
+        "casimir_tensor_check": (lambda x: compact.casimir_tensor_check(
+            [1, x, 0], 2), "v"),
+        "translate_fit_distance": (lambda x: compact.translate_fit_distance(
+            [1, x, 0], 2), "v"),
+        "translate_vector.alpha": (lambda x: compact.translate_vector(
+            2, x, 0.2, 0.3), "alpha"),
+        "translate_vector.beta": (lambda x: compact.translate_vector(
+            2, 0.1, x, 0.3), "beta"),
+        "translate_vector.gamma": (lambda x: compact.translate_vector(
+            2, 0.1, 0.2, x), "gamma"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_number_entry_points()))
+def test_number_arguments_are_read_by_one_rule(entry):
+    # np.True_ ran as 1 (a slope, a coefficient, e_top's entry), False as a
+    # kernel at w = 0, a NaN angle gave a vector of NaNs, and None or "x"
+    # raised bare errors; each is now one ValueError naming the argument,
+    # in the weight gate's words where no float is read at all.
+    call, name = _number_entry_points()[entry]
+    weight = entry.startswith("translate_vector")
+    for bad in (np.True_, True, None, math.nan, math.inf, -math.inf,
+                complex(1, math.inf), "x"):
+        rational = weight or isinstance(bad, (bool, np.bool_)) or bad is None
+        with pytest.raises(ValueError, match=(
+                f"^{name} must be a finite {'rational ' * rational}number, "
+                f"got {name}={re.escape(repr(bad))}$")):
+            call(bad)
+    complex_zeros = () if weight else (0j, np.complex64(0), "0j")
+    for good in (0, 0.0, Fraction(0), np.int64(0), np.float64(0), "0",
+                 "0.0", *complex_zeros):
+        call(good)
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.complex_numbers(allow_nan=False, allow_infinity=False),
+                 st.floats(width=32, allow_nan=False,
+                           allow_infinity=False).map(np.float32)))
+def test_number_rule_reads_a_float_as_its_complex(x):
+    got = exactnum.check_number("x", x)
+    assert type(got) is complex and got == complex(x)
+
+
+@given(st.one_of(st.integers(), st.fractions(),
+                 st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)))
+def test_number_rule_reads_a_rational_as_the_weight_gate(x):
+    # exactly, as a Fraction of Python ints; a Python int as it is
+    got = exactnum.check_number("x", x)
+    assert got == exactnum.check_weight("x", x)
+    assert _types(got) == (int if type(x) is int else _types(
+        Fraction(int(x.numerator), int(x.denominator))))
+
+
+def test_number_rule_reads_a_str_as_the_cli_does():
+    # "1/2" raised a bare "complex() arg is a malformed string", and "1"
+    # and "0.5" were read in floats; a str is now a Fraction where that
+    # parses, else a finite complex, as the CLI reads its options.
+    assert PolyFun(2, ("1/2", "1")).coeffs == PolyFun(
+        2, (Fraction(1, 2), 1)).coeffs
+    assert PolyFun(2, ("1", "0.5")).exact
+    assert KernelFun(2, "0.5", 3).w == Fraction(1, 2)
+    assert ode_solve(2, "1/3", 4).coeffs == ode_solve(2, Fraction(1, 3),
+                                                      4).coeffs
+    p = PolyFun(2, ("1+2j", 1))
+    assert not p.exact and p.coeffs == (1 + 2j, 1 + 0j)
+    assert exactnum.check_number("x", " 1e-3 ") == Fraction(1, 1000)
+    with pytest.raises(ZeroDivisionError):
+        exactnum.check_number("x", "1/0")
 
 
 def _types(value):
