@@ -148,9 +148,11 @@ def disc():
 
 
 def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
-    """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one."""
+    """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one:
+    nu_opt where PolyFun refuses nu, else coeffs_opt (a value past 1.8e308)."""
     values = _read(check_number, coeffs_opt, coeffs.split(","))
-    return _read(lambda name, x: dc.PolyFun(nu, x), nu_opt, [values])[0]
+    _read(lambda name, x: dc.PolyFun(x), nu_opt, [nu])
+    return _read(lambda name, x: dc.PolyFun(nu, x), coeffs_opt, [values])[0]
 
 
 @disc.command("norm")
@@ -249,7 +251,7 @@ def compact(m, n, vector, random_, seed):
         values = _read(check_number, "--vector", vector.split(","))
         try:
             v = cp._unit(cp._vector(values, m))
-        except (ValueError, OverflowError) as exc:  # OverflowError: 1e400
+        except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="'--vector'") from None
     elif random_:
         v = cp.random_unit_vector(m, np.random.default_rng(seed))

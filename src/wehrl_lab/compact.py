@@ -35,7 +35,7 @@ import numpy as np
 from .disc import (_angular_radial_mean, _coherent_fit, _rising_over_factorial,
                    _rule_sizes, product_norm2)
 from .exactnum import (FloatRangeExceeded, check_counts, check_number,
-                       check_weight, gauss_jacobi)
+                       check_weight, gauss_jacobi, in_float_range)
 
 __all__ = [
     "Su2Irrep", "CompactReport", "CasimirReport", "casimir_tensor_check",
@@ -81,6 +81,7 @@ class Su2Irrep:
 # ---------------------------------------------------------------------------
 # Top-component masses through Bloch polynomials.
 
+@in_float_range
 def _vector(v: Sequence[complex], m: int) -> np.ndarray:
     """The SU(2) checks' gate: v as m + 1 complex entries, a float or complex
     array checked finite at once, any other v entry by entry (check_number)."""
@@ -186,6 +187,7 @@ def _orbit_row(m: int, c, s) -> np.ndarray:
     return root * c ** (m - i) * s ** i
 
 
+@in_float_range
 def translate_vector(m: int, alpha: float, beta: float,
                      gamma: float) -> np.ndarray:
     """tau(k) e_top, a point of the equality orbit: binom(m,i)^{1/2} cos^{m-i}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import DomainParams, NotAdmissible, hc_admissible
-from .exactnum import PiScaledRational, check_counts, check_weight, rising_ints
+from .exactnum import PiScaledRational, check_counts, check_weight
 
 __all__ = [
     "NonTelescoping",
@@ -79,7 +79,7 @@ def _gamma_ratio_ints(nums: list, dens: list, D: int) -> Fraction:
                 f"unpaired Gamma arguments in {Fraction(r, D)} + Z")
         xs, ys = sorted(xs, reverse=True), sorted(ys, reverse=True)
         for x, y in zip(xs, ys):  # Gamma(x/D)/Gamma(y/D) = (y/D)_k, kD = x - y
-            acc[x < y] *= rising_ints(min(x, y), D, abs(x - y) // D)[-1]
+            acc[x < y] *= math.prod(range(min(x, y), max(x, y), D))
             shift += (x - y) // D  # each factor of the product is over D
         for z in xs[len(ys):] + ys[len(xs):]:
             acc[len(xs) < len(ys)] *= math.factorial(z // D - 1)
@@ -121,18 +121,18 @@ def c_G(d: DomainParams, sp_statement_formula: bool = False) -> PiScaledRational
     label = d.family_label
     if label.startswith("Sp(") or (label == "custom" and _is_sp_family(d)):
         coeff = Fraction(math.factorial(d.r) * math.prod(
-            rising_ints(2 + i, 1, i)[-1] for i in range(1, d.r)))
+            math.prod(range(2 + i, 2 + 2 * i)) for i in range(1, d.r)))
         if not sp_statement_formula:
             coeff /= 2 ** (d.r * (d.r - 1) // 2)
         return PiScaledRational(coeff, -d.N)
     if label.startswith("SO(2,") and d.a % 2 == 1 or (
             label == "custom" and _is_so_odd_family(d)):
         m = (d.a + 3) // 2  # N = 2m - 1
-        coeff = Fraction(2 * m - 1, 2) * rising_ints(1, 1, 2 * m - 2)[-1]
+        coeff = Fraction(2 * m - 1, 2) * math.factorial(2 * m - 2)
         return PiScaledRational(coeff, -d.N)
     if d.a % 2 == 0 and d.N % d.r == 0:
-        coeff = math.prod(rising_ints(1 + d.a * j // 2, 1, d.N // d.r)[-1]
-                          for j in range(d.r))
+        coeff = math.prod(math.prod(range(s, s + d.N // d.r)) for s in (
+            1 + d.a * j // 2 for j in range(d.r)))
         return PiScaledRational(coeff, -d.N)
     raise UnsupportedCase(f"(r,a,b)=({d.r},{d.a},{d.b}) matches no c_G case")
 

@@ -28,7 +28,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce, wraps
+from functools import cached_property, partial, reduce
 from itertools import count, islice, pairwise
 from operator import add, mul
 from typing import Sequence
@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .exactnum import (QC, FloatRangeExceeded, NonIntegrable, check_counts,
-                       check_number, check_weight, gauss_jacobi, rising_ints)
+                       check_number, check_weight, gauss_jacobi,
+                       in_float_range, rising_ints)
 
 __all__ = [
     "PolyFun", "TensorPoly", "KernelFun", "ProjectionSpec", "Projected",
@@ -63,6 +64,7 @@ class NoConvergence(RuntimeError):
 # arrays of Python int numerators over den, (re,) or (re, im).  Their exact
 # flag only says how results are read: as Fractions, or rounded once.
 
+@in_float_range
 def _lanes_of(flat: list, shape: tuple) -> tuple:
     """((lanes, den), exact) of coefficients listed in C order, each a QC or
     read by check_number: exactly iff none is read in floats, else each as
@@ -78,20 +80,6 @@ def _lanes_of(flat: list, shape: tuple) -> tuple:
     parts = parts if any(parts[-1]) else parts[:1]
     return (tuple(np.array(x, dtype=object).reshape(shape) for x in parts),
             den), exact
-
-
-def _in_float_range(read):
-    """read, raising FloatRangeExceeded where a value passes the float range:
-    rounding an exact one raises a bare OverflowError, a numpy overflow under
-    np.errstate(over="raise") FloatingPointError.  It wraps each float read."""
-    @wraps(read)
-    def checked(*args, **kwargs):
-        try:
-            return read(*args, **kwargs)
-        except (OverflowError, FloatingPointError) as exc:
-            raise FloatRangeExceeded(f"{read.__name__}: a value exceeds the"
-                                     f" float limit 1.8e308 ({exc})") from None
-    return checked
 
 
 def _rounded(lanes: tuple, den: int) -> np.ndarray:
@@ -207,7 +195,7 @@ class PolyFun:
     def degree(self) -> int:
         return len(self._lanes[0][0]) - 1
 
-    @_in_float_range
+    @in_float_range
     def as_complex_array(self) -> np.ndarray:
         """The coefficients rounded once, one read-only array per object."""
         if "_view" not in vars(self):
@@ -287,6 +275,7 @@ def _finite(value: float) -> float:
     return value
 
 
+@in_float_range
 def norm_p_numeric(f: PolyFun, p: int) -> float:
     """Quadrature of the L^p integral, normalized to match the doubled-weight
     L^2 norm: returns (p*nu/2 - 1) * (1/pi) int |f|^p (1-|z|^2)^{p nu/2 - 2} dm,
@@ -297,6 +286,7 @@ def norm_p_numeric(f: PolyFun, p: int) -> float:
     return _finite(float(p * f.nu / 2 - 1) * matrix_coeff_lp(f, p // 2))
 
 
+@in_float_range
 def matrix_coeff_lp(f: PolyFun, n: int) -> float:
     """(1/pi) int_D (1-|z|^2)^{n nu - 2} |f(z)|^{2n} dm(z), the L^{2n}(G)
     integral of the matrix coefficient against the lowest weight vector.
@@ -332,7 +322,7 @@ class TensorPoly:
             (len(coeffs), width))
 
     @cached_property
-    @_in_float_range
+    @in_float_range
     def coeffs(self) -> tuple:
         return tuple(map(tuple, _values(self)))
 
@@ -340,7 +330,7 @@ class TensorPoly:
     def from_product(f: PolyFun, g: PolyFun) -> "TensorPoly":
         return _product(TensorPoly, (f.nu, g.nu), f, g, np.multiply.outer)
 
-    @_in_float_range
+    @in_float_range
     def norm2(self) -> Fraction | float:
         (lanes, den), (P, Q) = self._lanes, self._lanes[0][0].shape
         nu, mu = _factorials(self.nu, Q), _factorials(self.mu, P)
@@ -392,7 +382,7 @@ class Projected:
     core: PolyFun      # differential expression without the constant
     c2: Fraction       # squared normalization constant
 
-    @_in_float_range
+    @in_float_range
     def norm2(self) -> Fraction | float:
         """C^2 ||core||^2, rounded once when the core is read in floats."""
         norm2 = self.c2 * product_norm2([self.core._lanes], self.core.nu)
@@ -509,7 +499,7 @@ class CompletenessReport:
     passed: bool
 
 
-@_in_float_range
+@in_float_range
 def completeness_check(f: PolyFun, g: PolyFun,
                        convention: str = "corrected_minus_one"
                        ) -> CompletenessReport:
@@ -543,7 +533,7 @@ def completeness_check(f: PolyFun, g: PolyFun,
 # ---------------------------------------------------------------------------
 # Wehrl inequality, improved form, kernels.
 
-@_in_float_range
+@in_float_range
 def wehrl_check(f: PolyFun, n: int) -> tuple[float, float, float]:
     """lhs = ||f^n||^2 at weight n*nu, rhs = ||f||^{2n}; slack = rhs - lhs."""
     check_counts(("n", n, 1))
@@ -564,7 +554,7 @@ class ImprovedReport:
     exact_slack: Fraction
 
 
-@_in_float_range
+@in_float_range
 def improved_check(f: PolyFun, n: int, convention: str = "sharp"
                    ) -> ImprovedReport:
     """Check ||f^n||^2_{n nu} + R(f) <= ||f||^{2n}_nu with the remainder
@@ -612,7 +602,8 @@ class KernelFun:
         check_counts(("degree", self.degree, 0))
         self.__dict__.update(nu=check_weight("nu", self.nu),
                              w=check_number("w", self.w))
-        if not float(abs(self.w)) < 1:
+        # exact on exact w; abs(w) cannot overflow once |Re w| < 1
+        if not (abs(self.w.real) < 1 and abs(self.w) < 1):
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
     def to_polyfun(self) -> PolyFun:
@@ -621,6 +612,7 @@ class KernelFun:
             a * wbar ** m for m, a in enumerate(
                 _rising_over_factorial(self.nu, self.degree + 1, exact))))
 
+    @in_float_range
     def tail_bound(self) -> float:
         """An upper bound, at most twice the true value, on the squared-norm
         mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation.
@@ -641,6 +633,7 @@ class KernelFun:
             total, term, m = total + term, term * ratio, m + 1
 
 
+@in_float_range
 def ode_solve(nu, c, degree: int) -> PolyFun:
     """Power-series solution of f'' f = ((nu+1)/nu) (f')^2, f(0)=1, f'(0)=c.
 
@@ -651,8 +644,8 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
     nu = check_weight("nu", nu)
     check_counts(("degree", degree, 0))
     rational = type(c := check_number("c", c)) is not complex
-    if abs(complex(c)) >= float(nu):
-        raise OutsideBergman(f"|c| = {abs(complex(c))} >= nu = {nu}")
+    if abs(c) >= nu:  # exact on exact c
+        raise OutsideBergman(f"|c| = {abs(c)} >= nu = {nu}")
     rho = (nu + 1) / nu if rational else float((nu + 1) / nu)
     a = [Fraction(1) if rational else 1.0 + 0j, c]
     for m in range(degree - 1):
@@ -715,7 +708,7 @@ def _lbfgs_direction(S: np.ndarray, Y: np.ndarray, t: np.ndarray):
     return gamma * r + np.dot(q, S)
 
 
-@_in_float_range
+@in_float_range
 @np.errstate(over="raise", divide="ignore")  # overflow: FloatRangeExceeded
 def _coherent_fit(charts: Sequence[np.ndarray], kappa2: np.ndarray,
                   radius: float) -> float:

@@ -1,8 +1,8 @@
 """Exact arithmetic helpers: rationals scaled by powers of pi, rational
 complex numbers, the integer rising products behind every Pochhammer symbol,
-the errors raised where a value leaves the float range or an integral
-diverges, the one gate each on counts, weights and numbers that may be read
-in floats, and the one Beta function and Gauss-Jacobi rule of the oracles.
+the one float-range rule and the error of an integral that diverges, the one
+gate each on counts, weights and numbers that may be read in floats, and the
+one Beta function and Gauss-Jacobi rule of the oracles.
 
 All constants produced by the degree computations are rational multiples of
 an integer power of pi, so we never evaluate pi numerically until a float
@@ -16,6 +16,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
 from numbers import Rational
 from operator import mul
@@ -31,6 +32,20 @@ class FloatRangeExceeded(ValueError):
 
 class NonIntegrable(ValueError):
     """An integrand's weight exponent lies outside its integrability range."""
+
+
+def in_float_range(read):
+    """The one float-range rule: read, where rounding an exact value raises a
+    bare OverflowError or np.errstate(over="raise") a FloatingPointError,
+    raises FloatRangeExceeded naming read instead."""
+    @wraps(read)
+    def checked(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except (OverflowError, FloatingPointError) as exc:
+            raise FloatRangeExceeded(f"{read.__name__}: a value exceeds the"
+                                     f" float limit 1.8e308 ({exc})") from None
+    return checked
 
 
 def check_counts(*counts) -> None:
@@ -116,6 +131,7 @@ def _rule(x, steps, alpha, beta, mu0):
     return (1 + x + dx) / 2, mu0 / total
 
 
+@in_float_range
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes s and weights w of the n-point Gauss rule for int_0^1
     (1 - s)^alpha s^beta f(s) ds, exact up to degree 2n - 1.  On x = 2s - 1

@@ -29,7 +29,8 @@ import numpy as np
 from .degrees import NonTelescoping, _gamma_ratio_ints, scalar_formal_degree
 from .domains import DomainParams
 from .exactnum import (FloatRangeExceeded, NonIntegrable, PiScaledRational,
-                       beta_mass, check_counts, check_weight, gauss_jacobi)
+                       beta_mass, check_counts, check_weight, gauss_jacobi,
+                       in_float_range)
 
 __all__ = [
     "SelbergSpec", "NumericEstimate", "NonIntegrable", "MethodUnsupported",
@@ -254,6 +255,7 @@ def _monte_carlo(spec: SelbergSpec, budget: int, seed: int):
     return scale * mean, scale * math.sqrt(var / budget)
 
 
+@in_float_range
 def selberg_numeric(spec: SelbergSpec, method: str, budget: int,
                     seed: int = 0) -> NumericEstimate:
     """Numerical estimate of the Selberg integral.

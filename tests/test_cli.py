@@ -265,6 +265,12 @@ def test_disc_bad_input_names_the_option(runner, args, option, message):
      "Error: unknown domain '1.5,2,3'; presets:"),
     (["degrees", "--domain", "0,1,1", "--lambda", "5"],
      "Error: r must be >= 1 and an int, got r=0"),
+    # a traceback and exit 1, from float(abs(c)) and the float route's
+    # complex(10^400)
+    (["disc", "ode", "--nu", "2", "--c", "1e400"], ">= nu = 2"),
+    (["disc", "norm", "--nu", "2", "--coeffs", "1e400,1j"],
+     "Invalid value for '--coeffs': _lanes_of: a value exceeds the float "
+     "limit 1.8e308"),
 ])
 def test_bad_input_is_a_usage_error(runner, args, message):
     res = runner.invoke(main, args)

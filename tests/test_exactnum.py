@@ -594,6 +594,100 @@ def test_weight_gate_keeps_a_fraction_and_a_zero_denominator():
         exactnum.check_weight("nu", "1/0")
 
 
+def _float_read_entry_points():
+    """(call, domain) per public entry point and argument that it reads in
+    floats: the call takes the value in that argument, and domain matches
+    "<error type>: <message>" of the entry point's own refusals of it."""
+    from wehrl_lab import compact, selberg
+    v = lambda x: [1, x, 0]  # an SU(2) vector of V_2
+    nu_gate = "^ValueError: weight nu must exceed 1"
+    numeric = lambda r, a, b, gamma, method: selberg.selberg_numeric(
+        selberg.SelbergSpec(r, a, b, gamma), method, 10)
+    return {
+        "PolyFun": (lambda x: PolyFun(2, (x, 1j)), None),
+        "TensorPoly": (lambda x: disc.TensorPoly(2, 3, [[1j], [2, x]]), None),
+        "KernelFun.w": (lambda x: KernelFun(2, x, 3), "^OutsideBergman: "),
+        "KernelFun.tail_bound.nu": (
+            lambda x: KernelFun(x, 0.5, 3).tail_bound(), None),
+        "ode_solve.c": (lambda x: ode_solve(2, x, 3), "^OutsideBergman: "),
+        "ode_solve.nu": (lambda x: ode_solve(x, 0.5, 3), "^OutsideBergman: "),
+        "matrix_coeff_lp.nu": (lambda x: disc.matrix_coeff_lp(
+            PolyFun(x, (1, 1j)), 2), nu_gate),
+        "matrix_coeff_lp.coeffs": (lambda x: disc.matrix_coeff_lp(
+            PolyFun(2, (1, x)), 2), None),
+        "norm_p_numeric.nu": (lambda x: disc.norm_p_numeric(
+            PolyFun(x, (1, 1j)), 4), nu_gate),
+        "norm_p_numeric.coeffs": (lambda x: disc.norm_p_numeric(
+            PolyFun(2, (1, x)), 4), None),
+        "translate_vector.alpha": (lambda x: compact.translate_vector(
+            2, x, 0.2, 0.3), None),
+        "translate_vector.beta": (lambda x: compact.translate_vector(
+            2, 0.1, x, 0.3), None),
+        "translate_vector.gamma": (lambda x: compact.translate_vector(
+            2, 0.1, 0.2, x), None),
+        "wehrl_compact_check": (lambda x: compact.wehrl_compact_check(
+            v(x), 2, 2), None),
+        "casimir_tensor_check": (lambda x: compact.casimir_tensor_check(
+            v(x), 2), None),
+        "translate_fit_distance": (lambda x: compact.translate_fit_distance(
+            v(x), 2), None),
+        "reduction_consistency": (lambda x: compact.reduction_consistency(
+            v(x), 2, 2), None),
+        "wehrl_integral_numeric": (lambda x: compact.wehrl_integral_numeric(
+            v(x), 2, 2), None),
+        # r = 1: one node whatever a is, so an even a reaches the rule's
+        # rounding bound, which reads it in floats
+        "selberg_numeric.a": (
+            lambda x: numeric(1, x, 0, 0, "gauss_jacobi"),
+            "^(ValueError: a must be >= 0|MethodUnsupported: gauss_jacobi "
+            "needs even integer a)"),
+        "selberg_numeric.b": (
+            lambda x: numeric(2, 2, x, 0, "gauss_jacobi"), "^NonIntegrable: "),
+        "selberg_numeric.gamma": (
+            lambda x: numeric(2, 2, 0, x, "gauss_jacobi"), "^NonIntegrable: "),
+        "selberg_numeric.monte_carlo.a": (
+            lambda x: numeric(2, x, 0, 0, "monte_carlo"),
+            "^ValueError: a must be >= 0"),
+        "gauss_jacobi.alpha": (lambda x: gauss_jacobi(3, x, 0.0),
+                               "^ValueError: Gauss-Jacobi needs alpha, beta"),
+        "gauss_jacobi.beta": (lambda x: gauss_jacobi(3, 0.0, x),
+                              "^ValueError: Gauss-Jacobi needs alpha, beta"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_float_read_entry_points()))
+def test_no_entry_point_lets_a_bare_overflow_error_out(entry):
+    # Each raised a bare OverflowError ("int too large to convert to float"
+    # or "integer division result too large for a float") on one of these
+    # exact values; each now returns, where its route is exact, or raises
+    # FloatRangeExceeded or its own refusal.
+    call, domain = _float_read_entry_points()[entry]
+    for big in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+        try:
+            call(big)
+        except FloatRangeExceeded:
+            pass
+        except ValueError as exc:
+            assert domain and re.match(domain, f"{type(exc).__name__}: "
+                                               f"{exc}"), (big, exc)
+
+
+def test_domain_checks_are_exact_on_exact_input():
+    # float(abs(w)) and abs(complex(c)) overflowed on these; an exact
+    # comparison refuses them, and at nu = 10^400 the series is exact.
+    big = 10 ** 400
+    for bad in (big, -big, Fraction(big, 3), complex(1e308, 1e308)):
+        with pytest.raises(disc.OutsideBergman):
+            KernelFun(2, bad, 3)
+    for bad in (big, Fraction(big, 3), 2):
+        with pytest.raises(disc.OutsideBergman, match=">= nu = 2$"):
+            ode_solve(2, bad, 3)
+    f = ode_solve(big, 1, 3)
+    assert f.exact and f.coeffs == KernelFun(
+        big, Fraction(1, big), 3).to_polyfun().coeffs
+    assert f.coeffs[2] == QC(Fraction(big + 1, 2 * big))
+
+
 def _number_entry_points():
     """(call, argument) per public entry point that reads a number which may
     be complex: a coefficient, slope, kernel parameter or SU(2) entry, and
