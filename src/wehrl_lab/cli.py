@@ -23,7 +23,7 @@ from . import degrees as dg
 from . import disc as dc
 from . import selberg as sb
 from .domains import get_domain, preset_table
-from .exactnum import check_number, check_weight
+from .exactnum import FloatRangeExceeded, check_number, check_weight
 from .reports import (PROJECTION_CONVENTION, REMAINDER_CONVENTION,
                       SuiteConfig, exact_json)
 from .suite import SUITE_NAMES, emit_constants_table, run_suite
@@ -148,11 +148,13 @@ def disc():
 
 
 def _get_poly(nu, coeffs, nu_opt="--nu", coeffs_opt="--coeffs"):
-    """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one:
-    nu_opt where PolyFun refuses nu, else coeffs_opt (a value past 1.8e308)."""
+    """PolyFun(nu, parsed coeffs); BadParameter on the option of a bad one."""
     values = _read(check_number, coeffs_opt, coeffs.split(","))
-    _read(lambda name, x: dc.PolyFun(x), nu_opt, [nu])
-    return _read(lambda name, x: dc.PolyFun(nu, x), coeffs_opt, [values])[0]
+    try:
+        return dc.PolyFun(nu, values)
+    except ValueError as exc:
+        opt = coeffs_opt if isinstance(exc, FloatRangeExceeded) else nu_opt
+        raise click.BadParameter(str(exc), param_hint=f"'{opt}'") from None
 
 
 @disc.command("norm")
@@ -249,10 +251,8 @@ def compact(m, n, vector, random_, seed):
     """SU(2) compact Wehrl check for one vector."""
     if vector is not None:
         values = _read(check_number, "--vector", vector.split(","))
-        try:
-            v = cp._unit(cp._vector(values, m))
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="'--vector'") from None
+        v = _read(lambda name, x: cp._unit(cp._vector(x, m)), "--vector",
+                  [values])[0]
     elif random_:
         v = cp.random_unit_vector(m, np.random.default_rng(seed))
     else:

@@ -602,8 +602,8 @@ class KernelFun:
         check_counts(("degree", self.degree, 0))
         self.__dict__.update(nu=check_weight("nu", self.nu),
                              w=check_number("w", self.w))
-        # exact on exact w; abs(w) cannot overflow once |Re w| < 1
-        if not (abs(self.w.real) < 1 and abs(self.w) < 1):
+        # exact where abs(w) can overflow, else on the float tail_bound reads
+        if not (abs(self.w.real) < 1 and float(abs(self.w)) < 1):
             raise OutsideBergman("kernel parameter must satisfy |w| < 1")
 
     def to_polyfun(self) -> PolyFun:

@@ -655,28 +655,40 @@ def _float_read_entry_points():
     }
 
 
+# the entry points above whose route is exact in the argument swept, so they
+# may return; every other one reads it in floats and must refuse 10**400
+_EXACT_ROUTES = frozenset({"ode_solve.nu"})
+
+
 @pytest.mark.parametrize("entry", list(_float_read_entry_points()))
 def test_no_entry_point_lets_a_bare_overflow_error_out(entry):
     # Each raised a bare OverflowError ("int too large to convert to float"
     # or "integer division result too large for a float") on one of these
     # exact values; each now returns, where its route is exact, or raises
-    # FloatRangeExceeded or its own refusal.
+    # FloatRangeExceeded or its own refusal.  A float route that returned
+    # would have read 10**400 as inf or NaN.
     call, domain = _float_read_entry_points()[entry]
     for big in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
         try:
             call(big)
         except FloatRangeExceeded:
-            pass
+            continue
         except ValueError as exc:
             assert domain and re.match(domain, f"{type(exc).__name__}: "
                                                f"{exc}"), (big, exc)
+            continue
+        assert entry in _EXACT_ROUTES, (big, "returned on a float route")
 
 
 def test_domain_checks_are_exact_on_exact_input():
-    # float(abs(w)) and abs(complex(c)) overflowed on these; an exact
-    # comparison refuses them, and at nu = 10^400 the series is exact.
+    # float(abs(w)) and abs(complex(c)) overflowed on these; a comparison
+    # that is exact where it can overflow refuses them, and at nu = 10^400
+    # the series is exact.  An exact w that rounds to |w| = 1.0 is refused
+    # as before: tail_bound reads |w| in floats, and at 1.0 its sum never
+    # ends.
     big = 10 ** 400
-    for bad in (big, -big, Fraction(big, 3), complex(1e308, 1e308)):
+    for bad in (big, -big, Fraction(big, 3), complex(1e308, 1e308),
+                Fraction(2 ** 60 - 1, 2 ** 60)):
         with pytest.raises(disc.OutsideBergman):
             KernelFun(2, bad, 3)
     for bad in (big, Fraction(big, 3), 2):
