@@ -229,23 +229,22 @@ class CompactReport:
     mass: float
 
 
-def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
-    """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound.
-
-    The algebraic route gives ||P_{nm}(v^{(x) n})||^2 / (nm+1); the numeric
-    route is Haar quadrature.
-    """
+def _top_route(v: Sequence[complex], m: int, n: int) -> tuple:
+    """The algebraic route, CompactReport's integral_exact, bound, slack and
+    mass: ||P_{nm}(v^{(x) n})||^2 / (nm+1) and the bound 1/(nm+1)."""
     check_counts(("n", n, 1), ("m", m, 0))
     v = _vector(v, m)
     if not abs(math.sqrt(v.real @ v.real + v.imag @ v.imag) - 1) <= 1e-12:
         raise ValueError("v must be a unit vector")
-    mass = _top_mass([v] * n)
-    bound = 1.0 / (n * m + 1)
-    exact = mass * bound
-    numeric = wehrl_integral_numeric(v, m, n)
-    return CompactReport(m=m, n=n, integral_numeric=numeric,
-                         integral_exact=exact, bound=bound,
-                         slack=bound - exact, mass=mass)
+    mass, bound = _top_mass([v] * n), 1.0 / (n * m + 1)
+    return mass * bound, bound, bound - mass * bound, mass
+
+
+def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
+    """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound:
+    the numeric wehrl_integral_numeric, Haar quadrature, and _top_route."""
+    top = _top_route(v, m, n)
+    return CompactReport(m, n, wehrl_integral_numeric(v, m, n), *top)
 
 
 def haar_moment(p: int, q: int) -> float:

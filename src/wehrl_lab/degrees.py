@@ -82,7 +82,11 @@ def _gamma_ratio_ints(nums: list, dens: list, D: int) -> Fraction:
             acc[x < y] *= math.prod(range(min(x, y), max(x, y), D))
             shift += (x - y) // D  # each factor of the product is over D
         for z in xs[len(ys):] + ys[len(xs):]:
-            acc[len(xs) < len(ys)] *= math.factorial(z // D - 1)
+            try:
+                acc[len(xs) < len(ys)] *= math.factorial(z // D - 1)
+            except OverflowError:
+                raise ValueError(f"unpaired Gamma argument {Fraction(z, D)} "
+                                 f"is past math.factorial's range") from None
     return Fraction(acc[0] * D ** max(-shift, 0), acc[1] * D ** max(shift, 0))
 
 

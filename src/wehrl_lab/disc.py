@@ -617,18 +617,29 @@ class KernelFun:
         """An upper bound, at most twice the true value, on the squared-norm
         mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation.
 
-        The term ratio (nu+m)/(m+1) |w|^2 tends to |w|^2 monotonically, so
-        rho = max(ratio, |w|^2) bounds every later ratio and term/(1 - rho)
-        bounds the rest once rho < 1.  Terms are summed until rho <= 1/2 or
-        that rest is at most the sum so far.
+        Where the kept terms hold at most a quarter of the whole mass
+        (1 - |w|^2)^(-nu), nu > 0, it is the difference, times 1 + 2^-30
+        for its rounding.  Else terms are summed: the ratio (nu+m)/(m+1)
+        |w|^2 tends to |w|^2 monotonically, so rho = max(ratio, |w|^2) bounds
+        every later ratio and term/(1 - rho) the rest once rho < 1, until
+        rho <= 1/2, that rest is at most the sum so far, or 1 - rho >=
+        (1 - |w|^2)/2 at nu >= 1, where no ratio is below |w|^2.
         """
         nu, r2 = float(self.nu), float(abs(self.w)) ** 2
         m, total = self.degree + 1, 0.0
-        term = _rising_over_factorial(self.nu, m + 1, False)[m] * r2 ** m
+        c = _rising_over_factorial(self.nu, m + 1, False)
+        term, kept = c[m] * r2 ** m, math.fsum(
+            x * r2 ** k for k, x in enumerate(c[:m]))
+        q = 1 - Fraction(self.w.real) ** 2 - Fraction(self.w.imag) ** 2
+        # ln q to a few ulps, so whole is good to 2^-40 at any nu, not nu ulps
+        ln_q = math.log(float(q)) if q <= 0.5 else math.log1p(-float(1 - q))
+        if nu > 0 and kept <= (whole := math.exp(-nu * ln_q)) / 4:
+            return (whole - kept) * (1 + 2 ** -30)
         while True:
             ratio = (nu + m) / (m + 1) * r2
             rho = max(ratio, r2)
-            if rho < 1 and (rho <= 0.5 or term / (1.0 - rho) <= total):
+            if rho < 1 and (rho <= 0.5 or term / (1.0 - rho) <= total
+                            or nu >= 1 and 1.0 - rho >= (1.0 - r2) / 2):
                 return total + term / (1.0 - rho)
             total, term, m = total + term, term * ratio, m + 1
 

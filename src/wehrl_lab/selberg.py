@@ -188,14 +188,14 @@ def _exact_rule(rule, plan, spec, limit, method) -> NumericEstimate:
     sized by degree"): log2(nodes^r) + 17 additions and r(b+2) + (a+3)
     r(r-1)/2 roundings per grid term, and per axis, the last first, 16 + 4
     nodes + L for the Gauss rule, L = sum |ln Gamma| at alpha + 1, beta + 1,
-    alpha + beta + 2 (1.5x the worst, n <= 30)."""
+    alpha + beta + 2 (1.5x the worst, n <= 30); a is read only if r > 1."""
     nodes, axes = plan(spec)
     if nodes > limit:
         raise MethodUnsupported(f"{method} at r={spec.r} needs {nodes} nodes "
                                 f"per axis to be exact; the budget is {limit}")
     value, r, b = rule(spec, *_tensor_rule(nodes, axes)), spec.r, float(spec.b)
     steps = ((nodes ** r).bit_length() + 17 + r * (b + 18 + 4 * nodes)
-             + r * (r - 1) / 2 * (float(spec.a) + 3) + sum(
+             + (r * (r - 1) / 2 * (float(spec.a) + 3) if r > 1 else 0) + sum(
                  abs(math.lgamma(x)) for al, be in reversed(axes)
                  for x in (al + 1, be + 1, al + be + 2)))
     return NumericEstimate(value, 0.0, steps * 2.0 ** -52 * abs(value), nodes,
@@ -288,31 +288,37 @@ def verify_degree_integral(d: DomainParams, lam, budget: int = 200) -> dict:
     """
     check_counts(("budget", budget, 1))
     d_exact, lam = scalar_formal_degree(d, lam), check_weight("lam", lam)
-    spec = SelbergSpec(d.r, d.a, d.b, lam - d.p)
-    C = laguerre_constant_C(d)
-    try:
-        C_float, d_float = float(C), float(d_exact)
+    try:  # float(d_lambda) and float(C) are refused before the rule runs
+        float(d_exact)
+        return _degree_product(d, lam, _inverse_degree(d, lam, budget), d_exact)
     except FloatRangeExceeded as exc:
         raise FloatRangeExceeded(f"{d.family_label} {(d.r, d.a, d.b)} at "
                                  f"lambda = {lam}: {exc}") from None
+
+
+def _inverse_degree(d: DomainParams, lam: Fraction, budget: int) -> tuple:
+    """The numeric route, 1/d_lambda as float(C) and the estimate of S."""
+    C, spec = float(laguerre_constant_C(d)), SelbergSpec(d.r, d.a, d.b,
+                                                          lam - d.p)
     if d.a % 2 == 0:
-        est = selberg_numeric(spec, "gauss_jacobi", budget)
-    else:
-        est = _exact_rule(_sector_sum, _sector_plan, spec, budget,
+        return C, selberg_numeric(spec, "gauss_jacobi", budget)
+    return C, _exact_rule(_sector_sum, _sector_plan, spec, budget,
                           "ordered_quadrature")
+
+
+def _degree_product(d, lam, numeric: tuple, d_exact) -> dict:
+    """verify_degree_integral's report of its two routes' results."""
+    (C_float, est), d_float = numeric, float(d_exact)
     numeric_inverse = C_float * est.value
     product = d_float * numeric_inverse
     roundings = (d.N + 5) * 2.0 ** -52 * abs(product)  # d, C at pi^-N, pi^N
     return {
-        "domain": d.family_label,
-        "lambda": str(lam),
+        "domain": d.family_label, "lambda": str(lam),
         "d_lambda": d_exact.to_json(),
         "numeric_inverse_degree": numeric_inverse,
-        "product": product,
-        "deviation": abs(product - 1.0),
+        "product": product, "deviation": abs(product - 1.0),
         "error_bound": d_float * C_float * est.abs_err_bound + roundings,
-        "method": est.method,
-        "samples_or_nodes": est.samples_or_nodes,
+        "method": est.method, "samples_or_nodes": est.samples_or_nodes,
         # Gindikin Gamma convention: the (2 pi)^{(n1-r)/2} prefactor is
         # omitted throughout, consistently on both routes.
         "gamma_convention": "gindikin_without_2pi_factor",

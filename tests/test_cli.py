@@ -20,8 +20,8 @@ from wehrl_lab.cli import main
 from wehrl_lab.domains import PRESETS, preset_table
 from wehrl_lab.exactnum import QC, PiScaledRational
 from wehrl_lab.reports import ConfigError, Report, SuiteConfig
-from wehrl_lab.suite import (_check, _rand_rational_poly, emit_constants_table,
-                             run_suite)
+from wehrl_lab.suite import (_check, _rand_rational_poly, _Record,
+                             emit_constants_table, run_suite)
 
 
 @pytest.fixture
@@ -608,13 +608,20 @@ def test_rand_rational_poly_draws_as_the_scalar_loop():
         assert vector.integers(1 << 62) == scalar.integers(1 << 62), seed
 
 
+def _judged(comparisons, outputs=None, **record):
+    # the report _check makes of a record whose judge returns comparisons
+    return _check(_Record("x", {}, lambda: None, lambda: None,
+                          lambda value, ref: (comparisons, outputs or {}),
+                          **record))
+
+
 def test_check_judges_every_comparison():
     ok = [("exact", Fraction(1, 3), Fraction(1, 3), 0, "exact"),
           ("pi", PiScaledRational(3, -1), PiScaledRational(3, -1), 0, "exact"),
           ("two_sided", 1.0 + 1e-9, 1.0, 1e-8, "stated"),
           ("one_sided", 5.0, 0.0, 1e-12, "stated", True),
           ("exact_lower", Fraction(1, 7), 0, 0, "exact", True)]
-    rep = _check("x", {}, ok, {"shown": 1}, seed=4, failed_key="failed")
+    rep = _judged(ok, {"shown": 1}, seed=4, failed_key="failed")
     assert rep.verdict == "PASS" and rep.seed == 4
     assert rep.outputs["shown"] == 1 and rep.outputs["failed"] == []
     got = rep.outputs["comparisons"]
@@ -634,13 +641,13 @@ def test_check_judges_every_comparison():
                 ("exact_lower", Fraction(-1, 7), 0, 0, "exact", True),
                 ("pi", PiScaledRational(3, -1), PiScaledRational(3, -3), 0,
                  "exact")]:
-        rep = _check("x", {}, [ok[2], bad], failed_key="failed")
+        rep = _judged([ok[2], bad], failed_key="failed")
         assert rep.verdict == "FAIL" and rep.outputs["failed"] == [bad[0]]
         assert not rep.outputs["comparisons"][bad[0]]["passed"]
     assert rep.outputs["comparisons"]["pi"]["deviation"] is None
     for bad in [("x", 1.0, 1.0, 1e-8, "guess"), ("x", 1, 1, 1e-8, "exact")]:
         with pytest.raises(ValueError):
-            _check("x", {}, [bad])
+            _judged([bad])
 
 
 def test_improved_inequality_reports_the_true_min_slack(monkeypatch):

@@ -61,6 +61,17 @@ def test_gamma_ratio_unpaired_integers_are_factorials():
     assert gamma_ratio_product([], [1, 1, 7]) == Fraction(1, 720)
 
 
+def test_gamma_ratio_refuses_an_unpaired_argument_past_factorial():
+    # math.factorial raised a bare OverflowError past its argument range; an
+    # unpaired integer it cannot take is refused by name, on the exit-2 path.
+    for nums, dens in (((10 ** 400,), ()), ((), (10 ** 400, 2))):
+        with pytest.raises(ValueError, match=r"^unpaired Gamma argument "
+                                             r"10{400} is past math"):
+            gamma_ratio_product(nums, dens)
+    # paired, the same argument cancels to a Pochhammer product
+    assert gamma_ratio_product([10 ** 400 + 1], [10 ** 400]) == 10 ** 400
+
+
 def test_gamma_ratio_unpaired_pole_raises():
     with pytest.raises(GammaPole, match=r"Gamma\(0\)"):
         gamma_ratio_product([3, 0], [2])

@@ -1015,8 +1015,13 @@ def test_kernel_rejects_a_negative_degree(method):
 
 @pytest.mark.parametrize("nu, w, degree", [
     (2, 0.5, 40), (Fraction(5, 2), 0.3, 30), (2, 0.9, 200), (2, 0.95, 10),
-    (3, 0.6j, 25)])
+    (3, 0.6j, 25), (2, 1 - 1e-7, 3), (Fraction(5, 2), 0.9999999999999999, 3),
+    (10 ** 9, 0.00011351351351351351, 3)])
 def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
+    # (2, 1 - 1e-7) and (5/2, 0.9999999999999999) summed about 1/(1 - |w|)
+    # terms one by one, some 3 s and some 10^16 terms; the closed form less
+    # the kept terms returns at once.  At nu = 10^9 the closed form taken as
+    # a float power of 1 - |w|^2, off by about nu ulps, falls below the tail.
     import mpmath
 
     with mpmath.workdps(50):

@@ -635,8 +635,8 @@ def _float_read_entry_points():
             v(x), 2, 2), None),
         "wehrl_integral_numeric": (lambda x: compact.wehrl_integral_numeric(
             v(x), 2, 2), None),
-        # r = 1: one node whatever a is, so an even a reaches the rule's
-        # rounding bound, which reads it in floats
+        # r = 1: one node whatever a is, and no pair, so the rule and its
+        # rounding bound never read a (test_selberg_numeric_reads_no_a_at_r_1)
         "selberg_numeric.a": (
             lambda x: numeric(1, x, 0, 0, "gauss_jacobi"),
             "^(ValueError: a must be >= 0|MethodUnsupported: gauss_jacobi "
@@ -655,9 +655,10 @@ def _float_read_entry_points():
     }
 
 
-# the entry points above whose route is exact in the argument swept, so they
-# may return; every other one reads it in floats and must refuse 10**400
-_EXACT_ROUTES = frozenset({"ode_solve.nu"})
+# the entry points above whose route is exact in the argument swept, or does
+# not read it, so they may return; every other one reads it in floats and
+# must refuse 10**400
+_EXACT_ROUTES = frozenset({"ode_solve.nu", "selberg_numeric.a"})
 
 
 @pytest.mark.parametrize("entry", list(_float_read_entry_points()))

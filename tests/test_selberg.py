@@ -564,6 +564,17 @@ def test_verify_degree_integral_with_c_beyond_float_range_raises_typed():
         verify_degree_integral(d, 200)
 
 
+def test_selberg_numeric_reads_no_a_at_r_1():
+    # At r = 1 the a-term r(r - 1)/2 (a + 3) of the rounding bound is 0, and
+    # reading a in floats raised FloatRangeExceeded at a = 10^400; a is now
+    # read only where there is a pair, and the estimate and bound are the
+    # a = 0 ones, bit for bit.
+    at_zero = selberg_numeric(SelbergSpec(1, 0, 0, 0), "gauss_jacobi", 10)
+    for a in (2, 10 ** 400):
+        assert selberg_numeric(SelbergSpec(1, a, 0, 0), "gauss_jacobi",
+                               10) == at_zero
+
+
 def test_budget_below_one_is_rejected():
     for method, spec in (("monte_carlo", SelbergSpec(2, 1, 0, 0)),
                          ("gauss_jacobi", SelbergSpec(2, 2, 0, 0))):
