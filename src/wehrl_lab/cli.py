@@ -3,7 +3,8 @@
 Every subcommand emits JSON (or CSV for tables); exact rationals appear as
 numerator/denominator strings with an integer pi power next to a float
 rendition.  Bad input exits with status 2 and one "Error:" line; status 1
-is left to a suite with a failed check.
+is left to a failed suite check and to a maximizer search that does not
+converge, which prints one JSON line: its stop_reason, message and seed.
 """
 
 from __future__ import annotations
@@ -222,7 +223,11 @@ def disc_improved(nu, n, coeffs, convention):
 @click.option("--degree", default=12, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=_SEED)
 def disc_maximize(nu, n, degree, seed):
-    res = dc.maximize_wehrl(nu, n, degree, seed=seed)
+    try:
+        res = dc.maximize_wehrl(nu, n, degree, seed=seed)
+    except dc.NoConvergence as e:  # from the ascent or from its exit fit
+        _echo_json(dict(stop_reason=e.stop_reason, message=str(e), seed=seed))
+        sys.exit(1)
     _echo_json({"objective": res.objective,
                 "kernel_distance": res.kernel_distance,
                 "iterations": res.iterations,

@@ -615,33 +615,42 @@ class KernelFun:
     @in_float_range
     def tail_bound(self) -> float:
         """An upper bound, at most twice the true value, on the squared-norm
-        mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation.
+        mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation, or
+        5e-324 (no factor 2 then) where that mass is positive but below floats.
 
-        Where the kept terms hold at most a quarter of the whole mass
-        (1 - |w|^2)^(-nu), nu > 0, it is the difference, times 1 + 2^-30
-        for its rounding.  Else terms are summed: the ratio (nu+m)/(m+1)
-        |w|^2 tends to |w|^2 monotonically, so rho = max(ratio, |w|^2) bounds
-        every later ratio and term/(1 - rho) the rest once rho < 1, until
-        rho <= 1/2, that rest is at most the sum so far, or 1 - rho >=
-        (1 - |w|^2)/2 at nu >= 1, where no ratio is below |w|^2.
+        Where the kept terms past m = 0 hold at most 3/4 of the whole mass
+        past m = 0, (1 - |w|^2)^(-nu) - 1, nu > 0 (so wherever the kept terms
+        hold at most 1/4 of the whole), it is the difference.  Else terms are
+        summed: the ratio (nu+m)/(m+1) |w|^2 tends to |w|^2 monotonically, so
+        rho = max(ratio, |w|^2) bounds every later ratio and term/(1 - rho)
+        the rest once rho < 1, until rho <= 1/2, that rest is at most the sum
+        so far, or 1 - rho >= (1 - |w|^2)/2 at nu >= 1, where no ratio is
+        below |w|^2.  A term is a float times 2^e, so none leaves the float
+        range; |w|^2 and rho are exact.  A factor 1 + 2^-30 covers the float
+        steps (below 2^-40 to degree 10^5); the result is rounded up once.
         """
-        nu, r2 = float(self.nu), float(abs(self.w)) ** 2
-        m, total = self.degree + 1, 0.0
-        c = _rising_over_factorial(self.nu, m + 1, False)
-        term, kept = c[m] * r2 ** m, math.fsum(
-            x * r2 ** k for k, x in enumerate(c[:m]))
-        q = 1 - Fraction(self.w.real) ** 2 - Fraction(self.w.imag) ** 2
-        # ln q to a few ulps, so whole is good to 2^-40 at any nu, not nu ulps
-        ln_q = math.log(float(q)) if q <= 0.5 else math.log1p(-float(1 - q))
-        if nu > 0 and kept <= (whole := math.exp(-nu * ln_q)) / 4:
-            return (whole - kept) * (1 + 2 ** -30)
-        while True:
-            ratio = (nu + m) / (m + 1) * r2
-            rho = max(ratio, r2)
-            if rho < 1 and (rho <= 0.5 or term / (1.0 - rho) <= total
-                            or nu >= 1 and 1.0 - rho >= (1.0 - r2) / 2):
-                return total + term / (1.0 - rho)
-            total, term, m = total + term, term * ratio, m + 1
+        nu, m, nu_f = self.nu, self.degree + 1, float(self.nu)
+        q = 1 - (r := Fraction(self.w.real) ** 2 + Fraction(self.w.imag) ** 2)
+        term, e, terms, r2 = 1.0, 0, [], float(r)  # c_k |w|^2k = term 2^e
+        for k in range(m):  # terms: k = 1..m, the last one dropped
+            term, de = math.frexp(term * abs(nu_f + k) / (k + 1) * r2)
+            terms.append(math.ldexp(term, e := e + de))
+        kept, total = math.fsum(terms[:-1]), 0.0
+        # ln q to a few ulps, so rest is good to 2^-40 at any nu, not nu ulps
+        ln_q = math.log(float(q)) if q <= 0.5 else math.log1p(-float(r))
+        if nu > 0 and kept <= 0.75 * (rest := math.expm1(-nu_f * ln_q)):
+            total, term, e = rest - kept, 0.0, 0
+        while term:
+            ratio = (nu + m) / (m + 1) * r
+            rho = max(ratio, r)
+            if rho < 1 and (rho <= 0.5 or term / float(1 - rho) <= total
+                            or nu >= 1 and 1 - rho >= q / 2):
+                total, term = total + term / float(1 - rho), 0.0
+            else:
+                total, term, m = total + term, term * float(ratio), m + 1
+        bound = Fraction(total * (1 + 2 ** -30)) * Fraction(2) ** e
+        y = y if (y := float(bound)) >= bound else math.nextafter(y, math.inf)
+        return max(y, 5e-324) if nu > 0 < r else y
 
 
 @in_float_range
@@ -670,7 +679,7 @@ def ode_solve(nu, c, degree: int) -> PolyFun:
 # ---------------------------------------------------------------------------
 # Maximizer search on the coefficient sphere.
 
-# maximize_wehrl's (s, y) pairs kept, most steps, stopping gradient/objective
+# _ascend's (s, y) pairs kept, most steps, stopping gradient/objective
 _LBFGS_MEMORY, _MAX_ITERS, _GRAD_TOL = 8, 40000, 5e-6
 _HALVINGS = [0.5 ** i for i in range(60)]  # steps of both backtracking loops
 # Longest product n degree convolved directly, not by FFT (measured: README)
@@ -810,37 +819,23 @@ class MaximizeResult:
     stop_reason: str  # "gradient_tolerance": |tangent| < _GRAD_TOL objective
 
 
-def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
-    """Monotone L-BFGS ascent of ||f^n||^2_{n nu} on the unit sphere of the
-    truncated coefficient space; the sup is 1 (up to truncation), on kernels.
-
-    On the real view of x: _lbfgs_direction over the last _LBFGS_MEMORY
-    pairs (step, change of the negated tangent gradient) with s.y > 0, all
-    projected onto each new tangent space; a step retracts by normalising,
-    and Armijo backtracking from t = 1 never lowers the objective.  Stops
-    with "gradient_tolerance" once the tangent gradient is below _GRAD_TOL
-    times the objective; raises NoConvergence with "line_search_exhausted"
-    (60 halvings find no ascent), "zero_step" (the accepted step rounds back
-    to x: no later step can differ) or "max_iterations" (_MAX_ITERS steps).
-    """
-    if (nu := check_weight("nu", nu)) <= 1:
-        raise ValueError(f"weight nu must exceed 1, got {nu}")
-    check_counts(("n", n, 2), ("degree", degree, 4), ("seed", seed, 0))
-    h, H = (np.array(_weights(k * nu, k * degree + 1))
-            for k in (1, n))
-    root = np.sqrt(h)
-    weights = n, root, n / root, H
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-    x = x.view(float) / np.linalg.norm(x)
-    phi, g = _objective_and_gradient(x, *weights)
+def _ascend(objective_and_gradient, x: np.ndarray) -> tuple:
+    """Monotone L-BFGS ascent of (phi, gradient) = objective_and_gradient(x)
+    on the unit sphere from the unit real x: _lbfgs_direction over the last
+    _LBFGS_MEMORY pairs (step, change of negated tangent gradient), s.y > 0,
+    projected onto each new tangent space; steps retract by normalising, and
+    Armijo backtracking from t = 1 never lowers phi.  Returns (x, phi,
+    iterations, |tangent|) once |tangent| < _GRAD_TOL phi; else NoConvergence:
+    "line_search_exhausted" (no ascent in 60 halvings), "zero_step" (the step
+    rounds back to x, as would all later ones) or "max_iterations"."""
+    phi, g = objective_and_gradient(x)
     S, Y = hist = np.empty((2, _LBFGS_MEMORY + 1, x.size))
     k = 0  # the first k rows of S, Y: pairs, oldest first
     for it in range(_MAX_ITERS + 1):
         tangent = g - (x @ g) * x
         gnorm = math.sqrt(tangent @ tangent)
         if gnorm < _GRAD_TOL * phi:
-            break
+            return x, phi, it, gnorm
         if it == _MAX_ITERS:
             raise NoConvergence(f"tangent gradient {gnorm:.2e} >= {_GRAD_TOL}"
                                 f" x objective {phi:.2e} after {it} "
@@ -852,7 +847,7 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         for t in _HALVINGS:
             x_new = x + t * d
             x_new /= math.sqrt(x_new @ x_new)
-            phi_new, g_new = _objective_and_gradient(x_new, *weights)
+            phi_new, g_new = objective_and_gradient(x_new)
             if phi_new >= phi + 1e-4 * t * slope:
                 break
         else:
@@ -870,6 +865,20 @@ def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
         k = pairs.shape[1]
         hist[:, :k] = pairs
         x, phi, g = x_new, phi_new, g_new
-    # The truncated kernels: coherent vectors of kappa^2 = (nu)_m/m! = 1/h.
+
+
+def maximize_wehrl(nu, n: int, degree: int, seed: int = 0) -> MaximizeResult:
+    """_ascend of ||f^n||^2_{n nu} on the unit sphere of orthonormal truncated
+    coefficients from a seeded Gaussian start; the sup is 1 (up to truncation)
+    on the kernels, coherent vectors of kappa^2 = (nu)_m/m! = 1/h (the fit)."""
+    if (nu := check_weight("nu", nu)) <= 1:
+        raise ValueError(f"weight nu must exceed 1, got {nu}")
+    check_counts(("n", n, 2), ("degree", degree, 4), ("seed", seed, 0))
+    h, H = (np.array(_weights(k * nu, k * degree + 1)) for k in (1, n))
+    weights = n, np.sqrt(h), n / np.sqrt(h), H
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    x, phi, it, gnorm = _ascend(lambda x: _objective_and_gradient(
+        x, *weights), x.view(float) / np.linalg.norm(x))
     return MaximizeResult(phi, _coherent_fit([x.view(complex)], 1 / h, 1.0),
                           it, gnorm, "gradient_tolerance")

@@ -670,3 +670,25 @@ def test_disc_maximize_prints_stop_reason(runner):
                                "--degree", "5", "--seed", "1"])
     assert res.exit_code == 0
     assert json.loads(res.output)["stop_reason"] == "gradient_tolerance"
+
+
+def test_disc_maximize_reports_no_convergence_in_one_line(runner,
+                                                          monkeypatch):
+    # At (2, 60, 8) the first step rounds back to x: NoConvergence ended the
+    # command in a traceback, with status 1.  Now one JSON line and status 1.
+    args = ["disc", "maximize", "--nu", "2", "--n", "60", "--degree", "8"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert json.loads(res.output) == {
+        "stop_reason": "zero_step", "seed": 0, "message": "the step accepted"
+        " at iteration 0 leaves x unchanged (objective 2.02e-22)"}
+
+    def no_fit(*args):
+        raise dc.NoConvergence("coherent fit: no ascent", "max_iterations")
+
+    monkeypatch.setattr(dc, "_coherent_fit", no_fit)  # the exit fit's own
+    res = runner.invoke(main, args[:4] + ["--seed", "3"])
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert json.loads(res.output) == {"stop_reason": "max_iterations",
+                                      "message": "coherent fit: no ascent",
+                                      "seed": 3}

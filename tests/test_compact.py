@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import example, given, strategies as st
 
 from su2_reference import cartan_mass_exact, group_element
-from wehrl_lab import compact
+from wehrl_lab import compact, disc
 from wehrl_lab.compact import (Su2Irrep, casimir_tensor_check, haar_moment,
                                random_unit_vector, reduction_consistency,
                                translate_fit_distance, translate_vector,
@@ -541,6 +541,33 @@ def test_fit_finds_near_translates_at_large_m():
         noise = rng.normal(size=1001) + 1j * rng.normal(size=1001)
         v = t + 0.05 * noise / np.linalg.norm(noise)
         assert translate_fit_distance(v, 1000) < 0.1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 3), (6, 2), (10, 2),
+                                  (20, 3), (50, 2), (100, 2), (200, 2),
+                                  (250, 2)])
+def test_the_disc_ascent_at_nu_minus_m_reaches_the_coherent_states(m, n,
+                                                                   seed):
+    # V_m is H_nu at nu = -m, with weights |z^i|^2 = 1/binom(m, i): in its
+    # orthonormal coordinates x is the SU(2) vector v, and the disc's
+    # objective ||f^n||^2_{-nm} is the top mass ||P_{nm}(v^(x)n)||^2 <= 1,
+    # 1 on the equality orbit alone (the coherent states).  The disc's loop
+    # runs as it is; only the weights and the exit test differ.  n m <= 500
+    # keeps the objective on its direct convolutions.
+    h = np.array(disc._weights(-m, m + 1))
+    weights = n, np.sqrt(h), n / np.sqrt(h), np.array(
+        disc._weights(-n * m, n * m + 1))
+    rng = np.random.default_rng(seed)  # maximize_wehrl's start
+    x = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    x, phi, _, gnorm = disc._ascend(
+        lambda y: disc._objective_and_gradient(y, *weights),
+        x.view(float) / np.linalg.norm(x))
+    v = x.view(complex)
+    assert gnorm < disc._GRAD_TOL * phi
+    assert abs(1 - phi) <= 1e-9
+    assert abs(phi - compact._top_mass([v] * n)) <= 1e-12 * phi
+    assert translate_fit_distance(v, m) <= 1e-4
 
 
 @pytest.mark.parametrize("m, n", [(60, 17), (100, 10)])

@@ -1013,27 +1013,81 @@ def test_kernel_rejects_a_negative_degree(method):
     assert KernelFun(2, Fraction(1, 2), 0).to_polyfun().coeffs == (QC(1),)
 
 
+def _kernel_tail(nu, w, degree):
+    """sum_{m > degree} (nu)_m/m! |w|^{2m} for nu > 0 by mpmath, at the exact
+    |w|^2 of w's parts, to 30 digits at any size: term by term where every
+    ratio past the cut is at most 1/2 (or the tail is 0), else the whole
+    mass less the kept terms, with digits for the cancellation, about 1300
+    at a tail of 1e-1300 beside a whole mass of 1."""
+    import mpmath
+
+    w = complex(w)
+    nu, r = Fraction(nu), Fraction(w.real) ** 2 + Fraction(w.imag) ** 2
+    exact = lambda x: mpmath.mpf(x.numerator) / x.denominator
+    with mpmath.workdps(40):
+        N, R, t, m = exact(nu), exact(r), mpmath.mpf(1), degree + 1
+        for k in range(m):
+            t *= (N + k) / (k + 1) * R  # the first dropped term
+        if t == 0 or max((N + m) / (m + 1) * R, R) <= 0.5:
+            tail = mpmath.mpf(0)
+            while t > tail * mpmath.mpf(10) ** -45:  # the rest <= 2 t
+                tail, t, m = tail + t, t * (N + m) / (m + 1) * R, m + 1
+            return tail
+        digits = 40 + max(0, int(mpmath.log10(exact(1 - r) ** -N / t)))
+    with mpmath.workdps(digits):
+        N, R, t, kept = exact(nu), exact(r), mpmath.mpf(1), mpmath.mpf(1)
+        for k in range(degree):
+            t *= (N + k) / (k + 1) * R
+            kept += t
+        return exact(1 - r) ** -N - kept
+
+
 @pytest.mark.parametrize("nu, w, degree", [
     (2, 0.5, 40), (Fraction(5, 2), 0.3, 30), (2, 0.9, 200), (2, 0.95, 10),
     (3, 0.6j, 25), (2, 1 - 1e-7, 3), (Fraction(5, 2), 0.9999999999999999, 3),
-    (10 ** 9, 0.00011351351351351351, 3)])
+    (10 ** 9, 0.00011351351351351351, 3), (86, 0.25702143177112513, 300),
+    (1000, 0.03, 300), (10 ** 4, 0.01, 300), (10 ** 6, 0.001, 300),
+    (10 ** 6, 0.0001, 300), (10 ** 4, math.sqrt(1.9e-4), 0), (1, 0.5, 531),
+    (2, 1e-170, 3)])
 def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
     # (2, 1 - 1e-7) and (5/2, 0.9999999999999999) summed about 1/(1 - |w|)
     # terms one by one, some 3 s and some 10^16 terms; the closed form less
     # the kept terms returns at once.  At nu = 10^9 the closed form taken as
     # a float power of 1 - |w|^2, off by about nu ulps, falls below the tail.
-    import mpmath
-
-    with mpmath.workdps(50):
-        r2 = mpmath.mpf(abs(w)) ** 2
-        nu_mp = mpmath.mpf(Fraction(nu).numerator) / Fraction(nu).denominator
-        tail = (1 - r2) ** -nu_mp - mpmath.fsum(
-            mpmath.rf(nu_mp, m) / mpmath.factorial(m) * r2 ** m
-            for m in range(degree + 1))
-        bound = KernelFun(Fraction(nu), w, degree).tail_bound()
-        assert tail <= bound <= 2 * tail
+    # With c_m = (nu)_m/m! and |w|^{2m} rounded apart, the first dropped term
+    # underflowed at (86, 0.257...) and (1000, 0.03): tail_bound read 0.0 for
+    # tails of 8.0e-269 and 1.4e-613.  c_m overflowed at the three kernels
+    # after them (tails 9.5e-616, 1.1e-617, 1.1e-1219), raising
+    # FloatRangeExceeded.  At the last one, rho = 0.95 at the cut and t/(1 -
+    # rho) = 38.1, 6.7 times the tail; the closed form reads 5.687.  At
+    # (1, 0.5, 531) the tail, 1365.33 times the least subnormal, rounds down
+    # to 1365 of them; at (2, 1e-170, 3) |w|^2 rounds to 0.0 and the tail,
+    # about 1e-1359, is positive.
+    tail = _kernel_tail(nu, w, degree)
+    bound = KernelFun(Fraction(nu), w, degree).tail_bound()
+    assert tail <= bound <= max(2 * tail, 5e-324)
     with pytest.raises(OutsideBergman):
         KernelFun(NU2, 1.0, 5).tail_bound()
+
+
+def test_kernel_tail_bound_sweep_against_mpmath():
+    # Seeded kernels: nu from 10^-2 to 10^6, |w| from 10^-4 to 1 - 10^-15.5
+    # on the four axes, degree 0 to 300, each with its whole mass (1 -
+    # |w|^2)^(-nu) below 1e300, so that its tail is a float or below the
+    # range: 100 of each here.  tail_bound read 0.0 on 89 of them and raised
+    # on 40; on two, at nu < 1/20 and 1 - |w|^2 ~ 1e-9, it summed terms one
+    # by one, about 1/(1 - |w|^2) of them, where the closed form now holds.
+    # Every bound is true and within twice the tail or is 5e-324, and none
+    # raises.
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        nu = Fraction(10 ** rng.uniform(-2, 6))
+        s = 10 ** rng.uniform(-8, math.log10(min(690 / nu, 35)))
+        w = math.sqrt(-math.expm1(-s)) * (1, -1, 1j, -1j)[rng.integers(4)]
+        degree = int(rng.integers(0, 301))
+        tail = _kernel_tail(nu, w, degree)
+        bound = KernelFun(nu, w, degree).tail_bound()
+        assert tail <= bound <= max(2 * tail, 5e-324), (nu, w, degree)
 
 
 def test_ode_solution_matches_kernel_exactly():
@@ -1265,11 +1319,13 @@ def test_maximize_wehrl_refuses_weights_below_the_normal_floats(monkeypatch):
 
 
 def test_kernel_coefficients_past_the_float_range_raise_typed():
-    # (400)_m/m! passes 1.8e308 below m = 2000
+    # (400)_m/m! passes 1.8e308 below m = 2000.  tail_bound raised on it
+    # too; its terms c_m |w|^{2m} never leave the float range, and the tail,
+    # 5.0e-738, is below it.
     kern = KernelFun(Fraction(400), 0.5, 2000)
-    for read in (kern.to_polyfun, kern.tail_bound):
-        with pytest.raises(FloatRangeExceeded, match="nu = 400 exceeds"):
-            read()
+    with pytest.raises(FloatRangeExceeded, match="nu = 400 exceeds"):
+        kern.to_polyfun()
+    assert kern.tail_bound() == 5e-324
 
 
 @pytest.mark.parametrize("seed", range(40))
