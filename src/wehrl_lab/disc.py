@@ -615,18 +615,18 @@ class KernelFun:
     @in_float_range
     def tail_bound(self) -> float:
         """An upper bound, at most twice the true value, on the squared-norm
-        mass sum_{m > degree} (nu)_m/m! |w|^{2m} beyond the truncation, or
+        mass sum_{m > degree} |(nu)_m|/m! |w|^{2m} beyond the truncation, or
         5e-324 (no factor 2 then) where that mass is positive but below floats.
 
         Where the kept terms past m = 0 hold at most 3/4 of the whole mass
         past m = 0, (1 - |w|^2)^(-nu) - 1, nu > 0 (so wherever the kept terms
         hold at most 1/4 of the whole), it is the difference.  Else terms are
-        summed: the ratio (nu+m)/(m+1) |w|^2 tends to |w|^2 monotonically, so
-        rho = max(ratio, |w|^2) bounds every later ratio and term/(1 - rho)
-        the rest once rho < 1, until rho <= 1/2, that rest is at most the sum
-        so far, or 1 - rho >= (1 - |w|^2)/2 at nu >= 1, where no ratio is
-        below |w|^2.  A term is a float times 2^e, so none leaves the float
-        range; |w|^2 and rho are exact.  A factor 1 + 2^-30 covers the float
+        summed: past m = -nu the ratio |nu+m|/(m+1) |w|^2 tends to |w|^2
+        monotonically, so rho = max(ratio, |w|^2) bounds every later ratio
+        and term/(1 - rho) the rest once rho < 1, until rho <= 1/2, that rest
+        is at most the sum so far, or 1 - rho >= (1 - |w|^2)/2 at nu >= 1,
+        where no ratio is below |w|^2.  A term is a float times 2^e, never out
+        of range; |w|^2 and rho are exact.  A factor 1 + 2^-30 covers the float
         steps (below 2^-40 to degree 10^5); the result is rounded up once.
         """
         nu, m, nu_f = self.nu, self.degree + 1, float(self.nu)
@@ -641,16 +641,18 @@ class KernelFun:
         if nu > 0 and kept <= 0.75 * (rest := math.expm1(-nu_f * ln_q)):
             total, term, e = rest - kept, 0.0, 0
         while term:
-            ratio = (nu + m) / (m + 1) * r
+            ratio = abs(nu + m) / (m + 1) * r
             rho = max(ratio, r)
-            if rho < 1 and (rho <= 0.5 or term / float(1 - rho) <= total
-                            or nu >= 1 and 1 - rho >= q / 2):
+            if rho < 1 and m > -nu and (
+                    rho <= 0.5 or term / float(1 - rho) <= total
+                    or nu >= 1 and 1 - rho >= q / 2):
                 total, term = total + term / float(1 - rho), 0.0
             else:
                 total, term, m = total + term, term * float(ratio), m + 1
         bound = Fraction(total * (1 + 2 ** -30)) * Fraction(2) ** e
         y = y if (y := float(bound)) >= bound else math.nextafter(y, math.inf)
-        return max(y, 5e-324) if nu > 0 < r else y
+        zero = not r or nu.denominator == 1 and -self.degree <= nu <= 0
+        return y if zero else max(y, 5e-324)
 
 
 @in_float_range

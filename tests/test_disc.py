@@ -1014,8 +1014,8 @@ def test_kernel_rejects_a_negative_degree(method):
 
 
 def _kernel_tail(nu, w, degree):
-    """sum_{m > degree} (nu)_m/m! |w|^{2m} for nu > 0 by mpmath, at the exact
-    |w|^2 of w's parts, to 30 digits at any size: term by term where every
+    """sum_{m > degree} |(nu)_m|/m! |w|^{2m} by mpmath, at the exact |w|^2 of
+    w's parts, to 30 digits at any size: term by term where nu < 0 or every
     ratio past the cut is at most 1/2 (or the tail is 0), else the whole
     mass less the kept terms, with digits for the cancellation, about 1300
     at a tail of 1e-1300 beside a whole mass of 1."""
@@ -1027,11 +1027,12 @@ def _kernel_tail(nu, w, degree):
     with mpmath.workdps(40):
         N, R, t, m = exact(nu), exact(r), mpmath.mpf(1), degree + 1
         for k in range(m):
-            t *= (N + k) / (k + 1) * R  # the first dropped term
-        if t == 0 or max((N + m) / (m + 1) * R, R) <= 0.5:
+            t *= abs(N + k) / (k + 1) * R  # the first dropped term
+        if t == 0 or nu < 0 or max((N + m) / (m + 1) * R, R) <= 0.5:
+            # past m = -nu every ratio is at most R: the rest <= t/(1 - R)
             tail = mpmath.mpf(0)
-            while t > tail * mpmath.mpf(10) ** -45:  # the rest <= 2 t
-                tail, t, m = tail + t, t * (N + m) / (m + 1) * R, m + 1
+            while m <= -N or t > tail * mpmath.mpf(10) ** -45 * (1 - R):
+                tail, t, m = tail + t, t * abs(N + m) / (m + 1) * R, m + 1
             return tail
         digits = 40 + max(0, int(mpmath.log10(exact(1 - r) ** -N / t)))
     with mpmath.workdps(digits):
@@ -1048,7 +1049,8 @@ def _kernel_tail(nu, w, degree):
     (10 ** 9, 0.00011351351351351351, 3), (86, 0.25702143177112513, 300),
     (1000, 0.03, 300), (10 ** 4, 0.01, 300), (10 ** 6, 0.001, 300),
     (10 ** 6, 0.0001, 300), (10 ** 4, math.sqrt(1.9e-4), 0), (1, 0.5, 531),
-    (2, 1e-170, 3)])
+    (2, 1e-170, 3), (Fraction(-21, 2), 0.9, 2), (Fraction(-7, 2), 0.9, 1),
+    (-3, 0.9, 1), (Fraction(-1, 2), 1e-170, 3), (-3, 1e-170, 2)])
 def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
     # (2, 1 - 1e-7) and (5/2, 0.9999999999999999) summed about 1/(1 - |w|)
     # terms one by one, some 3 s and some 10^16 terms; the closed form less
@@ -1062,10 +1064,15 @@ def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
     # rho) = 38.1, 6.7 times the tail; the closed form reads 5.687.  At
     # (1, 0.5, 531) the tail, 1365.33 times the least subnormal, rounds down
     # to 1365 of them; at (2, 1e-170, 3) |w|^2 rounds to 0.0 and the tail,
-    # about 1e-1359, is positive.
+    # about 1e-1359, is positive.  At nu < 0 the bound is on the absolute
+    # terms: the walk took the signed ratio (nu + m)/(m + 1) |w|^2 and read
+    # -525.2, -3.25 and -0.83 at the three kernels at |w| = 0.9, whose tails
+    # are 465.5, 4.16 and 2.50, and 0.0 at the two at |w| = 1e-170, whose
+    # tails are positive; at nu = -3 every term past m = 3 is 0.
     tail = _kernel_tail(nu, w, degree)
     bound = KernelFun(Fraction(nu), w, degree).tail_bound()
     assert tail <= bound <= max(2 * tail, 5e-324)
+    assert KernelFun(-3, 0.9, 5).tail_bound() == 0.0
     with pytest.raises(OutsideBergman):
         KernelFun(NU2, 1.0, 5).tail_bound()
 
@@ -1088,6 +1095,22 @@ def test_kernel_tail_bound_sweep_against_mpmath():
         tail = _kernel_tail(nu, w, degree)
         bound = KernelFun(nu, w, degree).tail_bound()
         assert tail <= bound <= max(2 * tail, 5e-324), (nu, w, degree)
+
+
+def test_kernel_tail_bound_at_negative_nu_sweep():
+    # Seeded kernels at nu < 0 (integer and not), |w| up to 0.995 or down to
+    # 1e-200, degree 0 to 79: the bound is on the absolute terms, true and
+    # within twice the tail or 5e-324, and 0.0 only where the tail is 0.
+    rng = np.random.default_rng(52)
+    for _ in range(150):
+        nu = -Fraction(int(rng.integers(1, 80)), int(rng.integers(1, 4)))
+        w = (float(rng.uniform(0, 0.995)) if rng.random() < 0.8
+             else 10.0 ** -rng.uniform(1, 200)) * (1, 1j)[rng.integers(2)]
+        degree = int(rng.integers(0, 80))
+        tail = _kernel_tail(nu, w, degree)
+        bound = KernelFun(nu, w, degree).tail_bound()
+        assert tail <= bound <= max(2 * tail, 5e-324), (nu, w, degree)
+        assert (bound == 0) == (tail == 0), (nu, w, degree)
 
 
 def test_ode_solution_matches_kernel_exactly():

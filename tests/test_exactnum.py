@@ -13,7 +13,7 @@ from wehrl_lab.degrees import scalar_formal_degree
 from wehrl_lab.disc import (KernelFun, PolyFun, completeness_check,
                             norm2_exact, ode_solve)
 from wehrl_lab.domains import PRESETS
-from wehrl_lab import disc, exactnum
+from wehrl_lab import compact, disc, exactnum, selberg as sb
 from wehrl_lab.exactnum import (FloatRangeExceeded, PiScaledRational, QC,
                                 _rule, gauss_jacobi, rising_ints)
 
@@ -260,6 +260,7 @@ def test_rule_is_bit_identical_node_by_node_and_on_the_array(
     rules = []
     for cutoff in (0, 10 ** 6):  # every rule on the array, then by node
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        exactnum._gauss_rule.cache_clear()  # build, not read a kept rule
         seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -307,6 +308,7 @@ def test_gauss_jacobi_beyond_the_float_range_raises_typed(
     # raises, node by node and on the array, without warnings.
     for cutoff in (0, 10 ** 6):
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        exactnum._gauss_rule.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(FloatRangeExceeded, match=cause):
@@ -334,6 +336,7 @@ def test_float_path_matches_the_array_path(monkeypatch, n, alpha, beta):
     got = []
     for cutoff in (exactnum._FLOAT_LOOP_NODES, 0):
         monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
+        exactnum._gauss_rule.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -344,6 +347,121 @@ def test_float_path_matches_the_array_path(monkeypatch, n, alpha, beta):
                 assert s.flags.c_contiguous and w.flags.c_contiguous
                 got.append(s.tobytes() + w.tobytes())
     assert got[0] == got[1]
+
+
+_uncached_rule = exactnum._gauss_rule.__wrapped__
+
+
+def _built(n, alpha, beta) -> bytes:
+    """The bytes of the rule gauss_jacobi keeps at (n, alpha, beta), built
+    afresh by its uncached core."""
+    return b"".join(a.tobytes() for a in _uncached_rule(
+        n, float(alpha).hex(), float(beta).hex()))
+
+
+def test_a_kept_rule_is_the_rule_built_whatever_came_before():
+    # gauss_jacobi keeps its rules keyed on n and the bits of the floats:
+    # -0.0 gives other nodes and weights than 0.0 at 77 of the sizes 1-79,
+    # so neither may be served for the other, in either order.  A Fraction
+    # and an int weight are their floats, a numpy int size is its int.
+    sizes = (3, 17, 33, 40)
+    assert all(_built(n, 0.0, 0.0) != _built(n, -0.0, -0.0) for n in sizes)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        exactnum._gauss_rule.cache_clear()
+        for n in sizes:
+            for z in (first, second, first):
+                s, w = gauss_jacobi(n, z, z)
+                assert s.tobytes() + w.tobytes() == _built(n, z, z)
+    rng = np.random.default_rng(52)
+    calls = [(n, z, z) for n in sizes for z in (0.0, -0.0)] + [
+        (9, Fraction(1, 2), 3), (9, 0.5, 3.0), (np.int64(9), 0.5, 3.0),
+        (np.int64(33), -0.0, Fraction(1, 2)), (33, 0.0, 0.5)] + [
+        (int(rng.integers(1, 80)), *map(float, rng.uniform(-1, 20, 2)))
+        for _ in range(40)]
+    for _ in range(2):  # two shuffled orders, each run through twice
+        exactnum._gauss_rule.cache_clear()
+        order = rng.permutation(len(calls))
+        for n, alpha, beta in (calls[i] for i in (*order, *order)):
+            s, w = gauss_jacobi(n, alpha, beta)
+            assert s.tobytes() + w.tobytes() == _built(n, alpha, beta)
+    assert exactnum._gauss_rule.cache_info().hits >= len(calls)
+
+
+def test_a_kept_rule_cannot_be_written():
+    # Every caller gets the same two arrays, so none may write to them.
+    s, w = gauss_jacobi(5, 0.5, 1.0)
+    assert all(a is b for a, b in zip(gauss_jacobi(5, 0.5, 1.0), (s, w)))
+    for a in (s, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2
+
+
+def test_gauss_jacobi_keeps_no_refusal():
+    # A refusal raises on every call: the out-of-range rule is built again
+    # each time, and the gate refuses alpha = -1 before any rule.
+    exactnum._gauss_rule.cache_clear()
+    for _ in range(3):
+        with pytest.raises(FloatRangeExceeded, match="mu_0 = 0.0"):
+            gauss_jacobi(32, 1000.0, 1000.0)
+        with pytest.raises(ValueError, match="needs alpha, beta > -1"):
+            gauss_jacobi(4, -1.0, 0.0)
+    info = exactnum._gauss_rule.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
+
+
+def test_gauss_jacobi_keeps_at_most_128_rules():
+    exactnum._gauss_rule.cache_clear()
+    for k in range(129):  # 129 distinct rules
+        gauss_jacobi(k % 5 + 1, float(k), 0.0)
+    info = exactnum._gauss_rule.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128
+    assert info.misses == 129
+
+
+@pytest.mark.parametrize("name, call", [
+    ("disc quadrature", lambda: disc.matrix_coeff_lp(
+        PolyFun(Fraction(5, 2), (1, 0.5j, -0.25)), 3)),
+    ("Haar oracle", lambda: compact.wehrl_integral_numeric(
+        [0.6, 0.8j, 0.0], 2, 3)),
+    ("haar_moment", lambda: compact.haar_moment(3, 2)),
+    *((f"tensor rule r={r}", lambda r=r: sb.selberg_numeric(
+        sb.SelbergSpec(r, 2, 1, Fraction(1, 2)), "gauss_jacobi", 100))
+      for r in (1, 2, 3)),
+    *((f"sector rule r={r}", lambda r=r: sb._exact_rule(
+        sb._sector_sum, sb._sector_plan,
+        sb.SelbergSpec(r, 1, 1, Fraction(1, 3)), 100, "ordered_quadrature"))
+      for r in (1, 2, 3))])
+def test_every_caller_runs_on_kept_read_only_rules(monkeypatch, name, call):
+    # Each caller reads its rules without writing to them, warns nowhere,
+    # and gives the same result on the rules it built (cold) and on the
+    # kept ones (warm), which are still the rules built afresh.
+    kept, handed = exactnum._gauss_rule, []
+
+    def spy(*key):
+        handed.append((key, rule := kept(*key)))
+        return rule
+
+    monkeypatch.setattr(exactnum, "_gauss_rule", spy)
+    kept.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cold, warm = call(), call()
+    assert cold == warm
+    info = kept.cache_info()
+    assert handed and info.hits == info.misses == len(handed) // 2
+    for key, (s, w) in handed:
+        assert not (s.flags.writeable or w.flags.writeable)
+        assert s.tobytes() + w.tobytes() == _built(
+            key[0], *map(float.fromhex, key[1:]))
+
+
+def test_the_one_axis_tensor_rule_passes_on_the_kept_weights():
+    # At r = 1 the product of the axes' weights is a view of the one kept
+    # array, read-only as it is.
+    x, w = sb._tensor_rule(4, [(0.5, 1.0)])
+    assert w.base is gauss_jacobi(4, 0.5, 1.0)[1] and not w.flags.writeable
 
 
 def test_mu0_is_the_beta_function_to_a_few_eps_past_gamma_overflow():

@@ -40,12 +40,14 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   such a call returns with the gc disabled;
 * ``gauss_rules``: the median us of ``gauss_jacobi(n, 0.5, 1.0)`` at 1, 2, 9,
   32, 33 and 514 nodes, on both sides of the cutoff between its two loop
-  orders, over 51 rounds, each node count alone;
+  orders, over 51 rounds, each node count alone, each call with no rule
+  kept (``cold``), so that the rule's build is timed, not the lookup;
 * ``quadrature_setup``: the quadrature oracles' fixed cost, the median us of
   ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
   lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
   and of ``selberg_closed`` at (r, a, b, gamma) = (2, 2, 1/2, 1), over 201
-  rounds, each call alone;
+  rounds, each call alone, under ``cold`` (every Gauss rule built, as each
+  call did before rules were kept) and ``warm`` (the rules kept);
 * ``exact_norms``: the median us of ``product_norm2`` on n copies of a
   seeded rational polynomial (one real lane) at weight n nu, nu = 5/2, at
   (degree, n) = (8, 1), (8, 3) and (2000, 1), and of ``completeness_check``
@@ -59,16 +61,20 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
 * ``su2``: the median us of ``wehrl_compact_check`` on a seeded unit vector
   at (m, n) = (2, 2), (5, 4), (7, 3), (10, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
-  interleaved rounds;
+  interleaved rounds, under ``cold`` and ``warm``;
 * ``size_frontiers``: the largest nm at which ``wehrl_compact_check`` at
   n = 2 on a seeded unit vector takes at most 1 s, with the error that
-  refuses the smallest m refused, and the largest n at which
-  ``gauss_jacobi(n, 0.5, 1.0)`` takes at most 1 s;
+  refuses the smallest m refused, under ``cold`` and ``warm``, and the
+  largest n at which ``gauss_jacobi(n, 0.5, 1.0)`` takes at most 1 s, cold;
 * ``selberg_ranks``: per a in {1, 2, 4}, the largest rank r at which
   ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
   passes (deviation below 1e-10) within 1 s, with the seconds and nodes per
   axis of each rank the search visits, and what stops the next rank: the
   error that refuses it, or its seconds.
+
+``gauss_jacobi`` keeps the rules it built: ``cold`` times a call after
+every kept rule is dropped, and ``warm`` times it with its rules kept (a
+warm block drops none; a warm frontier runs each size once untimed).
 
 Every time is taken by ``medians``: the median of a number of rounds, each
 call alone (its rounds back to back) or interleaved (each round calls each
@@ -121,7 +127,8 @@ from wehrl_lab.compact import (casimir_tensor_check,  # noqa: E402
 from wehrl_lab.disc import (NoConvergence, PolyFun,  # noqa: E402
                             completeness_check, maximize_wehrl, product_norm2)
 from wehrl_lab.domains import PRESETS, DomainParams  # noqa: E402
-from wehrl_lab.exactnum import FloatRangeExceeded, gauss_jacobi  # noqa: E402
+from wehrl_lab.exactnum import (FloatRangeExceeded,  # noqa: E402
+                                _gauss_rule, gauss_jacobi)
 from wehrl_lab.selberg import (MethodUnsupported, SelbergSpec,  # noqa: E402
                                laguerre_constant_C, selberg_closed,
                                selberg_numeric, verify_degree_integral)
@@ -195,6 +202,28 @@ def timed(calls: dict, rounds: int, interleaved: bool = False,
     times, slowdown = slowed(partial(medians, calls, rounds, interleaved,
                                      unit))
     return {"rounds": rounds, "host_slowdown": slowdown, **times}
+
+
+def cold(call):
+    """call, run each time with no Gauss rule kept, so that it builds its
+    rules: the build is timed, not the lookup."""
+    def uncached():
+        _gauss_rule.cache_clear()
+        return call()
+    return uncached
+
+
+def warm(call):
+    """call, run once (untimed) so that its Gauss rules are kept."""
+    call()
+    return call
+
+
+def cold_and_warm(calls: dict, rounds: int, interleaved: bool = False) -> dict:
+    """timed(...) of every call under cold, then of every call warm."""
+    return {"cold": timed({key: cold(call) for key, call in calls.items()},
+                          rounds, interleaved),
+            "warm": timed(calls, rounds, interleaved)}
 
 
 def one_second_frontier(call_at, start: int) -> dict:
@@ -429,7 +458,7 @@ def monte_carlo() -> dict:
 
 def gauss_rules() -> dict:
     return {"alpha": 0.5, "beta": 1.0, **timed({
-        ("median_us", str(n)): partial(gauss_jacobi, n, 0.5, 1.0)
+        ("median_us", str(n)): cold(partial(gauss_jacobi, n, 0.5, 1.0))
         for n in (1, 2, 9, 32, 33, 514)}, 51)}
 
 
@@ -444,7 +473,7 @@ def quadrature_setup() -> dict:
         laguerre_constant_C, PRESETS["SU(2,2)"])
     calls["selberg_closed_us", "2,2,1/2,1"] = partial(
         selberg_closed, SelbergSpec(2, 2, Fraction(1, 2), 1))
-    return timed(calls, 201)
+    return cold_and_warm(calls, 201)
 
 
 def exact_norms() -> dict:
@@ -486,23 +515,27 @@ def su2() -> dict:
     for m in (2, 4):
         calls["casimir_tensor_check_us", str(m)] = partial(
             casimir_tensor_check, translate_vector(m, 0.7, 1.2, -2.1), m)
-    return timed(calls, 2001, interleaved=True)
+    return cold_and_warm(calls, 2001, interleaved=True)
 
 
 def size_frontiers() -> dict:
-    compact = one_second_frontier(lambda m: partial(
-        wehrl_compact_check,
-        random_unit_vector(m, np.random.default_rng([SEED, m])), m, 2), 8)
+    def su2_frontier(prepare) -> dict:
+        compact = one_second_frontier(lambda m: prepare(partial(
+            wehrl_compact_check,
+            random_unit_vector(m, np.random.default_rng([SEED, m])), m, 2)),
+            8)
+        refused = compact["refused"]
+        return {"nm_1s": 2 * compact["size_1s"],
+                "host_slowdown": compact["host_slowdown"],
+                "seconds": {2 * m: t for m, t in compact["seconds"].items()},
+                "refused": refused and {
+                    "nm": 2 * refused[0],
+                    "error": f"{type(refused[1]).__name__}: {refused[1]}"}}
+
+    su2 = {"n": 2, "cold": su2_frontier(cold), "warm": su2_frontier(warm)}
     gauss = one_second_frontier(
-        lambda n: partial(gauss_jacobi, n, 0.5, 1.0), 8)
-    refused = compact["refused"]
-    return {"su2": {"n": 2, "nm_1s": 2 * compact["size_1s"],
-                    "host_slowdown": compact["host_slowdown"],
-                    "seconds": {2 * m: t
-                                for m, t in compact["seconds"].items()},
-                    "refused": refused and {
-                        "nm": 2 * refused[0],
-                        "error": f"{type(refused[1]).__name__}: {refused[1]}"}},
+        lambda n: cold(partial(gauss_jacobi, n, 0.5, 1.0)), 8)
+    return {"su2": su2,
             "gauss_jacobi": {"alpha": 0.5, "beta": 1.0,
                              "nodes_1s": gauss["size_1s"],
                              "host_slowdown": gauss["host_slowdown"],
