@@ -1,6 +1,9 @@
+import contextlib
+import hashlib
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -228,59 +231,69 @@ def test_gauss_jacobi_refuses_bad_sizes_and_weights():
                  (5, -math.inf, 0.0)):
         with pytest.raises(ValueError, match="needs alpha, beta > -1"):
             gauss_jacobi(*args)
-    # A numpy integer is a size like any other.
+    # True ran as alpha = 1 and np.False_ as beta = 0, and a str, complex
+    # or None raised a bare TypeError; each is refused naming the argument.
+    for bad in (True, False, np.True_, np.False_, "0.5", 1j, None):
+        for name, args in (("alpha", (2, bad, 0.0)), ("beta", (2, 0.0, bad))):
+            with pytest.raises(ValueError, match=(
+                    f"^Gauss-Jacobi needs alpha, beta > -1 finite; got "
+                    f"{name}={re.escape(repr(bad))}$")):
+                gauss_jacobi(*args)
+    # A numpy integer is a size like any other, and every real weight is
+    # its float: -0.0 stays apart from 0.0.
     for got, want in zip(gauss_jacobi(np.int64(3), 0.5, 0.0),
                          gauss_jacobi(3, 0.5, 0.0)):
         assert got.tobytes() == want.tobytes()
+    for one in (1, np.int64(1), Fraction(1), np.float32(1.0), Decimal(1)):
+        for got, want in zip(gauss_jacobi(2, one, -0.0),
+                             gauss_jacobi(2, 1.0, -0.0)):
+            assert got.tobytes() == want.tobytes()
+    assert gauss_jacobi(3, -0.0, -0.0)[1].tobytes() != gauss_jacobi(
+        3, 0.0, 0.0)[1].tobytes()
 
 
-@pytest.mark.parametrize("n, alpha, beta", [
+# (n, alpha, beta) of the Gauss rule tests below: rules whose weights fall
+# below the float range, refusals and their neighbours, at 1 to 300 nodes
+_ARRAY_CASES = [
     (1, 0.0, 0.0), (2, 0.5, 1.0), (31, 7.0, 0.5), (32, 1000.0, 1000.0),
     (33, 0.0, 2.5), (64, 100.0, 0.0), (300, 1000.0, 0.0),
-    (1, -0.999999, 1e20), (2, -0.999999, 1e20), (2, 1e100, 0.0)])
-def test_rule_is_bit_identical_node_by_node_and_on_the_array(
-        monkeypatch, n, alpha, beta):
-    # gauss_jacobi runs _rule node by node on floats up to _FLOAT_LOOP_NODES
-    # nodes and on the node array above.  Both take the same IEEE steps, so
-    # neither _rule nor the rule may depend on the side of the cutoff.  At
-    # (300, 1000, 0) the recurrence overflows to inf and nan at the nodes
-    # nearest s = 1.  At (32, 1000, 1000) mu_0 = B(1001, 1001) lies below the
-    # float range, at beta = 1e20 the nodes round to x = 1 and at alpha =
-    # 1e100 the recurrence overflows: no rule is left, and both sides raise
-    # FloatRangeExceeded, without a warning.
-    seen = []
+    (1, -0.999999, 1e20), (2, -0.999999, 1e20), (2, 1e100, 0.0)]
+_REFUSED_CASES = [
+    (32, 1000.0, 1000.0, "mu_0 = 0.0"), (1, -0.999999, 1e20, "sum to 0.0"),
+    (2, -0.999999, 1e20, "sum to 0.0"), (2, 1e100, 0.0, "overflows"),
+    (3, 1e154, 1e154, "overflows"), (9, 1e12, -0.999999, "not mu_0"),
+    (16, 1e15, -0.9999999, "not mu_0")]
+_FLOAT_SIZES = [1, 2, 9, 17, 32]
+_FLOAT_WEIGHTS = [
+    (0.0, 0.0), (0.5, 1.0), (7.0, 0.5), (100.0, 68.0), (100.0, 69.0),
+    (300.0, 1000.0), (30000.0, 100.0), (1000.0, 1000.0), (-0.999999, 1e20)]
+_RULE_CASES = sorted({*_ARRAY_CASES, *(case[:3] for case in _REFUSED_CASES),
+                      *((n, alpha, beta) for n in _FLOAT_SIZES
+                        for alpha, beta in _FLOAT_WEIGHTS)})
 
-    def spy(x, *args):
-        seen.append((type(x), args))
-        return _rule(x, *args)
 
-    monkeypatch.setattr(exactnum, "_rule", spy)
-    degenerate = ((n, alpha, beta) == (32, 1000.0, 1000.0)
-                  or max(alpha, beta) > 1e6)
-    rules = []
-    for cutoff in (0, 10 ** 6):  # every rule on the array, then by node
-        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
-        exactnum._gauss_rule.cache_clear()  # build, not read a kept rule
-        seen.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            if degenerate:
-                with pytest.raises(FloatRangeExceeded):
-                    gauss_jacobi(n, alpha, beta)
-                continue
-            s, w = gauss_jacobi(n, alpha, beta)
-        assert s.flags.c_contiguous and w.flags.c_contiguous
-        rules.append(s.tobytes() + w.tobytes())
-    if degenerate:
-        return
-    assert rules[0] == rules[1]
-    assert {t for t, _ in seen} == {float}
-    x = 2 * s - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_array = _rule(x, *seen[0][1])
-        by_node = np.array([_rule(t, *seen[0][1]) for t in x.tolist()]).T
-    for got, want in zip(on_array, by_node):
-        assert got.tobytes() == want.tobytes()
+def test_every_rule_is_read_only_or_refused_and_keeps_its_bytes():
+    # With every warning an error, each case raises FloatRangeExceeded or
+    # returns C-contiguous, read-only arrays.  The SHA-256 over the rules'
+    # bytes and the refusals' text, in _RULE_CASES order, is the one taken
+    # when the rules of up to 32 nodes still ran node by node on floats.
+    digest, refused = hashlib.sha256(), 0
+    exactnum._gauss_rule.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, alpha, beta in _RULE_CASES:
+            try:
+                s, w = gauss_jacobi(n, alpha, beta)
+            except FloatRangeExceeded as exc:
+                digest.update(str(exc).encode())
+                refused += 1
+            else:
+                assert all(a.flags.c_contiguous and not a.flags.writeable
+                           for a in (s, w))
+                digest.update(s.tobytes() + w.tobytes())
+    assert (len(_RULE_CASES), refused) == (53, 14)
+    assert digest.hexdigest() == (
+        "2831bdd779caedda2ea9c1779786b03f5f59f75f03779997f8e8d04bc82951dd")
 
 
 def test_gauss_jacobi_weights_below_the_float_range_are_zero():
@@ -293,60 +306,98 @@ def test_gauss_jacobi_weights_below_the_float_range_are_zero():
     assert math.fsum(w) == pytest.approx(1 / 1001, rel=1e-11)
 
 
-@pytest.mark.parametrize("n, alpha, beta, cause", [
-    (32, 1000.0, 1000.0, "mu_0 = 0.0"), (1, -0.999999, 1e20, "sum to 0.0"),
-    (2, -0.999999, 1e20, "sum to 0.0"), (2, 1e100, 0.0, "overflows"),
-    (3, 1e154, 1e154, "overflows"), (9, 1e12, -0.999999, "not mu_0"),
-    (16, 1e15, -0.9999999, "not mu_0")])
-def test_gauss_jacobi_beyond_the_float_range_raises_typed(
-        monkeypatch, n, alpha, beta, cause):
+@pytest.mark.parametrize("n, alpha, beta, cause", _REFUSED_CASES)
+def test_gauss_jacobi_beyond_the_float_range_raises_typed(n, alpha, beta,
+                                                          cause):
     # mu_0 = B(1001, 1001) underflows; at beta = 1e20 the nodes round to
     # x = 1, where no weight survives; past alpha + beta = 1e77 the
     # recurrence's (2k + alpha + beta)^4 overflows (a bare OverflowError at
     # 1e154); at alpha ~ 1e12 and beta near -1 a node rounds to x = +-1 with
-    # a nonzero Newton numerator, which divides by zero on the array.  Each
-    # raises, node by node and on the array, without warnings.
-    for cutoff in (0, 10 ** 6):
-        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
-        exactnum._gauss_rule.cache_clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(FloatRangeExceeded, match=cause):
-                gauss_jacobi(n, alpha, beta)
+    # a nonzero Newton numerator, which divides by zero.  Each raises
+    # without warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatRangeExceeded, match=cause):
+            gauss_jacobi(n, alpha, beta)
 
 
 @pytest.mark.parametrize("n", [4, 32, 33, 40])
 def test_gauss_jacobi_takes_a_fraction_weight_at_every_size(n):
-    # A Fraction runs as its float on both loop orders.
+    # A Fraction runs as its float at every size.
     for got, want in zip(gauss_jacobi(n, Fraction(1, 2), Fraction(3)),
                          gauss_jacobi(n, 0.5, 3.0)):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("alpha, beta", [
-    (0.0, 0.0), (0.5, 1.0), (7.0, 0.5), (100.0, 68.0), (100.0, 69.0),
-    (300.0, 1000.0), (30000.0, 100.0), (1000.0, 1000.0), (-0.999999, 1e20)])
-@pytest.mark.parametrize("n", [1, 2, 9, 17, 32])
+def _spied_rule(monkeypatch, n, alpha, beta):
+    """The arguments and result of the one _rule pass behind a fresh
+    gauss_jacobi(n, alpha, beta), which must return or raise
+    FloatRangeExceeded without a warning; None if no pass ran."""
+    seen = []
+
+    def spy(*args):
+        seen.append((args, _rule(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(exactnum, "_rule", spy)
+    exactnum._gauss_rule.cache_clear()  # build, not read a kept rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.suppress(FloatRangeExceeded):
+            gauss_jacobi(n, alpha, beta)
+    assert len(seen) <= 1
+    return seen[0] if seen else None
+
+
+@pytest.mark.parametrize("n, alpha, beta", _ARRAY_CASES)
+def test_rule_is_bit_identical_node_by_node_and_on_the_array(
+        monkeypatch, n, alpha, beta):
+    # The one pass is elementwise: each node's (s, w) on the whole node
+    # array is the pair _rule gives that node alone.  At (300, 1000, 0) the
+    # recurrence overflows to inf and nan at the nodes nearest s = 1, whose
+    # weights are lost, and no other node's.  At alpha = 1e100 the
+    # recurrence would overflow: the rule is refused before any pass.
+    spied = _spied_rule(monkeypatch, n, alpha, beta)
+    if alpha == 1e100:
+        assert spied is None
+        return
+    (x, *args), on_array = spied
+    with np.errstate(all="ignore"):
+        by_node = np.array([_rule(x[i:i + 1], *args) for i in range(n)])
+    for got, want in zip(on_array, by_node[:, :, 0].T):
+        assert got.tobytes() == want.tobytes()
+
+
+def _float_pass(x: float, steps, alpha, beta, mu0):
+    """_rule at one node on Python floats, the reference of its array
+    pass; None where a float step divides by zero (x = +-1)."""
+    with contextlib.suppress(ZeroDivisionError):
+        p0, p1, total = 0.0, 1.0, 1.0
+        for a, b0, b1 in steps:
+            p0, p1 = p1, ((x - a) * p1 - b0 * p0) / b1
+            total += p1 * p1
+        dx = float(np.nan_to_num(-b1 * p1 * p0 / total))
+        total *= 1 + dx * ((alpha + beta + 2) * x + alpha - beta) / (1 - x * x)
+        return (1 + x + dx) / 2, mu0 / total
+    return None
+
+
+@pytest.mark.parametrize("alpha, beta", _FLOAT_WEIGHTS)
+@pytest.mark.parametrize("n", _FLOAT_SIZES)
 def test_float_path_matches_the_array_path(monkeypatch, n, alpha, beta):
-    # Node by node on floats the rule runs without numpy's error state; it
-    # gives the array's rule bit for bit, or its error, and warns nowhere.
+    # The pass on the node array gives, at each node, the bits of the same
+    # IEEE steps on Python floats, where no float step divides by zero.
     # At n = 32 (300, 1000) loses 4 weights and (30000, 100) one below the
-    # float range; mu_0 = B(1001, 1001) underflows; at beta = 1e20 the nodes
-    # round to x = 1, where the float 1/0 hands the rule to the array.
-    got = []
-    for cutoff in (exactnum._FLOAT_LOOP_NODES, 0):
-        monkeypatch.setattr(exactnum, "_FLOAT_LOOP_NODES", cutoff)
-        exactnum._gauss_rule.cache_clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                s, w = gauss_jacobi(n, alpha, beta)
-            except FloatRangeExceeded as exc:
-                got.append(str(exc))
-            else:
-                assert s.flags.c_contiguous and w.flags.c_contiguous
-                got.append(s.tobytes() + w.tobytes())
-    assert got[0] == got[1]
+    # float range; mu_0 = B(1001, 1001) underflows; at beta = 1e20 every
+    # node rounds to x = 1, where a float divides by zero and the rule is
+    # refused.
+    (x, *args), on_array = _spied_rule(monkeypatch, n, alpha, beta)
+    by_float = [_float_pass(t, *args) for t in x.tolist()]
+    assert (None in by_float) == (beta == 1e20)
+    for i, pair in enumerate(by_float):  # a lost weight read as 0
+        if pair is not None:
+            assert np.nan_to_num(pair).tobytes() == np.nan_to_num(
+                [v[i] for v in on_array]).tobytes()
 
 
 _uncached_rule = exactnum._gauss_rule.__wrapped__

@@ -39,9 +39,9 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   traces over one call at (2, 1, 0, 0); and the bytes still traced once
   such a call returns with the gc disabled;
 * ``gauss_rules``: the median us of ``gauss_jacobi(n, 0.5, 1.0)`` at 1, 2, 9,
-  32, 33 and 514 nodes, on both sides of the cutoff between its two loop
-  orders, over 51 rounds, each node count alone, each call with no rule
-  kept (``cold``), so that the rule's build is timed, not the lookup;
+  32, 33 and 514 nodes, over 51 rounds, each node count alone, each call
+  with no rule kept (``cold``), so that the rule's build is timed, not the
+  lookup;
 * ``quadrature_setup``: the quadrature oracles' fixed cost, the median us of
   ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
   lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
