@@ -133,13 +133,14 @@ def _rule(x, steps, alpha, beta, mu0):
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes s and weights w of the n-point Gauss rule for int_0^1
     (1 - s)^alpha s^beta f(s) ds, exact up to degree 2n - 1, at real alpha,
-    beta > -1 (no bool).  On x = 2s - 1 the nodes are the Jacobi matrix's
-    eigenvalues (Golub-Welsch); one pass of the orthonormal recurrence on
-    their array gives w = mu_0 / K, K = sum_{k<=n} p_k^2, corrected to first
-    order in the rounding of x by dx = -b_n p_n p_{n-1}/K (Newton, by
-    Christoffel-Darboux) and K'/K = ((alpha + beta + 2) x + alpha - beta) /
-    (1 - x^2).  p_k^2 <= K = mu_0/w overflows only where w underflows; w is
-    0 there.  4e-13 from 40-digit weights up to n = 514.
+    beta > -1 (no bool, no array but a 0-d one).  On x = 2s - 1 the nodes
+    are the Jacobi matrix's eigenvalues (Golub-Welsch); one pass of the
+    orthonormal recurrence on their array gives w = mu_0 / K, K = sum_{k<=n}
+    p_k^2, corrected to first order in the rounding of x by dx = -b_n p_n
+    p_{n-1}/K (Newton, by Christoffel-Darboux) and K'/K = ((alpha + beta +
+    2) x + alpha - beta) / (1 - x^2).  p_k^2 <= K = mu_0/w overflows only
+    where w underflows; w is 0 there.  4e-13 from 40-digit weights up to n =
+    514.
 
     The _RULES_KEPT = 128 rules last used are kept, keyed on n and the bits
     of float(alpha), float(beta) (-0.0 is not 0.0, a Fraction is its float):
@@ -148,7 +149,8 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     check_counts(("n", n, 1))
     for name, x in (("alpha", alpha), ("beta", beta)):
         with contextlib.suppress(TypeError):  # a str, complex or None
-            if not isinstance(x, (bool, np.bool_)) and -1 < x < math.inf:
+            if not (isinstance(x, (bool, np.bool_)) or getattr(x, "ndim", 0)
+                    ) and -1 < x < math.inf:
                 continue
         raise ValueError(f"Gauss-Jacobi needs alpha, beta > -1 finite; got "
                          f"{name}={x!r}")

@@ -1050,7 +1050,9 @@ def _kernel_tail(nu, w, degree):
     (1000, 0.03, 300), (10 ** 4, 0.01, 300), (10 ** 6, 0.001, 300),
     (10 ** 6, 0.0001, 300), (10 ** 4, math.sqrt(1.9e-4), 0), (1, 0.5, 531),
     (2, 1e-170, 3), (Fraction(-21, 2), 0.9, 2), (Fraction(-7, 2), 0.9, 1),
-    (-3, 0.9, 1), (Fraction(-1, 2), 1e-170, 3), (-3, 1e-170, 2)])
+    (-3, 0.9, 1), (Fraction(-1, 2), 1e-170, 3), (-3, 1e-170, 2),
+    (1100, 0.7071067811865476, 5000), (1100, 0.7071067811865476, 10000),
+    (-2000, 0.9, 1900)])
 def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
     # (2, 1 - 1e-7) and (5/2, 0.9999999999999999) summed about 1/(1 - |w|)
     # terms one by one, some 3 s and some 10^16 terms; the closed form less
@@ -1068,13 +1070,21 @@ def test_kernel_tail_bound_is_a_true_bound(nu, w, degree):
     # terms: the walk took the signed ratio (nu + m)/(m + 1) |w|^2 and read
     # -525.2, -3.25 and -0.83 at the three kernels at |w| = 0.9, whose tails
     # are 465.5, 4.16 and 2.50, and 0.0 at the two at |w| = 1e-170, whose
-    # tails are positive; at nu = -3 every term past m = 3 is 0.
+    # tails are positive; at nu = -3 every term past m = 3 is 0.  At nu =
+    # 1100, |w|^2 = 1/2 the whole mass is 10^331: the kept terms written as
+    # floats and the closed form overflowed, so tails of 3.6e-258 and
+    # 2.8e-1456 raised FloatRangeExceeded, as did the tail of 6.5e-5 at nu =
+    # -2000, whose kept terms reach 10^513.
     tail = _kernel_tail(nu, w, degree)
     bound = KernelFun(Fraction(nu), w, degree).tail_bound()
     assert tail <= bound <= max(2 * tail, 5e-324)
     assert KernelFun(-3, 0.9, 5).tail_bound() == 0.0
     with pytest.raises(OutsideBergman):
         KernelFun(NU2, 1.0, 5).tail_bound()
+    # a tail of about 2^(10^6) is past the float range: refused at once, not
+    # walked term by term to the peak near m = 10^6
+    with pytest.raises(FloatRangeExceeded, match="^tail_bound: "):
+        KernelFun(10 ** 6, 0.5, 3).tail_bound()
 
 
 def test_kernel_tail_bound_sweep_against_mpmath():

@@ -232,8 +232,11 @@ def test_gauss_jacobi_refuses_bad_sizes_and_weights():
         with pytest.raises(ValueError, match="needs alpha, beta > -1"):
             gauss_jacobi(*args)
     # True ran as alpha = 1 and np.False_ as beta = 0, and a str, complex
-    # or None raised a bare TypeError; each is refused naming the argument.
-    for bad in (True, False, np.True_, np.False_, "0.5", 1j, None):
+    # or None raised a bare TypeError, as did a one-element array; a
+    # two-element one raised numpy's "truth value ... is ambiguous".  Each is
+    # refused naming the argument.
+    for bad in (True, False, np.True_, np.False_, "0.5", 1j, None,
+                np.array([0.5]), np.array([0.5, 0.7])):
         for name, args in (("alpha", (2, bad, 0.0)), ("beta", (2, 0.0, bad))):
             with pytest.raises(ValueError, match=(
                     f"^Gauss-Jacobi needs alpha, beta > -1 finite; got "
@@ -244,7 +247,8 @@ def test_gauss_jacobi_refuses_bad_sizes_and_weights():
     for got, want in zip(gauss_jacobi(np.int64(3), 0.5, 0.0),
                          gauss_jacobi(3, 0.5, 0.0)):
         assert got.tobytes() == want.tobytes()
-    for one in (1, np.int64(1), Fraction(1), np.float32(1.0), Decimal(1)):
+    for one in (1, np.int64(1), Fraction(1), np.float32(1.0), Decimal(1),
+                np.array(1.0)):
         for got, want in zip(gauss_jacobi(2, one, -0.0),
                              gauss_jacobi(2, 1.0, -0.0)):
             assert got.tobytes() == want.tobytes()

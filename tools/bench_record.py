@@ -17,17 +17,14 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   tolerance source;
 * ``src_lines`` and ``src_lines_total``: the line count of each module under
   ``src/wehrl_lab``, and their sum;
-* ``frontiers``: the largest degree at which ``completeness_check`` of two
-  seeded rational polynomials at (mu, nu) = (5/2, 7/2) takes at most 1 s;
-  its median seconds at degrees 4, 8, 16, 19, 64 and 100, with each pair's
-  count of nonzero tensor entries, and on a seeded pair of complex floats
-  with full 53-bit mantissas (two coefficient lanes, so two Hahn ladders) at
-  degrees 16 and 64; the constants-table rows per second on the grid of the
-  CI ``table`` step (every preset, the lambdas below, n = 2, 3); the median
-  seconds of the suite's ``maximize_wehrl(2, 2, 8, seed=0)``; and the
-  largest degree at which ``maximize_wehrl`` at (nu, n) = (2, 2), seed 0,
-  takes at most 1 s, with the degree and stop_reason of the smallest one
-  that raised NoConvergence.  Medians are over 5 rounds, each call alone;
+* ``fixed_sizes``: the median seconds, over 5 rounds, each call alone, of
+  ``completeness_check`` of two seeded rational polynomials at (mu, nu) =
+  (5/2, 7/2) at degrees 4, 8, 16, 19, 64 and 100, with each pair's count of
+  nonzero tensor entries, and of a seeded pair of complex floats with full
+  53-bit mantissas (two coefficient lanes, so two Hahn ladders) at degrees
+  16 and 64; of the constants table on the grid of the CI ``table`` step
+  (every preset, the lambdas below, n = 2, 3), with its rows per second;
+  and of the suite's ``maximize_wehrl(2, 2, 8, seed=0)``;
 * ``qk_project_far``: the seconds and the peak RSS of ``qk_project`` at
   k = 20000 on a seeded 3 x 2 rational tensor at (mu, nu) = (5/2, 7/3), each
   of three runs in a fresh Python process, and their median seconds.  The
@@ -39,9 +36,7 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   traces over one call at (2, 1, 0, 0); and the bytes still traced once
   such a call returns with the gc disabled;
 * ``gauss_rules``: the median us of ``gauss_jacobi(n, 0.5, 1.0)`` at 1, 2, 9,
-  32, 33 and 514 nodes, over 51 rounds, each node count alone, each call
-  with no rule kept (``cold``), so that the rule's build is timed, not the
-  lookup;
+  32, 33 and 514 nodes, over 51 rounds, each node count alone, ``cold``;
 * ``quadrature_setup``: the quadrature oracles' fixed cost, the median us of
   ``verify_degree_integral`` at disc lambda = 5/2, SU(2,2) and Sp(3,R)
   lambda = 9/2 and E7 lambda = 37/2, of ``laguerre_constant_C`` at SU(2,2),
@@ -51,7 +46,7 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
 * ``exact_norms``: the median us of ``product_norm2`` on n copies of a
   seeded rational polynomial (one real lane) at weight n nu, nu = 5/2, at
   (degree, n) = (8, 1), (8, 3) and (2000, 1), and of ``completeness_check``
-  on the seeded pair of ``frontiers`` at degree 16, over 201 interleaved
+  on the seeded pair of ``fixed_sizes`` at degree 16, over 201 interleaved
   rounds;
 * ``float_construction``: the median us to build a ``PolyFun`` of seeded
   complex floats at degrees 13, 2000 and 6000, alone and with its first
@@ -62,15 +57,12 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
   at (m, n) = (2, 2), (5, 4), (7, 3), (10, 3), (11, 3) and (3, 6), and of
   ``casimir_tensor_check`` on a coherent vector at m = 2 and 4, over 2001
   interleaved rounds, under ``cold`` and ``warm``;
-* ``size_frontiers``: the largest nm at which ``wehrl_compact_check`` at
-  n = 2 on a seeded unit vector takes at most 1 s, with the error that
-  refuses the smallest m refused, under ``cold`` and ``warm``, and the
-  largest n at which ``gauss_jacobi(n, 0.5, 1.0)`` takes at most 1 s, cold;
-* ``selberg_ranks``: per a in {1, 2, 4}, the largest rank r at which
-  ``verify_degree_integral`` of ``custom (r, a, 0)`` at lambda = p + 1/2
-  passes (deviation below 1e-10) within 1 s, with the seconds and nodes per
-  axis of each rank the search visits, and what stops the next rank: the
-  error that refuses it, or its seconds.
+* ``frontiers``: per row of ``FRONTIERS``, the record that
+  ``one_second_frontier`` gives of its 1 s frontier: the completeness degree
+  of the pair of ``fixed_sizes``, the degree of ``maximize_wehrl`` at (nu,
+  n) = (2, 2), seed 0, the m of ``wehrl_compact_check`` at n = 2 (``cold``
+  and ``warm``), the n of ``gauss_jacobi(n, 0.5, 1.0)`` (``cold``) and the
+  rank r of ``verify_degree_integral`` of custom (r, a, 0), a = 1, 2, 4.
 
 ``gauss_jacobi`` keeps the rules it built: ``cold`` times a call after
 every kept rule is dropped, and ``warm`` times it with its rules kept (a
@@ -79,14 +71,11 @@ warm block drops none; a warm frontier runs each size once untimed).
 Every time is taken by ``medians``: the median of a number of rounds, each
 call alone (its rounds back to back) or interleaved (each round calls each
 in turn, so that a drift of the host's speed reaches all alike); ``timed``
-adds the round count and the host's slowdown around the rounds.  Every
-frontier is found by ``one_second_frontier``, whose library refusals count
-as too slow, and which refuses to double past ``MAX_SIZE``.  Each timed
+adds the round count and the host's slowdown around the rounds.  Each timed
 section, frontier search and wall timing carries ``host_slowdown``, the
 slowdown of perfbench's interpreter-bound reference kernel (its time over
 its nominal time, ``perfbench/run.py``) just before and just after it, so
-that records taken at different host speeds can be compared; in
-``frontiers`` the plain ``host_slowdown`` is that of the timed medians.
+that records taken at different host speeds can be compared.
 
 Run it on a quiet host, one checkout at a time: the timings share the host
 with whatever else runs.
@@ -142,14 +131,13 @@ TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
 # too slow.
 REFUSALS = (FloatRangeExceeded, MethodUnsupported, NoConvergence)
 # A frontier search doubles no size past this one, far above every recorded
-# frontier (the largest, the maximizer's, is 7084 in BENCH_36): a call that
+# frontier (the largest, the maximizer's, is 7048 in BENCH_54): a call that
 # does not slow down with its size would double until memory runs out.
 MAX_SIZE = 2 ** 20
 
 
 class SizeLimit(Exception):
-    """Every size a frontier search doubled to, up to MAX_SIZE, took at most
-    1 s."""
+    """No size a frontier search doubled to, up to MAX_SIZE, took over 1 s."""
 
 
 def run(cmd: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -230,11 +218,12 @@ def one_second_frontier(call_at, start: int) -> dict:
     """The largest size whose call takes at most 1 s, by doubling from start
     then bisection; call_at(size) builds, untimed, the call that one round
     of medians times.  A REFUSALS error counts as too slow; any other
-    exception propagates.  Returns "size_1s", "seconds" of each size timed,
-    "refused": (size, error) of the smallest size refused, or None, and
-    "host_slowdown" around the search.  Where every size up to MAX_SIZE
-    takes at most 1 s, the search stops: "size_1s" is None and the next
-    size is refused with SizeLimit."""
+    exception propagates.  Returns the record "size_1s", "seconds" of each
+    size timed, "refused" and "host_slowdown" around the search; "refused"
+    is None or, at the smallest size refused, {"size", "error": "<type>:
+    <message>", "stop_reason"}, the last that of a NoConvergence, else None.
+    Where every size up to MAX_SIZE takes at most 1 s, the search stops:
+    "size_1s" is None and the next size is refused with SizeLimit."""
     seconds, refused = {}, {}
 
     def too_slow(size: int) -> bool:
@@ -259,8 +248,11 @@ def one_second_frontier(call_at, start: int) -> dict:
         return lo
 
     size, slowdown = slowed(search)
+    at, exc = min(refused.items(), default=(None, None))
     return {"size_1s": size, "seconds": dict(sorted(seconds.items())),
-            "refused": min(refused.items(), default=None),
+            "refused": None if exc is None else {
+                "size": at, "error": f"{type(exc).__name__}: {exc}",
+                "stop_reason": getattr(exc, "stop_reason", None)},
             "host_slowdown": slowdown}
 
 
@@ -341,46 +333,34 @@ def src_lines_total() -> int:
     return sum(src_lines().values())
 
 
-def frontiers() -> dict:
-    def checked(factors: list):
-        """The call of a completeness_check of the two factors that must
-        pass."""
-        f, g = (PolyFun(nu, tuple(cs)) for nu, cs in
-                zip((Fraction(5, 2), Fraction(7, 2)), factors))
+def completeness_at(factors: list):
+    """The call of a completeness_check of the two factors that must pass."""
+    f, g = (PolyFun(nu, tuple(cs)) for nu, cs in
+            zip((Fraction(5, 2), Fraction(7, 2)), factors))
 
-        def check() -> None:
-            if not completeness_check(f, g).passed:
-                raise RuntimeError(f"completeness fails at degree {f.degree}")
-        return check
+    def check() -> None:
+        if not completeness_check(f, g).passed:
+            raise RuntimeError(f"completeness fails at degree {f.degree}")
+    return check
 
-    completeness = one_second_frontier(
-        lambda degree: checked(coefficients(degree)), 8)
-    maximize = one_second_frontier(
-        lambda degree: partial(maximize_wehrl, 2, 2, degree, seed=0), 8)
+
+def fixed_sizes() -> dict:
     degrees = (4, 8, 16, 19, 64, 100)
     table = partial(emit_constants_table, list(PRESETS),
                     [Fraction(x) for x in TABLE_LAMBDAS.split(",")], [2, 3])
     times = timed({
-        **{("completeness_median_s", str(d)): checked(coefficients(d))
+        **{("completeness_median_s", str(d)): completeness_at(coefficients(d))
            for d in degrees},
         **{("completeness_complex_float_median_s", str(d)):
-           checked(complex_coefficients(d)) for d in (16, 64)},
+           completeness_at(complex_coefficients(d)) for d in (16, 64)},
         "table_s": table,
         "maximize_2_2_8_s": partial(maximize_wehrl, 2, 2, 8, seed=0)},
         5, unit=1)
-    rows, failed = len(table().splitlines()) - 1, maximize["refused"]
-    return {"completeness_degree_1s": completeness["size_1s"],
-            "completeness_host_slowdown": completeness["host_slowdown"],
-            "completeness_s": completeness["seconds"], **times,
-            "completeness_nonzero_entries": {
+    rows = len(table().splitlines()) - 1
+    return {**times, "completeness_nonzero_entries": {
                 str(d): math.prod(sum(c != 0 for c in cs)
                                   for cs in coefficients(d)) for d in degrees},
-            "table_rows": rows, "table_rows_per_s": rows / times["table_s"],
-            "maximize_degree_1s": maximize["size_1s"],
-            "maximize_host_slowdown": maximize["host_slowdown"],
-            "maximize_s": maximize["seconds"],
-            "maximize_no_convergence": failed and {
-                "degree": failed[0], "stop_reason": failed[1].stop_reason}}
+            "table_rows": rows, "table_rows_per_s": rows / times["table_s"]}
 
 
 FAR_PROJECTION = """
@@ -482,9 +462,7 @@ def exact_norms() -> dict:
         f = PolyFun(nu, tuple(coefficients(degree)[0]))
         calls["product_norm2_exact_us", f"{degree},{n}"] = (
             lambda f=f, n=n: product_norm2([f] * n, n * nu))
-    f, g = (PolyFun(w, tuple(cs)) for w, cs in zip(
-        (nu, Fraction(7, 2)), coefficients(16)))
-    calls["completeness_check_us", "16"] = partial(completeness_check, f, g)
+    calls["completeness_check_us", "16"] = completeness_at(coefficients(16))
     return {"nu": "5/2", "completeness_weights": "5/2, 7/2",
             **timed(calls, 201, interleaved=True)}
 
@@ -518,62 +496,44 @@ def su2() -> dict:
     return cold_and_warm(calls, 2001, interleaved=True)
 
 
-def size_frontiers() -> dict:
-    def su2_frontier(prepare) -> dict:
-        compact = one_second_frontier(lambda m: prepare(partial(
-            wehrl_compact_check,
-            random_unit_vector(m, np.random.default_rng([SEED, m])), m, 2)),
-            8)
-        refused = compact["refused"]
-        return {"nm_1s": 2 * compact["size_1s"],
-                "host_slowdown": compact["host_slowdown"],
-                "seconds": {2 * m: t for m, t in compact["seconds"].items()},
-                "refused": refused and {
-                    "nm": 2 * refused[0],
-                    "error": f"{type(refused[1]).__name__}: {refused[1]}"}}
-
-    su2 = {"n": 2, "cold": su2_frontier(cold), "warm": su2_frontier(warm)}
-    gauss = one_second_frontier(
-        lambda n: cold(partial(gauss_jacobi, n, 0.5, 1.0)), 8)
-    return {"su2": su2,
-            "gauss_jacobi": {"alpha": 0.5, "beta": 1.0,
-                             "nodes_1s": gauss["size_1s"],
-                             "host_slowdown": gauss["host_slowdown"],
-                             "seconds": gauss["seconds"]}}
+def su2_at(m: int):
+    """The call of wehrl_compact_check at n = 2 on a seeded unit vector."""
+    return partial(wehrl_compact_check, random_unit_vector(
+        m, np.random.default_rng([SEED, m])), m, 2)
 
 
-def selberg_ranks() -> dict:
-    out = {}
-    for a in (1, 2, 4):
-        nodes = {}
+def selberg_at(a: int, r: int):
+    """The call of verify_degree_integral of custom (r, a, 0) at p + 1/2."""
+    d = DomainParams("custom", r, a, 0)
 
-        def verify_at(r: int):
-            d = DomainParams("custom", r, a, 0)
+    def verify() -> None:
+        rep = verify_degree_integral(d, d.p + Fraction(1, 2))
+        if not rep["deviation"] < 1e-10:
+            raise RuntimeError(f"{d} deviates by {rep['deviation']}")
+    return verify
 
-            def verify() -> None:
-                rep = verify_degree_integral(d, d.p + Fraction(1, 2))
-                if not rep["deviation"] < 1e-10:
-                    raise RuntimeError(f"verify_degree_integral of {d} "
-                                       f"deviates by {rep['deviation']}")
-                nodes[r] = rep["samples_or_nodes"]
-            return verify
 
-        frontier = one_second_frontier(verify_at, 1)
-        r, refused = frontier["size_1s"] + 1, frontier["refused"]
-        stop = (f"{type(refused[1]).__name__}: {refused[1]}"
-                if refused and refused[0] == r
-                else f"{frontier['seconds'][r]:.2f} s")
-        out[str(a)] = {"rank_1s": r - 1, "seconds": frontier["seconds"],
-                       "nodes": dict(sorted(nodes.items())),
-                       "stop": f"r={r}: {stop}",
-                       "host_slowdown": frontier["host_slowdown"]}
-    return {"b": 0, "lambda": "p + 1/2", "by_a": out}
+# Every 1 s frontier: name -> (first size, call_at) of one_second_frontier
+FRONTIERS = {
+    "completeness_degree": (8, lambda d: completeness_at(coefficients(d))),
+    "maximize_degree": (8, lambda d: partial(maximize_wehrl, 2, 2, d,
+                                             seed=0)),
+    "su2_m_cold": (8, lambda m: cold(su2_at(m))),
+    "su2_m_warm": (8, lambda m: warm(su2_at(m))),
+    "gauss_jacobi_nodes": (8, lambda n: cold(partial(gauss_jacobi, n, 0.5,
+                                                     1.0))),
+    **{f"selberg_rank_a{a}": (1, partial(selberg_at, a)) for a in (1, 2, 4)},
+}
+
+
+def frontiers() -> dict:
+    return {name: one_second_frontier(call_at, start)
+            for name, (start, call_at) in FRONTIERS.items()}
 
 
 SECTIONS = [host, perfbench, tier1, suite_all, src_lines, src_lines_total,
-            frontiers, qk_project_far, monte_carlo, gauss_rules,
-            quadrature_setup, exact_norms, float_construction, su2,
-            size_frontiers, selberg_ranks]
+            fixed_sizes, qk_project_far, monte_carlo, gauss_rules,
+            quadrature_setup, exact_norms, float_construction, su2, frontiers]
 
 
 def main(argv=None) -> int:
