@@ -16,7 +16,7 @@ power of the Bloch polynomial p_v(z) = sum_i v_i binom(m, i)^{1/2} z^i,
 and 1/binom(nm, k) = |k!/(nu)_k| at nu = -nm: the disc's product_norm2,
 in floats or exact.  The numeric route is Haar quadrature; the distance to
 the orbit is the disc's coherent-state fit.  Only the mass reads the Bloch
-row: translates and Haar rows take disc's binomials.  The Casimir tensor
+row: translates and Haar rows take their own binomials.  The Casimir tensor
 identity of the equality case is checked on the n = 2 tensor, with the
 Casimir constant calibrated from the representation itself.  The arrays hold
 a few hundred entries at most, so the checks call ufuncs and ndarray methods
@@ -127,8 +127,9 @@ def _top_mass(factors: Sequence[np.ndarray]) -> float:
     k!^2 binom(M, k); past M = 1027, FloatRangeExceeded (disc._weights).
     """
     big_m = sum(len(u) - 1 for u in factors)
-    roots = {k: _root_binomials(k - 1) for k in set(map(len, factors))}
-    return product_norm2([u * roots[len(u)] for u in factors], -big_m)
+    rows = {id(u): u for u in factors}  # a repeated factor is scaled once
+    rows = {k: u * _root_binomials(len(u) - 1) for k, u in rows.items()}
+    return product_norm2([rows[id(u)] for u in factors], -big_m)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +180,16 @@ def casimir_tensor_check(v: Sequence[complex], m: int) -> CasimirReport:
 # Haar quadrature in Euler angles.
 
 def _orbit_row(m: int, c, s) -> np.ndarray:
-    """binom(m, i)^{1/2} c^{m-i} s^i, i = 0..m down axis 0, binomials from
-    disc's |(-m)_i/i!|: at (cos(beta/2), sin(beta/2)) tau(k) e_top's
-    coordinates at alpha = gamma = 0."""
-    i = np.arange(Su2Irrep(m).dim)[:, None]  # refuses m < 0
-    root = np.sqrt(_rising_over_factorial(-m, m + 1, False))[:, None]
-    return root * c ** (m - i) * s ** i
+    """binom(m, i)^{1/2} c^{m-i} s^i, i = 0..m down axis 0 for a checked m,
+    binomials by a running product: tau(k) e_top at (cos, sin)(beta/2)."""
+    i = np.arange(m + 1)[:, None]
+    if m > 1029:  # binom(1030, 515) > 1.8e308
+        raise FloatRangeExceeded(f"(nu)_m/m! at nu = {-m} exceeds 1.8e308 "
+                                 f"for some m < {m + 1}")
+    b, row = 1, [1]
+    for k, x in enumerate(range(m, 0, -1), 1):
+        row.append(b := b * x // k)
+    return np.sqrt(np.array(row, dtype=float))[:, None] * c ** (m - i) * s ** i
 
 
 @in_float_range
@@ -195,8 +200,8 @@ def translate_vector(m: int, alpha: float, beta: float,
     _orbit_row, not the Bloch row, which only the mass reads."""
     alpha, beta, gamma = (float(check_weight(name, x)) for name, x in (
         ("alpha", alpha), ("beta", beta), ("gamma", gamma)))
+    i = np.arange(Su2Irrep(m).dim)  # refuses m < 0
     row = _orbit_row(m, math.cos(beta / 2.0), math.sin(beta / 2.0))[:, 0]
-    i = np.arange(m + 1)
     return row * np.exp(-1j * (alpha * (m / 2.0 - i) + gamma * m / 2.0))
 
 
@@ -211,7 +216,11 @@ def wehrl_integral_numeric(v: Sequence[complex], m: int, n: int) -> float:
     t = cos^2(beta/2), whose Haar measure is dt.
     """
     check_counts(("m", m, 0), ("n", n, 0))
-    v = _vector(v, m)
+    return _haar_integral(_vector(v, m), m, n)
+
+
+def _haar_integral(v: np.ndarray, m: int, n: int) -> float:
+    """wehrl_integral_numeric of a gated v and counts."""
     size, nodes = _rule_sizes(n * m)
     t, wt = gauss_jacobi(nodes, 0.0, 0.0)
     rows = v[:, None] * _orbit_row(m, np.sqrt(t), np.sqrt(1.0 - t))
@@ -233,7 +242,11 @@ def _top_route(v: Sequence[complex], m: int, n: int) -> tuple:
     """The algebraic route, CompactReport's integral_exact, bound, slack and
     mass: ||P_{nm}(v^{(x) n})||^2 / (nm+1) and the bound 1/(nm+1)."""
     check_counts(("n", n, 1), ("m", m, 0))
-    v = _vector(v, m)
+    return _top_integral(_vector(v, m), m, n)
+
+
+def _top_integral(v: np.ndarray, m: int, n: int) -> tuple:
+    """_top_route of a gated v and counts; ValueError if v is no unit."""
     if not abs(math.sqrt(v.real @ v.real + v.imag @ v.imag) - 1) <= 1e-12:
         raise ValueError("v must be a unit vector")
     mass, bound = _top_mass([v] * n), 1.0 / (n * m + 1)
@@ -242,9 +255,10 @@ def _top_route(v: Sequence[complex], m: int, n: int) -> tuple:
 
 def wehrl_compact_check(v: Sequence[complex], m: int, n: int) -> CompactReport:
     """Both routes to int |<tau(k)v, e_top>|^{2n} dk and the 1/(nm+1) bound:
-    the numeric wehrl_integral_numeric, Haar quadrature, and _top_route."""
-    top = _top_route(v, m, n)
-    return CompactReport(m, n, wehrl_integral_numeric(v, m, n), *top)
+    the bodies of wehrl_integral_numeric and _top_route on v gated once."""
+    check_counts(("n", n, 1), ("m", m, 0))
+    top = _top_integral(v := _vector(v, m), m, n)
+    return CompactReport(m, n, _haar_integral(v, m, n), *top)
 
 
 def haar_moment(p: int, q: int) -> float:

@@ -15,10 +15,11 @@ for maximizers on the coefficient sphere.
 
 Coefficients are lanes: Gaussian-integer numerators over one common
 denominator (below), a float at the dyadic rational it holds.  Products and
-projections are exact; float input reads its results rounded once.
-Weighted norms of products, the SU(2) masses too, go through product_norm2.
-One Hahn ladder on Python ints per coefficient lane gives every projection;
-exact completeness at degree 64 takes 0.106 s (median) on 2 x86-64 vCPUs.
+projections are exact; float input reads its results rounded once.  Weighted
+norms, the SU(2) masses too, go through product_norm2: at an integer nu its
+float weights are 1/binom, rounded once, from one running product.  One Hahn
+ladder on Python ints per coefficient lane gives every projection; exact
+completeness at degree 64 takes 0.106 s (median) on 2 x86-64 vCPUs.
 """
 
 from __future__ import annotations
@@ -132,9 +133,19 @@ def _factorials(nu, count: int) -> tuple:
     return rising_ints(b, b, count - 1), a, b
 
 
+def _binomials(a: int, count: int) -> list:
+    """|(a)_m/m!| = |binom(a + m - 1, m)|, m < count: one running product."""
+    c, row = 1, [1]
+    for m, x in enumerate(range(a, a + count - 1), 1):
+        row.append(c := c * abs(x) // m)
+    return row
+
+
 def _rising_pair(nu, count: int) -> tuple:
-    """(f, r), _factorials' f and r[m] = b^m (nu)_m: |f/r| = |m!/(nu)_m|."""
-    f, a, b = _factorials(nu, count)
+    """(f, r), |f/r| = |m!/(nu)_m| for m < count; f = 1 at an integer nu."""
+    if nu.denominator == 1 and not 2 - count <= nu <= 0:
+        return [1] * len(r := _binomials(nu.numerator, count)), r
+    f, a, b = _factorials(nu, count)  # ValueError where one (nu)_m vanishes
     return f, rising_ints(a, b, count - 1)
 
 
@@ -222,7 +233,7 @@ def product_norm2(factors: Sequence, nu) -> Fraction | float:
     whose own weight is ignored, exact (lanes, den) pairs or complex arrays):
     _weighted_sum on the lanes, from the first factor's, when every factor is
     exact, else in complex128.  At nu = -deg p weights are 1/binom(deg p, k)."""
-    nu = check_weight("nu", nu)
+    nu = nu if type(nu) is int else check_weight("nu", nu)
     if all(isinstance(f, tuple) or isinstance(f, PolyFun) and f.exact
            for f in factors):
         lanes, den = reduce(partial(_gaussian, op=np.convolve),

@@ -344,7 +344,7 @@ def test_reduction_consistency_detects_a_wrong_bloch_weight(monkeypatch):
 
 
 def test_haar_oracle_does_not_read_the_bloch_row(monkeypatch):
-    # The Haar oracle's binomials are disc's (-m)_i/i!, not _root_binomials:
+    # The Haar oracle's binomials are _orbit_row's, not _root_binomials:
     # a wrong Bloch weight moves only the algebraic route, so the route gap
     # on the suite's random vectors exceeds its tolerance 1e-6.  With one
     # shared row both routes moved together and the gap stayed at 1e-16.
@@ -492,7 +492,7 @@ def test_binomial_weights_stay_in_float_range():
 def test_bloch_weights_past_m_1029_are_refused():
     # binom(1029, 514) is a float and binom(1030, 515) passes 1.8e308: a
     # check at m = 1030 refuses with the Bloch row's typed error, and a
-    # translate, built from disc's binomials, with theirs.
+    # translate, built from _orbit_row's binomials, with theirs.
     assert compact._root_binomials(1029)[514] ** 2 \
         == pytest.approx(math.comb(1029, 514), rel=1e-12)
     message = r"^binom\(1030, 515\) exceeds the float limit 1.8e308 at m = 1030$"

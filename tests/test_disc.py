@@ -1,5 +1,8 @@
+import itertools
 import math
+import operator
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -440,6 +443,72 @@ def test_norm_weights_at_negative_integer_are_inverse_binomials():
     for factors in ([poly(2, 1, 1, 1)], [np.ones(3)]):
         with pytest.raises(ValueError, match="vanishes at nu = -1"):
             product_norm2(factors, -1)
+
+
+def _reference_rows(nu, count):
+    """(weights, (nu)_m/m! in floats) of the prefix products, each a list
+    of hex strings or a (type name, message) refusal."""
+    if 2 - count <= nu <= 0:
+        err = ("ValueError", f"(nu)_m vanishes at nu = {nu} for some "
+               f"m < {count}")
+        return err, err
+    f = itertools.accumulate(range(1, count), operator.mul, initial=1)
+    r = itertools.accumulate(range(nu, nu + count - 1), operator.mul,
+                             initial=1)
+    pairs = list(zip(f, r))
+    weights = []
+    for m, (x, y) in enumerate(pairs):
+        w = abs(x / y)  # at most 1: never past 1.8e308
+        if w < sys.float_info.min:
+            weights = ("FloatRangeExceeded", f"weight |m!/(nu)_m| at nu = "
+                       f"{nu}, m = {m}, is not a normal float")
+            break
+        weights.append(w.hex())
+    try:
+        rising = [abs(y / x).hex() for x, y in pairs]
+    except OverflowError:
+        rising = ("FloatRangeExceeded", f"(nu)_m/m! at nu = {nu} exceeds "
+                  f"1.8e308 for some m < {count}")
+    return weights, rising
+
+
+def _read_row(read, nu, count):
+    try:
+        return [w.hex() for w in read(nu, count)]
+    except (ValueError, FloatRangeExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_integer_weight_rows_match_the_prefix_products():
+    # At an integer nu the rows come from one running binomial product; the
+    # reference divides m! by (nu)_m as the rational route does.  Both are
+    # the same rationals rounded once, so bits and refusals agree, among
+    # them the weights below the normal floats at (400, 1001), m = 683,
+    # (-1028, 1029), m = 499, and (-1200, 1201), m = 337, and the vanishing
+    # (nu)_m at (0, 2) and (-3, 5).
+    rng = np.random.default_rng(55)
+    cases = [(400, 1001), (-1028, 1029), (-1200, 1201), (0, 2), (-3, 5),
+             (2, 12001), (1100, 300), (-1100, 1101), (-27, 28), (1, 1),
+             (5, 0), (-3, 0)]  # count 0 reads the one entry of m = 0
+    for _ in range(120):
+        nu = int(rng.integers(-1100, 1101))
+        top = 1 - nu + 3 if nu <= 0 else 1500
+        cases.append((nu, int(rng.integers(1, top + 1))))
+    cases += [(int(rng.integers(1, 8)), int(rng.integers(2000, 12002)))
+              for _ in range(4)]
+    refusals = set()
+    for nu, count in cases:
+        weights, rising = _reference_rows(nu, count)
+        assert _read_row(disc._weights, nu, count) == weights, (nu, count)
+        assert _read_row(lambda a, c: disc._rising_over_factorial(
+            a, c, False), nu, count) == rising, (nu, count)
+        refusals |= {row[1] for row in (weights, rising)
+                     if isinstance(row, tuple)}
+    assert {"weight |m!/(nu)_m| at nu = 400, m = 683, is not a normal float",
+            "weight |m!/(nu)_m| at nu = -1028, m = 499, is not a normal "
+            "float", "weight |m!/(nu)_m| at nu = -1200, m = 337, is not a "
+            "normal float", "(nu)_m vanishes at nu = 0 for some m < 2",
+            "(nu)_m vanishes at nu = -3 for some m < 5"} <= refusals
 
 
 rational_factor = st.one_of(  # one real lane, or two
@@ -1545,14 +1614,14 @@ def test_maximize_wehrl_rejects_small_weights_before_the_ascent(monkeypatch,
 
 
 def test_fit_kernel_builds_kernel_coefficients_once(monkeypatch):
-    real = disc._rising_pair
+    real = disc._binomials  # the row builder at an integer nu
     calls = []
 
-    def counting(nu, count):
+    def counting(a, count):
         calls.append(count)
-        return real(nu, count)
+        return real(a, count)
 
-    monkeypatch.setattr(disc, "_rising_pair", counting)
+    monkeypatch.setattr(disc, "_binomials", counting)
     res = maximize_wehrl(2, 2, 8, seed=3)
     assert res.kernel_distance < 1e-4
     # The weights h (degree 8) and H (degree 16); the coherent-state fit's

@@ -44,9 +44,8 @@ _SHARED = {
     "disc.maximize_wehrl": set(),
     "compact.haar_moments": set(),
     "compact.exact_case": set(),
-    # the Haar rows' (-m)_i/i! and the mass's weights, from one pair
-    "compact.wehrl_bound_random": {
-        "disc._factorials", "disc._rising_pair", "exactnum.rising_ints"},
+    # the Haar rows' binomials are compact's own, the mass's weights disc's
+    "compact.wehrl_bound_random": set(),
     "compact.equality_on_translates": set(),
 }
 

@@ -67,6 +67,8 @@ writes ``BENCH_<pr>.json`` at its root: ``pr``, then one key per section of
 ``gauss_jacobi`` keeps the rules it built: ``cold`` times a call after
 every kept rule is dropped, and ``warm`` times it with its rules kept (a
 warm block drops none; a warm frontier runs each size once untimed).
+A frontier search times FRONTIER_ROUNDS rounds at each size and bisects on
+their median.
 
 Every time is taken by ``medians``: the median of a number of rounds, each
 call alone (its rounds back to back) or interleaved (each round calls each
@@ -131,9 +133,13 @@ TABLE_LAMBDAS = ("1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7,15/2,8,17/2,9,19/2,"
 # too slow.
 REFUSALS = (FloatRangeExceeded, MethodUnsupported, NoConvergence)
 # A frontier search doubles no size past this one, far above every recorded
-# frontier (the largest, the maximizer's, is 7048 in BENCH_54): a call that
+# frontier (the largest, the maximizer's, is 12435 in BENCH_55): a call that
 # does not slow down with its size would double until memory runs out.
 MAX_SIZE = 2 ** 20
+# Rounds a frontier search times at each size; it bisects on their median.
+# One round read BENCH_53's maximizer at 0.9985 s at degree 7104, 0.807 s at
+# 7152 and 1.18 s at 7164: a single reading moves the frontier with the host.
+FRONTIER_ROUNDS = 3
 
 
 class SizeLimit(Exception):
@@ -216,19 +222,22 @@ def cold_and_warm(calls: dict, rounds: int, interleaved: bool = False) -> dict:
 
 def one_second_frontier(call_at, start: int) -> dict:
     """The largest size whose call takes at most 1 s, by doubling from start
-    then bisection; call_at(size) builds, untimed, the call that one round
-    of medians times.  A REFUSALS error counts as too slow; any other
-    exception propagates.  Returns the record "size_1s", "seconds" of each
-    size timed, "refused" and "host_slowdown" around the search; "refused"
-    is None or, at the smallest size refused, {"size", "error": "<type>:
-    <message>", "stop_reason"}, the last that of a NoConvergence, else None.
+    then bisection on the median of FRONTIER_ROUNDS rounds of medians, so
+    that one slow or fast round does not move the frontier; call_at(size)
+    builds, untimed, the call that medians times.  A REFUSALS error in any
+    round counts as too slow; any other exception propagates.  Returns the
+    record "size_1s", the median "seconds" of each size timed, "refused" and
+    "host_slowdown" around the search; "refused" is None or, at the
+    smallest size refused, {"size", "error": "<type>: <message>",
+    "stop_reason"}, the last that of a NoConvergence, else None.
     Where every size up to MAX_SIZE takes at most 1 s, the search stops:
     "size_1s" is None and the next size is refused with SizeLimit."""
     seconds, refused = {}, {}
 
     def too_slow(size: int) -> bool:
         try:
-            seconds[size] = medians({0: call_at(size)}, 1, unit=1)[0]
+            seconds[size] = medians({0: call_at(size)}, FRONTIER_ROUNDS,
+                                    unit=1)[0]
         except REFUSALS as exc:
             refused[size] = exc
             return True
